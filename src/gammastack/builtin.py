@@ -28,7 +28,7 @@ from gammastack.quantum import (
     validate_que_data,
 )
 from gammastack.stack import lift_twist
-from gammastack.tensors import SparseTensor
+from gammastack.tensors import SparseTensor, sorted_words
 
 F = Fraction
 
@@ -194,13 +194,11 @@ def _affine_solve(unknowns: list, residual_fn) -> list[Fraction]:
 
 
 def _reduced_2slot_words(dim: int, max_total: int) -> list[tuple]:
-    from gammastack.cohomology import _slot_monomials
-
     out = []
     for p in range(1, max_total):
         for q in range(1, max_total - p + 1):
-            for w1 in _slot_monomials(dim, p):
-                for w2 in _slot_monomials(dim, q):
+            for w1 in sorted_words(dim, p):
+                for w2 in sorted_words(dim, q):
                     out.append((w1, w2))
     out.sort()
     return out

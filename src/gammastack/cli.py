@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
 from gammastack.liealg import classical_yang_baxter, validate_gamma_lba, wedge2_apply, _add_into
-from gammastack.problemfile import ProblemParseError, build_que_data, parse_problem
+from gammastack.problemfile import TRUNCATION_MIN, ProblemParseError, build_que_data, parse_problem
 from gammastack.quantum import (
     QuantumError,
     admissibilize,
@@ -39,7 +38,12 @@ def _load(path_str: str):
             print(f"error: no such file: {path_str}", file=sys.stderr)
             raise SystemExit(2)
     try:
-        return parse_problem(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {path_str}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    try:
+        return parse_problem(text)
     except ProblemParseError as exc:
         print(f"error: {path_str}: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -92,7 +96,7 @@ def cmd_stack(args) -> int:
         return 1
     n = args.degree if args.degree is not None else problem.degree
     try:
-        cert = verify_stack(problem.G, n, threads=args.threads, seed=args.seed)
+        cert = verify_stack(problem.G, n, seed=args.seed)
     except StackBuildError as exc:
         print(f"stack construction failed: {exc}", file=sys.stderr)
         return 1
@@ -110,12 +114,6 @@ def cmd_quantize(args) -> int:
     except (QuantumError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.threads > 1:
-        # admissibilization per group element is independent; warm the caches
-        # in parallel, then run the deterministic certificate assembly
-        ctx = data.ctx
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            list(ex.map(lambda g: admissibilize(ctx, data.F[g]), ctx.G.group.elements()))
     cert = quantize_stack(data)
     _emit(cert.to_json(problem.G.lba.labels), args.out)
     return 0 if cert.ok else 1
@@ -166,7 +164,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("file")
     p.add_argument("--degree", "-N", type=int, default=None, help="truncation degree")
     p.add_argument("--out", default=None, help="certificate output path (default stdout)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_stack)
 
     p = sub.add_parser("quantize", help="build and verify the quantum stack certificate")
@@ -174,7 +171,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--hbar", type=int, default=None, help="hbar truncation order")
     p.add_argument("--pbw", type=int, default=None, help="PBW degree bound")
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_quantize)
 
     p = sub.add_parser("admissibilize", help="gauge one twist into admissible form")
@@ -186,6 +182,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_admissibilize)
 
     args = parser.parse_args(argv)
+    for name, least in TRUNCATION_MIN.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            print(f"error: --{name} must be at least {least}", file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

@@ -20,7 +20,7 @@ from itertools import permutations
 from gammastack.liealg import _add_into
 from gammastack.linalg import LinearSystem, Row, matrix_rank, solve_linear
 from gammastack.formal import cocommutative_splits
-from gammastack.tensors import Monomial, SparseTensor, monomial_degree, monomial_key
+from gammastack.tensors import Monomial, SparseTensor, monomial_degree, monomial_key, sorted_words
 
 Word = tuple[int, ...]
 
@@ -134,22 +134,6 @@ def _factorial(n: int) -> int:
 # -- cochain bases -------------------------------------------------------------
 
 
-def _slot_monomials(dim: int, deg: int) -> list[Word]:
-    if deg == 0:
-        return [()]
-    out: list[Word] = []
-
-    def rec(prefix: Word, start: int, remaining: int):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for i in range(start, dim):
-            rec(prefix + (i,), i, remaining - 1)
-
-    rec((), 0, deg)
-    return out
-
-
 def cochain_basis(dim: int, k: int, ndeg: int) -> list[Monomial]:
     """Monomial basis of (S^{>0}(g)^{(x)k})_ndeg in canonical order."""
     out: list[Monomial] = []
@@ -160,21 +144,12 @@ def cochain_basis(dim: int, k: int, ndeg: int) -> list[Monomial]:
                 out.append(slots)
             return
         for d in range(1, remaining - slots_left + 2):
-            for w in _slot_monomials(dim, d):
+            for w in sorted_words(dim, d):
                 rec(slots + (w,), remaining - d, slots_left - 1)
 
     rec((), ndeg, k)
     out.sort(key=monomial_key)
     return out
-
-
-def _content(mono: Monomial) -> tuple[int, ...]:
-    counts: dict[int, int] = {}
-    for slot in mono:
-        for i in slot:
-            counts[i] = counts.get(i, 0) + 1
-    dim = max(counts) + 1 if counts else 0
-    return tuple(counts.get(i, 0) for i in range(dim))
 
 
 def _content_key(mono: Monomial, dim: int) -> tuple[int, ...]:
@@ -236,7 +211,6 @@ def solve_coboundary(
     alpha: SparseTensor,
     sign: int = 1,
     rng: random.Random | None = None,
-    check_cocycle: bool = True,
 ) -> SparseTensor:
     """Find beta with d(beta) = sign * alpha, blockwise per variable content.
 
@@ -257,10 +231,10 @@ def solve_coboundary(
         # split by degree and recurse
         total = SparseTensor.zero(k - 1, alpha.trunc)
         for d in sorted(degs):
-            total = total + solve_coboundary(alpha.homogeneous_part(d), sign, rng, check_cocycle)
+            total = total + solve_coboundary(alpha.homogeneous_part(d), sign, rng)
         return total
     ndeg = degs.pop()
-    if check_cocycle and not cohochschild_d(alpha).is_zero():
+    if not cohochschild_d(alpha).is_zero():
         raise ValueError("alpha is not a cocycle")
     if ndeg == k:
         obstruction = alt(alpha)

@@ -27,6 +27,7 @@ from gammastack.tensors import (
     monomial_degree,
     merge_slot,
     multiset_factor,
+    sorted_words,
     unit_monomial,
 )
 
@@ -200,19 +201,13 @@ class PairingContext:
     products on truncated tensor series.  Immutable after construction.
     """
 
-    def __init__(self, lba_gamma: LieBialgebra, trunc: int, tag: str = "e", seed: int = 0):
+    def __init__(self, lba_gamma: LieBialgebra, trunc: int, seed: int = 0):
         self.lba = lba_gamma
         self.dim = lba_gamma.dim
         self.trunc = trunc
-        self.tag = tag
-        # dual bracket [xi_i, xi_j] = sum_k cobracket[(k,i,j)] xi_k
-        dual: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (k, i, j), c in lba_gamma.cobracket.items():
-            dual.setdefault((i, j), {})[k] = c
-        self._dual_bracket = dual
-        self._straighten_cache: dict[Word, dict[Word, Fraction]] = {}
-        self._mult_cache: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
-        self._pbw: list[Word] = self._enumerate_pbw(trunc)
+        # U(g*_gamma): the bracket of g*_gamma is the transposed cobracket
+        self.dual = lba_gamma.dual()
+        self._pbw: list[Word] = [w for d in range(trunc + 1) for w in sorted_words(self.dim, d)]
         self._coproduct_table: dict[Word, dict[tuple[Word, Word], Fraction]] | None = None
         self._delta_u_cache: dict[Word, dict[tuple[Word, Word], Fraction]] = {}
         self._pair_bracket_cache: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
@@ -220,67 +215,21 @@ class PairingContext:
         self._mono_poisson_cache: dict[tuple[Monomial, Monomial, int], dict[Monomial, Fraction]] = {}
         self._spot_check_associativity(seed)
 
-    # -- U(g*_gamma) arithmetic ----------------------------------------------
-
-    def _enumerate_pbw(self, nmax: int) -> list[Word]:
-        out: list[Word] = [()]
-        frontier: list[Word] = [()]
-        for _ in range(nmax):
-            nxt = []
-            for w in frontier:
-                start = w[-1] if w else 0
-                for i in range(start, self.dim):
-                    nxt.append(w + (i,))
-            out.extend(nxt)
-            frontier = nxt
-        return out
-
-    def dual_bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        return self._dual_bracket.get((i, j), {})
-
-    def straighten(self, word: Word) -> dict[Word, Fraction]:
-        cached = self._straighten_cache.get(word)
-        if cached is not None:
-            return cached
-        pos = None
-        for t in range(len(word) - 1):
-            if word[t] > word[t + 1]:
-                pos = t
-                break
-        if pos is None:
-            result = {word: Fraction(1)}
-        else:
-            a, b = word[pos], word[pos + 1]
-            swapped = word[:pos] + (b, a) + word[pos + 2 :]
-            result = dict(self.straighten(swapped))
-            for k, c in self.dual_bracket(a, b).items():
-                for w, c2 in self.straighten(word[:pos] + (k,) + word[pos + 2 :]).items():
-                    _add_into(result, w, c * c2)
-        self._straighten_cache[word] = result
-        return result
-
-    def pbw_mult(self, u: Word, v: Word) -> dict[Word, Fraction]:
-        key = (u, v)
-        cached = self._mult_cache.get(key)
-        if cached is None:
-            cached = self.straighten(u + v)
-            self._mult_cache[key] = cached
-        return cached
-
     def _spot_check_associativity(self, seed: int):
         rng = random.Random(seed)
         smalls = [w for w in self._pbw if 0 < len(w) <= max(2, self.trunc // 2)]
         if not smalls:
             return
+        straighten = self.dual.straighten
         for _ in range(6):
             u, v, w = (rng.choice(smalls) for _ in range(3))
             left: dict[Word, Fraction] = {}
-            for m, c in self.pbw_mult(u, v).items():
-                for m2, c2 in self.pbw_mult(m, w).items():
+            for m, c in straighten(u + v).items():
+                for m2, c2 in straighten(m + w).items():
                     _add_into(left, m2, c * c2)
             right: dict[Word, Fraction] = {}
-            for m, c in self.pbw_mult(v, w).items():
-                for m2, c2 in self.pbw_mult(u, m).items():
+            for m, c in straighten(v + w).items():
+                for m2, c2 in straighten(u + m).items():
                     _add_into(right, m2, c * c2)
             if left != right:
                 raise AssertionError("PBW straightening is not associative (bad cobracket?)")
@@ -294,7 +243,7 @@ class PairingContext:
                 if len(b1) + len(b2) > self.trunc:
                     continue
                 denom = multiset_factor(b1) * multiset_factor(b2)
-                for w, c in self.pbw_mult(b1, b2).items():
+                for w, c in self.dual.straighten(b1 + b2).items():
                     if len(w) > self.trunc:
                         continue
                     coeff = c * multiset_factor(w) / denom
@@ -331,12 +280,8 @@ class PairingContext:
     # -- co-Poisson coderivation on U(g*_gamma) --------------------------------
 
     def _delta_u_generator(self, i: int) -> dict[tuple[Word, Word], Fraction]:
-        out: dict[tuple[Word, Word], Fraction] = {}
-        for (a, b, k), c in self.lba.bracket.items():
-            if k == i and c:
-                _add_into(out, (((a,)), ((b,))), c)
-        # bracket[(a,b,k)] is coeff of e_k in [e_a,e_b]; mu^t(xi_k) = sum c (a,b)
-        return out
+        # the cobracket of g*_gamma is the transposed bracket of g
+        return {((a,), (b,)): c for (a, b), c in self.dual.cobracket_tensor(i).items()}
 
     def delta_u(self, word: Word) -> dict[tuple[Word, Word], Fraction]:
         """Coderivation extending the dual-of-bracket cobracket of g*_gamma."""
@@ -349,19 +294,20 @@ class PairingContext:
             result = self._delta_u_generator(word[0])
         else:
             head, tail = word[:-1], (word[-1],)
+            straighten = self.dual.straighten
             result = {}
             # delta(uv) = delta(u) Delta(v) + Delta(u) delta(v)
             dv = self._delta_u_generator(word[-1])
             du = self.delta_u(head)
             for (p, q), c in du.items():
                 for (s, t), m in (((tail, ()), 1), (((), tail), 1)):
-                    for w1, c1 in self.pbw_mult(p, s).items():
-                        for w2, c2 in self.pbw_mult(q, t).items():
+                    for w1, c1 in straighten(p + s).items():
+                        for w2, c2 in straighten(q + t).items():
                             _add_into(result, (w1, w2), c * m * c1 * c2)
             for (s, t), m in cocommutative_splits(head).items():
                 for (p, q), c in dv.items():
-                    for w1, c1 in self.pbw_mult(s, p).items():
-                        for w2, c2 in self.pbw_mult(t, q).items():
+                    for w1, c1 in straighten(s + p).items():
+                        for w2, c2 in straighten(t + q).items():
                             _add_into(result, (w1, w2), Fraction(m) * c * c1 * c2)
         self._delta_u_cache[word] = result
         return result
@@ -387,7 +333,7 @@ class PairingContext:
     # -- series-level operations ------------------------------------------------
 
     def series(self, coeffs: dict[Monomial, Fraction], slots: int = 1) -> TensorSeries:
-        return SparseTensor(slots, self.trunc, coeffs, tag=self.tag)
+        return SparseTensor(slots, self.trunc, coeffs)
 
     def zero(self, slots: int = 1) -> TensorSeries:
         return SparseTensor.zero(slots, self.trunc)
@@ -403,7 +349,7 @@ class PairingContext:
         for (word,), c in a.coeffs.items():
             for (b1, b2), c2 in self.coproduct_word(word).items():
                 _add_into(out, (b1, b2), c * c2)
-        return SparseTensor(2, self.trunc, out, tag=self.tag)
+        return SparseTensor(2, self.trunc, out)
 
     def poisson(self, a: TensorSeries, b: TensorSeries) -> TensorSeries:
         """Product-Poisson bracket on n-slot series."""
@@ -421,7 +367,7 @@ class PairingContext:
                     self._mono_poisson_cache[key] = cached
                 for m, cm in cached.items():
                     _add_into(out, m, c * cm)
-        return SparseTensor(n, self.trunc, out, tag=self.tag)
+        return SparseTensor(n, self.trunc, out)
 
     def _mono_pair_poisson(self, m1: Monomial, m2: Monomial, n: int) -> dict[Monomial, Fraction]:
         out: dict[Monomial, Fraction] = {}
@@ -481,7 +427,7 @@ class PairingContext:
                 parts = nxt
             for m, cc in parts:
                 _add_into(out, m, cc)
-        return SparseTensor(n, self.trunc, out, tag=self.tag)
+        return SparseTensor(n, self.trunc, out)
 
     # -- BCH star products ------------------------------------------------------
 
@@ -544,6 +490,6 @@ class PairingContext:
         return a.coefficient(unit_monomial(a.slots))
 
 
-def tensor2_to_series(t: Tensor2, trunc: int, tag: str | None = None) -> TensorSeries:
+def tensor2_to_series(t: Tensor2, trunc: int) -> TensorSeries:
     """Embed a degree-(1,1) 2-tensor as a 2-slot series."""
-    return SparseTensor(2, trunc, {(((i,)), ((j,))): c for (i, j), c in t.items()}, tag=tag)
+    return SparseTensor(2, trunc, {(((i,)), ((j,))): c for (i, j), c in t.items()})

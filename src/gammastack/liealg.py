@@ -16,6 +16,7 @@ Vec = dict[int, Fraction]
 Tensor2 = dict[tuple[int, int], Fraction]
 Tensor3 = dict[tuple[int, int, int], Fraction]
 Word = tuple[int, ...]
+GroupMono = tuple[Word, int]
 
 
 def _add_into(target: dict, key, value: Fraction):
@@ -26,10 +27,6 @@ def _add_into(target: dict, key, value: Fraction):
         target[key] = v
     else:
         target.pop(key, None)
-
-
-def tensor2_is_zero(t: Tensor2) -> bool:
-    return all(v == 0 for v in t.values())
 
 
 @dataclass
@@ -66,6 +63,16 @@ class LieBialgebra:
                 raise ValueError(f"index {key} out of range")
         self._straighten_cache: dict[Word, dict[Word, Fraction]] = {}
 
+    def dual(self) -> LieBialgebra:
+        """The dual Lie bialgebra g*: bracket and cobracket swap by transposition.
+
+        Its enveloping algebra U(g*) is what straighten normal-orders for
+        the pairing-based function algebra of the dual formal group.
+        """
+        bracket = {(i, j, k): c for (k, i, j), c in self.cobracket.items()}
+        cobracket = {(k, i, j): c for (i, j, k), c in self.bracket.items()}
+        return LieBialgebra(self.dim, self.labels, bracket, cobracket)
+
     # -- structure lookups --------------------------------------------------
 
     def bracket_coeff(self, i: int, j: int, k: int) -> Fraction:
@@ -99,7 +106,11 @@ class LieBialgebra:
     # -- PBW straightening in U(g) ------------------------------------------
 
     def straighten(self, word: Word) -> dict[Word, Fraction]:
-        """Normal order an arbitrary word of generator indices in U(g)."""
+        """Normal order an arbitrary word of generator indices in U(g).
+
+        This is the only PBW straightener: U(g*_gamma) is straightened
+        through the dual bialgebra, see dual().
+        """
         cached = self._straighten_cache.get(word)
         if cached is not None:
             return cached
@@ -357,6 +368,16 @@ class GammaLieBialgebra:
             terms = nxt
         return terms
 
+    def labeled_product(self, a: GroupMono, b: GroupMono) -> dict[GroupMono, Fraction]:
+        """[m|g][m'|g'] = [m theta_g(m') | gg'] in U(g) x| Gamma, normal ordered."""
+        (wa, ga), (wb, gb) = a, b
+        gg = self.group.mul(ga, gb)
+        out: dict[GroupMono, Fraction] = {}
+        for w, c in self.theta_word(ga, wb).items():
+            for w2, c2 in self.lba.straighten(wa + w).items():
+                _add_into(out, (w2, gg), c * c2)
+        return out
+
 
 def delta_gamma_tensor(G: GammaLieBialgebra, gamma: int, k: int) -> Tensor2:
     """delta_gamma(e_k) = delta(e_k) + [f_gamma, e_k (x) 1 + 1 (x) e_k]."""
@@ -516,19 +537,7 @@ def from_quasitriangular(
 
 # -- co-Poisson envelope ------------------------------------------------------
 
-GroupMono = tuple[Word, int]
 CoPoissonTensor = dict[tuple[GroupMono, GroupMono], Fraction]
-
-
-def _semidirect_mul(G: GammaLieBialgebra, a: GroupMono, b: GroupMono, bound: int) -> dict[GroupMono, Fraction]:
-    """[m|g][m'|g'] = [m * theta_g(m') | gg'] in U(g) x| Gamma, degree-truncated."""
-    (wa, ga), (wb, gb) = a, b
-    out: dict[GroupMono, Fraction] = {}
-    for w, c in G.theta_word(ga, wb).items():
-        for w2, c2 in G.lba.straighten(wa + w).items():
-            if len(w2) <= bound:
-                _add_into(out, (w2, G.group.mul(ga, gb)), c * c2)
-    return out
 
 
 def _copoisson_pair_mul(
@@ -537,9 +546,11 @@ def _copoisson_pair_mul(
     out: CoPoissonTensor = {}
     for (a1, a2), c in s.items():
         for (b1, b2), c2 in t.items():
-            for m1, d1 in _semidirect_mul(G, a1, b1, bound).items():
-                for m2, d2 in _semidirect_mul(G, a2, b2, bound).items():
-                    _add_into(out, (m1, m2), c * c2 * d1 * d2)
+            right = G.labeled_product(a2, b2)
+            for m1, d1 in G.labeled_product(a1, b1).items():
+                for m2, d2 in right.items():
+                    if len(m1[0]) <= bound and len(m2[0]) <= bound:
+                        _add_into(out, (m1, m2), c * c2 * d1 * d2)
     return out
 
 

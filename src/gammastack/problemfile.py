@@ -20,6 +20,11 @@ from gammastack.quantum import PLAIN, GammaQUEData, HElement, Key, QueContext
 F = Fraction
 
 
+# Smallest accepted truncations: a twist's leading term already has degree
+# 2, and with hbar^0 = 0 every element of U(g)[[hbar]] would vanish.
+TRUNCATION_MIN = {"degree": 2, "hbar": 1, "pbw": 1}
+
+
 class ProblemParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
@@ -189,7 +194,14 @@ def parse_problem(text: str) -> Problem:
         elif kind == "truncation":
             if parts[0] not in trunc:
                 raise ProblemParseError(f"unknown truncation entry {parts[0]!r}", ln)
-            trunc[parts[0]] = int(parts[1])
+            try:
+                (value,) = map(int, parts[1:])
+            except ValueError:
+                raise ProblemParseError(f"{parts[0]} needs one integer value", ln) from None
+            least = TRUNCATION_MIN[parts[0]]
+            if value < least:
+                raise ProblemParseError(f"{parts[0]} must be at least {least}", ln)
+            trunc[parts[0]] = value
         elif kind == "quantum-coproduct":
             i = blabel(args[0], ln)
             a, c, words = parse_term_slots(parts, ln, 2)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from gammastack.cohomology import solve_coboundary
 from gammastack.liealg import GammaLieBialgebra, _add_into
-from gammastack.tensors import SparseTensor
+from gammastack.tensors import SparseTensor, sorted_words
 
 F = Fraction
 Word = tuple[int, ...]
@@ -221,16 +221,10 @@ class QueContext:
         if cached is not None:
             return cached
         (w1, g1), (w2, g2) = s1, s2
-        out: dict[Slot, Fraction] = {}
         if g1 == PLAIN and g2 == PLAIN:
-            for w, c in self.lba.straighten(w1 + w2).items():
-                out[(w, PLAIN)] = c
+            out = {(w, PLAIN): c for w, c in self.lba.straighten(w1 + w2).items()}
         elif g1 != PLAIN and g2 != PLAIN:
-            # [m|g][m'|g'] = [m theta_g(m') | g g']
-            gg = self.G.group.mul(g1, g2)
-            for wt, ct in self.G.theta_word(g1, w2).items():
-                for w, c in self.lba.straighten(w1 + wt).items():
-                    _add_into(out, (w, gg), ct * c)
+            out = self.G.labeled_product(s1, s2)
         else:
             raise ValueError("cannot mix labeled and unlabeled slots")
         self._mul_slot_cache[key] = out
@@ -887,11 +881,7 @@ class SemidirectBialgebra:
         monomials of degree <= `degree`, exactly at truncation."""
         ctx = self.ctx
         grp = self.G.group
-        words: list[Word] = [()]
-        frontier: list[Word] = [()]
-        for _ in range(degree):
-            frontier = [w + (i,) for w in frontier for i in range(ctx.lba.dim) if not w or i >= w[-1]]
-            words.extend(frontier)
+        words = [w for d in range(degree + 1) for w in sorted_words(ctx.lba.dim, d)]
         basis = [ctx.labeled(w, g) for w in words for g in grp.elements()]
         issues = []
         for a in basis:
@@ -946,16 +936,6 @@ class SemidirectBialgebra:
             for (aa, pair), cc in piece.coeffs.items():
                 key_slots = sl[:idx] + pair + sl[idx + 1 :]
                 out = out + HElement(self.ctx, 3, {(aa, key_slots): cc})
-        return out
-
-    def _counit_collapse(self, x: HElement, idx: int) -> HElement:
-        e = self.G.group.identity
-        out = self.ctx.zero(1)
-        for (a, sl), c in x.coeffs.items():
-            w, g = sl[idx]
-            if w or g != e:
-                continue
-            out = out + HElement(self.ctx, 1, {(a, sl[:idx] + sl[idx + 1 :]): c})
         return out
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from gammastack.cohomology import CoboundaryObstruction, solve_coboundary
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
 from gammastack.liealg import GammaLieBialgebra, wedge2_apply
 from gammastack.linalg import LinearSystem, solve_linear
-from gammastack.tensors import Monomial, SparseTensor, TensorSeries, monomial_degree
+from gammastack.tensors import Monomial, SparseTensor, TensorSeries, monomial_degree, sorted_words
 
 F = Fraction
 
@@ -215,10 +214,6 @@ class AlgebraMap:
                 raise StackBuildError("algebra map is not invertible at truncation")
         return out
 
-    def compose(self, first: AlgebraMap) -> AlgebraMap:
-        """self o first."""
-        return AlgebraMap([self.apply(img) for img in first.images], self.trunc)
-
 
 def twisted_coproduct(ctx: PairingContext, f: TensorSeries, a: TensorSeries) -> TensorSeries:
     """f-conjugated coproduct: Ad_star(f) applied to Delta_gamma(a)."""
@@ -277,20 +272,6 @@ class PoissonIso:
         return self.map.images
 
 
-def _mono_basis(dim: int, deg: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, start, remaining):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for i in range(start, dim):
-            rec(prefix + (i,), i, remaining - 1)
-
-    rec((), 0, deg)
-    return out
-
-
 def iso_residuals(
     ctx_src: PairingContext,
     ctx_dst: PairingContext,
@@ -335,14 +316,14 @@ def build_iso(
                 vec.append(h.coefficient(mono))
         for r in poi_res:
             h = r.homogeneous_part(deg)
-            for mono in _mono_basis(dim, deg):
+            for mono in sorted_words(dim, deg):
                 vec.append(h.coefficient((mono,)))
         return vec
 
     for deg in range(2, N + 1):
         base = residual_vector(images, deg)
         unknowns: list[tuple[int, tuple[int, ...]]] = [
-            (i, m) for i in range(dim) for m in _mono_basis(dim, deg)
+            (i, m) for i in range(dim) for m in sorted_words(dim, deg)
         ]
         if all(v == 0 for v in base):
             continue
@@ -376,8 +357,8 @@ def build_iso(
 def _all_2slot_monos(dim: int, deg: int) -> list[Monomial]:
     out = []
     for d1 in range(deg + 1):
-        for w1 in _mono_basis(dim, d1):
-            for w2 in _mono_basis(dim, deg - d1):
+        for w1 in sorted_words(dim, d1):
+            for w2 in sorted_words(dim, deg - d1):
                 out.append((w1, w2))
     return out
 
@@ -451,9 +432,7 @@ def _residual_entry(name: str, where: tuple[str, ...], s: TensorSeries, labels) 
     return ResidualEntry(name, where, s.trunc, "0" if s.is_zero() else s.format(labels))
 
 
-def verify_stack(
-    G: GammaLieBialgebra, N: int, threads: int = 1, seed: int = 0
-) -> StackCertificate:
+def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificate:
     """Build all lifts, isomorphisms and gauge elements; verify every stack
     identity to degree N with the independent star kernel.
 
@@ -466,7 +445,7 @@ def verify_stack(
     grp = G.group
     labels = G.lba.labels
     contexts = {
-        g: PairingContext(build_delta_gamma(G, g), N, tag=grp.labels[g], seed=seed)
+        g: PairingContext(build_delta_gamma(G, g), N, seed=seed)
         for g in grp.elements()
     }
     pairs = [(a, b) for a in grp.elements() for b in grp.elements()]
@@ -478,31 +457,20 @@ def verify_stack(
         gp = grp.mul(grp.inverse[a], b)
         return tensor2_to_series(wedge2_apply(G.theta[a], G.f[gp]), N).scale(F(1, 2))
 
-    def build_pair(ab):
-        a, b = ab
-        ctx = contexts[a]
-        lift = lift_twist(ctx, leading_for(a, b))
-        iso = build_iso(ctx, contexts[b], lift)
-        return ab, TwistLift(ab, lift, N), PoissonIso(a, b, iso, N)
-
     lifts: dict[tuple[int, int], TwistLift] = {}
     isos: dict[tuple[int, int], PoissonIso] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for ab, lift, iso in ex.map(build_pair, pairs):
-                lifts[ab], isos[ab] = lift, iso
-    else:
-        for ab in pairs:
-            _, lift, iso = build_pair(ab)
-            lifts[ab], isos[ab] = lift, iso
+    for (a, b) in pairs:
+        lift = lift_twist(contexts[a], leading_for(a, b))
+        iso = build_iso(contexts[a], contexts[b], lift)
+        lifts[(a, b)] = TwistLift((a, b), lift, N)
+        isos[(a, b)] = PoissonIso(a, b, iso, N)
     inv_isos = {ab: isos[ab].map.inverse() for ab in pairs}
 
     triples = [(a, b, c) for a in grp.elements() for b in grp.elements() for c in grp.elements()]
-
-    def build_triple(abc):
-        a, b, c = abc
+    gauges: dict[tuple[int, int, int], TensorSeries] = {}
+    for (a, b, c) in triples:
         try:
-            u = build_u(
+            gauges[(a, b, c)] = build_u(
                 contexts[a],
                 inv_isos[(a, b)],
                 lifts[(a, b)].series,
@@ -510,18 +478,7 @@ def verify_stack(
                 lifts[(a, c)].series,
             )
         except StackBuildError as exc:
-            raise StackBuildError(f"{exc} (at triple {abc})") from exc
-        return abc, u
-
-    gauges: dict[tuple[int, int, int], TensorSeries] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for abc, u in ex.map(build_triple, triples):
-                gauges[abc] = u
-    else:
-        for abc in triples:
-            _, u = build_triple(abc)
-            gauges[abc] = u
+            raise StackBuildError(f"{exc} (at triple {(a, b, c)})") from exc
 
     residuals: list[ResidualEntry] = []
     # twist equations, independent kernel

@@ -9,6 +9,7 @@ truncation bound on total degree.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
 Monomial = tuple[tuple[int, ...], ...]
@@ -25,6 +26,15 @@ def monomial_degree(mono: Monomial) -> int:
 def monomial_key(mono: Monomial):
     """Canonical order: total degree, then slot-major (degree, indices)."""
     return (monomial_degree(mono), tuple((len(s), s) for s in mono))
+
+
+def sorted_words(dim: int, deg: int) -> list[tuple[int, ...]]:
+    """All sorted words of length deg over range(dim), in lexicographic order.
+
+    These index the PBW basis of an enveloping algebra and the monomials of
+    the symmetric algebra in one degree.
+    """
+    return list(combinations_with_replacement(range(dim), deg))
 
 
 def merge_slot(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -50,20 +60,13 @@ class SparseTensor:
     new tensors.  Zero coefficients are never stored.
     """
 
-    __slots__ = ("slots", "trunc", "coeffs", "tag")
+    __slots__ = ("slots", "trunc", "coeffs")
 
-    def __init__(
-        self,
-        slots: int,
-        trunc: int,
-        coeffs: dict[Monomial, Fraction] | None = None,
-        tag: str | None = None,
-    ):
+    def __init__(self, slots: int, trunc: int, coeffs: dict[Monomial, Fraction] | None = None):
         if slots < 1:
             raise ValueError("slot count must be >= 1")
         self.slots = slots
         self.trunc = trunc
-        self.tag = tag
         clean: dict[Monomial, Fraction] = {}
         if coeffs:
             for mono, c in coeffs.items():
@@ -133,9 +136,6 @@ class SparseTensor:
             self.trunc,
             {m: c for m, c in self.coeffs.items() if monomial_degree(m) == degree},
         )
-
-    def max_degree(self) -> int:
-        return max((monomial_degree(m) for m in self.coeffs), default=0)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -92,12 +92,6 @@ def test_certificates_deterministic(tmp_path):
     for path in (a, b):
         assert main(["stack", str(data_path("axb.glb")), "--degree", "3", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    c = tmp_path / "c.json"
-    assert (
-        main(["stack", str(data_path("axb.glb")), "--degree", "3", "--threads", "4", "--out", str(c)])
-        == 0
-    )
-    assert a.read_bytes() == c.read_bytes()
 
 
 def test_stack_sl2_weyl_via_cli(tmp_path):
@@ -107,6 +101,8 @@ def test_stack_sl2_weyl_via_cli(tmp_path):
     cert = json.loads(out.read_text())
     assert cert["valid"] is True
     assert len(cert["gauge_elements"]) == 64
+    # pins PBW straightening in U(sl2*_gamma) through the Poisson brackets
+    assert out.read_bytes() == (Path(__file__).parent / "golden" / "sl2-weyl-stack-N3.json").read_bytes()
 
 
 def test_stack_on_invalid_problem_exit_1(tmp_path):
@@ -146,3 +142,55 @@ def test_golden_certificates_stable(tmp_path):
     out = tmp_path / "quantum.json"
     assert main(["quantize", str(data_path("trivial-que.glb")), "--out", str(out)]) == 0
     assert out.read_bytes() == (golden / "trivial-quantum.json").read_bytes()
+    # pins straightening and the labeled product in U(sl2)[[hbar]] x| Gamma
+    out = tmp_path / "sl2-quantum.json"
+    assert main(["quantize", str(data_path("sl2-que.glb")), "--out", str(out)]) == 0
+    assert out.read_bytes() == (golden / "sl2-que-quantum.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["stack", "axb.glb", "-N", "-3"],
+        ["stack", "axb.glb", "--degree", "1"],
+        ["quantize", "trivial-que.glb", "--hbar", "0"],
+        ["quantize", "trivial-que.glb", "--pbw", "0"],
+        ["admissibilize", "abelian-que.glb", "--target", "s", "--hbar", "-1"],
+    ],
+    ids=["stack-N-negative", "stack-degree-1", "quantize-hbar-0", "quantize-pbw-0", "admissibilize-hbar-negative"],
+)
+def test_truncation_below_minimum_exit_2(args):
+    code, out, err = run_cli(*args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", ["degree four", "degree", "hbar 0"])
+def test_malformed_truncation_entry_exit_2(tmp_path, entry):
+    text = data_path("axb.glb").read_text(encoding="utf-8")
+    bad = tmp_path / "bad.glb"
+    bad.write_text(text.replace("degree 4", entry), encoding="utf-8")
+    code, _out, err = run_cli("stack", str(bad))
+    assert code == 2
+    assert err.startswith(f"error: {bad}: line 21: ") and err.count("\n") == 1
+
+
+def test_threads_option_removed():
+    code, _out, err = run_cli("stack", "axb.glb", "--threads", "2")
+    assert code == 2
+    assert "unrecognized arguments: --threads" in err
+
+
+def test_directory_input_exit_2(tmp_path):
+    code, _out, err = run_cli("validate", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"error: {tmp_path}: ") and "Traceback" not in err
+
+
+def test_non_utf8_input_exit_2(tmp_path):
+    f = tmp_path / "latin1.glb"
+    f.write_bytes("[algebra]\n# caf\xe9\n".encode("latin-1"))
+    code, _out, err = run_cli("validate", str(f))
+    assert code == 2
+    assert err.startswith(f"error: {f}: ") and "utf-8" in err

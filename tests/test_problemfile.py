@@ -92,3 +92,26 @@ def test_corrupted_twist_named_condition():
     issues = validate_gamma_lba(problem.G)
     assert issues
     assert any(i.condition == "condition-a" for i in issues)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("degree four", "degree needs one integer value"),
+        ("degree", "degree needs one integer value"),
+        ("degree 4 5", "degree needs one integer value"),
+        ("degree 1", "degree must be at least 2"),
+        ("degree -3", "degree must be at least 2"),
+        ("hbar 0", "hbar must be at least 1"),
+        ("pbw 0", "pbw must be at least 1"),
+    ],
+)
+def test_parse_error_bad_truncation(entry, message):
+    text = data_path("axb.glb").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    ln = lines.index("degree 4") + 1
+    lines[ln - 1] = entry
+    with pytest.raises(ProblemParseError) as exc:
+        parse_problem("\n".join(lines) + "\n")
+    assert exc.value.line == ln
+    assert message in str(exc.value)
