@@ -28,7 +28,7 @@ from gammastack.quantum import (
     validate_que_data,
 )
 from gammastack.stack import lift_twist
-from gammastack.tensors import SparseTensor, sorted_words
+from gammastack.tensors import SparseTensor, _add_into, sorted_words
 
 F = Fraction
 
@@ -173,14 +173,9 @@ def _affine_solve(unknowns: list, residual_fn) -> list[Fraction]:
     base = residual_fn({})
     columns = []
     for u in unknowns:
-        col = residual_fn({u: F(1)})
-        diff = dict(col)
+        diff = dict(residual_fn({u: F(1)}))
         for k, v in base.items():
-            d = diff.get(k, F(0)) - v
-            if d:
-                diff[k] = d
-            else:
-                diff.pop(k, None)
+            _add_into(diff, k, -v)
         columns.append(diff)
     eq_keys = sorted(set(base) | {k for col in columns for k in col})
     sys = LinearSystem(len(unknowns))

@@ -12,7 +12,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from gammastack.liealg import classical_yang_baxter, validate_gamma_lba, wedge2_apply, _add_into
+from gammastack.liealg import classical_yang_baxter, validate_gamma_lba, wedge2_apply
 from gammastack.problemfile import TRUNCATION_MIN, ProblemParseError, build_que_data, parse_problem
 from gammastack.quantum import (
     QuantumError,
@@ -21,6 +21,7 @@ from gammastack.quantum import (
     validate_que_data,
 )
 from gammastack.stack import StackBuildError, verify_stack
+from gammastack.tensors import _add_into
 
 
 def data_path(name: str) -> Path:

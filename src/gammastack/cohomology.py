@@ -17,10 +17,9 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from gammastack.liealg import _add_into
 from gammastack.linalg import LinearSystem, Row, matrix_rank, solve_linear
 from gammastack.formal import cocommutative_splits
-from gammastack.tensors import Monomial, SparseTensor, monomial_degree, monomial_key, sorted_words
+from gammastack.tensors import Monomial, SparseTensor, _add_into, monomial_degree, monomial_key, sorted_words
 
 Word = tuple[int, ...]
 
@@ -67,7 +66,8 @@ def insert_cocommutative(a: SparseTensor, subsets: tuple[tuple[int, ...], ...], 
             parts = nxt
         for slots, cc in parts:
             _add_into(out, tuple(slots), cc)
-    return SparseTensor(n, a.trunc, out)
+    # degree preserving, so every term stays within a's bound
+    return SparseTensor._trusted(a.trunc, n, out)
 
 
 _split_cache: dict[tuple[Word, int], dict[tuple[Word, ...], int]] = {}

@@ -19,11 +19,12 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from gammastack.liealg import GammaLieBialgebra, LieBialgebra, Tensor2, _add_into, delta_gamma_tensor
+from gammastack.liealg import GammaLieBialgebra, LieBialgebra, Tensor2, delta_gamma_tensor
 from gammastack.tensors import (
     Monomial,
     SparseTensor,
     TensorSeries,
+    _add_into,
     monomial_degree,
     merge_slot,
     multiset_factor,
@@ -367,7 +368,7 @@ class PairingContext:
                     self._mono_poisson_cache[key] = cached
                 for m, cm in cached.items():
                     _add_into(out, m, c * cm)
-        return SparseTensor(n, self.trunc, out)
+        return SparseTensor._trusted(self.trunc, n, out)
 
     def _mono_pair_poisson(self, m1: Monomial, m2: Monomial, n: int) -> dict[Monomial, Fraction]:
         out: dict[Monomial, Fraction] = {}
@@ -427,7 +428,7 @@ class PairingContext:
                 parts = nxt
             for m, cc in parts:
                 _add_into(out, m, cc)
-        return SparseTensor(n, self.trunc, out)
+        return SparseTensor._trusted(self.trunc, n, out)
 
     # -- BCH star products ------------------------------------------------------
 

@@ -12,21 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from gammastack.tensors import _add_into
+
 Vec = dict[int, Fraction]
 Tensor2 = dict[tuple[int, int], Fraction]
 Tensor3 = dict[tuple[int, int, int], Fraction]
 Word = tuple[int, ...]
 GroupMono = tuple[Word, int]
-
-
-def _add_into(target: dict, key, value: Fraction):
-    if value == 0:
-        return
-    v = target.get(key, Fraction(0)) + value
-    if v:
-        target[key] = v
-    else:
-        target.pop(key, None)
 
 
 @dataclass

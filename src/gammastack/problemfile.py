@@ -61,6 +61,25 @@ def _parse_scalar(tok: str, line: int) -> Fraction:
         raise ProblemParseError(f"bad scalar {tok!r}: {exc}", line)
 
 
+def _parse_int(tok: str, line: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ProblemParseError(f"bad integer {tok!r}", line) from None
+
+
+def _groups(toks: list[str], width: int, syntax: str, line: int) -> list[list[str]]:
+    """Split toks into consecutive groups of `width`; a ragged tail is an error."""
+    if len(toks) % width:
+        raise ProblemParseError(syntax, line)
+    return [toks[t : t + width] for t in range(0, len(toks), width)]
+
+
+# header arguments each section needs, as in [action g] or [quantum-gauge g h]
+SECTION_ARGS = {"action": 1, "twist": 1, "quantum-coproduct": 1, "quantum-twist": 1,
+                "quantum-morphism": 2, "quantum-gauge": 2}
+
+
 def parse_problem(text: str) -> Problem:
     lines = text.splitlines()
     section: tuple | None = None
@@ -98,7 +117,7 @@ def parse_problem(text: str) -> Problem:
     def parse_term_slots(parts: list[str], ln: int, slots: int) -> tuple[int, Fraction, tuple]:
         if len(parts) < 3:
             raise ProblemParseError("term needs hbar power, coefficient, slots", ln)
-        a = int(parts[1])
+        a = _parse_int(parts[1], ln)
         c = _parse_scalar(parts[2], ln)
         body = " ".join(parts[3:])
         slot_toks = body.split("|")
@@ -115,6 +134,11 @@ def parse_problem(text: str) -> Problem:
             if not line.endswith("]"):
                 raise ProblemParseError("unterminated section header", ln)
             head = line[1:-1].split()
+            if not head:
+                raise ProblemParseError("empty section header", ln)
+            need = SECTION_ARGS.get(head[0], 0)
+            if len(head) - 1 < need:
+                raise ProblemParseError(f"[{head[0]}] needs {need} argument(s)", ln)
             section = (head[0], tuple(head[1:]), ln)
             if head[0].startswith("quantum-"):
                 seen_quantum = True
@@ -125,30 +149,32 @@ def parse_problem(text: str) -> Problem:
         parts = line.split()
         if kind == "algebra":
             if parts[0] == "dim":
-                dim = int(parts[1])
+                if len(parts) < 2:
+                    raise ProblemParseError("dim syntax: dim n", ln)
+                dim = _parse_int(parts[1], ln)
             elif parts[0] == "labels":
                 labels = parts[1:]
                 label_index = {l: i for i, l in enumerate(labels)}
                 if dim is not None and len(labels) != dim:
                     raise ProblemParseError("label count does not match dim", ln)
             elif parts[0] == "bracket":
+                syntax = "bracket syntax: bracket a b = c1 l1 ..."
                 if len(parts) < 5 or parts[3] != "=":
-                    raise ProblemParseError("bracket syntax: bracket a b = c1 l1 ...", ln)
+                    raise ProblemParseError(syntax, ln)
                 i, j = blabel(parts[1], ln), blabel(parts[2], ln)
-                toks = parts[4:]
-                for t in range(0, len(toks), 2):
-                    c = _parse_scalar(toks[t], ln)
-                    k = blabel(toks[t + 1], ln)
+                for c_tok, k_tok in _groups(parts[4:], 2, syntax, ln):
+                    c = _parse_scalar(c_tok, ln)
+                    k = blabel(k_tok, ln)
                     bracket[(i, j, k)] = bracket.get((i, j, k), F(0)) + c
                     bracket[(j, i, k)] = bracket.get((j, i, k), F(0)) - c
             elif parts[0] == "cobracket":
+                syntax = "cobracket syntax: cobracket a = c1 l1 l2 ..."
                 if len(parts) < 5 or parts[2] != "=":
-                    raise ProblemParseError("cobracket syntax: cobracket a = c1 l1 l2 ...", ln)
+                    raise ProblemParseError(syntax, ln)
                 k = blabel(parts[1], ln)
-                toks = parts[3:]
-                for t in range(0, len(toks), 3):
-                    c = _parse_scalar(toks[t], ln)
-                    i, j = blabel(toks[t + 1], ln), blabel(toks[t + 2], ln)
+                for c_tok, i_tok, j_tok in _groups(parts[3:], 3, syntax, ln):
+                    c = _parse_scalar(c_tok, ln)
+                    i, j = blabel(i_tok, ln), blabel(j_tok, ln)
                     cobracket[(k, i, j)] = cobracket.get((k, i, j), F(0)) + c
                     cobracket[(k, j, i)] = cobracket.get((k, j, i), F(0)) - c
             else:
@@ -158,7 +184,7 @@ def parse_problem(text: str) -> Problem:
                 group_labels = parts[1:]
                 group_index = {l: i for i, l in enumerate(group_labels)}
             elif parts[0] == "row":
-                if parts[2] != "=":
+                if len(parts) < 3 or parts[2] != "=":
                     raise ProblemParseError("row syntax: row g = g1 g2 ...", ln)
                 g = glabel(parts[1], ln)
                 rows[g] = [glabel(t, ln) for t in parts[3:]]
@@ -166,18 +192,17 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemParseError(f"unknown group entry {parts[0]!r}", ln)
         elif kind == "action":
             g = glabel(args[0], ln)
-            if parts[0] != "map" or parts[2] != "=":
-                raise ProblemParseError("action syntax: map x = c1 l1 ...", ln)
+            syntax = "action syntax: map x = c1 l1 ..."
+            if len(parts) < 3 or parts[0] != "map" or parts[2] != "=":
+                raise ProblemParseError(syntax, ln)
             j = blabel(parts[1], ln)
-            toks = parts[3:]
             mat = actions.setdefault(g, {})
-            for t in range(0, len(toks), 2):
-                c = _parse_scalar(toks[t], ln)
-                i = blabel(toks[t + 1], ln)
-                mat[(i, j)] = c
+            for c_tok, i_tok in _groups(parts[3:], 2, syntax, ln):
+                c = _parse_scalar(c_tok, ln)
+                mat[(blabel(i_tok, ln), j)] = c
         elif kind == "twist":
             g = glabel(args[0], ln)
-            if parts[0] != "term":
+            if len(parts) < 4 or parts[0] != "term":
                 raise ProblemParseError("twist syntax: term c a b", ln)
             c = _parse_scalar(parts[1], ln)
             i, j = blabel(parts[2], ln), blabel(parts[3], ln)
@@ -185,7 +210,7 @@ def parse_problem(text: str) -> Problem:
             t[(i, j)] = t.get((i, j), F(0)) + c
             t[(j, i)] = t.get((j, i), F(0)) - c
         elif kind == "rmatrix":
-            if parts[0] != "term":
+            if len(parts) < 4 or parts[0] != "term":
                 raise ProblemParseError("rmatrix syntax: term c a b", ln)
             c = _parse_scalar(parts[1], ln)
             i, j = blabel(parts[2], ln), blabel(parts[3], ln)

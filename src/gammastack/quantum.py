@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from gammastack.cohomology import solve_coboundary
-from gammastack.liealg import GammaLieBialgebra, _add_into
-from gammastack.tensors import SparseTensor, sorted_words
+from gammastack.liealg import GammaLieBialgebra
+from gammastack.tensors import SparseElement, SparseTensor, _add_into, sorted_words, word_str
 
 F = Fraction
 Word = tuple[int, ...]
@@ -28,16 +28,22 @@ Slot = tuple[Word, int]  # (pbw word, group label); label -1 means unlabeled
 Key = tuple[int, tuple[Slot, ...]]
 
 PLAIN = -1
+ONE = F(1)
 
 
 class QuantumError(RuntimeError):
     pass
 
 
-class HElement:
-    """Sparse, immutable-by-convention element of the truncated algebra."""
+class HElement(SparseElement):
+    """Sparse, immutable-by-convention element of the truncated algebra.
 
-    __slots__ = ("ctx", "slots", "coeffs")
+    Keys are (hbar power, slots); the bound is hbar power below ctx.M and
+    total PBW degree at most ctx.D.
+    """
+
+    __slots__ = ("ctx",)
+    _space = "ctx"
 
     def __init__(self, ctx: QueContext, slots: int, coeffs: dict[Key, Fraction] | None = None):
         self.ctx = ctx
@@ -54,38 +60,6 @@ class HElement:
                 clean[(a, sl)] = F(c)
         self.coeffs = clean
 
-    # -- basics ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HElement)
-            and self.slots == other.slots
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.slots, frozenset(self.coeffs.items())))
-
-    def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-
-    def __add__(self, other: HElement) -> HElement:
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            _add_into(out, k, c)
-        return HElement(self.ctx, self.slots, out)
-
-    def __sub__(self, other: HElement) -> HElement:
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> HElement:
-        c = F(c)
-        return HElement(self.ctx, self.slots, {k: c * v for k, v in self.coeffs.items()})
-
     def _check(self, other: HElement):
         if self.ctx is not other.ctx or self.slots != other.slots:
             raise ValueError("incompatible elements")
@@ -100,40 +74,25 @@ class HElement:
             if a + k < 0:
                 raise QuantumError(f"hbar division of a term with hbar^{a}")
             out[(a + k, sl)] = c
-        return HElement(self.ctx, self.slots, out)
+        # a positive shift can pass the hbar bound, so only it is re-cleaned
+        return self._like(out) if k <= 0 else HElement(self.ctx, self.slots, out)
 
     def hbar_coefficient(self, a: int) -> HElement:
-        return HElement(
-            self.ctx, self.slots, {(0, sl): c for (p, sl), c in self.coeffs.items() if p == a}
-        )
+        return self._like({(0, sl): c for (p, sl), c in self.coeffs.items() if p == a})
 
     def flip(self) -> HElement:
         if self.slots != 2:
             raise ValueError("flip needs 2 slots")
-        return HElement(
-            self.ctx,
-            2,
-            {(a, (sl[1], sl[0])): c for (a, sl), c in self.coeffs.items()},
-        )
+        return self._like({(a, (sl[1], sl[0])): c for (a, sl), c in self.coeffs.items()})
 
-    def total_degree(self, key: Key) -> int:
-        return sum(len(w) for w, _ in key[1])
-
-    def format(self, labels: list[str] | None = None) -> str:
-        if not self.coeffs:
-            return "0"
+    def _term(self, key: Key, labels: list[str] | None) -> str:
+        a, sl = key
         glabels = self.ctx.G.group.labels if self.ctx.G else []
-
-        def slot_str(slot: Slot) -> str:
-            w, g = slot
-            body = " ".join(labels[i] if labels else f"e{i}" for i in w) if w else "1"
-            return body if g == PLAIN else f"[{body}:{glabels[g]}]"
-
-        parts = []
-        for (a, sl), c in self.items():
-            h = f"h^{a} " if a else ""
-            parts.append(f"{c} {h}{'|'.join(slot_str(s) for s in sl)}")
-        return " + ".join(parts)
+        body = "|".join(
+            word_str(w, labels) if g == PLAIN else f"[{word_str(w, labels)}:{glabels[g]}]"
+            for w, g in sl
+        )
+        return f"h^{a} {body}" if a else body
 
     def __repr__(self):
         return f"HElement({self.format()})"
@@ -180,9 +139,6 @@ class QueContext:
 
     def gen(self, i: int, hbar: int = 0) -> HElement:
         return HElement(self, 1, {(hbar, (((i,), PLAIN),)): F(1)})
-
-    def element(self, coeffs: dict[Key, Fraction], slots: int = 1) -> HElement:
-        return HElement(self, slots, coeffs)
 
     def labeled(self, word: Word, gamma: int, hbar: int = 0) -> HElement:
         return HElement(self, 1, {(hbar, ((word, gamma),)): F(1)})
@@ -249,7 +205,7 @@ class QueContext:
                 for sl, c in parts:
                     if sum(len(w) for w, _ in sl) <= self.D:
                         _add_into(out, (a, sl), c)
-        return HElement(self, x.slots, out)
+        return HElement._trusted(self, x.slots, out)
 
     def commutator(self, x: HElement, y: HElement) -> HElement:
         return self.mul(x, y) - self.mul(y, x)
@@ -267,7 +223,7 @@ class QueContext:
 
     def exp(self, z: HElement) -> HElement:
         self._nilpotent_check(z, "exp")
-        out = self._unit_like(z)
+        out = self.unit(z.slots)
         term = out
         for k in range(1, self.M + 1):
             term = self.mul(term, z).scale(F(1, k))
@@ -276,16 +232,11 @@ class QueContext:
             out = out + term
         return out
 
-    def _unit_like(self, z: HElement) -> HElement:
-        return HElement(
-            self, z.slots, {(0, tuple(((), PLAIN) for _ in range(z.slots))): F(1)}
-        )
-
     def log(self, x: HElement) -> HElement:
-        u = x - self._unit_like(x)
+        u = x - self.unit(x.slots)
         self._nilpotent_check(u, "log")
         out = self.zero(x.slots)
-        power = self._unit_like(x)
+        power = self.unit(x.slots)
         for k in range(1, self.M + 1):
             power = self.mul(power, u)
             if power.is_zero():
@@ -297,9 +248,9 @@ class QueContext:
         return self.log(x).hbar_shift(1)
 
     def inverse(self, x: HElement) -> HElement:
-        u = self._unit_like(x) - x
+        u = self.unit(x.slots) - x
         self._nilpotent_check(u, "inverse")
-        out = self._unit_like(x)
+        out = self.unit(x.slots)
         power = out
         for _ in range(self.M + 1):
             power = self.mul(power, u)
@@ -346,7 +297,7 @@ class QueContext:
                 key = (a + a2, sl[:idx] + pair + sl[idx + 1 :])
                 if key[0] < self.M and sum(len(ww) for ww, _ in key[1]) <= self.D:
                     _add_into(out, key, c * c2)
-        return HElement(self, x.slots + 1, out)
+        return HElement._trusted(self, x.slots + 1, out)
 
     def iterated_coproduct(self, x: HElement, n: int) -> HElement:
         out = x
@@ -361,7 +312,7 @@ class QueContext:
             if w:
                 continue
             _add_into(out, (a, sl[:idx] + sl[idx + 1 :]), c)
-        return HElement(self, x.slots - 1, out)
+        return HElement._trusted(self, x.slots - 1, out)
 
     # -- endomorphisms by generator images ---------------------------------------------
 
@@ -413,7 +364,7 @@ class QueContext:
             for aa, sl2, cc in parts:
                 if sum(len(ww) for ww, _ in sl2) <= self.D:
                     _add_into(acc, (aa, sl2), cc)
-        return HElement(self, x.slots, acc)
+        return HElement._trusted(self, x.slots, acc)
 
     def invert_endo(self, images: list[HElement], leading: list[HElement]) -> list[HElement]:
         """Generator images of the inverse endomorphism.
@@ -500,7 +451,7 @@ def drinfeld_prime_membership_general(x: HElement) -> tuple[bool, Key | None]:
 def is_admissible(x: HElement) -> tuple[bool, Key | None]:
     """x in 1 + hbar U with hbar log x in the Drinfeld subalgebra."""
     ctx = x.ctx
-    u = x - ctx._unit_like(x)
+    u = x - ctx.unit(x.slots)
     for (a, _sl), _c in u.coeffs.items():
         if a == 0:
             raise QuantumError("admissibility needs x in 1 + hbar U")
@@ -562,7 +513,7 @@ def admissibilize(ctx: QueContext, f0: HElement) -> tuple[HElement, HElement]:
     """
     if f0.slots != 2:
         raise ValueError("admissibilize expects a 2-slot twist")
-    if (f0 - ctx._unit_like(f0)).hbar_coefficient(0).coeffs:
+    if (f0 - ctx.unit(f0.slots)).hbar_coefficient(0).coeffs:
         raise QuantumError("twist must lie in 1 + hbar U")
     res = twist_residual_quantum(ctx, f0)
     if not res.is_zero():
@@ -688,7 +639,7 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
     # F leading terms and twist equations
     for g in grp.elements():
         f = data.F[g]
-        if (f - ctx._unit_like(f)).hbar_coefficient(0).coeffs:
+        if (f - ctx.unit(f.slots)).hbar_coefficient(0).coeffs:
             issues.append(f"F[{grp.labels[g]}] not in 1 + hbar U^2")
         f1 = f.hbar_coefficient(1)
         alt = f1 - f1.flip()
@@ -819,51 +770,48 @@ class SemidirectBialgebra:
         self.data = data
         self.ctx = data.ctx
         self.G = self.ctx.G
+        # per-label caches: (theta_g, i_g^{-1}) images, v^{-1}, F^{-1}
+        self._conj_images: dict[int, tuple[list[HElement], list[HElement]]] = {}
+        self._vinv: dict[tuple[int, int], HElement] = {}
+        self._finv: dict[int, HElement] = {}
 
     def product(self, x: HElement, y: HElement) -> HElement:
         """[m|g][m'|g'] = [m * i_{e,g}^{-1}(theta_g(m')) * v_{e,g,gg'}^{-1} | gg']."""
         ctx = self.ctx
         grp = self.G.group
-        out = ctx.zero(1)
-        inv_cache: dict[int, list[HElement]] = {}
+        out: dict[Key, Fraction] = {}
         for (a1, ((w1, g1),)), c1 in x.coeffs.items():
             for (a2, ((w2, g2),)), c2 in y.coeffs.items():
                 if g1 == PLAIN or g2 == PLAIN:
                     raise ValueError("semidirect product needs labeled elements")
-                if g1 not in inv_cache:
-                    inv_cache[g1] = self.data.i_inverse_images(g1)
-                plain2 = HElement(ctx, 1, {(a2, ((w2, PLAIN),)): F(1)})
-                conj = ctx.apply_endo(ctx.theta_images(g1), plain2)
-                conj = ctx.apply_endo(inv_cache[g1], conj)
+                if g1 not in self._conj_images:
+                    self._conj_images[g1] = (ctx.theta_images(g1), self.data.i_inverse_images(g1))
+                if (g1, g2) not in self._vinv:
+                    self._vinv[(g1, g2)] = ctx.inverse(self.data.v[(g1, g2)])
+                conj = HElement._trusted(ctx, 1, {(a2, ((w2, PLAIN),)): ONE})
+                for images in self._conj_images[g1]:
+                    conj = ctx.apply_endo(images, conj)
                 gg = grp.mul(g1, g2)
-                vinv = ctx.inverse(self.data.v[(g1, g2)])
-                plain1 = HElement(ctx, 1, {(a1, ((w1, PLAIN),)): F(1)})
-                prod = plain1 * conj * vinv
-                for (a, ((w, _),)), c in prod.coeffs.items():
-                    out = out + HElement(ctx, 1, {(a, ((w, gg),)): c1 * c2 * c})
-        return out
+                plain1 = HElement._trusted(ctx, 1, {(a1, ((w1, PLAIN),)): ONE})
+                c12 = c1 * c2
+                for (a, ((w, _),)), c in (plain1 * conj * self._vinv[(g1, g2)]).coeffs.items():
+                    _add_into(out, (a, ((w, gg),)), c12 * c)
+        return HElement._trusted(ctx, 1, out)
 
     def coproduct(self, x: HElement) -> HElement:
         """[m|g] -> [Delta_e(m) * F_{e,g}^{-1} | g,g]."""
         ctx = self.ctx
-        out = ctx.zero(2)
-        finv_cache: dict[int, HElement] = {}
+        out: dict[Key, Fraction] = {}
         for (a, ((w, g),)), c in x.coeffs.items():
             if g == PLAIN:
                 raise ValueError("semidirect coproduct needs labeled elements")
-            if g not in finv_cache:
-                finv_cache[g] = ctx.inverse(self.data.F[g])
-            plain = HElement(ctx, 1, {(a, ((w, PLAIN),)): c})
-            val = ctx.coproduct_slot(plain, 0) * finv_cache[g]
-            out = out + HElement(
-                ctx,
-                2,
-                {
-                    (aa, ((w1, g), (w2, g))): cc
-                    for (aa, ((w1, _), (w2, _))), cc in val.coeffs.items()
-                },
-            )
-        return out
+            if g not in self._finv:
+                self._finv[g] = ctx.inverse(self.data.F[g])
+            plain = HElement._trusted(ctx, 1, {(a, ((w, PLAIN),)): c})
+            val = ctx.coproduct_slot(plain, 0) * self._finv[g]
+            for (aa, ((w1, _), (w2, _))), cc in val.coeffs.items():
+                _add_into(out, (aa, ((w1, g), (w2, g))), cc)
+        return HElement._trusted(ctx, 2, out)
 
     def unit(self) -> HElement:
         return self.ctx.labeled((), self.G.group.identity)
@@ -908,7 +856,7 @@ class SemidirectBialgebra:
         return issues
 
     def _mul2(self, x: HElement, y: HElement) -> HElement:
-        out = self.ctx.zero(2)
+        out: dict[Key, Fraction] = {}
         for (a1, sl1), c1 in x.coeffs.items():
             for (a2, sl2), c2 in y.coeffs.items():
                 if a1 + a2 >= self.ctx.M:
@@ -924,19 +872,16 @@ class SemidirectBialgebra:
                 for (aa, (s1,)), cc in left.coeffs.items():
                     for (bb, (s2,)), cc2 in right.coeffs.items():
                         if aa + bb < self.ctx.M:
-                            out = out + HElement(
-                                self.ctx, 2, {(aa + bb, (s1, s2)): cc * cc2}
-                            )
-        return out
+                            _add_into(out, (aa + bb, (s1, s2)), cc * cc2)
+        return HElement(self.ctx, 2, out)
 
     def _cop_slot(self, x: HElement, idx: int) -> HElement:
-        out = self.ctx.zero(3)
+        out: dict[Key, Fraction] = {}
         for (a, sl), c in x.coeffs.items():
             piece = self.coproduct(HElement(self.ctx, 1, {(a, (sl[idx],)): c}))
             for (aa, pair), cc in piece.coeffs.items():
-                key_slots = sl[:idx] + pair + sl[idx + 1 :]
-                out = out + HElement(self.ctx, 3, {(aa, key_slots): cc})
-        return out
+                _add_into(out, (aa, sl[:idx] + pair + sl[idx + 1 :]), cc)
+        return HElement(self.ctx, 3, out)
 
 
 def build_semidirect(data: GammaQUEData, check_degree: int = 1) -> tuple[SemidirectBialgebra, list[str]]:
@@ -1072,45 +1017,41 @@ def quantize_stack(data: GammaQUEData) -> QuantumStackCertificate:
             }
         )
     inv_images = {g: data_p.i_inverse_images(g) for g in grp.elements()}
-    # morphism-composition identity on all triples (left translation to base e)
-    for g0 in grp.elements():
-        for g in grp.elements():
-            for h in grp.elements():
-                gh = grp.mul(g, h)
-                vinv = ctx.inverse(data_p.v[(g, h)])
-                diff = ctx.zero(1)
-                for k in range(ctx.lba.dim):
-                    lhs = data_p.i_images[gh][k]
-                    step = ctx.ad(vinv, ctx.gen(k))
-                    step = ctx.apply_endo(data_p.i_images[g], step)
-                    step = ctx.apply_endo(data_p.i_images[h], step)
-                    diff = diff + (lhs - step)
-                cert.residuals.append(
-                    {
-                        "identity": "morphism-composition",
-                        "at": [grp.labels[g0], grp.labels[g], grp.labels[h]],
-                        "residual": "0" if diff.is_zero() else diff.format(labels),
-                    }
-                )
+
+    def residual(diff: HElement) -> str:
+        return "0" if diff.is_zero() else diff.format(labels)
+
+    # morphism-composition identity on all triples (left translation to base
+    # e): the residual does not depend on the first entry g0
+    composition: dict[tuple[int, int], str] = {}
+    for g in grp.elements():
+        for h in grp.elements():
+            gh = grp.mul(g, h)
+            vinv = ctx.inverse(data_p.v[(g, h)])
+            diff = ctx.zero(1)
+            for k in range(ctx.lba.dim):
+                lhs = data_p.i_images[gh][k]
+                step = ctx.ad(vinv, ctx.gen(k))
+                step = ctx.apply_endo(data_p.i_images[g], step)
+                step = ctx.apply_endo(data_p.i_images[h], step)
+                diff = diff + (lhs - step)
+            composition[(g, h)] = residual(diff)
     # exp(v'/hbar) cocycle identity on all quadruples; the exponentials are
     # the v' themselves viewed in the Drinfeld subalgebra, so the residual is
     # computed on the v' relation with the ambient product
-    for g0 in grp.elements():
-        for g in grp.elements():
-            for h in grp.elements():
-                for k in grp.elements():
-                    gh = grp.mul(g, h)
-                    lhs = data_p.v[(gh, k)] * data_p.v[(g, h)]
-                    translated = ctx.apply_endo(ctx.theta_images(g), data_p.v[(h, k)])
-                    rhs = data_p.v[(g, grp.mul(h, k))] * ctx.apply_endo(
-                        inv_images[g], translated
-                    )
-                    diff = lhs - rhs
-                    cert.residuals.append(
-                        {
-                            "identity": "exp-gauge-cocycle",
-                            "at": [grp.labels[g0], grp.labels[g], grp.labels[h], grp.labels[k]],
-                            "residual": "0" if diff.is_zero() else diff.format(labels),
-                        }
-                    )
+    cocycle: dict[tuple[int, int, int], str] = {}
+    for g in grp.elements():
+        for h in grp.elements():
+            for k in grp.elements():
+                gh = grp.mul(g, h)
+                lhs = data_p.v[(gh, k)] * data_p.v[(g, h)]
+                translated = ctx.apply_endo(ctx.theta_images(g), data_p.v[(h, k)])
+                rhs = data_p.v[(g, grp.mul(h, k))] * ctx.apply_endo(inv_images[g], translated)
+                cocycle[(g, h, k)] = residual(lhs - rhs)
+    for identity, residuals in (("morphism-composition", composition), ("exp-gauge-cocycle", cocycle)):
+        for g0 in grp.elements():
+            for tup, res in residuals.items():
+                cert.residuals.append(
+                    {"identity": identity, "at": [grp.labels[x] for x in (g0, *tup)], "residual": res}
+                )
     return cert

@@ -17,7 +17,7 @@ from gammastack.cohomology import CoboundaryObstruction, solve_coboundary
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
 from gammastack.liealg import GammaLieBialgebra, wedge2_apply
 from gammastack.linalg import LinearSystem, solve_linear
-from gammastack.tensors import Monomial, SparseTensor, TensorSeries, monomial_degree, sorted_words
+from gammastack.tensors import Monomial, SparseTensor, TensorSeries, _add_into, monomial_degree, sorted_words
 
 F = Fraction
 
@@ -188,12 +188,8 @@ class AlgebraMap:
                         nxt.append((tuple(lst), cc * c2))
                 parts = nxt
             for m, cc in parts:
-                v = out.get(m, F(0)) + cc
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return SparseTensor(n, self.trunc, out)
+                _add_into(out, m, cc)
+        return SparseTensor._trusted(self.trunc, n, out)
 
     def inverse(self) -> AlgebraMap:
         """Inverse of a map whose linear part is invertible (here: identity)."""

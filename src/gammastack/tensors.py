@@ -1,16 +1,17 @@
-"""Sparse multigraded tensors over exact rationals.
+"""Sparse multigraded elements over exact rationals.
 
-A monomial is a tuple of slots; each slot is a sorted tuple of basis indices
-(a multiset).  The empty slot is the unit 1 in that slot.  A SparseTensor
-maps monomials to nonzero Fractions and carries a slot count and a hard
-truncation bound on total degree.
+`SparseElement` is the shared core: a sparse Q-combination of keys cut at a
+bound.  `SparseTensor` is its truncated symmetric-tensor form: a monomial is
+a tuple of slots, each slot a sorted tuple of basis indices (a multiset),
+the empty slot is the unit 1 in that slot, and the bound is total degree at
+most `trunc`.  The quantized elements of `gammastack.quantum` are the other
+subclass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator
 
 Monomial = tuple[tuple[int, ...], ...]
 
@@ -53,14 +54,117 @@ def multiset_factor(slot: tuple[int, ...]) -> int:
     return out
 
 
-class SparseTensor:
-    """Truncated element of the n-fold symmetric tensor power.
+def word_str(word: tuple[int, ...], labels: list[str] | None) -> str:
+    """A word as its basis labels (e0 e1 ... without labels); 1 if empty."""
+    if not word:
+        return "1"
+    return " ".join(labels[i] if labels else f"e{i}" for i in word)
 
-    Immutable by convention: no method mutates self; all operations return
-    new tensors.  Zero coefficients are never stored.
+
+def _add_into(target: dict, key, value: Fraction):
+    """Add value at key, keeping only nonzero entries."""
+    if value:
+        old = target.get(key)
+        new = value if old is None else old + value
+        if new:
+            target[key] = new
+        else:
+            del target[key]
+
+
+class SparseElement:
+    """Sparse combination of keys with nonzero Fraction coefficients.
+
+    Every stored key lies within the bound of the element's space, which a
+    subclass holds in the attribute named by `_space`.  Public constructors
+    of subclasses clean outside data; results built here go through
+    `_trusted`, which stores its dict as given.  A subclass supplies the
+    compatibility check `_check(other)` (raising ValueError), the display
+    order `_sort_key(key)` and the term body `_term(key, labels)`.
+    Immutable by convention: no method mutates self.
     """
 
-    __slots__ = ("slots", "trunc", "coeffs")
+    __slots__ = ("slots", "coeffs")
+    _space: str
+
+    @classmethod
+    def _trusted(cls, space, slots: int, coeffs: dict):
+        """Element of `space` holding `coeffs` without copy or check.
+
+        The caller guarantees nonzero Fraction values and keys within the
+        bound of `space`; the dict must not be mutated afterwards.
+        """
+        out = object.__new__(cls)
+        setattr(out, cls._space, space)
+        out.slots = slots
+        out.coeffs = coeffs
+        return out
+
+    def _like(self, coeffs: dict):
+        """`_trusted` in the space and slot count of self."""
+        return self._trusted(getattr(self, self._space), self.slots, coeffs)
+
+    @staticmethod
+    def _sort_key(key):
+        return key
+
+    # -- queries --------------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other) -> bool:
+        return (
+            other.__class__ is self.__class__
+            and self.slots == other.slots
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.slots, frozenset(self.coeffs.items())))
+
+    def items(self) -> list[tuple]:
+        """(key, coefficient) pairs in canonical order."""
+        key = self._sort_key
+        return sorted(self.coeffs.items(), key=lambda kv: key(kv[0]))
+
+    def format(self, labels: list[str] | None = None) -> str:
+        """Deterministic human-readable form, e.g. '-2 x y|1 + 1 y|x'."""
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"{c} {self._term(k, labels)}" for k, c in self.items())
+
+    # -- linear arithmetic ----------------------------------------------------
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            _add_into(out, k, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            _add_into(out, k, -c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def scale(self, c: Fraction | int):
+        c = Fraction(c)
+        if not c:
+            return self._like({})
+        return self._like({k: c * v for k, v in self.coeffs.items()})
+
+
+class SparseTensor(SparseElement):
+    """Truncated element of the n-fold symmetric tensor power."""
+
+    __slots__ = ("trunc",)
+    _space = "trunc"
 
     def __init__(self, slots: int, trunc: int, coeffs: dict[Monomial, Fraction] | None = None):
         if slots < 1:
@@ -94,24 +198,8 @@ class SparseTensor:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseTensor)
-            and self.slots == other.slots
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.slots, frozenset(self.coeffs.items())))
-
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(sorted(self.coeffs.items(), key=lambda kv: monomial_key(kv[0])))
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.coeffs.get(mono, Fraction(0))
@@ -131,79 +219,34 @@ class SparseTensor:
         return all(all(len(s) >= 1 for s in m) for m in self.coeffs)
 
     def homogeneous_part(self, degree: int) -> SparseTensor:
-        return SparseTensor(
-            self.slots,
-            self.trunc,
-            {m: c for m, c in self.coeffs.items() if monomial_degree(m) == degree},
-        )
+        return self._like({m: c for m, c in self.coeffs.items() if monomial_degree(m) == degree})
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_compatible(self, other: SparseTensor):
+    def _check(self, other: SparseTensor):
         if self.slots != other.slots:
             raise ValueError(f"slot mismatch: {self.slots} vs {other.slots}")
         if self.trunc != other.trunc:
             raise ValueError(f"truncation mismatch: {self.trunc} vs {other.trunc}")
 
-    def __add__(self, other: SparseTensor) -> SparseTensor:
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return SparseTensor(self.slots, self.trunc, out)
-
-    def __neg__(self) -> SparseTensor:
-        return SparseTensor(self.slots, self.trunc, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: SparseTensor) -> SparseTensor:
-        return self + (-other)
-
-    def scale(self, c: Fraction | int) -> SparseTensor:
-        c = Fraction(c)
-        if c == 0:
-            return SparseTensor.zero(self.slots, self.trunc)
-        return SparseTensor(self.slots, self.trunc, {m: c * v for m, v in self.coeffs.items()})
-
     def __mul__(self, other: SparseTensor) -> SparseTensor:
         """Slotwise symmetric-algebra product, truncated."""
-        self._check_compatible(other)
+        self._check(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.coeffs.items():
             d1 = monomial_degree(m1)
             for m2, c2 in other.coeffs.items():
                 if d1 + monomial_degree(m2) > self.trunc:
                     continue
-                m = tuple(merge_slot(a, b) for a, b in zip(m1, m2))
-                v = out.get(m, Fraction(0)) + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return SparseTensor(self.slots, self.trunc, out)
+                _add_into(out, tuple(merge_slot(a, b) for a, b in zip(m1, m2)), c1 * c2)
+        return self._like(out)
 
     # -- display -----------------------------------------------------------
 
-    def format(self, labels: list[str] | None = None) -> str:
-        """Deterministic human-readable form, e.g. '-2 x y|1 + 1 y|x'."""
-        if not self.coeffs:
-            return "0"
+    _sort_key = staticmethod(monomial_key)
 
-        def slot_str(slot: tuple[int, ...]) -> str:
-            if not slot:
-                return "1"
-            if labels:
-                return " ".join(labels[i] for i in slot)
-            return " ".join(f"e{i}" for i in slot)
-
-        parts = []
-        for mono, c in self.items():
-            body = "|".join(slot_str(s) for s in mono)
-            parts.append(f"{c} {body}")
-        return " + ".join(parts)
+    def _term(self, mono: Monomial, labels: list[str] | None) -> str:
+        return "|".join(word_str(s, labels) for s in mono)
 
     def __repr__(self):
         return f"SparseTensor({self.slots} slots, N={self.trunc}, {self.format()})"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -45,6 +46,17 @@ def test_parse_error_exit_2(tmp_path):
     code, out, err = run_cli("validate", str(f))
     assert code == 2
     assert "line 4" in err
+
+
+def test_ragged_entry_exit_2(tmp_path):
+    """A bracket term without its label is an input error, not a traceback."""
+    text = data_path("axb.glb").read_text(encoding="utf-8")
+    bad = tmp_path / "ragged.glb"
+    bad.write_text(text.replace("bracket x y = 1 x", "bracket x y = 1"), encoding="utf-8")
+    code, _out, err = run_cli("validate", str(bad))
+    assert code == 2
+    assert "line 5" in err
+    assert "Traceback" not in err
 
 
 def test_missing_file_exit_2():
@@ -146,6 +158,26 @@ def test_golden_certificates_stable(tmp_path):
     out = tmp_path / "sl2-quantum.json"
     assert main(["quantize", str(data_path("sl2-que.glb")), "--out", str(out)]) == 0
     assert out.read_bytes() == (golden / "sl2-que-quantum.json").read_bytes()
+
+
+# each golden certificate and the benchmark job that produces the same bytes
+GOLDEN_BENCH_JOBS = {
+    "axb-stack-N3.json": "stack-axb-N3",
+    "trivial-quantum.json": "quantize-trivial-que",
+    "sl2-que-quantum.json": "quantize-sl2-que",
+    "sl2-weyl-stack-N3.json": "stack-sl2-weyl",
+}
+
+
+def test_golden_certificates_match_bench_reference():
+    """tests/golden and bench/reference.json pin the same certificate bytes."""
+    root = Path(__file__).resolve().parent.parent
+    reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
+    golden = root / "tests" / "golden"
+    assert sorted(p.name for p in golden.glob("*.json")) == sorted(GOLDEN_BENCH_JOBS)
+    for name, job in GOLDEN_BENCH_JOBS.items():
+        digest = hashlib.sha256((golden / name).read_bytes()).hexdigest()
+        assert digest == reference[job], name
 
 
 @pytest.mark.parametrize(

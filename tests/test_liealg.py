@@ -76,7 +76,8 @@ def test_axb_bad_theta_rejected_as_homomorphism():
 
 def test_condition_b_group_triples(axb):
     """f_{(gh)k} computed two ways agrees exactly on all triples."""
-    from gammastack.liealg import wedge2_apply, _add_into
+    from gammastack.liealg import wedge2_apply
+    from gammastack.tensors import _add_into
 
     grp = axb.group
     for g in grp.elements():

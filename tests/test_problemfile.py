@@ -115,3 +115,32 @@ def test_parse_error_bad_truncation(entry, message):
         parse_problem("\n".join(lines) + "\n")
     assert exc.value.line == ln
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "name, entry, replacement, message",
+    [
+        ("axb", "dim 2", "dim two", "bad integer 'two'"),
+        ("axb", "dim 2", "dim", "dim syntax"),
+        ("axb", "row e = e s", "row e", "row syntax"),
+        ("axb", "bracket x y = 1 x", "bracket x y = 1", "bracket syntax"),
+        ("axb", "cobracket y = 1 x y", "cobracket y = 1 x", "cobracket syntax"),
+        ("axb", "map x = -1 x", "map x = -1", "action syntax"),
+        ("axb", "map x = -1 x", "map x", "action syntax"),
+        ("axb", "term -2 x y", "term -2 x", "twist syntax"),
+        ("axb", "[action s]", "[]", "empty section header"),
+        ("axb", "[action s]", "[action]", "[action] needs 1 argument"),
+        ("sl2-que", "term 1 e f", "term -2 e", "rmatrix syntax"),
+        ("sl2-que", "term 1 -1/2 e|f", "term x 1 1|1", "bad integer 'x'"),
+        ("sl2-que", "[quantum-gauge e w]", "[quantum-gauge e]", "needs 2 argument"),
+    ],
+)
+def test_parse_error_malformed_entry(name, entry, replacement, message):
+    """Short or ragged entries and headers are parse errors naming the line."""
+    lines = data_path(f"{name}.glb").read_text(encoding="utf-8").splitlines()
+    ln = lines.index(entry) + 1
+    lines[ln - 1] = replacement
+    with pytest.raises(ProblemParseError) as exc:
+        parse_problem("\n".join(lines) + "\n")
+    assert exc.value.line == ln
+    assert message in str(exc.value)
