@@ -353,21 +353,32 @@ class PairingContext:
         return SparseTensor(2, self.trunc, out)
 
     def poisson(self, a: TensorSeries, b: TensorSeries) -> TensorSeries:
-        """Product-Poisson bracket on n-slot series."""
+        """Product-Poisson bracket on n-slot series.
+
+        A monomial pair whose degrees sum to more than trunc + 1 is skipped
+        unseen: pair_bracket only returns words of length at least
+        len(a) + len(b) - 1, so the pair has no term within the truncation.
+        """
         if a.slots != b.slots:
             raise ValueError("slot mismatch in poisson bracket")
         n = a.slots
+        cache = self._mono_poisson_cache
+        b_terms = [(m2, c2, monomial_degree(m2)) for m2, c2 in b.coeffs.items()]
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in a.coeffs.items():
-            for m2, c2 in b.coeffs.items():
-                c = c1 * c2
+            room = self.trunc + 1 - monomial_degree(m1)
+            for m2, c2, d2 in b_terms:
+                if d2 > room:
+                    continue
                 key = (m1, m2, n)
-                cached = self._mono_poisson_cache.get(key)
+                cached = cache.get(key)
                 if cached is None:
                     cached = self._mono_pair_poisson(m1, m2, n)
-                    self._mono_poisson_cache[key] = cached
-                for m, cm in cached.items():
-                    _add_into(out, m, c * cm)
+                    cache[key] = cached
+                if cached:
+                    c = c1 * c2
+                    for m, cm in cached.items():
+                        _add_into(out, m, c * cm)
         return SparseTensor._trusted(self.trunc, n, out)
 
     def _mono_pair_poisson(self, m1: Monomial, m2: Monomial, n: int) -> dict[Monomial, Fraction]:

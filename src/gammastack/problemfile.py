@@ -118,6 +118,8 @@ def parse_problem(text: str) -> Problem:
         if len(parts) < 3:
             raise ProblemParseError("term needs hbar power, coefficient, slots", ln)
         a = _parse_int(parts[1], ln)
+        if a < 0:
+            raise ProblemParseError(f"hbar power must be >= 0, got {a}", ln)
         c = _parse_scalar(parts[2], ln)
         body = " ".join(parts[3:])
         slot_toks = body.split("|")
@@ -137,8 +139,10 @@ def parse_problem(text: str) -> Problem:
             if not head:
                 raise ProblemParseError("empty section header", ln)
             need = SECTION_ARGS.get(head[0], 0)
-            if len(head) - 1 < need:
-                raise ProblemParseError(f"[{head[0]}] needs {need} argument(s)", ln)
+            if len(head) - 1 != need:
+                raise ProblemParseError(
+                    f"[{head[0]}] needs {need} argument(s), got {len(head) - 1}", ln
+                )
             section = (head[0], tuple(head[1:]), ln)
             if head[0].startswith("quantum-"):
                 seen_quantum = True
@@ -149,7 +153,7 @@ def parse_problem(text: str) -> Problem:
         parts = line.split()
         if kind == "algebra":
             if parts[0] == "dim":
-                if len(parts) < 2:
+                if len(parts) != 2:
                     raise ProblemParseError("dim syntax: dim n", ln)
                 dim = _parse_int(parts[1], ln)
             elif parts[0] == "labels":
@@ -202,7 +206,7 @@ def parse_problem(text: str) -> Problem:
                 mat[(blabel(i_tok, ln), j)] = c
         elif kind == "twist":
             g = glabel(args[0], ln)
-            if len(parts) < 4 or parts[0] != "term":
+            if len(parts) != 4 or parts[0] != "term":
                 raise ProblemParseError("twist syntax: term c a b", ln)
             c = _parse_scalar(parts[1], ln)
             i, j = blabel(parts[2], ln), blabel(parts[3], ln)
@@ -210,7 +214,7 @@ def parse_problem(text: str) -> Problem:
             t[(i, j)] = t.get((i, j), F(0)) + c
             t[(j, i)] = t.get((j, i), F(0)) - c
         elif kind == "rmatrix":
-            if len(parts) < 4 or parts[0] != "term":
+            if len(parts) != 4 or parts[0] != "term":
                 raise ProblemParseError("rmatrix syntax: term c a b", ln)
             c = _parse_scalar(parts[1], ln)
             i, j = blabel(parts[2], ln), blabel(parts[3], ln)

@@ -297,43 +297,28 @@ def build_iso(
     ctx_src: PairingContext, ctx_dst: PairingContext, ftilde: TensorSeries
 ) -> AlgebraMap:
     """Solve for the algebra map intertwining the twisted coproduct and the
-    Poisson brackets, degree by degree, identity in degree 1."""
+    Poisson brackets, degree by degree, identity in degree 1.
+
+    At degree d the unknowns are the degree-d terms p of the generator
+    images, and the residual's degree-d part is affine in p: every other
+    way p enters lands at degree d+1 or higher (p(x)p at 2d, {p_i, p_k}
+    at 2d-1, p times an image of degree >= 2 at d+1 or more).  So the
+    columns `_iso_system` assembles from the degree-1 parts of the twisted
+    coproducts and of the brackets are exactly the finite-difference
+    columns of the residual, and one `iso_residuals` evaluation per solved
+    degree gives both the check of degree d and the right-hand side of
+    degree d+1.
+    """
     dim = ctx_src.dim
     N = ctx_src.trunc
     images = [SparseTensor.generator(i, N) for i in range(dim)]
-
-    def residual_vector(imgs: list[TensorSeries], deg: int) -> list[Fraction]:
-        jmap = AlgebraMap(imgs, N)
-        cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, ftilde, jmap)
-        vec: list[Fraction] = []
-        for r in cop_res:
-            h = r.homogeneous_part(deg)
-            for mono in _all_2slot_monos(dim, deg):
-                vec.append(h.coefficient(mono))
-        for r in poi_res:
-            h = r.homogeneous_part(deg)
-            for mono in sorted_words(dim, deg):
-                vec.append(h.coefficient((mono,)))
-        return vec
-
+    twisted = [twisted_coproduct(ctx_src, ftilde, gen) for gen in images]
+    cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, ftilde, AlgebraMap(images, N))
     for deg in range(2, N + 1):
-        base = residual_vector(images, deg)
-        unknowns: list[tuple[int, tuple[int, ...]]] = [
-            (i, m) for i in range(dim) for m in sorted_words(dim, deg)
-        ]
+        base = _residual_vector(cop_res, poi_res, dim, deg)
         if all(v == 0 for v in base):
             continue
-        columns: list[list[Fraction]] = []
-        for (i, m) in unknowns:
-            pert = [img for img in images]
-            pert[i] = pert[i] + SparseTensor(1, N, {(m,): F(1)})
-            col = residual_vector(pert, deg)
-            columns.append([a - b for a, b in zip(col, base)])
-        sys = LinearSystem(len(unknowns))
-        for r in range(len(base)):
-            row = {j: columns[j][r] for j in range(len(unknowns)) if columns[j][r] != 0}
-            sys.add_row(row, -base[r])
-        res = solve_linear(sys)
+        res = solve_linear(_iso_system(ctx_src, ctx_dst, twisted, deg, base))
         if not res.solvable:
             witness = ""
             if res.failure_row is not None and res.failure_row < len(base):
@@ -342,12 +327,81 @@ def build_iso(
                 f"isomorphism solve failed at degree {deg}: nonzero residual class"
                 f"{witness} (upstream twist data is inconsistent)"
             )
+        unknowns = [(i, m) for i in range(dim) for m in sorted_words(dim, deg)]
         for (i, m), c in zip(unknowns, res.solution):
             if c:
                 images[i] = images[i] + SparseTensor(1, N, {(m,): c})
-        if any(v != 0 for v in residual_vector(images, deg)):
+        cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, ftilde, AlgebraMap(images, N))
+        if any(v != 0 for v in _residual_vector(cop_res, poi_res, dim, deg)):
             raise StackBuildError(f"iso residual persists at degree {deg}")
     return AlgebraMap(images, N)
+
+
+def _residual_vector(
+    cop_res: list[TensorSeries], poi_res: list[TensorSeries], dim: int, deg: int
+) -> list[Fraction]:
+    """Degree-deg coefficients of the iso_residuals output, one per row of
+    the degree-deg system: coproduct blocks first, then Poisson blocks."""
+    vec: list[Fraction] = []
+    for r in cop_res:
+        h = r.homogeneous_part(deg)
+        for mono in _all_2slot_monos(dim, deg):
+            vec.append(h.coefficient(mono))
+    for r in poi_res:
+        h = r.homogeneous_part(deg)
+        for mono in sorted_words(dim, deg):
+            vec.append(h.coefficient((mono,)))
+    return vec
+
+
+def _iso_system(
+    ctx_src: PairingContext,
+    ctx_dst: PairingContext,
+    twisted: list[TensorSeries],
+    deg: int,
+    base: list[Fraction],
+) -> LinearSystem:
+    """The degree-deg system J p = -base of build_iso.
+
+    twisted[l] is T_l, the twisted coproduct of e_l.  The column of the
+    unknown (l, m), the monomial m added to the image of e_l, is
+    - in coproduct block l: [Delta_dst(m)]_d - T_l[e_l|1] (m|1) - T_l[1|e_l] (1|m);
+    - in Poisson block (i, k): {e_i, e_k}_src[e_l] m - [l=i] [{m, e_k}_dst]_d
+      - [l=k] [{e_i, m}_dst]_d;
+    and zero elsewhere (T_i has degree-1 part e_i|1 + 1|e_i).
+    """
+    dim = ctx_src.dim
+    N = ctx_src.trunc
+    words = sorted_words(dim, deg)
+    word_row = {w: r for r, w in enumerate(words)}
+    mono_row = {mono: r for r, mono in enumerate(_all_2slot_monos(dim, deg))}
+    pairs = [(i, k) for i in range(dim) for k in range(i + 1, dim)]
+    gens = [SparseTensor.generator(i, N) for i in range(dim)]
+    brackets = [ctx_src.poisson(gens[i], gens[k]) for i, k in pairs]
+    poisson_row0 = dim * len(mono_row)
+    monos = [SparseTensor(1, N, {(w,): F(1)}) for w in words]
+    coproducts = [ctx_dst.coproduct(m).homogeneous_part(deg) for m in monos]
+    rows: list[dict[int, Fraction]] = [{} for _ in base]
+    for l in range(dim):
+        left = twisted[l].coefficient(((l,), ()))
+        right = twisted[l].coefficient(((), (l,)))
+        for r, (w, m, dm) in enumerate(zip(words, monos, coproducts)):
+            col = l * len(words) + r
+            cop = dm - SparseTensor(2, N, {(w, ()): left, ((), w): right})
+            for mono, c in cop.coeffs.items():
+                rows[l * len(mono_row) + mono_row[mono]][col] = c
+            for p, (i, k) in enumerate(pairs):
+                block = m.scale(brackets[p].coefficient(((l,),)))
+                if l == i:
+                    block = block - ctx_dst.poisson(m, gens[k]).homogeneous_part(deg)
+                if l == k:
+                    block = block - ctx_dst.poisson(gens[i], m).homogeneous_part(deg)
+                for (v,), c in block.coeffs.items():
+                    rows[poisson_row0 + p * len(words) + word_row[v]][col] = c
+    sys = LinearSystem(dim * len(words))
+    for row, b in zip(rows, base):
+        sys.add_row(row, -b)
+    return sys
 
 
 def _all_2slot_monos(dim: int, deg: int) -> list[Monomial]:

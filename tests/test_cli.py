@@ -59,6 +59,30 @@ def test_ragged_entry_exit_2(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, entry, replacement, line",
+    [
+        ("axb", "dim 2", "dim 2 7", 3),
+        ("axb", "[action s]", "[action s e]", 13),
+        ("axb", "term -2 x y", "term -2 x y y", 18),
+        ("sl2-que", "term 1 e f", "term 1 e f f", 36),
+        ("sl2-que", "term 1 -1/2 e|f", "term -1 -1/2 e|f", 76),
+    ],
+    ids=["dim-trailing", "header-trailing", "twist-trailing", "rmatrix-trailing", "negative-hbar"],
+)
+def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
+    """Extra tokens and negative hbar powers exit 2 naming the line."""
+    lines = data_path(f"{name}.glb").read_text(encoding="utf-8").splitlines()
+    assert lines.index(entry) + 1 == line
+    lines[line - 1] = replacement
+    bad = tmp_path / "bad.glb"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli("validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: line {line}: ") and err.count("\n") == 1
+
+
 def test_missing_file_exit_2():
     code, _out, err = run_cli("validate", "/nonexistent/nope.glb")
     assert code == 2
@@ -178,6 +202,16 @@ def test_golden_certificates_match_bench_reference():
     for name, job in GOLDEN_BENCH_JOBS.items():
         digest = hashlib.sha256((golden / name).read_bytes()).hexdigest()
         assert digest == reference[job], name
+
+
+def test_stack_sl2_weyl_N4_matches_bench_reference():
+    """One step past the sl2-weyl golden (N=3): pins the degree-4 solve of
+    build_iso, against the sha256 that bench/reference.json records."""
+    root = Path(__file__).resolve().parent.parent
+    reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
+    code, out, _err = run_cli("stack", "sl2-weyl.glb", "-N", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["stack-sl2-weyl-N4"]
 
 
 @pytest.mark.parametrize(

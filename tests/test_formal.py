@@ -15,7 +15,7 @@ from gammastack.formal import (
     build_delta_gamma,
     _free_mul,
 )
-from gammastack.tensors import SparseTensor, monomial_degree, unit_monomial
+from gammastack.tensors import SparseTensor, _add_into, monomial_degree, unit_monomial
 
 from conftest import abelian_flat_lba, abelian_lba, axb_gamma, axb_lba, sl2_lba
 
@@ -417,6 +417,48 @@ def test_bch_lemma_translation_invariance(n, fc, hc, gc, seed):
     assert all(monomial_degree(m) >= n + 1 for m in diff.coeffs)
     diff2 = ctx.bch_star(f + g, h) - (ctx.bch_star(f, h) + g)
     assert all(monomial_degree(m) >= n + 1 for m in diff2.coeffs)
+
+
+@st.composite
+def poisson_operands(draw):
+    """Truncation and two random series on 1-3 slots of mixed degree <= trunc."""
+    trunc = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3))
+
+    def monomial():
+        total = draw(st.integers(0, trunc))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+        lengths = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+        return tuple(
+            tuple(sorted(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))))
+            for k in lengths
+        )
+
+    def series():
+        terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=6))
+        return {monomial(): F(p, q) for p, q in terms}
+
+    return trunc, n, series(), series()
+
+
+@given(poisson_operands())
+@settings(max_examples=60, deadline=None)
+def test_poisson_pair_skip_changes_nothing(operands):
+    """poisson equals the unpruned sum over all monomial pairs, term order
+    included, and caches no pair beyond the truncation."""
+    trunc, n, a_coeffs, b_coeffs = operands
+    ctx = ctx_for(sl2_lba(), N=trunc)
+    a = SparseTensor(n, trunc, a_coeffs)
+    b = SparseTensor(n, trunc, b_coeffs)
+    expected: dict = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            for m, c in ctx._mono_pair_poisson(m1, m2, n).items():
+                _add_into(expected, m, c1 * c2 * c)
+    got = ctx.poisson(a, b)
+    assert list(got.coeffs.items()) == list(expected.items())
+    for m1, m2, _ in ctx._mono_poisson_cache:
+        assert monomial_degree(m1) + monomial_degree(m2) - 1 <= trunc
 
 
 def test_dynkin_star_agrees_on_series():

@@ -133,6 +133,15 @@ def test_parse_error_bad_truncation(entry, message):
         ("sl2-que", "term 1 e f", "term -2 e", "rmatrix syntax"),
         ("sl2-que", "term 1 -1/2 e|f", "term x 1 1|1", "bad integer 'x'"),
         ("sl2-que", "[quantum-gauge e w]", "[quantum-gauge e]", "needs 2 argument"),
+        # trailing tokens are errors too, not silently dropped
+        ("axb", "dim 2", "dim 2 7", "dim syntax"),
+        ("axb", "[action s]", "[action s e]", "[action] needs 1 argument(s), got 2"),
+        ("axb", "[group]", "[group s]", "[group] needs 0 argument(s), got 1"),
+        ("axb", "term -2 x y", "term -2 x y y", "twist syntax"),
+        ("sl2-que", "term 1 e f", "term 1 e f f", "rmatrix syntax"),
+        ("sl2-que", "[quantum-gauge e w]", "[quantum-gauge e w s]", "needs 2 argument(s), got 3"),
+        # a negative hbar power is not an element of U(g)[[hbar]]
+        ("sl2-que", "term 1 -1/2 e|f", "term -1 -1/2 e|f", "hbar power must be >= 0, got -1"),
     ],
 )
 def test_parse_error_malformed_entry(name, entry, replacement, message):

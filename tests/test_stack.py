@@ -8,9 +8,13 @@ import pytest
 from gammastack.cohomology import alt
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
 from gammastack.liealg import wedge2_apply
+from gammastack.cli import data_path
+from gammastack.problemfile import parse_problem
 from gammastack.stack import (
     AlgebraMap,
     StackBuildError,
+    _iso_system,
+    _residual_vector,
     build_iso,
     gauge_act,
     iso_residuals,
@@ -21,7 +25,7 @@ from gammastack.stack import (
     verify_stack,
     verify_twist_equation,
 )
-from gammastack.tensors import SparseTensor, monomial_degree
+from gammastack.tensors import SparseTensor, monomial_degree, sorted_words
 
 from conftest import abelian_flat_lba, axb_gamma, axb_lba
 
@@ -33,7 +37,7 @@ def axb_ctx(gamma=0, N=4):
     return G, PairingContext(build_delta_gamma(G, gamma), N)
 
 
-def axb_leading(G, a, b, N):
+def leading_term(G, a, b, N):
     # Alt(leading) = wedge^2(theta_a)(f_{a^{-1}b}); see verify_stack.leading_for
     gp = G.group.mul(G.group.inverse[a], b)
     return tensor2_to_series(wedge2_apply(G.theta[a], G.f[gp]), N).scale(F(1, 2))
@@ -56,7 +60,7 @@ def test_lift_abelian_flat_is_leading():
 def test_lift_axb_degree3_defect_alt_vanishes():
     """Condition (c) kills the degree-3 alternating obstruction."""
     G, ctx = axb_ctx(gamma=0, N=3)
-    leading = axb_leading(G, 0, 1, 3)
+    leading = leading_term(G, 0, 1, 3)
     defect = twist_defect(ctx, leading)
     a3 = defect.homogeneous_part(3)
     assert alt(a3).is_zero()
@@ -64,16 +68,16 @@ def test_lift_axb_degree3_defect_alt_vanishes():
 
 def test_lift_axb_N5_oracle():
     G, ctx = axb_ctx(gamma=0, N=5)
-    lift = lift_twist(ctx, axb_leading(G, 0, 1, 5))
-    assert lift.homogeneous_part(2) == axb_leading(G, 0, 1, 5)
+    lift = lift_twist(ctx, leading_term(G, 0, 1, 5))
+    assert lift.homogeneous_part(2) == leading_term(G, 0, 1, 5)
     assert verify_twist_equation(ctx, lift).is_zero()
     # the lift genuinely has higher-degree corrections here
-    assert lift != axb_leading(G, 0, 1, 5)
+    assert lift != leading_term(G, 0, 1, 5)
 
 
 def test_gauge_act_trivial_and_abelian():
     G, ctx = axb_ctx(N=4)
-    lift = lift_twist(ctx, axb_leading(G, 0, 1, 4))
+    lift = lift_twist(ctx, leading_term(G, 0, 1, 4))
     assert gauge_act(ctx, ctx.zero(1), lift) == lift
 
     ctx0 = PairingContext(abelian_flat_lba(), 4)
@@ -89,7 +93,7 @@ def test_gauge_act_trivial_and_abelian():
 def test_gauge_act_preserves_twist_equation():
     rng = random.Random(17)
     G, ctx = axb_ctx(N=4)
-    lift = lift_twist(ctx, axb_leading(G, 0, 1, 4))
+    lift = lift_twist(ctx, leading_term(G, 0, 1, 4))
     monos = [w for w in ctx._pbw if 2 <= len(w) <= 3]
 
     def antisym_part(s):
@@ -108,7 +112,7 @@ def test_gauge_act_preserves_twist_equation():
 def test_lift_uniqueness_up_to_gauge_randomized():
     """Two randomized lift runs are connected by a solved gauge element."""
     G, ctx = axb_ctx(N=4)
-    leading = axb_leading(G, 0, 1, 4)
+    leading = leading_term(G, 0, 1, 4)
     for seed in range(5):
         f1 = lift_twist(ctx, leading, rng=random.Random(seed))
         f2 = lift_twist(ctx, leading, rng=random.Random(seed + 100))
@@ -139,7 +143,7 @@ def test_build_iso_axb_nonzero_correction():
     N = 4
     ctx_e = PairingContext(build_delta_gamma(G, 0), N)
     ctx_s = PairingContext(build_delta_gamma(G, 1), N)
-    lift = lift_twist(ctx_e, axb_leading(G, 0, 1, N))
+    lift = lift_twist(ctx_e, leading_term(G, 0, 1, N))
     j = build_iso(ctx_e, ctx_s, lift)
     cop_res, poi_res = iso_residuals(ctx_e, ctx_s, lift, j)
     assert all(r.is_zero() for r in cop_res)
@@ -154,12 +158,65 @@ def test_build_iso_axb_nonzero_correction():
         assert j.images[i].coefficient(((),)) == 0
 
 
+def finite_difference_system(ctx_src, ctx_dst, ftilde, images, deg):
+    """Oracle for the degree-deg system of build_iso: add one unknown
+    monomial to one image and re-evaluate the full residual."""
+    N, dim = ctx_src.trunc, ctx_src.dim
+
+    def vector(imgs):
+        cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, ftilde, AlgebraMap(imgs, N))
+        return _residual_vector(cop_res, poi_res, dim, deg)
+
+    base = vector(images)
+    columns = []
+    for l in range(dim):
+        for m in sorted_words(dim, deg):
+            pert = list(images)
+            pert[l] = pert[l] + SparseTensor(1, N, {(m,): F(1)})
+            columns.append([p - b for p, b in zip(vector(pert), base)])
+    rows = [{j: col[r] for j, col in enumerate(columns) if col[r]} for r in range(len(base))]
+    return base, rows
+
+
+@pytest.mark.parametrize(
+    "problem, N, pairs",
+    [("axb", 4, [(0, 1), (1, 0)]), ("sl2-weyl", 3, [(0, 1), (1, 2)])],
+)
+def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
+    """The assembled degree-d system equals the finite-difference one at
+    every degree, at the images build_iso holds before solving degree d."""
+    G = parse_problem(data_path(f"{problem}.glb").read_text(encoding="utf-8")).G
+    ctxs = {g: PairingContext(build_delta_gamma(G, g), N) for g in G.group.elements()}
+    dim = G.lba.dim
+    nontrivial = 0
+    for a, b in pairs:
+        ftilde = lift_twist(ctxs[a], leading_term(G, a, b, N))
+        j = build_iso(ctxs[a], ctxs[b], ftilde)
+        twisted = [
+            twisted_coproduct(ctxs[a], ftilde, SparseTensor.generator(i, N)) for i in range(dim)
+        ]
+        for deg in range(2, N + 1):
+            # solving degree deg only adds terms of degree deg
+            images = [
+                SparseTensor(1, N, {m: c for m, c in img.coeffs.items() if monomial_degree(m) < deg})
+                for img in j.images
+            ]
+            base, fd_rows = finite_difference_system(ctxs[a], ctxs[b], ftilde, images, deg)
+            sys = _iso_system(ctxs[a], ctxs[b], twisted, deg, base)
+            assert sys.n_cols == dim * len(sorted_words(dim, deg))
+            assert sys.rows == fd_rows, (a, b, deg)
+            assert sys.rhs == [-v for v in base]
+            nontrivial += any(base)
+    # the pairs exercise the solve, not only the zero-residual shortcut
+    assert nontrivial >= len(pairs)
+
+
 def test_algebra_map_inverse_roundtrip():
     G = axb_gamma()
     N = 4
     ctx_e = PairingContext(build_delta_gamma(G, 0), N)
     ctx_s = PairingContext(build_delta_gamma(G, 1), N)
-    lift = lift_twist(ctx_e, axb_leading(G, 0, 1, N))
+    lift = lift_twist(ctx_e, leading_term(G, 0, 1, N))
     j = build_iso(ctx_e, ctx_s, lift)
     jinv = j.inverse()
     for i in range(2):
@@ -209,9 +266,9 @@ def test_build_u_direct_and_error_paths():
     N = 4
     ctx_e = PairingContext(build_delta_gamma(G, 0), N)
     ctx_s = PairingContext(build_delta_gamma(G, 1), N)
-    lift_es = lift_twist(ctx_e, axb_leading(G, 0, 1, N))
-    lift_se = lift_twist(ctx_s, axb_leading(G, 1, 0, N))
-    lift_ee = lift_twist(ctx_e, axb_leading(G, 0, 0, N))
+    lift_es = lift_twist(ctx_e, leading_term(G, 0, 1, N))
+    lift_se = lift_twist(ctx_s, leading_term(G, 1, 0, N))
+    lift_ee = lift_twist(ctx_e, leading_term(G, 0, 0, N))
     j_es = build_iso(ctx_e, ctx_s, lift_es)
     from gammastack.stack import AlgebraMap
 
