@@ -8,6 +8,7 @@ byte for byte for identical inputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -50,9 +51,22 @@ def _load(path_str: str):
         raise SystemExit(2)
 
 
+def _out_error(out: str) -> str | None:
+    """Why --out cannot be written, or None; checked before any computation."""
+    if os.path.isdir(out):
+        return "is a directory"
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        return "parent directory does not exist"
+    return None
+
+
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {out}: {exc}", file=sys.stderr)
+            raise SystemExit(2)
     else:
         sys.stdout.write(text)
 
@@ -188,6 +202,11 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and value < least:
             print(f"error: --{name} must be at least {least}", file=sys.stderr)
             return 2
+    out = getattr(args, "out", None)
+    reason = _out_error(out) if out else None
+    if reason:
+        print(f"error: {out}: {reason}", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

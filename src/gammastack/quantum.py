@@ -26,6 +26,8 @@ F = Fraction
 Word = tuple[int, ...]
 Slot = tuple[Word, int]  # (pbw word, group label); label -1 means unlabeled
 Key = tuple[int, tuple[Slot, ...]]
+# hbar^0 table of a semidirect basis product or coproduct: (hbar power, slots, coefficient)
+Table = tuple[tuple[int, tuple[Slot, ...], Fraction], ...]
 
 PLAIN = -1
 ONE = F(1)
@@ -764,54 +766,103 @@ def check_v_admissible(data: GammaQUEData) -> list[tuple[tuple[int, int], bool, 
 
 
 class SemidirectBialgebra:
-    """S(g) (x) k Gamma [[hbar]] with the twisted product and coproduct."""
+    """S(g) (x) k Gamma [[hbar]] with the twisted product and coproduct.
+
+    Products and coproducts are read from hbar^0 tables of the labeled PBW
+    monomials.  The product of h^a1 [w1|g1] and h^a2 [w2|g2] equals
+    h^(a1+a2) times the hbar^0 product [w1|g1][w2|g2], less its terms at
+    hbar^M and above; the coproduct of h^a [w|g] is h^a Delta[w|g], cut the
+    same way.  This is exact because every hbar power is >= 0, `mul` and
+    `apply_endo` only add powers and drop a term once its power reaches M
+    (so a term the shifted computation drops early feeds only terms at M or
+    above), and the PBW degree cap D never looks at hbar.  So each
+    [w1|g1][w2|g2] and each Delta[w|g] is computed once, at hbar^0, as
+    (hbar power, slots, coefficient) entries, and `product`, `coproduct`,
+    `_mul2` and `_cop_slot` scale and shift them per term pair.
+    """
 
     def __init__(self, data: GammaQUEData):
         self.data = data
         self.ctx = data.ctx
         self.G = self.ctx.G
-        # per-label caches: (theta_g, i_g^{-1}) images, v^{-1}, F^{-1}
-        self._conj_images: dict[int, tuple[list[HElement], list[HElement]]] = {}
+        # per-label caches v^{-1}, F^{-1}; hbar^0 tables per basis pair/monomial
         self._vinv: dict[tuple[int, int], HElement] = {}
         self._finv: dict[int, HElement] = {}
+        self._products: dict[tuple[Word, int, Word, int], Table] = {}
+        self._coproducts: dict[tuple[Word, int], Table] = {}
+        self._intern: dict = {}
+
+    def _table(self, entries) -> Table:
+        # equal slots, coefficients and whole tables recur across basis pairs
+        # (the sl2 D=6 sweep: 1,824 tables, 584 distinct), so each is kept once
+        intern = self._intern.setdefault
+
+        def shared(x):
+            return intern(x, x)
+
+        return shared(
+            tuple((a, shared(tuple(shared(s) for s in sl)), shared(c)) for a, sl, c in entries)
+        )
+
+    def _basis_product(self, w1: Word, g1: int, w2: Word, g2: int) -> Table:
+        """hbar^0 table of [w1 * i_{e,g1}^{-1}(theta_g1(w2)) * v_{e,g1,g1g2}^{-1} | g1g2]."""
+        key = (w1, g1, w2, g2)
+        table = self._products.get(key)
+        if table is None:
+            if g1 == PLAIN or g2 == PLAIN:
+                raise ValueError("semidirect product needs labeled elements")
+            ctx = self.ctx
+            if (g1, g2) not in self._vinv:
+                self._vinv[(g1, g2)] = ctx.inverse(self.data.v[(g1, g2)])
+            conj = HElement._trusted(ctx, 1, {(0, ((w2, PLAIN),)): ONE})
+            for images in (ctx.theta_images(g1), self.data.i_inverse_images(g1)):
+                conj = ctx.apply_endo(images, conj)
+            plain1 = HElement._trusted(ctx, 1, {(0, ((w1, PLAIN),)): ONE})
+            gg = self.G.group.mul(g1, g2)
+            val = plain1 * conj * self._vinv[(g1, g2)]
+            table = self._products[key] = self._table(
+                (a, ((w, gg),), c) for (a, ((w, _),)), c in val.coeffs.items()
+            )
+        return table
+
+    def _basis_coproduct(self, w: Word, g: int) -> Table:
+        """hbar^0 table of [Delta_e(w) * F_{e,g}^{-1} | g,g]."""
+        table = self._coproducts.get((w, g))
+        if table is None:
+            if g == PLAIN:
+                raise ValueError("semidirect coproduct needs labeled elements")
+            ctx = self.ctx
+            if g not in self._finv:
+                self._finv[g] = ctx.inverse(self.data.F[g])
+            plain = HElement._trusted(ctx, 1, {(0, ((w, PLAIN),)): ONE})
+            val = ctx.coproduct_slot(plain, 0) * self._finv[g]
+            table = self._coproducts[(w, g)] = self._table(
+                (a, ((w1, g), (w2, g)), c) for (a, ((w1, _), (w2, _))), c in val.coeffs.items()
+            )
+        return table
 
     def product(self, x: HElement, y: HElement) -> HElement:
         """[m|g][m'|g'] = [m * i_{e,g}^{-1}(theta_g(m')) * v_{e,g,gg'}^{-1} | gg']."""
-        ctx = self.ctx
-        grp = self.G.group
+        M = self.ctx.M
         out: dict[Key, Fraction] = {}
         for (a1, ((w1, g1),)), c1 in x.coeffs.items():
             for (a2, ((w2, g2),)), c2 in y.coeffs.items():
-                if g1 == PLAIN or g2 == PLAIN:
-                    raise ValueError("semidirect product needs labeled elements")
-                if g1 not in self._conj_images:
-                    self._conj_images[g1] = (ctx.theta_images(g1), self.data.i_inverse_images(g1))
-                if (g1, g2) not in self._vinv:
-                    self._vinv[(g1, g2)] = ctx.inverse(self.data.v[(g1, g2)])
-                conj = HElement._trusted(ctx, 1, {(a2, ((w2, PLAIN),)): ONE})
-                for images in self._conj_images[g1]:
-                    conj = ctx.apply_endo(images, conj)
-                gg = grp.mul(g1, g2)
-                plain1 = HElement._trusted(ctx, 1, {(a1, ((w1, PLAIN),)): ONE})
+                shift = a1 + a2
                 c12 = c1 * c2
-                for (a, ((w, _),)), c in (plain1 * conj * self._vinv[(g1, g2)]).coeffs.items():
-                    _add_into(out, (a, ((w, gg),)), c12 * c)
-        return HElement._trusted(ctx, 1, out)
+                for a, sl, c in self._basis_product(w1, g1, w2, g2):
+                    if a + shift < M:
+                        _add_into(out, (a + shift, sl), c12 * c)
+        return HElement._trusted(self.ctx, 1, out)
 
     def coproduct(self, x: HElement) -> HElement:
         """[m|g] -> [Delta_e(m) * F_{e,g}^{-1} | g,g]."""
-        ctx = self.ctx
+        M = self.ctx.M
         out: dict[Key, Fraction] = {}
         for (a, ((w, g),)), c in x.coeffs.items():
-            if g == PLAIN:
-                raise ValueError("semidirect coproduct needs labeled elements")
-            if g not in self._finv:
-                self._finv[g] = ctx.inverse(self.data.F[g])
-            plain = HElement._trusted(ctx, 1, {(a, ((w, PLAIN),)): c})
-            val = ctx.coproduct_slot(plain, 0) * self._finv[g]
-            for (aa, ((w1, _), (w2, _))), cc in val.coeffs.items():
-                _add_into(out, (aa, ((w1, g), (w2, g))), cc)
-        return HElement._trusted(ctx, 2, out)
+            for aa, sl, cc in self._basis_coproduct(w, g):
+                if a + aa < M:
+                    _add_into(out, (a + aa, sl), c * cc)
+        return HElement._trusted(self.ctx, 2, out)
 
     def unit(self) -> HElement:
         return self.ctx.labeled((), self.G.group.identity)
@@ -856,32 +907,38 @@ class SemidirectBialgebra:
         return issues
 
     def _mul2(self, x: HElement, y: HElement) -> HElement:
+        ctx = self.ctx
+        M, D = ctx.M, ctx.D
         out: dict[Key, Fraction] = {}
-        for (a1, sl1), c1 in x.coeffs.items():
-            for (a2, sl2), c2 in y.coeffs.items():
-                if a1 + a2 >= self.ctx.M:
+        for (a1, ((w1, g1), (u1, h1))), c1 in x.coeffs.items():
+            for (a2, ((w2, g2), (u2, h2))), c2 in y.coeffs.items():
+                shift = a1 + a2
+                if shift >= M:
                     continue
-                left = self.product(
-                    HElement(self.ctx, 1, {(a1, (sl1[0],)): c1}),
-                    HElement(self.ctx, 1, {(a2, (sl2[0],)): c2}),
-                )
-                right = self.product(
-                    HElement(self.ctx, 1, {(0, (sl1[1],)): F(1)}),
-                    HElement(self.ctx, 1, {(0, (sl2[1],)): F(1)}),
-                )
-                for (aa, (s1,)), cc in left.coeffs.items():
-                    for (bb, (s2,)), cc2 in right.coeffs.items():
-                        if aa + bb < self.ctx.M:
-                            _add_into(out, (aa + bb, (s1, s2)), cc * cc2)
-        return HElement(self.ctx, 2, out)
+                c12 = c1 * c2
+                right = self._basis_product(u1, h1, u2, h2)
+                for a, left, c in self._basis_product(w1, g1, w2, g2):
+                    a += shift
+                    if a >= M:
+                        continue
+                    cc = c12 * c
+                    room = D - len(left[0][0])
+                    for b, sl, d in right:
+                        if a + b < M and len(sl[0][0]) <= room:
+                            _add_into(out, (a + b, left + sl), cc * d)
+        return HElement._trusted(ctx, 2, out)
 
     def _cop_slot(self, x: HElement, idx: int) -> HElement:
+        ctx = self.ctx
+        M, D = ctx.M, ctx.D
         out: dict[Key, Fraction] = {}
         for (a, sl), c in x.coeffs.items():
-            piece = self.coproduct(HElement(self.ctx, 1, {(a, (sl[idx],)): c}))
-            for (aa, pair), cc in piece.coeffs.items():
-                _add_into(out, (aa, sl[:idx] + pair + sl[idx + 1 :]), cc)
-        return HElement(self.ctx, 3, out)
+            w, g = sl[idx]
+            room = D - sum(len(v) for v, _ in sl) + len(w)
+            for aa, pair, cc in self._basis_coproduct(w, g):
+                if a + aa < M and len(pair[0][0]) + len(pair[1][0]) <= room:
+                    _add_into(out, (a + aa, sl[:idx] + pair + sl[idx + 1 :]), c * cc)
+        return HElement._trusted(ctx, x.slots + 1, out)
 
 
 def build_semidirect(data: GammaQUEData, check_degree: int = 1) -> tuple[SemidirectBialgebra, list[str]]:

@@ -271,16 +271,20 @@ class PoissonIso:
 def iso_residuals(
     ctx_src: PairingContext,
     ctx_dst: PairingContext,
-    ftilde: TensorSeries,
+    twisted: list[TensorSeries],
     jmap: AlgebraMap,
 ) -> tuple[list[TensorSeries], list[TensorSeries]]:
-    """Coproduct and Poisson intertwining residuals on generators."""
+    """Coproduct and Poisson intertwining residuals on generators.
+
+    twisted[i] is `twisted_coproduct(ctx_src, ftilde, e_i)`; it depends only
+    on the twist, so callers build the list once per pair.
+    """
     dim = ctx_src.dim
     cop_res = []
     for i in range(dim):
         gen = SparseTensor.generator(i, ctx_src.trunc)
         lhs = ctx_dst.coproduct(jmap.apply(gen))
-        rhs = jmap.apply(twisted_coproduct(ctx_src, ftilde, gen))
+        rhs = jmap.apply(twisted[i])
         cop_res.append(lhs - rhs)
     poi_res = []
     for i in range(dim):
@@ -313,7 +317,7 @@ def build_iso(
     N = ctx_src.trunc
     images = [SparseTensor.generator(i, N) for i in range(dim)]
     twisted = [twisted_coproduct(ctx_src, ftilde, gen) for gen in images]
-    cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, ftilde, AlgebraMap(images, N))
+    cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(images, N))
     for deg in range(2, N + 1):
         base = _residual_vector(cop_res, poi_res, dim, deg)
         if all(v == 0 for v in base):
@@ -331,7 +335,7 @@ def build_iso(
         for (i, m), c in zip(unknowns, res.solution):
             if c:
                 images[i] = images[i] + SparseTensor(1, N, {(m,): c})
-        cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, ftilde, AlgebraMap(images, N))
+        cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(images, N))
         if any(v != 0 for v in _residual_vector(cop_res, poi_res, dim, deg)):
             raise StackBuildError(f"iso residual persists at degree {deg}")
     return AlgebraMap(images, N)
@@ -537,11 +541,14 @@ def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificat
         residuals.append(
             _residual_entry("twist-equation", (grp.labels[a], grp.labels[b]), res, labels)
         )
-    # intertwining residuals per pair
+    # intertwining residuals per pair, from twisted coproducts of the lift
+    # built here, not taken from build_iso
     for (a, b) in pairs:
-        cop_res, poi_res = iso_residuals(
-            contexts[a], contexts[b], lifts[(a, b)].series, isos[(a, b)].map
-        )
+        twisted = [
+            twisted_coproduct(contexts[a], lifts[(a, b)].series, SparseTensor.generator(i, N))
+            for i in range(G.lba.dim)
+        ]
+        cop_res, poi_res = iso_residuals(contexts[a], contexts[b], twisted, isos[(a, b)].map)
         acc = None
         for r in cop_res:
             acc = r if acc is None else acc + r

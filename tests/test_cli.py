@@ -260,3 +260,48 @@ def test_non_utf8_input_exit_2(tmp_path):
     code, _out, err = run_cli("validate", str(f))
     assert code == 2
     assert err.startswith(f"error: {f}: ") and "utf-8" in err
+
+
+@pytest.mark.parametrize(
+    "args, work, target",
+    [
+        (["stack", "axb.glb"], "verify_stack", "missing"),
+        (["quantize", "sl2-que.glb"], "quantize_stack", "directory"),
+        (["admissibilize", "abelian-que.glb", "--target", "s"], "admissibilize", "missing"),
+        (["admissibilize", "abelian-que.glb", "--target", "s"], "admissibilize", "directory"),
+    ],
+    ids=["stack-missing-parent", "quantize-directory", "admissibilize-missing-parent", "admissibilize-directory"],
+)
+def test_unusable_out_exit_2_before_computing(tmp_path, monkeypatch, capsys, args, work, target):
+    """An --out whose parent is missing, or which is a directory, is refused
+    before the command's computation starts."""
+    import gammastack.cli as cli
+
+    def not_called(*_args, **_kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(cli, work, not_called)
+    out = tmp_path / "missing" / "cert.json" if target == "missing" else tmp_path
+    assert main([*args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {out}: ") and captured.err.count("\n") == 1
+
+
+def test_out_write_error_exit_2(tmp_path):
+    """A write that fails after the computation exits 2, not with a traceback."""
+    out = tmp_path / ("x" * 300)  # passes the up-front check, too long to create
+    code, stdout, err = run_cli("admissibilize", "abelian-que.glb", "--target", "s", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+
+
+def test_quantize_sl2_que_D6_matches_bench_reference():
+    """One step past the sl2-que golden: the stdout of quantize at hbar 3,
+    pbw 6 has the sha256 bench/reference.json records for that job."""
+    root = Path(__file__).resolve().parent.parent
+    reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
+    code, out, _err = run_cli("quantize", "sl2-que.glb", "--hbar", "3", "--pbw", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["sweep-sl2-que-M3-D6"]

@@ -1,0 +1,130 @@
+"""The semidirect bialgebra's hbar^0 tables against the per-term formula.
+
+`SemidirectBialgebra` computes each basis product [w1|g1][w2|g2] and each
+basis coproduct Delta[w|g] once, at hbar^0, and shifts it by the hbar powers
+of the terms it is applied to.  The oracle below evaluates the formula term
+pair by term pair with the hbar powers inside the operands, as the
+bialgebra did before the tables; values and key order must agree.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gammastack.builtin import abelian_que_data, sl2_que_data, trivial_que_data
+from gammastack.quantum import PLAIN, HElement, SemidirectBialgebra
+from gammastack.tensors import _add_into
+
+ONE = Fraction(1)
+
+# small truncations; M = 2 and M = 3 both cut products of mixed hbar powers
+DATASETS = {
+    "trivial": (trivial_que_data, 2, 3),
+    "abelian": (abelian_que_data, 3, 4),
+    "sl2": (sl2_que_data, 3, 4),
+}
+
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def algebras():
+    return {name: SemidirectBialgebra(maker(M, D)) for name, (maker, M, D) in DATASETS.items()}
+
+
+# -- the per-term formula ------------------------------------------------------------------
+
+
+def oracle_product(alg, x, y):
+    ctx, data = alg.ctx, alg.data
+    out = {}
+    for (a1, ((w1, g1),)), c1 in x.coeffs.items():
+        for (a2, ((w2, g2),)), c2 in y.coeffs.items():
+            conj = HElement(ctx, 1, {(a2, ((w2, PLAIN),)): ONE})
+            for images in (ctx.theta_images(g1), data.i_inverse_images(g1)):
+                conj = ctx.apply_endo(images, conj)
+            plain1 = HElement(ctx, 1, {(a1, ((w1, PLAIN),)): ONE})
+            gg = ctx.G.group.mul(g1, g2)
+            val = plain1 * conj * ctx.inverse(data.v[(g1, g2)])
+            for (a, ((w, _),)), c in val.coeffs.items():
+                _add_into(out, (a, ((w, gg),)), c1 * c2 * c)
+    return HElement(ctx, 1, out)
+
+
+def oracle_coproduct(alg, x):
+    ctx, data = alg.ctx, alg.data
+    out = {}
+    for (a, ((w, g),)), c in x.coeffs.items():
+        plain = HElement(ctx, 1, {(a, ((w, PLAIN),)): c})
+        val = ctx.coproduct_slot(plain, 0) * ctx.inverse(data.F[g])
+        for (aa, ((w1, _), (w2, _))), cc in val.coeffs.items():
+            _add_into(out, (aa, ((w1, g), (w2, g))), cc)
+    return HElement(ctx, 2, out)
+
+
+def oracle_mul2(alg, x, y):
+    ctx = alg.ctx
+    out = {}
+    for (a1, sl1), c1 in x.coeffs.items():
+        for (a2, sl2), c2 in y.coeffs.items():
+            if a1 + a2 >= ctx.M:
+                continue
+            left = oracle_product(
+                alg, HElement(ctx, 1, {(a1, (sl1[0],)): c1}), HElement(ctx, 1, {(a2, (sl2[0],)): c2})
+            )
+            right = oracle_product(
+                alg, HElement(ctx, 1, {(0, (sl1[1],)): ONE}), HElement(ctx, 1, {(0, (sl2[1],)): ONE})
+            )
+            for (aa, (s1,)), cc in left.coeffs.items():
+                for (bb, (s2,)), cc2 in right.coeffs.items():
+                    if aa + bb < ctx.M:
+                        _add_into(out, (aa + bb, (s1, s2)), cc * cc2)
+    return HElement(ctx, 2, out)
+
+
+def oracle_cop_slot(alg, x, idx):
+    ctx = alg.ctx
+    out = {}
+    for (a, sl), c in x.coeffs.items():
+        piece = oracle_coproduct(alg, HElement(ctx, 1, {(a, (sl[idx],)): c}))
+        for (aa, pair), cc in piece.coeffs.items():
+            _add_into(out, (aa, sl[:idx] + pair + sl[idx + 1 :]), cc)
+    return HElement(ctx, 3, out)
+
+
+# -- random labeled elements --------------------------------------------------------------
+
+
+def labeled_elements(ctx, slots: int):
+    """Labeled elements with mixed hbar powers in [0, M); the public
+    constructor drops terms past the PBW bound D."""
+    word = st.lists(st.integers(0, ctx.lba.dim - 1), max_size=2).map(lambda w: tuple(sorted(w)))
+    slot = st.tuples(word, st.sampled_from(list(ctx.G.group.elements())))
+    key = st.tuples(st.integers(0, ctx.M - 1), st.tuples(*[slot] * slots))
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    return st.dictionaries(key, coeff, min_size=1, max_size=3).map(
+        lambda d: HElement(ctx, slots, d)
+    )
+
+
+def terms(x: HElement) -> list:
+    return list(x.coeffs.items())
+
+
+@pytest.mark.parametrize("name", list(DATASETS))
+@PROPERTY
+@given(data=st.data())
+def test_tables_equal_per_term_formula(algebras, name, data):
+    alg = algebras[name]
+    ctx = alg.ctx
+    x, y = (data.draw(labeled_elements(ctx, 1)) for _ in range(2))
+    xx, yy = (data.draw(labeled_elements(ctx, 2)) for _ in range(2))
+    assert terms(alg.product(x, y)) == terms(oracle_product(alg, x, y))
+    assert terms(alg.coproduct(x)) == terms(oracle_coproduct(alg, x))
+    assert terms(alg._mul2(xx, yy)) == terms(oracle_mul2(alg, xx, yy))
+    for idx in (0, 1):
+        assert terms(alg._cop_slot(xx, idx)) == terms(oracle_cop_slot(alg, xx, idx))

@@ -121,6 +121,11 @@ def test_lift_uniqueness_up_to_gauge_randomized():
         assert lam.in_maximal_power(2)
 
 
+def twisted_generators(ctx, f):
+    """The twisted coproducts of the generators, as iso_residuals takes them."""
+    return [twisted_coproduct(ctx, f, SparseTensor.generator(i, ctx.trunc)) for i in range(ctx.dim)]
+
+
 def test_build_iso_identity_when_trivial():
     ctx = PairingContext(abelian_flat_lba(), 4)
     j = build_iso(ctx, ctx, ctx.zero(2))
@@ -133,7 +138,7 @@ def test_build_iso_abelian_flat_oracle():
     ctx = PairingContext(abelian_flat_lba(), 4)
     f = tensor2_to_series({(0, 1): F(2), (1, 0): F(-2)}, 4)
     j = build_iso(ctx, ctx, f)
-    cop_res, poi_res = iso_residuals(ctx, ctx, f, j)
+    cop_res, poi_res = iso_residuals(ctx, ctx, twisted_generators(ctx, f), j)
     assert all(r.is_zero() for r in cop_res)
     assert all(r.is_zero() for r in poi_res)
 
@@ -145,7 +150,7 @@ def test_build_iso_axb_nonzero_correction():
     ctx_s = PairingContext(build_delta_gamma(G, 1), N)
     lift = lift_twist(ctx_e, leading_term(G, 0, 1, N))
     j = build_iso(ctx_e, ctx_s, lift)
-    cop_res, poi_res = iso_residuals(ctx_e, ctx_s, lift, j)
+    cop_res, poi_res = iso_residuals(ctx_e, ctx_s, twisted_generators(ctx_e, lift), j)
     assert all(r.is_zero() for r in cop_res)
     assert all(r.is_zero() for r in poi_res)
     # nonzero higher correction on at least one generator
@@ -158,13 +163,13 @@ def test_build_iso_axb_nonzero_correction():
         assert j.images[i].coefficient(((),)) == 0
 
 
-def finite_difference_system(ctx_src, ctx_dst, ftilde, images, deg):
+def finite_difference_system(ctx_src, ctx_dst, twisted, images, deg):
     """Oracle for the degree-deg system of build_iso: add one unknown
     monomial to one image and re-evaluate the full residual."""
     N, dim = ctx_src.trunc, ctx_src.dim
 
     def vector(imgs):
-        cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, ftilde, AlgebraMap(imgs, N))
+        cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(imgs, N))
         return _residual_vector(cop_res, poi_res, dim, deg)
 
     base = vector(images)
@@ -192,16 +197,14 @@ def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
     for a, b in pairs:
         ftilde = lift_twist(ctxs[a], leading_term(G, a, b, N))
         j = build_iso(ctxs[a], ctxs[b], ftilde)
-        twisted = [
-            twisted_coproduct(ctxs[a], ftilde, SparseTensor.generator(i, N)) for i in range(dim)
-        ]
+        twisted = twisted_generators(ctxs[a], ftilde)
         for deg in range(2, N + 1):
             # solving degree deg only adds terms of degree deg
             images = [
                 SparseTensor(1, N, {m: c for m, c in img.coeffs.items() if monomial_degree(m) < deg})
                 for img in j.images
             ]
-            base, fd_rows = finite_difference_system(ctxs[a], ctxs[b], ftilde, images, deg)
+            base, fd_rows = finite_difference_system(ctxs[a], ctxs[b], twisted, images, deg)
             sys = _iso_system(ctxs[a], ctxs[b], twisted, deg, base)
             assert sys.n_cols == dim * len(sorted_words(dim, deg))
             assert sys.rows == fd_rows, (a, b, deg)
