@@ -6,17 +6,19 @@ against the enveloping algebra of the dual Lie algebra g*_gamma (bracket =
 transpose of the deformed cobracket), through the symmetrization pairing
 <x_1...x_m, xi_1...xi_n> = delta_{mn} perm(<x_i, xi_j>).
 
-BCH star products come in two independent implementations: the word-series
-kernel (log of exp-product in the free associative algebra, projected by
-Dynkin-Specht-Wever) and the integral-recursion kernel with Bernoulli
-numbers.  They are cross-checked in the tests and used on opposite sides
-of construction-vs-verification.
+BCH star products come in two independent implementations: the
+Lyndon-basis kernel (log of exp-product in the free associative algebra,
+rewritten in the Lyndon basis of the free Lie algebra, after Casas & Murua
+2009) and the integral-recursion kernel with Bernoulli numbers.  They are
+cross-checked in the tests and used on opposite sides of
+construction-vs-verification.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from gammastack.liealg import GammaLieBialgebra, LieBialgebra, Tensor2, delta_gamma_tensor
@@ -56,7 +58,7 @@ def build_delta_gamma(G: GammaLieBialgebra, gamma: int) -> LieBialgebra:
     return out
 
 
-# -- free-associative BCH word series ----------------------------------------
+# -- free-associative BCH word series and its Lyndon basis --------------------
 
 _bch_words_cache: dict[int, list[tuple[Fraction, Word]]] = {}
 
@@ -75,7 +77,8 @@ def bch_word_terms(nmax: int) -> list[tuple[Fraction, Word]]:
     """Coefficients of log(exp(x) exp(y)) in the free associative algebra.
 
     Each word over {0, 1} of length n contributes coeff/n times its
-    right-nested bracketing (the Dynkin projection).
+    right-nested bracketing (the Dynkin projection); `bch_lyndon_terms`
+    rewrites the series in the Lyndon basis.
     """
     cached = _bch_words_cache.get(nmax)
     if cached is not None:
@@ -96,29 +99,94 @@ def bch_word_terms(nmax: int) -> list[tuple[Fraction, Word]]:
     return terms
 
 
+def _is_lyndon(word: Word) -> bool:
+    """A word is Lyndon iff it is strictly smaller than each proper suffix."""
+    return all(word < word[i:] for i in range(1, len(word)))
+
+
+def lyndon_words(nmax: int) -> list[Word]:
+    """Lyndon words over {0 < 1} of length 1..nmax, length-then-lex order."""
+    return [
+        w for n in range(1, nmax + 1) for w in product((0, 1), repeat=n) if _is_lyndon(w)
+    ]
+
+
+def standard_factorisation(word: Word) -> tuple[Word, Word]:
+    """word = uv with v its longest proper Lyndon suffix (u is then Lyndon)."""
+    for i in range(1, len(word)):
+        if _is_lyndon(word[i:]):
+            return word[:i], word[i:]
+    raise ValueError(f"{word} has no proper Lyndon suffix")
+
+
+LyndonTable = tuple[list[tuple[Fraction, Word]], dict[Word, tuple[Word, Word]]]
+
+_bch_lyndon_cache: dict[int, LyndonTable] = {}
+
+
+def bch_lyndon_terms(nmax: int) -> LyndonTable:
+    """log(exp(x) exp(y)) = sum c_w [w] over Lyndon words w of length <= nmax.
+
+    [a] = a for a letter and [w] = [[u], [v]] for the standard factorisation
+    w = uv.  Returns the nonzero (c_w, w) in length-then-lex order and the
+    factorisation of every Lyndon word of length 2..nmax.  The table is
+    derived from `bch_word_terms`: in the free associative algebra [w] is w
+    plus lexicographically larger words of the same length, so taking the
+    Lyndon words in length-then-lex order, c_w is the coefficient of w left
+    after subtracting the expansions of the earlier terms.
+    """
+    cached = _bch_lyndon_cache.get(nmax)
+    if cached is not None:
+        return cached
+
+    def comm(p: dict[Word, Fraction], q: dict[Word, Fraction]) -> dict[Word, Fraction]:
+        out = _free_mul(p, q, nmax)
+        for w, c in _free_mul(q, p, nmax).items():
+            _add_into(out, w, -c)
+        return out
+
+    rest = {w: c for c, w in bch_word_terms(nmax)}
+    expansion: dict[Word, dict[Word, Fraction]] = {}
+    factors: dict[Word, tuple[Word, Word]] = {}
+    terms: list[tuple[Fraction, Word]] = []
+    for w in lyndon_words(nmax):
+        if len(w) == 1:
+            expansion[w] = {w: Fraction(1)}
+        else:
+            u, v = factors[w] = standard_factorisation(w)
+            expansion[w] = comm(expansion[u], expansion[v])
+        c = rest.get(w)
+        if c:
+            terms.append((c, w))
+            for w2, c2 in expansion[w].items():
+                _add_into(rest, w2, -c * c2)
+    if rest:
+        raise AssertionError("BCH series is not spanned by the Lyndon basis")
+    _bch_lyndon_cache[nmax] = (terms, factors)
+    return terms, factors
+
+
 def bch_apply(bracket_fn, f, g, nmax: int):
-    """Evaluate the BCH series with a given Lie bracket closure.
+    """Evaluate the BCH series in the Lyndon basis with a given Lie bracket.
 
     bracket_fn(a, b) must return the bracket; f and g must support + and
-    .scale(); words of length > nmax are dropped (their values vanish under
-    the intended filtration).
+    .scale(); Lyndon words of length > nmax are dropped (their values vanish
+    under the intended filtration).  Each [w] is bracketed once, and only
+    when a nonzero term needs it.
     """
-    operands = (f, g)
-    result = None
-    suffix_cache: dict[Word, object] = {}
+    terms, factors = bch_lyndon_terms(nmax)
+    values: dict[Word, object] = {(0,): f, (1,): g}
 
-    def nested(word: Word):
-        if word in suffix_cache:
-            return suffix_cache[word]
-        if len(word) == 1:
-            val = operands[word[0]]
-        else:
-            val = bracket_fn(operands[word[0]], nested(word[1:]))
-        suffix_cache[word] = val
+    def lie(word: Word):
+        val = values.get(word)
+        if val is None:
+            u, v = factors[word]
+            val = values[word] = bracket_fn(lie(u), lie(v))
         return val
 
-    for coeff, word in bch_word_terms(nmax):
-        term = nested(word).scale(coeff / len(word))
+    result = None
+    for coeff, word in terms:
+        term = lie(word).scale(coeff)
         result = term if result is None else result + term
     return result
 
@@ -154,9 +222,19 @@ def bch_apply_recursion(bracket_fn, x, y, nmax: int):
     z_1 = x + y and (n+1) z_{n+1} = 1/2 [x - y, z_n]
     + sum_{p>=1, 2p<=n} B_{2p}/(2p)! sum_{k_1+...+k_{2p}=n}
       [z_{k_1}, [..., [z_{k_{2p}}, x + y]...]].
+    The nested bracket of each composition suffix (k_j, ..., k_{2p}) is
+    evaluated once and shared by every composition that ends in it.
     """
     xy = x + y
     z = [None, xy]
+    nested: dict[tuple[int, ...], object] = {(): xy}
+
+    def nest(ks: tuple[int, ...]):
+        val = nested.get(ks)
+        if val is None:
+            val = nested[ks] = bracket_fn(z[ks[0]], nest(ks[1:]))
+        return val
+
     for n in range(1, nmax):
         acc = bracket_fn(x + y.scale(-1), z[n]).scale(Fraction(1, 2))
         for p in range(1, n // 2 + 1):
@@ -164,10 +242,7 @@ def bch_apply_recursion(bracket_fn, x, y, nmax: int):
             if coeff == 0:
                 continue
             for ks in _compositions(n, 2 * p):
-                term = xy
-                for k in reversed(ks):
-                    term = bracket_fn(z[k], term)
-                acc = acc + term.scale(coeff)
+                acc = acc + nest(ks).scale(coeff)
         z.append(acc.scale(Fraction(1, n + 1)))
     total = z[1]
     for n in range(2, nmax + 1):
@@ -448,15 +523,18 @@ class PairingContext:
             if monomial_degree(m) < 2:
                 raise ValueError(f"{what}: monomial {m} has degree < 2, not in m^2")
 
+    # A bracket of n operands from m^2 has degree >= n + 1, so both star
+    # products stop at brackets of trunc - 1 operands: longer ones vanish.
+
     def bch_star(self, f: TensorSeries, g: TensorSeries) -> TensorSeries:
-        """f * g with the word-series BCH kernel (group law on m^2)."""
+        """f * g with the Lyndon-basis BCH kernel (group law on m^2)."""
         self._require_m2(f, "bch_star left operand")
         self._require_m2(g, "bch_star right operand")
         if f.is_zero():
             return g
         if g.is_zero():
             return f
-        out = bch_apply(self.poisson, f, g, self.trunc)
+        out = bch_apply(self.poisson, f, g, self.trunc - 1)
         return out if out is not None else self.zero(f.slots)
 
     def bch_star_dynkin(self, f: TensorSeries, g: TensorSeries) -> TensorSeries:
@@ -467,7 +545,7 @@ class PairingContext:
             return g
         if g.is_zero():
             return f
-        return bch_apply_recursion(self.poisson, f, g, self.trunc)
+        return bch_apply_recursion(self.poisson, f, g, self.trunc - 1)
 
     def ad_star(self, u: TensorSeries, x: TensorSeries) -> TensorSeries:
         """exp({u, .}) applied to x: the Hamiltonian flow of u.

@@ -214,6 +214,17 @@ def test_stack_sl2_weyl_N4_matches_bench_reference():
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["stack-sl2-weyl-N4"]
 
 
+def test_stack_axb_N6_matches_bench_reference():
+    """Three steps past the axb golden (N=3): BCH words up to length 5 and the
+    gauge solve to degree 6, against the sha256 that bench/reference.json
+    records."""
+    root = Path(__file__).resolve().parent.parent
+    reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
+    code, out, _err = run_cli("stack", "axb.glb", "-N", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["stack-axb-N6"]
+
+
 @pytest.mark.parametrize(
     "args",
     [

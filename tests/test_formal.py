@@ -8,16 +8,27 @@ import pytest
 
 from gammastack.formal import (
     PairingContext,
+    _compositions,
     bch_apply,
     bch_apply_recursion,
+    bch_lyndon_terms,
     bch_word_terms,
     bernoulli,
     build_delta_gamma,
+    lyndon_words,
+    standard_factorisation,
     _free_mul,
 )
 from gammastack.tensors import SparseTensor, _add_into, monomial_degree, unit_monomial
 
-from conftest import abelian_flat_lba, abelian_lba, axb_gamma, axb_lba, sl2_lba
+from conftest import (
+    abelian_flat_lba,
+    abelian_lba,
+    axb_gamma,
+    axb_lba,
+    sl2_lba,
+    sl2_weyl_gamma,
+)
 
 F = Fraction
 
@@ -330,34 +341,142 @@ def test_bernoulli_values():
     ]
 
 
-def test_bch_recursion_agrees_with_word_series():
-    """Both BCH kernels agree on the free associative commutator algebra."""
-    nmax = 5
+class FreeElt:
+    """Element of the free associative algebra on {0, 1}, as {word: coeff}."""
 
-    class FreeElt:
-        def __init__(self, d):
-            self.d = {w: c for w, c in d.items() if c}
+    def __init__(self, d):
+        self.d = {w: c for w, c in d.items() if c}
 
-        def __add__(self, other):
-            out = dict(self.d)
-            for w, c in other.d.items():
-                out[w] = out.get(w, F(0)) + c
-            return FreeElt(out)
+    def __add__(self, other):
+        out = dict(self.d)
+        for w, c in other.d.items():
+            out[w] = out.get(w, F(0)) + c
+        return FreeElt(out)
 
-        def scale(self, c):
-            return FreeElt({w: c * v for w, v in self.d.items()})
+    def scale(self, c):
+        return FreeElt({w: c * v for w, v in self.d.items()})
+
+
+def free_commutator(nmax):
+    """The commutator bracket of FreeElt, words longer than nmax dropped, and
+    a counter of its calls."""
+    calls = [0]
 
     def br(a, b):
+        calls[0] += 1
         out = dict(_free_mul(a.d, b.d, nmax))
         for w, c in _free_mul(b.d, a.d, nmax).items():
             out[w] = out.get(w, F(0)) - c
         return FreeElt(out)
 
-    x = FreeElt({(0,): F(1)})
-    y = FreeElt({(1,): F(1)})
-    a = bch_apply(br, x, y, nmax)
-    b = bch_apply_recursion(br, x, y, nmax)
+    return br, calls
+
+
+FREE_X = FreeElt({(0,): F(1)})
+FREE_Y = FreeElt({(1,): F(1)})
+
+
+def test_bch_recursion_agrees_with_word_series():
+    """Both BCH kernels agree on the free associative commutator algebra."""
+    nmax = 5
+    br, _ = free_commutator(nmax)
+    a = bch_apply(br, FREE_X, FREE_Y, nmax)
+    b = bch_apply_recursion(br, FREE_X, FREE_Y, nmax)
     assert a.d == b.d
+
+
+def test_lyndon_word_counts_match_witt_formula():
+    """Lyndon words per length on two letters: (1/n) sum_{d|n} mu(d) 2^(n/d)."""
+
+    def mobius(n):
+        out, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if n > 1 else out
+
+    witt = [
+        sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        for n in range(1, 9)
+    ]
+    assert witt == [2, 1, 2, 3, 6, 9, 18, 30]
+    words = lyndon_words(8)
+    assert [sum(1 for w in words if len(w) == n) for n in range(1, 9)] == witt
+    assert words == sorted(words, key=lambda w: (len(w), w))
+    for w in words[2:]:
+        u, v = standard_factorisation(w)
+        assert u + v == w and u in words and v in words and u < v
+
+
+def test_lyndon_bch_equals_word_series_through_degree_8():
+    """sum c_w [w] with the free commutator is log(exp(x) exp(y)) word by
+    word, and only the brackets of nonzero terms and their factors are
+    evaluated, each once."""
+    nmax = 8
+    br, calls = free_commutator(nmax)
+    z = bch_apply(br, FREE_X, FREE_Y, nmax)
+    assert z.d == {w: c for c, w in bch_word_terms(nmax)}
+    terms, factors = bch_lyndon_terms(nmax)
+    needed: set = set()
+
+    def close(w):
+        if len(w) > 1 and w not in needed:
+            needed.add(w)
+            for part in factors[w]:
+                close(part)
+
+    for _c, w in terms:
+        close(w)
+    assert calls[0] == len(needed)
+    assert len(lyndon_words(nmax)) - 2 == len(factors)
+
+
+def seed_recursion(bracket_fn, x, y, nmax):
+    """The Bernoulli recursion with every nested bracket evaluated afresh."""
+    xy = x + y
+    z = [None, xy]
+    for n in range(1, nmax):
+        acc = bracket_fn(x + y.scale(-1), z[n]).scale(F(1, 2))
+        for p in range(1, n // 2 + 1):
+            coeff = bernoulli(2 * p) / factorial(2 * p)
+            if coeff == 0:
+                continue
+            for ks in _compositions(n, 2 * p):
+                term = xy
+                for k in reversed(ks):
+                    term = bracket_fn(z[k], term)
+                acc = acc + term.scale(coeff)
+        z.append(acc.scale(F(1, n + 1)))
+    total = z[1]
+    for n in range(2, nmax + 1):
+        total = total + z[n]
+    return total
+
+
+@pytest.mark.parametrize("nmax", range(1, 8))
+def test_memoised_recursion_equals_unshared_recursion(nmax):
+    br, calls = free_commutator(nmax)
+    got = bch_apply_recursion(br, FREE_X, FREE_Y, nmax)
+    br_ref, calls_ref = free_commutator(nmax)
+    expected = seed_recursion(br_ref, FREE_X, FREE_Y, nmax)
+    assert list(got.d.items()) == list(expected.d.items())
+    assert calls[0] <= calls_ref[0]
+    assert got.d == {w: c for c, w in bch_word_terms(nmax)}
+
+
+def test_capped_recursion_bracket_counts():
+    """At trunc N the star products stop at N - 1 operands: the memoised
+    recursion then brackets 4 / 8 / 15 / 28 times at N = 4 / 5 / 6 / 7."""
+    counts = []
+    for N in range(4, 8):
+        br, calls = free_commutator(N - 1)
+        bch_apply_recursion(br, FREE_X, FREE_Y, N - 1)
+        counts.append(calls[0])
+    assert counts == [4, 8, 15, 28]
 
 
 def test_bch_star_abelian_additive():
@@ -469,6 +588,53 @@ def test_dynkin_star_agrees_on_series():
         f = ctx.series({(m,): F(rng.randint(-2, 2)) for m in rng.sample(monos, 3)})
         g = ctx.series({(m,): F(rng.randint(-2, 2)) for m in rng.sample(monos, 3)})
         assert ctx.bch_star(f, g) == ctx.bch_star_dynkin(f, g)
+
+
+_star_contexts: dict = {}
+
+
+def star_context(name, gamma, N):
+    key = (name, gamma, N)
+    if key not in _star_contexts:
+        G = axb_gamma() if name == "axb" else sl2_weyl_gamma()
+        _star_contexts[key] = PairingContext(build_delta_gamma(G, gamma), N)
+    return _star_contexts[key]
+
+
+@st.composite
+def star_operands(draw):
+    """A context of axb or sl2-weyl and two random m^2 series on 1-3 slots."""
+    name = draw(st.sampled_from(["axb", "sl2-weyl"]))
+    gamma = draw(st.integers(0, 1))
+    N = draw(st.integers(3, 5) if name == "axb" else st.integers(3, 4))
+    ctx = star_context(name, gamma, N)
+    n = draw(st.integers(1, 3))
+
+    def monomial():
+        total = draw(st.integers(2, N))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+        lengths = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+        return tuple(
+            tuple(sorted(draw(st.lists(st.integers(0, ctx.dim - 1), min_size=k, max_size=k))))
+            for k in lengths
+        )
+
+    def series():
+        terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=4))
+        return SparseTensor(n, N, {monomial(): F(p, q) for p, q in terms})
+
+    return ctx, series(), series()
+
+
+@given(star_operands())
+@settings(max_examples=80, deadline=None)
+def test_capped_star_products_equal_uncapped(operands):
+    """bch_star (Lyndon words up to N - 1) equals the Lyndon kernel run to
+    length N and the capped Bernoulli recursion."""
+    ctx, f, g = operands
+    star = ctx.bch_star(f, g)
+    assert star == bch_apply(ctx.poisson, f, g, ctx.trunc)
+    assert star == ctx.bch_star_dynkin(f, g)
 
 
 # -- ad_star ---------------------------------------------------------------------

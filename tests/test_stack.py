@@ -286,6 +286,33 @@ def test_build_u_direct_and_error_paths():
         build_u(ctx_e, AlgebraMap(j_es.images, N).inverse(), lift_es, lift_se, lift_es)
 
 
+@pytest.mark.parametrize("mono", [((0,), (0, 1)), ((1, 1), (0,))])
+def test_build_u_reports_corrupted_composition(mono):
+    """build_u checks the composed twist only when the build fails; a lift_bc
+    with one corrupted degree-3 coefficient still reports the twist
+    equation, and a leading-term mismatch still reports its own message."""
+    from gammastack.stack import build_u
+
+    G = axb_gamma()
+    N = 4
+    ctx_e = PairingContext(build_delta_gamma(G, 0), N)
+    ctx_s = PairingContext(build_delta_gamma(G, 1), N)
+    lift_es = lift_twist(ctx_e, leading_term(G, 0, 1, N))
+    lift_se = lift_twist(ctx_s, leading_term(G, 1, 0, N))
+    lift_ee = lift_twist(ctx_e, leading_term(G, 0, 0, N))
+    j_inv = build_iso(ctx_e, ctx_s, lift_es).inverse()
+
+    bad_bc = lift_se + SparseTensor(2, N, {mono: F(1)})
+    composed = ctx_e.bch_star(j_inv.apply(bad_bc), lift_es)
+    assert not twist_defect(ctx_e, composed).is_zero()
+    with pytest.raises(StackBuildError, match="composed element fails the twist equation"):
+        build_u(ctx_e, j_inv, lift_es, bad_bc, lift_ee)
+
+    bad_ac = lift_ee + SparseTensor(2, N, {((0,), (1,)): F(1), ((1,), (0,)): F(-1)})
+    with pytest.raises(StackBuildError, match="composition rule"):
+        build_u(ctx_e, j_inv, lift_es, lift_se, bad_ac)
+
+
 def test_lift_obstruction_on_invalid_twist_tensor():
     """A leading term violating the cyclic compatibility condition trips the
     degree-3 alternating obstruction with a condition-(c) diagnosis."""
