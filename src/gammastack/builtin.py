@@ -25,6 +25,11 @@ from gammastack.quantum import (
     Key,
     QuantumError,
     QueContext,
+    bracket_residual,
+    coassociativity_residual,
+    conjugation_residual,
+    tensor_unit,
+    twist_residual_quantum,
     validate_que_data,
 )
 from gammastack.stack import lift_twist
@@ -109,16 +114,9 @@ def trivial_que_base() -> GammaLieBialgebra:
 # -- quantum data helpers -------------------------------------------------------
 
 
-def tensor_unit_right(x: HElement) -> HElement:
-    return HElement(
-        x.ctx, x.slots + 1, {(a, sl + (((), PLAIN),)): c for (a, sl), c in x.coeffs.items()}
-    )
-
-
-def tensor_unit_left(x: HElement) -> HElement:
-    return HElement(
-        x.ctx, x.slots + 1, {(a, (((), PLAIN),) + sl): c for (a, sl), c in x.coeffs.items()}
-    )
+def _additive_coboundary(ctx: QueContext, w: HElement) -> HElement:
+    """w^1 + w^2 - Delta(w) for a 1-slot w."""
+    return tensor_unit(w, 1) + tensor_unit(w, 0) - ctx.coproduct_slot(w, 0)
 
 
 def dual_pairing_delta_images(ctx: QueContext, lba_gamma) -> list[HElement]:
@@ -149,8 +147,7 @@ def solve_additive_gauge(ctx: QueContext, target: HElement) -> HElement:
 
     w = ctx.zero(1)
     for k in range(2, ctx.M):
-        cur = tensor_unit_right(w) + tensor_unit_left(w) - ctx.coproduct_slot(w, 0)
-        rho = (target - cur).hbar_coefficient(k)
+        rho = (target - _additive_coboundary(ctx, w)).hbar_coefficient(k)
         if rho.is_zero():
             continue
         series = SparseTensor(
@@ -158,8 +155,7 @@ def solve_additive_gauge(ctx: QueContext, target: HElement) -> HElement:
         )
         beta = solve_coboundary(series, sign=1)
         w = w + ctx.from_series(beta, hbar=k)
-    cur = tensor_unit_right(w) + tensor_unit_left(w) - ctx.coproduct_slot(w, 0)
-    if cur != target:
+    if _additive_coboundary(ctx, w) != target:
         raise QuantumError("additive gauge solve failed at truncation")
     return w
 
@@ -249,8 +245,7 @@ def abelian_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
     X = ctx.apply_endo(ctx.theta_images(1), F_sigma) * F_sigma
     w = solve_additive_gauge(ctx, ctx.log(X).scale(-1))
     w = (w + ctx.apply_endo(ctx.theta_images(1), w)).scale(F(1, 2))
-    check = tensor_unit_right(w) + tensor_unit_left(w) - ctx.coproduct_slot(w, 0)
-    if check != ctx.log(X).scale(-1):
+    if _additive_coboundary(ctx, w) != ctx.log(X).scale(-1):
         raise QuantumError("symmetrized gauge element no longer solves the relation")
     v_ss = ctx.exp(w)
     v = {
@@ -286,10 +281,7 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
         ctx0 = QueContext(G, M, D)
         images = []
         for i in range(dim):
-            coeffs: dict[Key, Fraction] = {
-                (0, (((i,), PLAIN), ((), PLAIN))): F(1),
-                (0, (((), PLAIN), ((i,), PLAIN))): F(1),
-            }
+            coeffs: dict[Key, Fraction] = dict(ctx0._primitive_image(i).coeffs)
             for (p, q), c in lba.cobracket_tensor(i).items():
                 coeffs[(1, (((p,), PLAIN), ((q,), PLAIN)))] = c / 2
             for (gen, pair), c in d2_coeffs.items():
@@ -303,23 +295,14 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
     unknowns_d2 = [(i, pair) for i in range(dim) for pair in pairs23]
 
     def delta_residual(assign: dict) -> dict:
-        imgs = delta_images_for(assign)
-        ctx0 = imgs[0].ctx
-        ctx0.delta_images = imgs
-        ctx0.cocommutative = False
-        ctx0._delta_word_cache.clear()
+        ctx0 = QueContext(G, M, D, delta_images=delta_images_for(assign))
         out: dict = {}
         for i in range(dim):
             for j in range(i + 1, dim):
-                target = ctx0.zero(2)
-                for k, c in lba.bracket_elems(i, j).items():
-                    target = target + imgs[k].scale(c)
-                diff = (ctx0.commutator(imgs[i], imgs[j]) - target).hbar_coefficient(2)
+                diff = bracket_residual(ctx0, ctx0.delta_images, i, j).hbar_coefficient(2)
                 for (a, sl), c in diff.coeffs.items():
                     out[("bracket", i, j, sl)] = c
-            x = ctx0.gen(i)
-            d = ctx0.coproduct_slot(x, 0)
-            diff3 = (ctx0.coproduct_slot(d, 0) - ctx0.coproduct_slot(d, 1)).hbar_coefficient(2)
+            diff3 = coassociativity_residual(ctx0, i).hbar_coefficient(2)
             for (a, sl), c in diff3.coeffs.items():
                 out[("coassoc", i, sl)] = c
         return out
@@ -342,8 +325,6 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
             coeffs[(2, ((pair[0], PLAIN), (pair[1], PLAIN)))] = c
         return HElement(ctx, 2, coeffs)
 
-    from gammastack.quantum import twist_residual_quantum
-
     tau2 = ctx.theta_images(1)
 
     def psi_residual(assign: dict) -> dict:
@@ -358,9 +339,8 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
         # Delta(theta x) = Ad(Psi^{-1})(theta^{(x)2} Delta(x))
         psi_inv = ctx.inverse(psi)
         for i in range(dim):
-            lhs = ctx.coproduct_slot(ctx.apply_endo(tau2, ctx.gen(i)), 0)
-            rhs = psi_inv * ctx.apply_endo(tau2, ctx.coproduct_slot(ctx.gen(i), 0)) * psi
-            for (a, sl), c in (lhs - rhs).hbar_coefficient(2).coeffs.items():
+            conj = conjugation_residual(ctx, tau2, psi, psi_inv, i).hbar_coefficient(2)
+            for (a, sl), c in conj.coeffs.items():
                 out[("conj", i, sl)] = c
         return out
 

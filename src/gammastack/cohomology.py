@@ -183,7 +183,7 @@ class CoboundaryObstruction(Exception):
 
 
 def _d_matrix_block(
-    dim: int, k: int, ndeg: int, content: tuple[int, ...], src: list[Monomial], trunc: int
+    k: int, src: list[Monomial], trunc: int
 ) -> tuple[list[Monomial], dict[Monomial, int], list[Row]]:
     """Columns indexed by src monomials; rows by (k+1)-cochain monomials."""
     row_index: dict[Monomial, int] = {}
@@ -250,9 +250,7 @@ def solve_coboundary(
         by_content.setdefault(_content_key(m, dim), []).append((m, c))
     for content in sorted(by_content):
         cols = [src_space.basis[i] for i in src_space.blocks.get(content, [])]
-        row_list, row_index, rows = _d_matrix_block(
-            dim, k - 1, ndeg, content, cols, alpha.trunc
-        )
+        row_list, row_index, rows = _d_matrix_block(k - 1, cols, alpha.trunc)
         sys = LinearSystem(len(cols))
         rhs = [Fraction(0)] * len(row_list)
         consistent = True
@@ -289,15 +287,15 @@ def cohomology_rank(dim: int, k: int, ndeg: int) -> int:
     space = CochainSpace(dim, k, ndeg)
     dim_ker = 0
     rank_prev = 0
-    for content, idxs in sorted(space.blocks.items()):
+    for _, idxs in sorted(space.blocks.items()):
         cols = [space.basis[i] for i in idxs]
-        _, _, rows = _d_matrix_block(dim, k, ndeg, content, cols, ndeg)
+        _, _, rows = _d_matrix_block(k, cols, ndeg)
         r = matrix_rank(rows, len(cols))
         dim_ker += len(cols) - r
     if k >= 2:
         prev = CochainSpace(dim, k - 1, ndeg)
-        for content, idxs in sorted(prev.blocks.items()):
+        for _, idxs in sorted(prev.blocks.items()):
             cols = [prev.basis[i] for i in idxs]
-            _, _, rows = _d_matrix_block(dim, k - 1, ndeg, content, cols, ndeg)
+            _, _, rows = _d_matrix_block(k - 1, cols, ndeg)
             rank_prev += matrix_rank(rows, len(cols))
     return dim_ker - rank_prev

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from gammastack.liealg import FiniteGroup, GammaLieBialgebra, LieBialgebra, Tensor2
 from gammastack.quantum import PLAIN, GammaQUEData, HElement, Key, QueContext
+from gammastack.tensors import word_str
 
 F = Fraction
 
@@ -75,9 +76,17 @@ def _groups(toks: list[str], width: int, syntax: str, line: int) -> list[list[st
     return [toks[t : t + width] for t in range(0, len(toks), width)]
 
 
+# each quantum section: its QuantumSections field, the kinds of its header
+# arguments (g a group element, x a basis label) and the tensor slots of a term
+QUANTUM_SECTIONS = {
+    "quantum-coproduct": ("coproduct", "x", 2),
+    "quantum-twist": ("twists", "g", 2),
+    "quantum-morphism": ("morphisms", "gx", 1),
+    "quantum-gauge": ("gauges", "gg", 1),
+}
+
 # header arguments each section needs, as in [action g] or [quantum-gauge g h]
-SECTION_ARGS = {"action": 1, "twist": 1, "quantum-coproduct": 1, "quantum-twist": 1,
-                "quantum-morphism": 2, "quantum-gauge": 2}
+SECTION_ARGS = {"action": 1, "twist": 1, **{k: len(v[1]) for k, v in QUANTUM_SECTIONS.items()}}
 
 
 def parse_problem(text: str) -> Problem:
@@ -231,30 +240,12 @@ def parse_problem(text: str) -> Problem:
             if value < least:
                 raise ProblemParseError(f"{parts[0]} must be at least {least}", ln)
             trunc[parts[0]] = value
-        elif kind == "quantum-coproduct":
-            i = blabel(args[0], ln)
-            a, c, words = parse_term_slots(parts, ln, 2)
+        elif kind in QUANTUM_SECTIONS:
+            name, arg_kinds, slots = QUANTUM_SECTIONS[kind]
+            idx = tuple((glabel if k == "g" else blabel)(t, ln) for k, t in zip(arg_kinds, args))
+            a, c, words = parse_term_slots(parts, ln, slots)
             key = (a, tuple((w, PLAIN) for w in words))
-            d = q.coproduct.setdefault(i, {})
-            d[key] = d.get(key, F(0)) + c
-        elif kind == "quantum-twist":
-            g = glabel(args[0], ln)
-            a, c, words = parse_term_slots(parts, ln, 2)
-            key = (a, tuple((w, PLAIN) for w in words))
-            d = q.twists.setdefault(g, {})
-            d[key] = d.get(key, F(0)) + c
-        elif kind == "quantum-morphism":
-            g = glabel(args[0], ln)
-            i = blabel(args[1], ln)
-            a, c, words = parse_term_slots(parts, ln, 1)
-            key = (a, tuple((w, PLAIN) for w in words))
-            d = q.morphisms.setdefault((g, i), {})
-            d[key] = d.get(key, F(0)) + c
-        elif kind == "quantum-gauge":
-            g, h = glabel(args[0], ln), glabel(args[1], ln)
-            a, c, words = parse_term_slots(parts, ln, 1)
-            key = (a, tuple((w, PLAIN) for w in words))
-            d = q.gauges.setdefault((g, h), {})
+            d = getattr(q, name).setdefault(idx if len(idx) > 1 else idx[0], {})
             d[key] = d.get(key, F(0)) + c
         else:
             raise ProblemParseError(f"unknown section [{kind}]", ln)
@@ -338,14 +329,10 @@ def _scalar_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _word_str(word: tuple[int, ...], labels: list[str]) -> str:
-    return " ".join(labels[i] for i in word) if word else "1"
-
-
 def _helement_lines(coeffs: dict[Key, Fraction], labels: list[str]) -> list[str]:
     out = []
     for (a, slots), c in sorted(coeffs.items()):
-        body = "|".join(_word_str(w, labels) for w, _ in slots)
+        body = "|".join(word_str(w, labels) for w, _ in slots)
         out.append(f"term {a} {_scalar_str(c)} {body}")
     return out
 
@@ -419,23 +406,14 @@ def serialize_problem(problem: Problem, header: str | None = None) -> str:
     lines.append(f"hbar {problem.hbar}")
     lines.append(f"pbw {problem.pbw}")
     if problem.quantum is not None:
-        q = problem.quantum
-        for i in sorted(q.coproduct):
-            lines.append("")
-            lines.append(f"[quantum-coproduct {labels[i]}]")
-            lines.extend(_helement_lines(q.coproduct[i], labels))
-        for g in sorted(q.twists):
-            lines.append("")
-            lines.append(f"[quantum-twist {glabels[g]}]")
-            lines.extend(_helement_lines(q.twists[g], labels))
-        for (g, i) in sorted(q.morphisms):
-            lines.append("")
-            lines.append(f"[quantum-morphism {glabels[g]} {labels[i]}]")
-            lines.extend(_helement_lines(q.morphisms[(g, i)], labels))
-        for (g, h) in sorted(q.gauges):
-            lines.append("")
-            lines.append(f"[quantum-gauge {glabels[g]} {glabels[h]}]")
-            lines.extend(_helement_lines(q.gauges[(g, h)], labels))
+        for kind, (name, arg_kinds, _slots) in QUANTUM_SECTIONS.items():
+            sections = getattr(problem.quantum, name)
+            for idx in sorted(sections):
+                toks = idx if isinstance(idx, tuple) else (idx,)
+                names = [(glabels if k == "g" else labels)[t] for k, t in zip(arg_kinds, toks)]
+                lines.append("")
+                lines.append(f"[{kind} {' '.join(names)}]")
+                lines.extend(_helement_lines(sections[idx], labels))
     return "\n".join(lines) + "\n"
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from gammastack.cohomology import solve_coboundary
 from gammastack.liealg import GammaLieBialgebra
@@ -218,48 +219,38 @@ class QueContext:
 
     # -- exp / log / inverse -------------------------------------------------------
 
-    def _nilpotent_check(self, u: HElement, what: str):
+    def _series(self, u: HElement, coeff, what: str) -> HElement:
+        """The power series sum_k coeff(k) u^k for u in hbar·U.
+
+        u^k lies in hbar^k·U, so the sum is finite at the truncation: the loop
+        stops at the first power that vanishes, at the latest u^M.  `what`
+        names the caller in the error for an argument with an hbar^0 term.
+        """
         for (a, _), _c in u.coeffs.items():
             if a == 0:
                 raise QuantumError(f"{what} needs an argument in hbar·U")
-
-    def exp(self, z: HElement) -> HElement:
-        self._nilpotent_check(z, "exp")
-        out = self.unit(z.slots)
-        term = out
-        for k in range(1, self.M + 1):
-            term = self.mul(term, z).scale(F(1, k))
-            if term.is_zero():
-                break
-            out = out + term
-        return out
-
-    def log(self, x: HElement) -> HElement:
-        u = x - self.unit(x.slots)
-        self._nilpotent_check(u, "log")
-        out = self.zero(x.slots)
-        power = self.unit(x.slots)
+        power = self.unit(u.slots)
+        out = power.scale(coeff(0))
         for k in range(1, self.M + 1):
             power = self.mul(power, u)
             if power.is_zero():
                 break
-            out = out + power.scale(F((-1) ** (k + 1), k))
+            out = out + power.scale(coeff(k))
         return out
+
+    def exp(self, z: HElement) -> HElement:
+        return self._series(z, lambda k: F(1, factorial(k)), "exp")
+
+    def log(self, x: HElement) -> HElement:
+        return self._series(
+            x - self.unit(x.slots), lambda k: F((-1) ** (k + 1), k) if k else 0, "log"
+        )
 
     def hbar_log(self, x: HElement) -> HElement:
         return self.log(x).hbar_shift(1)
 
     def inverse(self, x: HElement) -> HElement:
-        u = self.unit(x.slots) - x
-        self._nilpotent_check(u, "inverse")
-        out = self.unit(x.slots)
-        power = out
-        for _ in range(self.M + 1):
-            power = self.mul(power, u)
-            if power.is_zero():
-                break
-            out = out + power
-        return out
+        return self._series(self.unit(x.slots) - x, lambda k: ONE, "inverse")
 
     def ad(self, b: HElement, x: HElement) -> HElement:
         return self.mul(self.mul(b, x), self.inverse(b))
@@ -390,11 +381,6 @@ class QueContext:
         return inv
 
 
-def pbw_multiply(x: HElement, y: HElement) -> HElement:
-    """Normal-ordered product (straightening plus group conjugation rules)."""
-    return x * y
-
-
 def linear_leading_inverse(ctx: QueContext, images: list[HElement]) -> list[HElement]:
     """Generator images inverting the hbar^0 linear part of an endomorphism."""
     from gammastack.liealg import mat_inverse
@@ -469,14 +455,17 @@ def is_admissible(x: HElement) -> tuple[bool, Key | None]:
 # -- quantum twist manipulation ---------------------------------------------------------
 
 
+def tensor_unit(x: HElement, pos: int) -> HElement:
+    """x with a unit slot inserted at position pos (pos = x.slots appends it)."""
+    unit = (((), PLAIN),)
+    coeffs = {(a, sl[:pos] + unit + sl[pos:]): c for (a, sl), c in x.coeffs.items()}
+    return HElement._trusted(x.ctx, x.slots + 1, coeffs)
+
+
 def twist_residual_quantum(ctx: QueContext, f: HElement) -> HElement:
     """F^{1,2} F^{12,3} - F^{2,3} F^{1,23} for a 2-slot element."""
-    unit_slot = (((), PLAIN),)
-    f12 = HElement(ctx, 3, {(a, sl + unit_slot): c for (a, sl), c in f.coeffs.items()})
-    f23 = HElement(ctx, 3, {(a, unit_slot + sl): c for (a, sl), c in f.coeffs.items()})
-    f12_3 = ctx.coproduct_slot(f, 0)
-    f1_23 = ctx.coproduct_slot(f, 1)
-    return f12 * f12_3 - f23 * f1_23
+    left = tensor_unit(f, 2) * ctx.coproduct_slot(f, 0)
+    return left - tensor_unit(f, 0) * ctx.coproduct_slot(f, 1)
 
 
 def star_hbar_cocycle_residual(ctx: QueContext, f: HElement) -> HElement:
@@ -487,22 +476,14 @@ def star_hbar_cocycle_residual(ctx: QueContext, f: HElement) -> HElement:
     Exact modulo one hbar order lost to the rescaled bracket.
     """
     a = ctx.hbar_log(f)
-    unit_slot = (((), PLAIN),)
-    a12 = HElement(ctx, 3, {(p, sl + unit_slot): c for (p, sl), c in a.coeffs.items()})
-    a23 = HElement(ctx, 3, {(p, unit_slot + sl): c for (p, sl), c in a.coeffs.items()})
-    a12_3 = ctx.coproduct_slot(a, 0)
-    a1_23 = ctx.coproduct_slot(a, 1)
-    out = ctx.star_hbar(a1_23.scale(-1), a23.scale(-1))
-    out = ctx.star_hbar(out, a12)
-    return ctx.star_hbar(out, a12_3)
+    out = ctx.star_hbar(ctx.coproduct_slot(a, 1).scale(-1), tensor_unit(a, 0).scale(-1))
+    out = ctx.star_hbar(out, tensor_unit(a, 2))
+    return ctx.star_hbar(out, ctx.coproduct_slot(a, 0))
 
 
 def gauge_twist(ctx: QueContext, b: HElement, f: HElement) -> HElement:
     """b^{(x)2} F Delta(b^{-1})."""
-    b1 = HElement(ctx, 2, {(a, sl + (((), PLAIN),)): c for (a, sl), c in b.coeffs.items()})
-    b2 = HElement(ctx, 2, {(a, (((), PLAIN),) + sl): c for (a, sl), c in b.coeffs.items()})
-    dbinv = ctx.coproduct_slot(ctx.inverse(b), 0)
-    return b1 * b2 * f * dbinv
+    return tensor_unit(b, 1) * tensor_unit(b, 0) * f * ctx.coproduct_slot(ctx.inverse(b), 0)
 
 
 def admissibilize(ctx: QueContext, f0: HElement) -> tuple[HElement, HElement]:
@@ -576,6 +557,10 @@ def _order_violations(ctx: QueContext, f: HElement, n: int) -> bool:
 # -- the Gamma QUE data ------------------------------------------------------------------
 
 
+# one entry of the relation pass: relation name, group tuple, residual elements
+Relation = tuple[str, tuple[int, ...], list[HElement]]
+
+
 @dataclass
 class GammaQUEData:
     """F, i, v collections at base e.
@@ -584,13 +569,17 @@ class GammaQUEData:
     F_{g,gh} = theta_g^{(x)2}(F_{e,h}), i_{g,gh} = i_{e,h}, and
     v_{g,gh,ghk} = theta_g(v_{e,h,hk}).  This is the unique translation for
     which the semidirect product and coproduct fit into a bialgebra, and it
-    forces the i maps to have identity classical limit."""
+    forces the i maps to have identity classical limit.
+
+    Immutable by convention: the inverse images and the relation pass are
+    cached on the instance."""
 
     ctx: QueContext
     F: dict[int, HElement]
     i_images: dict[int, list[HElement]]
     v: dict[tuple[int, int], HElement]
     _inv_cache: dict[int, list[HElement]] = field(default_factory=dict, repr=False)
+    _relations: list[Relation] | None = field(default=None, repr=False)
 
     def i_inverse_images(self, gamma: int) -> list[HElement]:
         cached = self._inv_cache.get(gamma)
@@ -601,6 +590,88 @@ class GammaQUEData:
             )
             self._inv_cache[gamma] = cached
         return cached
+
+
+# -- residuals of the Gamma-QUE identities --------------------------------------------------
+
+
+def bracket_residual(ctx: QueContext, images: list[HElement], i: int, j: int) -> HElement:
+    """[images_i, images_j] - sum_k c_ij^k images_k: zero iff the generator
+    images respect the bracket relation of (e_i, e_j)."""
+    target = ctx.zero(images[i].slots)
+    for k, c in ctx.lba.bracket_elems(i, j).items():
+        target = target + images[k].scale(c)
+    return ctx.commutator(images[i], images[j]) - target
+
+
+def coassociativity_residual(ctx: QueContext, i: int) -> HElement:
+    """(Delta (x) id - id (x) Delta) Delta(e_i) for the ambient coproduct."""
+    d = ctx.coproduct_slot(ctx.gen(i), 0)
+    return ctx.coproduct_slot(d, 0) - ctx.coproduct_slot(d, 1)
+
+
+def conjugation_residual(
+    ctx: QueContext, theta: list[HElement], F: HElement, F_inv: HElement, i: int
+) -> HElement:
+    """Delta(theta e_i) - F^{-1} theta^{(x)2}(Delta e_i) F, for theta given by
+    generator images; the coproduct-conjugation identity at generator i."""
+    lhs = ctx.coproduct_slot(ctx.apply_endo(theta, ctx.gen(i)), 0)
+    return lhs - F_inv * ctx.apply_endo(theta, ctx.coproduct_slot(ctx.gen(i), 0)) * F
+
+
+def relation_residuals(data: GammaQUEData) -> list[Relation]:
+    """Residuals of the compatibility relations (3), (4) and (5) at base e.
+
+    - (3) twist composition, per pair (g, h):
+      v^1 v^2 i_g^{-1}(theta_g^{(x)2} F_h) F_g Delta(v^{-1}) - F_gh, v = v_{g,h};
+    - (4) morphism composition, per pair, one residual per generator e_k:
+      i_gh(e_k) - i_h(i_g(Ad(v^{-1}) e_k));
+    - (5) gauge cocycle, per triple (g, h, k):
+      v_{gh,k} v_{g,h} - v_{g,hk} i_g^{-1}(theta_g v_{h,k}).
+
+    Entries are named "twist composition", "morphism composition" and "gauge
+    cocycle" and come in report order: (3) then (4) for each pair, then (5)
+    for each triple.  The pass runs once per data and is cached on it.
+    """
+    if data._relations is not None:
+        return data._relations
+    ctx = data.ctx
+    grp = ctx.G.group
+    out: list[Relation] = []
+    inv_images = {g: data.i_inverse_images(g) for g in grp.elements()}
+    for g in grp.elements():
+        for h in grp.elements():
+            gh = grp.mul(g, h)
+            v = data.v[(g, h)]
+            vinv = ctx.inverse(v)
+            pulled = ctx.apply_endo(inv_images[g], ctx.apply_endo(ctx.theta_images(g), data.F[h]))
+            twist = tensor_unit(v, 1) * tensor_unit(v, 0) * pulled * data.F[g]
+            twist = twist * ctx.coproduct_slot(vinv, 0)
+            out.append(("twist composition", (g, h), [twist - data.F[gh]]))
+            morphism = []
+            for k in range(ctx.lba.dim):
+                step = ctx.apply_endo(data.i_images[g], ctx.ad(vinv, ctx.gen(k)))
+                morphism.append(data.i_images[gh][k] - ctx.apply_endo(data.i_images[h], step))
+            out.append(("morphism composition", (g, h), morphism))
+    for g in grp.elements():
+        for h in grp.elements():
+            for k in grp.elements():
+                lhs = data.v[(grp.mul(g, h), k)] * data.v[(g, h)]
+                translated = ctx.apply_endo(ctx.theta_images(g), data.v[(h, k)])
+                rhs = data.v[(g, grp.mul(h, k))] * ctx.apply_endo(inv_images[g], translated)
+                out.append(("gauge cocycle", (g, h, k), [lhs - rhs]))
+    data._relations = out
+    return out
+
+
+def _relation_messages(data: GammaQUEData) -> list[str]:
+    """One message per relation entry with a nonzero residual, in order."""
+    labels = data.ctx.G.group.labels
+    return [
+        f"{name} relation fails at ({','.join(labels[g] for g in tup)})"
+        for name, tup, residuals in relation_residuals(data)
+        if not all(r.is_zero() for r in residuals)
+    ]
 
 
 def validate_que_data(data: GammaQUEData) -> list[str]:
@@ -614,18 +685,14 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
     # coproduct respects the bracket relations
     for i in range(dim):
         for j in range(dim):
-            target = ctx.zero(2)
-            for k, c in ctx.lba.bracket_elems(i, j).items():
-                target = target + ctx.delta_images[k].scale(c)
-            got = ctx.commutator(ctx.delta_images[i], ctx.delta_images[j])
-            if got != target:
+            if not bracket_residual(ctx, ctx.delta_images, i, j).is_zero():
                 issues.append(f"coproduct does not respect bracket at ({i},{j})")
     # coassociativity and counit on generators
     for i in range(dim):
         x = ctx.gen(i)
-        d = ctx.coproduct_slot(x, 0)
-        if ctx.coproduct_slot(d, 0) != ctx.coproduct_slot(d, 1):
+        if not coassociativity_residual(ctx, i).is_zero():
             issues.append(f"coproduct not coassociative at generator {i}")
+        d = ctx.coproduct_slot(x, 0)
         if ctx.counit_slot(d, 0) != x or ctx.counit_slot(d, 1) != x:
             issues.append(f"counit axiom fails at generator {i}")
         # classical limits
@@ -659,72 +726,20 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
             issues.append(f"v[{grp.labels[g]},{grp.labels[h]}] not in 1 + hbar^2 U")
     # i maps are algebra morphisms with the right classical limit
     for g in grp.elements():
-        imgs = data.i_images[g]
         for i in range(dim):
             for j in range(dim):
-                target = ctx.zero(1)
-                for k, c in ctx.lba.bracket_elems(i, j).items():
-                    target = target + imgs[k].scale(c)
-                if ctx.commutator(imgs[i], imgs[j]) != target:
+                if not bracket_residual(ctx, data.i_images[g], i, j).is_zero():
                     issues.append(f"i[{grp.labels[g]}] not an algebra morphism at ({i},{j})")
     # coproduct-conjugation identity: Delta(theta_g x) = Ad(F_g^{-1})
     # (theta_g^{(x)2} Delta(x)); required for the semidirect bialgebra axioms
     for g in grp.elements():
         fg_inv = ctx.inverse(data.F[g])
         for i in range(dim):
-            lhs = ctx.coproduct_slot(ctx.apply_endo(ctx.theta_images(g), ctx.gen(i)), 0)
-            rhs = fg_inv * ctx.apply_endo(ctx.theta_images(g), ctx.coproduct_slot(ctx.gen(i), 0)) * data.F[g]
-            if lhs != rhs:
+            if not conjugation_residual(ctx, ctx.theta_images(g), data.F[g], fg_inv, i).is_zero():
                 issues.append(
                     f"coproduct conjugation identity fails at ({grp.labels[g]}, generator {i})"
                 )
-    issues += _relation_residuals(data)
-    return issues
-
-
-def _relation_residuals(data: GammaQUEData) -> list[str]:
-    """Relations (3), (4), (5); returns messages for nonzero residuals."""
-    ctx = data.ctx
-    grp = ctx.G.group
-    issues = []
-    inv_images = {g: data.i_inverse_images(g) for g in grp.elements()}
-    for g in grp.elements():
-        for h in grp.elements():
-            gh = grp.mul(g, h)
-            v = data.v[(g, h)]
-            translated = ctx.apply_endo(ctx.theta_images(g), data.F[h])
-            pulled = ctx.apply_endo(inv_images[g], translated)
-            v1 = HElement(ctx, 2, {(a, sl + (((), PLAIN),)): c for (a, sl), c in v.coeffs.items()})
-            v2 = HElement(ctx, 2, {(a, (((), PLAIN),) + sl): c for (a, sl), c in v.coeffs.items()})
-            rhs = v1 * v2 * pulled * data.F[g] * ctx.coproduct_slot(ctx.inverse(v), 0)
-            if rhs != data.F[gh]:
-                issues.append(
-                    f"twist composition relation fails at ({grp.labels[g]},{grp.labels[h]})"
-                )
-            # relation (4): i_{e,gh} = i_{e,h} o i_{e,g} o Ad(v^{-1})
-            vinv = ctx.inverse(v)
-            for k in range(ctx.lba.dim):
-                lhs = data.i_images[gh][k]
-                step = ctx.ad(vinv, ctx.gen(k))
-                step = ctx.apply_endo(data.i_images[g], step)
-                step = ctx.apply_endo(data.i_images[h], step)
-                if lhs != step:
-                    issues.append(
-                        f"morphism composition relation fails at ({grp.labels[g]},{grp.labels[h]})"
-                    )
-                    break
-    for g in grp.elements():
-        for h in grp.elements():
-            for k in grp.elements():
-                gh = grp.mul(g, h)
-                lhs = data.v[(gh, k)] * data.v[(g, h)]
-                translated = ctx.apply_endo(ctx.theta_images(g), data.v[(h, k)])
-                rhs = data.v[(g, grp.mul(h, k))] * ctx.apply_endo(inv_images[g], translated)
-                if lhs != rhs:
-                    issues.append(
-                        "gauge cocycle relation fails at "
-                        f"({grp.labels[g]},{grp.labels[h]},{grp.labels[k]})"
-                    )
+    issues += _relation_messages(data)
     return issues
 
 
@@ -748,7 +763,7 @@ def gauge_transform(data: GammaQUEData, b: dict[int, HElement]) -> GammaQUEData:
         pulled = ctx.apply_endo(data.i_inverse_images(g), translated)
         new_v[(g, h)] = b[gh] * v * pulled * ctx.inverse(b[g])
     out = GammaQUEData(ctx, newF, new_i, new_v)
-    bad = _relation_residuals(out)
+    bad = _relation_messages(out)
     if bad:
         raise QuantumError(f"gauge transform broke the compatibility relations: {bad[0]}")
     return out
@@ -777,8 +792,9 @@ class SemidirectBialgebra:
     (so a term the shifted computation drops early feeds only terms at M or
     above), and the PBW degree cap D never looks at hbar.  So each
     [w1|g1][w2|g2] and each Delta[w|g] is computed once, at hbar^0, as
-    (hbar power, slots, coefficient) entries, and `product`, `coproduct`,
-    `_mul2` and `_cop_slot` scale and shift them per term pair.
+    (hbar power, slots, coefficient) entries, and `product`, `_mul2` and
+    `_cop_slot` (`coproduct` is its one-slot case) scale and shift them per
+    term pair.
     """
 
     def __init__(self, data: GammaQUEData):
@@ -856,13 +872,7 @@ class SemidirectBialgebra:
 
     def coproduct(self, x: HElement) -> HElement:
         """[m|g] -> [Delta_e(m) * F_{e,g}^{-1} | g,g]."""
-        M = self.ctx.M
-        out: dict[Key, Fraction] = {}
-        for (a, ((w, g),)), c in x.coeffs.items():
-            for aa, sl, cc in self._basis_coproduct(w, g):
-                if a + aa < M:
-                    _add_into(out, (a + aa, sl), c * cc)
-        return HElement._trusted(self.ctx, 2, out)
+        return self._cop_slot(x, 0)
 
     def unit(self) -> HElement:
         return self.ctx.labeled((), self.G.group.identity)
@@ -1073,41 +1083,20 @@ def quantize_stack(data: GammaQUEData) -> QuantumStackCertificate:
                 "witness": str(witness or ""),
             }
         )
-    inv_images = {g: data_p.i_inverse_images(g) for g in grp.elements()}
-
-    def residual(diff: HElement) -> str:
-        return "0" if diff.is_zero() else diff.format(labels)
-
-    # morphism-composition identity on all triples (left translation to base
-    # e): the residual does not depend on the first entry g0
-    composition: dict[tuple[int, int], str] = {}
-    for g in grp.elements():
-        for h in grp.elements():
-            gh = grp.mul(g, h)
-            vinv = ctx.inverse(data_p.v[(g, h)])
-            diff = ctx.zero(1)
-            for k in range(ctx.lba.dim):
-                lhs = data_p.i_images[gh][k]
-                step = ctx.ad(vinv, ctx.gen(k))
-                step = ctx.apply_endo(data_p.i_images[g], step)
-                step = ctx.apply_endo(data_p.i_images[h], step)
-                diff = diff + (lhs - step)
-            composition[(g, h)] = residual(diff)
-    # exp(v'/hbar) cocycle identity on all quadruples; the exponentials are
-    # the v' themselves viewed in the Drinfeld subalgebra, so the residual is
-    # computed on the v' relation with the ambient product
-    cocycle: dict[tuple[int, int, int], str] = {}
-    for g in grp.elements():
-        for h in grp.elements():
-            for k in grp.elements():
-                gh = grp.mul(g, h)
-                lhs = data_p.v[(gh, k)] * data_p.v[(g, h)]
-                translated = ctx.apply_endo(ctx.theta_images(g), data_p.v[(h, k)])
-                rhs = data_p.v[(g, grp.mul(h, k))] * ctx.apply_endo(inv_images[g], translated)
-                cocycle[(g, h, k)] = residual(lhs - rhs)
-    for identity, residuals in (("morphism-composition", composition), ("exp-gauge-cocycle", cocycle)):
+    # both stack identities on all tuples, read from the relation pass that
+    # gauge_transform made on data_p: (4) is summed over generators, and
+    # exp(v'/hbar) cocycle's exponentials are the v' themselves viewed in the
+    # Drinfeld subalgebra, so its residual is that of relation (5).  Neither
+    # depends on the first entry g0 (left translation to base e).
+    identities = {"morphism composition": "morphism-composition", "gauge cocycle": "exp-gauge-cocycle"}
+    found: dict[str, list[tuple[tuple[int, ...], str]]] = {name: [] for name in identities}
+    for name, tup, residuals in relation_residuals(data_p):
+        if name in found:
+            diff = sum(residuals, ctx.zero(1))
+            found[name].append((tup, "0" if diff.is_zero() else diff.format(labels)))
+    for name, identity in identities.items():
         for g0 in grp.elements():
-            for tup, res in residuals.items():
+            for tup, res in found[name]:
                 cert.residuals.append(
                     {"identity": identity, "at": [grp.labels[x] for x in (g0, *tup)], "residual": res}
                 )

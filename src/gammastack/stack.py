@@ -53,9 +53,11 @@ def lift_twist(
 
     Starts from the leading term itself; at each total degree the defect is
     checked to be a reduced cocycle (with vanishing alternation in degree
-    3), its coboundary is solved, and the lift is corrected.  The
-    coboundary sign is fixed by requiring the defect to drop one degree;
-    both signs failing is fatal.
+    3), its coboundary is solved, and the lift is corrected.  The degree-deg
+    part of the defect of f + s*beta is alpha - s*d(beta), and
+    solve_coboundary(alpha, sign=1) gives d(beta) = alpha, so s = +1 clears
+    the degree and s = -1 would leave 2*alpha != 0.  Only + is taken; a
+    defect that survives it at deg is a fault, raised naming the degree.
     """
     for m in leading.coeffs:
         if monomial_degree(m) != 2 or any(len(s) != 1 for s in m):
@@ -81,14 +83,10 @@ def lift_twist(
                     "the cyclic twist-compatibility condition"
                 ) from exc
             raise StackBuildError(f"inconsistent coboundary system at degree {deg}") from exc
-        candidate = f + beta
-        new_defect = twist_defect(ctx, candidate)
-        if any(monomial_degree(m) <= deg for m in new_defect.coeffs):
-            candidate = f - beta
-            new_defect = twist_defect(ctx, candidate)
-            if any(monomial_degree(m) <= deg for m in new_defect.coeffs):
-                raise StackBuildError(f"neither coboundary sign clears the degree-{deg} defect")
-        f, defect = candidate, new_defect
+        f = f + beta
+        defect = twist_defect(ctx, f)
+        if any(monomial_degree(m) <= deg for m in defect.coeffs):
+            raise StackBuildError(f"coboundary correction leaves the degree-{deg} defect")
     if not defect.is_zero():
         raise StackBuildError("twist defect nonzero at truncation")
     return f
@@ -110,10 +108,14 @@ def solve_gauge(
     """Find lambda in m^2 with gauge_act(lambda, f_src) = f_dst exactly.
 
     Solved degree by degree through the k=1 coboundary problem; a degree-2
-    mismatch is an obstruction (the leading terms must already agree).
-    The value gauge_act(lambda, f_src) of the accepted candidate, and its
-    difference from f_dst, carry over to the next degree and to the final
-    check, so each candidate is acted on once.
+    mismatch is an obstruction (the leading terms must already agree).  As
+    in lift_twist, the degree-deg part of the new residual is rho - s*d(step)
+    with d(step) = rho from solve_coboundary(rho, sign=1), so only s = +1 can
+    clear the degree.  A residual that is not a reduced cocycle (f_src is not
+    a twist) or survives the correction raises StackBuildError naming the
+    degree.  The value gauge_act(lambda, f_src), and its difference from
+    f_dst, carry over to the next degree and to the final check, so each
+    candidate is acted on once.
     """
     lam = ctx.zero(1)
     N = ctx.trunc
@@ -127,20 +129,20 @@ def solve_gauge(
         if low:
             raise StackBuildError(f"gauge residual below degree {deg} not cleared")
         try:
-            lam_deg = solve_coboundary(rho, sign=1)
+            step = solve_coboundary(rho, sign=1)
         except CoboundaryObstruction as exc:
             raise StackBuildError(
                 f"gauge matching obstructed at degree {deg} (leading terms differ?)"
             ) from exc
-        for step in (lam_deg, lam_deg.scale(-1)):
-            candidate = ctx.bch_star(step, lam) if not lam.is_zero() else step
-            cur = gauge_act(ctx, candidate, f_src)
-            diff = f_dst - cur
-            if all(monomial_degree(m) > deg for m in diff.coeffs):
-                break
-        else:
+        except ValueError as exc:
+            raise StackBuildError(
+                f"gauge residual at degree {deg} is not a reduced cocycle: {exc}"
+            ) from exc
+        lam = ctx.bch_star(step, lam) if not lam.is_zero() else step
+        cur = gauge_act(ctx, lam, f_src)
+        diff = f_dst - cur
+        if any(monomial_degree(m) <= deg for m in diff.coeffs):
             raise StackBuildError(f"gauge correction fails at degree {deg}")
-        lam = candidate
     if cur != f_dst:
         raise StackBuildError("gauge connection incomplete at truncation")
     return lam
@@ -233,8 +235,8 @@ def build_u(
     The twist equation of the composed element is checked only when the
     build fails, ahead of the re-raise, so that a composed non-twist still
     reports itself first.  A non-twist usually fails in solve_gauge as a
-    gauge residual that is not a cocycle, the ValueError of
-    solve_coboundary, so that error takes the same path.  On success the
+    gauge residual that is not a cocycle, which solve_gauge raises as a
+    StackBuildError, so that error takes the same path.  On success the
     equation holds without a check: solve_gauge ends with the exact check
     gauge_act(u, composed) == lift_ac, the gauge action is a group action
     that maps twists to twists, and lift_ac is a twist (its twist equation
@@ -250,7 +252,7 @@ def build_u(
                 "group twist map violates the composition rule"
             )
         return solve_gauge(ctx, composed, lift_ac)
-    except (StackBuildError, ValueError) as exc:
+    except StackBuildError as exc:
         if not twist_defect(ctx, composed).is_zero():
             raise StackBuildError("composed element fails the twist equation") from exc
         raise

@@ -316,3 +316,22 @@ def test_quantize_sl2_que_D6_matches_bench_reference():
     code, out, _err = run_cli("quantize", "sl2-que.glb", "--hbar", "3", "--pbw", "6")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["sweep-sl2-que-M3-D6"]
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("abelian-que.glb", "--hbar", "4", "--pbw", "6"),
+         "4e1eb3caca5e19c30b9dde68a388e6c4cf6234b0271db61f41cb00bf02dcf01a"),
+        (("sl2-que.glb", "--hbar", "4"),
+         "05102dae06026fc5f37dfe52db86532e7851f4ee5b8b00edec4b047f2b1cc105"),
+    ],
+)
+def test_quantize_failure_certificates_pinned(args, digest):
+    """Past their generated hbar order the quantum files fail validation; the
+    exit-1 certificate lists the validate_que_data messages (3 and 14) in
+    report order, pinned byte for byte."""
+    code, out, _err = run_cli("quantize", *args)
+    assert code == 1
+    assert json.loads(out)["failures"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

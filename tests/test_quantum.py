@@ -13,7 +13,6 @@ from gammastack.quantum import (
     drinfeld_prime_membership,
     drinfeld_prime_membership_general,
     is_admissible,
-    pbw_multiply,
 )
 
 from conftest import abelian_twisted_gamma, axb_gamma, sl2_weyl_gamma

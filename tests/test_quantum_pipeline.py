@@ -8,8 +8,6 @@ from gammastack.builtin import (
     abelian_que_data,
     r_factor_components_primitive,
     sl2_que_data,
-    tensor_unit_left,
-    tensor_unit_right,
     trivial_que_data,
 )
 from gammastack.quantum import (
@@ -25,6 +23,7 @@ from gammastack.quantum import (
     is_admissible,
     quantize_stack,
     star_hbar_cocycle_residual,
+    tensor_unit,
     twist_residual_quantum,
     validate_que_data,
 )
@@ -152,7 +151,7 @@ def test_gauge_transform_grouplike_central():
     ctx = data.ctx
     bx = ctx.exp(ctx.gen(0, hbar=1))
     d = ctx.coproduct_slot(bx, 0)
-    b1b2 = tensor_unit_right(bx) * tensor_unit_left(bx)
+    b1b2 = tensor_unit(bx, 1) * tensor_unit(bx, 0)
     if d == b1b2:  # grouplike for this ambient
         out = gauge_twist(ctx, bx, data.F[1])
         assert out == data.F[1]
@@ -242,3 +241,44 @@ def test_sl2_r_factor_log_primitive():
     data = sl2_que_data(3, 4)
     assert r_factor_components_primitive(data, 1)
     assert r_factor_components_primitive(data, 3)
+
+
+def test_gauge_transform_reports_broken_relation():
+    """A corrupted v coefficient breaks relation (3) first; the transform
+    names it."""
+    from gammastack.quantum import GammaQUEData, QuantumError
+
+    data = abelian_que_data(3, 4)
+    ctx = data.ctx
+    coeffs = dict(data.v[(1, 1)].coeffs)
+    key = (2, (((0, 0, 1), PLAIN),))
+    coeffs[key] += 1
+    bad = GammaQUEData(ctx, dict(data.F), dict(data.i_images), {**data.v, (1, 1): HElement(ctx, 1, coeffs)})
+    b = {g: ctx.unit(1) for g in ctx.G.group.elements()}
+    with pytest.raises(QuantumError) as exc:
+        gauge_transform(bad, b)
+    assert str(exc.value) == (
+        "gauge transform broke the compatibility relations: "
+        "twist composition relation fails at (s,s)"
+    )
+
+
+def test_quantize_stack_runs_each_relation_pass_once(monkeypatch):
+    """On fresh data quantize_stack runs the relation pass once on the input
+    (validation) and once on the transformed data (inside gauge_transform),
+    and transports i: 48 + 48 + 12 conjugations for sl2-que."""
+    from gammastack.cli import data_path
+    from gammastack.problemfile import build_que_data, parse_problem
+    from gammastack.quantum import QueContext
+
+    data = build_que_data(parse_problem(data_path("sl2-que.glb").read_text(encoding="utf-8")))
+    calls = []
+    real = QueContext.ad
+
+    def counted(self, b, x):
+        calls.append(1)
+        return real(self, b, x)
+
+    monkeypatch.setattr(QueContext, "ad", counted)
+    assert quantize_stack(data).ok
+    assert len(calls) == 108

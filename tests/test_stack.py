@@ -326,3 +326,44 @@ def test_lift_obstruction_on_invalid_twist_tensor():
     assert not alt(d3).is_zero()
     with pytest.raises(StackBuildError, match="cyclic twist-compatibility"):
         lift_twist(ctx, leading)
+
+
+@pytest.mark.parametrize("mono", [((0,), (0, 1)), ((1, 1), (0,))])
+def test_solve_gauge_rejects_non_twist_source(mono):
+    """A source that fails the twist equation leaves a gauge residual that is
+    not a cocycle; solve_gauge reports it as a build failure."""
+    G = axb_gamma()
+    N = 4
+    ctx_e = PairingContext(build_delta_gamma(G, 0), N)
+    ctx_s = PairingContext(build_delta_gamma(G, 1), N)
+    lift_es = lift_twist(ctx_e, leading_term(G, 0, 1, N))
+    lift_se = lift_twist(ctx_s, leading_term(G, 1, 0, N))
+    lift_ee = lift_twist(ctx_e, leading_term(G, 0, 0, N))
+    j_inv = build_iso(ctx_e, ctx_s, lift_es).inverse()
+    bad_bc = lift_se + SparseTensor(2, N, {mono: F(1)})
+    composed = ctx_e.bch_star(j_inv.apply(bad_bc), lift_es)
+    with pytest.raises(StackBuildError, match="degree"):
+        solve_gauge(ctx_e, composed, lift_ee)
+
+
+def test_lift_and_gauge_report_a_wrong_coboundary(monkeypatch):
+    """Only the + correction can clear a degree; a coboundary solver that
+    returns -beta is a fault that both solvers report with its degree."""
+    import gammastack.stack as stack
+
+    G, ctx = axb_ctx(0, 4)
+    leading = leading_term(G, 0, 1, 4)
+    f = lift_twist(ctx, leading)
+    lam = ctx.series({((0, 1),): F(1)})
+    target = gauge_act(ctx, lam, f)
+    assert solve_gauge(ctx, f, target) == lam
+    real = stack.solve_coboundary
+
+    def negated(alpha, sign=1, rng=None):
+        return real(alpha, sign=sign, rng=rng).scale(-1)
+
+    monkeypatch.setattr(stack, "solve_coboundary", negated)
+    with pytest.raises(StackBuildError, match="degree-3"):
+        lift_twist(ctx, leading)
+    with pytest.raises(StackBuildError, match="degree 2"):
+        solve_gauge(ctx, f, target)
