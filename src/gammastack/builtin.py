@@ -33,7 +33,7 @@ from gammastack.quantum import (
     validate_que_data,
 )
 from gammastack.stack import lift_twist
-from gammastack.tensors import SparseTensor, _add_into, sorted_words
+from gammastack.tensors import SparseTensor, _add_into, slot_monomials
 
 F = Fraction
 
@@ -184,17 +184,6 @@ def _affine_solve(unknowns: list, residual_fn) -> list[Fraction]:
     return res.solution
 
 
-def _reduced_2slot_words(dim: int, max_total: int) -> list[tuple]:
-    out = []
-    for p in range(1, max_total):
-        for q in range(1, max_total - p + 1):
-            for w1 in sorted_words(dim, p):
-                for w2 in sorted_words(dim, q):
-                    out.append((w1, w2))
-    out.sort()
-    return out
-
-
 # -- bundled quantum data ----------------------------------------------------------
 
 
@@ -291,7 +280,9 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
             images.append(HElement(ctx0, 2, coeffs))
         return images
 
-    pairs23 = _reduced_2slot_words(dim, 3)
+    # reduced 2-slot words of total degree 2..3; the tuple sort fixes the
+    # column order of _affine_solve, and with it the generated data
+    pairs23 = sorted(m for d in (2, 3) for m in slot_monomials(dim, 2, d))
     unknowns_d2 = [(i, pair) for i in range(dim) for pair in pairs23]
 
     def delta_residual(assign: dict) -> dict:
@@ -316,7 +307,7 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
     psi1: dict[Key, Fraction] = {}
     for (p, q), c in f_w.items():
         psi1[(1, (((p,), PLAIN), ((q,), PLAIN)))] = c / 2
-    pairs4 = _reduced_2slot_words(dim, 4)
+    pairs4 = sorted(m for d in (2, 3, 4) for m in slot_monomials(dim, 2, d))
 
     def psi_for(assign: dict) -> HElement:
         coeffs = dict(psi1)

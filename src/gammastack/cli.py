@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from gammastack.liealg import classical_yang_baxter, validate_gamma_lba, wedge2_apply
+from gammastack.liealg import classical_yang_baxter, theta2_shift, validate_gamma_lba
 from gammastack.problemfile import TRUNCATION_MIN, ProblemParseError, build_que_data, parse_problem
 from gammastack.quantum import (
     QuantumError,
@@ -79,10 +79,7 @@ def cmd_validate(args) -> int:
         if cybe:
             issues.append("rmatrix: classical Yang-Baxter equation fails")
         for g in problem.G.group.elements():
-            fg = wedge2_apply(problem.G.theta[g], problem.r)
-            for key, c in problem.r.items():
-                _add_into(fg, key, -c)
-            diff = dict(fg)
+            diff = theta2_shift(problem.G.theta[g], problem.r)
             for key, c in problem.G.f[g].items():
                 _add_into(diff, key, -c)
             if diff:
@@ -119,31 +116,29 @@ def cmd_stack(args) -> int:
     return 0 if cert.ok else 1
 
 
-def cmd_quantize(args) -> int:
+def _load_que(args):
+    """The problem file and its Gamma-QUE data at --hbar/--pbw; exits 2 on a
+    file without quantum data or data that cannot be built."""
     problem = _load(args.file)
     if problem.quantum is None:
         print("error: problem file carries no quantum data", file=sys.stderr)
-        return 2
+        raise SystemExit(2)
     try:
-        data = build_que_data(problem, M=args.hbar, D=args.pbw)
+        return problem, build_que_data(problem, M=args.hbar, D=args.pbw)
     except (QuantumError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise SystemExit(2)
+
+
+def cmd_quantize(args) -> int:
+    problem, data = _load_que(args)
     cert = quantize_stack(data)
     _emit(cert.to_json(problem.G.lba.labels), args.out)
     return 0 if cert.ok else 1
 
 
 def cmd_admissibilize(args) -> int:
-    problem = _load(args.file)
-    if problem.quantum is None:
-        print("error: problem file carries no quantum data", file=sys.stderr)
-        return 2
-    try:
-        data = build_que_data(problem, M=args.hbar, D=args.pbw)
-    except (QuantumError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    problem, data = _load_que(args)
     glabels = problem.G.group.labels
     if args.target not in glabels:
         print(f"error: unknown group element {args.target!r}", file=sys.stderr)

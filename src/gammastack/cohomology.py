@@ -16,12 +16,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 from gammastack.linalg import LinearSystem, Row, matrix_rank, solve_linear
 from gammastack.formal import cocommutative_splits
-from gammastack.tensors import Monomial, SparseTensor, _add_into, monomial_degree, monomial_key, sorted_words
-
-Word = tuple[int, ...]
+from gammastack.tensors import (
+    IteratedCoproduct,
+    Monomial,
+    SparseTensor,
+    _add_into,
+    monomial_degree,
+    slot_monomials,
+    spread,
+)
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -40,60 +47,19 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-def insert_cocommutative(a: SparseTensor, subsets: tuple[tuple[int, ...], ...], n: int) -> SparseTensor:
-    """Insertion calculus with the undeformed coproduct; degree preserving."""
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in a.coeffs.items():
-        parts: list[tuple[list[Word], Fraction]] = [([() for _ in range(n)], c)]
-        for word, sub in zip(mono, subsets):
-            if not sub:
-                if word:
-                    parts = []
-                    break
-                continue
-            if len(sub) == 1:
-                for slots, _ in parts:
-                    slots[sub[0] - 1] = tuple(sorted(slots[sub[0] - 1] + word))
-                continue
-            splits = _iterated_splits(word, len(sub))
-            nxt: list[tuple[list[Word], Fraction]] = []
-            for slots, cc in parts:
-                for words, mult in splits.items():
-                    slots2 = list(slots)
-                    for pos, w in zip(sub, words):
-                        slots2[pos - 1] = tuple(sorted(slots2[pos - 1] + w))
-                    nxt.append((slots2, cc * mult))
-            parts = nxt
-        for slots, cc in parts:
-            _add_into(out, tuple(slots), cc)
-    # degree preserving, so every term stays within a's bound
-    return SparseTensor._trusted(a.trunc, n, out)
-
-
-_split_cache: dict[tuple[Word, int], dict[tuple[Word, ...], int]] = {}
-
-
-def _iterated_splits(word: Word, k: int) -> dict[tuple[Word, ...], int]:
-    if k == 1:
-        return {(word,): 1}
-    key = (word, k)
-    cached = _split_cache.get(key)
-    if cached is not None:
-        return cached
-    out: dict[tuple[Word, ...], int] = {}
-    for prev, m in _iterated_splits(word, k - 1).items():
-        for (a, b), m2 in cocommutative_splits(prev[-1]).items():
-            keyt = prev[:-1] + (a, b)
-            out[keyt] = out.get(keyt, 0) + m * m2
-    _split_cache[key] = out
-    return out
+# the iterated undeformed coproduct: multiset splits, degree preserving
+cocommutative_coproduct = IteratedCoproduct(cocommutative_splits)
 
 
 def cohochschild_d(a: SparseTensor) -> SparseTensor:
     """d(a) = a^{2..k+1} + sum_i (-1)^i a^{1,..,(i i+1),..,k+1} + (-1)^{k+1} a^{1..k}."""
     k = a.slots
     n = k + 1
-    terms = insert_cocommutative(a, tuple((i,) for i in range(2, k + 2)), n)
+
+    def insert(subsets):
+        return spread(a, tuple(subsets), n, cocommutative_coproduct, a.trunc)
+
+    terms = insert((i,) for i in range(2, k + 2))
     for i in range(1, k + 1):
         subsets = []
         for j in range(1, k + 1):
@@ -103,9 +69,8 @@ def cohochschild_d(a: SparseTensor) -> SparseTensor:
                 subsets.append((i, i + 1))
             else:
                 subsets.append((j + 1,))
-        term = insert_cocommutative(a, tuple(subsets), n)
-        terms = terms + term.scale((-1) ** i)
-    last = insert_cocommutative(a, tuple((i,) for i in range(1, k + 1)), n)
+        terms = terms + insert(subsets).scale((-1) ** i)
+    last = insert((i,) for i in range(1, k + 1))
     return terms + last.scale((-1) ** (k + 1))
 
 
@@ -113,7 +78,7 @@ def alt(a: SparseTensor) -> SparseTensor:
     """Signed average over slot permutations, projected to multidegree (1,..,1)."""
     k = a.slots
     out: dict[Monomial, Fraction] = {}
-    norm = Fraction(1, _factorial(k))
+    norm = Fraction(1, factorial(k))
     for mono, c in a.coeffs.items():
         if any(len(s) != 1 for s in mono):
             continue
@@ -124,32 +89,7 @@ def alt(a: SparseTensor) -> SparseTensor:
     return SparseTensor(k, a.trunc, out)
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 # -- cochain bases -------------------------------------------------------------
-
-
-def cochain_basis(dim: int, k: int, ndeg: int) -> list[Monomial]:
-    """Monomial basis of (S^{>0}(g)^{(x)k})_ndeg in canonical order."""
-    out: list[Monomial] = []
-
-    def rec(slots: tuple[Word, ...], remaining: int, slots_left: int):
-        if slots_left == 0:
-            if remaining == 0:
-                out.append(slots)
-            return
-        for d in range(1, remaining - slots_left + 2):
-            for w in sorted_words(dim, d):
-                rec(slots + (w,), remaining - d, slots_left - 1)
-
-    rec((), ndeg, k)
-    out.sort(key=monomial_key)
-    return out
 
 
 def _content_key(mono: Monomial, dim: int) -> tuple[int, ...]:
@@ -167,7 +107,7 @@ class CochainSpace:
         self.dim = dim
         self.k = k
         self.ndeg = ndeg
-        self.basis = cochain_basis(dim, k, ndeg)
+        self.basis = slot_monomials(dim, k, ndeg)
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.blocks: dict[tuple[int, ...], list[int]] = {}
         for i, m in enumerate(self.basis):

@@ -23,6 +23,7 @@ from math import factorial
 
 from gammastack.liealg import GammaLieBialgebra, LieBialgebra, Tensor2, delta_gamma_tensor
 from gammastack.tensors import (
+    IteratedCoproduct,
     Monomial,
     SparseTensor,
     TensorSeries,
@@ -31,6 +32,7 @@ from gammastack.tensors import (
     merge_slot,
     multiset_factor,
     sorted_words,
+    spread,
     unit_monomial,
 )
 
@@ -287,7 +289,8 @@ class PairingContext:
         self._coproduct_table: dict[Word, dict[tuple[Word, Word], Fraction]] | None = None
         self._delta_u_cache: dict[Word, dict[tuple[Word, Word], Fraction]] = {}
         self._pair_bracket_cache: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
-        self._iter_coproduct_cache: dict[tuple[Word, int], dict[tuple[Word, ...], Fraction]] = {}
+        # Delta^(k) of a word, Delta applied to the last slot, cut at trunc
+        self.iterated_coproduct_word = IteratedCoproduct(self.coproduct_word, trunc)
         self._mono_poisson_cache: dict[tuple[Monomial, Monomial, int], dict[Monomial, Fraction]] = {}
         self._spot_check_associativity(seed)
 
@@ -333,25 +336,6 @@ class PairingContext:
         if self._coproduct_table is None:
             self._build_coproduct_table()
         return self._coproduct_table.get(word, {})
-
-    def iterated_coproduct_word(self, word: Word, k: int) -> dict[tuple[Word, ...], Fraction]:
-        """Delta^(k), with Delta^(1) = id and Delta applied to the last slot."""
-        if k == 1:
-            return {(word,): Fraction(1)}
-        key = (word, k)
-        cached = self._iter_coproduct_cache.get(key)
-        if cached is not None:
-            return cached
-        prev = self.iterated_coproduct_word(word, k - 1)
-        out: dict[tuple[Word, ...], Fraction] = {}
-        for slots, c in prev.items():
-            base_deg = sum(len(s) for s in slots[:-1])
-            for (a, b), c2 in self.coproduct_word(slots[-1]).items():
-                if base_deg + len(a) + len(b) > self.trunc:
-                    continue
-                _add_into(out, slots[:-1] + (a, b), c * c2)
-        self._iter_coproduct_cache[key] = out
-        return out
 
     # -- co-Poisson coderivation on U(g*_gamma) --------------------------------
 
@@ -477,44 +461,7 @@ class PairingContext:
         subsets are 1-based ordered index tuples, pairwise disjoint; slots
         not covered receive the unit.
         """
-        if len(subsets) != a.slots:
-            raise ValueError("need one index subset per slot")
-        seen: set[int] = set()
-        for sub in subsets:
-            for i in sub:
-                if not 1 <= i <= n:
-                    raise ValueError(f"target slot {i} out of range")
-                if i in seen:
-                    raise ValueError("overlapping subsets")
-                seen.add(i)
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in a.coeffs.items():
-            parts: list[tuple[Monomial, Fraction]] = [(unit_monomial(n), c)]
-            for slot_word, sub in zip(mono, subsets):
-                expanded = self.iterated_coproduct_word(slot_word, len(sub)) if sub else {}
-                if not sub:
-                    # empty target: slot must be the unit for the term to survive
-                    if slot_word:
-                        parts = []
-                        break
-                    continue
-                nxt: list[tuple[Monomial, Fraction]] = []
-                for target, cc in parts:
-                    for words, c2 in expanded.items():
-                        lst = list(target)
-                        ok = True
-                        deg = sum(len(s) for s in lst)
-                        for pos, w in zip(sub, words):
-                            lst[pos - 1] = merge_slot(lst[pos - 1], w)
-                            deg += len(w)
-                        if deg > self.trunc:
-                            ok = False
-                        if ok:
-                            nxt.append((tuple(lst), cc * c2))
-                parts = nxt
-            for m, cc in parts:
-                _add_into(out, m, cc)
-        return SparseTensor._trusted(self.trunc, n, out)
+        return spread(a, subsets, n, self.iterated_coproduct_word, self.trunc)
 
     # -- BCH star products ------------------------------------------------------
 

@@ -312,6 +312,15 @@ def wedge2_apply(m: Matrix, t: Tensor2) -> Tensor2:
     return out
 
 
+def theta2_shift(m: Matrix, t: Tensor2) -> Tensor2:
+    """theta^{(x)2}(t) - t: the twist map f_g of an r-matrix t, and zero iff
+    theta preserves t."""
+    out = wedge2_apply(m, t)
+    for key, c in t.items():
+        _add_into(out, key, -c)
+    return out
+
+
 class GammaLieBialgebra:
     """Lie bialgebra with finite-group action theta and twist map f."""
 
@@ -511,19 +520,11 @@ def from_quasitriangular(
         )
     f: dict[int, Tensor2] = {}
     for g in group.elements():
-        m = theta[g]
-        tg = wedge2_apply(m, data.t)
-        diff = dict(tg)
-        for key, c in data.t.items():
-            _add_into(diff, key, -c)
-        if diff:
+        if theta2_shift(theta[g], data.t):
             raise QuasitriangularError(
                 f"theta[{group.labels[g]}] does not preserve the symmetric part t"
             )
-        fg = wedge2_apply(m, data.r)
-        for key, c in data.r.items():
-            _add_into(fg, key, -c)
-        f[g] = fg
+        f[g] = theta2_shift(theta[g], data.r)
     return GammaLieBialgebra(lba, group, theta, f)
 
 

@@ -17,7 +17,16 @@ from gammastack.cohomology import CoboundaryObstruction, solve_coboundary
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
 from gammastack.liealg import GammaLieBialgebra, wedge2_apply
 from gammastack.linalg import LinearSystem, solve_linear
-from gammastack.tensors import Monomial, SparseTensor, TensorSeries, _add_into, monomial_degree, sorted_words
+from gammastack.tensors import (
+    Monomial,
+    SparseTensor,
+    TensorSeries,
+    _add_into,
+    monomial_degree,
+    slot_monomials,
+    sorted_words,
+    spread,
+)
 
 F = Fraction
 
@@ -172,27 +181,12 @@ class AlgebraMap:
 
     def apply(self, s: TensorSeries) -> TensorSeries:
         """Apply slotwise (j^{(x) n}) to an n-slot series."""
-        out: dict[Monomial, Fraction] = {}
         n = s.slots
-        for mono, c in s.coeffs.items():
-            parts: list[tuple[Monomial, Fraction]] = [(tuple(() for _ in range(n)), c)]
-            for sl, word in enumerate(mono):
-                if not word:
-                    continue
-                img = self.image_of_word(word)
-                nxt = []
-                for target, cc in parts:
-                    base = sum(len(x) for x in target)
-                    for (w,), c2 in img.coeffs.items():
-                        if base + len(w) > self.trunc:
-                            continue
-                        lst = list(target)
-                        lst[sl] = tuple(sorted(lst[sl] + w))
-                        nxt.append((tuple(lst), cc * c2))
-                parts = nxt
-            for m, cc in parts:
-                _add_into(out, m, cc)
-        return SparseTensor._trusted(self.trunc, n, out)
+        return spread(s, tuple((i,) for i in range(1, n + 1)), n, self._expand, self.trunc)
+
+    def _expand(self, word: tuple[int, ...], _k: int) -> dict[Monomial, Fraction]:
+        """The image of a word as {(word,): coeff}: `spread`'s expand."""
+        return self.image_of_word(word).coeffs
 
     def inverse(self) -> AlgebraMap:
         """Inverse of a map whose linear part is invertible (here: identity)."""
@@ -363,9 +357,10 @@ def _residual_vector(
     """Degree-deg coefficients of the iso_residuals output, one per row of
     the degree-deg system: coproduct blocks first, then Poisson blocks."""
     vec: list[Fraction] = []
+    monos = slot_monomials(dim, 2, deg, least=0)
     for r in cop_res:
         h = r.homogeneous_part(deg)
-        for mono in _all_2slot_monos(dim, deg):
+        for mono in monos:
             vec.append(h.coefficient(mono))
     for r in poi_res:
         h = r.homogeneous_part(deg)
@@ -394,7 +389,7 @@ def _iso_system(
     N = ctx_src.trunc
     words = sorted_words(dim, deg)
     word_row = {w: r for r, w in enumerate(words)}
-    mono_row = {mono: r for r, mono in enumerate(_all_2slot_monos(dim, deg))}
+    mono_row = {mono: r for r, mono in enumerate(slot_monomials(dim, 2, deg, least=0))}
     pairs = [(i, k) for i in range(dim) for k in range(i + 1, dim)]
     gens = [SparseTensor.generator(i, N) for i in range(dim)]
     brackets = [ctx_src.poisson(gens[i], gens[k]) for i, k in pairs]
@@ -435,15 +430,6 @@ def _iso_system(
     for row, b in zip(rows, base):
         sys.add_row(row, -b)
     return sys
-
-
-def _all_2slot_monos(dim: int, deg: int) -> list[Monomial]:
-    out = []
-    for d1 in range(deg + 1):
-        for w1 in sorted_words(dim, d1):
-            for w2 in sorted_words(dim, deg - d1):
-                out.append((w1, w2))
-    return out
 
 
 # -- certificates ---------------------------------------------------------------
@@ -578,17 +564,13 @@ def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificat
             for i in range(G.lba.dim)
         ]
         cop_res, poi_res = iso_residuals(contexts[a], contexts[b], twisted, isos[(a, b)].map)
-        acc = None
-        for r in cop_res:
-            acc = r if acc is None else acc + r
+        cop = sum(cop_res, contexts[a].zero(2))
         residuals.append(
-            _residual_entry("iso-coproduct-intertwining", (grp.labels[a], grp.labels[b]), acc, labels)
+            _residual_entry("iso-coproduct-intertwining", (grp.labels[a], grp.labels[b]), cop, labels)
         )
-        acc2 = contexts[a].zero(1)
-        for r in poi_res:
-            acc2 = acc2 + r
+        poi = sum(poi_res, contexts[a].zero(1))
         residuals.append(
-            _residual_entry("iso-poisson-intertwining", (grp.labels[a], grp.labels[b]), acc2, labels)
+            _residual_entry("iso-poisson-intertwining", (grp.labels[a], grp.labels[b]), poi, labels)
         )
     # j-composition on all triples
     for (a, b, c) in triples:

@@ -10,10 +10,12 @@ subclass.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-Monomial = tuple[tuple[int, ...], ...]
+Word = tuple[int, ...]
+Monomial = tuple[Word, ...]
 
 
 def unit_monomial(slots: int) -> Monomial:
@@ -36,6 +38,21 @@ def sorted_words(dim: int, deg: int) -> list[tuple[int, ...]]:
     the symmetric algebra in one degree.
     """
     return list(combinations_with_replacement(range(dim), deg))
+
+
+def slot_monomials(dim: int, slots: int, deg: int, least: int = 1) -> list[Monomial]:
+    """All monomials of total degree deg in `slots` slots over range(dim)
+    whose every slot has degree at least `least` (0 or 1), in
+    `monomial_key` order: the recursion runs over the first slot's degree,
+    then its words in lexicographic order.
+    """
+    if slots == 1:
+        return [(w,) for w in sorted_words(dim, deg)] if deg >= least else []
+    out: list[Monomial] = []
+    for d in range(least, deg - least * (slots - 1) + 1):
+        rests = slot_monomials(dim, slots - 1, deg - d, least)
+        out.extend((w,) + rest for w in sorted_words(dim, d) for rest in rests)
+    return out
 
 
 def merge_slot(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -250,6 +267,92 @@ class SparseTensor(SparseElement):
 
     def __repr__(self):
         return f"SparseTensor({self.slots} slots, N={self.trunc}, {self.format()})"
+
+
+# -- the tensor-slot calculus ----------------------------------------------------
+
+
+class IteratedCoproduct:
+    """Delta^(k) of a one-slot word from a two-way split Delta, memoised.
+
+    split(word) is Delta(word) as {(left, right): coeff}; Delta^(1) is the
+    identity and Delta^(k) applies split to the last slot of Delta^(k-1).
+    Terms of total degree above trunc are cut; a degree-preserving split
+    needs no cut.  Called as (word, k) it is an `expand` of `spread`.
+    """
+
+    def __init__(self, split, trunc: float = math.inf):
+        self.split = split
+        self.trunc = trunc
+        self._cache: dict[tuple[Word, int], dict[tuple[Word, ...], Fraction]] = {}
+
+    def __call__(self, word: Word, k: int) -> dict[tuple[Word, ...], Fraction]:
+        out = self._cache.get((word, k))
+        if out is None:
+            if k == 1:
+                out = {(word,): 1}
+            else:
+                out = {}
+                for slots, c in self(word, k - 1).items():
+                    base = monomial_degree(slots[:-1])
+                    for (a, b), c2 in self.split(slots[-1]).items():
+                        if base + len(a) + len(b) <= self.trunc:
+                            _add_into(out, slots[:-1] + (a, b), c * c2)
+            self._cache[(word, k)] = out
+        return out
+
+
+def spread(
+    a: SparseTensor, subsets: tuple[tuple[int, ...], ...], n: int, expand, trunc: int
+) -> SparseTensor:
+    """a^{I_1,...,I_m}: spread the m slots of a into n slots, cut above trunc.
+
+    The word w in slot s is expanded by expand(w, k), k = len(I_s), into
+    {k sorted words: coeff}, and the k words fill the target slots I_s
+    (1-based, pairwise disjoint); slots no subset covers hold the unit.
+    expand must send the empty word to the unit in every target, as every
+    coproduct and algebra map does, so an empty word is skipped; a nonempty
+    word with no target slot kills its monomial (the counit).  This is the
+    insertion of `PairingContext.insert` (expand the iterated coproduct),
+    the co-Hochschild differential (the iterated multiset split) and the
+    slotwise algebra map j^{(x)n} (the word image, subsets (1),...,(n)).
+    """
+    if len(subsets) != a.slots:
+        raise ValueError("need one index subset per slot")
+    seen: set[int] = set()
+    for sub in subsets:
+        for i in sub:
+            if not 1 <= i <= n:
+                raise ValueError(f"target slot {i} out of range")
+            if i in seen:
+                raise ValueError("overlapping subsets")
+            seen.add(i)
+    out: dict[Monomial, Fraction] = {}
+    for mono, c in a.coeffs.items():
+        # a part is (slots, coeff, total degree); the subsets are disjoint,
+        # so each target slot is written once and needs no merge, and the
+        # coefficient 1 of an identity expansion (k = 1) costs no multiply
+        parts: list[tuple[list[Word], Fraction, int]] = [([()] * n, c, 0)]
+        for word, sub in zip(mono, subsets):
+            if not word:
+                continue
+            if not sub:
+                break
+            expanded = expand(word, len(sub)).items()
+            nxt = []
+            for slots, cc, deg in parts:
+                for words, c2 in expanded:
+                    d = deg + sum(map(len, words))
+                    if d <= trunc:
+                        new = slots.copy()
+                        for pos, w in zip(sub, words):
+                            new[pos - 1] = w
+                        nxt.append((new, cc if c2 == 1 else cc * c2, d))
+            parts = nxt
+        else:
+            for slots, cc, _ in parts:
+                _add_into(out, tuple(slots), cc)
+    return SparseTensor._trusted(trunc, n, out)
 
 
 # The truncated function-algebra elements of the formal dual group are the

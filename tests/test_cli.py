@@ -94,6 +94,41 @@ def test_quantize_without_quantum_data_exit_2():
     assert "no quantum data" in err
 
 
+@pytest.mark.parametrize(
+    "file, target, message",
+    [
+        ("axb.glb", "s", "error: problem file carries no quantum data\n"),
+        ("abelian-que.glb", "nope", "error: unknown group element 'nope'\n"),
+    ],
+    ids=["no-quantum-data", "unknown-target"],
+)
+def test_admissibilize_input_errors_exit_2(file, target, message):
+    """admissibilize shares the quantum loader of quantize: a file without
+    quantum data and an unknown target each exit 2 with one stderr line."""
+    code, out, err = run_cli("admissibilize", file, "--target", target)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_validate_reports_rmatrix_mismatch(tmp_path):
+    """An r-matrix that no longer fits the twist map: the classical
+    Yang-Baxter failure, then the theta^2(r) - r mismatch at each element
+    whose twist it changes, and exit 1."""
+    lines = data_path("sl2-weyl.glb").read_text(encoding="utf-8").splitlines()
+    lines[lines.index("term 1 e f")] = "term 2 e f"
+    bad = tmp_path / "bad.glb"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli("validate", str(bad))
+    assert code == 1
+    assert err == ""
+    assert out == (
+        "INVALID rmatrix: classical Yang-Baxter equation fails\n"
+        "INVALID rmatrix: twist map differs from theta^2(r) - r at w\n"
+        "INVALID rmatrix: twist map differs from theta^2(r) - r at w3\n"
+    )
+
+
 def test_stack_certificate_written_and_valid(tmp_path):
     out = tmp_path / "cert.json"
     code = main(["stack", str(data_path("axb.glb")), "--degree", "3", "--out", str(out)])
@@ -212,6 +247,17 @@ def test_stack_sl2_weyl_N4_matches_bench_reference():
     code, out, _err = run_cli("stack", "sl2-weyl.glb", "-N", "4")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["stack-sl2-weyl-N4"]
+
+
+def test_stack_sl2_weyl_N5_pinned():
+    """Two steps past the sl2-weyl golden (N=3): the truncation cut of the
+    slot calculus at degree 5, pinned by the stdout sha256."""
+    code, out, _err = run_cli("stack", "sl2-weyl.glb", "-N", "5")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "2700901c4a34dadf5f97ec0d8f407b58357a2e1739701d5e8117631b4ccabbdb"
+    )
 
 
 def test_stack_axb_N6_matches_bench_reference():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gammastack.builtin import bundled_problems
+from gammastack.builtin import bundled_problems, write_bundled_data
 from gammastack.cli import data_path
 from gammastack.liealg import validate_gamma_lba
 from gammastack.problemfile import (
@@ -18,12 +18,13 @@ from gammastack.quantum import validate_que_data
 F = Fraction
 
 
-def test_bundled_files_match_generators():
-    """Shipped .glb files are exactly the canonical serialization."""
-    for name, problem in bundled_problems().items():
-        text = serialize_problem(problem, header=f"bundled problem: {name}")
-        shipped = data_path(f"{name}.glb").read_text(encoding="utf-8")
-        assert shipped == text, f"{name}.glb out of date"
+def test_bundled_files_match_generators(tmp_path):
+    """Shipped .glb files are exactly what write_bundled_data writes."""
+    written = write_bundled_data(tmp_path)
+    assert written == [f"{name}.glb" for name in bundled_problems()]
+    for name in written:
+        shipped = data_path(name).read_text(encoding="utf-8")
+        assert shipped == (tmp_path / name).read_text(encoding="utf-8"), f"{name} out of date"
 
 
 def test_file_level_roundtrip():
