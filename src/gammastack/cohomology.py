@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -122,10 +123,16 @@ class CoboundaryObstruction(Exception):
         self.alt_class = alt_class
 
 
+@cache
 def _d_matrix_block(
-    k: int, src: list[Monomial], trunc: int
+    k: int, src: tuple[Monomial, ...], trunc: int
 ) -> tuple[list[Monomial], dict[Monomial, int], list[Row]]:
-    """Columns indexed by src monomials; rows by (k+1)-cochain monomials."""
+    """Columns indexed by src monomials; rows by (k+1)-cochain monomials.
+
+    Built once per (k, src, trunc) and shared by every caller, so callers
+    only read the result: `LinearSystem.add_row` and `matrix_rank` copy
+    the rows they are given.
+    """
     row_index: dict[Monomial, int] = {}
     rows_of_col: list[dict[int, Fraction]] = []
     for mono in src:
@@ -189,7 +196,7 @@ def solve_coboundary(
     for m, c in alpha.coeffs.items():
         by_content.setdefault(_content_key(m, dim), []).append((m, c))
     for content in sorted(by_content):
-        cols = [src_space.basis[i] for i in src_space.blocks.get(content, [])]
+        cols = tuple(src_space.basis[i] for i in src_space.blocks.get(content, []))
         row_list, row_index, rows = _d_matrix_block(k - 1, cols, alpha.trunc)
         sys = LinearSystem(len(cols))
         rhs = [Fraction(0)] * len(row_list)
@@ -228,14 +235,14 @@ def cohomology_rank(dim: int, k: int, ndeg: int) -> int:
     dim_ker = 0
     rank_prev = 0
     for _, idxs in sorted(space.blocks.items()):
-        cols = [space.basis[i] for i in idxs]
+        cols = tuple(space.basis[i] for i in idxs)
         _, _, rows = _d_matrix_block(k, cols, ndeg)
         r = matrix_rank(rows, len(cols))
         dim_ker += len(cols) - r
     if k >= 2:
         prev = CochainSpace(dim, k - 1, ndeg)
         for _, idxs in sorted(prev.blocks.items()):
-            cols = [prev.basis[i] for i in idxs]
+            cols = tuple(prev.basis[i] for i in idxs)
             _, _, rows = _d_matrix_block(k - 1, cols, ndeg)
             rank_prev += matrix_rank(rows, len(cols))
     return dim_ker - rank_prev

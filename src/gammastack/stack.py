@@ -501,6 +501,79 @@ def _residual_entry(name: str, where: tuple[str, ...], s: TensorSeries, labels) 
     return ResidualEntry(name, where, s.trunc, "0" if s.is_zero() else s.format(labels))
 
 
+class _Memo:
+    """Evaluates each step once per distinct input, within one `verify_stack`.
+
+    A step is keyed by its function and its inputs.  A series is keyed by
+    value: the first series equal to it stands for all of them, so equal
+    series computed apart share a key and each is hashed once.  Contexts
+    and maps come out of the memo or the context table, so equal ones are
+    one object and are keyed by identity.
+    """
+
+    def __init__(self):
+        self._values: dict[SparseTensor, int] = {}
+        self._seen: dict[int, tuple[object, int]] = {}  # id -> (object kept alive, key)
+        self._results: dict[tuple, object] = {}
+
+    def _key(self, x) -> int:
+        hit = self._seen.get(id(x))
+        if hit is not None:
+            return hit[1]
+        if isinstance(x, SparseTensor):
+            key = self._values.setdefault(x, len(self._values))
+        else:
+            key = -1 - len(self._seen)
+        self._seen[id(x)] = (x, key)
+        return key
+
+    def __call__(self, fn, *args):
+        key = (fn, *map(self._key, args))
+        if key not in self._results:
+            self._results[key] = fn(*args)
+        return self._results[key]
+
+
+def _intertwining_residuals(
+    ctx_src: PairingContext, ctx_dst: PairingContext, lift: TensorSeries, jmap: AlgebraMap
+) -> tuple[TensorSeries, TensorSeries]:
+    """Summed coproduct and Poisson intertwining residuals of one iso, from
+    twisted coproducts of the lift built here, not taken from build_iso."""
+    twisted = [
+        twisted_coproduct(ctx_src, lift, SparseTensor.generator(i, ctx_src.trunc))
+        for i in range(ctx_src.dim)
+    ]
+    cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, jmap)
+    return sum(cop_res, ctx_src.zero(2)), sum(poi_res, ctx_src.zero(1))
+
+
+def _composition_residual(
+    ctx: PairingContext, u: TensorSeries, j_ab: AlgebraMap, j_bc: AlgebraMap, j_ac: AlgebraMap
+) -> TensorSeries:
+    """sum_i j_ac(e_i) - j_bc(j_ab(Ad_star(u^{-1}) e_i))."""
+    u_inverse = u.scale(-1)
+    diff = ctx.zero(1)
+    for i in range(ctx.dim):
+        gen = SparseTensor.generator(i, ctx.trunc)
+        step = j_bc.apply(j_ab.apply(ctx.ad_star(u_inverse, gen)))
+        diff = diff + (j_ac.apply(gen) - step)
+    return diff
+
+
+def _cocycle_residual(
+    ctx: PairingContext,
+    u_acd: TensorSeries,
+    u_abc: TensorSeries,
+    u_abd: TensorSeries,
+    j_ab_inverse: AlgebraMap,
+    u_bcd: TensorSeries,
+) -> TensorSeries:
+    """u_acd * u_abc - u_abd * (j_ab^{-1})(u_bcd), independent kernel."""
+    lhs = ctx.bch_star_dynkin(u_acd, u_abc)
+    rhs = ctx.bch_star_dynkin(u_abd, j_ab_inverse.apply(u_bcd))
+    return lhs - rhs
+
+
 def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificate:
     """Build all lifts, isomorphisms and gauge elements; verify every stack
     identity to degree N with the independent star kernel.
@@ -510,13 +583,25 @@ def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificat
     directly solved map is the j-composition residual, and the directly
     solved map carries its own intertwining residuals, so the composed map
     is fully cross-verified.
+
+    Every group tuple is listed and checked, but a tuple whose inputs equal
+    an earlier tuple's shares that tuple's evaluation (`_Memo`): elements k
+    with theta_k = id and f_k = 0, such as the kernel of a covering of the
+    Weyl group, give delta_{ak} = delta_a and the same leading term at
+    (ak, bk) as at (a, b).  Builder and residual steps are keyed by
+    different functions, so no residual reuses a builder value.
     """
     grp = G.group
     labels = G.lba.labels
-    contexts = {
-        g: PairingContext(build_delta_gamma(G, g), N, seed=seed)
-        for g in grp.elements()
-    }
+    memo = _Memo()
+    by_cobracket: dict[frozenset, PairingContext] = {}
+    contexts: dict[int, PairingContext] = {}
+    for g in grp.elements():
+        delta = build_delta_gamma(G, g)
+        key = frozenset(delta.cobracket.items())
+        if key not in by_cobracket:
+            by_cobracket[key] = PairingContext(delta, N, seed=seed)
+        contexts[g] = by_cobracket[key]
     pairs = [(a, b) for a in grp.elements() for b in grp.elements()]
 
     def leading_for(a: int, b: int) -> TensorSeries:
@@ -529,17 +614,18 @@ def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificat
     lifts: dict[tuple[int, int], TwistLift] = {}
     isos: dict[tuple[int, int], PoissonIso] = {}
     for (a, b) in pairs:
-        lift = lift_twist(contexts[a], leading_for(a, b))
-        iso = build_iso(contexts[a], contexts[b], lift)
+        lift = memo(lift_twist, contexts[a], leading_for(a, b))
+        iso = memo(build_iso, contexts[a], contexts[b], lift)
         lifts[(a, b)] = TwistLift((a, b), lift, N)
         isos[(a, b)] = PoissonIso(a, b, iso, N)
-    inv_isos = {ab: isos[ab].map.inverse() for ab in pairs}
+    inv_isos = {ab: memo(AlgebraMap.inverse, isos[ab].map) for ab in pairs}
 
     triples = [(a, b, c) for a in grp.elements() for b in grp.elements() for c in grp.elements()]
     gauges: dict[tuple[int, int, int], TensorSeries] = {}
     for (a, b, c) in triples:
         try:
-            gauges[(a, b, c)] = build_u(
+            gauges[(a, b, c)] = memo(
+                build_u,
                 contexts[a],
                 inv_isos[(a, b)],
                 lifts[(a, b)].series,
@@ -552,37 +638,27 @@ def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificat
     residuals: list[ResidualEntry] = []
     # twist equations, independent kernel
     for (a, b) in pairs:
-        res = verify_twist_equation(contexts[a], lifts[(a, b)].series)
+        res = memo(verify_twist_equation, contexts[a], lifts[(a, b)].series)
         residuals.append(
             _residual_entry("twist-equation", (grp.labels[a], grp.labels[b]), res, labels)
         )
-    # intertwining residuals per pair, from twisted coproducts of the lift
-    # built here, not taken from build_iso
     for (a, b) in pairs:
-        twisted = [
-            twisted_coproduct(contexts[a], lifts[(a, b)].series, SparseTensor.generator(i, N))
-            for i in range(G.lba.dim)
-        ]
-        cop_res, poi_res = iso_residuals(contexts[a], contexts[b], twisted, isos[(a, b)].map)
-        cop = sum(cop_res, contexts[a].zero(2))
-        residuals.append(
-            _residual_entry("iso-coproduct-intertwining", (grp.labels[a], grp.labels[b]), cop, labels)
+        cop, poi = memo(
+            _intertwining_residuals, contexts[a], contexts[b], lifts[(a, b)].series, isos[(a, b)].map
         )
-        poi = sum(poi_res, contexts[a].zero(1))
-        residuals.append(
-            _residual_entry("iso-poisson-intertwining", (grp.labels[a], grp.labels[b]), poi, labels)
-        )
+        where = (grp.labels[a], grp.labels[b])
+        residuals.append(_residual_entry("iso-coproduct-intertwining", where, cop, labels))
+        residuals.append(_residual_entry("iso-poisson-intertwining", where, poi, labels))
     # j-composition on all triples
     for (a, b, c) in triples:
-        ctx = contexts[a]
-        u = gauges[(a, b, c)]
-        diff = ctx.zero(1)
-        for i in range(G.lba.dim):
-            gen = SparseTensor.generator(i, N)
-            step = ctx.ad_star(u.scale(-1), gen)
-            step = isos[(a, b)].apply(step)
-            step = isos[(b, c)].apply(step)
-            diff = diff + (isos[(a, c)].apply(gen) - step)
+        diff = memo(
+            _composition_residual,
+            contexts[a],
+            gauges[(a, b, c)],
+            isos[(a, b)].map,
+            isos[(b, c)].map,
+            isos[(a, c)].map,
+        )
         residuals.append(
             _residual_entry(
                 "iso-composition",
@@ -600,16 +676,20 @@ def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificat
         for d in grp.elements()
     ]
     for (a, b, c, d) in quadruples:
-        ctx = contexts[a]
-        lhs = ctx.bch_star_dynkin(gauges[(a, c, d)], gauges[(a, b, c)])
-        rhs = ctx.bch_star_dynkin(
-            gauges[(a, b, d)], inv_isos[(a, b)].apply(gauges[(b, c, d)])
+        res = memo(
+            _cocycle_residual,
+            contexts[a],
+            gauges[(a, c, d)],
+            gauges[(a, b, c)],
+            gauges[(a, b, d)],
+            inv_isos[(a, b)],
+            gauges[(b, c, d)],
         )
         residuals.append(
             _residual_entry(
                 "gauge-cocycle",
                 (grp.labels[a], grp.labels[b], grp.labels[c], grp.labels[d]),
-                lhs - rhs,
+                res,
                 labels,
             )
         )

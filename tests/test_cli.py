@@ -260,6 +260,18 @@ def test_stack_sl2_weyl_N5_pinned():
     )
 
 
+def test_stack_sl2_weyl_N6_pinned():
+    """Three steps past the sl2-weyl golden (N=3), pinned by the stdout
+    sha256.  Tuples that share their inputs share one evaluation, which
+    keeps this degree within the fast suite."""
+    code, out, _err = run_cli("stack", "sl2-weyl.glb", "-N", "6")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "f0ee367fe45a94e16834f143c8508e037bbb4e500a2a733c004e76edb33823dd"
+    )
+
+
 def test_stack_axb_N6_matches_bench_reference():
     """Three steps past the axb golden (N=3): BCH words up to length 5 and the
     gauge solve to degree 6, against the sha256 that bench/reference.json

@@ -367,3 +367,136 @@ def test_lift_and_gauge_report_a_wrong_coboundary(monkeypatch):
         lift_twist(ctx, leading)
     with pytest.raises(StackBuildError, match="degree 2"):
         solve_gauge(ctx, f, target)
+
+
+# -- tuples with equal inputs ---------------------------------------------------
+
+
+def bundled(name):
+    return parse_problem(data_path(name).read_text(encoding="utf-8")).G
+
+
+def trivially_acting(G):
+    """The elements k with theta_k = id and f_k = 0."""
+    dim = G.lba.dim
+    ident = [[F(int(i == j)) for j in range(dim)] for i in range(dim)]
+    return [k for k in G.group.elements() if G.theta[k] == ident and not G.f[k]]
+
+
+@pytest.mark.parametrize(
+    "problem, N, job, calls",
+    [
+        ("sl2-weyl.glb", 4, "stack-sl2-weyl-N4", (4, 4, 8, 4)),
+        ("axb.glb", 6, "stack-axb-N6", (4, 4, 8, 4)),
+    ],
+)
+def test_verify_stack_evaluates_each_distinct_input_once(monkeypatch, problem, N, job, calls):
+    """sl2-weyl's Z/4 acts through Z/2, so pairs (a, b) and (a w2, b w2)
+    share their inputs: 4 of 16 lifts and isos and 8 of 64 gauges are
+    distinct.  axb's Z/2 acts faithfully and nothing merges.  Either way the
+    certificate keeps the bytes bench/reference.json records."""
+    import hashlib
+    import json
+    from pathlib import Path
+
+    import gammastack.stack as stack
+
+    names = ("lift_twist", "build_iso", "build_u", "verify_twist_equation")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(stack, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(stack, name, counted)
+    G = bundled(problem)
+    out = stack.verify_stack(G, N).to_json(G.lba.labels)
+    assert tuple(counts[n] for n in names) == calls
+    reference = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+    digest = json.loads(reference.read_text(encoding="utf-8"))[job]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("problem, N", [("abelian.glb", 4), ("axb.glb", 4), ("sl2-weyl.glb", 3)])
+def test_trivially_acting_elements_repeat_the_stack_data(problem, N):
+    """Cross-layer (no shared evaluation): for k with theta_k = id and
+    f_k = 0, delta_{ak} = delta_a, and the lifts, isos and gauges built
+    directly at (ak, bk[, ck]), each pair in fresh contexts of its own,
+    equal those at (a, b[, c]) and the certificate's entries there."""
+    from gammastack.stack import build_u
+
+    G = bundled(problem)
+    grp = G.group
+    kernel = trivially_acting(G)
+    assert grp.identity in kernel
+    deltas = {g: build_delta_gamma(G, g) for g in grp.elements()}
+    for a in grp.elements():
+        for k in kernel:
+            assert deltas[grp.mul(a, k)].cobracket == deltas[a].cobracket
+
+    def direct(a, b):
+        ctx_a, ctx_b = PairingContext(deltas[a], N), PairingContext(deltas[b], N)
+        lift = lift_twist(ctx_a, leading_term(G, a, b, N))
+        return ctx_a, lift, build_iso(ctx_a, ctx_b, lift)
+
+    built = {(a, b): direct(a, b) for a in grp.elements() for b in grp.elements()}
+    cert = verify_stack(G, N)
+    shifted = 0
+    for (a, b), (_, lift, iso) in built.items():
+        assert cert.lifts[(a, b)].series == lift
+        assert cert.isos[(a, b)].images == iso.images
+        for k in kernel:
+            ak, bk = grp.mul(a, k), grp.mul(b, k)
+            assert cert.lifts[(ak, bk)].series == cert.lifts[(a, b)].series
+            assert cert.isos[(ak, bk)].images == cert.isos[(a, b)].images
+            if k == grp.identity:
+                continue
+            shifted += 1
+            ctx, lift_k, iso_k = built[(ak, bk)]
+            assert lift_k == lift and iso_k.images == iso.images
+            for c in grp.elements():
+                ck = grp.mul(c, k)
+                u = build_u(ctx, iso_k.inverse(), lift_k, built[(bk, ck)][1], built[(ak, ck)][1])
+                assert u == cert.gauges[(a, b, c)] == cert.gauges[(ak, bk, ck)]
+    assert shifted == (len(kernel) - 1) * len(grp.elements()) ** 2
+
+
+def test_build_failure_names_the_first_triple_sharing_the_input(monkeypatch):
+    """A gauge build that fails on an input several triples share names the
+    first of them in loop order, as a loop over every triple would."""
+    import gammastack.stack as stack
+
+    G = bundled("sl2-weyl.glb")
+    N = 3
+    grp = G.group
+    cert = verify_stack(G, N)
+    deltas = {g: frozenset(build_delta_gamma(G, g).cobracket.items()) for g in grp.elements()}
+
+    def inputs(a, b, c):
+        return (
+            deltas[a],
+            tuple(cert.isos[(a, b)].map.inverse().images),
+            cert.lifts[(a, b)].series,
+            cert.lifts[(b, c)].series,
+            cert.lifts[(a, c)].series,
+        )
+
+    triples = [(a, b, c) for a in grp.elements() for b in grp.elements() for c in grp.elements()]
+    poisoned = triples[-1]
+    target = inputs(*poisoned)
+    sharing = [t for t in triples if inputs(*t) == target]
+    assert len(sharing) >= 2 and sharing[0] != poisoned
+    real = stack.build_u
+
+    def failing(ctx, j_ab_inverse, lift_ab, lift_bc, lift_ac):
+        key = (frozenset(ctx.lba.cobracket.items()), tuple(j_ab_inverse.images), lift_ab, lift_bc, lift_ac)
+        if key == target:
+            raise StackBuildError("forced failure")
+        return real(ctx, j_ab_inverse, lift_ab, lift_bc, lift_ac)
+
+    monkeypatch.setattr(stack, "build_u", failing)
+    with pytest.raises(StackBuildError) as info:
+        stack.verify_stack(G, N)
+    assert str(info.value) == f"forced failure (at triple {sharing[0]})"
