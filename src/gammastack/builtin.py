@@ -153,7 +153,7 @@ def solve_additive_gauge(ctx: QueContext, target: HElement) -> HElement:
         series = SparseTensor(
             2, ctx.D, {tuple(ww for ww, _ in sl): c for (a, sl), c in rho.coeffs.items()}
         )
-        beta = solve_coboundary(series, sign=1)
+        beta = solve_coboundary(series)
         w = w + ctx.from_series(beta, hbar=k)
     if _additive_coboundary(ctx, w) != target:
         raise QuantumError("additive gauge solve failed at truncation")

@@ -154,14 +154,11 @@ def _d_matrix_block(
     return row_list, row_index, rows
 
 
-def solve_coboundary(
-    alpha: SparseTensor,
-    sign: int = 1,
-    rng: random.Random | None = None,
-) -> SparseTensor:
-    """Find beta with d(beta) = sign * alpha, blockwise per variable content.
+def solve_coboundary(alpha: SparseTensor, rng: random.Random | None = None) -> SparseTensor:
+    """Find beta with d(beta) = alpha, blockwise per variable content.
 
-    alpha must be a homogeneous reduced k-cochain.  When rng is given, a
+    alpha must be a reduced k-cochain; a non-homogeneous one is solved
+    degree by degree and the solutions summed.  When rng is given, a
     random kernel combination is added to the deterministic representative
     (used by the randomized-lift uniqueness tests).  Raises
     CoboundaryObstruction carrying the alt projection when unsolvable.
@@ -178,7 +175,7 @@ def solve_coboundary(
         # split by degree and recurse
         total = SparseTensor.zero(k - 1, alpha.trunc)
         for d in sorted(degs):
-            total = total + solve_coboundary(alpha.homogeneous_part(d), sign, rng)
+            total = total + solve_coboundary(alpha.homogeneous_part(d), rng)
         return total
     ndeg = degs.pop()
     if not cohochschild_d(alpha).is_zero():
@@ -205,7 +202,7 @@ def solve_coboundary(
             if m not in row_index:
                 consistent = False
                 break
-            rhs[row_index[m]] = Fraction(sign) * c
+            rhs[row_index[m]] = c
         if not consistent:
             raise CoboundaryObstruction(
                 "target outside the image of d", alt(alpha)

@@ -241,8 +241,6 @@ def bch_apply_recursion(bracket_fn, x, y, nmax: int):
         acc = bracket_fn(x + y.scale(-1), z[n]).scale(Fraction(1, 2))
         for p in range(1, n // 2 + 1):
             coeff = bernoulli(2 * p) / factorial(2 * p)
-            if coeff == 0:
-                continue
             for ks in _compositions(n, 2 * p):
                 acc = acc + nest(ks).scale(coeff)
         z.append(acc.scale(Fraction(1, n + 1)))
@@ -323,8 +321,6 @@ class PairingContext:
                     continue
                 denom = multiset_factor(b1) * multiset_factor(b2)
                 for w, c in self.dual.straighten(b1 + b2).items():
-                    if len(w) > self.trunc:
-                        continue
                     coeff = c * multiset_factor(w) / denom
                     table.setdefault(w, {})[(b1, b2)] = (
                         table.get(w, {}).get((b1, b2), Fraction(0)) + coeff
@@ -348,9 +344,7 @@ class PairingContext:
         cached = self._delta_u_cache.get(word)
         if cached is not None:
             return cached
-        if len(word) == 0:
-            result: dict[tuple[Word, Word], Fraction] = {}
-        elif len(word) == 1:
+        if len(word) == 1:
             result = self._delta_u_generator(word[0])
         else:
             head, tail = word[:-1], (word[-1],)
@@ -403,13 +397,7 @@ class PairingContext:
 
     def coproduct(self, a: TensorSeries) -> TensorSeries:
         """Delta_gamma on a 1-slot series, yielding a 2-slot series."""
-        if a.slots != 1:
-            raise ValueError("coproduct expects a 1-slot series")
-        out: dict[Monomial, Fraction] = {}
-        for (word,), c in a.coeffs.items():
-            for (b1, b2), c2 in self.coproduct_word(word).items():
-                _add_into(out, (b1, b2), c * c2)
-        return SparseTensor(2, self.trunc, out)
+        return self.insert(a, ((1, 2),), 2)
 
     def poisson(self, a: TensorSeries, b: TensorSeries) -> TensorSeries:
         """Product-Poisson bracket on n-slot series.

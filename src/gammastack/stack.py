@@ -64,9 +64,10 @@ def lift_twist(
     checked to be a reduced cocycle (with vanishing alternation in degree
     3), its coboundary is solved, and the lift is corrected.  The degree-deg
     part of the defect of f + s*beta is alpha - s*d(beta), and
-    solve_coboundary(alpha, sign=1) gives d(beta) = alpha, so s = +1 clears
-    the degree and s = -1 would leave 2*alpha != 0.  Only + is taken; a
-    defect that survives it at deg is a fault, raised naming the degree.
+    solve_coboundary(alpha) gives d(beta) = alpha, so s = +1 clears the
+    degree and s = -1 would leave 2*alpha != 0.  Only + is taken; a defect
+    that is not a reduced cocycle, or survives the correction, raises
+    StackBuildError naming the degree.
     """
     for m in leading.coeffs:
         if monomial_degree(m) != 2 or any(len(s) != 1 for s in m):
@@ -81,10 +82,8 @@ def lift_twist(
         alpha = defect.homogeneous_part(deg)
         if alpha.is_zero():
             continue
-        if not alpha.is_reduced():
-            raise StackBuildError(f"defect at degree {deg} escapes the reduced subcomplex")
         try:
-            beta = solve_coboundary(alpha, sign=1, rng=rng)
+            beta = solve_coboundary(alpha, rng=rng)
         except CoboundaryObstruction as exc:
             if deg == 3:
                 raise StackBuildError(
@@ -92,6 +91,10 @@ def lift_twist(
                     "the cyclic twist-compatibility condition"
                 ) from exc
             raise StackBuildError(f"inconsistent coboundary system at degree {deg}") from exc
+        except ValueError as exc:
+            raise StackBuildError(
+                f"defect at degree {deg} is not a reduced cocycle: {exc}"
+            ) from exc
         f = f + beta
         defect = twist_defect(ctx, f)
         if any(monomial_degree(m) <= deg for m in defect.coeffs):
@@ -119,7 +122,7 @@ def solve_gauge(
     Solved degree by degree through the k=1 coboundary problem; a degree-2
     mismatch is an obstruction (the leading terms must already agree).  As
     in lift_twist, the degree-deg part of the new residual is rho - s*d(step)
-    with d(step) = rho from solve_coboundary(rho, sign=1), so only s = +1 can
+    with d(step) = rho from solve_coboundary(rho), so only s = +1 can
     clear the degree.  A residual that is not a reduced cocycle (f_src is not
     a twist) or survives the correction raises StackBuildError naming the
     degree.  The value gauge_act(lambda, f_src), and its difference from
@@ -138,7 +141,7 @@ def solve_gauge(
         if low:
             raise StackBuildError(f"gauge residual below degree {deg} not cleared")
         try:
-            step = solve_coboundary(rho, sign=1)
+            step = solve_coboundary(rho)
         except CoboundaryObstruction as exc:
             raise StackBuildError(
                 f"gauge matching obstructed at degree {deg} (leading terms differ?)"
@@ -250,32 +253,6 @@ def build_u(
         if not twist_defect(ctx, composed).is_zero():
             raise StackBuildError("composed element fails the twist equation") from exc
         raise
-
-
-@dataclass
-class TwistLift:
-    """A solved twist for one group pair, with its verification horizon."""
-
-    pair: tuple[int, int]
-    series: TensorSeries
-    verified_to: int
-
-
-@dataclass
-class PoissonIso:
-    """Poisson-Hopf isomorphism O_{src} -> O_{dst} with identity linear part."""
-
-    src: int
-    dst: int
-    map: AlgebraMap
-    verified_to: int
-
-    def apply(self, s: TensorSeries) -> TensorSeries:
-        return self.map.apply(s)
-
-    @property
-    def images(self) -> list[TensorSeries]:
-        return self.map.images
 
 
 def iso_residuals(
@@ -451,8 +428,8 @@ class ResidualEntry:
 class StackCertificate:
     group: list[str]
     truncation: int
-    lifts: dict[tuple[int, int], TwistLift]
-    isos: dict[tuple[int, int], PoissonIso]
+    lifts: dict[tuple[int, int], TensorSeries]
+    isos: dict[tuple[int, int], AlgebraMap]
     gauges: dict[tuple[int, int, int], TensorSeries]
     residuals: list[ResidualEntry] = field(default_factory=list)
 
@@ -471,8 +448,8 @@ class StackCertificate:
             "truncation_degree": self.truncation,
             "valid": self.ok,
             "twist_lifts": {
-                f"{self.group[a]},{self.group[b]}": fmt(t.series)
-                for (a, b), t in sorted(self.lifts.items())
+                f"{self.group[a]},{self.group[b]}": fmt(f)
+                for (a, b), f in sorted(self.lifts.items())
             },
             "iso_generator_images": {
                 f"{self.group[a]},{self.group[b]}": [fmt(img) for img in j.images]
@@ -497,8 +474,17 @@ class StackCertificate:
         return json.dumps(self.to_json_dict(labels), sort_keys=True, indent=2) + "\n"
 
 
-def _residual_entry(name: str, where: tuple[str, ...], s: TensorSeries, labels) -> ResidualEntry:
-    return ResidualEntry(name, where, s.trunc, "0" if s.is_zero() else s.format(labels))
+def _residual_entry(
+    name: str, where: tuple[str, ...], parts: list[TensorSeries], N: int, labels
+) -> ResidualEntry:
+    """An entry reads "0" only when every part (one per generator) vanishes;
+    otherwise it shows the sum of the parts, or the first nonzero part when
+    the parts cancel."""
+    nonzero = [p for p in parts if not p.is_zero()]
+    if not nonzero:
+        return ResidualEntry(name, where, N, "0")
+    total = sum(nonzero[1:], nonzero[0])
+    return ResidualEntry(name, where, N, (nonzero[0] if total.is_zero() else total).format(labels))
 
 
 class _Memo:
@@ -536,28 +522,27 @@ class _Memo:
 
 def _intertwining_residuals(
     ctx_src: PairingContext, ctx_dst: PairingContext, lift: TensorSeries, jmap: AlgebraMap
-) -> tuple[TensorSeries, TensorSeries]:
-    """Summed coproduct and Poisson intertwining residuals of one iso, from
-    twisted coproducts of the lift built here, not taken from build_iso."""
+) -> tuple[list[TensorSeries], list[TensorSeries]]:
+    """Coproduct and Poisson intertwining residuals of one iso, from twisted
+    coproducts of the lift built here, not taken from build_iso."""
     twisted = [
         twisted_coproduct(ctx_src, lift, SparseTensor.generator(i, ctx_src.trunc))
         for i in range(ctx_src.dim)
     ]
-    cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, jmap)
-    return sum(cop_res, ctx_src.zero(2)), sum(poi_res, ctx_src.zero(1))
+    return iso_residuals(ctx_src, ctx_dst, twisted, jmap)
 
 
 def _composition_residual(
     ctx: PairingContext, u: TensorSeries, j_ab: AlgebraMap, j_bc: AlgebraMap, j_ac: AlgebraMap
-) -> TensorSeries:
-    """sum_i j_ac(e_i) - j_bc(j_ab(Ad_star(u^{-1}) e_i))."""
+) -> list[TensorSeries]:
+    """j_ac(e_i) - j_bc(j_ab(Ad_star(u^{-1}) e_i)), one per generator e_i."""
     u_inverse = u.scale(-1)
-    diff = ctx.zero(1)
+    parts = []
     for i in range(ctx.dim):
         gen = SparseTensor.generator(i, ctx.trunc)
         step = j_bc.apply(j_ab.apply(ctx.ad_star(u_inverse, gen)))
-        diff = diff + (j_ac.apply(gen) - step)
-    return diff
+        parts.append(j_ac.apply(gen) - step)
+    return parts
 
 
 def _cocycle_residual(
@@ -611,14 +596,12 @@ def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificat
         gp = grp.mul(grp.inverse[a], b)
         return tensor2_to_series(wedge2_apply(G.theta[a], G.f[gp]), N).scale(F(1, 2))
 
-    lifts: dict[tuple[int, int], TwistLift] = {}
-    isos: dict[tuple[int, int], PoissonIso] = {}
+    lifts: dict[tuple[int, int], TensorSeries] = {}
+    isos: dict[tuple[int, int], AlgebraMap] = {}
     for (a, b) in pairs:
-        lift = memo(lift_twist, contexts[a], leading_for(a, b))
-        iso = memo(build_iso, contexts[a], contexts[b], lift)
-        lifts[(a, b)] = TwistLift((a, b), lift, N)
-        isos[(a, b)] = PoissonIso(a, b, iso, N)
-    inv_isos = {ab: memo(AlgebraMap.inverse, isos[ab].map) for ab in pairs}
+        lifts[(a, b)] = memo(lift_twist, contexts[a], leading_for(a, b))
+        isos[(a, b)] = memo(build_iso, contexts[a], contexts[b], lifts[(a, b)])
+    inv_isos = {ab: memo(AlgebraMap.inverse, isos[ab]) for ab in pairs}
 
     triples = [(a, b, c) for a in grp.elements() for b in grp.elements() for c in grp.elements()]
     gauges: dict[tuple[int, int, int], TensorSeries] = {}
@@ -628,45 +611,39 @@ def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificat
                 build_u,
                 contexts[a],
                 inv_isos[(a, b)],
-                lifts[(a, b)].series,
-                lifts[(b, c)].series,
-                lifts[(a, c)].series,
+                lifts[(a, b)],
+                lifts[(b, c)],
+                lifts[(a, c)],
             )
         except StackBuildError as exc:
             raise StackBuildError(f"{exc} (at triple {(a, b, c)})") from exc
 
     residuals: list[ResidualEntry] = []
+
+    def record(identity: str, tup: tuple[int, ...], parts: list[TensorSeries]):
+        where = tuple(grp.labels[x] for x in tup)
+        residuals.append(_residual_entry(identity, where, parts, N, labels))
+
     # twist equations, independent kernel
     for (a, b) in pairs:
-        res = memo(verify_twist_equation, contexts[a], lifts[(a, b)].series)
-        residuals.append(
-            _residual_entry("twist-equation", (grp.labels[a], grp.labels[b]), res, labels)
-        )
+        record("twist-equation", (a, b), [memo(verify_twist_equation, contexts[a], lifts[(a, b)])])
     for (a, b) in pairs:
         cop, poi = memo(
-            _intertwining_residuals, contexts[a], contexts[b], lifts[(a, b)].series, isos[(a, b)].map
+            _intertwining_residuals, contexts[a], contexts[b], lifts[(a, b)], isos[(a, b)]
         )
-        where = (grp.labels[a], grp.labels[b])
-        residuals.append(_residual_entry("iso-coproduct-intertwining", where, cop, labels))
-        residuals.append(_residual_entry("iso-poisson-intertwining", where, poi, labels))
+        record("iso-coproduct-intertwining", (a, b), cop)
+        record("iso-poisson-intertwining", (a, b), poi)
     # j-composition on all triples
     for (a, b, c) in triples:
-        diff = memo(
+        parts = memo(
             _composition_residual,
             contexts[a],
             gauges[(a, b, c)],
-            isos[(a, b)].map,
-            isos[(b, c)].map,
-            isos[(a, c)].map,
+            isos[(a, b)],
+            isos[(b, c)],
+            isos[(a, c)],
         )
-        residuals.append(
-            _residual_entry(
-                "iso-composition",
-                (grp.labels[a], grp.labels[b], grp.labels[c]),
-                diff,
-                labels,
-            )
-        )
+        record("iso-composition", (a, b, c), parts)
     # gauge cocycle identity on all quadruples
     quadruples = [
         (a, b, c, d)
@@ -685,12 +662,5 @@ def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificat
             inv_isos[(a, b)],
             gauges[(b, c, d)],
         )
-        residuals.append(
-            _residual_entry(
-                "gauge-cocycle",
-                (grp.labels[a], grp.labels[b], grp.labels[c], grp.labels[d]),
-                res,
-                labels,
-            )
-        )
+        record("gauge-cocycle", (a, b, c, d), [res])
     return StackCertificate(list(grp.labels), N, lifts, isos, gauges, residuals)

@@ -2,20 +2,27 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import gammastack
 from gammastack.cli import data_path, main
+
+# the directory holding the imported package, so the child imports the same one
+PACKAGE_ROOT = str(Path(gammastack.__file__).resolve().parent.parent)
 
 
 def run_cli(*args) -> tuple[int, str, str]:
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gammastack.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -101,6 +101,19 @@ def test_solve_coboundary_roundtrip():
             assert cohochschild_d(beta) == target
 
 
+def test_solve_coboundary_splits_a_non_homogeneous_cocycle():
+    """alpha = d(beta_2 + beta_3) is solved degree by degree: the result is
+    the sum of the two homogeneous solves and has d(beta) = alpha."""
+    beta2 = series(1, 4, {((0, 1),): F(1), ((1, 1),): F(-2)})
+    beta3 = series(1, 4, {((0, 0, 1),): F(3), ((0, 1, 1),): F(1)})
+    alpha = cohochschild_d(beta2 + beta3)
+    assert {sum(len(s) for s in m) for m in alpha.coeffs} == {2, 3}
+    beta = solve_coboundary(alpha)
+    assert cohochschild_d(beta) == alpha
+    parts = [solve_coboundary(alpha.homogeneous_part(d)) for d in (2, 3)]
+    assert beta == parts[0] + parts[1]
+
+
 def test_solve_coboundary_randomized_still_valid():
     rng = random.Random(3)
     basis = slot_monomials(2, 1, 3)

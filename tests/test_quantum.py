@@ -56,6 +56,27 @@ def test_abelian_product_symmetric():
     assert x * y == y * x
 
 
+def test_invert_endo_corrects_a_nonlinear_hbar_term():
+    """x -> x + hbar y^2, y -> y + hbar x^2 has identity linear part, so the
+    inverse needs the correction step; it composes to the identity on
+    generators both ways."""
+    from gammastack.quantum import linear_leading_inverse
+
+    ctx = QueContext(abelian_twisted_gamma(), 3, 6)
+    x, y = ctx.gen(0), ctx.gen(1)
+    images = [
+        x + HElement(ctx, 1, {(1, (((1, 1), PLAIN),)): F(1)}),
+        y + HElement(ctx, 1, {(1, (((0, 0), PLAIN),)): F(1)}),
+    ]
+    leading = linear_leading_inverse(ctx, images)
+    assert leading == [x, y]
+    inv = ctx.invert_endo(images, leading)
+    assert inv != leading
+    for i in range(2):
+        assert ctx.apply_endo(images, inv[i]) == ctx.gen(i)
+        assert ctx.apply_endo(inv, images[i]) == ctx.gen(i)
+
+
 def test_pbw_associativity_random():
     # the degree cap D is a safety net, not an ideal: associativity is exact
     # whenever products stay within D, which the coupling deg <= 2*hbar + 1

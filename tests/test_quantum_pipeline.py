@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,33 @@ def test_admissibilize_backward_constructed():
     # idempotence on the output
     b2, f2 = admissibilize(ctx, fprime)
     assert b2 == ctx.unit(1) and f2 == fprime
+
+
+@pytest.mark.parametrize(
+    "M, D, digest",
+    [
+        (4, 8, "6dc2820d6131b193ed9c4f5eeea5e124128c25740f553b295f7738f3c7c6c147"),
+        (5, 10, "906f644d971086023df6d216a1d0031befa36506d0f0d0510618e47da0070e78"),
+    ],
+)
+def test_admissibilize_backward_constructed_pinned(monkeypatch, M, D, digest):
+    """b and F' of the backward-constructed twist are pinned byte for byte,
+    and the one corrected order (hbar^2, by exp(-hbar beta)) gauges F once."""
+    import gammastack.quantum as quantum
+
+    ctx, _f_adm, _b0, f0 = backward_f0(M, D)
+    orders = []
+
+    def counting(ctx, b, f):
+        orders.append(min(a for (a, _sl) in (b - ctx.unit(1)).coeffs))
+        return gauge_twist(ctx, b, f)
+
+    monkeypatch.setattr(quantum, "gauge_twist", counting)
+    b, fprime = admissibilize(ctx, f0)
+    labels = ctx.lba.labels
+    text = b.format(labels) + "\n" + fprime.format(labels)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert orders == [1]
 
 
 def test_admissibilize_rejects_non_twist():

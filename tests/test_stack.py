@@ -13,7 +13,9 @@ from gammastack.problemfile import parse_problem
 from gammastack.stack import (
     AlgebraMap,
     StackBuildError,
+    _composition_residual,
     _iso_system,
+    _residual_entry,
     _residual_vector,
     build_iso,
     gauge_act,
@@ -242,16 +244,15 @@ def test_verify_stack_abelian_trivial():
 
     cert = verify_stack(abelian_gamma(), 4)
     assert cert.ok
-    assert all(t.series.is_zero() for t in cert.lifts.values())
+    assert all(f.is_zero() for f in cert.lifts.values())
     assert all(s.is_zero() for s in cert.gauges.values())
-    assert all(t.verified_to == 4 for t in cert.lifts.values())
 
 
 def test_verify_stack_axb():
     cert = verify_stack(axb_gamma(), 4)
     assert cert.ok
     # nontrivial data appears
-    assert any(not t.series.is_zero() for t in cert.lifts.values())
+    assert any(not f.is_zero() for f in cert.lifts.values())
 
 
 def test_certificate_json_deterministic():
@@ -359,14 +360,56 @@ def test_lift_and_gauge_report_a_wrong_coboundary(monkeypatch):
     assert solve_gauge(ctx, f, target) == lam
     real = stack.solve_coboundary
 
-    def negated(alpha, sign=1, rng=None):
-        return real(alpha, sign=sign, rng=rng).scale(-1)
+    def negated(alpha, rng=None):
+        return real(alpha, rng=rng).scale(-1)
 
     monkeypatch.setattr(stack, "solve_coboundary", negated)
     with pytest.raises(StackBuildError, match="degree-3"):
         lift_twist(ctx, leading)
     with pytest.raises(StackBuildError, match="degree 2"):
         solve_gauge(ctx, f, target)
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ({((0, 0), (0,), (0,)): F(1)}, "degree 4 is not a reduced cocycle: alpha is not a cocycle"),
+        ({((), (0,), (0, 1)): F(1)}, "degree 3 is not a reduced cocycle: alpha is not in the reduced"),
+    ],
+)
+def test_lift_reports_a_defect_that_is_not_a_reduced_cocycle(monkeypatch, defect, message):
+    """A defect outside the reduced cocycles is a build failure naming its
+    degree, not a bare ValueError from the coboundary solver."""
+    import gammastack.stack as stack
+    from gammastack.cohomology import cohochschild_d
+
+    G, ctx = axb_ctx(0, 4)
+    bad = SparseTensor(3, 4, defect)
+    assert not bad.is_reduced() or not cohochschild_d(bad).is_zero()
+    monkeypatch.setattr(stack, "twist_defect", lambda ctx, f, star=None: bad)
+    with pytest.raises(StackBuildError, match=message):
+        lift_twist(ctx, leading_term(G, 0, 1, 4))
+
+
+def test_residual_entry_reads_zero_only_when_every_part_vanishes():
+    """Per-generator parts that cancel in the sum still fail the entry: with
+    j_ab = j_bc = id and u = 0, j_ac = (x + x y, y - x y) has composition
+    parts x y and -x y, whose sum is zero."""
+    G, ctx = axb_ctx(0, 4)
+    N, labels = 4, G.lba.labels
+    gens = [SparseTensor.generator(i, N) for i in range(2)]
+    xy = ctx.series({((0, 1),): F(1)})
+    identity = AlgebraMap(gens, N)
+    j_ac = AlgebraMap([gens[0] + xy, gens[1] - xy], N)
+    parts = _composition_residual(ctx, ctx.zero(1), identity, identity, j_ac)
+    assert parts == [xy, xy.scale(-1)]
+    entry = _residual_entry("iso-composition", ("e", "e", "e"), parts, N, labels)
+    assert not entry.ok and entry.residual == xy.format(labels) == "1 x y"
+    # a nonzero sum is shown as the sum, as before
+    summed = _residual_entry("iso-composition", ("e", "e", "e"), [xy, xy, ctx.zero(1)], N, labels)
+    assert summed.residual == xy.scale(2).format(labels)
+    assert _residual_entry("gauge-cocycle", ("e",) * 4, [ctx.zero(1)] * 2, N, labels).ok
+    assert _residual_entry("iso-poisson-intertwining", ("e", "e"), [], N, labels).ok
 
 
 # -- tuples with equal inputs ---------------------------------------------------
@@ -445,11 +488,11 @@ def test_trivially_acting_elements_repeat_the_stack_data(problem, N):
     cert = verify_stack(G, N)
     shifted = 0
     for (a, b), (_, lift, iso) in built.items():
-        assert cert.lifts[(a, b)].series == lift
+        assert cert.lifts[(a, b)] == lift
         assert cert.isos[(a, b)].images == iso.images
         for k in kernel:
             ak, bk = grp.mul(a, k), grp.mul(b, k)
-            assert cert.lifts[(ak, bk)].series == cert.lifts[(a, b)].series
+            assert cert.lifts[(ak, bk)] == cert.lifts[(a, b)]
             assert cert.isos[(ak, bk)].images == cert.isos[(a, b)].images
             if k == grp.identity:
                 continue
@@ -477,10 +520,10 @@ def test_build_failure_names_the_first_triple_sharing_the_input(monkeypatch):
     def inputs(a, b, c):
         return (
             deltas[a],
-            tuple(cert.isos[(a, b)].map.inverse().images),
-            cert.lifts[(a, b)].series,
-            cert.lifts[(b, c)].series,
-            cert.lifts[(a, c)].series,
+            tuple(cert.isos[(a, b)].inverse().images),
+            cert.lifts[(a, b)],
+            cert.lifts[(b, c)],
+            cert.lifts[(a, c)],
         )
 
     triples = [(a, b, c) for a in grp.elements() for b in grp.elements() for c in grp.elements()]
