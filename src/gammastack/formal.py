@@ -320,11 +320,9 @@ class PairingContext:
                 if len(b1) + len(b2) > self.trunc:
                     continue
                 denom = multiset_factor(b1) * multiset_factor(b2)
+                # each (b1, b2) meets each word of its product once
                 for w, c in self.dual.straighten(b1 + b2).items():
-                    coeff = c * multiset_factor(w) / denom
-                    table.setdefault(w, {})[(b1, b2)] = (
-                        table.get(w, {}).get((b1, b2), Fraction(0)) + coeff
-                    )
+                    table.setdefault(w, {})[(b1, b2)] = c * multiset_factor(w) / denom
         self._coproduct_table = table
 
     def coproduct_word(self, word: Word) -> dict[tuple[Word, Word], Fraction]:

@@ -280,23 +280,6 @@ def mat_apply(m: Matrix, x: Vec) -> Vec:
     return out
 
 
-def mat_inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        sel = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if sel is None:
-            raise ValueError("matrix not invertible")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        piv = aug[col][col]
-        aug[col] = [v / piv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def wedge2_apply(m: Matrix, t: Tensor2) -> Tensor2:
     """theta (x) theta applied to a 2-tensor."""
     out: Tensor2 = {}

@@ -17,21 +17,26 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from gammastack.cohomology import solve_coboundary
 from gammastack.liealg import GammaLieBialgebra
+from gammastack.linalg import LinearSystem, solve_linear
 from gammastack.tensors import SparseElement, SparseTensor, _add_into, sorted_words, word_str
 
 F = Fraction
 Word = tuple[int, ...]
 Slot = tuple[Word, int]  # (pbw word, group label); label -1 means unlabeled
 Key = tuple[int, tuple[Slot, ...]]
-# hbar^0 table of a semidirect basis product or coproduct: (hbar power, slots, coefficient)
-Table = tuple[tuple[int, tuple[Slot, ...], Fraction], ...]
+# the terms of one input slot's image: (hbar power, output slots,
+# coefficient, PBW degree of the output slots)
+Table = tuple[tuple[int, tuple[Slot, ...], Fraction, int], ...]
 
 PLAIN = -1
 ONE = F(1)
+# the counit on an empty slot: it leaves no slot
+_COUNIT = ((0, (), ONE, 0),)
 
 
 class QuantumError(RuntimeError):
@@ -101,6 +106,70 @@ class HElement(SparseElement):
         return f"HElement({self.format()})"
 
 
+# -- the slot calculus ------------------------------------------------------------------
+
+
+def spread(ctx: QueContext, slots: int, terms) -> HElement:
+    """The slotwise product of tables, cut at the truncation.
+
+    Each term is (hbar power below M, coefficient, tables), one table per
+    input slot.  A part picks one entry (hbar power, output slots,
+    coefficient, PBW degree) per table in slot order; powers and degrees add,
+    coefficients multiply, slots concatenate.  A part is dropped once its
+    power reaches M or its degree passes D, and the rest are summed in
+    first-seen order.  Cutting early is exact: powers and degrees never
+    decrease, and the cap D never looks at hbar.  So a table may also be
+    computed once at hbar^0 and shifted by each term's power, as the
+    semidirect basis products and coproducts are.  `tables` may be lazy:
+    a term whose parts all die reads no further table.
+    """
+    M, D = ctx.M, ctx.D
+    out: dict[Key, Fraction] = {}
+    for a, c, tables in terms:
+        parts = [(a, (), c, 0)]
+        for table in tables:
+            nxt = []
+            add = nxt.append
+            for aa, done, cc, deg in parts:
+                for b, sl, d, e in table:
+                    if aa + b < M and deg + e <= D:
+                        # an identity entry carries the coefficient ONE: no multiply
+                        add((aa + b, done + sl, cc if d is ONE else cc * d, deg + e))
+            parts = nxt
+            if not parts:
+                break
+        for aa, sl, cc, _ in parts:
+            _add_into(out, (aa, sl), cc)
+    return HElement._trusted(ctx, slots, out)
+
+
+def _pair_terms(x: HElement, y: HElement, table):
+    """The terms of the slotwise product x y: each pair of terms that starts
+    below hbar^M (most pairs of a power series do not), with table(s1, s2)
+    for each slot pair."""
+    M = x.ctx.M
+    for (a1, sl1), c1 in x.coeffs.items():
+        for (a2, sl2), c2 in y.coeffs.items():
+            if a1 + a2 < M:
+                yield a1 + a2, c1 * c2, map(table, sl1, sl2)
+
+
+def _slot_terms(x: HElement, idx: int, table):
+    """The terms applying table(slot) at slot idx and the identity elsewhere."""
+    for (a, sl), c in x.coeffs.items():
+        tables = [((0, (s,), ONE, len(s[0])),) for s in sl]
+        tables[idx] = table(sl[idx])
+        yield a, c, tables
+
+
+def _unit_table(slots: int) -> Table:
+    return ((0, (((), PLAIN),) * slots, ONE, 0),)
+
+
+def _degree(sl: tuple[Slot, ...]) -> int:
+    return sum(len(w) for w, _ in sl)
+
+
 class QueContext:
     """Arena for one (algebra, truncation, ambient coproduct) combination."""
 
@@ -115,10 +184,12 @@ class QueContext:
         self.lba = G.lba
         self.M = M
         self.D = D
-        self._mul_slot_cache: dict[tuple[Slot, Slot], dict[Slot, Fraction]] = {}
-        self._delta_word_cache: dict[Word, HElement] = {}
+        self._mul_slot_cache: dict[tuple[Slot, Slot], Table] = {}
+        # word images under Delta and under each endomorphism (keyed by the
+        # content of its generator images), see `_word_table`
+        self._delta_word_cache: dict[Word, Table] = {(): _unit_table(2)}
+        self._endo_word_cache: dict[tuple, dict[Word, Table]] = {}
         self._theta_images: dict[int, list[HElement]] = {}
-        self._endo_word_cache: dict[tuple[int, Word], HElement] = {}
         # ambient coproduct: generator images (2-slot); None = cocommutative.
         # images are rebound to this context, so they may come from a probe
         # context with the same truncations.
@@ -162,52 +233,29 @@ class QueContext:
         return SparseTensor(x.slots, trunc if trunc is not None else self.D, out)
 
     def _primitive_image(self, i: int) -> HElement:
-        return HElement(
-            self,
-            2,
-            {
-                (0, (((i,), PLAIN), ((), PLAIN))): F(1),
-                (0, (((), PLAIN), ((i,), PLAIN))): F(1),
-            },
-        )
+        one, gen = ((), PLAIN), ((i,), PLAIN)
+        return HElement(self, 2, {(0, (gen, one)): ONE, (0, (one, gen)): ONE})
 
     # -- multiplication ----------------------------------------------------------
 
-    def _mul_slot(self, s1: Slot, s2: Slot) -> dict[Slot, Fraction]:
+    def _mul_slot(self, s1: Slot, s2: Slot) -> Table:
         key = (s1, s2)
         cached = self._mul_slot_cache.get(key)
         if cached is not None:
             return cached
         (w1, g1), (w2, g2) = s1, s2
         if g1 == PLAIN and g2 == PLAIN:
-            out = {(w, PLAIN): c for w, c in self.lba.straighten(w1 + w2).items()}
+            prods = {(w, PLAIN): c for w, c in self.lba.straighten(w1 + w2).items()}
         elif g1 != PLAIN and g2 != PLAIN:
-            out = self.G.labeled_product(s1, s2)
+            prods = self.G.labeled_product(s1, s2)
         else:
             raise ValueError("cannot mix labeled and unlabeled slots")
-        self._mul_slot_cache[key] = out
+        out = self._mul_slot_cache[key] = tuple((0, (s,), c, len(s[0])) for s, c in prods.items())
         return out
 
     def mul(self, x: HElement, y: HElement) -> HElement:
         x._check(y)
-        out: dict[Key, Fraction] = {}
-        for (a1, sl1), c1 in x.coeffs.items():
-            for (a2, sl2), c2 in y.coeffs.items():
-                a = a1 + a2
-                if a >= self.M:
-                    continue
-                parts: list[tuple[tuple[Slot, ...], Fraction]] = [((), c1 * c2)]
-                for s1, s2 in zip(sl1, sl2):
-                    prods = self._mul_slot(s1, s2)
-                    parts = [
-                        (done + (s,), c * cs)
-                        for done, c in parts
-                        for s, cs in prods.items()
-                    ]
-                for sl, c in parts:
-                    if sum(len(w) for w, _ in sl) <= self.D:
-                        _add_into(out, (a, sl), c)
-        return HElement._trusted(self, x.slots, out)
+        return spread(self, x.slots, _pair_terms(x, y, self._mul_slot))
 
     def commutator(self, x: HElement, y: HElement) -> HElement:
         return self.mul(x, y) - self.mul(y, x)
@@ -267,29 +315,25 @@ class QueContext:
 
     # -- coproduct -------------------------------------------------------------------
 
-    def delta_word(self, word: Word) -> HElement:
-        cached = self._delta_word_cache.get(word)
-        if cached is not None:
-            return cached
-        if not word:
-            out = self.unit(2)
-        else:
-            out = self.delta_word(word[:-1]) * self.delta_images[word[-1]]
-        self._delta_word_cache[word] = out
-        return out
+    def _word_table(self, cache: dict[Word, Table], images: list[HElement], slot: Slot) -> Table:
+        """The image of a plain slot's word under the algebra map with
+        generator images `images`, memoised by word in `cache` (which holds
+        the empty word): the image of word[:-1] times that of its last letter."""
+        word, g = slot
+        if g != PLAIN:
+            raise ValueError("Delta and endomorphisms act on plain slots")
+        table = cache.get(word)
+        if table is None:
+            last = images[word[-1]]
+            prev = self._word_table(cache, images, (word[:-1], PLAIN))
+            out = HElement._trusted(self, last.slots, {(a, sl): c for a, sl, c, _ in prev}) * last
+            table = cache[word] = tuple((a, sl, c, _degree(sl)) for (a, sl), c in out.coeffs.items())
+        return table
 
     def coproduct_slot(self, x: HElement, idx: int) -> HElement:
         """Apply the ambient coproduct to one (plain) slot of x."""
-        out: dict[Key, Fraction] = {}
-        for (a, sl), c in x.coeffs.items():
-            w, g = sl[idx]
-            if g != PLAIN:
-                raise ValueError("coproduct of a labeled slot is not defined here")
-            for (a2, pair), c2 in self.delta_word(w).coeffs.items():
-                key = (a + a2, sl[:idx] + pair + sl[idx + 1 :])
-                if key[0] < self.M and sum(len(ww) for ww, _ in key[1]) <= self.D:
-                    _add_into(out, key, c * c2)
-        return HElement._trusted(self, x.slots + 1, out)
+        delta = partial(self._word_table, self._delta_word_cache, self.delta_images)
+        return spread(self, x.slots + 1, _slot_terms(x, idx, delta))
 
     def iterated_coproduct(self, x: HElement, n: int) -> HElement:
         out = x
@@ -298,13 +342,7 @@ class QueContext:
         return out
 
     def counit_slot(self, x: HElement, idx: int) -> HElement:
-        out: dict[Key, Fraction] = {}
-        for (a, sl), c in x.coeffs.items():
-            w, _g = sl[idx]
-            if w:
-                continue
-            _add_into(out, (a, sl[:idx] + sl[idx + 1 :]), c)
-        return HElement._trusted(self, x.slots - 1, out)
+        return spread(self, x.slots - 1, _slot_terms(x, idx, lambda s: () if s[0] else _COUNIT))
 
     # -- endomorphisms by generator images ---------------------------------------------
 
@@ -312,51 +350,16 @@ class QueContext:
         cached = self._theta_images.get(gamma)
         if cached is None:
             m = self.G.theta[gamma]
-            cached = [
-                HElement(
-                    self,
-                    1,
-                    {(0, (((k,), PLAIN),)): m[k][i] for k in range(self.lba.dim) if m[k][i]},
-                )
-                for i in range(self.lba.dim)
-            ]
-            self._theta_images[gamma] = cached
+            cached = self._theta_images[gamma] = _linear_images(self, zip(*m))
         return cached
 
     def apply_endo(self, images: list[HElement], x: HElement) -> HElement:
         """Apply the algebra endomorphism with given generator images, slotwise."""
         # cache by image content: image lists are rebuilt freely by callers
         image_key = tuple(frozenset(img.coeffs.items()) for img in images)
-
-        def word_image(word: Word) -> HElement:
-            key = (image_key, word)
-            cached = self._endo_word_cache.get(key)
-            if cached is not None:
-                return cached
-            if not word:
-                out = self.unit(1)
-            else:
-                out = word_image(word[:-1]) * images[word[-1]]
-            self._endo_word_cache[key] = out
-            return out
-
-        acc: dict[Key, Fraction] = {}
-        for (a, sl), c in x.coeffs.items():
-            parts: list[tuple[int, tuple[Slot, ...], Fraction]] = [(a, (), c)]
-            for w, g in sl:
-                if g != PLAIN:
-                    raise ValueError("endomorphisms act on plain elements")
-                img = word_image(w)
-                parts = [
-                    (aa + a2, done + sl2, cc * c2)
-                    for aa, done, cc in parts
-                    for (a2, sl2), c2 in img.coeffs.items()
-                    if aa + a2 < self.M
-                ]
-            for aa, sl2, cc in parts:
-                if sum(len(ww) for ww, _ in sl2) <= self.D:
-                    _add_into(acc, (aa, sl2), cc)
-        return HElement._trusted(self, x.slots, acc)
+        cache = self._endo_word_cache.setdefault(image_key, {(): _unit_table(1)})
+        image = partial(self._word_table, cache, images)
+        return spread(self, x.slots, ((a, c, map(image, sl)) for (a, sl), c in x.coeffs.items()))
 
     def invert_endo(self, images: list[HElement], leading: list[HElement]) -> list[HElement]:
         """Generator images of the inverse endomorphism.
@@ -380,23 +383,28 @@ class QueContext:
         return inv
 
 
-def linear_leading_inverse(ctx: QueContext, images: list[HElement]) -> list[HElement]:
-    """Generator images inverting the hbar^0 linear part of an endomorphism."""
-    from gammastack.liealg import mat_inverse
+def _linear_images(ctx: QueContext, columns) -> list[HElement]:
+    """The generator images e_j -> sum_k columns[j][k] e_k."""
+    images = ({(0, (((k,), PLAIN),)): c for k, c in enumerate(col) if c} for col in columns)
+    return [HElement(ctx, 1, image) for image in images]
 
+
+def linear_leading_inverse(ctx: QueContext, images: list[HElement]) -> list[HElement]:
+    """Generator images inverting the hbar^0 linear part of an endomorphism:
+    column j solves (linear part) x = e_j.  QuantumError if it is singular."""
     dim = ctx.lba.dim
-    mat = [[Fraction(0)] * dim for _ in range(dim)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(dim)]
     for j, img in enumerate(images):
         for (a, sl), c in img.coeffs.items():
             if a == 0 and len(sl[0][0]) == 1:
-                mat[sl[0][0][0]][j] += c
-    inv = mat_inverse(mat)
-    return [
-        HElement(
-            ctx, 1, {(0, (((k,), PLAIN),)): inv[k][j] for k in range(dim) if inv[k][j]}
-        )
-        for j in range(dim)
-    ]
+                _add_into(rows[sl[0][0][0]], j, c)
+    columns = []
+    for j in range(dim):
+        result = solve_linear(LinearSystem(dim, rows, [F(int(k == j)) for k in range(dim)]))
+        if not result.solvable or result.kernel:
+            raise QuantumError("the hbar^0 linear part is singular")
+        columns.append(result.solution)
+    return _linear_images(ctx, columns)
 
 
 # -- Drinfeld subalgebra membership ---------------------------------------------------
@@ -570,11 +578,9 @@ class GammaQUEData:
     def i_inverse_images(self, gamma: int) -> list[HElement]:
         cached = self._inv_cache.get(gamma)
         if cached is None:
-            ctx = self.ctx
-            cached = ctx.invert_endo(
-                self.i_images[gamma], linear_leading_inverse(ctx, self.i_images[gamma])
-            )
-            self._inv_cache[gamma] = cached
+            images = self.i_images[gamma]
+            leading = linear_leading_inverse(self.ctx, images)
+            cached = self._inv_cache[gamma] = self.ctx.invert_endo(images, leading)
         return cached
 
 
@@ -660,6 +666,11 @@ def _relation_messages(data: GammaQUEData) -> list[str]:
     ]
 
 
+def _linear_tensor(ctx: QueContext, t: dict[tuple[int, int], Fraction]) -> HElement:
+    """The 2-tensor sum c e_p (x) e_q of t at hbar^0."""
+    return HElement(ctx, 2, {(0, (((p,), PLAIN), ((q,), PLAIN))): c for (p, q), c in t.items()})
+
+
 def validate_que_data(data: GammaQUEData) -> list[str]:
     """All load-time invariants: ambient coproduct axioms, leading terms,
     and the five compatibility relations, exactly at truncation."""
@@ -686,22 +697,18 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
         if (ctx.delta_images[i] - prim).hbar_coefficient(0).coeffs:
             issues.append(f"coproduct not cocommutative mod hbar at generator {i}")
         anti = (ctx.delta_images[i] - ctx.delta_images[i].flip()).hbar_coefficient(1)
-        expect: dict[Key, Fraction] = {}
-        for (p, q), c in ctx.lba.cobracket_tensor(i).items():
-            expect[(0, (((p,), PLAIN), ((q,), PLAIN)))] = c
-        if anti != HElement(ctx, 2, expect):
+        if anti != _linear_tensor(ctx, ctx.lba.cobracket_tensor(i)):
             issues.append(f"hbar^1 co-Poisson part wrong at generator {i}")
     # F leading terms and twist equations
+    normalised = True
     for g in grp.elements():
         f = data.F[g]
         if (f - ctx.unit(f.slots)).hbar_coefficient(0).coeffs:
             issues.append(f"F[{grp.labels[g]}] not in 1 + hbar U^2")
+            normalised = False
         f1 = f.hbar_coefficient(1)
         alt = f1 - f1.flip()
-        expect2: dict[Key, Fraction] = {}
-        for (p, q), c in G.f[g].items():
-            expect2[(0, (((p,), PLAIN), ((q,), PLAIN)))] = c
-        if alt != HElement(ctx, 2, expect2):
+        if alt != _linear_tensor(ctx, G.f[g]):
             issues.append(f"Alt of hbar^1 part of F[{grp.labels[g]}] != twist tensor")
         if not twist_residual_quantum(ctx, f).is_zero():
             issues.append(f"twist equation fails for F[{grp.labels[g]}]")
@@ -710,12 +717,21 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
         diff = v - ctx.unit(1)
         if any(a < 2 for (a, _sl) in diff.coeffs):
             issues.append(f"v[{grp.labels[g]},{grp.labels[h]}] not in 1 + hbar^2 U")
-    # i maps are algebra morphisms with the right classical limit
+            normalised = False
+    # i maps are algebra morphisms with an invertible classical limit
     for g in grp.elements():
         for i in range(dim):
             for j in range(dim):
                 if not bracket_residual(ctx, data.i_images[g], i, j).is_zero():
                     issues.append(f"i[{grp.labels[g]}] not an algebra morphism at ({i},{j})")
+        try:
+            linear_leading_inverse(ctx, data.i_images[g])
+        except QuantumError:
+            issues.append(f"i[{grp.labels[g]}] has a singular hbar^0 linear part")
+            normalised = False
+    # the checks below invert F, v and the i maps
+    if not normalised:
+        return issues
     # coproduct-conjugation identity: Delta(theta_g x) = Ad(F_g^{-1})
     # (theta_g^{(x)2} Delta(x)); required for the semidirect bialgebra axioms
     for g in grp.elements():
@@ -769,18 +785,11 @@ def check_v_admissible(data: GammaQUEData) -> list[tuple[tuple[int, int], bool, 
 class SemidirectBialgebra:
     """S(g) (x) k Gamma [[hbar]] with the twisted product and coproduct.
 
-    Products and coproducts are read from hbar^0 tables of the labeled PBW
-    monomials.  The product of h^a1 [w1|g1] and h^a2 [w2|g2] equals
-    h^(a1+a2) times the hbar^0 product [w1|g1][w2|g2], less its terms at
-    hbar^M and above; the coproduct of h^a [w|g] is h^a Delta[w|g], cut the
-    same way.  This is exact because every hbar power is >= 0, `mul` and
-    `apply_endo` only add powers and drop a term once its power reaches M
-    (so a term the shifted computation drops early feeds only terms at M or
-    above), and the PBW degree cap D never looks at hbar.  So each
-    [w1|g1][w2|g2] and each Delta[w|g] is computed once, at hbar^0, as
-    (hbar power, slots, coefficient) entries, and `product`, `_mul2` and
-    `_cop_slot` (`coproduct` is its one-slot case) scale and shift them per
-    term pair.
+    Each basis product [w1|g1][w2|g2] and each basis coproduct Delta[w|g] is
+    computed once, at hbar^0, and `spread` shifts it by the hbar powers of
+    the terms it is applied to (see there why that is exact): `product`
+    multiplies slotwise and `_cop_slot` applies Delta to one slot
+    (`coproduct` is its one-slot case).
     """
 
     def __init__(self, data: GammaQUEData):
@@ -790,27 +799,25 @@ class SemidirectBialgebra:
         # per-label caches v^{-1}, F^{-1}; hbar^0 tables per basis pair/monomial
         self._vinv: dict[tuple[int, int], HElement] = {}
         self._finv: dict[int, HElement] = {}
-        self._products: dict[tuple[Word, int, Word, int], Table] = {}
-        self._coproducts: dict[tuple[Word, int], Table] = {}
+        self._products: dict[tuple[Slot, Slot], Table] = {}
+        self._coproducts: dict[Slot, Table] = {}
         self._intern: dict = {}
 
     def _table(self, entries) -> Table:
         # equal slots, coefficients and whole tables recur across basis pairs
         # (the sl2 D=6 sweep: 1,824 tables, 584 distinct), so each is kept once
-        intern = self._intern.setdefault
-
         def shared(x):
-            return intern(x, x)
+            return self._intern.setdefault(x, x)
 
-        return shared(
-            tuple((a, shared(tuple(shared(s) for s in sl)), shared(c)) for a, sl, c in entries)
-        )
+        entries = ((a, shared(tuple(map(shared, sl))), shared(c), _degree(sl)) for a, sl, c in entries)
+        return shared(tuple(entries))
 
-    def _basis_product(self, w1: Word, g1: int, w2: Word, g2: int) -> Table:
+    def _basis_product(self, s1: Slot, s2: Slot) -> Table:
         """hbar^0 table of [w1 * i_{e,g1}^{-1}(theta_g1(w2)) * v_{e,g1,g1g2}^{-1} | g1g2]."""
-        key = (w1, g1, w2, g2)
+        key = (s1, s2)
         table = self._products.get(key)
         if table is None:
+            (w1, g1), (w2, g2) = s1, s2
             if g1 == PLAIN or g2 == PLAIN:
                 raise ValueError("semidirect product needs labeled elements")
             ctx = self.ctx
@@ -827,10 +834,11 @@ class SemidirectBialgebra:
             )
         return table
 
-    def _basis_coproduct(self, w: Word, g: int) -> Table:
-        """hbar^0 table of [Delta_e(w) * F_{e,g}^{-1} | g,g]."""
-        table = self._coproducts.get((w, g))
+    def _basis_coproduct(self, s: Slot) -> Table:
+        """hbar^0 table of [Delta_e(w) * F_{e,g}^{-1} | g,g] for s = (w, g)."""
+        table = self._coproducts.get(s)
         if table is None:
+            w, g = s
             if g == PLAIN:
                 raise ValueError("semidirect coproduct needs labeled elements")
             ctx = self.ctx
@@ -838,23 +846,15 @@ class SemidirectBialgebra:
                 self._finv[g] = ctx.inverse(self.data.F[g])
             plain = HElement._trusted(ctx, 1, {(0, ((w, PLAIN),)): ONE})
             val = ctx.coproduct_slot(plain, 0) * self._finv[g]
-            table = self._coproducts[(w, g)] = self._table(
+            table = self._coproducts[s] = self._table(
                 (a, ((w1, g), (w2, g)), c) for (a, ((w1, _), (w2, _))), c in val.coeffs.items()
             )
         return table
 
     def product(self, x: HElement, y: HElement) -> HElement:
-        """[m|g][m'|g'] = [m * i_{e,g}^{-1}(theta_g(m')) * v_{e,g,gg'}^{-1} | gg']."""
-        M = self.ctx.M
-        out: dict[Key, Fraction] = {}
-        for (a1, ((w1, g1),)), c1 in x.coeffs.items():
-            for (a2, ((w2, g2),)), c2 in y.coeffs.items():
-                shift = a1 + a2
-                c12 = c1 * c2
-                for a, sl, c in self._basis_product(w1, g1, w2, g2):
-                    if a + shift < M:
-                        _add_into(out, (a + shift, sl), c12 * c)
-        return HElement._trusted(self.ctx, 1, out)
+        """[m|g][m'|g'] = [m * i_{e,g}^{-1}(theta_g(m')) * v_{e,g,gg'}^{-1} | gg'],
+        slot by slot on elements of any slot count."""
+        return spread(self.ctx, x.slots, _pair_terms(x, y, self._basis_product))
 
     def coproduct(self, x: HElement) -> HElement:
         """[m|g] -> [Delta_e(m) * F_{e,g}^{-1} | g,g]."""
@@ -882,7 +882,7 @@ class SemidirectBialgebra:
         for a in basis:
             for b in basis:
                 ab = self.product(a, b)
-                if self.coproduct(ab) != self._mul2(self.coproduct(a), self.coproduct(b)):
+                if self.coproduct(ab) != self.product(self.coproduct(a), self.coproduct(b)):
                     issues.append(f"bialgebra compatibility fails at {a.format()},{b.format()}")
                 for c in basis:
                     if self.product(ab, c) != self.product(a, self.product(b, c)):
@@ -902,39 +902,8 @@ class SemidirectBialgebra:
                 issues.append(f"unit axiom fails at {a.format()}")
         return issues
 
-    def _mul2(self, x: HElement, y: HElement) -> HElement:
-        ctx = self.ctx
-        M, D = ctx.M, ctx.D
-        out: dict[Key, Fraction] = {}
-        for (a1, ((w1, g1), (u1, h1))), c1 in x.coeffs.items():
-            for (a2, ((w2, g2), (u2, h2))), c2 in y.coeffs.items():
-                shift = a1 + a2
-                if shift >= M:
-                    continue
-                c12 = c1 * c2
-                right = self._basis_product(u1, h1, u2, h2)
-                for a, left, c in self._basis_product(w1, g1, w2, g2):
-                    a += shift
-                    if a >= M:
-                        continue
-                    cc = c12 * c
-                    room = D - len(left[0][0])
-                    for b, sl, d in right:
-                        if a + b < M and len(sl[0][0]) <= room:
-                            _add_into(out, (a + b, left + sl), cc * d)
-        return HElement._trusted(ctx, 2, out)
-
     def _cop_slot(self, x: HElement, idx: int) -> HElement:
-        ctx = self.ctx
-        M, D = ctx.M, ctx.D
-        out: dict[Key, Fraction] = {}
-        for (a, sl), c in x.coeffs.items():
-            w, g = sl[idx]
-            room = D - sum(len(v) for v, _ in sl) + len(w)
-            for aa, pair, cc in self._basis_coproduct(w, g):
-                if a + aa < M and len(pair[0][0]) + len(pair[1][0]) <= room:
-                    _add_into(out, (a + aa, sl[:idx] + pair + sl[idx + 1 :]), c * cc)
-        return HElement._trusted(ctx, x.slots + 1, out)
+        return spread(self.ctx, x.slots + 1, _slot_terms(x, idx, self._basis_coproduct))
 
 
 def build_semidirect(data: GammaQUEData, check_degree: int = 1) -> tuple[SemidirectBialgebra, list[str]]:
@@ -963,10 +932,7 @@ def classical_limit_residuals(data: GammaQUEData) -> list[str]:
                 issues.append(f"grading support violated at [{word}|{grp.labels[g]}]")
                 break
         anti = (d - d.flip()).hbar_coefficient(1)
-        got = {
-            ((sl[0][0], sl[0][1]), (sl[1][0], sl[1][1])): c
-            for (a, sl), c in anti.coeffs.items()
-        }
+        got = {sl: c for (_a, sl), c in anti.coeffs.items()}
         # the tested words have length <= 1, so the degree bound 3 never cuts
         expect = copoisson_envelope(G, word, g, 3)
         if got != dict(expect):

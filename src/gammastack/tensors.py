@@ -277,8 +277,11 @@ class IteratedCoproduct:
 
     split(word) is Delta(word) as {(left, right): coeff}; Delta^(1) is the
     identity and Delta^(k) applies split to the last slot of Delta^(k-1).
-    Terms of total degree above trunc are cut; a degree-preserving split
-    needs no cut.  Called as (word, k) it is an `expand` of `spread`.
+    Terms of total degree above trunc are cut.  The split itself must respect
+    the cut, as both splits in use do (a degree-preserving one with the
+    default trunc, and `PairingContext`'s table, which keeps only terms
+    within its truncation), so Delta^(2) is split(word) itself, not a copy.
+    Called as (word, k) it is an `expand` of `spread`.
     """
 
     def __init__(self, split, trunc: float = math.inf):
@@ -291,6 +294,8 @@ class IteratedCoproduct:
         if out is None:
             if k == 1:
                 out = {(word,): 1}
+            elif k == 2:
+                out = self.split(word)
             else:
                 out = {}
                 for slots, c in self(word, k - 1).items():

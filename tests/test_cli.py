@@ -373,14 +373,65 @@ def test_out_write_error_exit_2(tmp_path):
     assert err.startswith(f"error: {out}: ") and "Traceback" not in err
 
 
-def test_quantize_sl2_que_D6_matches_bench_reference():
-    """One step past the sl2-que golden: the stdout of quantize at hbar 3,
-    pbw 6 has the sha256 bench/reference.json records for that job."""
+# the quantum benchmark jobs no golden pins, with their command lines
+QUANTUM_BENCH_JOBS = {
+    "sweep-sl2-que-M3-D6": ("quantize", "sl2-que.glb", "--hbar", "3", "--pbw", "6"),
+    "quantize-abelian-que": ("quantize", "abelian-que.glb"),
+    "admissibilize-trivial-que": ("admissibilize", "trivial-que.glb", "--target", "s"),
+    "admissibilize-abelian-que": ("admissibilize", "abelian-que.glb", "--target", "s"),
+    "admissibilize-sl2-que": ("admissibilize", "sl2-que.glb", "--target", "w"),
+}
+
+
+@pytest.mark.parametrize("job", list(QUANTUM_BENCH_JOBS))
+def test_quantum_jobs_match_bench_reference(job):
+    """The stdout of each quantum job has the sha256 that bench/reference.json
+    records for it (the sweep job is one step past the sl2-que golden)."""
     root = Path(__file__).resolve().parent.parent
     reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
-    code, out, _err = run_cli("quantize", "sl2-que.glb", "--hbar", "3", "--pbw", "6")
+    code, out, _err = run_cli(*QUANTUM_BENCH_JOBS[job])
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["sweep-sl2-que-M3-D6"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference[job]
+
+
+def _trivial_que_duplicate_gauge(lines):
+    assert lines[47] == "term 0 1 1\n"  # [quantum-gauge e e]: v = 1
+    return lines[:48] + lines[47:]
+
+
+def _trivial_que_second_twist(lines):
+    return lines + ["\n", "[quantum-twist s]\n", "term 0 1 1|1\n"]
+
+
+def _trivial_que_singular_morphism(lines):
+    assert lines[44] == "term 0 1 y\n"  # [quantum-morphism s y]: i_s(y) = y
+    return lines[:44] + ["term 0 1\n"] + lines[45:]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_trivial_que_duplicate_gauge, "v[e,e] not in 1 + hbar^2 U"),
+        (_trivial_que_second_twist, "F[s] not in 1 + hbar U^2"),
+        (_trivial_que_singular_morphism, "i[s] has a singular hbar^0 linear part"),
+    ],
+    ids=["duplicate-gauge", "second-twist", "singular-morphism"],
+)
+def test_unnormalised_quantum_data_is_reported_not_inverted(tmp_path, edit, message):
+    """Quantum data that parses but is not normalised (v = 2, F = 2, i_s(y) = 1)
+    is an input-validation failure: validate names it, and quantize writes its
+    exit-1 certificate, where inverting v, F or i would raise."""
+    lines = data_path("trivial-que.glb").read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = tmp_path / "bad.glb"
+    bad.write_text("".join(edit(lines)), encoding="utf-8")
+    code, out, err = run_cli("validate", str(bad))
+    assert (code, err) == (1, "")
+    assert f"INVALID {message}\n" in out
+    code, out, err = run_cli("quantize", str(bad))
+    assert (code, err) == (1, "")
+    cert = json.loads(out)
+    assert not cert["valid"]
+    assert f"input validation: {message}" in cert["failures"]
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,9 @@ from gammastack.liealg import (
     classical_yang_baxter,
     copoisson_envelope,
     from_quasitriangular,
-    mat_inverse,
     validate_gamma_lba,
 )
+from gammastack.quantum import QuantumError, QueContext, linear_leading_inverse
 
 from conftest import (
     abelian_gamma,
@@ -91,8 +91,14 @@ def test_condition_b_group_triples(axb):
 
 
 def test_theta_inverse_matrices(axb):
+    """Inverting theta_g's generator images gives theta_{g^-1}'s; a singular
+    linear part is refused."""
+    ctx = QueContext(axb, 2, 2)
     for g in axb.group.elements():
-        assert mat_inverse(axb.theta[g]) == axb.theta[axb.group.inverse[g]]
+        inverse = linear_leading_inverse(ctx, ctx.theta_images(g))
+        assert inverse == ctx.theta_images(axb.group.inverse[g])
+    with pytest.raises(QuantumError, match="singular"):
+        linear_leading_inverse(ctx, [ctx.gen(0), ctx.gen(0)])
 
 
 def test_sl2_cybe_holds():
