@@ -33,7 +33,7 @@ from gammastack.quantum import (
     validate_que_data,
 )
 from gammastack.stack import lift_twist
-from gammastack.tensors import SparseTensor, _add_into, slot_monomials
+from gammastack.tensors import _add_into, slot_monomials
 
 F = Fraction
 
@@ -150,10 +150,7 @@ def solve_additive_gauge(ctx: QueContext, target: HElement) -> HElement:
         rho = (target - _additive_coboundary(ctx, w)).hbar_coefficient(k)
         if rho.is_zero():
             continue
-        series = SparseTensor(
-            2, ctx.D, {tuple(ww for ww, _ in sl): c for (a, sl), c in rho.coeffs.items()}
-        )
-        beta = solve_coboundary(series)
+        beta = solve_coboundary(ctx.to_series(rho))
         w = w + ctx.from_series(beta, hbar=k)
     if _additive_coboundary(ctx, w) != target:
         raise QuantumError("additive gauge solve failed at truncation")

@@ -101,18 +101,18 @@ def _content_key(mono: Monomial, dim: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-class CochainSpace:
-    """Enumerated basis of one (slot count, degree) component, content-split."""
+@cache
+def _cochain_blocks(dim: int, k: int, ndeg: int) -> dict[tuple[int, ...], tuple[Monomial, ...]]:
+    """The k-cochain basis of degree ndeg, split by variable content.
 
-    def __init__(self, dim: int, k: int, ndeg: int):
-        self.dim = dim
-        self.k = k
-        self.ndeg = ndeg
-        self.basis = slot_monomials(dim, k, ndeg)
-        self.index = {m: i for i, m in enumerate(self.basis)}
-        self.blocks: dict[tuple[int, ...], list[int]] = {}
-        for i, m in enumerate(self.basis):
-            self.blocks.setdefault(_content_key(m, dim), []).append(i)
+    Each block lists its monomials in `slot_monomials` order: as matrix
+    columns they choose the particular solution of `solve_coboundary`.
+    Shared by every caller, who only reads it.
+    """
+    blocks: dict[tuple[int, ...], list[Monomial]] = {}
+    for m in slot_monomials(dim, k, ndeg):
+        blocks.setdefault(_content_key(m, dim), []).append(m)
+    return {content: tuple(cols) for content, cols in blocks.items()}
 
 
 class CoboundaryObstruction(Exception):
@@ -124,19 +124,18 @@ class CoboundaryObstruction(Exception):
 
 
 @cache
-def _d_matrix_block(
-    k: int, src: tuple[Monomial, ...], trunc: int
-) -> tuple[list[Monomial], dict[Monomial, int], list[Row]]:
+def _d_matrix_block(k: int, src: tuple[Monomial, ...]) -> tuple[dict[Monomial, int], list[Row]]:
     """Columns indexed by src monomials; rows by (k+1)-cochain monomials.
 
-    Built once per (k, src, trunc) and shared by every caller, so callers
-    only read the result: `LinearSystem.add_row` and `matrix_rank` copy
-    the rows they are given.
+    Built once per (k, src) and shared by every caller, so callers only
+    read the result: `LinearSystem.add_row` and `matrix_rank` copy the rows
+    they are given.  d preserves degree, so no truncation above a
+    monomial's own degree changes its column.
     """
     row_index: dict[Monomial, int] = {}
     rows_of_col: list[dict[int, Fraction]] = []
     for mono in src:
-        img = cohochschild_d(SparseTensor(k, trunc, {mono: Fraction(1)}))
+        img = cohochschild_d(SparseTensor(k, monomial_degree(mono), {mono: Fraction(1)}))
         col: dict[int, Fraction] = {}
         for m, c in img.coeffs.items():
             if m not in row_index:
@@ -148,10 +147,7 @@ def _d_matrix_block(
     for j, col in enumerate(rows_of_col):
         for i, c in col.items():
             rows[i][j] = c
-    row_list = [None] * n_rows
-    for m, i in row_index.items():
-        row_list[i] = m
-    return row_list, row_index, rows
+    return row_index, rows
 
 
 def solve_coboundary(alpha: SparseTensor, rng: random.Random | None = None) -> SparseTensor:
@@ -187,16 +183,16 @@ def solve_coboundary(alpha: SparseTensor, rng: random.Random | None = None) -> S
                 f"nonzero alternating obstruction in degree {ndeg}", obstruction
             )
     dim = max((i + 1 for m in alpha.coeffs for s in m for i in s), default=1)
-    src_space = CochainSpace(dim, k - 1, ndeg)
+    blocks = _cochain_blocks(dim, k - 1, ndeg)
     out: dict[Monomial, Fraction] = {}
     by_content: dict[tuple[int, ...], list[tuple[Monomial, Fraction]]] = {}
     for m, c in alpha.coeffs.items():
         by_content.setdefault(_content_key(m, dim), []).append((m, c))
     for content in sorted(by_content):
-        cols = tuple(src_space.basis[i] for i in src_space.blocks.get(content, []))
-        row_list, row_index, rows = _d_matrix_block(k - 1, cols, alpha.trunc)
+        cols = blocks.get(content, ())
+        row_index, rows = _d_matrix_block(k - 1, cols)
         sys = LinearSystem(len(cols))
-        rhs = [Fraction(0)] * len(row_list)
+        rhs = [Fraction(0)] * len(rows)
         consistent = True
         for m, c in by_content[content]:
             if m not in row_index:
@@ -228,18 +224,11 @@ def solve_coboundary(alpha: SparseTensor, rng: random.Random | None = None) -> S
 
 def cohomology_rank(dim: int, k: int, ndeg: int) -> int:
     """dim ker(d_k) - dim im(d_{k-1}) on the (k, ndeg) component."""
-    space = CochainSpace(dim, k, ndeg)
     dim_ker = 0
+    for cols in _cochain_blocks(dim, k, ndeg).values():
+        dim_ker += len(cols) - matrix_rank(_d_matrix_block(k, cols)[1], len(cols))
     rank_prev = 0
-    for _, idxs in sorted(space.blocks.items()):
-        cols = tuple(space.basis[i] for i in idxs)
-        _, _, rows = _d_matrix_block(k, cols, ndeg)
-        r = matrix_rank(rows, len(cols))
-        dim_ker += len(cols) - r
     if k >= 2:
-        prev = CochainSpace(dim, k - 1, ndeg)
-        for _, idxs in sorted(prev.blocks.items()):
-            cols = tuple(prev.basis[i] for i in idxs)
-            _, _, rows = _d_matrix_block(k - 1, cols, ndeg)
-            rank_prev += matrix_rank(rows, len(cols))
+        for cols in _cochain_blocks(dim, k - 1, ndeg).values():
+            rank_prev += matrix_rank(_d_matrix_block(k - 1, cols)[1], len(cols))
     return dim_ker - rank_prev

@@ -285,8 +285,7 @@ class PairingContext:
         self.dual = lba_gamma.dual()
         self._pbw: list[Word] = [w for d in range(trunc + 1) for w in sorted_words(self.dim, d)]
         self._coproduct_table: dict[Word, dict[tuple[Word, Word], Fraction]] | None = None
-        self._delta_u_cache: dict[Word, dict[tuple[Word, Word], Fraction]] = {}
-        self._pair_bracket_cache: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
+        self._bracket_table: dict[tuple[Word, Word], dict[Word, Fraction]] | None = None
         # Delta^(k) of a word, Delta applied to the last slot, cut at trunc
         self.iterated_coproduct_word = IteratedCoproduct(self.coproduct_word, trunc)
         self._mono_poisson_cache: dict[tuple[Monomial, Monomial, int], dict[Monomial, Fraction]] = {}
@@ -331,56 +330,50 @@ class PairingContext:
             self._build_coproduct_table()
         return self._coproduct_table.get(word, {})
 
-    # -- co-Poisson coderivation on U(g*_gamma) --------------------------------
+    # -- Poisson bracket: the transposed co-Poisson cobracket of U(g*_gamma) ---
 
-    def _delta_u_generator(self, i: int) -> dict[tuple[Word, Word], Fraction]:
-        # the cobracket of g*_gamma is the transposed bracket of g
-        return {((a,), (b,)): c for (a, b), c in self.dual.cobracket_tensor(i).items()}
+    def _build_bracket_table(self):
+        """delta_U of every PBW word, transposed into {(a, b): {word: coeff}}.
 
-    def delta_u(self, word: Word) -> dict[tuple[Word, Word], Fraction]:
-        """Coderivation extending the dual-of-bracket cobracket of g*_gamma."""
-        cached = self._delta_u_cache.get(word)
-        if cached is not None:
-            return cached
-        if len(word) == 1:
-            result = self._delta_u_generator(word[0])
-        else:
-            head, tail = word[:-1], (word[-1],)
-            straighten = self.dual.straighten
-            result = {}
-            # delta(uv) = delta(u) Delta(v) + Delta(u) delta(v)
-            dv = self._delta_u_generator(word[-1])
-            du = self.delta_u(head)
-            for (p, q), c in du.items():
-                for (s, t), m in (((tail, ()), 1), (((), tail), 1)):
-                    for w1, c1 in straighten(p + s).items():
-                        for w2, c2 in straighten(q + t).items():
-                            _add_into(result, (w1, w2), c * m * c1 * c2)
-            for (s, t), m in cocommutative_splits(head).items():
-                for (p, q), c in dv.items():
-                    for w1, c1 in straighten(s + p).items():
-                        for w2, c2 in straighten(t + q).items():
-                            _add_into(result, (w1, w2), Fraction(m) * c * c1 * c2)
-        self._delta_u_cache[word] = result
-        return result
+        delta_U is the coderivation extending the cobracket of g*_gamma (the
+        transposed bracket of g): delta(uv) = delta(u) Delta(v) + Delta(u)
+        delta(v) with v the last letter.  The head u is shorter, so in
+        `_pbw` order it is always done first, and each pair's words come in
+        `_pbw` order.
+        """
+        straighten = self.dual.straighten
+        deltas: dict[Word, dict[tuple[Word, Word], Fraction]] = {}
+        table: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
+        for word in self._pbw[1:]:  # the empty word has delta 0
+            dv = {((a,), (b,)): c for (a, b), c in self.dual.cobracket_tensor(word[-1]).items()}
+            if len(word) == 1:
+                delta = dv
+            else:
+                head, tail = word[:-1], (word[-1],)
+                delta = {}
+                for (p, q), c in deltas[head].items():
+                    for s, t in ((tail, ()), ((), tail)):
+                        for w1, c1 in straighten(p + s).items():
+                            for w2, c2 in straighten(q + t).items():
+                                _add_into(delta, (w1, w2), c * c1 * c2)
+                for (s, t), m in cocommutative_splits(head).items():
+                    for (p, q), c in dv.items():
+                        for w1, c1 in straighten(s + p).items():
+                            for w2, c2 in straighten(t + q).items():
+                                _add_into(delta, (w1, w2), m * c * c1 * c2)
+            deltas[word] = delta
+            mw = multiset_factor(word)
+            for (a, b), c in delta.items():
+                if c:
+                    f = multiset_factor(a) * multiset_factor(b)
+                    table.setdefault((a, b), {})[word] = c * f / mw
+        self._bracket_table = table
 
     def pair_bracket(self, a: Word, b: Word) -> dict[Word, Fraction]:
         """{m_a, m_b}_gamma for 1-slot monomials, as {word: coeff}."""
-        key = (a, b)
-        cached = self._pair_bracket_cache.get(key)
-        if cached is not None:
-            return cached
-        fa = multiset_factor(a) * multiset_factor(b)
-        out: dict[Word, Fraction] = {}
-        lo = len(a) + len(b) - 1
-        for pi in self._pbw:
-            if not pi or len(pi) < lo:
-                continue
-            c = self.delta_u(pi).get((a, b))
-            if c:
-                _add_into(out, pi, c * fa / multiset_factor(pi))
-        self._pair_bracket_cache[key] = out
-        return out
+        if self._bracket_table is None:
+            self._build_bracket_table()
+        return self._bracket_table.get((a, b), {})
 
     # -- series-level operations ------------------------------------------------
 

@@ -121,11 +121,15 @@ def parse_problem(text: str) -> Problem:
         tok = tok.strip()
         if tok == "1":
             return ()
-        return tuple(sorted(blabel(t, ln) for t in tok.split()))
+        word = tuple(blabel(t, ln) for t in tok.split())
+        if list(word) != sorted(word):
+            # U(g) is not commutative: reordering a word changes the element
+            raise ProblemParseError(f"word {tok!r} is not in PBW (label) order", ln)
+        return word
 
     def parse_term_slots(parts: list[str], ln: int, slots: int) -> tuple[int, Fraction, tuple]:
-        if len(parts) < 3:
-            raise ProblemParseError("term needs hbar power, coefficient, slots", ln)
+        if len(parts) < 3 or parts[0] != "term":
+            raise ProblemParseError("term syntax: term <hbar power> <coeff> <slots>", ln)
         a = _parse_int(parts[1], ln)
         if a < 0:
             raise ProblemParseError(f"hbar power must be >= 0, got {a}", ln)
@@ -254,6 +258,9 @@ def parse_problem(text: str) -> Problem:
         raise ProblemParseError("missing [algebra] dim/labels", len(lines))
     if not group_labels:
         raise ProblemParseError("missing [group] section", len(lines))
+    missing = [l for g, l in enumerate(group_labels) if g not in rows]
+    if missing:
+        raise ProblemParseError(f"[group] has no row for {missing[0]!r}", len(lines))
     try:
         lba = LieBialgebra(dim, labels, bracket, cobracket)
         table = [rows[g] for g in range(len(group_labels))]

@@ -223,14 +223,14 @@ class QueContext:
             out[(hbar, tuple((w, PLAIN) for w in mono))] = c
         return HElement(self, s.slots, out)
 
-    def to_series(self, x: HElement, trunc: int | None = None) -> SparseTensor:
+    def to_series(self, x: HElement) -> SparseTensor:
         """Forget labels/hbar structure of an hbar-homogeneous plain element."""
         out = {}
         for (a, sl), c in x.coeffs.items():
             if a != 0:
                 raise ValueError("to_series expects an hbar^0 element")
             out[tuple(w for w, _ in sl)] = c
-        return SparseTensor(x.slots, trunc if trunc is not None else self.D, out)
+        return SparseTensor(x.slots, self.D, out)
 
     def _primitive_image(self, i: int) -> HElement:
         one, gen = ((), PLAIN), ((i,), PLAIN)

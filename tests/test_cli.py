@@ -14,6 +14,9 @@ from gammastack.cli import data_path, main
 
 # the directory holding the imported package, so the child imports the same one
 PACKAGE_ROOT = str(Path(gammastack.__file__).resolve().parent.parent)
+ROOT = Path(__file__).resolve().parent.parent
+# the certificate sha256 of every benchmark job, read only
+REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text(encoding="utf-8"))
 
 
 def run_cli(*args) -> tuple[int, str, str]:
@@ -74,11 +77,16 @@ def test_ragged_entry_exit_2(tmp_path):
         ("axb", "term -2 x y", "term -2 x y y", 18),
         ("sl2-que", "term 1 e f", "term 1 e f f", 36),
         ("sl2-que", "term 1 -1/2 e|f", "term -1 -1/2 e|f", 76),
+        ("sl2-que", "term 1 -1/2 e|f", "bogus 1 -1/2 e|f", 76),
+        ("sl2-que", "term 2 -1/6 e|e f", "term 2 -1/6 e|f e", 58),
     ],
-    ids=["dim-trailing", "header-trailing", "twist-trailing", "rmatrix-trailing", "negative-hbar"],
+    ids=["dim-trailing", "header-trailing", "twist-trailing", "rmatrix-trailing", "negative-hbar",
+         "quantum-keyword", "word-not-pbw-ordered"],
 )
 def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
-    """Extra tokens and negative hbar powers exit 2 naming the line."""
+    """Extra tokens, negative hbar powers, a quantum line that does not start
+    with `term` and a word out of PBW order (f e = e f - h in U(sl2), so it
+    cannot be reordered silently) exit 2 naming the line."""
     lines = data_path(f"{name}.glb").read_text(encoding="utf-8").splitlines()
     assert lines.index(entry) + 1 == line
     lines[line - 1] = replacement
@@ -237,23 +245,11 @@ GOLDEN_BENCH_JOBS = {
 
 def test_golden_certificates_match_bench_reference():
     """tests/golden and bench/reference.json pin the same certificate bytes."""
-    root = Path(__file__).resolve().parent.parent
-    reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
-    golden = root / "tests" / "golden"
+    golden = ROOT / "tests" / "golden"
     assert sorted(p.name for p in golden.glob("*.json")) == sorted(GOLDEN_BENCH_JOBS)
     for name, job in GOLDEN_BENCH_JOBS.items():
         digest = hashlib.sha256((golden / name).read_bytes()).hexdigest()
-        assert digest == reference[job], name
-
-
-def test_stack_sl2_weyl_N4_matches_bench_reference():
-    """One step past the sl2-weyl golden (N=3): pins the degree-4 solve of
-    build_iso, against the sha256 that bench/reference.json records."""
-    root = Path(__file__).resolve().parent.parent
-    reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
-    code, out, _err = run_cli("stack", "sl2-weyl.glb", "-N", "4")
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["stack-sl2-weyl-N4"]
+        assert digest == REFERENCE[job], name
 
 
 def test_stack_sl2_weyl_N5_pinned():
@@ -279,15 +275,21 @@ def test_stack_sl2_weyl_N6_pinned():
     )
 
 
-def test_stack_axb_N6_matches_bench_reference():
-    """Three steps past the axb golden (N=3): BCH words up to length 5 and the
-    gauge solve to degree 6, against the sha256 that bench/reference.json
-    records."""
-    root = Path(__file__).resolve().parent.parent
-    reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
-    code, out, _err = run_cli("stack", "axb.glb", "-N", "6")
+@pytest.mark.parametrize(
+    "job", sorted(j for j in REFERENCE if j.startswith(("stack-", "validate-")))
+)
+def test_formal_jobs_match_bench_reference(job):
+    """The stdout of each `stack`/`validate` job of bench/reference.json has
+    the sha256 recorded for it.  `stack-<file>` runs at the file's own
+    truncation and `stack-<file>-N<n>` at n: sl2-weyl N=4 pins the degree-4
+    solve of build_iso, axb N=6 BCH words up to length 5 and the gauge solve
+    to degree 6."""
+    cmd, _, target = job.partition("-")
+    name, cut, n = target.rpartition("-N")
+    args = (cmd, f"{name}.glb", "-N", n) if cut else (cmd, f"{target}.glb")
+    code, out, _err = run_cli(*args)
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference["stack-axb-N6"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFERENCE[job]
 
 
 @pytest.mark.parametrize(
@@ -387,11 +389,9 @@ QUANTUM_BENCH_JOBS = {
 def test_quantum_jobs_match_bench_reference(job):
     """The stdout of each quantum job has the sha256 that bench/reference.json
     records for it (the sweep job is one step past the sl2-que golden)."""
-    root = Path(__file__).resolve().parent.parent
-    reference = json.loads((root / "bench" / "reference.json").read_text(encoding="utf-8"))
     code, out, _err = run_cli(*QUANTUM_BENCH_JOBS[job])
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == reference[job]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REFERENCE[job]
 
 
 def _trivial_que_duplicate_gauge(lines):

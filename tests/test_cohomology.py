@@ -8,6 +8,7 @@ import pytest
 
 from gammastack.cohomology import (
     CoboundaryObstruction,
+    _cochain_blocks,
     alt,
     cocommutative_coproduct,
     cohochschild_d,
@@ -161,3 +162,16 @@ def test_cohomology_rank_wedge_dimension_and_vanishing():
             assert cohomology_rank(dim, k, k) == comb(dim, k)
             for ndeg in range(k + 1, 7):
                 assert cohomology_rank(dim, k, ndeg) == 0, (dim, k, ndeg)
+
+
+@pytest.mark.parametrize("dim, k, ndeg", [(2, 1, 3), (2, 2, 4), (3, 2, 3), (3, 3, 5), (2, 4, 6)])
+def test_cochain_blocks_keep_basis_order(dim, k, ndeg):
+    """Each content block lists its columns as the enumerated basis did,
+    split by content in first-seen order: the column order picks the
+    particular solution, and with it the certificate bytes."""
+    blocks: dict = {}
+    for m in slot_monomials(dim, k, ndeg):
+        content = tuple(sum(i == v for slot in m for i in slot) for v in range(dim))
+        blocks.setdefault(content, []).append(m)
+    expected = [(content, tuple(cols)) for content, cols in blocks.items()]
+    assert list(_cochain_blocks(dim, k, ndeg).items()) == expected

@@ -15,11 +15,18 @@ from gammastack.formal import (
     bch_word_terms,
     bernoulli,
     build_delta_gamma,
+    cocommutative_splits,
     lyndon_words,
     standard_factorisation,
     _free_mul,
 )
-from gammastack.tensors import SparseTensor, _add_into, monomial_degree, unit_monomial
+from gammastack.tensors import (
+    SparseTensor,
+    _add_into,
+    monomial_degree,
+    multiset_factor,
+    unit_monomial,
+)
 
 from conftest import (
     abelian_flat_lba,
@@ -578,6 +585,67 @@ def test_poisson_pair_skip_changes_nothing(operands):
     assert list(got.coeffs.items()) == list(expected.items())
     for m1, m2, _ in ctx._mono_poisson_cache:
         assert monomial_degree(m1) + monomial_degree(m2) - 1 <= trunc
+
+
+def per_pair_scan(ctx: PairingContext):
+    """Reference pair bracket: delta_U of a PBW word by the coderivation
+    recursion on demand, then for each pair a scan of every PBW word of
+    length at least len(a) + len(b) - 1."""
+    straighten = ctx.dual.straighten
+    memo: dict = {}
+
+    def generator(i):
+        return {((a,), (b,)): c for (a, b), c in ctx.dual.cobracket_tensor(i).items()}
+
+    def delta_u(word):
+        if word in memo:
+            return memo[word]
+        if len(word) == 1:
+            result = generator(word[0])
+        else:
+            head, tail = word[:-1], (word[-1],)
+            result = {}
+            for (p, q), c in delta_u(head).items():
+                for s, t in ((tail, ()), ((), tail)):
+                    for w1, c1 in straighten(p + s).items():
+                        for w2, c2 in straighten(q + t).items():
+                            _add_into(result, (w1, w2), c * c1 * c2)
+            for (s, t), m in cocommutative_splits(head).items():
+                for (p, q), c in generator(word[-1]).items():
+                    for w1, c1 in straighten(s + p).items():
+                        for w2, c2 in straighten(t + q).items():
+                            _add_into(result, (w1, w2), F(m) * c * c1 * c2)
+        memo[word] = result
+        return result
+
+    def pair_bracket(a, b):
+        out: dict = {}
+        for pi in ctx._pbw:
+            if pi and len(pi) >= len(a) + len(b) - 1:
+                c = delta_u(pi).get((a, b))
+                if c:
+                    f = multiset_factor(a) * multiset_factor(b)
+                    _add_into(out, pi, c * f / multiset_factor(pi))
+        return out
+
+    return pair_bracket
+
+
+@pytest.mark.parametrize("trunc", [3, 4, 5])
+@pytest.mark.parametrize("gamma", [0, 1])
+@pytest.mark.parametrize("name", ["axb", "sl2-weyl"])
+def test_bracket_table_equals_per_pair_scan(name, gamma, trunc):
+    """The transposed delta_U table gives every pair bracket within the
+    truncation with the values and the term order of the per-pair scan."""
+    G = axb_gamma() if name == "axb" else sl2_weyl_gamma()
+    ctx = PairingContext(build_delta_gamma(G, gamma), trunc)
+    expected = per_pair_scan(ctx)
+    for a in ctx._pbw:
+        for b in ctx._pbw:
+            if len(a) + len(b) - 1 <= trunc:
+                got = ctx.pair_bracket(a, b)
+                assert list(got.items()) == list(expected(a, b).items()), (a, b)
+    assert all(len(a) + len(b) - 1 <= trunc for a, b in ctx._bracket_table)
 
 
 def test_dynkin_star_agrees_on_series():

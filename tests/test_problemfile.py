@@ -85,6 +85,13 @@ def test_parse_error_content_before_section():
     assert exc.value.line == 1
 
 
+def test_missing_group_row_names_the_element():
+    lines = data_path("sl2-que.glb").read_text(encoding="utf-8").splitlines()
+    lines.remove("row w2 = w2 w3 e w")
+    with pytest.raises(ProblemParseError, match="no row for 'w2'"):
+        parse_problem("\n".join(lines) + "\n")
+
+
 def test_corrupted_twist_named_condition():
     """Mutating f_s in axb.glb is rejected naming the violated condition."""
     text = data_path("axb.glb").read_text(encoding="utf-8")
