@@ -18,7 +18,6 @@ Vec = dict[int, Fraction]
 Tensor2 = dict[tuple[int, int], Fraction]
 Tensor3 = dict[tuple[int, int, int], Fraction]
 Word = tuple[int, ...]
-GroupMono = tuple[Word, int]
 
 
 @dataclass
@@ -337,31 +336,6 @@ class GammaLieBialgebra:
     def theta_inv(self, g: int) -> Matrix:
         return self.theta[self.group.inverse[g]]
 
-    def theta_word(self, g: int, word: Word) -> dict[Word, Fraction]:
-        """Image of a PBW word under theta_g, normal ordered."""
-        terms: dict[Word, Fraction] = {(): Fraction(1)}
-        m = self.theta[g]
-        for letter in word:
-            nxt: dict[Word, Fraction] = {}
-            for w, c in terms.items():
-                for i in range(self.lba.dim):
-                    if m[i][letter] == 0:
-                        continue
-                    for w2, c2 in self.lba.straighten(w + (i,)).items():
-                        _add_into(nxt, w2, c * c2 * m[i][letter])
-            terms = nxt
-        return terms
-
-    def labeled_product(self, a: GroupMono, b: GroupMono) -> dict[GroupMono, Fraction]:
-        """[m|g][m'|g'] = [m theta_g(m') | gg'] in U(g) x| Gamma, normal ordered."""
-        (wa, ga), (wb, gb) = a, b
-        gg = self.group.mul(ga, gb)
-        out: dict[GroupMono, Fraction] = {}
-        for w, c in self.theta_word(ga, wb).items():
-            for w2, c2 in self.lba.straighten(wa + w).items():
-                _add_into(out, (w2, gg), c * c2)
-        return out
-
 
 def delta_gamma_tensor(G: GammaLieBialgebra, gamma: int, k: int) -> Tensor2:
     """delta_gamma(e_k) = delta(e_k) + [f_gamma, e_k (x) 1 + 1 (x) e_k]."""
@@ -513,62 +487,28 @@ def from_quasitriangular(
 
 # -- co-Poisson envelope ------------------------------------------------------
 
-CoPoissonTensor = dict[tuple[GroupMono, GroupMono], Fraction]
 
+def copoisson_envelope(G: GammaLieBialgebra, word: Word, gamma: int) -> dict[tuple, Fraction]:
+    """Co-Poisson cobracket of U(g) x| Gamma on [x|gamma] and [1|gamma].
 
-def _copoisson_pair_mul(
-    G: GammaLieBialgebra, s: CoPoissonTensor, t: CoPoissonTensor, bound: int
-) -> CoPoissonTensor:
-    out: CoPoissonTensor = {}
-    for (a1, a2), c in s.items():
-        for (b1, b2), c2 in t.items():
-            right = G.labeled_product(a2, b2)
-            for m1, d1 in G.labeled_product(a1, b1).items():
-                for m2, d2 in right.items():
-                    if len(m1[0]) <= bound and len(m2[0]) <= bound:
-                        _add_into(out, (m1, m2), c * c2 * d1 * d2)
-    return out
-
-
-def _coproduct0(G: GammaLieBialgebra, x: GroupMono, bound: int) -> CoPoissonTensor:
-    """Undeformed coproduct: generators primitive, group labels grouplike."""
-    word, g = x
-    e = G.group.identity
-    terms: CoPoissonTensor = {(((), g), ((), g)): Fraction(1)}
-    for letter in reversed(word):
-        prim: CoPoissonTensor = {
-            ((((letter,), e)), ((), e)): Fraction(1),
-            ((((), e)), (((letter,), e))): Fraction(1),
-        }
-        terms = _copoisson_pair_mul(G, prim, terms, bound)
-    return terms
-
-
-def copoisson_envelope(G: GammaLieBialgebra, word: Word, gamma: int, bound: int) -> CoPoissonTensor:
-    """Co-Poisson cobracket on U(g) x| Gamma.
-
-    delta_U([x]) = [delta(x)], delta_U([gamma]) = -[f_gamma]([gamma] (x) [gamma]),
-    extended to products by the co-Leibniz rule, truncated at total degree
-    `bound`.
+    From delta_U([x]) = [delta(x)], delta_U([gamma]) = -[f_gamma] and the
+    co-Leibniz rule on [x|gamma] = [x][gamma] (theta_e = id), both slots
+    labeled gamma:
+        delta_U([x|gamma]) = [delta(x)] - sum f_gamma(i,j) ([x i] (x) [j] + [i] (x) [x j]),
+        delta_U([1|gamma]) = -[f_gamma],
+    with x i and x j straightened.  It reads only delta, f_gamma and the
+    straightener: the reference the quantum classical limit is checked against.
     """
+    if len(word) > 1:
+        raise ValueError("the co-Poisson envelope is given on words of length <= 1")
     if not word:
-        out: CoPoissonTensor = {}
-        for (i, j), c in G.f[gamma].items():
-            _add_into(out, ((((i,), gamma)), (((j,), gamma))), -c)
-        return out
-    letter, rest = word[0], word[1:]
-    a: GroupMono = ((letter,), G.group.identity)
-    # delta_U(a b) = delta_U(a) Delta0(b) + Delta0(a) delta_U(b)
-    delta_a: CoPoissonTensor = {}
-    for (i, j), c in G.lba.cobracket_tensor(letter).items():
-        _add_into(delta_a, ((((i,), G.group.identity)), (((j,), G.group.identity))), c)
-    coprod_a: CoPoissonTensor = {
-        ((((letter,), G.group.identity)), ((), G.group.identity)): Fraction(1),
-        ((((), G.group.identity)), ((letter,), G.group.identity)): Fraction(1),
-    }
-    out = _copoisson_pair_mul(G, delta_a, _coproduct0(G, (rest, gamma), bound), bound)
-    for key, c in _copoisson_pair_mul(
-        G, coprod_a, copoisson_envelope(G, rest, gamma, bound), bound
-    ).items():
-        _add_into(out, key, c)
+        return {(((i,), gamma), ((j,), gamma)): -c for (i, j), c in G.f[gamma].items()}
+    out: dict[tuple, Fraction] = {}
+    for (i, j), c in G.lba.cobracket_tensor(word[0]).items():
+        _add_into(out, (((i,), gamma), ((j,), gamma)), c)
+    for (i, j), c in G.f[gamma].items():
+        for w, cw in G.lba.straighten(word + (i,)).items():
+            _add_into(out, ((w, gamma), ((j,), gamma)), -c * cw)
+        for w, cw in G.lba.straighten(word + (j,)).items():
+            _add_into(out, (((i,), gamma), (w, gamma)), -c * cw)
     return out

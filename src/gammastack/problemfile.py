@@ -76,6 +76,13 @@ def _groups(toks: list[str], width: int, syntax: str, line: int) -> list[list[st
     return [toks[t : t + width] for t in range(0, len(toks), width)]
 
 
+def _distinct_labels(toks: list[str], line: int) -> list[str]:
+    for t, tok in enumerate(toks):
+        if tok in toks[:t]:
+            raise ProblemParseError(f"repeated label {tok!r}", line)
+    return toks
+
+
 # each quantum section: its QuantumSections field, the kinds of its header
 # arguments (g a group element, x a basis label) and the tensor slots of a term
 QUANTUM_SECTIONS = {
@@ -170,7 +177,7 @@ def parse_problem(text: str) -> Problem:
                     raise ProblemParseError("dim syntax: dim n", ln)
                 dim = _parse_int(parts[1], ln)
             elif parts[0] == "labels":
-                labels = parts[1:]
+                labels = _distinct_labels(parts[1:], ln)
                 label_index = {l: i for i, l in enumerate(labels)}
                 if dim is not None and len(labels) != dim:
                     raise ProblemParseError("label count does not match dim", ln)
@@ -198,12 +205,15 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemParseError(f"unknown algebra entry {parts[0]!r}", ln)
         elif kind == "group":
             if parts[0] == "labels":
-                group_labels = parts[1:]
+                group_labels = _distinct_labels(parts[1:], ln)
                 group_index = {l: i for i, l in enumerate(group_labels)}
+                group_line = section[2]
             elif parts[0] == "row":
                 if len(parts) < 3 or parts[2] != "=":
                     raise ProblemParseError("row syntax: row g = g1 g2 ...", ln)
                 g = glabel(parts[1], ln)
+                if len(parts) - 3 != len(group_labels):
+                    raise ProblemParseError(f"row needs {len(group_labels)} entries", ln)
                 rows[g] = [glabel(t, ln) for t in parts[3:]]
             else:
                 raise ProblemParseError(f"unknown group entry {parts[0]!r}", ln)
@@ -260,7 +270,7 @@ def parse_problem(text: str) -> Problem:
         raise ProblemParseError("missing [group] section", len(lines))
     missing = [l for g, l in enumerate(group_labels) if g not in rows]
     if missing:
-        raise ProblemParseError(f"[group] has no row for {missing[0]!r}", len(lines))
+        raise ProblemParseError(f"[group] has no row for {missing[0]!r}", group_line)
     try:
         lba = LieBialgebra(dim, labels, bracket, cobracket)
         table = [rows[g] for g in range(len(group_labels))]

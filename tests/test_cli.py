@@ -79,14 +79,19 @@ def test_ragged_entry_exit_2(tmp_path):
         ("sl2-que", "term 1 -1/2 e|f", "term -1 -1/2 e|f", 76),
         ("sl2-que", "term 1 -1/2 e|f", "bogus 1 -1/2 e|f", 76),
         ("sl2-que", "term 2 -1/6 e|e f", "term 2 -1/6 e|f e", 58),
+        ("sl2-que", "labels h e f", "labels h e e", 4),
+        ("sl2-que", "labels e w w2 w3", "labels e w w2 w3 w3", 12),
+        ("sl2-que", "row w = w w2 w3 e", "row w = w w2 w3", 14),
     ],
     ids=["dim-trailing", "header-trailing", "twist-trailing", "rmatrix-trailing", "negative-hbar",
-         "quantum-keyword", "word-not-pbw-ordered"],
+         "quantum-keyword", "word-not-pbw-ordered", "repeated-basis-label",
+         "repeated-group-label", "short-row"],
 )
 def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
     """Extra tokens, negative hbar powers, a quantum line that does not start
-    with `term` and a word out of PBW order (f e = e f - h in U(sl2), so it
-    cannot be reordered silently) exit 2 naming the line."""
+    with `term`, a word out of PBW order (f e = e f - h in U(sl2), so it
+    cannot be reordered silently), a repeated label and a group row of the
+    wrong length exit 2 naming the line."""
     lines = data_path(f"{name}.glb").read_text(encoding="utf-8").splitlines()
     assert lines.index(entry) + 1 == line
     lines[line - 1] = replacement
@@ -96,6 +101,11 @@ def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {bad}: line {line}: ") and err.count("\n") == 1
+
+
+def test_package_exports_resolve():
+    for name in gammastack.__all__:
+        assert hasattr(gammastack, name), name
 
 
 def test_missing_file_exit_2():

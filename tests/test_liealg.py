@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gammastack.cli import data_path
 from gammastack.liealg import (
     FiniteGroup,
     GammaLieBialgebra,
@@ -13,7 +14,9 @@ from gammastack.liealg import (
     from_quasitriangular,
     validate_gamma_lba,
 )
+from gammastack.problemfile import parse_problem
 from gammastack.quantum import QuantumError, QueContext, linear_leading_inverse
+from gammastack.tensors import _add_into
 
 from conftest import (
     abelian_gamma,
@@ -137,16 +140,16 @@ def test_quasitriangular_cybe_failure_rejected():
 
 def test_copoisson_primitive_with_zero_cobracket(axb):
     # delta(x) = 0 -> envelope value 0
-    assert copoisson_envelope(axb, (0,), axb.group.identity, 4) == {}
+    assert copoisson_envelope(axb, (0,), axb.group.identity) == {}
 
 
 def test_copoisson_identity_label_zero(axb):
-    assert copoisson_envelope(axb, (), axb.group.identity, 4) == {}
+    assert copoisson_envelope(axb, (), axb.group.identity) == {}
 
 
 def test_copoisson_sigma_value(axb):
     # delta_U([sigma]) = -f_sigma ([sigma] (x) [sigma]) = 2(x (x) y - y (x) x)[s,s]
-    out = copoisson_envelope(axb, (), 1, 4)
+    out = copoisson_envelope(axb, (), 1)
     assert out == {
         (((0,), 1), ((1,), 1)): F(2),
         (((1,), 1), ((0,), 1)): F(-2),
@@ -155,7 +158,7 @@ def test_copoisson_sigma_value(axb):
 
 def test_copoisson_basis_element(axb):
     # delta_U([y]) = [delta(y)] = [x^y] with identity labels
-    out = copoisson_envelope(axb, (1,), axb.group.identity, 4)
+    out = copoisson_envelope(axb, (1,), axb.group.identity)
     assert out == {
         (((0,), 0), ((1,), 0)): F(1),
         (((1,), 0), ((0,), 0)): F(-1),
@@ -171,7 +174,7 @@ def test_copoisson_coleibniz_on_product(axb):
       [xy|s](x)[y|s]:  +2              [y|s](x)[xy|s]: -2
       [x|s](x)[yy|s]:  +2              [yy|s](x)[x|s]: -2
     """
-    out = copoisson_envelope(axb, (1,), 1, 3)
+    out = copoisson_envelope(axb, (1,), 1)
     expected = {
         (((0,), 1), ((1,), 1)): F(-1),
         (((1,), 1), ((0,), 1)): F(1),
@@ -181,3 +184,92 @@ def test_copoisson_coleibniz_on_product(axb):
         (((1, 1), 1), ((0,), 1)): F(-2),
     }
     assert out == expected
+
+
+# -- the co-Leibniz recursion the closed form replaced ----------------------------
+#
+# delta_U on U(g) x| Gamma extended from generators by delta_U(ab) =
+# delta_U(a) Delta0(b) + Delta0(a) delta_U(b), over the labeled product
+# [m|g][m'|g'] = [m theta_g(m') | gg'] applied letter by letter.
+
+
+def _theta_word(G, g, word):
+    terms = {(): F(1)}
+    m = G.theta[g]
+    for letter in word:
+        nxt = {}
+        for w, c in terms.items():
+            for i in range(G.lba.dim):
+                if m[i][letter]:
+                    for w2, c2 in G.lba.straighten(w + (i,)).items():
+                        _add_into(nxt, w2, c * c2 * m[i][letter])
+        terms = nxt
+    return terms
+
+
+def _labeled_product(G, a, b):
+    (wa, ga), (wb, gb) = a, b
+    out = {}
+    for w, c in _theta_word(G, ga, wb).items():
+        for w2, c2 in G.lba.straighten(wa + w).items():
+            _add_into(out, (w2, G.group.mul(ga, gb)), c * c2)
+    return out
+
+
+def _pair_mul(G, s, t, bound):
+    out = {}
+    for (a1, a2), c in s.items():
+        for (b1, b2), c2 in t.items():
+            right = _labeled_product(G, a2, b2)
+            for m1, d1 in _labeled_product(G, a1, b1).items():
+                for m2, d2 in right.items():
+                    if len(m1[0]) <= bound and len(m2[0]) <= bound:
+                        _add_into(out, (m1, m2), c * c2 * d1 * d2)
+    return out
+
+
+def _coproduct0(G, word, g, bound):
+    e = G.group.identity
+    terms = {(((), g), ((), g)): F(1)}
+    for letter in reversed(word):
+        prim = {(((letter,), e), ((), e)): F(1), (((), e), ((letter,), e)): F(1)}
+        terms = _pair_mul(G, prim, terms, bound)
+    return terms
+
+
+def coleibniz_envelope(G, word, gamma, bound):
+    if not word:
+        out = {}
+        for (i, j), c in G.f[gamma].items():
+            _add_into(out, (((i,), gamma), ((j,), gamma)), -c)
+        return out
+    e = G.group.identity
+    letter, rest = word[0], word[1:]
+    delta_a = {(((i,), e), ((j,), e)): c for (i, j), c in G.lba.cobracket_tensor(letter).items()}
+    coprod_a = {(((letter,), e), ((), e)): F(1), (((), e), ((letter,), e)): F(1)}
+    out = _pair_mul(G, delta_a, _coproduct0(G, rest, gamma, bound), bound)
+    for key, c in _pair_mul(G, coprod_a, coleibniz_envelope(G, rest, gamma, bound), bound).items():
+        _add_into(out, key, c)
+    return out
+
+
+BUNDLED = ("abelian", "axb", "sl2-weyl", "trivial-que", "abelian-que", "sl2-que")
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_copoisson_envelope_equals_coleibniz_recursion(name):
+    """The closed form on [x|gamma] and [1|gamma] is the co-Leibniz recursion
+    on every bundled file, every gamma and every word of length <= 1; no cut
+    acts at length <= 2, so bounds 3 and 4 agree."""
+    G = parse_problem(data_path(f"{name}.glb").read_text(encoding="utf-8")).G
+    words = [()] + [(i,) for i in range(G.lba.dim)]
+    for gamma in G.group.elements():
+        for word in words:
+            got = copoisson_envelope(G, word, gamma)
+            for bound in (3, 4):
+                assert got == coleibniz_envelope(G, word, gamma, bound), (gamma, word, bound)
+
+
+def test_copoisson_envelope_rejects_longer_words(axb):
+    with pytest.raises(ValueError):
+        copoisson_envelope(axb, (0, 1), axb.group.identity)

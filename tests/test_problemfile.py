@@ -86,10 +86,13 @@ def test_parse_error_content_before_section():
 
 
 def test_missing_group_row_names_the_element():
+    """A missing row is reported at the [group] header, line 11."""
     lines = data_path("sl2-que.glb").read_text(encoding="utf-8").splitlines()
     lines.remove("row w2 = w2 w3 e w")
-    with pytest.raises(ProblemParseError, match="no row for 'w2'"):
+    assert lines.index("[group]") + 1 == 11
+    with pytest.raises(ProblemParseError, match="no row for 'w2'") as exc:
         parse_problem("\n".join(lines) + "\n")
+    assert exc.value.line == 11
 
 
 def test_corrupted_twist_named_condition():

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from gammastack.builtin import trivial_que_data
 from gammastack.quantum import (
     PLAIN,
     HElement,
     QuantumError,
     QueContext,
+    SemidirectBialgebra,
     drinfeld_prime_membership,
     drinfeld_prime_membership_general,
     is_admissible,
@@ -40,14 +42,24 @@ def test_commutator_is_bracket():
 
 
 def test_group_conjugation():
-    ctx = axb_ctx()
-    G = ctx.G
+    # i = id and v = 1, so this is the crossed product U(g) x| Gamma
+    alg = SemidirectBialgebra(trivial_que_data(3, 4))
+    ctx = alg.ctx
     s = ctx.labeled((), 1)
     x = ctx.labeled((0,), 0)
-    s_inv = ctx.labeled((), G.group.inverse[1])
+    s_inv = ctx.labeled((), ctx.G.group.inverse[1])
     # [s][x][s^{-1}] = [theta_s(x)] = [-x]
-    prod = s * x * s_inv
+    prod = alg.product(alg.product(s, x), s_inv)
     assert prod == ctx.labeled((0,), 0).scale(-1)
+
+
+def test_mul_rejects_labeled_slots():
+    ctx = axb_ctx()
+    x = ctx.labeled((0,), 0)
+    with pytest.raises(ValueError, match="plain slots"):
+        ctx.mul(x, x)
+    with pytest.raises(ValueError, match="plain slots"):
+        ctx.mul(ctx.gen(0), x)
 
 
 def test_abelian_product_symmetric():
