@@ -108,7 +108,7 @@ def cmd_stack(args) -> int:
         return 1
     n = args.degree if args.degree is not None else problem.degree
     try:
-        cert = verify_stack(problem.G, n, seed=args.seed)
+        cert = verify_stack(problem.G, n)
     except StackBuildError as exc:
         print(f"stack construction failed: {exc}", file=sys.stderr)
         return 1
@@ -163,7 +163,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="gammastack",
         description="Exact certificates for group Lie bialgebra stacks and their quantizations",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
+    # accepted and ignored: no output depends on a seed, but bench/run.py passes one
+    parser.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a problem file")

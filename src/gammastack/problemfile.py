@@ -176,6 +176,8 @@ def parse_problem(text: str) -> Problem:
                 if len(parts) != 2:
                     raise ProblemParseError("dim syntax: dim n", ln)
                 dim = _parse_int(parts[1], ln)
+                if labels and len(labels) != dim:
+                    raise ProblemParseError("label count does not match dim", ln)
             elif parts[0] == "labels":
                 labels = _distinct_labels(parts[1:], ln)
                 label_index = {l: i for i, l in enumerate(labels)}
@@ -226,7 +228,8 @@ def parse_problem(text: str) -> Problem:
             mat = actions.setdefault(g, {})
             for c_tok, i_tok in _groups(parts[3:], 2, syntax, ln):
                 c = _parse_scalar(c_tok, ln)
-                mat[(blabel(i_tok, ln), j)] = c
+                i = blabel(i_tok, ln)
+                mat[(i, j)] = mat.get((i, j), F(0)) + c
         elif kind == "twist":
             g = glabel(args[0], ln)
             if len(parts) != 4 or parts[0] != "term":
@@ -272,9 +275,11 @@ def parse_problem(text: str) -> Problem:
     if missing:
         raise ProblemParseError(f"[group] has no row for {missing[0]!r}", group_line)
     try:
+        group = FiniteGroup(group_labels, [rows[g] for g in range(len(group_labels))])
+    except ValueError as exc:
+        raise ProblemParseError(f"[group] table is not a group: {exc}", group_line)
+    try:
         lba = LieBialgebra(dim, labels, bracket, cobracket)
-        table = [rows[g] for g in range(len(group_labels))]
-        group = FiniteGroup(group_labels, table)
         ident = {
             g: [[F(int(i == j)) for j in range(dim)] for i in range(dim)]
             for g in range(len(group_labels))

@@ -475,9 +475,9 @@ def twist_residual_quantum(ctx: QueContext, f: HElement) -> HElement:
 def star_hbar_cocycle_residual(ctx: QueContext, f: HElement) -> HElement:
     """(-a)^{1,23} *_h (-a)^{2,3} *_h a^{1,2} *_h a^{12,3} for a = hbar log F.
 
-    Vanishing of this combination is the log form of the twist equation; it
-    is the verification mechanism used inside the admissibilization loop.
-    Exact modulo one hbar order lost to the rescaled bracket.
+    Vanishing of this combination is the log form of the twist equation;
+    `admissibilize` checks it once on its input, before its loop.  Exact
+    modulo one hbar order lost to the rescaled bracket.
     """
     a = ctx.hbar_log(f)
     out = ctx.star_hbar(ctx.coproduct_slot(a, 1).scale(-1), tensor_unit(a, 0).scale(-1))

@@ -53,6 +53,46 @@ def verify_twist_equation(ctx: PairingContext, f: TensorSeries) -> TensorSeries:
     return twist_defect(ctx, f, star=ctx.bch_star_dynkin)
 
 
+def _clear_by_degree(
+    x, residual, correct, first: int, N: int, name: str, obstruction: str, rng=None
+):
+    """Correct x degree by degree until residual(x) vanishes to degree N.
+
+    residual(x) must have no term below degree `first`.  At each degree its
+    part alpha is a reduced cocycle, solve_coboundary(alpha) gives beta with
+    d(beta) = alpha, and x becomes correct(x, beta).  A correction by s*beta
+    leaves alpha - s*d(beta) at degree deg and moves only degrees >= deg,
+    so s = +1 clears the degree (s = -1 would leave 2*alpha) and a degree
+    with a zero part is skipped.  A part that is not a reduced cocycle, is
+    obstructed (`obstruction` says why at degree `first`) or survives its
+    correction raises StackBuildError naming the degree.
+    """
+    res = residual(x)
+    low = [m for m in res.coeffs if monomial_degree(m) < first]
+    if low:
+        raise StackBuildError(f"{name} has a term below degree {first}: {sorted(low)[0]}")
+    for deg in range(first, N + 1):
+        alpha = res.homogeneous_part(deg)
+        if alpha.is_zero():
+            continue
+        try:
+            beta = solve_coboundary(alpha, rng=rng)
+        except CoboundaryObstruction as exc:
+            why = f": {obstruction}" if deg == first else ""
+            raise StackBuildError(f"{name} at degree {deg} is not a coboundary{why}") from exc
+        except ValueError as exc:
+            raise StackBuildError(
+                f"{name} at degree {deg} is not a reduced cocycle: {exc}"
+            ) from exc
+        x = correct(x, beta)
+        res = residual(x)
+        if any(monomial_degree(m) <= deg for m in res.coeffs):
+            raise StackBuildError(f"correction at degree {deg} leaves the degree-{deg} {name}")
+    if not res.is_zero():
+        raise StackBuildError(f"{name} nonzero at truncation")
+    return x
+
+
 def lift_twist(
     ctx: PairingContext,
     leading: TensorSeries,
@@ -60,48 +100,20 @@ def lift_twist(
 ) -> TensorSeries:
     """Inductive lift of a degree-(1,1) antisymmetric leading term to a twist.
 
-    Starts from the leading term itself; at each total degree the defect is
-    checked to be a reduced cocycle (with vanishing alternation in degree
-    3), its coboundary is solved, and the lift is corrected.  The degree-deg
-    part of the defect of f + s*beta is alpha - s*d(beta), and
-    solve_coboundary(alpha) gives d(beta) = alpha, so s = +1 clears the
-    degree and s = -1 would leave 2*alpha != 0.  Only + is taken; a defect
-    that is not a reduced cocycle, or survives the correction, raises
-    StackBuildError naming the degree.
+    Starts from the leading term itself and clears the twist defect from
+    degree 3 on (`_clear_by_degree`), adding each coboundary to the lift.
+    At degree 3 the defect must have vanishing alternation.
     """
     for m in leading.coeffs:
         if monomial_degree(m) != 2 or any(len(s) != 1 for s in m):
             raise ValueError("leading term must be homogeneous of degree (1,1)")
-    f = leading
-    N = ctx.trunc
-    defect = twist_defect(ctx, f)
-    for deg in range(3, N + 1):
-        low = [m for m in defect.coeffs if monomial_degree(m) < deg]
-        if low:
-            raise StackBuildError(f"defect below degree {deg} was not cleared: {sorted(low)[0]}")
-        alpha = defect.homogeneous_part(deg)
-        if alpha.is_zero():
-            continue
-        try:
-            beta = solve_coboundary(alpha, rng=rng)
-        except CoboundaryObstruction as exc:
-            if deg == 3:
-                raise StackBuildError(
-                    "nonzero alternating obstruction at degree 3: input violates "
-                    "the cyclic twist-compatibility condition"
-                ) from exc
-            raise StackBuildError(f"inconsistent coboundary system at degree {deg}") from exc
-        except ValueError as exc:
-            raise StackBuildError(
-                f"defect at degree {deg} is not a reduced cocycle: {exc}"
-            ) from exc
-        f = f + beta
-        defect = twist_defect(ctx, f)
-        if any(monomial_degree(m) <= deg for m in defect.coeffs):
-            raise StackBuildError(f"coboundary correction leaves the degree-{deg} defect")
-    if not defect.is_zero():
-        raise StackBuildError("twist defect nonzero at truncation")
-    return f
+    obstruction = (
+        "nonzero alternation, so the input violates the cyclic twist-compatibility condition"
+    )
+    return _clear_by_degree(
+        leading, lambda f: twist_defect(ctx, f), lambda f, beta: f + beta,
+        3, ctx.trunc, "twist defect", obstruction, rng,
+    )
 
 
 def gauge_act(ctx: PairingContext, lam: TensorSeries, f: TensorSeries) -> TensorSeries:
@@ -119,45 +131,18 @@ def solve_gauge(
 ) -> TensorSeries:
     """Find lambda in m^2 with gauge_act(lambda, f_src) = f_dst exactly.
 
-    Solved degree by degree through the k=1 coboundary problem; a degree-2
-    mismatch is an obstruction (the leading terms must already agree).  As
-    in lift_twist, the degree-deg part of the new residual is rho - s*d(step)
-    with d(step) = rho from solve_coboundary(rho), so only s = +1 can
-    clear the degree.  A residual that is not a reduced cocycle (f_src is not
-    a twist) or survives the correction raises StackBuildError naming the
-    degree.  The value gauge_act(lambda, f_src), and its difference from
-    f_dst, carry over to the next degree and to the final check, so each
-    candidate is acted on once.
+    Clears the residual f_dst - gauge_act(lambda, f_src) from degree 2 on
+    (`_clear_by_degree`) through the k=1 coboundary problem, with
+    lambda <- beta * lambda; a degree-2 obstruction means the leading terms
+    differ, and a residual that is not a reduced cocycle means f_src is not
+    a twist.
     """
-    lam = ctx.zero(1)
-    N = ctx.trunc
-    cur = gauge_act(ctx, lam, f_src)
-    diff = f_dst - cur
-    for deg in range(2, N + 1):
-        rho = diff.homogeneous_part(deg)
-        if rho.is_zero():
-            continue
-        low = [m for m in diff.coeffs if monomial_degree(m) < deg]
-        if low:
-            raise StackBuildError(f"gauge residual below degree {deg} not cleared")
-        try:
-            step = solve_coboundary(rho)
-        except CoboundaryObstruction as exc:
-            raise StackBuildError(
-                f"gauge matching obstructed at degree {deg} (leading terms differ?)"
-            ) from exc
-        except ValueError as exc:
-            raise StackBuildError(
-                f"gauge residual at degree {deg} is not a reduced cocycle: {exc}"
-            ) from exc
-        lam = ctx.bch_star(step, lam) if not lam.is_zero() else step
-        cur = gauge_act(ctx, lam, f_src)
-        diff = f_dst - cur
-        if any(monomial_degree(m) <= deg for m in diff.coeffs):
-            raise StackBuildError(f"gauge correction fails at degree {deg}")
-    if cur != f_dst:
-        raise StackBuildError("gauge connection incomplete at truncation")
-    return lam
+    return _clear_by_degree(
+        ctx.zero(1),
+        lambda lam: f_dst - gauge_act(ctx, lam, f_src),
+        lambda lam, beta: ctx.bch_star(beta, lam) if not lam.is_zero() else beta,
+        2, ctx.trunc, "gauge residual", "the leading terms differ",
+    )
 
 
 # -- algebra isomorphisms -------------------------------------------------------
@@ -559,7 +544,7 @@ def _cocycle_residual(
     return lhs - rhs
 
 
-def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificate:
+def verify_stack(G: GammaLieBialgebra, N: int) -> StackCertificate:
     """Build all lifts, isomorphisms and gauge elements; verify every stack
     identity to degree N with the independent star kernel.
 
@@ -585,7 +570,7 @@ def verify_stack(G: GammaLieBialgebra, N: int, seed: int = 0) -> StackCertificat
         delta = build_delta_gamma(G, g)
         key = frozenset(delta.cobracket.items())
         if key not in by_cobracket:
-            by_cobracket[key] = PairingContext(delta, N, seed=seed)
+            by_cobracket[key] = PairingContext(delta, N)
         contexts[g] = by_cobracket[key]
     pairs = [(a, b) for a in grp.elements() for b in grp.elements()]
 

@@ -82,25 +82,33 @@ def test_ragged_entry_exit_2(tmp_path):
         ("sl2-que", "labels h e f", "labels h e e", 4),
         ("sl2-que", "labels e w w2 w3", "labels e w w2 w3 w3", 12),
         ("sl2-que", "row w = w w2 w3 e", "row w = w w2 w3", 14),
+        ("sl2-que", "row e = e w w2 w3", "row e = e e e e", (13, 11)),
+        ("axb", "dim 2\nlabels x y", "labels x y\ndim 3", (3, 4)),
     ],
     ids=["dim-trailing", "header-trailing", "twist-trailing", "rmatrix-trailing", "negative-hbar",
          "quantum-keyword", "word-not-pbw-ordered", "repeated-basis-label",
-         "repeated-group-label", "short-row"],
+         "repeated-group-label", "short-row", "table-not-a-group", "dim-after-labels"],
 )
 def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
     """Extra tokens, negative hbar powers, a quantum line that does not start
     with `term`, a word out of PBW order (f e = e f - h in U(sl2), so it
     cannot be reordered silently), a repeated label and a group row of the
-    wrong length exit 2 naming the line."""
+    wrong length exit 2 naming the line.  `line` is the line of `entry` (one
+    or more lines), or (that line, the line reported) when the error is
+    found later: a table that is not a group names the [group] header, and
+    a label count that does not match dim names the later of the two."""
+    edited, reported = line if isinstance(line, tuple) else (line, line)
     lines = data_path(f"{name}.glb").read_text(encoding="utf-8").splitlines()
-    assert lines.index(entry) + 1 == line
-    lines[line - 1] = replacement
+    entry_lines = entry.split("\n")
+    assert lines[edited - 1 : edited - 1 + len(entry_lines)] == entry_lines
+    assert lines.index(entry_lines[0]) + 1 == edited
+    lines[edited - 1 : edited - 1 + len(entry_lines)] = replacement.split("\n")
     bad = tmp_path / "bad.glb"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run_cli("validate", str(bad))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {bad}: line {line}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: line {reported}: ") and err.count("\n") == 1
 
 
 def test_package_exports_resolve():

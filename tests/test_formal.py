@@ -65,8 +65,8 @@ def test_delta_gamma_abelian_trivial_f():
 # -- contexts -------------------------------------------------------------------
 
 
-def ctx_for(lba, N=4, seed=0):
-    return PairingContext(lba, N, seed=seed)
+def ctx_for(lba, N=4):
+    return PairingContext(lba, N)
 
 
 def test_product_unit_and_commutativity():

@@ -95,6 +95,15 @@ def test_missing_group_row_names_the_element():
     assert exc.value.line == 11
 
 
+def test_action_sums_a_repeated_term():
+    """A repeated term in [action g] adds, as in every other section: the
+    map x = 1 x -2 x is theta_s(x) = -x."""
+    text = data_path("axb.glb").read_text(encoding="utf-8")
+    problem = parse_problem(text.replace("map x = -1 x", "map x = 1 x -2 x"))
+    assert problem.G.theta == parse_problem(text).G.theta
+    assert problem.G.theta[1][0][0] == -1
+
+
 def test_corrupted_twist_named_condition():
     """Mutating f_s in axb.glb is rejected naming the violated condition."""
     text = data_path("axb.glb").read_text(encoding="utf-8")

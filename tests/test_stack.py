@@ -391,6 +391,24 @@ def test_lift_reports_a_defect_that_is_not_a_reduced_cocycle(monkeypatch, defect
         lift_twist(ctx, leading_term(G, 0, 1, 4))
 
 
+def test_lift_and_gauge_reject_a_residual_below_the_first_degree(monkeypatch):
+    """The degree solver checks once, before its loop, that the residual has
+    no term below its first degree: 3 for the twist defect, 2 for the gauge
+    residual."""
+    import gammastack.stack as stack
+
+    G, ctx = axb_ctx(0, 4)
+    leading = leading_term(G, 0, 1, 4)
+    f = lift_twist(ctx, leading)
+    low_target = f + SparseTensor(2, 4, {((0,), ()): F(1)})
+    with pytest.raises(StackBuildError, match="gauge residual has a term below degree 2"):
+        solve_gauge(ctx, f, low_target)
+    low_defect = SparseTensor(3, 4, {((0,), (1,), ()): F(1)})
+    monkeypatch.setattr(stack, "twist_defect", lambda ctx, f, star=None: low_defect)
+    with pytest.raises(StackBuildError, match="twist defect has a term below degree 3"):
+        lift_twist(ctx, leading)
+
+
 def test_residual_entry_reads_zero_only_when_every_part_vanishes():
     """Per-generator parts that cancel in the sum still fail the entry: with
     j_ab = j_bc = id and u = 0, j_ac = (x + x y, y - x y) has composition
@@ -543,3 +561,23 @@ def test_build_failure_names_the_first_triple_sharing_the_input(monkeypatch):
     with pytest.raises(StackBuildError) as info:
         stack.verify_stack(G, N)
     assert str(info.value) == f"forced failure (at triple {sharing[0]})"
+
+
+@pytest.mark.parametrize("problem, N", [("sl2-weyl.glb", 3), ("axb.glb", 4)])
+def test_truncation_restriction(problem, N):
+    """The stack data built at N + 1 and cut to degree N is the data built
+    at N: lifts, iso generator images and gauges each solve their degree-d
+    part from parts of degree <= d only."""
+    G = bundled(problem)
+    low, high = verify_stack(G, N), verify_stack(G, N + 1)
+
+    def cut(s):
+        return SparseTensor(s.slots, N, s.coeffs)
+
+    assert low.ok and high.ok
+    assert any(monomial_degree(m) > N for f in high.lifts.values() for m in f.coeffs)
+    assert {ab: cut(f) for ab, f in high.lifts.items()} == low.lifts
+    assert {ab: [cut(img) for img in j.images] for ab, j in high.isos.items()} == {
+        ab: j.images for ab, j in low.isos.items()
+    }
+    assert {abc: cut(u) for abc, u in high.gauges.items()} == low.gauges
