@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 from gammastack.liealg import GammaLieBialgebra, LieBialgebra, Tensor2, delta_gamma_tensor
 from gammastack.tensors import (
@@ -286,9 +286,11 @@ class PairingContext:
         self._pbw: list[Word] = [w for d in range(trunc + 1) for w in sorted_words(self.dim, d)]
         self._coproduct_table: dict[Word, dict[tuple[Word, Word], Fraction]] | None = None
         self._bracket_table: dict[tuple[Word, Word], dict[Word, Fraction]] | None = None
+        self._bracket_lcm = 1  # lcm of the bracket table's denominators
         # Delta^(k) of a word, Delta applied to the last slot, cut at trunc
         self.iterated_coproduct_word = IteratedCoproduct(self.coproduct_word, trunc)
-        self._mono_poisson_cache: dict[tuple[Monomial, Monomial, int], dict[Monomial, Fraction]] = {}
+        # a monomial pair's bracket as integer numerators over _bracket_lcm
+        self._mono_poisson_cache: dict[tuple[Monomial, Monomial, int], dict[Monomial, int]] = {}
         self._spot_check_associativity()
 
     def _spot_check_associativity(self):
@@ -339,7 +341,7 @@ class PairingContext:
         transposed bracket of g): delta(uv) = delta(u) Delta(v) + Delta(u)
         delta(v) with v the last letter.  The head u is shorter, so in
         `_pbw` order it is always done first, and each pair's words come in
-        `_pbw` order.
+        `_pbw` order.  Also records the lcm of the table's denominators.
         """
         straighten = self.dual.straighten
         deltas: dict[Word, dict[tuple[Word, Word], Fraction]] = {}
@@ -368,6 +370,7 @@ class PairingContext:
                     f = multiset_factor(a) * multiset_factor(b)
                     table.setdefault((a, b), {})[word] = c * f / mw
         self._bracket_table = table
+        self._bracket_lcm = lcm(*(c.denominator for row in table.values() for c in row.values()))
 
     def pair_bracket(self, a: Word, b: Word) -> dict[Word, Fraction]:
         """{m_a, m_b}_gamma for 1-slot monomials, as {word: coeff}."""
@@ -396,28 +399,48 @@ class PairingContext:
         A monomial pair whose degrees sum to more than trunc + 1 is skipped
         unseen: pair_bracket only returns words of length at least
         len(a) + len(b) - 1, so the pair has no term within the truncation.
+        The sum runs in int: a and b are scaled by the lcms of their own
+        denominators, and each cached pair bracket holds its numerators over
+        the table's denominator lcm.  A term that cancels is dropped and
+        re-added at the end if it comes back, as `_add_into` does.
         """
         if a.slots != b.slots:
             raise ValueError("slot mismatch in poisson bracket")
+        if self._bracket_table is None:
+            self._build_bracket_table()
         n = a.slots
         cache = self._mono_poisson_cache
-        b_terms = [(m2, c2, monomial_degree(m2)) for m2, c2 in b.coeffs.items()]
-        out: dict[Monomial, Fraction] = {}
+        da = lcm(*(c.denominator for c in a.coeffs.values()))
+        db = lcm(*(c.denominator for c in b.coeffs.values()))
+        b_terms = [
+            (m2, c2.numerator * (db // c2.denominator), monomial_degree(m2))
+            for m2, c2 in b.coeffs.items()
+        ]
+        out: dict[Monomial, int] = {}
         for m1, c1 in a.coeffs.items():
+            n1 = c1.numerator * (da // c1.denominator)
             room = self.trunc + 1 - monomial_degree(m1)
-            for m2, c2, d2 in b_terms:
+            for m2, n2, d2 in b_terms:
                 if d2 > room:
                     continue
                 key = (m1, m2, n)
                 cached = cache.get(key)
                 if cached is None:
-                    cached = self._mono_pair_poisson(m1, m2, n)
-                    cache[key] = cached
+                    scale = self._bracket_lcm
+                    cached = cache[key] = {
+                        m: c.numerator * (scale // c.denominator)
+                        for m, c in self._mono_pair_poisson(m1, m2, n).items()
+                    }
                 if cached:
-                    c = c1 * c2
+                    c = n1 * n2
                     for m, cm in cached.items():
-                        _add_into(out, m, c * cm)
-        return SparseTensor._trusted(self.trunc, n, out)
+                        v = out.get(m, 0) + c * cm
+                        if v:
+                            out[m] = v
+                        else:
+                            del out[m]
+        den = da * db * self._bracket_lcm
+        return SparseTensor._trusted(self.trunc, n, {m: Fraction(v, den) for m, v in out.items()})
 
     def _mono_pair_poisson(self, m1: Monomial, m2: Monomial, n: int) -> dict[Monomial, Fraction]:
         out: dict[Monomial, Fraction] = {}

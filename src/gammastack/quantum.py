@@ -189,6 +189,8 @@ class QueContext:
         # content of its generator images), see `_word_table`
         self._delta_word_cache: dict[Word, Table] = {(): _unit_table(2)}
         self._endo_word_cache: dict[tuple, dict[Word, Table]] = {}
+        # image ids -> (images kept alive, their word cache)
+        self._endo_by_ids: dict[tuple[int, ...], tuple[tuple[HElement, ...], dict[Word, Table]]] = {}
         self._theta_images: dict[int, list[HElement]] = {}
         # ambient coproduct: generator images (2-slot); None = cocommutative.
         # images are rebound to this context, so they may come from a probe
@@ -352,10 +354,15 @@ class QueContext:
 
     def apply_endo(self, images: list[HElement], x: HElement) -> HElement:
         """Apply the algebra endomorphism with given generator images, slotwise."""
-        # cache by image content: image lists are rebuilt freely by callers
-        image_key = tuple(frozenset(img.coeffs.items()) for img in images)
-        cache = self._endo_word_cache.setdefault(image_key, {(): _unit_table(1)})
-        image = partial(self._word_table, cache, images)
+        # cache by image content: image lists are rebuilt freely by callers,
+        # so each tuple of image objects is mapped to its content key once
+        ids = tuple(map(id, images))
+        hit = self._endo_by_ids.get(ids)
+        if hit is None:
+            image_key = tuple(frozenset(img.coeffs.items()) for img in images)
+            cache = self._endo_word_cache.setdefault(image_key, {(): _unit_table(1)})
+            hit = self._endo_by_ids[ids] = (tuple(images), cache)
+        image = partial(self._word_table, hit[1], images)
         return spread(self, x.slots, ((a, c, map(image, sl)) for (a, sl), c in x.coeffs.items()))
 
     def invert_endo(self, images: list[HElement], leading: list[HElement]) -> list[HElement]:

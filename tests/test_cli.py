@@ -19,10 +19,10 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text(encoding="utf-8"))
 
 
-def run_cli(*args) -> tuple[int, str, str]:
+def run_cli(*args, module: str = "gammastack.cli") -> tuple[int, str, str]:
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "gammastack.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -48,6 +48,20 @@ def test_validate_corrupted_exits_1_naming_condition(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "condition-a" in out
+
+
+def test_package_main_is_the_cli(tmp_path):
+    """`python -m gammastack` prints the same bytes and exits with the same
+    code as `python -m gammastack.cli`: 0, 1 and 2."""
+    bad = tmp_path / "bad.glb"
+    text = data_path("axb.glb").read_text(encoding="utf-8")
+    bad.write_text(text.replace("term -2 x y", "term -1 x y"), encoding="utf-8")
+    codes = []
+    for args in (("stack", "axb.glb"), ("validate", str(bad)), ("validate", "missing.glb")):
+        expected = run_cli(*args)
+        assert run_cli(*args, module="gammastack") == expected
+        codes.append(expected[0])
+    assert codes == [0, 1, 2]
 
 
 def test_parse_error_exit_2(tmp_path):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -703,6 +703,80 @@ def test_capped_star_products_equal_uncapped(operands):
     star = ctx.bch_star(f, g)
     assert star == bch_apply(ctx.poisson, f, g, ctx.trunc)
     assert star == ctx.bch_star_dynkin(f, g)
+
+
+def fraction_poisson(ctx: PairingContext, a: SparseTensor, b: SparseTensor) -> dict:
+    """Reference Poisson bracket: the Fraction sum over every monomial pair."""
+    out: dict = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            for m, c in ctx._mono_pair_poisson(m1, m2, a.slots).items():
+                _add_into(out, m, c1 * c2 * c)
+    return out
+
+
+@pytest.mark.parametrize("N", [5, 6])
+@pytest.mark.parametrize("gamma", [0, 1])
+@pytest.mark.parametrize("name", ["axb", "sl2-weyl"])
+def test_integer_poisson_equals_fraction_sum(name, gamma, N):
+    """The integer-numerator kernel returns the Fraction sum, term order
+    included, on operands whose denominators are coprime to each other."""
+    ctx = star_context(name, gamma, N)
+    rng = random.Random(N * 10 + gamma)
+
+    def series(n, denominators):
+        coeffs = {}
+        for _ in range(6):
+            total = rng.randint(1, N)
+            cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+            lengths = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+            mono = tuple(tuple(sorted(rng.choices(range(ctx.dim), k=k))) for k in lengths)
+            coeffs[mono] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice(denominators))
+        return SparseTensor(n, N, coeffs)
+
+    for n in (1, 2, 3):
+        a, b = series(n, [3, 7, 9]), series(n, [4, 5, 11])
+        got = ctx.poisson(a, b)
+        assert list(got.coeffs.items()) == list(fraction_poisson(ctx, a, b).items())
+    table = ctx._bracket_table
+    assert ctx._bracket_lcm == lcm(*(c.denominator for row in table.values() for c in row.values()))
+    if N == 6:
+        assert ctx._bracket_lcm == 720
+
+
+def test_integer_poisson_readds_a_cancelled_term_at_the_end():
+    """{y, x}, {xy, x} and {x^2 y, x} all hold x^3 on axb; the first two
+    cancel it, the third brings it back after x^4 and x^5."""
+    ctx = star_context("axb", 1, 5)
+    a = SparseTensor(1, 5, {((1,),): F(3, 5), ((0, 1),): F(-1, 5), ((0, 0, 1),): F(1, 7)})
+    b = SparseTensor(1, 5, {((0,),): F(2, 3)})
+    got = ctx.poisson(a, b)
+    assert list(got.coeffs.items()) == list(fraction_poisson(ctx, a, b).items())
+    assert list(got.coeffs) == [((0,),), ((0, 0),), ((0, 0, 0, 0),), ((0, 0, 0, 0, 0),), ((0, 0, 0),)]
+    assert got.coeffs[((0, 0, 0),)] == F(-2, 21)
+
+
+def test_poisson_holds_one_integer_cache():
+    """Every cached pair bracket is a dict of nonzero ints, the Fraction pair
+    bracket times the table's denominator lcm, and no other attribute of the
+    context is keyed by monomial pairs."""
+    ctx = PairingContext(build_delta_gamma(sl2_weyl_gamma(), 1), 4)
+    rng = random.Random(5)
+    monos = [(w,) for w in ctx._pbw if 2 <= len(w) <= 3]
+    f = ctx.series({m: F(rng.randint(1, 3), rng.choice([2, 3, 5])) for m in rng.sample(monos, 4)})
+    g = ctx.series({m: F(rng.randint(-3, -1), rng.choice([7, 11])) for m in rng.sample(monos, 4)})
+    ctx.bch_star(f, g)
+    cache = ctx._mono_poisson_cache
+    assert cache
+    for (m1, m2, n), numerators in cache.items():
+        assert isinstance(numerators, dict)
+        assert all(type(v) is int and v for v in numerators.values())
+        reference = ctx._mono_pair_poisson(m1, m2, n)
+        assert numerators == {m: c * ctx._bracket_lcm for m, c in reference.items()}
+    keyed_by_pairs = [
+        name for name, value in vars(ctx).items() if isinstance(value, dict) and cache.keys() & value.keys()
+    ]
+    assert keyed_by_pairs == ["_mono_poisson_cache"]
 
 
 # -- ad_star ---------------------------------------------------------------------
