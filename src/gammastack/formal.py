@@ -37,6 +37,7 @@ from gammastack.tensors import (
 )
 
 Word = tuple[int, ...]
+PairMemo = dict[tuple[Monomial, Monomial], dict[Monomial, int]]  # {m1, m2} as numerators
 
 
 def build_delta_gamma(G: GammaLieBialgebra, gamma: int) -> LieBialgebra:
@@ -284,14 +285,13 @@ class PairingContext:
         # U(g*_gamma): the bracket of g*_gamma is the transposed cobracket
         self.dual = lba_gamma.dual()
         self._pbw: list[Word] = [w for d in range(trunc + 1) for w in sorted_words(self.dim, d)]
-        self._coproduct_table: dict[Word, dict[tuple[Word, Word], Fraction]] | None = None
-        self._bracket_table: dict[tuple[Word, Word], dict[Word, Fraction]] | None = None
-        self._bracket_lcm = 1  # lcm of the bracket table's denominators
+        self._spot_check_associativity()
+        self._coproduct_table = self._build_coproduct_table()
         # Delta^(k) of a word, Delta applied to the last slot, cut at trunc
         self.iterated_coproduct_word = IteratedCoproduct(self.coproduct_word, trunc)
-        # a monomial pair's bracket as integer numerators over _bracket_lcm
-        self._mono_poisson_cache: dict[tuple[Monomial, Monomial, int], dict[Monomial, int]] = {}
-        self._spot_check_associativity()
+        # {m1, m2} of each monomial pair as integer numerators over
+        # _bracket_lcm, seeded with the 1-slot entries of the delta_U table
+        self._bracket_lcm, self._poisson_memo = self._build_bracket_table()
 
     def _spot_check_associativity(self):
         rng = random.Random(0)
@@ -314,7 +314,7 @@ class PairingContext:
 
     # -- coproduct -------------------------------------------------------------
 
-    def _build_coproduct_table(self):
+    def _build_coproduct_table(self) -> dict[Word, dict[tuple[Word, Word], Fraction]]:
         table: dict[Word, dict[tuple[Word, Word], Fraction]] = {}
         for b1 in self._pbw:
             for b2 in self._pbw:
@@ -324,28 +324,27 @@ class PairingContext:
                 # each (b1, b2) meets each word of its product once
                 for w, c in self.dual.straighten(b1 + b2).items():
                     table.setdefault(w, {})[(b1, b2)] = c * multiset_factor(w) / denom
-        self._coproduct_table = table
+        return table
 
     def coproduct_word(self, word: Word) -> dict[tuple[Word, Word], Fraction]:
         """Delta_gamma of a 1-slot monomial as {(left word, right word): coeff}."""
-        if self._coproduct_table is None:
-            self._build_coproduct_table()
         return self._coproduct_table.get(word, {})
 
     # -- Poisson bracket: the transposed co-Poisson cobracket of U(g*_gamma) ---
 
-    def _build_bracket_table(self):
-        """delta_U of every PBW word, transposed into {(a, b): {word: coeff}}.
+    def _build_bracket_table(self) -> tuple[int, PairMemo]:
+        """delta_U of every PBW word, transposed into the 1-slot brackets.
 
         delta_U is the coderivation extending the cobracket of g*_gamma (the
         transposed bracket of g): delta(uv) = delta(u) Delta(v) + Delta(u)
         delta(v) with v the last letter.  The head u is shorter, so in
         `_pbw` order it is always done first, and each pair's words come in
-        `_pbw` order.  Also records the lcm of the table's denominators.
+        `_pbw` order.  Returns the lcm L of the bracket's denominators and
+        {((a,), (b,)): {(word,): numerator over L}}.
         """
         straighten = self.dual.straighten
         deltas: dict[Word, dict[tuple[Word, Word], Fraction]] = {}
-        table: dict[tuple[Word, Word], dict[Word, Fraction]] = {}
+        table: dict[tuple[Monomial, Monomial], dict[Monomial, Fraction]] = {}
         for word in self._pbw[1:]:  # the empty word has delta 0
             dv = {((a,), (b,)): c for (a, b), c in self.dual.cobracket_tensor(word[-1]).items()}
             if len(word) == 1:
@@ -368,15 +367,9 @@ class PairingContext:
             for (a, b), c in delta.items():
                 if c:
                     f = multiset_factor(a) * multiset_factor(b)
-                    table.setdefault((a, b), {})[word] = c * f / mw
-        self._bracket_table = table
-        self._bracket_lcm = lcm(*(c.denominator for row in table.values() for c in row.values()))
-
-    def pair_bracket(self, a: Word, b: Word) -> dict[Word, Fraction]:
-        """{m_a, m_b}_gamma for 1-slot monomials, as {word: coeff}."""
-        if self._bracket_table is None:
-            self._build_bracket_table()
-        return self._bracket_table.get((a, b), {})
+                    table.setdefault(((a,), (b,)), {})[(word,)] = c * f / mw
+        L = lcm(*(c.denominator for row in table.values() for c in row.values()))
+        return L, {key: {m: int(c * L) for m, c in row.items()} for key, row in table.items()}
 
     # -- series-level operations ------------------------------------------------
 
@@ -397,19 +390,17 @@ class PairingContext:
         """Product-Poisson bracket on n-slot series.
 
         A monomial pair whose degrees sum to more than trunc + 1 is skipped
-        unseen: pair_bracket only returns words of length at least
+        unseen: a 1-slot bracket {a, b} only holds words of length at least
         len(a) + len(b) - 1, so the pair has no term within the truncation.
         The sum runs in int: a and b are scaled by the lcms of their own
-        denominators, and each cached pair bracket holds its numerators over
-        the table's denominator lcm.  A term that cancels is dropped and
+        denominators, and each pair's bracket in `_poisson_memo` holds its
+        numerators over _bracket_lcm.  A term that cancels is dropped and
         re-added at the end if it comes back, as `_add_into` does.
         """
         if a.slots != b.slots:
             raise ValueError("slot mismatch in poisson bracket")
-        if self._bracket_table is None:
-            self._build_bracket_table()
         n = a.slots
-        cache = self._mono_poisson_cache
+        memo = self._poisson_memo
         da = lcm(*(c.denominator for c in a.coeffs.values()))
         db = lcm(*(c.denominator for c in b.coeffs.values()))
         b_terms = [
@@ -423,14 +414,9 @@ class PairingContext:
             for m2, n2, d2 in b_terms:
                 if d2 > room:
                     continue
-                key = (m1, m2, n)
-                cached = cache.get(key)
+                cached = memo.get((m1, m2))
                 if cached is None:
-                    scale = self._bracket_lcm
-                    cached = cache[key] = {
-                        m: c.numerator * (scale // c.denominator)
-                        for m, c in self._mono_pair_poisson(m1, m2, n).items()
-                    }
+                    cached = memo[(m1, m2)] = self._mono_pair_poisson(m1, m2)
                 if cached:
                     c = n1 * n2
                     for m, cm in cached.items():
@@ -442,15 +428,18 @@ class PairingContext:
         den = da * db * self._bracket_lcm
         return SparseTensor._trusted(self.trunc, n, {m: Fraction(v, den) for m, v in out.items()})
 
-    def _mono_pair_poisson(self, m1: Monomial, m2: Monomial, n: int) -> dict[Monomial, Fraction]:
-        out: dict[Monomial, Fraction] = {}
+    def _mono_pair_poisson(self, m1: Monomial, m2: Monomial) -> dict[Monomial, int]:
+        """{m1, m2} on n-slot monomials, numerators over _bracket_lcm: the sum
+        over slots s of the 1-slot bracket at s times the products elsewhere."""
+        memo = self._poisson_memo
+        out: dict[Monomial, int] = {}
         merged = tuple(merge_slot(a, b) for a, b in zip(m1, m2))
         base_deg = sum(len(s) for s in merged)
-        for s in range(n):
+        for s in range(len(m1)):
             rest_deg = base_deg - len(merged[s])
             if rest_deg > self.trunc:
                 continue
-            for w, c in self.pair_bracket(m1[s], m2[s]).items():
+            for (w,), c in memo.get(((m1[s],), (m2[s],)), {}).items():
                 if rest_deg + len(w) > self.trunc:
                     continue
                 mono = merged[:s] + (w,) + merged[s + 1 :]

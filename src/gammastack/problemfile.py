@@ -176,10 +176,16 @@ def parse_problem(text: str) -> Problem:
                 if len(parts) != 2:
                     raise ProblemParseError("dim syntax: dim n", ln)
                 dim = _parse_int(parts[1], ln)
+                if dim < 1:
+                    raise ProblemParseError(f"dim must be at least 1, got {dim}", ln)
                 if labels and len(labels) != dim:
                     raise ProblemParseError("label count does not match dim", ln)
             elif parts[0] == "labels":
                 labels = _distinct_labels(parts[1:], ln)
+                # a word "1" is the unit and "|" separates tensor slots
+                for l in labels:
+                    if l == "1" or "|" in l:
+                        raise ProblemParseError(f"reserved basis label {l!r}", ln)
                 label_index = {l: i for i, l in enumerate(labels)}
                 if dim is not None and len(labels) != dim:
                     raise ProblemParseError("label count does not match dim", ln)
@@ -188,6 +194,8 @@ def parse_problem(text: str) -> Problem:
                 if len(parts) < 5 or parts[3] != "=":
                     raise ProblemParseError(syntax, ln)
                 i, j = blabel(parts[1], ln), blabel(parts[2], ln)
+                if i == j:
+                    raise ProblemParseError(f"label {parts[1]!r} paired with itself", ln)
                 for c_tok, k_tok in _groups(parts[4:], 2, syntax, ln):
                     c = _parse_scalar(c_tok, ln)
                     k = blabel(k_tok, ln)
@@ -201,6 +209,8 @@ def parse_problem(text: str) -> Problem:
                 for c_tok, i_tok, j_tok in _groups(parts[3:], 3, syntax, ln):
                     c = _parse_scalar(c_tok, ln)
                     i, j = blabel(i_tok, ln), blabel(j_tok, ln)
+                    if i == j:
+                        raise ProblemParseError(f"label {i_tok!r} paired with itself", ln)
                     cobracket[(k, i, j)] = cobracket.get((k, i, j), F(0)) + c
                     cobracket[(k, j, i)] = cobracket.get((k, j, i), F(0)) - c
             else:
@@ -236,6 +246,8 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemParseError("twist syntax: term c a b", ln)
             c = _parse_scalar(parts[1], ln)
             i, j = blabel(parts[2], ln), blabel(parts[3], ln)
+            if i == j:
+                raise ProblemParseError(f"label {parts[2]!r} paired with itself", ln)
             t = twists.setdefault(g, {})
             t[(i, j)] = t.get((i, j), F(0)) + c
             t[(j, i)] = t.get((j, i), F(0)) - c
@@ -280,19 +292,10 @@ def parse_problem(text: str) -> Problem:
         raise ProblemParseError(f"[group] table is not a group: {exc}", group_line)
     try:
         lba = LieBialgebra(dim, labels, bracket, cobracket)
-        ident = {
-            g: [[F(int(i == j)) for j in range(dim)] for i in range(dim)]
-            for g in range(len(group_labels))
-        }
         theta = {}
         for g in range(len(group_labels)):
-            if g in actions:
-                m = [[F(0)] * dim for _ in range(dim)]
-                for (i, j), c in actions[g].items():
-                    m[i][j] = c
-                theta[g] = m
-            else:
-                theta[g] = ident[g]
+            entries = actions[g] if g in actions else {(i, i): F(1) for i in range(dim)}
+            theta[g] = [[entries.get((i, j), F(0)) for j in range(dim)] for i in range(dim)]
         f = {g: twists.get(g, {}) for g in range(len(group_labels))}
         G = GammaLieBialgebra(lba, group, theta, f)
     except (KeyError, ValueError) as exc:

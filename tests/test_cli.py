@@ -98,19 +98,31 @@ def test_ragged_entry_exit_2(tmp_path):
         ("sl2-que", "row w = w w2 w3 e", "row w = w w2 w3", 14),
         ("sl2-que", "row e = e w w2 w3", "row e = e e e e", (13, 11)),
         ("axb", "dim 2\nlabels x y", "labels x y\ndim 3", (3, 4)),
+        ("sl2-que", "labels h e f", "labels 1 e f", 4),
+        ("sl2-que", "labels h e f", "labels h e f|g", 4),
+        ("sl2-weyl", "bracket e f = 1 h", "bracket e f = 1 h\nbracket e e = 1 h", (7, 8)),
+        ("sl2-weyl", "cobracket e = 1/2 h e", "cobracket e = 1/2 h e 1 e e", 8),
+        ("axb", "[twist s]", "[twist e]\nterm 1 x x\n[twist s]", (17, 18)),
+        ("axb", "dim 2\nlabels x y", "dim 0\nlabels", 3),
+        ("axb", "dim 2", "dim -1", 3),
     ],
     ids=["dim-trailing", "header-trailing", "twist-trailing", "rmatrix-trailing", "negative-hbar",
          "quantum-keyword", "word-not-pbw-ordered", "repeated-basis-label",
-         "repeated-group-label", "short-row", "table-not-a-group", "dim-after-labels"],
+         "repeated-group-label", "short-row", "table-not-a-group", "dim-after-labels",
+         "label-one", "label-with-bar", "diagonal-bracket", "diagonal-cobracket",
+         "diagonal-twist", "dim-zero", "dim-negative"],
 )
 def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
     """Extra tokens, negative hbar powers, a quantum line that does not start
     with `term`, a word out of PBW order (f e = e f - h in U(sl2), so it
     cannot be reordered silently), a repeated label and a group row of the
-    wrong length exit 2 naming the line.  `line` is the line of `entry` (one
-    or more lines), or (that line, the line reported) when the error is
-    found later: a table that is not a group names the [group] header, and
-    a label count that does not match dim names the later of the two."""
+    wrong length exit 2 naming the line.  So do a basis label that a word or
+    a tensor slot would misread ("1", "f|g"), an antisymmetric entry that
+    pairs a label with itself (c and -c on one key) and a dim below 1.
+    `line` is the line of `entry` (one or more lines), or (that line, the
+    line reported) when the error is on another line: a table that is not
+    a group names the [group] header, a label count that does not match dim
+    names the later of the two, and an added line names itself."""
     edited, reported = line if isinstance(line, tuple) else (line, line)
     lines = data_path(f"{name}.glb").read_text(encoding="utf-8").splitlines()
     entry_lines = entry.split("\n")

@@ -23,6 +23,7 @@ from gammastack.formal import (
 from gammastack.tensors import (
     SparseTensor,
     _add_into,
+    merge_slot,
     monomial_degree,
     multiset_factor,
     unit_monomial,
@@ -545,6 +546,17 @@ def test_bch_lemma_translation_invariance(n, fc, hc, gc, seed):
     assert all(monomial_degree(m) >= n + 1 for m in diff2.coeffs)
 
 
+def fraction_poisson(ctx: PairingContext, a: SparseTensor, b: SparseTensor) -> dict:
+    """Reference Poisson bracket: the Fraction sum over every monomial pair,
+    skipped or not, each pair bracket read as numerators over L."""
+    out: dict = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            for m, c in ctx._mono_pair_poisson(m1, m2).items():
+                _add_into(out, m, c1 * c2 * F(c, ctx._bracket_lcm))
+    return out
+
+
 @st.composite
 def poisson_operands(draw):
     """Truncation and two random series on 1-3 slots of mixed degree <= trunc."""
@@ -576,14 +588,9 @@ def test_poisson_pair_skip_changes_nothing(operands):
     ctx = ctx_for(sl2_lba(), N=trunc)
     a = SparseTensor(n, trunc, a_coeffs)
     b = SparseTensor(n, trunc, b_coeffs)
-    expected: dict = {}
-    for m1, c1 in a.coeffs.items():
-        for m2, c2 in b.coeffs.items():
-            for m, c in ctx._mono_pair_poisson(m1, m2, n).items():
-                _add_into(expected, m, c1 * c2 * c)
     got = ctx.poisson(a, b)
-    assert list(got.coeffs.items()) == list(expected.items())
-    for m1, m2, _ in ctx._mono_poisson_cache:
+    assert list(got.coeffs.items()) == list(fraction_poisson(ctx, a, b).items())
+    for m1, m2 in ctx._poisson_memo:
         assert monomial_degree(m1) + monomial_degree(m2) - 1 <= trunc
 
 
@@ -635,17 +642,24 @@ def per_pair_scan(ctx: PairingContext):
 @pytest.mark.parametrize("gamma", [0, 1])
 @pytest.mark.parametrize("name", ["axb", "sl2-weyl"])
 def test_bracket_table_equals_per_pair_scan(name, gamma, trunc):
-    """The transposed delta_U table gives every pair bracket within the
-    truncation with the values and the term order of the per-pair scan."""
+    """The transposed delta_U table seeds the Poisson memo with every 1-slot
+    pair bracket within the truncation: the per-pair scan's values times L,
+    the lcm of their denominators, as ints in the scan's term order."""
     G = axb_gamma() if name == "axb" else sl2_weyl_gamma()
     ctx = PairingContext(build_delta_gamma(G, gamma), trunc)
     expected = per_pair_scan(ctx)
+    memo, L = ctx._poisson_memo, ctx._bracket_lcm
+    denominators = []
     for a in ctx._pbw:
         for b in ctx._pbw:
             if len(a) + len(b) - 1 <= trunc:
-                got = ctx.pair_bracket(a, b)
-                assert list(got.items()) == list(expected(a, b).items()), (a, b)
-    assert all(len(a) + len(b) - 1 <= trunc for a, b in ctx._bracket_table)
+                want = expected(a, b)
+                denominators += [c.denominator for c in want.values()]
+                got = memo.get(((a,), (b,)), {})
+                assert all(type(v) is int for v in got.values())
+                assert list(got.items()) == [((w,), c * L) for w, c in want.items()], (a, b)
+    assert L == lcm(*denominators)
+    assert all(len(m1) == 1 and len(m1[0]) + len(m2[0]) - 1 <= trunc for m1, m2 in memo)
 
 
 def test_dynkin_star_agrees_on_series():
@@ -705,16 +719,6 @@ def test_capped_star_products_equal_uncapped(operands):
     assert star == ctx.bch_star_dynkin(f, g)
 
 
-def fraction_poisson(ctx: PairingContext, a: SparseTensor, b: SparseTensor) -> dict:
-    """Reference Poisson bracket: the Fraction sum over every monomial pair."""
-    out: dict = {}
-    for m1, c1 in a.coeffs.items():
-        for m2, c2 in b.coeffs.items():
-            for m, c in ctx._mono_pair_poisson(m1, m2, a.slots).items():
-                _add_into(out, m, c1 * c2 * c)
-    return out
-
-
 @pytest.mark.parametrize("N", [5, 6])
 @pytest.mark.parametrize("gamma", [0, 1])
 @pytest.mark.parametrize("name", ["axb", "sl2-weyl"])
@@ -738,10 +742,10 @@ def test_integer_poisson_equals_fraction_sum(name, gamma, N):
         a, b = series(n, [3, 7, 9]), series(n, [4, 5, 11])
         got = ctx.poisson(a, b)
         assert list(got.coeffs.items()) == list(fraction_poisson(ctx, a, b).items())
-    table = ctx._bracket_table
-    assert ctx._bracket_lcm == lcm(*(c.denominator for row in table.values() for c in row.values()))
+    L = ctx._bracket_lcm
+    assert L == lcm(*(F(v, L).denominator for row in ctx._poisson_memo.values() for v in row.values()))
     if N == 6:
-        assert ctx._bracket_lcm == 720
+        assert L == 720
 
 
 def test_integer_poisson_readds_a_cancelled_term_at_the_end():
@@ -757,26 +761,39 @@ def test_integer_poisson_readds_a_cancelled_term_at_the_end():
 
 
 def test_poisson_holds_one_integer_cache():
-    """Every cached pair bracket is a dict of nonzero ints, the Fraction pair
-    bracket times the table's denominator lcm, and no other attribute of the
-    context is keyed by monomial pairs."""
+    """Every memo entry, 1-slot or 2-slot, is a dict of nonzero ints: the
+    product rule over the per-pair scan's brackets times L, term order
+    included.  No other attribute of the context is keyed by pairs of
+    monomials or of words."""
     ctx = PairingContext(build_delta_gamma(sl2_weyl_gamma(), 1), 4)
     rng = random.Random(5)
     monos = [(w,) for w in ctx._pbw if 2 <= len(w) <= 3]
     f = ctx.series({m: F(rng.randint(1, 3), rng.choice([2, 3, 5])) for m in rng.sample(monos, 4)})
     g = ctx.series({m: F(rng.randint(-3, -1), rng.choice([7, 11])) for m in rng.sample(monos, 4)})
     ctx.bch_star(f, g)
-    cache = ctx._mono_poisson_cache
-    assert cache
-    for (m1, m2, n), numerators in cache.items():
-        assert isinstance(numerators, dict)
+    ctx.poisson(ctx.coproduct(f), ctx.coproduct(g))
+    scan = per_pair_scan(ctx)
+
+    def reference(m1, m2):
+        out: dict = {}
+        merged = tuple(merge_slot(a, b) for a, b in zip(m1, m2))
+        for s in range(len(m1)):
+            rest = monomial_degree(merged) - len(merged[s])
+            for w, c in scan(m1[s], m2[s]).items():
+                if rest + len(w) <= ctx.trunc:
+                    _add_into(out, merged[:s] + (w,) + merged[s + 1 :], c)
+        return out
+
+    memo, L = ctx._poisson_memo, ctx._bracket_lcm
+    assert {len(m1) for m1, _ in memo} == {1, 2}
+    for (m1, m2), numerators in memo.items():
         assert all(type(v) is int and v for v in numerators.values())
-        reference = ctx._mono_pair_poisson(m1, m2, n)
-        assert numerators == {m: c * ctx._bracket_lcm for m, c in reference.items()}
+        assert list(numerators.items()) == [(m, c * L) for m, c in reference(m1, m2).items()]
+    pairs = memo.keys() | {(m1[0], m2[0]) for m1, m2 in memo if len(m1) == 1}
     keyed_by_pairs = [
-        name for name, value in vars(ctx).items() if isinstance(value, dict) and cache.keys() & value.keys()
+        name for name, value in vars(ctx).items() if isinstance(value, dict) and pairs & value.keys()
     ]
-    assert keyed_by_pairs == ["_mono_poisson_cache"]
+    assert keyed_by_pairs == ["_poisson_memo"]
 
 
 # -- ad_star ---------------------------------------------------------------------

@@ -3,11 +3,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammastack.builtin import bundled_problems, write_bundled_data
 from gammastack.cli import data_path
 from gammastack.liealg import validate_gamma_lba
 from gammastack.problemfile import (
+    Problem,
     ProblemParseError,
     build_que_data,
     parse_problem,
@@ -173,3 +175,41 @@ def test_parse_error_malformed_entry(name, entry, replacement, message):
         parse_problem("\n".join(lines) + "\n")
     assert exc.value.line == ln
     assert message in str(exc.value)
+
+
+BUNDLED_LINES = {
+    name: data_path(f"{name}.glb").read_text(encoding="utf-8").splitlines()
+    for name in ("abelian", "axb", "sl2-weyl", "trivial-que", "abelian-que", "sl2-que")
+}
+
+
+@st.composite
+def one_line_mutation(draw):
+    """A bundled file with one line deleted, duplicated, or with one token
+    replaced by another token of the same file."""
+    lines = list(BUNDLED_LINES[draw(st.sampled_from(sorted(BUNDLED_LINES)))])
+    i = draw(st.integers(0, len(lines) - 1))
+    action = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+    if action == "delete":
+        del lines[i]
+    elif action == "duplicate":
+        lines.insert(i, lines[i])
+    elif lines[i].split():
+        toks = lines[i].split()
+        toks[draw(st.integers(0, len(toks) - 1))] = draw(
+            st.sampled_from(sorted({t for line in lines for t in line.split()}))
+        )
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@given(one_line_mutation())
+@settings(max_examples=500, deadline=None)
+def test_parse_problem_fuzz_raises_only_parse_errors(text):
+    """parse_problem returns a Problem or raises ProblemParseError, never
+    any other exception, on one-line mutations of the bundled files."""
+    try:
+        problem = parse_problem(text)
+    except ProblemParseError:
+        return
+    assert isinstance(problem, Problem)
