@@ -22,13 +22,13 @@ from math import factorial
 from gammastack.linalg import LinearSystem, Row, matrix_rank, solve_linear
 from gammastack.formal import cocommutative_splits
 from gammastack.tensors import (
-    IteratedCoproduct,
     Monomial,
     SparseTensor,
     _add_into,
+    coproduct_slot,
     monomial_degree,
     slot_monomials,
-    spread,
+    tensor_unit,
 )
 
 
@@ -48,31 +48,14 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-# the iterated undeformed coproduct: multiset splits, degree preserving
-cocommutative_coproduct = IteratedCoproduct(cocommutative_splits)
-
-
 def cohochschild_d(a: SparseTensor) -> SparseTensor:
     """d(a) = a^{2..k+1} + sum_i (-1)^i a^{1,..,(i i+1),..,k+1} + (-1)^{k+1} a^{1..k}."""
     k = a.slots
-    n = k + 1
-
-    def insert(subsets):
-        return spread(a, tuple(subsets), n, cocommutative_coproduct, a.trunc)
-
-    terms = insert((i,) for i in range(2, k + 2))
+    terms = tensor_unit(a, 0)
     for i in range(1, k + 1):
-        subsets = []
-        for j in range(1, k + 1):
-            if j < i:
-                subsets.append((j,))
-            elif j == i:
-                subsets.append((i, i + 1))
-            else:
-                subsets.append((j + 1,))
-        terms = terms + insert(subsets).scale((-1) ** i)
-    last = insert((i,) for i in range(1, k + 1))
-    return terms + last.scale((-1) ** (k + 1))
+        split = coproduct_slot(a, i - 1, cocommutative_splits, a.trunc)
+        terms = terms + split.scale((-1) ** i)
+    return terms + tensor_unit(a, k).scale((-1) ** (k + 1))
 
 
 def alt(a: SparseTensor) -> SparseTensor:

@@ -18,21 +18,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial, lcm
 
 from gammastack.liealg import GammaLieBialgebra, LieBialgebra, Tensor2, delta_gamma_tensor
 from gammastack.tensors import (
-    IteratedCoproduct,
     Monomial,
     SparseTensor,
     TensorSeries,
     _add_into,
+    coproduct_slot,
     monomial_degree,
     merge_slot,
     multiset_factor,
     sorted_words,
-    spread,
+    tensor_unit,
     unit_monomial,
 )
 
@@ -251,11 +252,15 @@ def bch_apply_recursion(bracket_fn, x, y, nmax: int):
     return total
 
 
-# -- cocommutative splitting (used for Delta^(k) leading parts & insertions) --
+# -- cocommutative splitting (the undeformed coproduct of a word) -------------
 
 
+@cache
 def cocommutative_splits(word: Word) -> dict[tuple[Word, Word], int]:
-    """Two-block multiset splittings of a sorted word, with multinomial counts."""
+    """Two-block multiset splittings of a sorted word, with multinomial counts.
+
+    Cached and shared by every caller, who only reads it.
+    """
     out: dict[tuple[Word, Word], int] = {((), ()): 1}
     for letter in word:
         nxt: dict[tuple[Word, Word], int] = {}
@@ -274,8 +279,8 @@ def cocommutative_splits(word: Word) -> dict[tuple[Word, Word], int]:
 class PairingContext:
     """Cached duality data for one deformed cobracket at one truncation.
 
-    Provides the coproduct, the Poisson bracket, insertions, and BCH star
-    products on truncated tensor series.  Immutable after construction.
+    Provides the coproduct (at any one slot), the Poisson bracket and BCH
+    star products on truncated tensor series.  Immutable after construction.
     """
 
     def __init__(self, lba_gamma: LieBialgebra, trunc: int):
@@ -287,8 +292,6 @@ class PairingContext:
         self._pbw: list[Word] = [w for d in range(trunc + 1) for w in sorted_words(self.dim, d)]
         self._spot_check_associativity()
         self._coproduct_table = self._build_coproduct_table()
-        # Delta^(k) of a word, Delta applied to the last slot, cut at trunc
-        self.iterated_coproduct_word = IteratedCoproduct(self.coproduct_word, trunc)
         # {m1, m2} of each monomial pair as integer numerators over
         # _bracket_lcm, seeded with the 1-slot entries of the delta_U table
         self._bracket_lcm, self._poisson_memo = self._build_bracket_table()
@@ -384,7 +387,14 @@ class PairingContext:
 
     def coproduct(self, a: TensorSeries) -> TensorSeries:
         """Delta_gamma on a 1-slot series, yielding a 2-slot series."""
-        return self.insert(a, ((1, 2),), 2)
+        if a.slots != 1:
+            raise ValueError(f"coproduct needs a 1-slot series, got {a.slots} slots")
+        return self.coproduct_slot(a, 0)
+
+    def coproduct_slot(self, a: TensorSeries, idx: int) -> TensorSeries:
+        """Delta_gamma applied to slot idx of a, the identity elsewhere:
+        a^{1,..,(idx+1 idx+2),..,n+1}."""
+        return coproduct_slot(a, idx, self.coproduct_word, self.trunc)
 
     def poisson(self, a: TensorSeries, b: TensorSeries) -> TensorSeries:
         """Product-Poisson bracket on n-slot series.
@@ -446,14 +456,6 @@ class PairingContext:
                 _add_into(out, mono, c)
         return out
 
-    def insert(self, a: TensorSeries, subsets: tuple[tuple[int, ...], ...], n: int) -> TensorSeries:
-        """Insertion a^{I_1,...,I_m} into n slots via iterated coproducts.
-
-        subsets are 1-based ordered index tuples, pairwise disjoint; slots
-        not covered receive the unit.
-        """
-        return spread(a, subsets, n, self.iterated_coproduct_word, self.trunc)
-
     # -- BCH star products ------------------------------------------------------
 
     def _require_m2(self, s: TensorSeries, what: str):
@@ -511,7 +513,7 @@ class PairingContext:
         """Delta_gamma(w) - w^1 * w^2 for w in m^2 (zero iff w = 0 truncated)."""
         self._require_m2(w, "grouplike_defect argument")
         lhs = self.coproduct(w)
-        rhs = self.bch_star(self.insert(w, ((1,),), 2), self.insert(w, ((2,),), 2))
+        rhs = self.bch_star(tensor_unit(w, 1), tensor_unit(w, 0))
         return lhs - rhs
 
     def counit(self, a: TensorSeries) -> Fraction:

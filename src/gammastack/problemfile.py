@@ -113,6 +113,12 @@ def parse_problem(text: str) -> Problem:
     trunc = {"degree": 4, "hbar": 3, "pbw": 4}
     q = QuantumSections()
     seen_quantum = False
+    single: set[str] = set()  # the single-valued entries seen so far
+
+    def once(entry: str, ln: int):
+        if entry in single:
+            raise ProblemParseError(f"repeated {entry} entry", ln)
+        single.add(entry)
 
     def glabel(tok: str, ln: int) -> int:
         if tok not in group_index:
@@ -173,6 +179,7 @@ def parse_problem(text: str) -> Problem:
         parts = line.split()
         if kind == "algebra":
             if parts[0] == "dim":
+                once("[algebra] dim", ln)
                 if len(parts) != 2:
                     raise ProblemParseError("dim syntax: dim n", ln)
                 dim = _parse_int(parts[1], ln)
@@ -181,6 +188,7 @@ def parse_problem(text: str) -> Problem:
                 if labels and len(labels) != dim:
                     raise ProblemParseError("label count does not match dim", ln)
             elif parts[0] == "labels":
+                once("[algebra] labels", ln)
                 labels = _distinct_labels(parts[1:], ln)
                 # a word "1" is the unit and "|" separates tensor slots
                 for l in labels:
@@ -217,6 +225,7 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemParseError(f"unknown algebra entry {parts[0]!r}", ln)
         elif kind == "group":
             if parts[0] == "labels":
+                once("[group] labels", ln)
                 group_labels = _distinct_labels(parts[1:], ln)
                 group_index = {l: i for i, l in enumerate(group_labels)}
                 group_line = section[2]
@@ -224,6 +233,7 @@ def parse_problem(text: str) -> Problem:
                 if len(parts) < 3 or parts[2] != "=":
                     raise ProblemParseError("row syntax: row g = g1 g2 ...", ln)
                 g = glabel(parts[1], ln)
+                once(f"[group] row {parts[1]}", ln)
                 if len(parts) - 3 != len(group_labels):
                     raise ProblemParseError(f"row needs {len(group_labels)} entries", ln)
                 rows[g] = [glabel(t, ln) for t in parts[3:]]
@@ -261,6 +271,7 @@ def parse_problem(text: str) -> Problem:
         elif kind == "truncation":
             if parts[0] not in trunc:
                 raise ProblemParseError(f"unknown truncation entry {parts[0]!r}", ln)
+            once(f"[truncation] {parts[0]}", ln)
             try:
                 (value,) = map(int, parts[1:])
             except ValueError:

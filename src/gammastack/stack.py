@@ -25,7 +25,7 @@ from gammastack.tensors import (
     monomial_degree,
     slot_monomials,
     sorted_words,
-    spread,
+    tensor_unit,
 )
 
 F = Fraction
@@ -41,11 +41,8 @@ class StackBuildError(RuntimeError):
 def twist_defect(ctx: PairingContext, f: TensorSeries, star=None) -> TensorSeries:
     """f^{1,2} * f^{12,3} - f^{2,3} * f^{1,23} with the context coproduct."""
     star = star or ctx.bch_star
-    f12 = ctx.insert(f, ((1,), (2,)), 3)
-    f12_3 = ctx.insert(f, ((1, 2), (3,)), 3)
-    f23 = ctx.insert(f, ((2,), (3,)), 3)
-    f1_23 = ctx.insert(f, ((1,), (2, 3)), 3)
-    return star(f12, f12_3) - star(f23, f1_23)
+    left = star(tensor_unit(f, 2), ctx.coproduct_slot(f, 0))
+    return left - star(tensor_unit(f, 0), ctx.coproduct_slot(f, 1))
 
 
 def verify_twist_equation(ctx: PairingContext, f: TensorSeries) -> TensorSeries:
@@ -118,12 +115,9 @@ def lift_twist(
 
 def gauge_act(ctx: PairingContext, lam: TensorSeries, f: TensorSeries) -> TensorSeries:
     """lambda . f = lambda^1 * lambda^2 * f * (-lambda)^{12}."""
-    lam1 = ctx.insert(lam, ((1,),), 2)
-    lam2 = ctx.insert(lam, ((2,),), 2)
-    lam12 = ctx.insert(lam, ((1, 2),), 2)
-    out = ctx.bch_star(f, lam12.scale(-1))
-    out = ctx.bch_star(lam2, out)
-    return ctx.bch_star(lam1, out)
+    out = ctx.bch_star(f, ctx.coproduct(lam).scale(-1))
+    out = ctx.bch_star(tensor_unit(lam, 0), out)
+    return ctx.bch_star(tensor_unit(lam, 1), out)
 
 
 def solve_gauge(
@@ -168,13 +162,26 @@ class AlgebraMap:
         return out
 
     def apply(self, s: TensorSeries) -> TensorSeries:
-        """Apply slotwise (j^{(x) n}) to an n-slot series."""
-        n = s.slots
-        return spread(s, tuple((i,) for i in range(1, n + 1)), n, self._expand, self.trunc)
+        """Apply slotwise (j^{(x) n}) to an n-slot series, cut at trunc.
 
-    def _expand(self, word: tuple[int, ...], _k: int) -> dict[Monomial, Fraction]:
-        """The image of a word as {(word,): coeff}: `spread`'s expand."""
-        return self.image_of_word(word).coeffs
+        Each monomial's slots are replaced one by one with their word
+        images; terms are summed in order: s's monomials, then the images'.
+        """
+        trunc = self.trunc
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in s.coeffs.items():
+            parts = [((), c, 0)]  # (slots so far, coefficient, their degree)
+            for word in mono:
+                image = self.image_of_word(word).coeffs.items()
+                parts = [
+                    (slots + m, cc if c2 == 1 else cc * c2, d + len(m[0]))
+                    for slots, cc, d in parts
+                    for m, c2 in image
+                    if d + len(m[0]) <= trunc
+                ]
+            for slots, cc, _ in parts:
+                _add_into(out, slots, cc)
+        return SparseTensor._trusted(trunc, s.slots, out)
 
     def inverse(self) -> AlgebraMap:
         """Inverse of a map whose linear part is invertible (here: identity)."""

@@ -10,7 +10,6 @@ subclass.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -272,92 +271,27 @@ class SparseTensor(SparseElement):
 # -- the tensor-slot calculus ----------------------------------------------------
 
 
-class IteratedCoproduct:
-    """Delta^(k) of a one-slot word from a two-way split Delta, memoised.
+def tensor_unit(a: SparseTensor, pos: int) -> SparseTensor:
+    """a with a unit slot inserted at position pos (pos = a.slots appends it)."""
+    coeffs = {m[:pos] + ((),) + m[pos:]: c for m, c in a.coeffs.items()}
+    return SparseTensor._trusted(a.trunc, a.slots + 1, coeffs)
 
-    split(word) is Delta(word) as {(left, right): coeff}; Delta^(1) is the
-    identity and Delta^(k) applies split to the last slot of Delta^(k-1).
-    Terms of total degree above trunc are cut.  The split itself must respect
-    the cut, as both splits in use do (a degree-preserving one with the
-    default trunc, and `PairingContext`'s table, which keeps only terms
-    within its truncation), so Delta^(2) is split(word) itself, not a copy.
-    Called as (word, k) it is an `expand` of `spread`.
+
+def coproduct_slot(a: SparseTensor, idx: int, split, trunc: int) -> SparseTensor:
+    """a with the word at slot idx split in two by split, cut above trunc.
+
+    split(word) is Delta(word) as {(left, right): coeff}, the unit in both
+    slots for the empty word.  Terms are summed in order: a's monomials,
+    then each one's split.
     """
-
-    def __init__(self, split, trunc: float = math.inf):
-        self.split = split
-        self.trunc = trunc
-        self._cache: dict[tuple[Word, int], dict[tuple[Word, ...], Fraction]] = {}
-
-    def __call__(self, word: Word, k: int) -> dict[tuple[Word, ...], Fraction]:
-        out = self._cache.get((word, k))
-        if out is None:
-            if k == 1:
-                out = {(word,): 1}
-            elif k == 2:
-                out = self.split(word)
-            else:
-                out = {}
-                for slots, c in self(word, k - 1).items():
-                    base = monomial_degree(slots[:-1])
-                    for (a, b), c2 in self.split(slots[-1]).items():
-                        if base + len(a) + len(b) <= self.trunc:
-                            _add_into(out, slots[:-1] + (a, b), c * c2)
-            self._cache[(word, k)] = out
-        return out
-
-
-def spread(
-    a: SparseTensor, subsets: tuple[tuple[int, ...], ...], n: int, expand, trunc: int
-) -> SparseTensor:
-    """a^{I_1,...,I_m}: spread the m slots of a into n slots, cut above trunc.
-
-    The word w in slot s is expanded by expand(w, k), k = len(I_s), into
-    {k sorted words: coeff}, and the k words fill the target slots I_s
-    (1-based, pairwise disjoint); slots no subset covers hold the unit.
-    expand must send the empty word to the unit in every target, as every
-    coproduct and algebra map does, so an empty word is skipped; a nonempty
-    word with no target slot kills its monomial (the counit).  This is the
-    insertion of `PairingContext.insert` (expand the iterated coproduct),
-    the co-Hochschild differential (the iterated multiset split) and the
-    slotwise algebra map j^{(x)n} (the word image, subsets (1),...,(n)).
-    """
-    if len(subsets) != a.slots:
-        raise ValueError("need one index subset per slot")
-    seen: set[int] = set()
-    for sub in subsets:
-        for i in sub:
-            if not 1 <= i <= n:
-                raise ValueError(f"target slot {i} out of range")
-            if i in seen:
-                raise ValueError("overlapping subsets")
-            seen.add(i)
     out: dict[Monomial, Fraction] = {}
     for mono, c in a.coeffs.items():
-        # a part is (slots, coeff, total degree); the subsets are disjoint,
-        # so each target slot is written once and needs no merge, and the
-        # coefficient 1 of an identity expansion (k = 1) costs no multiply
-        parts: list[tuple[list[Word], Fraction, int]] = [([()] * n, c, 0)]
-        for word, sub in zip(mono, subsets):
-            if not word:
-                continue
-            if not sub:
-                break
-            expanded = expand(word, len(sub)).items()
-            nxt = []
-            for slots, cc, deg in parts:
-                for words, c2 in expanded:
-                    d = deg + sum(map(len, words))
-                    if d <= trunc:
-                        new = slots.copy()
-                        for pos, w in zip(sub, words):
-                            new[pos - 1] = w
-                        nxt.append((new, cc if c2 == 1 else cc * c2, d))
-            parts = nxt
-        else:
-            for slots, cc, _ in parts:
-                _add_into(out, tuple(slots), cc)
-    return SparseTensor._trusted(trunc, n, out)
+        head, word, tail = mono[:idx], mono[idx], mono[idx + 1 :]
+        room = trunc - monomial_degree(mono) + len(word)
+        for (left, right), c2 in split(word).items():
+            if len(left) + len(right) <= room:
+                _add_into(out, head + (left, right) + tail, c if c2 == 1 else c * c2)
+    return SparseTensor._trusted(trunc, a.slots + 1, out)
 
 
 # The truncated function-algebra elements of the formal dual group are the

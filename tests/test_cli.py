@@ -105,12 +105,18 @@ def test_ragged_entry_exit_2(tmp_path):
         ("axb", "[twist s]", "[twist e]\nterm 1 x x\n[twist s]", (17, 18)),
         ("axb", "dim 2\nlabels x y", "dim 0\nlabels", 3),
         ("axb", "dim 2", "dim -1", 3),
+        ("axb", "cobracket y = 1 x y", "cobracket y = 1 x y\nlabels y x", (6, 7)),
+        ("axb", "labels e s", "labels e s\nlabels s e", (9, 10)),
+        ("axb", "dim 2", "dim 2\ndim 3", (3, 4)),
+        ("axb", "row s = s e", "row s = s e\nrow s = e s", (11, 12)),
+        ("axb", "degree 4", "degree 4\ndegree 5", (21, 22)),
     ],
     ids=["dim-trailing", "header-trailing", "twist-trailing", "rmatrix-trailing", "negative-hbar",
          "quantum-keyword", "word-not-pbw-ordered", "repeated-basis-label",
          "repeated-group-label", "short-row", "table-not-a-group", "dim-after-labels",
          "label-one", "label-with-bar", "diagonal-bracket", "diagonal-cobracket",
-         "diagonal-twist", "dim-zero", "dim-negative"],
+         "diagonal-twist", "dim-zero", "dim-negative", "repeated-algebra-labels",
+         "repeated-group-labels", "repeated-dim", "repeated-row", "repeated-degree"],
 )
 def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
     """Extra tokens, negative hbar powers, a quantum line that does not start
@@ -118,7 +124,9 @@ def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
     cannot be reordered silently), a repeated label and a group row of the
     wrong length exit 2 naming the line.  So do a basis label that a word or
     a tensor slot would misread ("1", "f|g"), an antisymmetric entry that
-    pairs a label with itself (c and -c on one key) and a dim below 1.
+    pairs a label with itself (c and -c on one key) and a dim below 1.  A
+    single-valued entry (dim, labels, a group row, a truncation) given twice
+    is an error at its second line, not a silent re-index or override.
     `line` is the line of `entry` (one or more lines), or (that line, the
     line reported) when the error is on another line: a table that is not
     a group names the [group] header, a label count that does not match dim

@@ -10,12 +10,12 @@ from gammastack.cohomology import (
     CoboundaryObstruction,
     _cochain_blocks,
     alt,
-    cocommutative_coproduct,
     cohochschild_d,
     cohomology_rank,
     solve_coboundary,
 )
-from gammastack.tensors import SparseTensor, slot_monomials, spread
+from gammastack.formal import cocommutative_splits
+from gammastack.tensors import SparseTensor, coproduct_slot, slot_monomials, tensor_unit
 
 F = Fraction
 
@@ -48,19 +48,19 @@ def test_d_preserves_degree_and_reducedness():
 
 def test_pentagon_identity_shape():
     """d(a) = 0 for a 3-cochain is exactly the five-term insertion identity."""
-    def insert_cocommutative(a, subsets, n):
-        return spread(a, subsets, n, cocommutative_coproduct, a.trunc)
+    def split(a, idx):
+        return coproduct_slot(a, idx, cocommutative_splits, a.trunc)
 
     rng = random.Random(8)
     basis = slot_monomials(2, 3, 4)
     a = series(3, 8, {m: F(rng.randint(-2, 2)) for m in rng.sample(basis, 5)})
     d = cohochschild_d(a)
     five = (
-        insert_cocommutative(a, ((1, 2), (3,), (4,)), 4)
-        + insert_cocommutative(a, ((1,), (2,), (3, 4)), 4)
-        - insert_cocommutative(a, ((2,), (3,), (4,)), 4)
-        - insert_cocommutative(a, ((1,), (2, 3), (4,)), 4)
-        - insert_cocommutative(a, ((1,), (2,), (3,)), 4)
+        split(a, 0)  # a^{12,3,4}
+        + split(a, 2)  # a^{1,2,34}
+        - tensor_unit(a, 0)  # a^{2,3,4}
+        - split(a, 1)  # a^{1,23,4}
+        - tensor_unit(a, 3)  # a^{1,2,3}
     )
     assert d == five.scale(-1)
 

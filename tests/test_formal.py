@@ -26,6 +26,7 @@ from gammastack.tensors import (
     merge_slot,
     monomial_degree,
     multiset_factor,
+    tensor_unit,
     unit_monomial,
 )
 
@@ -187,8 +188,8 @@ def test_coassociativity_exact():
                 continue
             a = ctx.series({(w,): F(1)})
             d = ctx.coproduct(a)
-            left = ctx.insert(d, ((1, 2), (3,)), 3)
-            right = ctx.insert(d, ((1,), (2, 3)), 3)
+            left = ctx.coproduct_slot(d, 0)
+            right = ctx.coproduct_slot(d, 1)
             assert left == right, f"coassociativity fails at {w}"
 
 
@@ -822,27 +823,27 @@ def test_ad_star_agrees_with_bch_conjugation():
         assert ctx.ad_star(u, x) == conj
 
 
-# -- insertions -------------------------------------------------------------------
+# -- insertions: a unit slot and Delta at one slot ---------------------------------
 
 
 def test_insert_identity_placement():
     ctx = ctx_for(axb_lba(), N=4)
     a = ctx.series({(((0,)), ((1,))): F(2)}, slots=2)
-    out = ctx.insert(a, ((1,), (2,)), 3)
+    out = tensor_unit(a, 2)
     assert out.coeffs == {((0,), (1,), ()): F(2)}
 
 
 def test_insert_primitive_spread():
     ctx = ctx_for(abelian_flat_lba(), N=3)
     x = ctx.series({((0,),): F(1)})
-    out = ctx.insert(x, ((1, 2),), 2)
+    out = ctx.coproduct_slot(x, 0)
     assert out.coeffs == {((0,), ()): F(1), ((), (0,)): F(1)}
 
 
 def test_insert_degree_11_tensor():
     ctx = ctx_for(abelian_flat_lba(), N=3)
     a = ctx.series({(((0,)), ((1,))): F(1)}, slots=2)
-    out = ctx.insert(a, ((1, 2), (3,)), 3)
+    out = ctx.coproduct_slot(a, 0)
     assert out.coeffs == {
         ((0,), (), (1,)): F(1),
         ((), (0,), (1,)): F(1),
@@ -850,16 +851,17 @@ def test_insert_degree_11_tensor():
 
 
 def test_insert_cocommutative_order_independence():
+    """The abelian coproduct is unchanged when its two slots are swapped."""
     ctx = ctx_for(abelian_flat_lba(), N=4)
     a = ctx.series({((0, 1),): F(1), ((0, 0),): F(2)})
-    assert ctx.insert(a, ((1, 2),), 2) == ctx.insert(a, ((2, 1),), 2)
+    d = ctx.coproduct(a)
+    assert ctx.series({(r, l): c for (l, r), c in d.coeffs.items()}, slots=2) == d
 
 
-def test_insert_overlap_rejected():
+def test_coproduct_rejects_multi_slot_series():
     ctx = ctx_for(axb_lba(), N=3)
-    a = ctx.series({((0,),): F(1)})
-    with pytest.raises(ValueError, match="overlap"):
-        ctx.insert(ctx.series({(((0,)), ((1,))): F(1)}, slots=2), ((1,), (1,)), 2)
+    with pytest.raises(ValueError, match="1-slot"):
+        ctx.coproduct(ctx.series({(((0,)), ((1,))): F(1)}, slots=2))
 
 
 # -- grouplike defect (rigidity mechanism) ----------------------------------------

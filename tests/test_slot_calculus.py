@@ -1,6 +1,8 @@
-"""The tensor-slot calculus: one kernel (`tensors.spread`) for insertion, the
-co-Hochschild differential and slotwise algebra maps, one iterated-coproduct
-recursion and one k-slot monomial enumerator.
+"""The tensor-slot calculus: two primitives (`tensors.tensor_unit` inserts a
+unit slot, `tensors.coproduct_slot` splits one slot in two) for the
+insertions of the twist equation, the gauge action and the co-Hochschild
+differential, the slotwise word-image loop of `AlgebraMap.apply`, and one
+k-slot monomial enumerator.
 
 Each is checked against a test-local copy of the code it replaced, values and
 dict key order both.
@@ -15,16 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammastack.cohomology import cocommutative_coproduct
+from gammastack.cohomology import cohochschild_d
 from gammastack.formal import PairingContext, build_delta_gamma, cocommutative_splits
 from gammastack.stack import AlgebraMap
 from gammastack.tensors import (
     SparseTensor,
     _add_into,
+    coproduct_slot,
     merge_slot,
     monomial_key,
     slot_monomials,
-    spread,
+    tensor_unit,
     unit_monomial,
 )
 
@@ -115,6 +118,29 @@ def old_insert_cocommutative(a, subsets, n):
     return out
 
 
+def old_cohochschild_d(a):
+    """The differential as the sum of its k + 2 cocommutative insertions."""
+    k = a.slots
+    n = k + 1
+
+    def insert(subsets):
+        return SparseTensor._trusted(a.trunc, n, old_insert_cocommutative(a, tuple(subsets), n))
+
+    terms = insert((i,) for i in range(2, k + 2))
+    for i in range(1, k + 1):
+        subsets = []
+        for j in range(1, k + 1):
+            if j < i:
+                subsets.append((j,))
+            elif j == i:
+                subsets.append((i, i + 1))
+            else:
+                subsets.append((j + 1,))
+        terms = terms + insert(subsets).scale((-1) ** i)
+    last = insert((i,) for i in range(1, k + 1))
+    return terms + last.scale((-1) ** (k + 1))
+
+
 def old_algebra_map_apply(jmap, s):
     out = {}
     n = s.slots
@@ -197,8 +223,7 @@ def context(name, gamma, N):
 @st.composite
 def slot_operands(draw):
     """A context of axb or sl2-weyl, a random series on 1-4 slots (empty
-    slots and the unit included), n target slots and disjoint ordered
-    subsets, some of them empty, and the generator images of an algebra map."""
+    slots and the unit included) and the generator images of an algebra map."""
     name = draw(st.sampled_from(["axb", "sl2-weyl"]))
     gamma = draw(st.integers(0, 1))
     N = draw(st.integers(2, 5) if name == "axb" else st.integers(2, 4))
@@ -218,11 +243,6 @@ def slot_operands(draw):
     terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=5))
     a = SparseTensor(m, N, {monomial(): F(p, q) for p, q in terms})
 
-    n = draw(st.integers(1, 4))
-    labels = draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n))
-    order = draw(st.permutations(range(1, n + 1)))
-    subsets = tuple(tuple(i for i in order if labels[i - 1] == s) for s in range(m))
-
     images = []
     for i in range(dim):
         extra = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 2)), max_size=3))
@@ -230,38 +250,55 @@ def slot_operands(draw):
         for p, q in extra:
             coeffs[(word(draw(st.integers(1, N))),)] = F(p, q)
         images.append(SparseTensor(1, N, coeffs))
-    return ctx, a, subsets, n, AlgebraMap(images, N)
+    return ctx, a, AlgebraMap(images, N)
+
+
+def terms(s):
+    return list(s.coeffs.items())
 
 
 @given(slot_operands())
 @settings(max_examples=120, deadline=None)
-def test_spread_equals_the_three_replaced_loops(operands):
-    """spread, with each of its three expands, equals the loop it replaced:
-    PairingContext.insert, cohomology's cocommutative insertion and
-    AlgebraMap.apply, in values and in dict key order."""
-    ctx, a, subsets, n, jmap = operands
-    got = ctx.insert(a, subsets, n)
-    assert list(got.coeffs.items()) == list(old_insert(ctx, a, subsets, n).items())
-    assert got.trunc == ctx.trunc and got.slots == n
+def test_slot_primitives_equal_the_replaced_loops(operands):
+    """Delta at one slot (deformed and cocommutative), the unit slot, the
+    co-Hochschild differential and AlgebraMap.apply equal the loops they
+    replaced, in values and in dict key order.  Delta at slot idx is the
+    old insertion at subsets (1,), ..., (idx+1, idx+2), ..., (m+1,), and a
+    unit slot at pos is the old insertion that skips target slot pos+1."""
+    ctx, a, jmap = operands
+    m = a.slots
+    n = m + 1
+    for idx in range(m):
+        subsets = tuple((j + 1,) for j in range(idx)) + ((idx + 1, idx + 2),)
+        subsets += tuple((j + 2,) for j in range(idx + 1, m))
+        got = ctx.coproduct_slot(a, idx)
+        assert terms(got) == list(old_insert(ctx, a, subsets, n).items())
+        assert got.trunc == ctx.trunc and got.slots == n
+        got = coproduct_slot(a, idx, cocommutative_splits, a.trunc)
+        assert terms(got) == list(old_insert_cocommutative(a, subsets, n).items())
+    for pos in range(n):
+        subsets = tuple((j + 1 if j < pos else j + 2,) for j in range(m))
+        got = tensor_unit(a, pos)
+        assert terms(got) == list(old_insert(ctx, a, subsets, n).items())
+        assert terms(got) == list(old_insert_cocommutative(a, subsets, n).items())
+        assert got.trunc == a.trunc and got.slots == n
 
-    got = spread(a, subsets, n, cocommutative_coproduct, a.trunc)
-    assert list(got.coeffs.items()) == list(old_insert_cocommutative(a, subsets, n).items())
-
-    got = jmap.apply(a)
-    assert list(got.coeffs.items()) == list(old_algebra_map_apply(jmap, a).items())
+    assert terms(cohochschild_d(a)) == terms(old_cohochschild_d(a))
+    assert terms(jmap.apply(a)) == list(old_algebra_map_apply(jmap, a).items())
 
 
 @pytest.mark.parametrize("name, gamma, N", [("axb", 1, 5), ("sl2-weyl", 1, 4)])
 def test_iterated_coproduct_equals_replaced_recursions(name, gamma, N):
-    """The one recursion, with the deformed coproduct and with the multiset
-    split, equals the two recursions it replaced, key order included."""
+    """Delta of a word at one slot, with the deformed coproduct and with the
+    multiset split, equals the k = 2 step of the two recursions it
+    replaced, key order included."""
     ctx = context(name, gamma, N)
     for w in (w for d in range(N + 1) for w in words_of(ctx.dim, d)):
-        for k in range(1, 5):
-            got = ctx.iterated_coproduct_word(w, k)
-            assert list(got.items()) == list(old_iterated_coproduct_word(ctx, w, k).items())
-            got = cocommutative_coproduct(w, k)
-            assert list(got.items()) == list(old_iterated_splits(w, k).items())
+        a = ctx.series({(w,): F(1)})
+        got = ctx.coproduct(a)
+        assert terms(got) == list(old_iterated_coproduct_word(ctx, w, 2).items())
+        got = coproduct_slot(a, 0, cocommutative_splits, N)
+        assert terms(got) == list(old_iterated_splits(w, 2).items())
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -27,7 +27,7 @@ from gammastack.stack import (
     verify_stack,
     verify_twist_equation,
 )
-from gammastack.tensors import SparseTensor, monomial_degree, sorted_words
+from gammastack.tensors import SparseTensor, monomial_degree, sorted_words, tensor_unit
 
 from conftest import abelian_flat_lba, axb_gamma, axb_lba
 
@@ -86,10 +86,7 @@ def test_gauge_act_trivial_and_abelian():
     f = tensor2_to_series({(0, 1): F(1), (1, 0): F(-1)}, 4)
     lam = SparseTensor(1, 4, {((0, 0),): F(2)})
     out = gauge_act(ctx0, lam, f)
-    lam1 = ctx0.insert(lam, ((1,),), 2)
-    lam2 = ctx0.insert(lam, ((2,),), 2)
-    lam12 = ctx0.insert(lam, ((1, 2),), 2)
-    assert out == lam1 + lam2 + f - lam12
+    assert out == tensor_unit(lam, 1) + tensor_unit(lam, 0) + f - ctx0.coproduct(lam)
 
 
 def test_gauge_act_preserves_twist_equation():
