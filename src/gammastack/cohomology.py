@@ -13,7 +13,6 @@ corresponding symmetric monomial.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -133,13 +132,11 @@ def _d_matrix_block(k: int, src: tuple[Monomial, ...]) -> tuple[dict[Monomial, i
     return row_index, rows
 
 
-def solve_coboundary(alpha: SparseTensor, rng: random.Random | None = None) -> SparseTensor:
+def solve_coboundary(alpha: SparseTensor) -> SparseTensor:
     """Find beta with d(beta) = alpha, blockwise per variable content.
 
     alpha must be a reduced k-cochain; a non-homogeneous one is solved
-    degree by degree and the solutions summed.  When rng is given, a
-    random kernel combination is added to the deterministic representative
-    (used by the randomized-lift uniqueness tests).  Raises
+    degree by degree and the solutions summed.  Raises
     CoboundaryObstruction carrying the alt projection when unsolvable.
     """
     k = alpha.slots
@@ -154,7 +151,7 @@ def solve_coboundary(alpha: SparseTensor, rng: random.Random | None = None) -> S
         # split by degree and recurse
         total = SparseTensor.zero(k - 1, alpha.trunc)
         for d in sorted(degs):
-            total = total + solve_coboundary(alpha.homogeneous_part(d), rng)
+            total = total + solve_coboundary(alpha.homogeneous_part(d))
         return total
     ndeg = degs.pop()
     if not cohochschild_d(alpha).is_zero():
@@ -176,16 +173,10 @@ def solve_coboundary(alpha: SparseTensor, rng: random.Random | None = None) -> S
         row_index, rows = _d_matrix_block(k - 1, cols)
         sys = LinearSystem(len(cols))
         rhs = [Fraction(0)] * len(rows)
-        consistent = True
         for m, c in by_content[content]:
             if m not in row_index:
-                consistent = False
-                break
+                raise CoboundaryObstruction("target outside the image of d", alt(alpha))
             rhs[row_index[m]] = c
-        if not consistent:
-            raise CoboundaryObstruction(
-                "target outside the image of d", alt(alpha)
-            )
         for row, b in zip(rows, rhs):
             sys.add_row(row, b)
         res = solve_linear(sys)
@@ -193,13 +184,7 @@ def solve_coboundary(alpha: SparseTensor, rng: random.Random | None = None) -> S
             raise CoboundaryObstruction(
                 "inconsistent coboundary system", alt(alpha)
             )
-        coeffs = list(res.solution)
-        if rng is not None and res.kernel:
-            for vec in res.kernel:
-                c = Fraction(rng.randint(-2, 2))
-                if c:
-                    coeffs = [a + c * b for a, b in zip(coeffs, vec)]
-        for j, c in enumerate(coeffs):
+        for j, c in enumerate(res.solution):
             if c:
                 _add_into(out, cols[j], c)
     return SparseTensor(k - 1, alpha.trunc, out)

@@ -297,13 +297,13 @@ class PairingContext:
         self._bracket_lcm, self._poisson_memo = self._build_bracket_table()
 
     def _spot_check_associativity(self):
-        rng = random.Random(0)
+        pick = random.Random(0)
         smalls = [w for w in self._pbw if 0 < len(w) <= max(2, self.trunc // 2)]
         if not smalls:
             return
         straighten = self.dual.straighten
         for _ in range(6):
-            u, v, w = (rng.choice(smalls) for _ in range(3))
+            u, v, w = (pick.choice(smalls) for _ in range(3))
             left: dict[Word, Fraction] = {}
             for m, c in straighten(u + v).items():
                 for m2, c2 in straighten(m + w).items():
@@ -474,8 +474,7 @@ class PairingContext:
             return g
         if g.is_zero():
             return f
-        out = bch_apply(self.poisson, f, g, self.trunc - 1)
-        return out if out is not None else self.zero(f.slots)
+        return bch_apply(self.poisson, f, g, self.trunc - 1)
 
     def bch_star_dynkin(self, f: TensorSeries, g: TensorSeries) -> TensorSeries:
         """Independent BCH evaluation via the Bernoulli recursion."""
@@ -491,7 +490,8 @@ class PairingContext:
         """exp({u, .}) applied to x: the Hamiltonian flow of u.
 
         Agrees with u * x * (-u) whenever x lies in m^2; this is the
-        extension used on coproduct values that need not lie in m^2.
+        extension used on coproduct values that need not lie in m^2.  Term k
+        has degree >= mindeg(x) + k, so it vanishes by k = trunc + 1.
         """
         self._require_m2(u, "ad_star conjugator")
         if u.slots != x.slots:
@@ -505,8 +505,6 @@ class PairingContext:
                 break
             total = total + term
             k += 1
-            if k > self.trunc + 1:
-                break
         return total
 
     def grouplike_defect(self, w: TensorSeries) -> TensorSeries:

@@ -22,8 +22,10 @@ F = Fraction
 
 
 # Smallest accepted truncations: a twist's leading term already has degree
-# 2, and with hbar^0 = 0 every element of U(g)[[hbar]] would vanish.
-TRUNCATION_MIN = {"degree": 2, "hbar": 1, "pbw": 1}
+# 2, and with hbar^1 = 0 the hbar^1 parts that validation matches with the
+# classical data (the co-Poisson part of the coproduct, the Alt of each
+# twist's hbar^1 part) would vanish.
+TRUNCATION_MIN = {"degree": 2, "hbar": 2, "pbw": 1}
 
 
 class ProblemParseError(ValueError):

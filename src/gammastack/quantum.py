@@ -309,8 +309,7 @@ class QueContext:
             return y
         if y.is_zero():
             return x
-        out = bch_apply(self.bracket_hbar, x, y, self.M + 1)
-        return out if out is not None else self.zero(x.slots)
+        return bch_apply(self.bracket_hbar, x, y, self.M + 1)
 
     # -- coproduct -------------------------------------------------------------------
 
@@ -419,7 +418,7 @@ def drinfeld_prime_membership(x: HElement) -> tuple[bool, Key | None]:
 
     A term hbar^a (x) words belongs iff a >= total PBW length.
     """
-    for key in sorted(x.coeffs, key=lambda k: (k[0], k[1])):
+    for key in sorted(x.coeffs):
         a, sl = key
         if a < sum(len(w) for w, _ in sl):
             return False, key
@@ -438,7 +437,7 @@ def drinfeld_prime_membership_general(x: HElement) -> tuple[bool, Key | None]:
     bound = min(ctx.M, ctx.D)
     for n in range(1, bound + 1):
         dn = ctx.iterated_coproduct(x, n)
-        for key in sorted(dn.coeffs, key=lambda k: (k[0], k[1])):
+        for key in sorted(dn.coeffs):
             a, sl = key
             if any(not w for w, _ in sl):
                 continue  # killed by (id - unit o counit)

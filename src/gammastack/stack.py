@@ -9,7 +9,6 @@ path.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,9 +49,7 @@ def verify_twist_equation(ctx: PairingContext, f: TensorSeries) -> TensorSeries:
     return twist_defect(ctx, f, star=ctx.bch_star_dynkin)
 
 
-def _clear_by_degree(
-    x, residual, correct, first: int, N: int, name: str, obstruction: str, rng=None
-):
+def _clear_by_degree(x, residual, correct, first: int, N: int, name: str, obstruction: str):
     """Correct x degree by degree until residual(x) vanishes to degree N.
 
     residual(x) must have no term below degree `first`.  At each degree its
@@ -73,7 +70,7 @@ def _clear_by_degree(
         if alpha.is_zero():
             continue
         try:
-            beta = solve_coboundary(alpha, rng=rng)
+            beta = solve_coboundary(alpha)
         except CoboundaryObstruction as exc:
             why = f": {obstruction}" if deg == first else ""
             raise StackBuildError(f"{name} at degree {deg} is not a coboundary{why}") from exc
@@ -90,11 +87,7 @@ def _clear_by_degree(
     return x
 
 
-def lift_twist(
-    ctx: PairingContext,
-    leading: TensorSeries,
-    rng: random.Random | None = None,
-) -> TensorSeries:
+def lift_twist(ctx: PairingContext, leading: TensorSeries) -> TensorSeries:
     """Inductive lift of a degree-(1,1) antisymmetric leading term to a twist.
 
     Starts from the leading term itself and clears the twist defect from
@@ -109,7 +102,7 @@ def lift_twist(
     )
     return _clear_by_degree(
         leading, lambda f: twist_defect(ctx, f), lambda f, beta: f + beta,
-        3, ctx.trunc, "twist defect", obstruction, rng,
+        3, ctx.trunc, "twist defect", obstruction,
     )
 
 
@@ -134,7 +127,7 @@ def solve_gauge(
     return _clear_by_degree(
         ctx.zero(1),
         lambda lam: f_dst - gauge_act(ctx, lam, f_src),
-        lambda lam, beta: ctx.bch_star(beta, lam) if not lam.is_zero() else beta,
+        lambda lam, beta: ctx.bch_star(beta, lam),
         2, ctx.trunc, "gauge residual", "the leading terms differ",
     )
 
@@ -301,14 +294,12 @@ def build_iso(
         base = _residual_vector(cop_res, poi_res, dim, deg)
         if all(v == 0 for v in base):
             continue
-        res = solve_linear(_iso_system(ctx_src, ctx_dst, twisted, deg, base))
+        res = solve_linear(_iso_system(ctx_src, ctx_dst, deg, base))
         if not res.solvable:
-            witness = ""
-            if res.failure_row is not None and res.failure_row < len(base):
-                witness = f"; inconsistent equation row {res.failure_row}"
             raise StackBuildError(
                 f"isomorphism solve failed at degree {deg}: nonzero residual class"
-                f"{witness} (upstream twist data is inconsistent)"
+                f"; inconsistent equation row {res.failure_row}"
+                " (upstream twist data is inconsistent)"
             )
         unknowns = [(i, m) for i in range(dim) for m in sorted_words(dim, deg)]
         for (i, m), c in zip(unknowns, res.solution):
@@ -339,20 +330,19 @@ def _residual_vector(
 
 
 def _iso_system(
-    ctx_src: PairingContext,
-    ctx_dst: PairingContext,
-    twisted: list[TensorSeries],
-    deg: int,
-    base: list[Fraction],
+    ctx_src: PairingContext, ctx_dst: PairingContext, deg: int, base: list[Fraction]
 ) -> LinearSystem:
     """The degree-deg system J p = -base of build_iso.
 
-    twisted[l] is T_l, the twisted coproduct of e_l.  The column of the
-    unknown (l, m), the monomial m added to the image of e_l, is
-    - in coproduct block l: [Delta_dst(m)]_d - T_l[e_l|1] (m|1) - T_l[1|e_l] (1|m);
+    The column of the unknown (l, m), the monomial m added to the image of
+    e_l, is
+    - in coproduct block l: [Delta_dst(m)]_d - m|1 - 1|m;
     - in Poisson block (i, k): {e_i, e_k}_src[e_l] m - [l=i] [{m, e_k}_dst]_d
-      - [l=k] [{e_i, m}_dst]_d;
-    and zero elsewhere (T_i has degree-1 part e_i|1 + 1|e_i).
+      + [l=k] [{m, e_i}_dst]_d;
+    and zero elsewhere.  The coproduct column holds because the twisted
+    coproduct of e_l has degree-1 part e_l|1 + 1|e_l (a bracket with the
+    twist in m^2 raises degree), the Poisson column because the bracket is
+    antisymmetric.
     """
     dim = ctx_src.dim
     N = ctx_src.trunc
@@ -365,23 +355,13 @@ def _iso_system(
     poisson_row0 = dim * len(mono_row)
     monos = [SparseTensor(1, N, {(w,): F(1)}) for w in words]
     coproducts = [ctx_dst.coproduct(m).homogeneous_part(deg) for m in monos]
-    # [{m, e_k}_dst]_d and [{e_i, m}_dst]_d once per (m, k) and (m, i), over
-    # the k and i that some pair (i, k) with i < k has
-    m_gen = [
-        {k: ctx_dst.poisson(m, gens[k]).homogeneous_part(deg) for k in range(1, dim)}
-        for m in monos
-    ]
-    gen_m = [
-        {i: ctx_dst.poisson(gens[i], m).homogeneous_part(deg) for i in range(dim - 1)}
-        for m in monos
-    ]
+    # [{m, e_k}_dst]_d once per (m, k)
+    m_gen = [[ctx_dst.poisson(m, gen).homogeneous_part(deg) for gen in gens] for m in monos]
     rows: list[dict[int, Fraction]] = [{} for _ in base]
     for l in range(dim):
-        left = twisted[l].coefficient(((l,), ()))
-        right = twisted[l].coefficient(((), (l,)))
         for r, (w, dm) in enumerate(zip(words, coproducts)):
             col = l * len(words) + r
-            cop = dm - SparseTensor(2, N, {(w, ()): left, ((), w): right})
+            cop = dm - SparseTensor(2, N, {(w, ()): F(1), ((), w): F(1)})
             for mono, c in cop.coeffs.items():
                 rows[l * len(mono_row) + mono_row[mono]][col] = c
             for p, (i, k) in enumerate(pairs):
@@ -391,8 +371,8 @@ def _iso_system(
                     for mono, c in m_gen[r][k].coeffs.items():
                         _add_into(block, mono, -c)
                 if l == k:
-                    for mono, c in gen_m[r][i].coeffs.items():
-                        _add_into(block, mono, -c)
+                    for mono, c in m_gen[r][i].coeffs.items():
+                        _add_into(block, mono, c)
                 for (v,), c in block.items():
                     rows[poisson_row0 + p * len(words) + word_row[v]][col] = c
     sys = LinearSystem(dim * len(words))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,31 @@ def sl2_weyl_gamma() -> GammaLieBialgebra:
 
     group = FiniteGroup.cyclic(4, "w")
     return from_quasitriangular(sl2_lba(), group, sl2_weyl_theta(), sl2_r())
+
+
+def randomized_lift(ctx, leading, seed):
+    """A twist lift whose degree-d corrections differ from lift_twist's by
+    d(gamma), gamma a random 1-cochain of degree d.
+
+    d(d(gamma)) = 0, so each degree still clears.  From degree 3 on these
+    d(gamma) span the 2-cocycles of the degree, which is all the freedom a
+    coboundary preimage has, so two seeds give two arbitrary lifts.
+    """
+    from gammastack.cohomology import cohochschild_d
+    from gammastack.stack import _clear_by_degree, twist_defect
+    from gammastack.tensors import SparseTensor, monomial_degree, sorted_words
+
+    rng = random.Random(seed)
+
+    def correct(f, beta):
+        deg = monomial_degree(next(iter(beta.coeffs)))
+        words = sorted_words(ctx.dim, deg)
+        gamma = SparseTensor(1, ctx.trunc, {(w,): F(rng.randint(-2, 2)) for w in words})
+        return f + beta + cohochschild_d(gamma)
+
+    return _clear_by_degree(
+        leading, lambda f: twist_defect(ctx, f), correct, 3, ctx.trunc, "twist defect", ""
+    )
 
 
 @pytest.fixture

@@ -32,6 +32,8 @@ from gammastack.quantum import (
 )
 from gammastack.stack import gauge_act, lift_twist, solve_gauge, verify_stack, verify_twist_equation
 
+from conftest import randomized_lift
+
 F = Fraction
 
 
@@ -99,8 +101,9 @@ def test_criterion_4_gauge_uniqueness():
     ctx = PairingContext(build_delta_gamma(G, 0), N)
     leading = tensor2_to_series(wedge2_apply(G.theta[0], G.f[1]), N).scale(F(1, 2))
     for seed in range(5):
-        f1 = lift_twist(ctx, leading, rng=random.Random(seed))
-        f2 = lift_twist(ctx, leading, rng=random.Random(seed + 1000))
+        f1 = randomized_lift(ctx, leading, seed)
+        f2 = randomized_lift(ctx, leading, seed + 1000)
+        assert f1 != f2
         lam = solve_gauge(ctx, f1, f2)
         assert lam.in_maximal_power(2)
         assert gauge_act(ctx, lam, f1) == f2

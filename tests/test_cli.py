@@ -350,10 +350,18 @@ def test_formal_jobs_match_bench_reference(job):
         ["stack", "axb.glb", "-N", "-3"],
         ["stack", "axb.glb", "--degree", "1"],
         ["quantize", "trivial-que.glb", "--hbar", "0"],
+        ["quantize", "sl2-que.glb", "--hbar", "1"],
         ["quantize", "trivial-que.glb", "--pbw", "0"],
         ["admissibilize", "abelian-que.glb", "--target", "s", "--hbar", "-1"],
     ],
-    ids=["stack-N-negative", "stack-degree-1", "quantize-hbar-0", "quantize-pbw-0", "admissibilize-hbar-negative"],
+    ids=[
+        "stack-N-negative",
+        "stack-degree-1",
+        "quantize-hbar-0",
+        "quantize-hbar-1",
+        "quantize-pbw-0",
+        "admissibilize-hbar-negative",
+    ],
 )
 def test_truncation_below_minimum_exit_2(args):
     code, out, err = run_cli(*args)
@@ -362,7 +370,7 @@ def test_truncation_below_minimum_exit_2(args):
     assert err.startswith("error: --") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("entry", ["degree four", "degree", "hbar 0"])
+@pytest.mark.parametrize("entry", ["degree four", "degree", "hbar 0", "hbar 1"])
 def test_malformed_truncation_entry_exit_2(tmp_path, entry):
     text = data_path("axb.glb").read_text(encoding="utf-8")
     bad = tmp_path / "bad.glb"

@@ -116,14 +116,11 @@ def test_solve_coboundary_splits_a_non_homogeneous_cocycle():
 
 
 def test_solve_coboundary_randomized_still_valid():
-    rng = random.Random(3)
     basis = slot_monomials(2, 1, 3)
     beta0 = series(1, 3, {basis[0]: F(2), basis[1]: F(-1)})
     target = cohochschild_d(beta0)
     b1 = solve_coboundary(target)
-    b2 = solve_coboundary(target, rng=random.Random(99))
     assert cohochschild_d(b1) == target
-    assert cohochschild_d(b2) == target
 
 
 def test_obstruction_witness():

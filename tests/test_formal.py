@@ -6,6 +6,7 @@ from math import factorial, lcm
 
 import pytest
 
+from gammastack.cli import data_path
 from gammastack.formal import (
     PairingContext,
     _compositions,
@@ -20,12 +21,15 @@ from gammastack.formal import (
     standard_factorisation,
     _free_mul,
 )
+from gammastack.problemfile import parse_problem
 from gammastack.tensors import (
     SparseTensor,
     _add_into,
     merge_slot,
     monomial_degree,
     multiset_factor,
+    slot_monomials,
+    sorted_words,
     tensor_unit,
     unit_monomial,
 )
@@ -69,6 +73,17 @@ def test_delta_gamma_abelian_trivial_f():
 
 def ctx_for(lba, N=4):
     return PairingContext(lba, N)
+
+
+def bundled_classical_contexts():
+    """A fresh context for each group element of each bundled classical
+    problem, at the file's own truncation."""
+    out = []
+    for name in ("abelian", "axb", "sl2-weyl"):
+        problem = parse_problem(data_path(f"{name}.glb").read_text(encoding="utf-8"))
+        for g in problem.G.group.elements():
+            out.append(PairingContext(build_delta_gamma(problem.G, g), problem.degree))
+    return out
 
 
 def test_product_unit_and_commutativity():
@@ -243,6 +258,13 @@ def test_poisson_antisymmetry_and_leibniz():
     # Leibniz: {ab, c} = a{b,c} + {a,c}b
     a, b, c = series[0], series[1], series[3]
     assert ctx.poisson(a * b, c) == a * ctx.poisson(b, c) + ctx.poisson(a, c) * b
+    # build_iso's columns read {e_i, m} as -{m, e_i}
+    for ctx in bundled_classical_contexts():
+        for i in range(ctx.dim):
+            gen = SparseTensor.generator(i, ctx.trunc)
+            for w in ctx._pbw:
+                m = ctx.series({(w,): F(1)})
+                assert ctx.poisson(gen, m) == ctx.poisson(m, gen).scale(-1), (i, w)
 
 
 def test_poisson_jacobi():
@@ -821,6 +843,19 @@ def test_ad_star_agrees_with_bch_conjugation():
         x = ctx.series({(m,): F(rng.randint(-2, 2)) for m in rng.sample(monos, 2)})
         conj = ctx.bch_star(u, ctx.bch_star(x, u.scale(-1)))
         assert ctx.ad_star(u, x) == conj
+    # term k has degree >= mindeg(x) + k (a bracket with u in m^2 raises
+    # degree), so ad_star brackets at most trunc + 1 - mindeg(x) times
+    for ctx in bundled_classical_contexts():
+        poisson, calls = ctx.poisson, []
+        ctx.poisson = lambda a, b: calls.append(1) or poisson(a, b)
+        xs = [ctx.coproduct(SparseTensor.generator(i, ctx.trunc)) for i in range(ctx.dim)]
+        xs += [ctx.series({(w,): F(1) for w in sorted_words(ctx.dim, d)}) for d in range(1, ctx.trunc + 1)]
+        for x in xs:
+            m2 = [m for d in range(2, ctx.trunc + 1) for m in slot_monomials(ctx.dim, x.slots, d)]
+            u = ctx.series({m: F(rng.randint(1, 3)) for m in rng.sample(m2, min(3, len(m2)))}, x.slots)
+            calls.clear()
+            ctx.ad_star(u, x)
+            assert len(calls) <= ctx.trunc + 1 - min(map(monomial_degree, x.coeffs))
 
 
 # -- insertions: a unit slot and Delta at one slot ---------------------------------

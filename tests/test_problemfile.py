@@ -124,7 +124,8 @@ def test_corrupted_twist_named_condition():
         ("degree 4 5", "degree needs one integer value"),
         ("degree 1", "degree must be at least 2"),
         ("degree -3", "degree must be at least 2"),
-        ("hbar 0", "hbar must be at least 1"),
+        ("hbar 0", "hbar must be at least 2"),
+        ("hbar 1", "hbar must be at least 2"),
         ("pbw 0", "pbw must be at least 1"),
     ],
 )
