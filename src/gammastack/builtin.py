@@ -28,6 +28,7 @@ from gammastack.quantum import (
     bracket_residual,
     coassociativity_residual,
     conjugation_residual,
+    primitive_coeffs,
     tensor_unit,
     twist_residual_quantum,
     validate_que_data,
@@ -119,24 +120,21 @@ def _additive_coboundary(ctx: QueContext, w: HElement) -> HElement:
     return tensor_unit(w, 1) + tensor_unit(w, 0) - ctx.coproduct_slot(w, 0)
 
 
-def dual_pairing_delta_images(ctx: QueContext, lba_gamma) -> list[HElement]:
+def dual_pairing_delta_images(pc: PairingContext, M: int) -> dict[int, dict[Key, Fraction]]:
     """hbar-graded coproduct dual to PBW multiplication in U(g*) with the
     rescaled bracket: each straightening step costs one hbar.
 
     Output length L terms of the classical dual coproduct are tagged
-    hbar^(L-1) on generators.  For an abelian algebra this is a genuine
-    quantized coproduct for the undeformed commutative product.
+    hbar^(L-1) on generators, below hbar^M.  For an abelian algebra this is
+    a genuine quantized coproduct for the undeformed commutative product.
     """
-    n = min(ctx.D, ctx.M)
-    pc = PairingContext(lba_gamma, n)
-    images = []
-    for i in range(lba_gamma.dim):
-        coeffs: dict[Key, Fraction] = {}
+    images = {}
+    for i in range(pc.dim):
+        coeffs = images[i] = {}
         for (b1, b2), c in pc.coproduct_word((i,)).items():
             tag = len(b1) + len(b2) - 1
-            if tag < ctx.M:
+            if tag < M:
                 coeffs[(tag, ((b1, PLAIN), (b2, PLAIN)))] = c
-        images.append(HElement(ctx, 2, coeffs))
     return images
 
 
@@ -204,16 +202,14 @@ def abelian_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
     """Abelian algebra with nontrivial cobracket, twist, and gauge element."""
     G = abelian_twisted_gamma_lba()
     grp = G.group
-    lba_e = build_delta_gamma(G, grp.identity)
-    probe = QueContext(G, M, D)
-    ctx = QueContext(G, M, D, delta_images=dual_pairing_delta_images(probe, lba_e))
+    n = min(M, D)
+    pc = PairingContext(build_delta_gamma(G, grp.identity), n)
+    ctx = QueContext(G, M, D, dual_pairing_delta_images(pc, M))
     # classical twist lift, transported along deg t -> hbar^{t-1}; acting with
     # a theta-even cubic gauge breaks the theta-parity of the canonical lift
     # so the composition gauge element below comes out nontrivial
     from gammastack.stack import gauge_act
 
-    n = min(M, D)
-    pc = PairingContext(lba_e, n)
     leading = tensor2_to_series(G.f[1], n).scale(F(1, 2))
     ftilde = lift_twist(pc, leading)
     if n >= 3:
@@ -229,9 +225,10 @@ def abelian_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
     # v_{e,s,e} from the twist-composition relation; X is theta-invariant and
     # the solve is theta-equivariant, so the symmetrized solution is exact
     X = ctx.apply_endo(ctx.theta_images(1), F_sigma) * F_sigma
-    w = solve_additive_gauge(ctx, ctx.log(X).scale(-1))
+    target = ctx.log(X).scale(-1)
+    w = solve_additive_gauge(ctx, target)
     w = (w + ctx.apply_endo(ctx.theta_images(1), w)).scale(F(1, 2))
-    if _additive_coboundary(ctx, w) != ctx.log(X).scale(-1):
+    if _additive_coboundary(ctx, w) != target:
         raise QuantumError("symmetrized gauge element no longer solves the relation")
     v_ss = ctx.exp(w)
     v = {
@@ -263,18 +260,16 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
     lba = G.lba
     dim = lba.dim
 
-    def delta_images_for(d2_coeffs: dict) -> list[HElement]:
-        ctx0 = QueContext(G, M, D)
-        images = []
+    def delta_images_for(d2_coeffs: dict) -> dict[int, dict[Key, Fraction]]:
+        images = {}
         for i in range(dim):
-            coeffs: dict[Key, Fraction] = dict(ctx0._primitive_image(i).coeffs)
+            coeffs = images[i] = primitive_coeffs(i)
             for (p, q), c in lba.cobracket_tensor(i).items():
                 coeffs[(1, (((p,), PLAIN), ((q,), PLAIN)))] = c / 2
             for (gen, pair), c in d2_coeffs.items():
                 if gen == i:
                     key = (2, ((pair[0], PLAIN), (pair[1], PLAIN)))
                     coeffs[key] = coeffs.get(key, F(0)) + c
-            images.append(HElement(ctx0, 2, coeffs))
         return images
 
     # reduced 2-slot words of total degree 2..3; the tuple sort fixes the
@@ -283,7 +278,7 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
     unknowns_d2 = [(i, pair) for i in range(dim) for pair in pairs23]
 
     def delta_residual(assign: dict) -> dict:
-        ctx0 = QueContext(G, M, D, delta_images=delta_images_for(assign))
+        ctx0 = QueContext(G, M, D, delta_images_for(assign))
         out: dict = {}
         for i in range(dim):
             for j in range(i + 1, dim):
@@ -297,7 +292,7 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
 
     sol = _affine_solve(unknowns_d2, delta_residual)
     d2 = {u: c for u, c in zip(unknowns_d2, sol) if c}
-    ctx = QueContext(G, M, D, delta_images=delta_images_for(d2))
+    ctx = QueContext(G, M, D, delta_images_for(d2))
 
     # the reflection twist
     f_w = G.f[1]

@@ -16,7 +16,6 @@ construction-vs-verification.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -281,6 +280,10 @@ class PairingContext:
 
     Provides the coproduct (at any one slot), the Poisson bracket and BCH
     star products on truncated tensor series.  Immutable after construction.
+
+    The cobracket must satisfy co-Jacobi: that is what makes U(g*_gamma),
+    and so the coproduct, associative.  `build_delta_gamma` checks it
+    exactly, and every context the program builds takes its output.
     """
 
     def __init__(self, lba_gamma: LieBialgebra, trunc: int):
@@ -290,30 +293,10 @@ class PairingContext:
         # U(g*_gamma): the bracket of g*_gamma is the transposed cobracket
         self.dual = lba_gamma.dual()
         self._pbw: list[Word] = [w for d in range(trunc + 1) for w in sorted_words(self.dim, d)]
-        self._spot_check_associativity()
         self._coproduct_table = self._build_coproduct_table()
         # {m1, m2} of each monomial pair as integer numerators over
         # _bracket_lcm, seeded with the 1-slot entries of the delta_U table
         self._bracket_lcm, self._poisson_memo = self._build_bracket_table()
-
-    def _spot_check_associativity(self):
-        pick = random.Random(0)
-        smalls = [w for w in self._pbw if 0 < len(w) <= max(2, self.trunc // 2)]
-        if not smalls:
-            return
-        straighten = self.dual.straighten
-        for _ in range(6):
-            u, v, w = (pick.choice(smalls) for _ in range(3))
-            left: dict[Word, Fraction] = {}
-            for m, c in straighten(u + v).items():
-                for m2, c2 in straighten(m + w).items():
-                    _add_into(left, m2, c * c2)
-            right: dict[Word, Fraction] = {}
-            for m, c in straighten(v + w).items():
-                for m2, c2 in straighten(u + m).items():
-                    _add_into(right, m2, c * c2)
-            if left != right:
-                raise AssertionError("PBW straightening is not associative (bad cobracket?)")
 
     # -- coproduct -------------------------------------------------------------
 

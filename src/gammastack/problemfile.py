@@ -332,15 +332,7 @@ def build_que_data(problem: Problem, M: int | None = None, D: int | None = None)
     q = problem.quantum
     G = problem.G
     dim = G.lba.dim
-    probe = QueContext(G, M, D)
-    images = []
-    for i in range(dim):
-        coeffs = q.coproduct.get(i)
-        if coeffs is None:
-            images.append(probe._primitive_image(i))
-        else:
-            images.append(HElement(probe, 2, coeffs))
-    ctx = QueContext(G, M, D, delta_images=images)
+    ctx = QueContext(G, M, D, q.coproduct)
     F_ = {}
     for g in G.group.elements():
         coeffs = q.twists.get(g)

@@ -170,6 +170,12 @@ def _degree(sl: tuple[Slot, ...]) -> int:
     return sum(len(w) for w, _ in sl)
 
 
+def primitive_coeffs(i: int) -> dict[Key, Fraction]:
+    """The coefficients of the primitive image e_i|1 + 1|e_i."""
+    one, gen = ((), PLAIN), ((i,), PLAIN)
+    return {(0, (gen, one)): ONE, (0, (one, gen)): ONE}
+
+
 class QueContext:
     """Arena for one (algebra, truncation, ambient coproduct) combination."""
 
@@ -178,7 +184,7 @@ class QueContext:
         G: GammaLieBialgebra,
         M: int,
         D: int,
-        delta_images: list[HElement] | None = None,
+        coproduct: dict[int, dict[Key, Fraction]] | None = None,
     ):
         self.G = G
         self.lba = G.lba
@@ -192,17 +198,14 @@ class QueContext:
         # image ids -> (images kept alive, their word cache)
         self._endo_by_ids: dict[tuple[int, ...], tuple[tuple[HElement, ...], dict[Word, Table]]] = {}
         self._theta_images: dict[int, list[HElement]] = {}
-        # ambient coproduct: generator images (2-slot); None = cocommutative.
-        # images are rebound to this context, so they may come from a probe
-        # context with the same truncations.
-        if delta_images is None:
-            self.delta_images = [self._primitive_image(i) for i in range(self.lba.dim)]
-            self.cocommutative = True
-        else:
-            self.delta_images = [HElement(self, 2, img.coeffs) for img in delta_images]
-            self.cocommutative = all(
-                img == self._primitive_image(i) for i, img in enumerate(self.delta_images)
-            )
+        # ambient coproduct: 2-slot generator images from their coefficients
+        # {generator: {key: coefficient}}; a generator left out is primitive
+        coproduct = coproduct or {}
+        primitive = [HElement(self, 2, primitive_coeffs(i)) for i in range(self.lba.dim)]
+        self.delta_images = [
+            HElement(self, 2, coproduct[i]) if i in coproduct else p for i, p in enumerate(primitive)
+        ]
+        self.cocommutative = self.delta_images == primitive
 
     # -- constructors -----------------------------------------------------------
 
@@ -233,10 +236,6 @@ class QueContext:
                 raise ValueError("to_series expects an hbar^0 element")
             out[tuple(w for w, _ in sl)] = c
         return SparseTensor(x.slots, self.D, out)
-
-    def _primitive_image(self, i: int) -> HElement:
-        one, gen = ((), PLAIN), ((i,), PLAIN)
-        return HElement(self, 2, {(0, (gen, one)): ONE, (0, (one, gen)): ONE})
 
     # -- multiplication ----------------------------------------------------------
 
@@ -364,13 +363,12 @@ class QueContext:
         image = partial(self._word_table, hit[1], images)
         return spread(self, x.slots, ((a, c, map(image, sl)) for (a, sl), c in x.coeffs.items()))
 
-    def invert_endo(self, images: list[HElement], leading: list[HElement]) -> list[HElement]:
-        """Generator images of the inverse endomorphism.
-
-        `leading` must invert the hbar^0 linear part (theta inverse images).
-        """
+    def invert_endo(self, images: list[HElement]) -> list[HElement]:
+        """Generator images of the inverse endomorphism, corrected order by
+        order from the inverse of the hbar^0 linear part."""
         dim = self.lba.dim
-        inv = [self.apply_endo(leading, self.gen(i)) for i in range(dim)]
+        leading = linear_leading_inverse(self, images)
+        inv = list(leading)
         for _ in range(self.M + 1):
             done = True
             for i in range(dim):
@@ -581,9 +579,7 @@ class GammaQUEData:
     def i_inverse_images(self, gamma: int) -> list[HElement]:
         cached = self._inv_cache.get(gamma)
         if cached is None:
-            images = self.i_images[gamma]
-            leading = linear_leading_inverse(self.ctx, images)
-            cached = self._inv_cache[gamma] = self.ctx.invert_endo(images, leading)
+            cached = self._inv_cache[gamma] = self.ctx.invert_endo(self.i_images[gamma])
         return cached
 
 
@@ -696,7 +692,7 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
         if ctx.counit_slot(d, 0) != x or ctx.counit_slot(d, 1) != x:
             issues.append(f"counit axiom fails at generator {i}")
         # classical limits
-        prim = ctx._primitive_image(i)
+        prim = HElement(ctx, 2, primitive_coeffs(i))
         if (ctx.delta_images[i] - prim).hbar_coefficient(0).coeffs:
             issues.append(f"coproduct not cocommutative mod hbar at generator {i}")
         anti = (ctx.delta_images[i] - ctx.delta_images[i].flip()).hbar_coefficient(1)

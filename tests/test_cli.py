@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -148,6 +149,20 @@ def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
 def test_package_exports_resolve():
     for name in gammastack.__all__:
         assert hasattr(gammastack, name), name
+
+
+def test_no_module_imports_random():
+    """No certificate depends on a random generator's state: no module of
+    the package imports `random`."""
+    for path in sorted(Path(gammastack.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "random" for n in names), (path.name, node.lineno)
 
 
 def test_missing_file_exit_2():
@@ -468,20 +483,62 @@ def _trivial_que_singular_morphism(lines):
     return lines[:44] + ["term 0 1\n"] + lines[45:]
 
 
+def _retune(section, old, new):
+    """The edit replacing the first line `old` after the header `section`."""
+
+    def edit(lines):
+        start = lines.index(f"{section}\n")
+        k = lines.index(f"{old}\n", start)
+        assert all(line.strip() for line in lines[start:k])  # inside the section
+        return lines[:k] + [f"{new}\n"] + lines[k + 1 :]
+
+    return edit
+
+
 @pytest.mark.parametrize(
-    "edit, message",
+    "name, edit, message",
     [
-        (_trivial_que_duplicate_gauge, "v[e,e] not in 1 + hbar^2 U"),
-        (_trivial_que_second_twist, "F[s] not in 1 + hbar U^2"),
-        (_trivial_que_singular_morphism, "i[s] has a singular hbar^0 linear part"),
+        ("trivial-que", _trivial_que_duplicate_gauge, "v[e,e] not in 1 + hbar^2 U"),
+        ("trivial-que", _trivial_que_second_twist, "F[s] not in 1 + hbar U^2"),
+        ("trivial-que", _trivial_que_singular_morphism, "i[s] has a singular hbar^0 linear part"),
+        ("abelian-que", _retune("[quantum-coproduct x]", "term 2 1/2 y y|x", "term 2 -1/2 y y|x"),
+         "coproduct not coassociative at generator 0"),
+        ("abelian-que", _retune("[quantum-coproduct x]", "term 1 -1 y|x", "term 1 1 y|x"),
+         "hbar^1 co-Poisson part wrong at generator 0"),
+        ("trivial-que", _retune("[quantum-coproduct x]", "term 0 1 1|x", "term 0 -1 1|x"),
+         "counit axiom fails at generator 0"),
+        ("trivial-que", _retune("[quantum-coproduct x]", "term 0 1 1|x", "term 0 -1 1|x"),
+         "coproduct not cocommutative mod hbar at generator 0"),
+        ("trivial-que", _retune("[quantum-coproduct y]", "term 0 1 1|y", "term 0 -1 1|y"),
+         "coproduct does not respect bracket at (0,1)"),
+        ("abelian-que", _retune("[quantum-twist s]", "term 1 -1 x|y", "term 1 0 x|y"),
+         "Alt of hbar^1 part of F[s] != twist tensor"),
+        ("abelian-que", _retune("[quantum-twist s]", "term 2 1 y|x y", "term 2 -1 y|x y"),
+         "twist equation fails for F[s]"),
+        ("trivial-que", _retune("[quantum-morphism s y]", "term 0 1 y", "term 0 -1 y"),
+         "i[s] not an algebra morphism at (0,1)"),
+        ("sl2-que", _retune("[quantum-coproduct e]", "term 2 1/24 e|h", "term 2 -1/24 e|h"),
+         "coproduct conjugation identity fails at (w, generator 1)"),
+        ("trivial-que", _retune("[quantum-morphism s x]", "term 0 1 x", "term 0 2 x"),
+         "morphism composition relation fails at (s,s)"),
+        ("abelian-que", _retune("[quantum-morphism s y]", "term 0 1 y", "term 0 -1 y"),
+         "gauge cocycle relation fails at (s,s,s)"),
+        ("abelian-que", _retune("[quantum-gauge s s]", "term 2 -2 x x y", "term 2 -1 x x y"),
+         "twist composition relation fails at (s,s)"),
     ],
-    ids=["duplicate-gauge", "second-twist", "singular-morphism"],
+    ids=[
+        "duplicate-gauge", "second-twist", "singular-morphism", "coassociativity", "co-poisson",
+        "counit", "cocommutative", "bracket", "twist-alt", "twist-equation", "morphism",
+        "conjugation", "morphism-composition", "gauge-cocycle", "twist-composition",
+    ],
 )
-def test_unnormalised_quantum_data_is_reported_not_inverted(tmp_path, edit, message):
-    """Quantum data that parses but is not normalised (v = 2, F = 2, i_s(y) = 1)
-    is an input-validation failure: validate names it, and quantize writes its
-    exit-1 certificate, where inverting v, F or i would raise."""
-    lines = data_path("trivial-que.glb").read_text(encoding="utf-8").splitlines(keepends=True)
+def test_unnormalised_quantum_data_is_reported_not_inverted(tmp_path, name, edit, message):
+    """Quantum data that parses but fails a check of validate_que_data is an
+    input-validation failure, with one case per message kind: validate names
+    it, and quantize writes its exit-1 certificate.  The first three are not
+    normalised (v = 2, F = 2, i_s(y) = 1), where inverting v, F or i would
+    raise; each of the others changes one coefficient of a bundled file."""
+    lines = data_path(f"{name}.glb").read_text(encoding="utf-8").splitlines(keepends=True)
     bad = tmp_path / "bad.glb"
     bad.write_text("".join(edit(lines)), encoding="utf-8")
     code, out, err = run_cli("validate", str(bad))
@@ -492,6 +549,32 @@ def test_unnormalised_quantum_data_is_reported_not_inverted(tmp_path, edit, mess
     cert = json.loads(out)
     assert not cert["valid"]
     assert f"input validation: {message}" in cert["failures"]
+
+
+@pytest.mark.parametrize(
+    "name, generators, digest",
+    [
+        ("trivial-que", ("x", "y"),
+         "074c09b354d4eaf1f6095dd4a5236a7bf29d5c79e923e4c8586cfc8a9ec887ec"),
+        ("sl2-que", ("h",), "af7dc8b40c0719446de9ab3f41f8c3ae38c123b77c9c71e274be890d46b4453f"),
+    ],
+    ids=["trivial-que", "sl2-que"],
+)
+def test_omitted_coproduct_section_is_primitive(tmp_path, name, generators, digest):
+    """A generator with no [quantum-coproduct x] section is primitive: the
+    bundled file without the sections of its primitive generators is valid
+    and quantizes to the full file's certificate, byte for byte."""
+    blocks = data_path(f"{name}.glb").read_text(encoding="utf-8").split("\n\n")
+    omitted = {f"[quantum-coproduct {x}]" for x in generators}
+    kept = [b for b in blocks if b.split("\n")[0] not in omitted]
+    assert len(kept) == len(blocks) - len(omitted)
+    short = tmp_path / f"{name}.glb"
+    short.write_text("\n\n".join(kept), encoding="utf-8")
+    assert run_cli("validate", str(short)) == (0, "valid\n", "")
+    code, out, _err = run_cli("quantize", str(short))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert out == run_cli("quantize", f"{name}.glb")[1]
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from gammastack.quantum import (
     drinfeld_prime_membership,
     drinfeld_prime_membership_general,
     is_admissible,
+    primitive_coeffs,
 )
 
 from conftest import abelian_twisted_gamma, axb_gamma, sl2_weyl_gamma
@@ -68,6 +69,21 @@ def test_abelian_product_symmetric():
     assert x * y == y * x
 
 
+def test_coproduct_defaults_to_primitive():
+    """A generator left out of the coproduct coefficients is primitive; the
+    context is cocommutative exactly when every image is primitive."""
+    G = abelian_twisted_gamma()
+    ctx = QueContext(G, 3, 4, {})
+    assert ctx.cocommutative
+    assert ctx.delta_images == [HElement(ctx, 2, primitive_coeffs(i)) for i in range(2)]
+    x, y = ((0,), PLAIN), ((1,), PLAIN)
+    image = {**primitive_coeffs(0), (1, (x, y)): F(1, 2), (1, (y, x)): F(-1, 2)}
+    ctx = QueContext(G, 3, 4, {0: image})
+    assert not ctx.cocommutative
+    assert ctx.delta_images[0] == HElement(ctx, 2, image)
+    assert ctx.delta_images[1] == HElement(ctx, 2, primitive_coeffs(1))
+
+
 def test_invert_endo_corrects_a_nonlinear_hbar_term():
     """x -> x + hbar y^2, y -> y + hbar x^2 has identity linear part, so the
     inverse needs the correction step; it composes to the identity on
@@ -80,10 +96,9 @@ def test_invert_endo_corrects_a_nonlinear_hbar_term():
         x + HElement(ctx, 1, {(1, (((1, 1), PLAIN),)): F(1)}),
         y + HElement(ctx, 1, {(1, (((0, 0), PLAIN),)): F(1)}),
     ]
-    leading = linear_leading_inverse(ctx, images)
-    assert leading == [x, y]
-    inv = ctx.invert_endo(images, leading)
-    assert inv != leading
+    assert linear_leading_inverse(ctx, images) == [x, y]
+    inv = ctx.invert_endo(images)
+    assert inv != [x, y]
     for i in range(2):
         assert ctx.apply_endo(images, inv[i]) == ctx.gen(i)
         assert ctx.apply_endo(inv, images[i]) == ctx.gen(i)

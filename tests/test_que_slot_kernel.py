@@ -34,8 +34,9 @@ def contexts():
     out = {}
     for name, maker in DATASETS.items():
         base = maker(3, D).ctx
+        coproduct = {i: img.coeffs for i, img in enumerate(base.delta_images)}
         for M in (2, 3):
-            out[(name, M)] = QueContext(base.G, M, D, base.delta_images)
+            out[(name, M)] = QueContext(base.G, M, D, coproduct)
     return out
 
 
