@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import factorial, lcm
 
-from gammastack.cohomology import solve_coboundary
+from gammastack.cohomology import CoboundaryObstruction, solve_coboundary
 from gammastack.liealg import GammaLieBialgebra, copoisson_envelope
 from gammastack.linalg import LinearSystem, solve_linear
 from gammastack.tensors import SparseElement, SparseTensor, _add_into, sorted_words, word_str
@@ -29,14 +29,12 @@ F = Fraction
 Word = tuple[int, ...]
 Slot = tuple[Word, int]  # (pbw word, group label); label -1 means unlabeled
 Key = tuple[int, tuple[Slot, ...]]
-# the terms of one input slot's image: (hbar power, output slots,
-# coefficient, PBW degree of the output slots)
-Table = tuple[tuple[int, tuple[Slot, ...], Fraction, int], ...]
+# the terms of one input slot's image: (den, entries), each entry (hbar
+# power, output slots, int numerator over den, PBW degree of the output slots)
+Table = tuple[int, tuple[tuple[int, tuple[Slot, ...], int, int], ...]]
 
 PLAIN = -1
 ONE = F(1)
-# the counit on an empty slot: it leaves no slot
-_COUNIT = ((0, (), ONE, 0),)
 
 
 class QuantumError(RuntimeError):
@@ -112,35 +110,64 @@ class HElement(SparseElement):
 def spread(ctx: QueContext, slots: int, terms) -> HElement:
     """The slotwise product of tables, cut at the truncation.
 
-    Each term is (hbar power below M, coefficient, tables), one table per
-    input slot.  A part picks one entry (hbar power, output slots,
-    coefficient, PBW degree) per table in slot order; powers and degrees add,
-    coefficients multiply, slots concatenate.  A part is dropped once its
-    power reaches M or its degree passes D, and the rest are summed in
-    first-seen order.  Cutting early is exact: powers and degrees never
-    decrease, and the cap D never looks at hbar.  So a table may also be
-    computed once at hbar^0 and shifted by each term's power, as the
-    semidirect basis products and coproducts are.  `tables` may be lazy:
-    a term whose parts all die reads no further table.
+    Each term is (hbar power below M, numerator, denominator, tables), one
+    table per input slot.  A part picks one entry (hbar power, output slots,
+    numerator, PBW degree) per table in slot order; powers and degrees add,
+    numerators multiply, denominators multiply (the term's by each table's),
+    slots concatenate.  A part is dropped once its power reaches M or its
+    degree passes D, and the rest are summed in int over a running common
+    denominator, in first-seen order (a key that sums to 0 is deleted, and
+    comes back at the end); each sum becomes a `Fraction` once.  Cutting
+    early is exact: powers and degrees never decrease, and the cap D never
+    looks at hbar.  So a table may also be computed once at hbar^0 and
+    shifted by each term's power, as the semidirect basis products and
+    coproducts are.  `tables` may be lazy: a term whose parts all die reads
+    no further table.
     """
     M, D = ctx.M, ctx.D
-    out: dict[Key, Fraction] = {}
-    for a, c, tables in terms:
-        parts = [(a, (), c, 0)]
-        for table in tables:
+    out: dict[Key, int] = {}
+    get = out.get
+    L = 1
+    for a, n, d, tables in terms:
+        parts = [(a, (), n, 0)]
+        for den, table in tables:
+            d *= den
             nxt = []
             add = nxt.append
-            for aa, done, cc, deg in parts:
-                for b, sl, d, e in table:
+            for aa, done, nn, deg in parts:
+                for b, sl, m, e in table:
                     if aa + b < M and deg + e <= D:
-                        # an identity entry carries the coefficient ONE: no multiply
-                        add((aa + b, done + sl, cc if d is ONE else cc * d, deg + e))
+                        add((aa + b, done + sl, nn * m, deg + e))
             parts = nxt
             if not parts:
                 break
-        for aa, sl, cc, _ in parts:
-            _add_into(out, (aa, sl), cc)
-    return HElement._trusted(ctx, slots, out)
+        if not parts:
+            continue
+        if L % d:
+            # rescale in place, so the keys keep their order
+            k = lcm(L, d) // L
+            for key in out:
+                out[key] *= k
+            L *= k
+        k = L // d
+        for aa, sl, nn, _ in parts:
+            key = (aa, sl)
+            v = get(key, 0) + nn * k
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    if L == 1:
+        return HElement._trusted(ctx, slots, {key: F(v) for key, v in out.items()})
+    return HElement._trusted(ctx, slots, {key: F(v, L) for key, v in out.items()})
+
+
+def _table(entries) -> Table:
+    """The table of (hbar power, output slots, `Fraction` coefficient)
+    entries: int numerators over den, the lcm of their denominators."""
+    entries = tuple(entries)
+    den = lcm(*(c.denominator for _, _, c in entries))
+    return den, tuple((a, sl, c.numerator * (den // c.denominator), _degree(sl)) for a, sl, c in entries)
 
 
 def _pair_terms(x: HElement, y: HElement, table):
@@ -148,26 +175,33 @@ def _pair_terms(x: HElement, y: HElement, table):
     below hbar^M (most pairs of a power series do not), with table(s1, s2)
     for each slot pair."""
     M = x.ctx.M
+    ys = [(a2, sl2, c2.numerator, c2.denominator) for (a2, sl2), c2 in y.coeffs.items()]
     for (a1, sl1), c1 in x.coeffs.items():
-        for (a2, sl2), c2 in y.coeffs.items():
+        n1, d1 = c1.numerator, c1.denominator
+        for a2, sl2, n2, d2 in ys:
             if a1 + a2 < M:
-                yield a1 + a2, c1 * c2, map(table, sl1, sl2)
+                yield a1 + a2, n1 * n2, d1 * d2, map(table, sl1, sl2)
 
 
 def _slot_terms(x: HElement, idx: int, table):
     """The terms applying table(slot) at slot idx and the identity elsewhere."""
     for (a, sl), c in x.coeffs.items():
-        tables = [((0, (s,), ONE, len(s[0])),) for s in sl]
+        tables = [_table(((0, (s,), ONE),)) for s in sl]
         tables[idx] = table(sl[idx])
-        yield a, c, tables
+        yield a, c.numerator, c.denominator, tables
 
 
 def _unit_table(slots: int) -> Table:
-    return ((0, (((), PLAIN),) * slots, ONE, 0),)
+    return _table(((0, (((), PLAIN),) * slots, ONE),))
 
 
 def _degree(sl: tuple[Slot, ...]) -> int:
     return sum(len(w) for w, _ in sl)
+
+
+# the counit on a slot: an empty slot leaves no slot, any other slot no term
+_COUNIT = _table(((0, (), ONE),))
+_NO_TERMS = _table(())
 
 
 def primitive_coeffs(i: int) -> dict[Key, Fraction]:
@@ -248,7 +282,7 @@ class QueContext:
         if g1 != PLAIN or g2 != PLAIN:
             raise ValueError("QueContext multiplies plain slots only")
         prods = self.lba.straighten(w1 + w2).items()
-        out = self._mul_slot_cache[key] = tuple((0, ((w, PLAIN),), c, len(w)) for w, c in prods)
+        out = self._mul_slot_cache[key] = _table((0, ((w, PLAIN),), c) for w, c in prods)
         return out
 
     def mul(self, x: HElement, y: HElement) -> HElement:
@@ -322,9 +356,9 @@ class QueContext:
         table = cache.get(word)
         if table is None:
             last = images[word[-1]]
-            prev = self._word_table(cache, images, (word[:-1], PLAIN))
-            out = HElement._trusted(self, last.slots, {(a, sl): c for a, sl, c, _ in prev}) * last
-            table = cache[word] = tuple((a, sl, c, _degree(sl)) for (a, sl), c in out.coeffs.items())
+            den, prev = self._word_table(cache, images, (word[:-1], PLAIN))
+            out = HElement._trusted(self, last.slots, {(a, sl): F(n, den) for a, sl, n, _ in prev}) * last
+            table = cache[word] = _table((a, sl, c) for (a, sl), c in out.coeffs.items())
         return table
 
     def coproduct_slot(self, x: HElement, idx: int) -> HElement:
@@ -339,7 +373,7 @@ class QueContext:
         return out
 
     def counit_slot(self, x: HElement, idx: int) -> HElement:
-        return spread(self, x.slots - 1, _slot_terms(x, idx, lambda s: () if s[0] else _COUNIT))
+        return spread(self, x.slots - 1, _slot_terms(x, idx, lambda s: _NO_TERMS if s[0] else _COUNIT))
 
     # -- endomorphisms by generator images ---------------------------------------------
 
@@ -361,7 +395,9 @@ class QueContext:
             cache = self._endo_word_cache.setdefault(image_key, {(): _unit_table(1)})
             hit = self._endo_by_ids[ids] = (tuple(images), cache)
         image = partial(self._word_table, hit[1], images)
-        return spread(self, x.slots, ((a, c, map(image, sl)) for (a, sl), c in x.coeffs.items()))
+        return spread(
+            self, x.slots, ((a, c.numerator, c.denominator, map(image, sl)) for (a, sl), c in x.coeffs.items())
+        )
 
     def invert_endo(self, images: list[HElement]) -> list[HElement]:
         """Generator images of the inverse endomorphism, corrected order by
@@ -515,7 +551,7 @@ def admissibilize(ctx: QueContext, f0: HElement) -> tuple[HElement, HElement]:
             raise QuantumError("log-form cocycle condition fails below truncation slack")
     b = ctx.unit(1)
     f = f0
-    for n in range(1, max(ctx.M - 1, 1)):
+    for n in range(1, ctx.M - 1):
         ell = ctx.hbar_log(f)
         # loop invariant: below order n+1 everything is already in U'
         for (a, sl), c in ell.coeffs.items():
@@ -534,7 +570,7 @@ def admissibilize(ctx: QueContext, f0: HElement) -> tuple[HElement, HElement]:
         )
         try:
             beta = solve_coboundary(alpha)
-        except Exception as exc:
+        except (CoboundaryObstruction, ValueError) as exc:
             raise QuantumError(
                 f"cocycle condition fails at hbar order {n + 1}: {exc}"
             ) from exc
@@ -803,13 +839,12 @@ class SemidirectBialgebra:
         self._intern: dict = {}
 
     def _table(self, entries) -> Table:
-        # equal slots, coefficients and whole tables recur across basis pairs
+        # equal slots and whole tables recur across basis pairs
         # (the sl2 D=6 sweep: 1,824 tables, 584 distinct), so each is kept once
         def shared(x):
             return self._intern.setdefault(x, x)
 
-        entries = ((a, shared(tuple(map(shared, sl))), shared(c), _degree(sl)) for a, sl, c in entries)
-        return shared(tuple(entries))
+        return shared(_table((a, shared(tuple(map(shared, sl))), c) for a, sl, c in entries))
 
     def _basis_product(self, s1: Slot, s2: Slot) -> Table:
         """hbar^0 table of [w1 * i_{e,g1}^{-1}(theta_g1(w2)) * v_{e,g1,g1g2}^{-1} | g1g2]."""

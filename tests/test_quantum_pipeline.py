@@ -310,3 +310,27 @@ def test_quantize_stack_runs_each_relation_pass_once(monkeypatch):
     monkeypatch.setattr(QueContext, "ad", counted)
     assert quantize_stack(data).ok
     assert len(calls) == 108
+
+
+def test_admissibilize_reports_only_solver_failures(monkeypatch):
+    """An obstruction from the coboundary solve becomes a QuantumError naming
+    the hbar order; any other error from it propagates unchanged."""
+    import gammastack.quantum as quantum
+    from gammastack.cohomology import CoboundaryObstruction
+    from gammastack.quantum import QuantumError
+
+    ctx, _f_adm, _b0, f0 = backward_f0()
+
+    def obstructed(alpha):
+        raise CoboundaryObstruction("target outside the image of d", alpha)
+
+    monkeypatch.setattr(quantum, "solve_coboundary", obstructed)
+    with pytest.raises(QuantumError, match=r"cocycle condition fails at hbar order 2: target outside"):
+        admissibilize(ctx, f0)
+
+    def broken(alpha):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(quantum, "solve_coboundary", broken)
+    with pytest.raises(TypeError, match="not a solver failure"):
+        admissibilize(ctx, f0)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammastack.builtin import abelian_que_data, sl2_que_data, trivial_que_data
-from gammastack.quantum import PLAIN, HElement, QueContext
+from gammastack.quantum import PLAIN, HElement, QueContext, SemidirectBialgebra
 from gammastack.tensors import _add_into
 
 D = 4
@@ -154,3 +154,108 @@ def test_coproduct_slot_and_apply_endo_equal_old_loops(contexts, case, data):
         for idx in range(slots):
             assert terms(ctx.coproduct_slot(x, idx)) == terms(oracle_coproduct_slot(ctx, x, idx))
         assert terms(ctx.apply_endo(images, x)) == terms(oracle_apply_endo(ctx, images, x))
+
+
+# -- denominators: spread sums int numerators over a running common denominator ------------
+
+# pairwise coprime: a sum's common denominator grows term by term
+DENOMINATORS = (4, 5, 7, 9, 11)
+
+
+def fractions_over(denominators):
+    return st.builds(Fraction, st.integers(-12, 12).filter(bool), st.sampled_from(denominators))
+
+
+def elements_over(ctx, slots: int, denominators, labeled: bool = False, min_size: int = 1):
+    """Elements as `elements` draws them, with coefficients over `denominators`."""
+    word = st.lists(st.integers(0, ctx.lba.dim - 1), max_size=2).map(lambda w: tuple(sorted(w)))
+    label = st.sampled_from(list(ctx.G.group.elements())) if labeled else st.just(PLAIN)
+    key = st.tuples(st.integers(0, ctx.M - 1), st.tuples(*[st.tuples(word, label)] * slots))
+    return st.dictionaries(key, fractions_over(denominators), min_size=min_size, max_size=4).map(
+        lambda d: HElement(ctx, slots, d)
+    )
+
+
+def oracle_semidirect_product(alg, x, y):
+    """[w1|g1][w2|g2] = [w1 * i_{g1}^{-1}(theta_g1(w2)) * v_{g1,g2}^{-1} | g1g2]
+    slot by slot, in Fraction, with the cut applied at the end."""
+    ctx, data = alg.ctx, alg.data
+    out = {}
+    for (a1, sl1), c1 in x.coeffs.items():
+        for (a2, sl2), c2 in y.coeffs.items():
+            parts = [(a1 + a2, (), c1 * c2)]
+            for (w1, g1), (w2, g2) in zip(sl1, sl2):
+                conj = HElement(ctx, 1, {(0, ((w2, PLAIN),)): Fraction(1)})
+                for images in (ctx.theta_images(g1), data.i_inverse_images(g1)):
+                    conj = ctx.apply_endo(images, conj)
+                plain1 = HElement(ctx, 1, {(0, ((w1, PLAIN),)): Fraction(1)})
+                val = plain1 * conj * ctx.inverse(data.v[(g1, g2)])
+                gg = ctx.G.group.mul(g1, g2)
+                parts = [
+                    (a + b, done + ((w, gg),), c * cv)
+                    for a, done, c in parts
+                    for (b, ((w, _),)), cv in val.coeffs.items()
+                ]
+            for a, sl, c in parts:
+                if a < ctx.M and sum(len(w) for w, _ in sl) <= ctx.D:
+                    _add_into(out, (a, sl), c)
+    return HElement(ctx, x.slots, out)
+
+
+@pytest.fixture(scope="module")
+def algebras():
+    return {name: SemidirectBialgebra(maker(3, D)) for name, maker in DATASETS.items()}
+
+
+def check_plain_operations(ctx, data, denominators):
+    images = [data.draw(elements_over(ctx, 1, denominators, min_size=0)) for _ in range(ctx.lba.dim)]
+    for slots in (1, 2):
+        x, y = (data.draw(elements_over(ctx, slots, denominators)) for _ in range(2))
+        assert terms(ctx.mul(x, y)) == terms(oracle_mul(ctx, x, y))
+        for idx in range(slots):
+            assert terms(ctx.coproduct_slot(x, idx)) == terms(oracle_coproduct_slot(ctx, x, idx))
+        assert terms(ctx.apply_endo(images, x)) == terms(oracle_apply_endo(ctx, images, x))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{name}-M{M}" for name, M in CASES])
+@PROPERTY
+@given(data=st.data())
+def test_coprime_denominators_equal_fraction_oracles(contexts, case, data):
+    check_plain_operations(contexts[case], data, DENOMINATORS)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{name}-M{M}" for name, M in CASES])
+@PROPERTY
+@given(data=st.data())
+def test_integer_operands_equal_fraction_oracles(contexts, case, data):
+    check_plain_operations(contexts[case], data, (1,))
+
+
+@pytest.mark.parametrize("name", list(DATASETS))
+@PROPERTY
+@given(data=st.data())
+def test_semidirect_product_coprime_denominators(algebras, name, data):
+    alg = algebras[name]
+    for denominators in (DENOMINATORS, (1,)):
+        for slots in (1, 2):
+            x, y = (data.draw(elements_over(alg.ctx, slots, denominators, labeled=True)) for _ in range(2))
+            assert terms(alg.product(x, y)) == terms(oracle_semidirect_product(alg, x, y))
+
+
+@PROPERTY
+@given(c=st.lists(fractions_over(DENOMINATORS), min_size=4, max_size=4))
+def test_cancelled_key_comes_back_last(contexts, c):
+    """(c1 x + c2 y + c3)(c4 y + d x + xy) in the abelian algebra: x*y adds
+    the key xy, y*x cancels it (d = -c1 c4 / c2), and 1*xy adds it again,
+    after every other key."""
+    ctx = contexts[("abelian", 3)]
+    c1, c2, c3, c4 = c
+
+    def plain(*entries):
+        return HElement(ctx, 1, {(0, ((w, PLAIN),)): k for w, k in entries})
+
+    x = plain(((0,), c1), ((1,), c2), ((), c3))
+    y = plain(((1,), c4), ((0,), -c1 * c4 / c2), ((0, 1), Fraction(1)))
+    got = terms(ctx.mul(x, y))
+    assert got == terms(oracle_mul(ctx, x, y))
+    assert got[-1] == ((0, (((0, 1), PLAIN),)), c3)
