@@ -341,29 +341,6 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
     return data
 
 
-def r_matrix_factor_log(data: GammaQUEData, gamma: int) -> HElement:
-    """hbar log of the R-matrix factor of F_{e,gamma}.
-
-    F factors as exp(hbar S) * R^{-1} with S the symmetric hbar^1 part;
-    returns hbar log R.  At the bundled truncations every tensor component
-    is a single generator, i.e. primitive.
-    """
-    ctx = data.ctx
-    f = data.F[gamma]
-    f1 = f.hbar_coefficient(1)
-    sym = (f1 + f1.flip()).scale(F(1, 2)).hbar_shift(1)
-    r_inv = ctx.mul(ctx.inverse(ctx.exp(sym)), f)
-    return ctx.hbar_log(ctx.inverse(r_inv))
-
-
-def r_factor_components_primitive(data: GammaQUEData, gamma: int) -> bool:
-    ell = r_matrix_factor_log(data, gamma)
-    for (a, sl), _c in ell.coeffs.items():
-        if any(len(w) != 1 for w, _ in sl):
-            return False
-    return True
-
-
 # -- bundled problems -------------------------------------------------------------
 
 

@@ -22,7 +22,6 @@ from gammastack.quantum import (
     validate_que_data,
 )
 from gammastack.stack import StackBuildError, verify_stack
-from gammastack.tensors import _add_into
 
 
 def data_path(name: str) -> Path:
@@ -79,10 +78,7 @@ def cmd_validate(args) -> int:
         if cybe:
             issues.append("rmatrix: classical Yang-Baxter equation fails")
         for g in problem.G.group.elements():
-            diff = theta2_shift(problem.G.theta[g], problem.r)
-            for key, c in problem.G.f[g].items():
-                _add_into(diff, key, -c)
-            if diff:
+            if theta2_shift(problem.G.theta[g], problem.r) != problem.G.f[g]:
                 issues.append(
                     f"rmatrix: twist map differs from theta^2(r) - r at {problem.G.group.labels[g]}"
                 )

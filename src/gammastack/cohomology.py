@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from gammastack.linalg import LinearSystem, Row, matrix_rank, solve_linear
@@ -32,19 +32,7 @@ from gammastack.tensors import (
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
 
 
 def cohochschild_d(a: SparseTensor) -> SparseTensor:

@@ -32,7 +32,6 @@ from gammastack.tensors import (
     merge_slot,
     multiset_factor,
     sorted_words,
-    tensor_unit,
     unit_monomial,
 )
 
@@ -489,13 +488,6 @@ class PairingContext:
             total = total + term
             k += 1
         return total
-
-    def grouplike_defect(self, w: TensorSeries) -> TensorSeries:
-        """Delta_gamma(w) - w^1 * w^2 for w in m^2 (zero iff w = 0 truncated)."""
-        self._require_m2(w, "grouplike_defect argument")
-        lhs = self.coproduct(w)
-        rhs = self.bch_star(tensor_unit(w, 1), tensor_unit(w, 0))
-        return lhs - rhs
 
     def counit(self, a: TensorSeries) -> Fraction:
         return a.coefficient(unit_monomial(a.slots))

@@ -9,7 +9,7 @@ on every basis tuple / group tuple and report all violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from gammastack.tensors import _add_into
@@ -189,10 +189,7 @@ class LieBialgebra:
                     _add_into(rhs, key, c)
                 for key, c in self._ad_on_tensor2(j, self.cobracket_tensor(i)).items():
                     _add_into(rhs, key, -c)
-                diff = dict(lhs)
-                for key, c in rhs.items():
-                    _add_into(diff, key, -c)
-                if diff:
+                if lhs != rhs:
                     issues.append(ValidationIssue("cocycle", (self.labels[i], self.labels[j])))
         return issues
 
@@ -368,10 +365,7 @@ def validate_gamma_lba(G: GammaLieBialgebra) -> list[ValidationIssue]:
             for j in range(d):
                 lhs = mat_apply(m, lba.bracket_elems(i, j))
                 rhs = lba.bracket_vec(mat_apply(m, {i: Fraction(1)}), mat_apply(m, {j: Fraction(1)}))
-                diff = dict(lhs)
-                for k, c in rhs.items():
-                    _add_into(diff, k, -c)
-                if diff:
+                if lhs != rhs:
                     issues.append(
                         ValidationIssue(
                             "theta-automorphism", (grp.labels[g], lba.labels[i], lba.labels[j])
@@ -392,11 +386,7 @@ def validate_gamma_lba(G: GammaLieBialgebra) -> list[ValidationIssue]:
             for j, c in mat_apply(th_inv, {k: Fraction(1)}).items():
                 for key, c2 in wedge2_apply(G.theta[g], lba.cobracket_tensor(j)).items():
                     _add_into(lhs, key, c * c2)
-            rhs = delta_gamma_tensor(G, g, k)
-            diff = dict(lhs)
-            for key, c in rhs.items():
-                _add_into(diff, key, -c)
-            if diff:
+            if lhs != delta_gamma_tensor(G, g, k):
                 issues.append(ValidationIssue("condition-a", (grp.labels[g], lba.labels[k])))
     # condition (b): f_{gh} = f_g + wedge^2(theta_g)(f_h)
     for g in grp.elements():
@@ -404,10 +394,7 @@ def validate_gamma_lba(G: GammaLieBialgebra) -> list[ValidationIssue]:
             expect = dict(G.f[g])
             for key, c in wedge2_apply(G.theta[g], G.f[h]).items():
                 _add_into(expect, key, c)
-            diff = dict(expect)
-            for key, c in G.f[grp.mul(g, h)].items():
-                _add_into(diff, key, -c)
-            if diff:
+            if expect != G.f[grp.mul(g, h)]:
                 issues.append(ValidationIssue("condition-b", (grp.labels[g], grp.labels[h])))
     # f_e = 0 is forced by (b) at (e, e); report it under condition-b
     if G.f[grp.identity]:
@@ -429,19 +416,6 @@ def validate_gamma_lba(G: GammaLieBialgebra) -> list[ValidationIssue]:
         if acc:
             issues.append(ValidationIssue("condition-c", (grp.labels[g],)))
     return issues
-
-
-@dataclass
-class QuasitriangularData:
-    r: Tensor2
-    t: Tensor2 = field(init=False)
-
-    def __post_init__(self):
-        self.r = {k: Fraction(v) for k, v in self.r.items() if v != 0}
-        t: Tensor2 = dict(self.r)
-        for (i, j), c in self.r.items():
-            _add_into(t, (j, i), c)
-        self.t = t
 
 
 class QuasitriangularError(ValueError):
@@ -467,8 +441,11 @@ def from_quasitriangular(
     lba: LieBialgebra, group: FiniteGroup, theta: dict[int, Matrix], r: Tensor2
 ) -> GammaLieBialgebra:
     """Build the twist map f_g = theta_g^{(x)2}(r) - r from an r-matrix."""
-    data = QuasitriangularData(r)
-    cybe = classical_yang_baxter(lba, data.r)
+    r = {k: Fraction(v) for k, v in r.items() if v != 0}
+    t: Tensor2 = dict(r)
+    for (i, j), c in r.items():
+        _add_into(t, (j, i), c)
+    cybe = classical_yang_baxter(lba, r)
     if cybe:
         triple = sorted(cybe)[0]
         raise QuasitriangularError(
@@ -477,11 +454,11 @@ def from_quasitriangular(
         )
     f: dict[int, Tensor2] = {}
     for g in group.elements():
-        if theta2_shift(theta[g], data.t):
+        if theta2_shift(theta[g], t):
             raise QuasitriangularError(
                 f"theta[{group.labels[g]}] does not preserve the symmetric part t"
             )
-        f[g] = theta2_shift(theta[g], data.r)
+        f[g] = theta2_shift(theta[g], r)
     return GammaLieBialgebra(lba, group, theta, f)
 
 

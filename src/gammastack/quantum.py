@@ -366,12 +366,6 @@ class QueContext:
         delta = partial(self._word_table, self._delta_word_cache, self.delta_images)
         return spread(self, x.slots + 1, _slot_terms(x, idx, delta))
 
-    def iterated_coproduct(self, x: HElement, n: int) -> HElement:
-        out = x
-        for _ in range(n - 1):
-            out = self.coproduct_slot(out, out.slots - 1)
-        return out
-
     def counit_slot(self, x: HElement, idx: int) -> HElement:
         return spread(self, x.slots - 1, _slot_terms(x, idx, lambda s: _NO_TERMS if s[0] else _COUNIT))
 
@@ -468,9 +462,10 @@ def drinfeld_prime_membership_general(x: HElement) -> tuple[bool, Key | None]:
     ctx = x.ctx
     if x.slots != 1:
         raise ValueError("membership test expects a 1-slot element")
-    bound = min(ctx.M, ctx.D)
-    for n in range(1, bound + 1):
-        dn = ctx.iterated_coproduct(x, n)
+    dn = x
+    for n in range(1, min(ctx.M, ctx.D) + 1):
+        if n > 1:
+            dn = ctx.coproduct_slot(dn, n - 2)
         for key in sorted(dn.coeffs):
             a, sl = key
             if any(not w for w, _ in sl):
@@ -764,6 +759,13 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
         except QuantumError:
             issues.append(f"i[{grp.labels[g]}] has a singular hbar^0 linear part")
             normalised = False
+            continue
+        # the order-by-order inversion can still fail to close at truncation
+        try:
+            data.i_inverse_images(g)
+        except QuantumError:
+            issues.append(f"i[{grp.labels[g]}] is not invertible at truncation")
+            normalised = False
     # the checks below invert F, v and the i maps
     if not normalised:
         return issues
@@ -803,14 +805,6 @@ def gauge_transform(data: GammaQUEData, b: dict[int, HElement]) -> GammaQUEData:
     bad = _relation_messages(out)
     if bad:
         raise QuantumError(f"gauge transform broke the compatibility relations: {bad[0]}")
-    return out
-
-
-def check_v_admissible(data: GammaQUEData) -> list[tuple[tuple[int, int], bool, Key | None]]:
-    out = []
-    for (g, h), v in sorted(data.v.items()):
-        ok, witness = is_admissible(v)
-        out.append(((g, h), ok, witness))
     return out
 
 
@@ -1059,7 +1053,8 @@ def quantize_stack(data: GammaQUEData) -> QuantumStackCertificate:
         cert.admissibility.append(
             {"element": f"F'[{grp.labels[g]}]", "admissible": ok, "witness": str(witness or "")}
         )
-    for (g, h), ok, witness in check_v_admissible(data_p):
+    for (g, h), v in sorted(data_p.v.items()):
+        ok, witness = is_admissible(v)
         cert.admissibility.append(
             {
                 "element": f"v'[{grp.labels[g]},{grp.labels[h]}]",

@@ -220,16 +220,6 @@ class SparseTensor(SparseElement):
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.coeffs.get(mono, Fraction(0))
 
-    def min_degree(self) -> int | None:
-        """Smallest total degree of a stored monomial, or None if zero."""
-        if not self.coeffs:
-            return None
-        return min(monomial_degree(m) for m in self.coeffs)
-
-    def in_maximal_power(self, k: int) -> bool:
-        """Membership in m^k: every monomial has total degree >= k."""
-        return all(monomial_degree(m) >= k for m in self.coeffs)
-
     def is_reduced(self) -> bool:
         """Membership in m^{otimes n}: every slot of every monomial nonempty."""
         return all(all(len(s) >= 1 for s in m) for m in self.coeffs)

@@ -165,6 +165,25 @@ def test_no_module_imports_random():
             assert not any(n.split(".")[0] == "random" for n in names), (path.name, node.lineno)
 
 
+def test_no_module_imports_an_unused_name():
+    """Every name a module of the package imports is used in that module
+    (`__init__` imports to re-export)."""
+    for path in sorted(Path(gammastack.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            else:
+                continue
+            unused = [name for name in bound if name not in used]
+            assert not unused, (path.name, node.lineno, unused)
+
+
 def test_missing_file_exit_2():
     code, _out, err = run_cli("validate", "/nonexistent/nope.glb")
     assert code == 2
@@ -495,12 +514,24 @@ def _retune(section, old, new):
     return edit
 
 
+def _trivial_que_not_invertible(lines):
+    """i_s(y) = y + y^2 at hbar 2, pbw 8, where inverting i_s does not close."""
+    for section, old, new in (
+        ("[quantum-morphism s y]", "term 0 1 y", "term 0 1 y\nterm 0 1 y y"),
+        ("[truncation]", "hbar 3", "hbar 2"),
+        ("[truncation]", "pbw 4", "pbw 8"),
+    ):
+        lines = _retune(section, old, new)(lines)
+    return lines
+
+
 @pytest.mark.parametrize(
     "name, edit, message",
     [
         ("trivial-que", _trivial_que_duplicate_gauge, "v[e,e] not in 1 + hbar^2 U"),
         ("trivial-que", _trivial_que_second_twist, "F[s] not in 1 + hbar U^2"),
         ("trivial-que", _trivial_que_singular_morphism, "i[s] has a singular hbar^0 linear part"),
+        ("trivial-que", _trivial_que_not_invertible, "i[s] is not invertible at truncation"),
         ("abelian-que", _retune("[quantum-coproduct x]", "term 2 1/2 y y|x", "term 2 -1/2 y y|x"),
          "coproduct not coassociative at generator 0"),
         ("abelian-que", _retune("[quantum-coproduct x]", "term 1 -1 y|x", "term 1 1 y|x"),
@@ -527,17 +558,18 @@ def _retune(section, old, new):
          "twist composition relation fails at (s,s)"),
     ],
     ids=[
-        "duplicate-gauge", "second-twist", "singular-morphism", "coassociativity", "co-poisson",
-        "counit", "cocommutative", "bracket", "twist-alt", "twist-equation", "morphism",
-        "conjugation", "morphism-composition", "gauge-cocycle", "twist-composition",
+        "duplicate-gauge", "second-twist", "singular-morphism", "not-invertible", "coassociativity",
+        "co-poisson", "counit", "cocommutative", "bracket", "twist-alt", "twist-equation",
+        "morphism", "conjugation", "morphism-composition", "gauge-cocycle", "twist-composition",
     ],
 )
 def test_unnormalised_quantum_data_is_reported_not_inverted(tmp_path, name, edit, message):
     """Quantum data that parses but fails a check of validate_que_data is an
     input-validation failure, with one case per message kind: validate names
-    it, and quantize writes its exit-1 certificate.  The first three are not
-    normalised (v = 2, F = 2, i_s(y) = 1), where inverting v, F or i would
-    raise; each of the others changes one coefficient of a bundled file."""
+    it, and quantize writes its exit-1 certificate.  The first four are not
+    normalised (v = 2, F = 2, i_s(y) = 1, i_s(y) = y + y^2 at pbw 8), where
+    inverting v, F or i would raise; each of the others changes one
+    coefficient of a bundled file."""
     lines = data_path(f"{name}.glb").read_text(encoding="utf-8").splitlines(keepends=True)
     bad = tmp_path / "bad.glb"
     bad.write_text("".join(edit(lines)), encoding="utf-8")

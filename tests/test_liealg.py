@@ -8,6 +8,7 @@ from gammastack.cli import data_path
 from gammastack.liealg import (
     FiniteGroup,
     GammaLieBialgebra,
+    LieBialgebra,
     QuasitriangularError,
     classical_yang_baxter,
     copoisson_envelope,
@@ -75,6 +76,46 @@ def test_axb_bad_theta_rejected_as_homomorphism():
     bad = GammaLieBialgebra(G.lba, G.group, theta, G.f)
     issues = validate_gamma_lba(bad)
     assert any(i.condition in ("theta-homomorphism", "theta-automorphism") for i in issues)
+
+
+def _sl2_without_delta_f():
+    lba = sl2_lba()
+    cobracket = {key: c for key, c in lba.cobracket.items() if key[0] != 2}
+    return LieBialgebra(3, lba.labels, lba.bracket, cobracket)
+
+
+def _axb_theta_s(theta_s):
+    G = axb_gamma()
+    return GammaLieBialgebra(G.lba, G.group, {0: G.theta[0], 1: theta_s}, G.f)
+
+
+def _with_f_s(G, f_s):
+    return GammaLieBialgebra(G.lba, G.group, G.theta, {0: {}, 1: f_s})
+
+
+@pytest.mark.parametrize(
+    "check, expected",
+    [
+        # delta(f) = 0 breaks only delta([e,f]) = ad_e delta(f) - ad_f delta(e)
+        (lambda: _sl2_without_delta_f().validate(),
+         ["cocycle violated at (e,f)", "cocycle violated at (f,e)"]),
+        # theta_s = diag(1, -1) squares to 1 but maps [x,y] = x to x, [x,-y] to -x
+        (lambda: validate_gamma_lba(_axb_theta_s([[F(1), F(0)], [F(0), F(-1)]])),
+         ["theta-automorphism violated at (s,x,y)", "theta-automorphism violated at (s,y,x)",
+          "condition-a violated at (s,y)"]),
+        # f_s = -x^y in place of -2 x^y
+        (lambda: validate_gamma_lba(_with_f_s(axb_gamma(), {(0, 1): F(-1), (1, 0): F(1)})),
+         ["condition-a violated at (s,y)"]),
+        # theta = id and f_s = x^y: f_e = 0 differs from f_s + f_s
+        (lambda: validate_gamma_lba(_with_f_s(abelian_gamma(), {(0, 1): F(1), (1, 0): F(-1)})),
+         ["condition-b violated at (s,s)"]),
+    ],
+    ids=["cocycle", "theta-automorphism", "condition-a", "condition-b"],
+)
+def test_identity_check_names_the_failing_tuple(check, expected):
+    """Each identity check compares both sides exactly: one minimal mutation
+    is reported by that check alone (plus what it forces), at its tuples."""
+    assert [str(issue) for issue in check()] == expected
 
 
 def test_condition_b_group_triples(axb):

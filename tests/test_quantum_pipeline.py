@@ -7,7 +7,6 @@ import pytest
 
 from gammastack.builtin import (
     abelian_que_data,
-    r_factor_components_primitive,
     sl2_que_data,
     trivial_que_data,
 )
@@ -17,8 +16,8 @@ from gammastack.quantum import (
     SemidirectBialgebra,
     admissibilize,
     build_semidirect,
-    check_v_admissible,
     classical_limit_residuals,
+    drinfeld_prime_membership_general,
     gauge_transform,
     gauge_twist,
     is_admissible,
@@ -213,8 +212,46 @@ def test_gauge_transform_random_revalidates():
 def test_check_v_admissible_all():
     for maker in (trivial_que_data, abelian_que_data, sl2_que_data):
         data = maker(3, 4)
-        for (_pair, ok, witness) in check_v_admissible(data):
+        for _pair, v in sorted(data.v.items()):
+            ok, witness = is_admissible(v)
             assert ok, witness
+
+
+def membership_from_scratch(x):
+    """drinfeld_prime_membership_general with Delta^(n) rebuilt from x for
+    each n by n - 1 coproducts at the last slot."""
+    ctx = x.ctx
+    for n in range(1, min(ctx.M, ctx.D) + 1):
+        dn = x
+        for _ in range(n - 1):
+            dn = ctx.coproduct_slot(dn, dn.slots - 1)
+        for key in sorted(dn.coeffs):
+            a, sl = key
+            if all(w for w, _ in sl) and a < n:
+                return False, key
+    return True, None
+
+
+def test_membership_carries_the_iterated_coproduct():
+    """Carrying Delta^(n) forward one coproduct per n gives the verdict and
+    witness of rebuilding it for each n: on every v' of the quantized sl2
+    data and its hbar log, on members hbar h, hbar^2 e^2 and hbar^2 ef, and
+    on hbar ef and hbar^2 e^3, which fail first at n = 2 and n = 3."""
+    cert = quantize_stack(sl2_que_data(3, 4))
+    ctx = cert.data_prime.ctx
+
+    def mono(a, word):
+        return HElement(ctx, 1, {(a, ((word, PLAIN),)): F(1)})
+
+    members = [y for v in cert.data_prime.v.values() for y in (v, ctx.hbar_log(v))]
+    members += [mono(1, (0,)), mono(2, (1, 1)), mono(2, (1, 2))]
+    outsiders = {2: mono(1, (1, 2)), 3: mono(2, (1, 1, 1))}
+    for x in members + list(outsiders.values()):
+        assert drinfeld_prime_membership_general(x) == membership_from_scratch(x)
+    assert all(drinfeld_prime_membership_general(x) == (True, None) for x in members)
+    for n, x in outsiders.items():
+        ok, (a, sl) = drinfeld_prime_membership_general(x)
+        assert not ok and a < n and len(sl) == n
 
 
 def test_quantize_stack_certificates():
@@ -266,9 +303,17 @@ def test_classical_limit_exact():
 
 
 def test_sl2_r_factor_log_primitive():
+    """F factors as exp(hbar S) R^{-1}, S the symmetric part of F's hbar^1
+    coefficient; every tensor component of hbar log R is a single generator."""
     data = sl2_que_data(3, 4)
-    assert r_factor_components_primitive(data, 1)
-    assert r_factor_components_primitive(data, 3)
+    ctx = data.ctx
+    for gamma in (1, 3):
+        f = data.F[gamma]
+        f1 = f.hbar_coefficient(1)
+        sym = (f1 + f1.flip()).scale(F(1, 2)).hbar_shift(1)
+        r_inv = ctx.mul(ctx.inverse(ctx.exp(sym)), f)
+        ell = ctx.hbar_log(ctx.inverse(r_inv))
+        assert all(len(w) == 1 for (_a, sl) in ell.coeffs for w, _ in sl)
 
 
 def test_gauge_transform_reports_broken_relation():

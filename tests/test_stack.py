@@ -118,7 +118,7 @@ def test_lift_uniqueness_up_to_gauge_randomized():
         assert f1 != f2
         lam = solve_gauge(ctx, f1, f2)
         assert gauge_act(ctx, lam, f1) == f2
-        assert lam.in_maximal_power(2)
+        assert all(monomial_degree(m) >= 2 for m in lam.coeffs)
 
 
 def twisted_generators(ctx, f):
@@ -275,7 +275,7 @@ def test_build_u_direct_and_error_paths():
     from gammastack.stack import AlgebraMap
 
     u = build_u(ctx_e, AlgebraMap(j_es.images, N).inverse(), lift_es, lift_se, lift_ee)
-    assert u.in_maximal_power(2)
+    assert all(monomial_degree(m) >= 2 for m in u.coeffs)
     # the gauge equation holds exactly
     pulled = AlgebraMap(j_es.images, N).inverse().apply(lift_se)
     composed = ctx_e.bch_star(pulled, lift_es)
