@@ -19,7 +19,6 @@ from gammastack.liealg import (
 )
 from gammastack.linalg import LinearSystem, solve_linear
 from gammastack.quantum import (
-    PLAIN,
     GammaQUEData,
     HElement,
     Key,
@@ -34,7 +33,7 @@ from gammastack.quantum import (
     validate_que_data,
 )
 from gammastack.stack import lift_twist
-from gammastack.tensors import _add_into, slot_monomials
+from gammastack.tensors import _add_into, monomial_degree, slot_monomials
 
 F = Fraction
 
@@ -134,7 +133,7 @@ def dual_pairing_delta_images(pc: PairingContext, M: int) -> dict[int, dict[Key,
         for (b1, b2), c in pc.coproduct_word((i,)).items():
             tag = len(b1) + len(b2) - 1
             if tag < M:
-                coeffs[(tag, ((b1, PLAIN), (b2, PLAIN)))] = c
+                coeffs[(tag, (b1, b2))] = c
     return images
 
 
@@ -214,11 +213,7 @@ def abelian_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
     ftilde = lift_twist(pc, leading)
     if n >= 3:
         ftilde = gauge_act(pc, pc.series({((0, 0, 1),): F(1)}), ftilde)
-    gexp: dict[Key, Fraction] = {}
-    for mono, c in ftilde.coeffs.items():
-        t = sum(len(w) for w in mono)
-        if t - 1 < M:
-            gexp[(t - 1, tuple((w, PLAIN) for w in mono))] = c
+    gexp = {(monomial_degree(mono) - 1, mono): c for mono, c in ftilde.coeffs.items()}
     F_sigma = ctx.exp(HElement(ctx, 2, gexp))
     F_ = {0: ctx.unit(2), 1: F_sigma}
     i_images = {g: [ctx.gen(i) for i in range(2)] for g in grp.elements()}
@@ -265,11 +260,10 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
         for i in range(dim):
             coeffs = images[i] = primitive_coeffs(i)
             for (p, q), c in lba.cobracket_tensor(i).items():
-                coeffs[(1, (((p,), PLAIN), ((q,), PLAIN)))] = c / 2
+                coeffs[(1, ((p,), (q,)))] = c / 2
             for (gen, pair), c in d2_coeffs.items():
                 if gen == i:
-                    key = (2, ((pair[0], PLAIN), (pair[1], PLAIN)))
-                    coeffs[key] = coeffs.get(key, F(0)) + c
+                    coeffs[(2, pair)] = coeffs.get((2, pair), F(0)) + c
         return images
 
     # reduced 2-slot words of total degree 2..3; the tuple sort fixes the
@@ -298,14 +292,14 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
     f_w = G.f[1]
     psi1: dict[Key, Fraction] = {}
     for (p, q), c in f_w.items():
-        psi1[(1, (((p,), PLAIN), ((q,), PLAIN)))] = c / 2
+        psi1[(1, ((p,), (q,)))] = c / 2
     pairs4 = sorted(m for d in (2, 3, 4) for m in slot_monomials(dim, 2, d))
 
     def psi_for(assign: dict) -> HElement:
         coeffs = dict(psi1)
-        coeffs[(0, (((), PLAIN), ((), PLAIN)))] = F(1)
+        coeffs[(0, ((), ()))] = F(1)
         for pair, c in assign.items():
-            coeffs[(2, ((pair[0], PLAIN), (pair[1], PLAIN)))] = c
+            coeffs[(2, pair)] = c
         return HElement(ctx, 2, coeffs)
 
     tau2 = ctx.theta_images(1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from gammastack.liealg import GammaLieBialgebra, LieBialgebra, Tensor2, delta_gamma_tensor
 from gammastack.tensors import (
@@ -62,8 +62,6 @@ def build_delta_gamma(G: GammaLieBialgebra, gamma: int) -> LieBialgebra:
 
 # -- free-associative BCH word series and its Lyndon basis --------------------
 
-_bch_words_cache: dict[int, list[tuple[Fraction, Word]]] = {}
-
 
 def _free_mul(p: dict[Word, Fraction], q: dict[Word, Fraction], nmax: int) -> dict[Word, Fraction]:
     out: dict[Word, Fraction] = {}
@@ -75,16 +73,15 @@ def _free_mul(p: dict[Word, Fraction], q: dict[Word, Fraction], nmax: int) -> di
     return out
 
 
+@cache
 def bch_word_terms(nmax: int) -> list[tuple[Fraction, Word]]:
     """Coefficients of log(exp(x) exp(y)) in the free associative algebra.
 
     Each word over {0, 1} of length n contributes coeff/n times its
     right-nested bracketing (the Dynkin projection); `bch_lyndon_terms`
-    rewrites the series in the Lyndon basis.
+    rewrites the series in the Lyndon basis.  Cached and shared by every
+    caller, who only reads it.
     """
-    cached = _bch_words_cache.get(nmax)
-    if cached is not None:
-        return cached
     ex = {tuple([0] * k): Fraction(1, factorial(k)) for k in range(nmax + 1)}
     ey = {tuple([1] * k): Fraction(1, factorial(k)) for k in range(nmax + 1)}
     s = _free_mul(ex, ey, nmax)
@@ -96,9 +93,7 @@ def bch_word_terms(nmax: int) -> list[tuple[Fraction, Word]]:
         sign = Fraction((-1) ** (k + 1), k)
         for w, c in power.items():
             _add_into(log, w, sign * c)
-    terms = sorted(((c, w) for w, c in log.items()), key=lambda t: (len(t[1]), t[1]))
-    _bch_words_cache[nmax] = terms
-    return terms
+    return sorted(((c, w) for w, c in log.items()), key=lambda t: (len(t[1]), t[1]))
 
 
 def _is_lyndon(word: Word) -> bool:
@@ -123,9 +118,8 @@ def standard_factorisation(word: Word) -> tuple[Word, Word]:
 
 LyndonTable = tuple[list[tuple[Fraction, Word]], dict[Word, tuple[Word, Word]]]
 
-_bch_lyndon_cache: dict[int, LyndonTable] = {}
 
-
+@cache
 def bch_lyndon_terms(nmax: int) -> LyndonTable:
     """log(exp(x) exp(y)) = sum c_w [w] over Lyndon words w of length <= nmax.
 
@@ -135,11 +129,9 @@ def bch_lyndon_terms(nmax: int) -> LyndonTable:
     derived from `bch_word_terms`: in the free associative algebra [w] is w
     plus lexicographically larger words of the same length, so taking the
     Lyndon words in length-then-lex order, c_w is the coefficient of w left
-    after subtracting the expansions of the earlier terms.
+    after subtracting the expansions of the earlier terms.  Cached like
+    `bch_word_terms`.
     """
-    cached = _bch_lyndon_cache.get(nmax)
-    if cached is not None:
-        return cached
 
     def comm(p: dict[Word, Fraction], q: dict[Word, Fraction]) -> dict[Word, Fraction]:
         out = _free_mul(p, q, nmax)
@@ -164,7 +156,6 @@ def bch_lyndon_terms(nmax: int) -> LyndonTable:
                 _add_into(rest, w2, -c * c2)
     if rest:
         raise AssertionError("BCH series is not spanned by the Lyndon basis")
-    _bch_lyndon_cache[nmax] = (terms, factors)
     return terms, factors
 
 
@@ -195,18 +186,14 @@ def bch_apply(bracket_fn, f, g, nmax: int):
 
 # -- Bernoulli-number recursion (independent BCH implementation) --------------
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-
-
+@cache
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli numbers, B_1 = -1/2 convention."""
-    while len(_bernoulli_cache) <= n:
-        m = len(_bernoulli_cache)
-        acc = Fraction(0)
-        for k in range(m):
-            acc += Fraction(factorial(m + 1), factorial(k) * factorial(m + 1 - k)) * _bernoulli_cache[k]
-        _bernoulli_cache.append(-acc / (m + 1))
-    return _bernoulli_cache[n]
+    """Bernoulli numbers, B_1 = -1/2 convention: B_0 = 1 and
+    sum_{k<=n} C(n+1, k) B_k = 0."""
+    acc = Fraction(0)
+    for k in range(n):
+        acc += comb(n + 1, k) * bernoulli(k)
+    return -acc / (n + 1) if n else Fraction(1)
 
 
 def _compositions(total: int, parts: int):

@@ -5,8 +5,9 @@ Sections are [algebra], [group], [action g], [twist g], [rmatrix],
 [quantum-twist g], [quantum-morphism g x], [quantum-gauge g h].  Scalars
 are integers or p/q; monomial words are space-separated basis labels with
 "1" for the empty word; tensor slots are separated by "|".  Parsing is
-strict with line numbers in every error; serialization is canonical, so
-accepted canonical files round-trip byte for byte.
+strict with line numbers in every error, and a section (name and
+arguments) may appear once; serialization is canonical, so accepted
+canonical files round-trip byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from gammastack.liealg import FiniteGroup, GammaLieBialgebra, LieBialgebra, Tensor2
-from gammastack.quantum import PLAIN, GammaQUEData, HElement, Key, QueContext
+from gammastack.quantum import GammaQUEData, HElement, Key, QueContext
 from gammastack.tensors import word_str
 
 F = Fraction
@@ -115,7 +116,7 @@ def parse_problem(text: str) -> Problem:
     trunc = {"degree": 4, "hbar": 3, "pbw": 4}
     q = QuantumSections()
     seen_quantum = False
-    single: set[str] = set()  # the single-valued entries seen so far
+    single: set[str] = set()  # the section headers and single-valued entries seen so far
 
     def once(entry: str, ln: int):
         if entry in single:
@@ -171,6 +172,10 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemParseError(
                     f"[{head[0]}] needs {need} argument(s), got {len(head) - 1}", ln
                 )
+            header = f"[{' '.join(head)}]"
+            if header in single:
+                raise ProblemParseError(f"repeated section {header}", ln)
+            single.add(header)
             section = (head[0], tuple(head[1:]), ln)
             if head[0].startswith("quantum-"):
                 seen_quantum = True
@@ -286,9 +291,8 @@ def parse_problem(text: str) -> Problem:
             name, arg_kinds, slots = QUANTUM_SECTIONS[kind]
             idx = tuple((glabel if k == "g" else blabel)(t, ln) for k, t in zip(arg_kinds, args))
             a, c, words = parse_term_slots(parts, ln, slots)
-            key = (a, tuple((w, PLAIN) for w in words))
             d = getattr(q, name).setdefault(idx if len(idx) > 1 else idx[0], {})
-            d[key] = d.get(key, F(0)) + c
+            d[(a, words)] = d.get((a, words), F(0)) + c
         else:
             raise ProblemParseError(f"unknown section [{kind}]", ln)
 
@@ -362,7 +366,7 @@ def _scalar_str(c: Fraction) -> str:
 def _helement_lines(coeffs: dict[Key, Fraction], labels: list[str]) -> list[str]:
     out = []
     for (a, slots), c in sorted(coeffs.items()):
-        body = "|".join(word_str(w, labels) for w, _ in slots)
+        body = "|".join(word_str(w, labels) for w in slots)
         out.append(f"term {a} {_scalar_str(c)} {body}")
     return out
 

@@ -1,9 +1,12 @@
 """Truncated quantized enveloping algebras and the quantum stack pipeline.
 
-Elements live in U(g)[[hbar]] (optionally semidirect with the finite group)
-in PBW normal form, doubly truncated: hbar powers below M, total PBW degree
-at most D.  The ambient coproduct is an input: an algebra map given by
-generator images (undeformed primitive images give the cocommutative case).
+Elements live in U(g)[[hbar]] in PBW normal form, doubly truncated: hbar
+powers below M, total PBW degree at most D.  A key is (hbar power, words),
+one PBW word per tensor slot: the monomial tuple of the formal side's
+`SparseTensor`.  Only the crossed product U(g)[[hbar]] x| Gamma labels its
+slots, (word, group element), in a `CrossedElement`.  The ambient coproduct
+is an input: an algebra map given by generator images (undeformed primitive
+images give the cocommutative case).
 
 The degree cap D is a projection, not an algebra congruence: identities are
 exact whenever intermediate products stay within D.  All pipeline elements
@@ -23,17 +26,24 @@ from math import factorial, lcm
 from gammastack.cohomology import CoboundaryObstruction, solve_coboundary
 from gammastack.liealg import GammaLieBialgebra, copoisson_envelope
 from gammastack.linalg import LinearSystem, solve_linear
-from gammastack.tensors import SparseElement, SparseTensor, _add_into, sorted_words, word_str
+from gammastack.tensors import (
+    Monomial,
+    SparseElement,
+    SparseTensor,
+    _add_into,
+    monomial_degree,
+    sorted_words,
+    unit_monomial,
+    word_str,
+)
 
 F = Fraction
 Word = tuple[int, ...]
-Slot = tuple[Word, int]  # (pbw word, group label); label -1 means unlabeled
-Key = tuple[int, tuple[Slot, ...]]
+Key = tuple[int, Monomial]
 # the terms of one input slot's image: (den, entries), each entry (hbar
 # power, output slots, int numerator over den, PBW degree of the output slots)
-Table = tuple[int, tuple[tuple[int, tuple[Slot, ...], int, int], ...]]
+Table = tuple[int, tuple[tuple[int, tuple, int, int], ...]]
 
-PLAIN = -1
 ONE = F(1)
 
 
@@ -44,12 +54,13 @@ class QuantumError(RuntimeError):
 class HElement(SparseElement):
     """Sparse, immutable-by-convention element of the truncated algebra.
 
-    Keys are (hbar power, slots); the bound is hbar power below ctx.M and
+    Keys are (hbar power, words); the bound is hbar power below ctx.M and
     total PBW degree at most ctx.D.
     """
 
     __slots__ = ("ctx",)
     _space = "ctx"
+    _degree = staticmethod(monomial_degree)
 
     def __init__(self, ctx: QueContext, slots: int, coeffs: dict[Key, Fraction] | None = None):
         self.ctx = ctx
@@ -59,7 +70,7 @@ class HElement(SparseElement):
             for (a, sl), c in coeffs.items():
                 if c == 0 or a >= ctx.M:
                     continue
-                if sum(len(w) for w, _ in sl) > ctx.D:
+                if self._degree(sl) > ctx.D:
                     continue
                 if len(sl) != slots:
                     raise ValueError("slot count mismatch in key")
@@ -67,7 +78,7 @@ class HElement(SparseElement):
         self.coeffs = clean
 
     def _check(self, other: HElement):
-        if self.ctx is not other.ctx or self.slots != other.slots:
+        if self.ctx is not other.ctx or self.slots != other.slots or other.__class__ is not self.__class__:
             raise ValueError("incompatible elements")
 
     def __mul__(self, other: HElement) -> HElement:
@@ -81,7 +92,7 @@ class HElement(SparseElement):
                 raise QuantumError(f"hbar division of a term with hbar^{a}")
             out[(a + k, sl)] = c
         # a positive shift can pass the hbar bound, so only it is re-cleaned
-        return self._like(out) if k <= 0 else HElement(self.ctx, self.slots, out)
+        return self._like(out) if k <= 0 else self.__class__(self.ctx, self.slots, out)
 
     def hbar_coefficient(self, a: int) -> HElement:
         return self._like({(0, sl): c for (p, sl), c in self.coeffs.items() if p == a})
@@ -93,81 +104,78 @@ class HElement(SparseElement):
 
     def _term(self, key: Key, labels: list[str] | None) -> str:
         a, sl = key
-        glabels = self.ctx.G.group.labels
-        body = "|".join(
-            word_str(w, labels) if g == PLAIN else f"[{word_str(w, labels)}:{glabels[g]}]"
-            for w, g in sl
-        )
+        body = "|".join(word_str(w, labels) for w in sl)
         return f"h^{a} {body}" if a else body
 
     def __repr__(self):
-        return f"HElement({self.format()})"
+        return f"{self.__class__.__name__}({self.format()})"
 
+    # -- the slot calculus --------------------------------------------------------
 
-# -- the slot calculus ------------------------------------------------------------------
+    @classmethod
+    def _table(cls, entries) -> Table:
+        """The table of (hbar power, output slots, `Fraction` coefficient)
+        entries: int numerators over den, the lcm of their denominators."""
+        entries = tuple(entries)
+        den = lcm(*(c.denominator for _, _, c in entries))
+        degree = cls._degree
+        return den, tuple((a, sl, c.numerator * (den // c.denominator), degree(sl)) for a, sl, c in entries)
 
+    @classmethod
+    def spread(cls, ctx: QueContext, slots: int, terms) -> HElement:
+        """The slotwise product of tables, cut at the truncation, as an
+        element of this class.
 
-def spread(ctx: QueContext, slots: int, terms) -> HElement:
-    """The slotwise product of tables, cut at the truncation.
-
-    Each term is (hbar power below M, numerator, denominator, tables), one
-    table per input slot.  A part picks one entry (hbar power, output slots,
-    numerator, PBW degree) per table in slot order; powers and degrees add,
-    numerators multiply, denominators multiply (the term's by each table's),
-    slots concatenate.  A part is dropped once its power reaches M or its
-    degree passes D, and the rest are summed in int over a running common
-    denominator, in first-seen order (a key that sums to 0 is deleted, and
-    comes back at the end); each sum becomes a `Fraction` once.  Cutting
-    early is exact: powers and degrees never decrease, and the cap D never
-    looks at hbar.  So a table may also be computed once at hbar^0 and
-    shifted by each term's power, as the semidirect basis products and
-    coproducts are.  `tables` may be lazy: a term whose parts all die reads
-    no further table.
-    """
-    M, D = ctx.M, ctx.D
-    out: dict[Key, int] = {}
-    get = out.get
-    L = 1
-    for a, n, d, tables in terms:
-        parts = [(a, (), n, 0)]
-        for den, table in tables:
-            d *= den
-            nxt = []
-            add = nxt.append
-            for aa, done, nn, deg in parts:
-                for b, sl, m, e in table:
-                    if aa + b < M and deg + e <= D:
-                        add((aa + b, done + sl, nn * m, deg + e))
-            parts = nxt
+        Each term is (hbar power below M, numerator, denominator, tables), one
+        table per input slot.  A part picks one entry (hbar power, output slots,
+        numerator, PBW degree) per table in slot order; powers and degrees add,
+        numerators multiply, denominators multiply (the term's by each table's),
+        slots concatenate.  A part is dropped once its power reaches M or its
+        degree passes D, and the rest are summed in int over a running common
+        denominator, in first-seen order (a key that sums to 0 is deleted, and
+        comes back at the end); each sum becomes a `Fraction` once.  Cutting
+        early is exact: powers and degrees never decrease, and the cap D never
+        looks at hbar.  So a table may also be computed once at hbar^0 and
+        shifted by each term's power, as the semidirect basis products and
+        coproducts are.  `tables` may be lazy: a term whose parts all die reads
+        no further table.
+        """
+        M, D = ctx.M, ctx.D
+        out: dict[Key, int] = {}
+        get = out.get
+        L = 1
+        for a, n, d, tables in terms:
+            parts = [(a, (), n, 0)]
+            for den, table in tables:
+                d *= den
+                nxt = []
+                add = nxt.append
+                for aa, done, nn, deg in parts:
+                    for b, sl, m, e in table:
+                        if aa + b < M and deg + e <= D:
+                            add((aa + b, done + sl, nn * m, deg + e))
+                parts = nxt
+                if not parts:
+                    break
             if not parts:
-                break
-        if not parts:
-            continue
-        if L % d:
-            # rescale in place, so the keys keep their order
-            k = lcm(L, d) // L
-            for key in out:
-                out[key] *= k
-            L *= k
-        k = L // d
-        for aa, sl, nn, _ in parts:
-            key = (aa, sl)
-            v = get(key, 0) + nn * k
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    if L == 1:
-        return HElement._trusted(ctx, slots, {key: F(v) for key, v in out.items()})
-    return HElement._trusted(ctx, slots, {key: F(v, L) for key, v in out.items()})
-
-
-def _table(entries) -> Table:
-    """The table of (hbar power, output slots, `Fraction` coefficient)
-    entries: int numerators over den, the lcm of their denominators."""
-    entries = tuple(entries)
-    den = lcm(*(c.denominator for _, _, c in entries))
-    return den, tuple((a, sl, c.numerator * (den // c.denominator), _degree(sl)) for a, sl, c in entries)
+                continue
+            if L % d:
+                # rescale in place, so the keys keep their order
+                k = lcm(L, d) // L
+                for key in out:
+                    out[key] *= k
+                L *= k
+            k = L // d
+            for aa, sl, nn, _ in parts:
+                key = (aa, sl)
+                v = get(key, 0) + nn * k
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        if L == 1:
+            return cls._trusted(ctx, slots, {key: F(v) for key, v in out.items()})
+        return cls._trusted(ctx, slots, {key: F(v, L) for key, v in out.items()})
 
 
 def _pair_terms(x: HElement, y: HElement, table):
@@ -186,28 +194,23 @@ def _pair_terms(x: HElement, y: HElement, table):
 def _slot_terms(x: HElement, idx: int, table):
     """The terms applying table(slot) at slot idx and the identity elsewhere."""
     for (a, sl), c in x.coeffs.items():
-        tables = [_table(((0, (s,), ONE),)) for s in sl]
+        tables = [x._table(((0, (s,), ONE),)) for s in sl]
         tables[idx] = table(sl[idx])
         yield a, c.numerator, c.denominator, tables
 
 
 def _unit_table(slots: int) -> Table:
-    return _table(((0, (((), PLAIN),) * slots, ONE),))
-
-
-def _degree(sl: tuple[Slot, ...]) -> int:
-    return sum(len(w) for w, _ in sl)
+    return HElement._table(((0, unit_monomial(slots), ONE),))
 
 
 # the counit on a slot: an empty slot leaves no slot, any other slot no term
-_COUNIT = _table(((0, (), ONE),))
-_NO_TERMS = _table(())
+_COUNIT = HElement._table(((0, (), ONE),))
+_NO_TERMS = HElement._table(())
 
 
 def primitive_coeffs(i: int) -> dict[Key, Fraction]:
     """The coefficients of the primitive image e_i|1 + 1|e_i."""
-    one, gen = ((), PLAIN), ((i,), PLAIN)
-    return {(0, (gen, one)): ONE, (0, (one, gen)): ONE}
+    return {(0, ((i,), ())): ONE, (0, ((), (i,))): ONE}
 
 
 class QueContext:
@@ -224,7 +227,7 @@ class QueContext:
         self.lba = G.lba
         self.M = M
         self.D = D
-        self._mul_slot_cache: dict[tuple[Slot, Slot], Table] = {}
+        self._mul_slot_cache: dict[tuple[Word, Word], Table] = {}
         # word images under Delta and under each endomorphism (keyed by the
         # content of its generator images), see `_word_table`
         self._delta_word_cache: dict[Word, Table] = {(): _unit_table(2)}
@@ -247,47 +250,40 @@ class QueContext:
         return HElement(self, slots)
 
     def unit(self, slots: int = 1) -> HElement:
-        return HElement(self, slots, {(0, tuple(((), PLAIN) for _ in range(slots))): F(1)})
+        return HElement(self, slots, {(0, unit_monomial(slots)): F(1)})
 
     def gen(self, i: int, hbar: int = 0) -> HElement:
-        return HElement(self, 1, {(hbar, (((i,), PLAIN),)): F(1)})
+        return HElement(self, 1, {(hbar, ((i,),)): F(1)})
 
-    def labeled(self, word: Word, gamma: int) -> HElement:
-        return HElement(self, 1, {(0, ((word, gamma),)): F(1)})
+    def labeled(self, word: Word, gamma: int) -> CrossedElement:
+        return CrossedElement(self, 1, {(0, ((word, gamma),)): F(1)})
 
     def from_series(self, s: SparseTensor, hbar: int = 0) -> HElement:
-        """Lift a symmetric-algebra tensor to PBW normal form words."""
-        out: dict[Key, Fraction] = {}
-        for mono, c in s.coeffs.items():
-            out[(hbar, tuple((w, PLAIN) for w in mono))] = c
-        return HElement(self, s.slots, out)
+        """A symmetric-algebra tensor's monomials as PBW words at hbar^hbar."""
+        return HElement(self, s.slots, {(hbar, mono): c for mono, c in s.coeffs.items()})
 
     def to_series(self, x: HElement) -> SparseTensor:
-        """Forget labels/hbar structure of an hbar-homogeneous plain element."""
-        out = {}
-        for (a, sl), c in x.coeffs.items():
-            if a != 0:
-                raise ValueError("to_series expects an hbar^0 element")
-            out[tuple(w for w, _ in sl)] = c
-        return SparseTensor(x.slots, self.D, out)
+        """The words of an hbar^0 element as symmetric-algebra monomials."""
+        if any(a for a, _ in x.coeffs):
+            raise ValueError("to_series expects an hbar^0 element")
+        return SparseTensor(x.slots, self.D, {sl: c for (_, sl), c in x.coeffs.items()})
 
     # -- multiplication ----------------------------------------------------------
 
-    def _mul_slot(self, s1: Slot, s2: Slot) -> Table:
-        key = (s1, s2)
+    def _mul_slot(self, w1: Word, w2: Word) -> Table:
+        key = (w1, w2)
         cached = self._mul_slot_cache.get(key)
         if cached is not None:
             return cached
-        (w1, g1), (w2, g2) = s1, s2
-        if g1 != PLAIN or g2 != PLAIN:
-            raise ValueError("QueContext multiplies plain slots only")
         prods = self.lba.straighten(w1 + w2).items()
-        out = self._mul_slot_cache[key] = _table((0, ((w, PLAIN),), c) for w, c in prods)
+        out = self._mul_slot_cache[key] = HElement._table((0, (w,), c) for w, c in prods)
         return out
 
     def mul(self, x: HElement, y: HElement) -> HElement:
+        if x.__class__ is not HElement or y.__class__ is not HElement:
+            raise ValueError("QueContext multiplies plain slots only")
         x._check(y)
-        return spread(self, x.slots, _pair_terms(x, y, self._mul_slot))
+        return HElement.spread(self, x.slots, _pair_terms(x, y, self._mul_slot))
 
     def commutator(self, x: HElement, y: HElement) -> HElement:
         return self.mul(x, y) - self.mul(y, x)
@@ -346,28 +342,31 @@ class QueContext:
 
     # -- coproduct -------------------------------------------------------------------
 
-    def _word_table(self, cache: dict[Word, Table], images: list[HElement], slot: Slot) -> Table:
-        """The image of a plain slot's word under the algebra map with
-        generator images `images`, memoised by word in `cache` (which holds
-        the empty word): the image of word[:-1] times that of its last letter."""
-        word, g = slot
-        if g != PLAIN:
-            raise ValueError("Delta and endomorphisms act on plain slots")
+    def _word_table(self, cache: dict[Word, Table], images: list[HElement], word: Word) -> Table:
+        """The image of a word under the algebra map with generator images
+        `images`, memoised by word in `cache` (which holds the empty word):
+        the image of word[:-1] times that of its last letter."""
         table = cache.get(word)
         if table is None:
             last = images[word[-1]]
-            den, prev = self._word_table(cache, images, (word[:-1], PLAIN))
+            den, prev = self._word_table(cache, images, word[:-1])
             out = HElement._trusted(self, last.slots, {(a, sl): F(n, den) for a, sl, n, _ in prev}) * last
-            table = cache[word] = _table((a, sl, c) for (a, sl), c in out.coeffs.items())
+            table = cache[word] = HElement._table((a, sl, c) for (a, sl), c in out.coeffs.items())
         return table
 
     def coproduct_slot(self, x: HElement, idx: int) -> HElement:
-        """Apply the ambient coproduct to one (plain) slot of x."""
+        """Apply the ambient coproduct to one slot of x."""
+        if x.__class__ is not HElement:
+            raise ValueError("Delta acts on plain slots only")
         delta = partial(self._word_table, self._delta_word_cache, self.delta_images)
-        return spread(self, x.slots + 1, _slot_terms(x, idx, delta))
+        return HElement.spread(self, x.slots + 1, _slot_terms(x, idx, delta))
 
     def counit_slot(self, x: HElement, idx: int) -> HElement:
-        return spread(self, x.slots - 1, _slot_terms(x, idx, lambda s: _NO_TERMS if s[0] else _COUNIT))
+        """The counit on slot idx of x, plain or crossed: the terms whose
+        slot there has degree 0, with that slot dropped."""
+        return x.spread(
+            self, x.slots - 1, _slot_terms(x, idx, lambda s: _NO_TERMS if x._degree((s,)) else _COUNIT)
+        )
 
     # -- endomorphisms by generator images ---------------------------------------------
 
@@ -380,6 +379,8 @@ class QueContext:
 
     def apply_endo(self, images: list[HElement], x: HElement) -> HElement:
         """Apply the algebra endomorphism with given generator images, slotwise."""
+        if x.__class__ is not HElement:
+            raise ValueError("endomorphisms act on plain slots only")
         # cache by image content: image lists are rebuilt freely by callers,
         # so each tuple of image objects is mapped to its content key once
         ids = tuple(map(id, images))
@@ -389,7 +390,7 @@ class QueContext:
             cache = self._endo_word_cache.setdefault(image_key, {(): _unit_table(1)})
             hit = self._endo_by_ids[ids] = (tuple(images), cache)
         image = partial(self._word_table, hit[1], images)
-        return spread(
+        return HElement.spread(
             self, x.slots, ((a, c.numerator, c.denominator, map(image, sl)) for (a, sl), c in x.coeffs.items())
         )
 
@@ -416,7 +417,7 @@ class QueContext:
 
 def _linear_images(ctx: QueContext, columns) -> list[HElement]:
     """The generator images e_j -> sum_k columns[j][k] e_k."""
-    images = ({(0, (((k,), PLAIN),)): c for k, c in enumerate(col) if c} for col in columns)
+    images = ({(0, ((k,),)): c for k, c in enumerate(col) if c} for col in columns)
     return [HElement(ctx, 1, image) for image in images]
 
 
@@ -427,8 +428,8 @@ def linear_leading_inverse(ctx: QueContext, images: list[HElement]) -> list[HEle
     rows: list[dict[int, Fraction]] = [{} for _ in range(dim)]
     for j, img in enumerate(images):
         for (a, sl), c in img.coeffs.items():
-            if a == 0 and len(sl[0][0]) == 1:
-                _add_into(rows[sl[0][0][0]], j, c)
+            if a == 0 and len(sl[0]) == 1:
+                _add_into(rows[sl[0][0]], j, c)
     columns = []
     for j in range(dim):
         result = solve_linear(LinearSystem(dim, rows, [F(int(k == j)) for k in range(dim)]))
@@ -448,7 +449,7 @@ def drinfeld_prime_membership(x: HElement) -> tuple[bool, Key | None]:
     """
     for key in sorted(x.coeffs):
         a, sl = key
-        if a < sum(len(w) for w, _ in sl):
+        if a < monomial_degree(sl):
             return False, key
     return True, None
 
@@ -468,7 +469,7 @@ def drinfeld_prime_membership_general(x: HElement) -> tuple[bool, Key | None]:
             dn = ctx.coproduct_slot(dn, n - 2)
         for key in sorted(dn.coeffs):
             a, sl = key
-            if any(not w for w, _ in sl):
+            if not all(sl):
                 continue  # killed by (id - unit o counit)
             if a < n:
                 return False, key
@@ -496,8 +497,7 @@ def is_admissible(x: HElement) -> tuple[bool, Key | None]:
 
 def tensor_unit(x: HElement, pos: int) -> HElement:
     """x with a unit slot inserted at position pos (pos = x.slots appends it)."""
-    unit = (((), PLAIN),)
-    coeffs = {(a, sl[:pos] + unit + sl[pos:]): c for (a, sl), c in x.coeffs.items()}
+    coeffs = {(a, sl[:pos] + ((),) + sl[pos:]): c for (a, sl), c in x.coeffs.items()}
     return HElement._trusted(x.ctx, x.slots + 1, coeffs)
 
 
@@ -550,19 +550,12 @@ def admissibilize(ctx: QueContext, f0: HElement) -> tuple[HElement, HElement]:
         ell = ctx.hbar_log(f)
         # loop invariant: below order n+1 everything is already in U'
         for (a, sl), c in ell.coeffs.items():
-            total = sum(len(w) for w, _ in sl)
-            if a <= n and a < total:
+            if a <= n and a < monomial_degree(sl):
                 raise QuantumError(f"admissibilization invariant broken at order {a}")
-        bad = {
-            sl: c
-            for (a, sl), c in ell.coeffs.items()
-            if a == n + 1 and sum(len(w) for w, _ in sl) > n + 1
-        }
+        bad = {sl: c for (a, sl), c in ell.coeffs.items() if a == n + 1 and monomial_degree(sl) > n + 1}
         if not bad:
             continue
-        alpha = SparseTensor(
-            2, ctx.D, {tuple(w for w, _ in sl): c for sl, c in bad.items()}
-        )
+        alpha = SparseTensor(2, ctx.D, bad)
         try:
             beta = solve_coboundary(alpha)
         except (CoboundaryObstruction, ValueError) as exc:
@@ -698,7 +691,7 @@ def _relation_messages(data: GammaQUEData) -> list[str]:
 
 def _linear_tensor(ctx: QueContext, t: dict[tuple[int, int], Fraction]) -> HElement:
     """The 2-tensor sum c e_p (x) e_q of t at hbar^0."""
-    return HElement(ctx, 2, {(0, (((p,), PLAIN), ((q,), PLAIN))): c for (p, q), c in t.items()})
+    return HElement(ctx, 2, {(0, ((p,), (q,))): c for (p, q), c in t.items()})
 
 
 def validate_que_data(data: GammaQUEData) -> list[str]:
@@ -811,6 +804,23 @@ def gauge_transform(data: GammaQUEData, b: dict[int, HElement]) -> GammaQUEData:
 # -- semidirect bialgebra -----------------------------------------------------------------
 
 
+class CrossedElement(HElement):
+    """Element of the crossed product U(g)[[hbar]] x| Gamma: each slot of a
+    key is (word, group element), shown as [word:label]."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _degree(sl) -> int:
+        return sum(len(w) for w, _ in sl)
+
+    def _term(self, key, labels: list[str] | None) -> str:
+        a, sl = key
+        glabels = self.ctx.G.group.labels
+        body = "|".join(f"[{word_str(w, labels)}:{glabels[g]}]" for w, g in sl)
+        return f"h^{a} {body}" if a else body
+
+
 class SemidirectBialgebra:
     """S(g) (x) k Gamma [[hbar]] with the twisted product and coproduct.
 
@@ -828,8 +838,8 @@ class SemidirectBialgebra:
         # per-label caches v^{-1}, F^{-1}; hbar^0 tables per basis pair/monomial
         self._vinv: dict[tuple[int, int], HElement] = {}
         self._finv: dict[int, HElement] = {}
-        self._products: dict[tuple[Slot, Slot], Table] = {}
-        self._coproducts: dict[Slot, Table] = {}
+        self._products: dict[tuple, Table] = {}
+        self._coproducts: dict[tuple[Word, int], Table] = {}
         self._intern: dict = {}
 
     def _table(self, entries) -> Table:
@@ -838,60 +848,59 @@ class SemidirectBialgebra:
         def shared(x):
             return self._intern.setdefault(x, x)
 
-        return shared(_table((a, shared(tuple(map(shared, sl))), c) for a, sl, c in entries))
+        entries = ((a, shared(tuple(map(shared, sl))), c) for a, sl, c in entries)
+        return shared(CrossedElement._table(entries))
 
-    def _basis_product(self, s1: Slot, s2: Slot) -> Table:
+    def _basis_product(self, s1: tuple[Word, int], s2: tuple[Word, int]) -> Table:
         """hbar^0 table of [w1 * i_{e,g1}^{-1}(theta_g1(w2)) * v_{e,g1,g1g2}^{-1} | g1g2]."""
         key = (s1, s2)
         table = self._products.get(key)
         if table is None:
             (w1, g1), (w2, g2) = s1, s2
-            if g1 == PLAIN or g2 == PLAIN:
-                raise ValueError("semidirect product needs labeled elements")
             ctx = self.ctx
             if (g1, g2) not in self._vinv:
                 self._vinv[(g1, g2)] = ctx.inverse(self.data.v[(g1, g2)])
-            conj = HElement._trusted(ctx, 1, {(0, ((w2, PLAIN),)): ONE})
+            conj = HElement._trusted(ctx, 1, {(0, (w2,)): ONE})
             for images in (ctx.theta_images(g1), self.data.i_inverse_images(g1)):
                 conj = ctx.apply_endo(images, conj)
-            plain1 = HElement._trusted(ctx, 1, {(0, ((w1, PLAIN),)): ONE})
+            plain1 = HElement._trusted(ctx, 1, {(0, (w1,)): ONE})
             gg = self.G.group.mul(g1, g2)
             val = plain1 * conj * self._vinv[(g1, g2)]
             table = self._products[key] = self._table(
-                (a, ((w, gg),), c) for (a, ((w, _),)), c in val.coeffs.items()
+                (a, ((w, gg),), c) for (a, (w,)), c in val.coeffs.items()
             )
         return table
 
-    def _basis_coproduct(self, s: Slot) -> Table:
+    def _basis_coproduct(self, s: tuple[Word, int]) -> Table:
         """hbar^0 table of [Delta_e(w) * F_{e,g}^{-1} | g,g] for s = (w, g)."""
         table = self._coproducts.get(s)
         if table is None:
             w, g = s
-            if g == PLAIN:
-                raise ValueError("semidirect coproduct needs labeled elements")
             ctx = self.ctx
             if g not in self._finv:
                 self._finv[g] = ctx.inverse(self.data.F[g])
-            plain = HElement._trusted(ctx, 1, {(0, ((w, PLAIN),)): ONE})
+            plain = HElement._trusted(ctx, 1, {(0, (w,)): ONE})
             val = ctx.coproduct_slot(plain, 0) * self._finv[g]
             table = self._coproducts[s] = self._table(
-                (a, ((w1, g), (w2, g)), c) for (a, ((w1, _), (w2, _))), c in val.coeffs.items()
+                (a, ((w1, g), (w2, g)), c) for (a, (w1, w2)), c in val.coeffs.items()
             )
         return table
 
-    def product(self, x: HElement, y: HElement) -> HElement:
+    def product(self, x: CrossedElement, y: CrossedElement) -> CrossedElement:
         """[m|g][m'|g'] = [m * i_{e,g}^{-1}(theta_g(m')) * v_{e,g,gg'}^{-1} | gg'],
         slot by slot on elements of any slot count."""
-        return spread(self.ctx, x.slots, _pair_terms(x, y, self._basis_product))
+        if x.__class__ is not CrossedElement or y.__class__ is not CrossedElement:
+            raise ValueError("the semidirect product needs labeled elements")
+        return CrossedElement.spread(self.ctx, x.slots, _pair_terms(x, y, self._basis_product))
 
-    def coproduct(self, x: HElement) -> HElement:
+    def coproduct(self, x: CrossedElement) -> CrossedElement:
         """[m|g] -> [Delta_e(m) * F_{e,g}^{-1} | g,g]."""
         return self._cop_slot(x, 0)
 
-    def unit(self) -> HElement:
+    def unit(self) -> CrossedElement:
         return self.ctx.labeled((), self.G.group.identity)
 
-    def counit(self, x: HElement) -> Fraction:
+    def counit(self, x: CrossedElement) -> Fraction:
         e = self.G.group.identity
         out = F(0)
         for (a, ((w, g),)), c in x.coeffs.items():
@@ -930,8 +939,10 @@ class SemidirectBialgebra:
                 issues.append(f"unit axiom fails at {a.format()}")
         return issues
 
-    def _cop_slot(self, x: HElement, idx: int) -> HElement:
-        return spread(self.ctx, x.slots + 1, _slot_terms(x, idx, self._basis_coproduct))
+    def _cop_slot(self, x: CrossedElement, idx: int) -> CrossedElement:
+        if x.__class__ is not CrossedElement:
+            raise ValueError("the semidirect coproduct needs labeled elements")
+        return CrossedElement.spread(self.ctx, x.slots + 1, _slot_terms(x, idx, self._basis_coproduct))
 
 
 def build_semidirect(data: GammaQUEData, check_degree: int = 1) -> tuple[SemidirectBialgebra, list[str]]:

@@ -20,6 +20,7 @@ from gammastack.tensors import (
     Monomial,
     SparseTensor,
     TensorSeries,
+    Word,
     _add_into,
     monomial_degree,
     slot_monomials,
@@ -291,51 +292,41 @@ def build_iso(
     twisted = [twisted_coproduct(ctx_src, ftilde, gen) for gen in images]
     cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(images, N))
     for deg in range(2, N + 1):
-        base = _residual_vector(cop_res, poi_res, dim, deg)
-        if all(v == 0 for v in base):
+        if all(r.homogeneous_part(deg).is_zero() for r in cop_res + poi_res):
             continue
-        res = solve_linear(_iso_system(ctx_src, ctx_dst, deg, base))
+        system, words = _iso_system(ctx_src, ctx_dst, deg, cop_res, poi_res)
+        res = solve_linear(system)
         if not res.solvable:
             raise StackBuildError(
                 f"isomorphism solve failed at degree {deg}: nonzero residual class"
                 f"; inconsistent equation row {res.failure_row}"
                 " (upstream twist data is inconsistent)"
             )
-        unknowns = [(i, m) for i in range(dim) for m in sorted_words(dim, deg)]
+        unknowns = [(i, m) for i in range(dim) for m in words]
         for (i, m), c in zip(unknowns, res.solution):
             if c:
                 images[i] = images[i] + SparseTensor(1, N, {(m,): c})
         cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(images, N))
-        if any(v != 0 for v in _residual_vector(cop_res, poi_res, dim, deg)):
+        if not all(r.homogeneous_part(deg).is_zero() for r in cop_res + poi_res):
             raise StackBuildError(f"iso residual persists at degree {deg}")
     return AlgebraMap(images, N)
 
 
-def _residual_vector(
-    cop_res: list[TensorSeries], poi_res: list[TensorSeries], dim: int, deg: int
-) -> list[Fraction]:
-    """Degree-deg coefficients of the iso_residuals output, one per row of
-    the degree-deg system: coproduct blocks first, then Poisson blocks."""
-    vec: list[Fraction] = []
-    monos = slot_monomials(dim, 2, deg, least=0)
-    for r in cop_res:
-        h = r.homogeneous_part(deg)
-        for mono in monos:
-            vec.append(h.coefficient(mono))
-    for r in poi_res:
-        h = r.homogeneous_part(deg)
-        for mono in sorted_words(dim, deg):
-            vec.append(h.coefficient((mono,)))
-    return vec
-
-
 def _iso_system(
-    ctx_src: PairingContext, ctx_dst: PairingContext, deg: int, base: list[Fraction]
-) -> LinearSystem:
-    """The degree-deg system J p = -base of build_iso.
+    ctx_src: PairingContext,
+    ctx_dst: PairingContext,
+    deg: int,
+    cop_res: list[TensorSeries],
+    poi_res: list[TensorSeries],
+) -> tuple[LinearSystem, list[Word]]:
+    """The degree-deg system J p = -r of build_iso, and the degree-deg words.
 
-    The column of the unknown (l, m), the monomial m added to the image of
-    e_l, is
+    The unknown (l, m), the word m added to the image of e_l, is column
+    l * len(words) + (index of m).  r is the degree-deg part of the
+    `iso_residuals` output (cop_res, poi_res), one row per coefficient:
+    coproduct blocks first, one per generator over the 2-slot monomials,
+    then Poisson blocks, one per pair i < k over the words.  The column of
+    (l, m) is
     - in coproduct block l: [Delta_dst(m)]_d - m|1 - 1|m;
     - in Poisson block (i, k): {e_i, e_k}_src[e_l] m - [l=i] [{m, e_k}_dst]_d
       + [l=k] [{m, e_i}_dst]_d;
@@ -349,6 +340,8 @@ def _iso_system(
     words = sorted_words(dim, deg)
     word_row = {w: r for r, w in enumerate(words)}
     mono_row = {mono: r for r, mono in enumerate(slot_monomials(dim, 2, deg, least=0))}
+    rhs = [r.coefficient(m) for r in cop_res for m in mono_row]
+    rhs += [r.coefficient((w,)) for r in poi_res for w in words]
     pairs = [(i, k) for i in range(dim) for k in range(i + 1, dim)]
     gens = [SparseTensor.generator(i, N) for i in range(dim)]
     brackets = [ctx_src.poisson(gens[i], gens[k]) for i, k in pairs]
@@ -357,7 +350,7 @@ def _iso_system(
     coproducts = [ctx_dst.coproduct(m).homogeneous_part(deg) for m in monos]
     # [{m, e_k}_dst]_d once per (m, k)
     m_gen = [[ctx_dst.poisson(m, gen).homogeneous_part(deg) for gen in gens] for m in monos]
-    rows: list[dict[int, Fraction]] = [{} for _ in base]
+    rows: list[dict[int, Fraction]] = [{} for _ in rhs]
     for l in range(dim):
         for r, (w, dm) in enumerate(zip(words, coproducts)):
             col = l * len(words) + r
@@ -376,9 +369,9 @@ def _iso_system(
                 for (v,), c in block.items():
                     rows[poisson_row0 + p * len(words) + word_row[v]][col] = c
     sys = LinearSystem(dim * len(words))
-    for row, b in zip(rows, base):
+    for row, b in zip(rows, rhs):
         sys.add_row(row, -b)
-    return sys
+    return sys, words
 
 
 # -- certificates ---------------------------------------------------------------

@@ -111,13 +111,16 @@ def test_ragged_entry_exit_2(tmp_path):
         ("axb", "dim 2", "dim 2\ndim 3", (3, 4)),
         ("axb", "row s = s e", "row s = s e\nrow s = e s", (11, 12)),
         ("axb", "degree 4", "degree 4\ndegree 5", (21, 22)),
+        ("axb", "[twist s]", "[action s]\nmap x = -1 x\n\n[twist s]", 17),
+        ("trivial-que", "[quantum-gauge e e]", "[quantum-morphism s y]\nterm 0 1 y y\n\n[quantum-gauge e e]", 47),
     ],
     ids=["dim-trailing", "header-trailing", "twist-trailing", "rmatrix-trailing", "negative-hbar",
          "quantum-keyword", "word-not-pbw-ordered", "repeated-basis-label",
          "repeated-group-label", "short-row", "table-not-a-group", "dim-after-labels",
          "label-one", "label-with-bar", "diagonal-bracket", "diagonal-cobracket",
          "diagonal-twist", "dim-zero", "dim-negative", "repeated-algebra-labels",
-         "repeated-group-labels", "repeated-dim", "repeated-row", "repeated-degree"],
+         "repeated-group-labels", "repeated-dim", "repeated-row", "repeated-degree",
+         "repeated-action-section", "repeated-quantum-section"],
 )
 def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
     """Extra tokens, negative hbar powers, a quantum line that does not start
@@ -126,8 +129,10 @@ def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
     wrong length exit 2 naming the line.  So do a basis label that a word or
     a tensor slot would misread ("1", "f|g"), an antisymmetric entry that
     pairs a label with itself (c and -c on one key) and a dim below 1.  A
-    single-valued entry (dim, labels, a group row, a truncation) given twice
-    is an error at its second line, not a silent re-index or override.
+    single-valued entry (dim, labels, a group row, a truncation) or a section
+    header (name and arguments: a second [action s] would double theta_s, a
+    second [quantum-morphism s y] add to the first) given twice is an error
+    at its second line, not a silent re-index, override or sum.
     `line` is the line of `entry` (one or more lines), or (that line, the
     line reported) when the error is on another line: a table that is not
     a group names the [group] header, a label count that does not match dim
@@ -494,7 +499,9 @@ def _trivial_que_duplicate_gauge(lines):
 
 
 def _trivial_que_second_twist(lines):
-    return lines + ["\n", "[quantum-twist s]\n", "term 0 1 1|1\n"]
+    k = lines.index("[quantum-twist s]\n") + 1
+    assert lines[k] == "term 0 1 1|1\n"  # F_s = 1; a second term adds to it
+    return lines[: k + 1] + lines[k:]
 
 
 def _trivial_que_singular_morphism(lines):

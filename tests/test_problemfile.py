@@ -38,6 +38,29 @@ def test_file_level_roundtrip():
         assert again == shipped, name
 
 
+def test_quantum_sections_hold_monomial_keys():
+    """A quantum term's key is (hbar power, words), one PBW word per tensor
+    slot, the key of `HElement` and the monomial of `SparseTensor`: the
+    parsed sections are the element coefficients as they are, and they
+    serialize back to the file."""
+    text = data_path("sl2-que.glb").read_text(encoding="utf-8")
+    problem = parse_problem(text)
+    q = problem.quantum
+    w = problem.G.group.labels.index("w")
+    # [quantum-twist w]: term 1 -1/2 e|f and term 2 1/96 h|h h
+    assert q.twists[w][(1, ((1,), (2,)))] == F(-1, 2)
+    assert q.twists[w][(2, ((0,), (0, 0)))] == F(1, 96)
+    slots = {"coproduct": 2, "twists": 2, "morphisms": 1, "gauges": 1}
+    for name, n in slots.items():
+        for coeffs in getattr(q, name).values():
+            for a, words in coeffs:
+                assert type(a) is int and len(words) == n
+                assert all(type(i) is int for word in words for i in word)
+    data = build_que_data(problem)
+    assert {g: f.coeffs for g, f in data.F.items()} == q.twists
+    assert serialize_problem(problem, header="bundled problem: sl2-que") == text
+
+
 def test_object_level_roundtrip():
     for name, problem in bundled_problems().items():
         text = serialize_problem(problem)

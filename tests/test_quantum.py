@@ -7,7 +7,6 @@ import pytest
 
 from gammastack.builtin import trivial_que_data
 from gammastack.quantum import (
-    PLAIN,
     HElement,
     QuantumError,
     QueContext,
@@ -17,6 +16,7 @@ from gammastack.quantum import (
     is_admissible,
     primitive_coeffs,
 )
+from gammastack.tensors import monomial_degree
 
 from conftest import abelian_twisted_gamma, axb_gamma, sl2_weyl_gamma
 
@@ -63,6 +63,27 @@ def test_mul_rejects_labeled_slots():
         ctx.mul(ctx.gen(0), x)
 
 
+def test_plain_and_crossed_elements_do_not_mix():
+    """Sums reject a plain operand with a crossed one, and the crossed
+    product and coproduct reject plain elements."""
+    alg = SemidirectBialgebra(trivial_que_data(3, 4))
+    ctx = alg.ctx
+    x, gx = ctx.gen(0), ctx.labeled((0,), 0)
+    with pytest.raises(ValueError):
+        x + gx
+    with pytest.raises(ValueError):
+        gx - x
+    for a, b in ((x, x), (x, gx), (gx, x)):
+        with pytest.raises(ValueError, match="labeled"):
+            alg.product(a, b)
+    with pytest.raises(ValueError, match="labeled"):
+        alg.coproduct(x)
+    with pytest.raises(ValueError, match="plain slots"):
+        ctx.coproduct_slot(gx, 0)
+    with pytest.raises(ValueError, match="plain slots"):
+        ctx.apply_endo(ctx.theta_images(1), gx)
+
+
 def test_abelian_product_symmetric():
     ctx = QueContext(abelian_twisted_gamma(), 3, 6)
     x, y = ctx.gen(0), ctx.gen(1)
@@ -76,7 +97,7 @@ def test_coproduct_defaults_to_primitive():
     ctx = QueContext(G, 3, 4, {})
     assert ctx.cocommutative
     assert ctx.delta_images == [HElement(ctx, 2, primitive_coeffs(i)) for i in range(2)]
-    x, y = ((0,), PLAIN), ((1,), PLAIN)
+    x, y = (0,), (1,)
     image = {**primitive_coeffs(0), (1, (x, y)): F(1, 2), (1, (y, x)): F(-1, 2)}
     ctx = QueContext(G, 3, 4, {0: image})
     assert not ctx.cocommutative
@@ -93,8 +114,8 @@ def test_invert_endo_corrects_a_nonlinear_hbar_term():
     ctx = QueContext(abelian_twisted_gamma(), 3, 6)
     x, y = ctx.gen(0), ctx.gen(1)
     images = [
-        x + HElement(ctx, 1, {(1, (((1, 1), PLAIN),)): F(1)}),
-        y + HElement(ctx, 1, {(1, (((0, 0), PLAIN),)): F(1)}),
+        x + HElement(ctx, 1, {(1, ((1, 1),)): F(1)}),
+        y + HElement(ctx, 1, {(1, ((0, 0),)): F(1)}),
     ]
     assert linear_leading_inverse(ctx, images) == [x, y]
     inv = ctx.invert_endo(images)
@@ -117,7 +138,7 @@ def test_pbw_associativity_random():
             ctx,
             1,
             {
-                (rng.randint(0, 1), ((w, PLAIN),)): F(rng.randint(-2, 2))
+                (rng.randint(0, 1), (w,)): F(rng.randint(-2, 2))
                 for w in rng.sample(words, 3)
             },
         )
@@ -129,7 +150,7 @@ def test_pbw_associativity_random():
 
 def test_exp_log_roundtrip():
     ctx = sl2_ctx()
-    z = HElement(ctx, 1, {(1, (((0, 1), PLAIN),)): F(1), (2, (((2,), PLAIN),)): F(-2)})
+    z = HElement(ctx, 1, {(1, ((0, 1),)): F(1), (2, ((2,),)): F(-2)})
     x = ctx.exp(z)
     assert ctx.log(x) == z
     assert ctx.mul(x, ctx.inverse(x)) == ctx.unit(1)
@@ -145,8 +166,8 @@ def test_membership_fast_examples():
     assert ok
     x = ctx.gen(0)
     ok, witness = drinfeld_prime_membership(x)
-    assert not ok and witness == (0, (((0,), PLAIN),))
-    xy2 = HElement(ctx, 1, {(2, (((0, 1), PLAIN),)): F(1)})
+    assert not ok and witness == (0, ((0,),))
+    xy2 = HElement(ctx, 1, {(2, ((0, 1),)): F(1)})
     ok, _ = drinfeld_prime_membership(xy2)
     assert ok
 
@@ -168,7 +189,7 @@ def test_membership_general_agrees_with_fast():
         for _k in range(3):
             a = rng.randint(0, 2)
             w = rng.choice(words)
-            coeffs[(a, ((w, PLAIN),))] = F(rng.randint(-3, 3))
+            coeffs[(a, (w,))] = F(rng.randint(-3, 3))
         x = HElement(ctx, 1, coeffs)
         fast, _ = drinfeld_prime_membership(x)
         gen, _ = drinfeld_prime_membership_general(x)
@@ -185,7 +206,7 @@ def test_membership_multiplicative():
             for _k in range(2):
                 w = rng.choice(words)
                 a = rng.randint(len(w), ctx.M - 1)
-                coeffs[(a, ((w, PLAIN),))] = F(rng.randint(-2, 2))
+                coeffs[(a, (w,))] = F(rng.randint(-2, 2))
             return HElement(ctx, 1, coeffs)
 
         x, y = member(), member()
@@ -216,12 +237,12 @@ def test_not_admissible_degree2_y():
     # x = 1 + hbar y with y of PBW degree 2: hbar log x = hbar^2 y - hbar^3 y^2/2 + ...
     # the y^2 term has degree 4 > 3: not admissible, witness the hbar^3 term
     ctx = sl2_ctx(M=4, D=6)
-    y = HElement(ctx, 1, {(1, (((0, 1), PLAIN),)): F(1)})
+    y = HElement(ctx, 1, {(1, ((0, 1),)): F(1)})
     x = ctx.unit(1) + y
     ok, witness = is_admissible(x)
     assert not ok
     assert witness[0] == 3
-    assert sum(len(w) for w, _ in witness[1]) == 4
+    assert monomial_degree(witness[1]) == 4
 
 
 def test_admissible_requires_one_plus_hbar():

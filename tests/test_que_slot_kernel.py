@@ -1,11 +1,12 @@
 """QueContext's products, coproducts, counits and endomorphisms against the
 loops they replaced.
 
-`quantum.spread` is the one slotwise product with the hbar/PBW cut; `mul`,
+`HElement.spread` is the one slotwise product with the hbar/PBW cut; `mul`,
 `coproduct_slot`, `counit_slot` and `apply_endo` only choose its tables.  The
 oracles below are the per-operation loops that came before it, written over
 the Lie algebra's straightening directly; values and key order must agree.
-`mul` takes plain slots only (labeled ones are the semidirect product's).
+`mul` takes plain elements only (`CrossedElement`s, whose slots carry group
+labels, are the semidirect product's); the counit takes both.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammastack.builtin import abelian_que_data, sl2_que_data, trivial_que_data
-from gammastack.quantum import PLAIN, HElement, QueContext, SemidirectBialgebra
-from gammastack.tensors import _add_into
+from gammastack.quantum import CrossedElement, HElement, QueContext, SemidirectBialgebra
+from gammastack.tensors import _add_into, monomial_degree
 
 D = 4
 # the ambient coproducts of three data sets, at M = 2 and 3: both cut
@@ -43,11 +44,6 @@ def contexts():
 # -- the loops spread replaced -------------------------------------------------------------
 
 
-def oracle_slot_product(ctx, s1, s2):
-    (w1, _g1), (w2, _g2) = s1, s2
-    return {(w, PLAIN): c for w, c in ctx.lba.straighten(w1 + w2).items()}
-
-
 def oracle_mul(ctx, x, y):
     out = {}
     for (a1, sl1), c1 in x.coeffs.items():
@@ -57,10 +53,10 @@ def oracle_mul(ctx, x, y):
                 continue
             parts = [((), c1 * c2)]
             for s1, s2 in zip(sl1, sl2):
-                prods = oracle_slot_product(ctx, s1, s2)
+                prods = ctx.lba.straighten(s1 + s2)
                 parts = [(done + (s,), c * cs) for done, c in parts for s, cs in prods.items()]
             for sl, c in parts:
-                if sum(len(w) for w, _ in sl) <= ctx.D:
+                if monomial_degree(sl) <= ctx.D:
                     _add_into(out, (a, sl), c)
     return HElement(ctx, x.slots, out)
 
@@ -75,10 +71,9 @@ def oracle_word_image(ctx, images, slots, word):
 def oracle_coproduct_slot(ctx, x, idx):
     out = {}
     for (a, sl), c in x.coeffs.items():
-        w, _g = sl[idx]
-        for (a2, pair), c2 in oracle_word_image(ctx, ctx.delta_images, 2, w).coeffs.items():
+        for (a2, pair), c2 in oracle_word_image(ctx, ctx.delta_images, 2, sl[idx]).coeffs.items():
             key = (a + a2, sl[:idx] + pair + sl[idx + 1 :])
-            if key[0] < ctx.M and sum(len(ww) for ww, _ in key[1]) <= ctx.D:
+            if key[0] < ctx.M and monomial_degree(key[1]) <= ctx.D:
                 _add_into(out, key, c * c2)
     return HElement(ctx, x.slots + 1, out)
 
@@ -86,16 +81,17 @@ def oracle_coproduct_slot(ctx, x, idx):
 def oracle_counit_slot(ctx, x, idx):
     out = {}
     for (a, sl), c in x.coeffs.items():
-        if not sl[idx][0]:
+        word = sl[idx][0] if isinstance(x, CrossedElement) else sl[idx]
+        if not word:
             _add_into(out, (a, sl[:idx] + sl[idx + 1 :]), c)
-    return HElement(ctx, x.slots - 1, out)
+    return x.__class__(ctx, x.slots - 1, out)
 
 
 def oracle_apply_endo(ctx, images, x):
     acc = {}
     for (a, sl), c in x.coeffs.items():
         parts = [(a, (), c)]
-        for w, _g in sl:
+        for w in sl:
             img = oracle_word_image(ctx, images, 1, w)
             parts = [
                 (aa + a2, done + sl2, cc * c2)
@@ -104,7 +100,7 @@ def oracle_apply_endo(ctx, images, x):
                 if aa + a2 < ctx.M
             ]
         for aa, sl2, cc in parts:
-            if sum(len(ww) for ww, _ in sl2) <= ctx.D:
+            if monomial_degree(sl2) <= ctx.D:
                 _add_into(acc, (aa, sl2), cc)
     return HElement(ctx, x.slots, acc)
 
@@ -115,13 +111,18 @@ def oracle_apply_endo(ctx, images, x):
 def elements(ctx, slots: int, labeled: bool = False, min_size: int = 1):
     """Plain or labeled elements with mixed hbar powers in [0, M); the public
     constructor drops terms past the PBW bound D."""
-    word = st.lists(st.integers(0, ctx.lba.dim - 1), max_size=2).map(lambda w: tuple(sorted(w)))
-    label = st.sampled_from(list(ctx.G.group.elements())) if labeled else st.just(PLAIN)
-    key = st.tuples(st.integers(0, ctx.M - 1), st.tuples(*[st.tuples(word, label)] * slots))
     coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
-    return st.dictionaries(key, coeff, min_size=min_size, max_size=4).map(
-        lambda d: HElement(ctx, slots, d)
-    )
+    return element_dicts(ctx, slots, coeff, labeled, min_size)
+
+
+def element_dicts(ctx, slots: int, coeff, labeled: bool, min_size: int):
+    """Elements of `slots` slots with coefficients drawn from `coeff`: words
+    of length <= 2, labeled (a `CrossedElement`) or plain (an `HElement`)."""
+    word = st.lists(st.integers(0, ctx.lba.dim - 1), max_size=2).map(lambda w: tuple(sorted(w)))
+    slot = st.tuples(word, st.sampled_from(list(ctx.G.group.elements()))) if labeled else word
+    key = st.tuples(st.integers(0, ctx.M - 1), st.tuples(*[slot] * slots))
+    cls = CrossedElement if labeled else HElement
+    return st.dictionaries(key, coeff, min_size=min_size, max_size=4).map(lambda d: cls(ctx, slots, d))
 
 
 def terms(x: HElement) -> list:
@@ -168,12 +169,7 @@ def fractions_over(denominators):
 
 def elements_over(ctx, slots: int, denominators, labeled: bool = False, min_size: int = 1):
     """Elements as `elements` draws them, with coefficients over `denominators`."""
-    word = st.lists(st.integers(0, ctx.lba.dim - 1), max_size=2).map(lambda w: tuple(sorted(w)))
-    label = st.sampled_from(list(ctx.G.group.elements())) if labeled else st.just(PLAIN)
-    key = st.tuples(st.integers(0, ctx.M - 1), st.tuples(*[st.tuples(word, label)] * slots))
-    return st.dictionaries(key, fractions_over(denominators), min_size=min_size, max_size=4).map(
-        lambda d: HElement(ctx, slots, d)
-    )
+    return element_dicts(ctx, slots, fractions_over(denominators), labeled, min_size)
 
 
 def oracle_semidirect_product(alg, x, y):
@@ -185,21 +181,21 @@ def oracle_semidirect_product(alg, x, y):
         for (a2, sl2), c2 in y.coeffs.items():
             parts = [(a1 + a2, (), c1 * c2)]
             for (w1, g1), (w2, g2) in zip(sl1, sl2):
-                conj = HElement(ctx, 1, {(0, ((w2, PLAIN),)): Fraction(1)})
+                conj = HElement(ctx, 1, {(0, (w2,)): Fraction(1)})
                 for images in (ctx.theta_images(g1), data.i_inverse_images(g1)):
                     conj = ctx.apply_endo(images, conj)
-                plain1 = HElement(ctx, 1, {(0, ((w1, PLAIN),)): Fraction(1)})
+                plain1 = HElement(ctx, 1, {(0, (w1,)): Fraction(1)})
                 val = plain1 * conj * ctx.inverse(data.v[(g1, g2)])
                 gg = ctx.G.group.mul(g1, g2)
                 parts = [
                     (a + b, done + ((w, gg),), c * cv)
                     for a, done, c in parts
-                    for (b, ((w, _),)), cv in val.coeffs.items()
+                    for (b, (w,)), cv in val.coeffs.items()
                 ]
             for a, sl, c in parts:
                 if a < ctx.M and sum(len(w) for w, _ in sl) <= ctx.D:
                     _add_into(out, (a, sl), c)
-    return HElement(ctx, x.slots, out)
+    return CrossedElement(ctx, x.slots, out)
 
 
 @pytest.fixture(scope="module")
@@ -252,10 +248,10 @@ def test_cancelled_key_comes_back_last(contexts, c):
     c1, c2, c3, c4 = c
 
     def plain(*entries):
-        return HElement(ctx, 1, {(0, ((w, PLAIN),)): k for w, k in entries})
+        return HElement(ctx, 1, {(0, (w,)): k for w, k in entries})
 
     x = plain(((0,), c1), ((1,), c2), ((), c3))
     y = plain(((1,), c4), ((0,), -c1 * c4 / c2), ((0, 1), Fraction(1)))
     got = terms(ctx.mul(x, y))
     assert got == terms(oracle_mul(ctx, x, y))
-    assert got[-1] == ((0, (((0, 1), PLAIN),)), c3)
+    assert got[-1] == ((0, ((0, 1),)), c3)

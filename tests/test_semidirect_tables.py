@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammastack.builtin import abelian_que_data, sl2_que_data, trivial_que_data
-from gammastack.quantum import PLAIN, HElement, SemidirectBialgebra
+from gammastack.quantum import CrossedElement, HElement, SemidirectBialgebra
 from gammastack.tensors import _add_into
 
 ONE = Fraction(1)
@@ -44,26 +44,26 @@ def oracle_product(alg, x, y):
     out = {}
     for (a1, ((w1, g1),)), c1 in x.coeffs.items():
         for (a2, ((w2, g2),)), c2 in y.coeffs.items():
-            conj = HElement(ctx, 1, {(a2, ((w2, PLAIN),)): ONE})
+            conj = HElement(ctx, 1, {(a2, (w2,)): ONE})
             for images in (ctx.theta_images(g1), data.i_inverse_images(g1)):
                 conj = ctx.apply_endo(images, conj)
-            plain1 = HElement(ctx, 1, {(a1, ((w1, PLAIN),)): ONE})
+            plain1 = HElement(ctx, 1, {(a1, (w1,)): ONE})
             gg = ctx.G.group.mul(g1, g2)
             val = plain1 * conj * ctx.inverse(data.v[(g1, g2)])
-            for (a, ((w, _),)), c in val.coeffs.items():
+            for (a, (w,)), c in val.coeffs.items():
                 _add_into(out, (a, ((w, gg),)), c1 * c2 * c)
-    return HElement(ctx, 1, out)
+    return CrossedElement(ctx, 1, out)
 
 
 def oracle_coproduct(alg, x):
     ctx, data = alg.ctx, alg.data
     out = {}
     for (a, ((w, g),)), c in x.coeffs.items():
-        plain = HElement(ctx, 1, {(a, ((w, PLAIN),)): c})
+        plain = HElement(ctx, 1, {(a, (w,)): c})
         val = ctx.coproduct_slot(plain, 0) * ctx.inverse(data.F[g])
-        for (aa, ((w1, _), (w2, _))), cc in val.coeffs.items():
+        for (aa, (w1, w2)), cc in val.coeffs.items():
             _add_into(out, (aa, ((w1, g), (w2, g))), cc)
-    return HElement(ctx, 2, out)
+    return CrossedElement(ctx, 2, out)
 
 
 def oracle_mul2(alg, x, y):
@@ -74,26 +74,26 @@ def oracle_mul2(alg, x, y):
             if a1 + a2 >= ctx.M:
                 continue
             left = oracle_product(
-                alg, HElement(ctx, 1, {(a1, (sl1[0],)): c1}), HElement(ctx, 1, {(a2, (sl2[0],)): c2})
+                alg, CrossedElement(ctx, 1, {(a1, (sl1[0],)): c1}), CrossedElement(ctx, 1, {(a2, (sl2[0],)): c2})
             )
             right = oracle_product(
-                alg, HElement(ctx, 1, {(0, (sl1[1],)): ONE}), HElement(ctx, 1, {(0, (sl2[1],)): ONE})
+                alg, CrossedElement(ctx, 1, {(0, (sl1[1],)): ONE}), CrossedElement(ctx, 1, {(0, (sl2[1],)): ONE})
             )
             for (aa, (s1,)), cc in left.coeffs.items():
                 for (bb, (s2,)), cc2 in right.coeffs.items():
                     if aa + bb < ctx.M:
                         _add_into(out, (aa + bb, (s1, s2)), cc * cc2)
-    return HElement(ctx, 2, out)
+    return CrossedElement(ctx, 2, out)
 
 
 def oracle_cop_slot(alg, x, idx):
     ctx = alg.ctx
     out = {}
     for (a, sl), c in x.coeffs.items():
-        piece = oracle_coproduct(alg, HElement(ctx, 1, {(a, (sl[idx],)): c}))
+        piece = oracle_coproduct(alg, CrossedElement(ctx, 1, {(a, (sl[idx],)): c}))
         for (aa, pair), cc in piece.coeffs.items():
             _add_into(out, (aa, sl[:idx] + pair + sl[idx + 1 :]), cc)
-    return HElement(ctx, 3, out)
+    return CrossedElement(ctx, 3, out)
 
 
 # -- random labeled elements --------------------------------------------------------------
@@ -107,11 +107,11 @@ def labeled_elements(ctx, slots: int):
     key = st.tuples(st.integers(0, ctx.M - 1), st.tuples(*[slot] * slots))
     coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
     return st.dictionaries(key, coeff, min_size=1, max_size=3).map(
-        lambda d: HElement(ctx, slots, d)
+        lambda d: CrossedElement(ctx, slots, d)
     )
 
 
-def terms(x: HElement) -> list:
+def terms(x: CrossedElement) -> list:
     return list(x.coeffs.items())
 
 

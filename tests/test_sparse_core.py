@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammastack.builtin import trivial_que_base
-from gammastack.quantum import PLAIN, HElement, QueContext
+from gammastack.quantum import HElement, QueContext
 from gammastack.tensors import SparseTensor, monomial_degree
 
 DIM = 2
@@ -45,9 +45,7 @@ def tensor_pairs(draw):
 
 
 def element_dicts(slots: int):
-    keys = st.tuples(
-        st.integers(0, M), st.tuples(*[words.map(lambda w: (w, PLAIN))] * slots)
-    )
+    keys = st.tuples(st.integers(0, M), st.tuples(*[words] * slots))
     return st.dictionaries(keys, coefficients, max_size=6)
 
 
@@ -70,7 +68,7 @@ def assert_clean_element(x: HElement, slots: int):
     for (a, sl), c in x.coeffs.items():
         assert type(c) is Fraction and c != 0
         assert 0 <= a < M
-        assert len(sl) == slots and sum(len(w) for w, _ in sl) <= D
+        assert len(sl) == slots and monomial_degree(sl) <= D
 
 
 @PROPERTY
@@ -121,8 +119,20 @@ def test_series_roundtrip(slots_and_dict):
     assert CTX.to_series(CTX.from_series(s)) == s
 
 
+@PROPERTY
+@given(element_pairs(), st.integers(0, M))
+def test_series_conversions_are_key_maps(pair, k):
+    """The formal side's monomials are the quantum keys' words: from_series
+    only prefixes the hbar power, and to_series inverts it at hbar^0."""
+    x = pair[0].hbar_coefficient(0)
+    s = CTX.to_series(x)
+    assert s.coeffs == {sl: c for (_, sl), c in x.coeffs.items()}
+    assert CTX.from_series(s) == x
+    assert CTX.from_series(s, hbar=k).coeffs == ({(k, m): c for m, c in s.coeffs.items()} if k < M else {})
+
+
 def test_public_constructors_reject_wrong_slot_count():
     with pytest.raises(ValueError):
         SparseTensor(2, 3, {((0,),): Fraction(1)})
     with pytest.raises(ValueError):
-        HElement(CTX, 2, {(0, (((0,), PLAIN),)): Fraction(1)})
+        HElement(CTX, 2, {(0, ((0,),)): Fraction(1)})

@@ -16,7 +16,6 @@ from gammastack.stack import (
     _composition_residual,
     _iso_system,
     _residual_entry,
-    _residual_vector,
     build_iso,
     gauge_act,
     iso_residuals,
@@ -27,7 +26,7 @@ from gammastack.stack import (
     verify_stack,
     verify_twist_equation,
 )
-from gammastack.tensors import SparseTensor, monomial_degree, sorted_words, tensor_unit
+from gammastack.tensors import SparseTensor, monomial_degree, slot_monomials, sorted_words, tensor_unit
 
 from conftest import abelian_flat_lba, axb_gamma, axb_lba, randomized_lift
 
@@ -163,6 +162,22 @@ def test_build_iso_axb_nonzero_correction():
         assert j.images[i].coefficient(((),)) == 0
 
 
+def residual_vector(cop_res, poi_res, dim, deg):
+    """Degree-deg coefficients of the iso_residuals output in the row order
+    of the degree-deg system: coproduct blocks first, then Poisson blocks."""
+    vec = []
+    monos = slot_monomials(dim, 2, deg, least=0)
+    for r in cop_res:
+        h = r.homogeneous_part(deg)
+        for mono in monos:
+            vec.append(h.coefficient(mono))
+    for r in poi_res:
+        h = r.homogeneous_part(deg)
+        for mono in sorted_words(dim, deg):
+            vec.append(h.coefficient((mono,)))
+    return vec
+
+
 def finite_difference_system(ctx_src, ctx_dst, twisted, images, deg):
     """Oracle for the degree-deg system of build_iso: add one unknown
     monomial to one image and re-evaluate the full residual."""
@@ -170,7 +185,7 @@ def finite_difference_system(ctx_src, ctx_dst, twisted, images, deg):
 
     def vector(imgs):
         cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(imgs, N))
-        return _residual_vector(cop_res, poi_res, dim, deg)
+        return residual_vector(cop_res, poi_res, dim, deg)
 
     base = vector(images)
     columns = []
@@ -205,8 +220,10 @@ def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
                 for img in j.images
             ]
             base, fd_rows = finite_difference_system(ctxs[a], ctxs[b], twisted, images, deg)
-            sys = _iso_system(ctxs[a], ctxs[b], deg, base)
-            assert sys.n_cols == dim * len(sorted_words(dim, deg))
+            residuals = iso_residuals(ctxs[a], ctxs[b], twisted, AlgebraMap(images, N))
+            sys, words = _iso_system(ctxs[a], ctxs[b], deg, *residuals)
+            assert words == sorted_words(dim, deg)
+            assert sys.n_cols == dim * len(words)
             assert sys.rows == fd_rows, (a, b, deg)
             assert sys.rhs == [-v for v in base]
             nontrivial += any(base)
