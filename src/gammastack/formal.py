@@ -368,9 +368,12 @@ class PairingContext:
     def poisson(self, a: TensorSeries, b: TensorSeries) -> TensorSeries:
         """Product-Poisson bracket on n-slot series.
 
-        A monomial pair whose degrees sum to more than trunc + 1 is skipped
-        unseen: a 1-slot bracket {a, b} only holds words of length at least
+        A monomial pair whose degrees sum to more than trunc + 1 is never
+        visited: a 1-slot bracket {a, b} only holds words of length at least
         len(a) + len(b) - 1, so the pair has no term within the truncation.
+        `within[r]` holds the terms of b of degree at most r, in b's order,
+        built once per call for each r that a term of a needs, and a term
+        m1 of a runs over within[trunc + 1 - deg(m1)] alone.
         The sum runs in int: a and b are scaled by the lcms of their own
         denominators, and each pair's bracket in `_poisson_memo` holds its
         numerators over _bracket_lcm.  A term that cancels is dropped and
@@ -386,13 +389,15 @@ class PairingContext:
             (m2, c2.numerator * (db // c2.denominator), monomial_degree(m2))
             for m2, c2 in b.coeffs.items()
         ]
+        within: dict[int, list[tuple[Monomial, int]]] = {}
         out: dict[Monomial, int] = {}
         for m1, c1 in a.coeffs.items():
             n1 = c1.numerator * (da // c1.denominator)
             room = self.trunc + 1 - monomial_degree(m1)
-            for m2, n2, d2 in b_terms:
-                if d2 > room:
-                    continue
+            terms = within.get(room)
+            if terms is None:
+                terms = within[room] = [(m2, n2) for m2, n2, d2 in b_terms if d2 <= room]
+            for m2, n2 in terms:
                 cached = memo.get((m1, m2))
                 if cached is None:
                     cached = memo[(m1, m2)] = self._mono_pair_poisson(m1, m2)

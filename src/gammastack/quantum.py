@@ -264,6 +264,8 @@ class QueContext:
 
     def to_series(self, x: HElement) -> SparseTensor:
         """The words of an hbar^0 element as symmetric-algebra monomials."""
+        if x.__class__ is not HElement:
+            raise ValueError("to_series reads plain slots only")
         if any(a for a, _ in x.coeffs):
             raise ValueError("to_series expects an hbar^0 element")
         return SparseTensor(x.slots, self.D, {sl: c for (_, sl), c in x.coeffs.items()})
@@ -447,6 +449,8 @@ def drinfeld_prime_membership(x: HElement) -> tuple[bool, Key | None]:
 
     A term hbar^a (x) words belongs iff a >= total PBW length.
     """
+    if x.__class__ is not HElement:
+        raise ValueError("membership is defined on plain slots only")
     for key in sorted(x.coeffs):
         a, sl = key
         if a < monomial_degree(sl):
@@ -840,6 +844,8 @@ class SemidirectBialgebra:
         self._finv: dict[int, HElement] = {}
         self._products: dict[tuple, Table] = {}
         self._coproducts: dict[tuple[Word, int], Table] = {}
+        # i_{e,g}^{-1}(theta_g(w)) per (w, g): the right factor of a basis product
+        self._conj: dict[tuple[Word, int], HElement] = {}
         self._intern: dict = {}
 
     def _table(self, entries) -> Table:
@@ -860,9 +866,12 @@ class SemidirectBialgebra:
             ctx = self.ctx
             if (g1, g2) not in self._vinv:
                 self._vinv[(g1, g2)] = ctx.inverse(self.data.v[(g1, g2)])
-            conj = HElement._trusted(ctx, 1, {(0, (w2,)): ONE})
-            for images in (ctx.theta_images(g1), self.data.i_inverse_images(g1)):
-                conj = ctx.apply_endo(images, conj)
+            conj = self._conj.get((w2, g1))
+            if conj is None:
+                conj = HElement._trusted(ctx, 1, {(0, (w2,)): ONE})
+                for images in (ctx.theta_images(g1), self.data.i_inverse_images(g1)):
+                    conj = ctx.apply_endo(images, conj)
+                self._conj[(w2, g1)] = conj
             plain1 = HElement._trusted(ctx, 1, {(0, (w1,)): ONE})
             gg = self.G.group.mul(g1, g2)
             val = plain1 * conj * self._vinv[(g1, g2)]
@@ -910,26 +919,43 @@ class SemidirectBialgebra:
 
     def axiom_report(self, degree: int = 1) -> list[str]:
         """Associativity, coassociativity, compatibility on all labeled PBW
-        monomials of degree <= `degree`, exactly at truncation."""
+        monomials of degree <= `degree`, exactly at truncation.
+
+        Each basis coproduct and each distinct product is computed once:
+        products are interned by value, so (ab)c and a(bc) are compared as
+        indices, and only the distinct values are kept (the sl2 D=6 sweep:
+        100 distinct ab among 256, 300 values in all).
+        """
         ctx = self.ctx
         grp = self.G.group
         words = [w for d in range(degree + 1) for w in sorted_words(ctx.lba.dim, d)]
         basis = [ctx.labeled(w, g) for w in words for g in grp.elements()]
+        cop = [self.coproduct(a) for a in basis]
+        index: dict[CrossedElement, int] = {}
+        values: list[CrossedElement] = []
+
+        def intern(x: CrossedElement) -> int:
+            i = index.setdefault(x, len(values))
+            if i == len(values):
+                values.append(x)
+            return i
+
+        prod = [[intern(self.product(a, b)) for b in basis] for a in basis]
+        distinct = sorted({x for row in prod for x in row})
+        right = {x: [intern(self.product(values[x], c)) for c in basis] for x in distinct}
         issues = []
-        for a in basis:
-            for b in basis:
-                ab = self.product(a, b)
-                if self.coproduct(ab) != self.product(self.coproduct(a), self.coproduct(b)):
+        for i, a in enumerate(basis):
+            left = {y: intern(self.product(a, values[y])) for y in distinct}
+            for j, b in enumerate(basis):
+                x = prod[i][j]
+                if self.coproduct(values[x]) != self.product(cop[i], cop[j]):
                     issues.append(f"bialgebra compatibility fails at {a.format()},{b.format()}")
-                for c in basis:
-                    if self.product(ab, c) != self.product(a, self.product(b, c)):
+                for k, c in enumerate(basis):
+                    if right[x][k] != left[prod[j][k]]:
                         issues.append(
                             f"associativity fails at {a.format()},{b.format()},{c.format()}"
                         )
-            d = self.coproduct(a)
-            left = self._cop_slot(d, 0)
-            right = self._cop_slot(d, 1)
-            if left != right:
+            if self._cop_slot(cop[i], 0) != self._cop_slot(cop[i], 1):
                 issues.append(f"coassociativity fails at {a.format()}")
             # the graded counit [x|g] -> delta_{g,e} eps(x) collapses Delta
             # back to the identity only on the identity component, so no

@@ -617,6 +617,31 @@ def test_poisson_pair_skip_changes_nothing(operands):
         assert monomial_degree(m1) + monomial_degree(m2) - 1 <= trunc
 
 
+def test_poisson_visits_only_the_pairs_within_the_bound():
+    """On a fresh sl2 context at trunc 4, a 2-slot operand pair brackets each
+    monomial pair with deg(m1) + deg(m2) - 1 <= 4 once, in a's order and then
+    b's, and no other pair: 14 of the 25 pairs offered."""
+    ctx = ctx_for(sl2_lba(), N=4)
+    monos = [((0,), ()), ((1,), (2,)), ((0, 1), (2,)), ((), (0, 1, 2)), ((1, 1), (0, 2))]
+    a = SparseTensor(2, 4, {m: F(i + 1) for i, m in enumerate(monos)})
+    b = SparseTensor(2, 4, {m: F(-1, i + 2) for i, m in enumerate(reversed(monos))})
+    seen = []
+    bracket = ctx._mono_pair_poisson
+
+    def counted(m1, m2):
+        seen.append((m1, m2))
+        return bracket(m1, m2)
+
+    ctx._mono_pair_poisson = counted
+    got = ctx.poisson(a, b)
+    within = [
+        (m1, m2) for m1 in a.coeffs for m2 in b.coeffs
+        if monomial_degree(m1) + monomial_degree(m2) - 1 <= 4
+    ]
+    assert seen == within and len(seen) == 14
+    assert list(got.coeffs.items()) == list(fraction_poisson(ctx, a, b).items())
+
+
 def per_pair_scan(ctx: PairingContext):
     """Reference pair bracket: delta_U of a PBW word by the coderivation
     recursion on demand, then for each pair a scan of every PBW word of

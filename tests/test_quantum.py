@@ -84,6 +84,20 @@ def test_plain_and_crossed_elements_do_not_mix():
         ctx.apply_endo(ctx.theta_images(1), gx)
 
 
+def test_to_series_and_membership_reject_crossed_elements():
+    """A (word, group element) slot is not a word: reading it as a series
+    monomial or scoring its degree for membership raises, while the plain
+    element with the same word goes through."""
+    ctx = trivial_que_data(3, 4).ctx
+    x, gx = ctx.gen(0), ctx.labeled((0,), 1)
+    assert ctx.to_series(x).coeffs == {((0,),): F(1)}
+    assert drinfeld_prime_membership(x) == (False, (0, ((0,),)))
+    with pytest.raises(ValueError, match="plain slots"):
+        ctx.to_series(gx)
+    with pytest.raises(ValueError, match="plain slots"):
+        drinfeld_prime_membership(gx)
+
+
 def test_abelian_product_symmetric():
     ctx = QueContext(abelian_twisted_gamma(), 3, 6)
     x, y = ctx.gen(0), ctx.gen(1)

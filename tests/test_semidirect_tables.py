@@ -5,6 +5,11 @@ basis coproduct Delta[w|g] once, at hbar^0, and shifts it by the hbar powers
 of the terms it is applied to.  The oracle below evaluates the formula term
 pair by term pair with the hbar powers inside the operands, as the
 bialgebra did before the tables; values and key order must agree.
+
+`axiom_report` interns its products and compares (ab)c with a(bc) as
+indices; a copy of the triple loop that multiplies every pair afresh checks
+that it reports the same issues, in the same order, on data that fails each
+kind of check.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammastack.builtin import abelian_que_data, sl2_que_data, trivial_que_data
-from gammastack.quantum import CrossedElement, HElement, SemidirectBialgebra
-from gammastack.tensors import _add_into
+from gammastack.quantum import CrossedElement, GammaQUEData, HElement, QueContext, SemidirectBialgebra
+from gammastack.tensors import _add_into, sorted_words
 
 ONE = Fraction(1)
 
@@ -128,3 +133,99 @@ def test_tables_equal_per_term_formula(algebras, name, data):
     assert terms(alg.product(xx, yy)) == terms(oracle_mul2(alg, xx, yy))
     for idx in (0, 1):
         assert terms(alg._cop_slot(xx, idx)) == terms(oracle_cop_slot(alg, xx, idx))
+
+
+# -- the axiom sweep ---------------------------------------------------------------------
+
+
+def triple_loop_report(alg, degree: int = 1) -> list[str]:
+    """The axiom sweep as a plain triple loop: every product, coproduct and
+    (ab)c, a(bc) computed afresh for each basis pair and triple."""
+    ctx = alg.ctx
+    grp = ctx.G.group
+    words = [w for d in range(degree + 1) for w in sorted_words(ctx.lba.dim, d)]
+    basis = [ctx.labeled(w, g) for w in words for g in grp.elements()]
+    issues = []
+    for a in basis:
+        for b in basis:
+            ab = alg.product(a, b)
+            if alg.coproduct(ab) != alg.product(alg.coproduct(a), alg.coproduct(b)):
+                issues.append(f"bialgebra compatibility fails at {a.format()},{b.format()}")
+            for c in basis:
+                if alg.product(ab, c) != alg.product(a, alg.product(b, c)):
+                    issues.append(f"associativity fails at {a.format()},{b.format()},{c.format()}")
+        d = alg.coproduct(a)
+        if alg._cop_slot(d, 0) != alg._cop_slot(d, 1):
+            issues.append(f"coassociativity fails at {a.format()}")
+        u = alg.unit()
+        if alg.product(u, a) != a or alg.product(a, u) != a:
+            issues.append(f"unit axiom fails at {a.format()}")
+    return issues
+
+
+def scaled_v(data: GammaQUEData) -> GammaQUEData:
+    """v_{e,s} times the scalar 1 + hbar: v stops being a 2-cocycle, the
+    unit [1|e] no longer fixes [w|s] from the left, and Delta no longer
+    carries the changed products to products."""
+    v01 = data.v[(0, 1)]
+    return GammaQUEData(data.ctx, dict(data.F), dict(data.i_images), {**data.v, (0, 1): v01 + v01.hbar_shift(1)})
+
+
+def changed_f(data: GammaQUEData) -> GammaQUEData:
+    """F_s with its first hbar^1 term doubled: F_s stops solving the twist
+    equation, and Delta stops being multiplicative."""
+    f = data.F[1]
+    key = min(k for k in f.coeffs if k[0] == 1)
+    coeffs = {**f.coeffs, key: 2 * f.coeffs[key]}
+    return GammaQUEData(data.ctx, {**data.F, 1: HElement(data.ctx, 2, coeffs)}, dict(data.i_images), dict(data.v))
+
+
+def kinds(issues: list[str]) -> set[str]:
+    return {issue.split(" fails at ")[0] for issue in issues}
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: sl2_que_data(3, 4), {"bialgebra compatibility"}),
+        (lambda: abelian_que_data(3, 4), set()),
+        (lambda: scaled_v(abelian_que_data(3, 4)), {"associativity", "unit axiom", "bialgebra compatibility"}),
+        (lambda: changed_f(abelian_que_data(3, 4)), {"coassociativity", "bialgebra compatibility"}),
+    ],
+    ids=["sl2-D4", "abelian", "abelian-scaled-v", "abelian-changed-F"],
+)
+def test_axiom_report_equals_the_triple_loop(make, expected):
+    """The interned sweep reports exactly the triple loop's issues, strings
+    and order included: the sl2 sweep at D = 4 fails compatibility only,
+    and each mutation of the abelian data fails its own kinds of check."""
+    data = make()
+    reference = triple_loop_report(SemidirectBialgebra(data))
+    assert kinds(reference) == expected
+    assert SemidirectBialgebra(data).axiom_report(1) == reference
+
+
+def test_axiom_report_multiplies_each_distinct_pair_once(monkeypatch):
+    """One axiom_report(1) on the sl2 data at M = 3, D = 4 makes 3,744
+    products (the triple loop: 12,832), 272 coproducts (784) and 144
+    apply_endo calls (3,272): each distinct product once, each basis
+    coproduct once and one conjugate i^{-1}_g(theta_g(w)) per (w, g)."""
+    data = sl2_que_data(3, 4)
+    for g in data.ctx.G.group.elements():
+        data.i_inverse_images(g)
+    counts = dict.fromkeys(("product", "coproduct", "apply_endo"), 0)
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(SemidirectBialgebra, "product")
+    counted(SemidirectBialgebra, "coproduct")
+    counted(QueContext, "apply_endo")
+    assert len(SemidirectBialgebra(data).axiom_report(1)) == 72
+    assert counts == {"product": 3744, "coproduct": 272, "apply_endo": 144}
+    assert 3 * counts["product"] < 12832 and 3 * counts["apply_endo"] < 3272
