@@ -48,16 +48,14 @@ def cohochschild_d(a: SparseTensor) -> SparseTensor:
 def alt(a: SparseTensor) -> SparseTensor:
     """Signed average over slot permutations, projected to multidegree (1,..,1)."""
     k = a.slots
-    out: dict[Monomial, Fraction] = {}
-    norm = Fraction(1, factorial(k))
-    for mono, c in a.coeffs.items():
+    out: dict[Monomial, int] = {}
+    for mono, c in a.num.items():
         if any(len(s) != 1 for s in mono):
             continue
         for perm in permutations(range(k)):
-            sign = _perm_sign(perm)
             target = tuple(mono[perm[i]] for i in range(k))
-            _add_into(out, target, c * sign * norm)
-    return SparseTensor(k, a.trunc, out)
+            _add_into(out, target, c * _perm_sign(perm))
+    return SparseTensor._reduced(a.trunc, k, out, a.den * factorial(k))
 
 
 # -- cochain bases -------------------------------------------------------------
@@ -132,7 +130,7 @@ def solve_coboundary(alpha: SparseTensor) -> SparseTensor:
         raise ValueError("need at least a 2-cochain to solve for a coboundary")
     if not alpha.is_reduced():
         raise ValueError("alpha is not in the reduced subcomplex")
-    degs = {monomial_degree(m) for m in alpha.coeffs}
+    degs = {monomial_degree(m) for m in alpha.num}
     if not degs:
         return SparseTensor.zero(k - 1, alpha.trunc)
     if len(degs) > 1:
@@ -150,17 +148,20 @@ def solve_coboundary(alpha: SparseTensor) -> SparseTensor:
             raise CoboundaryObstruction(
                 f"nonzero alternating obstruction in degree {ndeg}", obstruction
             )
-    dim = max((i + 1 for m in alpha.coeffs for s in m for i in s), default=1)
+    dim = max((i + 1 for m in alpha.num for s in m for i in s), default=1)
     blocks = _cochain_blocks(dim, k - 1, ndeg)
+    # d(beta) = the numerators of alpha, then beta over alpha's denominator:
+    # the pivots depend on the matrix alone, so the solution is linear in
+    # the right-hand side
     out: dict[Monomial, Fraction] = {}
-    by_content: dict[tuple[int, ...], list[tuple[Monomial, Fraction]]] = {}
-    for m, c in alpha.coeffs.items():
+    by_content: dict[tuple[int, ...], list[tuple[Monomial, int]]] = {}
+    for m, c in alpha.num.items():
         by_content.setdefault(_content_key(m, dim), []).append((m, c))
     for content in sorted(by_content):
         cols = blocks.get(content, ())
         row_index, rows = _d_matrix_block(k - 1, cols)
         sys = LinearSystem(len(cols))
-        rhs = [Fraction(0)] * len(rows)
+        rhs = [0] * len(rows)
         for m, c in by_content[content]:
             if m not in row_index:
                 raise CoboundaryObstruction("target outside the image of d", alt(alpha))
@@ -175,7 +176,7 @@ def solve_coboundary(alpha: SparseTensor) -> SparseTensor:
         for j, c in enumerate(res.solution):
             if c:
                 _add_into(out, cols[j], c)
-    return SparseTensor(k - 1, alpha.trunc, out)
+    return SparseTensor(k - 1, alpha.trunc, out).scale(Fraction(1, alpha.den))
 
 
 def cohomology_rank(dim: int, k: int, ndeg: int) -> int:

@@ -279,14 +279,17 @@ class PairingContext:
         # U(g*_gamma): the bracket of g*_gamma is the transposed cobracket
         self.dual = lba_gamma.dual()
         self._pbw: list[Word] = [w for d in range(trunc + 1) for w in sorted_words(self.dim, d)]
-        self._coproduct_table = self._build_coproduct_table()
+        # Delta_gamma of each word as int numerators over _coproduct_den
+        self._coproduct_den, self._coproduct_table = self._build_coproduct_table()
         # {m1, m2} of each monomial pair as integer numerators over
         # _bracket_lcm, seeded with the 1-slot entries of the delta_U table
         self._bracket_lcm, self._poisson_memo = self._build_bracket_table()
 
     # -- coproduct -------------------------------------------------------------
 
-    def _build_coproduct_table(self) -> dict[Word, dict[tuple[Word, Word], Fraction]]:
+    def _build_coproduct_table(self) -> tuple[int, dict[Word, dict[tuple[Word, Word], int]]]:
+        """The lcm L of the coproduct's denominators and Delta_gamma of every
+        PBW word as {(left word, right word): numerator over L}."""
         table: dict[Word, dict[tuple[Word, Word], Fraction]] = {}
         for b1 in self._pbw:
             for b2 in self._pbw:
@@ -296,11 +299,13 @@ class PairingContext:
                 # each (b1, b2) meets each word of its product once
                 for w, c in self.dual.straighten(b1 + b2).items():
                     table.setdefault(w, {})[(b1, b2)] = c * multiset_factor(w) / denom
-        return table
+        L = lcm(*(c.denominator for row in table.values() for c in row.values()))
+        return L, {w: {k: int(c * L) for k, c in row.items()} for w, row in table.items()}
 
     def coproduct_word(self, word: Word) -> dict[tuple[Word, Word], Fraction]:
         """Delta_gamma of a 1-slot monomial as {(left word, right word): coeff}."""
-        return self._coproduct_table.get(word, {})
+        L = self._coproduct_den
+        return {k: Fraction(n, L) for k, n in self._coproduct_table.get(word, {}).items()}
 
     # -- Poisson bracket: the transposed co-Poisson cobracket of U(g*_gamma) ---
 
@@ -363,7 +368,8 @@ class PairingContext:
     def coproduct_slot(self, a: TensorSeries, idx: int) -> TensorSeries:
         """Delta_gamma applied to slot idx of a, the identity elsewhere:
         a^{1,..,(idx+1 idx+2),..,n+1}."""
-        return coproduct_slot(a, idx, self.coproduct_word, self.trunc)
+        table = self._coproduct_table
+        return coproduct_slot(a, idx, lambda w: table.get(w, {}), self.trunc, self._coproduct_den)
 
     def poisson(self, a: TensorSeries, b: TensorSeries) -> TensorSeries:
         """Product-Poisson bracket on n-slot series.
@@ -374,8 +380,8 @@ class PairingContext:
         `within[r]` holds the terms of b of degree at most r, in b's order,
         built once per call for each r that a term of a needs, and a term
         m1 of a runs over within[trunc + 1 - deg(m1)] alone.
-        The sum runs in int: a and b are scaled by the lcms of their own
-        denominators, and each pair's bracket in `_poisson_memo` holds its
+        The sum runs in int, over the denominators of a and b times
+        _bracket_lcm: each pair's bracket in `_poisson_memo` holds its
         numerators over _bracket_lcm.  A term that cancels is dropped and
         re-added at the end if it comes back, as `_add_into` does.
         """
@@ -383,16 +389,11 @@ class PairingContext:
             raise ValueError("slot mismatch in poisson bracket")
         n = a.slots
         memo = self._poisson_memo
-        da = lcm(*(c.denominator for c in a.coeffs.values()))
-        db = lcm(*(c.denominator for c in b.coeffs.values()))
-        b_terms = [
-            (m2, c2.numerator * (db // c2.denominator), monomial_degree(m2))
-            for m2, c2 in b.coeffs.items()
-        ]
+        b_terms = [(m2, n2, monomial_degree(m2)) for m2, n2 in b.num.items()]
         within: dict[int, list[tuple[Monomial, int]]] = {}
         out: dict[Monomial, int] = {}
-        for m1, c1 in a.coeffs.items():
-            n1 = c1.numerator * (da // c1.denominator)
+        get = out.get
+        for m1, n1 in a.num.items():
             room = self.trunc + 1 - monomial_degree(m1)
             terms = within.get(room)
             if terms is None:
@@ -404,13 +405,12 @@ class PairingContext:
                 if cached:
                     c = n1 * n2
                     for m, cm in cached.items():
-                        v = out.get(m, 0) + c * cm
+                        v = get(m, 0) + c * cm
                         if v:
                             out[m] = v
                         else:
                             del out[m]
-        den = da * db * self._bracket_lcm
-        return SparseTensor._trusted(self.trunc, n, {m: Fraction(v, den) for m, v in out.items()})
+        return SparseTensor._reduced(self.trunc, n, out, a.den * b.den * self._bracket_lcm)
 
     def _mono_pair_poisson(self, m1: Monomial, m2: Monomial) -> dict[Monomial, int]:
         """{m1, m2} on n-slot monomials, numerators over _bracket_lcm: the sum
@@ -433,7 +433,7 @@ class PairingContext:
     # -- BCH star products ------------------------------------------------------
 
     def _require_m2(self, s: TensorSeries, what: str):
-        for m in s.coeffs:
+        for m in s.num:
             if monomial_degree(m) < 2:
                 raise ValueError(f"{what}: monomial {m} has degree < 2, not in m^2")
 

@@ -21,7 +21,7 @@ from gammastack.tensors import (
     SparseTensor,
     TensorSeries,
     Word,
-    _add_into,
+    common_den,
     monomial_degree,
     slot_monomials,
     sorted_words,
@@ -63,7 +63,7 @@ def _clear_by_degree(x, residual, correct, first: int, N: int, name: str, obstru
     correction raises StackBuildError naming the degree.
     """
     res = residual(x)
-    low = [m for m in res.coeffs if monomial_degree(m) < first]
+    low = [m for m in res.num if monomial_degree(m) < first]
     if low:
         raise StackBuildError(f"{name} has a term below degree {first}: {sorted(low)[0]}")
     for deg in range(first, N + 1):
@@ -81,7 +81,7 @@ def _clear_by_degree(x, residual, correct, first: int, N: int, name: str, obstru
             ) from exc
         x = correct(x, beta)
         res = residual(x)
-        if any(monomial_degree(m) <= deg for m in res.coeffs):
+        if any(monomial_degree(m) <= deg for m in res.num):
             raise StackBuildError(f"correction at degree {deg} leaves the degree-{deg} {name}")
     if not res.is_zero():
         raise StackBuildError(f"{name} nonzero at truncation")
@@ -95,7 +95,7 @@ def lift_twist(ctx: PairingContext, leading: TensorSeries) -> TensorSeries:
     degree 3 on (`_clear_by_degree`), adding each coboundary to the lift.
     At degree 3 the defect must have vanishing alternation.
     """
-    for m in leading.coeffs:
+    for m in leading.num:
         if monomial_degree(m) != 2 or any(len(s) != 1 for s in m):
             raise ValueError("leading term must be homogeneous of degree (1,1)")
     obstruction = (
@@ -160,22 +160,37 @@ class AlgebraMap:
 
         Each monomial's slots are replaced one by one with their word
         images; terms are summed in order: s's monomials, then the images'.
+        The sum runs in int over a running common denominator of the
+        images' denominators (`common_den`), times that of s.
         """
         trunc = self.trunc
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in s.coeffs.items():
-            parts = [((), c, 0)]  # (slots so far, coefficient, their degree)
+        out: dict[Monomial, int] = {}
+        get = out.get
+        den = 1
+        for mono, c in s.num.items():
+            parts = [((), c, 0)]  # (slots so far, numerator, their degree)
+            d = 1
             for word in mono:
-                image = self.image_of_word(word).coeffs.items()
+                image = self.image_of_word(word)
+                d *= image.den
+                terms = image.num.items()
                 parts = [
-                    (slots + m, cc if c2 == 1 else cc * c2, d + len(m[0]))
-                    for slots, cc, d in parts
-                    for m, c2 in image
-                    if d + len(m[0]) <= trunc
+                    (slots + m, cc * c2, e + len(m[0]))
+                    for slots, cc, e in parts
+                    for m, c2 in terms
+                    if e + len(m[0]) <= trunc
                 ]
+            if not parts:
+                continue
+            den = common_den(out, den, d)
+            k = den // d
             for slots, cc, _ in parts:
-                _add_into(out, slots, cc)
-        return SparseTensor._trusted(trunc, s.slots, out)
+                v = get(slots, 0) + cc * k
+                if v:
+                    out[slots] = v
+                else:
+                    del out[slots]
+        return SparseTensor._reduced(trunc, s.slots, out, den * s.den)
 
     def inverse(self) -> AlgebraMap:
         """Inverse of a map whose linear part is invertible (here: identity)."""
@@ -346,7 +361,7 @@ def _iso_system(
     gens = [SparseTensor.generator(i, N) for i in range(dim)]
     brackets = [ctx_src.poisson(gens[i], gens[k]) for i, k in pairs]
     poisson_row0 = dim * len(mono_row)
-    monos = [SparseTensor(1, N, {(w,): F(1)}) for w in words]
+    monos = [SparseTensor(1, N, {(w,): 1}) for w in words]
     coproducts = [ctx_dst.coproduct(m).homogeneous_part(deg) for m in monos]
     # [{m, e_k}_dst]_d once per (m, k)
     m_gen = [[ctx_dst.poisson(m, gen).homogeneous_part(deg) for gen in gens] for m in monos]
@@ -354,20 +369,17 @@ def _iso_system(
     for l in range(dim):
         for r, (w, dm) in enumerate(zip(words, coproducts)):
             col = l * len(words) + r
-            cop = dm - SparseTensor(2, N, {(w, ()): F(1), ((), w): F(1)})
-            for mono, c in cop.coeffs.items():
-                rows[l * len(mono_row) + mono_row[mono]][col] = c
+            cop = dm - SparseTensor(2, N, {(w, ()): 1, ((), w): 1})
+            for mono, c in cop.num.items():
+                rows[l * len(mono_row) + mono_row[mono]][col] = F(c, cop.den)
             for p, (i, k) in enumerate(pairs):
-                c_l = brackets[p].coefficient(((l,),))
-                block = {(w,): c_l} if c_l else {}
+                block = SparseTensor(1, N, {(w,): brackets[p].coefficient(((l,),))})
                 if l == i:
-                    for mono, c in m_gen[r][k].coeffs.items():
-                        _add_into(block, mono, -c)
+                    block = block - m_gen[r][k]
                 if l == k:
-                    for mono, c in m_gen[r][i].coeffs.items():
-                        _add_into(block, mono, c)
-                for (v,), c in block.items():
-                    rows[poisson_row0 + p * len(words) + word_row[v]][col] = c
+                    block = block + m_gen[r][i]
+                for (v,), c in block.num.items():
+                    rows[poisson_row0 + p * len(words) + word_row[v]][col] = F(c, block.den)
     sys = LinearSystem(dim * len(words))
     for row, b in zip(rows, rhs):
         sys.add_row(row, -b)

@@ -1,17 +1,18 @@
 """Sparse multigraded elements over exact rationals.
 
 `SparseElement` is the shared core: a sparse Q-combination of keys cut at a
-bound.  `SparseTensor` is its truncated symmetric-tensor form: a monomial is
-a tuple of slots, each slot a sorted tuple of basis indices (a multiset),
-the empty slot is the unit 1 in that slot, and the bound is total degree at
-most `trunc`.  The quantized elements of `gammastack.quantum` are the other
-subclass.
+bound, stored as int numerators over one denominator.  `SparseTensor` is its
+truncated symmetric-tensor form: a monomial is a tuple of slots, each slot a
+sorted tuple of basis indices (a multiset), the empty slot is the unit 1 in
+that slot, and the bound is total degree at most `trunc`.  The quantized
+elements of `gammastack.quantum` are the other subclass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 Word = tuple[int, ...]
 Monomial = tuple[Word, ...]
@@ -22,7 +23,7 @@ def unit_monomial(slots: int) -> Monomial:
 
 
 def monomial_degree(mono: Monomial) -> int:
-    return sum(len(s) for s in mono)
+    return sum(map(len, mono))
 
 
 def monomial_key(mono: Monomial):
@@ -77,7 +78,7 @@ def word_str(word: tuple[int, ...], labels: list[str] | None) -> str:
     return " ".join(labels[i] if labels else f"e{i}" for i in word)
 
 
-def _add_into(target: dict, key, value: Fraction):
+def _add_into(target: dict, key, value):
     """Add value at key, keeping only nonzero entries."""
     if value:
         old = target.get(key)
@@ -88,37 +89,80 @@ def _add_into(target: dict, key, value: Fraction):
             del target[key]
 
 
+def nums_over_lcm(coeffs: dict) -> tuple[dict, int]:
+    """Nonzero int or `Fraction` values as int numerators over the lcm of
+    their denominators.  The pair is in canonical form: each value is in
+    lowest terms, so no prime of the lcm divides every numerator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+
+
+def common_den(out: dict, den: int, d: int) -> int:
+    """Bring the int sums in out from denominator den to lcm(den, d) and
+    return it.  The values are rescaled in place, so the keys keep their
+    order."""
+    if den % d:
+        k = d // gcd(den, d)
+        for key in out:
+            out[key] *= k
+        den *= k
+    return den
+
+
 class SparseElement:
-    """Sparse combination of keys with nonzero Fraction coefficients.
+    """Sparse combination of keys with nonzero rational coefficients.
+
+    The coefficients are stored as one dict `num` of int numerators over one
+    int denominator `den`, always in canonical form: den >= 1, no zero
+    numerator, gcd(den, every numerator) = 1, and zero is {} over 1.  So
+    arithmetic stays in int, each result is reduced once, and equal elements
+    have equal (den, num).  `coeffs`, `items`, `coefficient` and `format`
+    show reduced `Fraction`s.
 
     Every stored key lies within the bound of the element's space, which a
     subclass holds in the attribute named by `_space`.  Public constructors
     of subclasses clean outside data; results built here go through
-    `_trusted`, which stores its dict as given.  A subclass supplies the
-    compatibility check `_check(other)` (raising ValueError), the display
-    order `_sort_key(key)` and the term body `_term(key, labels)`.
+    `_trusted` or `_reduced`, which store their dict as given.  A subclass
+    supplies the compatibility check `_check(other)` (raising ValueError),
+    the display order `_sort_key(key)` and the term body `_term(key, labels)`.
     Immutable by convention: no method mutates self.
     """
 
-    __slots__ = ("slots", "coeffs")
+    __slots__ = ("slots", "num", "den")
     _space: str
 
     @classmethod
-    def _trusted(cls, space, slots: int, coeffs: dict):
-        """Element of `space` holding `coeffs` without copy or check.
+    def _trusted(cls, space, slots: int, num: dict, den: int = 1):
+        """Element of `space` holding num over den without copy or check.
 
-        The caller guarantees nonzero Fraction values and keys within the
-        bound of `space`; the dict must not be mutated afterwards.
+        The caller guarantees canonical form and keys within the bound of
+        `space`; the dict must not be mutated afterwards.
         """
         out = object.__new__(cls)
         setattr(out, cls._space, space)
         out.slots = slots
-        out.coeffs = coeffs
+        out.num = num
+        out.den = den
         return out
 
-    def _like(self, coeffs: dict):
+    @classmethod
+    def _reduced(cls, space, slots: int, num: dict, den: int):
+        """`_trusted` after dividing num and den (> 0) by their gcd; num
+        holds no zero value."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+        return cls._trusted(space, slots, num, den)
+
+    def _like(self, num: dict, den: int = 1):
         """`_trusted` in the space and slot count of self."""
-        return self._trusted(getattr(self, self._space), self.slots, coeffs)
+        return self._trusted(getattr(self, self._space), self.slots, num, den)
+
+    def _like_reduced(self, num: dict, den: int):
+        """`_reduced` in the space and slot count of self."""
+        return self._reduced(getattr(self, self._space), self.slots, num, den)
 
     @staticmethod
     def _sort_key(key):
@@ -126,18 +170,27 @@ class SparseElement:
 
     # -- queries --------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict:
+        """The coefficients as reduced `Fraction`s, in key order: a view
+        built on each access."""
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __eq__(self, other) -> bool:
         return (
             other.__class__ is self.__class__
             and self.slots == other.slots
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and getattr(self, self._space) == getattr(other, self._space)
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.slots, frozenset(self.coeffs.items())))
+        return hash((self.slots, self.den, frozenset(self.num.items())))
 
     def items(self) -> list[tuple]:
         """(key, coefficient) pairs in canonical order."""
@@ -146,34 +199,49 @@ class SparseElement:
 
     def format(self, labels: list[str] | None = None) -> str:
         """Deterministic human-readable form, e.g. '-2 x y|1 + 1 y|x'."""
-        if not self.coeffs:
+        if not self.num:
             return "0"
         return " + ".join(f"{c} {self._term(k, labels)}" for k, c in self.items())
 
     # -- linear arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other over the lcm of the denominators; a key that
+        cancels is deleted, and comes back at the end."""
         self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            _add_into(out, k, c)
-        return self._like(out)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            out = dict(self.num)
+            den = d1
+        else:
+            g = gcd(d1, d2)
+            k1 = d2 // g
+            sign *= d1 // g
+            out = {k: v * k1 for k, v in self.num.items()}
+            den = d1 * k1
+        get = out.get
+        for k, v in other.num.items():
+            s = get(k, 0) + sign * v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return self._like_reduced(out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            _add_into(out, k, -c)
-        return self._like(out)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()})
+        return self._like({k: -v for k, v in self.num.items()}, self.den)
 
     def scale(self, c: Fraction | int):
-        c = Fraction(c)
-        if not c:
+        p, q = c.numerator, c.denominator
+        if not p:
             return self._like({})
-        return self._like({k: c * v for k, v in self.coeffs.items()})
+        return self._like_reduced({k: p * v for k, v in self.num.items()}, self.den * q)
 
 
 class SparseTensor(SparseElement):
@@ -195,7 +263,7 @@ class SparseTensor(SparseElement):
                 if monomial_degree(mono) > trunc or c == 0:
                     continue
                 clean[mono] = Fraction(c)
-        self.coeffs = clean
+        self.num, self.den = nums_over_lcm(clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -205,27 +273,29 @@ class SparseTensor(SparseElement):
 
     @classmethod
     def unit(cls, slots: int, trunc: int) -> SparseTensor:
-        return cls(slots, trunc, {unit_monomial(slots): Fraction(1)})
+        return cls(slots, trunc, {unit_monomial(slots): 1})
 
     @classmethod
     def generator(cls, index: int, trunc: int) -> SparseTensor:
         """Degree-1 basis element as a 1-slot tensor."""
-        return cls(1, trunc, {((index,),): Fraction(1)})
+        return cls(1, trunc, {((index,),): 1})
 
     # -- basic queries -----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.coeffs.get(mono, Fraction(0))
+        return Fraction(self.num.get(mono, 0), self.den)
 
     def is_reduced(self) -> bool:
         """Membership in m^{otimes n}: every slot of every monomial nonempty."""
-        return all(all(len(s) >= 1 for s in m) for m in self.coeffs)
+        return all(all(len(s) >= 1 for s in m) for m in self.num)
 
     def homogeneous_part(self, degree: int) -> SparseTensor:
-        return self._like({m: c for m, c in self.coeffs.items() if monomial_degree(m) == degree})
+        return self._like_reduced(
+            {m: v for m, v in self.num.items() if monomial_degree(m) == degree}, self.den
+        )
 
     # -- arithmetic --------------------------------------------------------
 
@@ -238,14 +308,14 @@ class SparseTensor(SparseElement):
     def __mul__(self, other: SparseTensor) -> SparseTensor:
         """Slotwise symmetric-algebra product, truncated."""
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self.num.items():
             d1 = monomial_degree(m1)
-            for m2, c2 in other.coeffs.items():
+            for m2, c2 in other.num.items():
                 if d1 + monomial_degree(m2) > self.trunc:
                     continue
                 _add_into(out, tuple(merge_slot(a, b) for a, b in zip(m1, m2)), c1 * c2)
-        return self._like(out)
+        return self._like_reduced(out, self.den * other.den)
 
     # -- display -----------------------------------------------------------
 
@@ -263,25 +333,31 @@ class SparseTensor(SparseElement):
 
 def tensor_unit(a: SparseTensor, pos: int) -> SparseTensor:
     """a with a unit slot inserted at position pos (pos = a.slots appends it)."""
-    coeffs = {m[:pos] + ((),) + m[pos:]: c for m, c in a.coeffs.items()}
-    return SparseTensor._trusted(a.trunc, a.slots + 1, coeffs)
+    num = {m[:pos] + ((),) + m[pos:]: v for m, v in a.num.items()}
+    return SparseTensor._trusted(a.trunc, a.slots + 1, num, a.den)
 
 
-def coproduct_slot(a: SparseTensor, idx: int, split, trunc: int) -> SparseTensor:
+def coproduct_slot(a: SparseTensor, idx: int, split, trunc: int, den: int = 1) -> SparseTensor:
     """a with the word at slot idx split in two by split, cut above trunc.
 
-    split(word) is Delta(word) as {(left, right): coeff}, the unit in both
-    slots for the empty word.  Terms are summed in order: a's monomials,
-    then each one's split.
+    split(word) is Delta(word) as {(left, right): int numerator over den},
+    the unit in both slots for the empty word.  Terms are summed in order:
+    a's monomials, then each one's split.
     """
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in a.coeffs.items():
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for mono, c in a.num.items():
         head, word, tail = mono[:idx], mono[idx], mono[idx + 1 :]
         room = trunc - monomial_degree(mono) + len(word)
         for (left, right), c2 in split(word).items():
             if len(left) + len(right) <= room:
-                _add_into(out, head + (left, right) + tail, c if c2 == 1 else c * c2)
-    return SparseTensor._trusted(trunc, a.slots + 1, out)
+                key = head + (left, right) + tail
+                v = get(key, 0) + c * c2
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return SparseTensor._reduced(trunc, a.slots + 1, out, a.den * den)
 
 
 # The truncated function-algebra elements of the formal dual group are the

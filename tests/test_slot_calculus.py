@@ -124,7 +124,7 @@ def old_cohochschild_d(a):
     n = k + 1
 
     def insert(subsets):
-        return SparseTensor._trusted(a.trunc, n, old_insert_cocommutative(a, tuple(subsets), n))
+        return SparseTensor(n, a.trunc, old_insert_cocommutative(a, tuple(subsets), n))
 
     terms = insert((i,) for i in range(2, k + 2))
     for i in range(1, k + 1):

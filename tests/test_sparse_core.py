@@ -1,8 +1,9 @@
 """Property tests for the sparse element core shared by SparseTensor and HElement.
 
 Results of the core's arithmetic are stored without re-cleaning, so these
-check that every operation keeps the stored form clean: Fraction values, no
-zeros, every key within the bound of its space.
+check that every operation keeps the stored form clean: no zeros, every key
+within the bound of its space, and `Fraction` values in the `coeffs` view
+(`test_int_core` checks the canonical int form behind it).
 """
 
 from __future__ import annotations
