@@ -168,11 +168,8 @@ def _affine_solve(unknowns: list, residual_fn) -> list[Fraction]:
             _add_into(diff, k, -v)
         columns.append(diff)
     eq_keys = sorted(set(base) | {k for col in columns for k in col})
-    sys = LinearSystem(len(unknowns))
-    for key in eq_keys:
-        row = {j: columns[j][key] for j in range(len(unknowns)) if key in columns[j]}
-        sys.add_row(row, -base.get(key, F(0)))
-    res = solve_linear(sys)
+    rows = [{j: col[key] for j, col in enumerate(columns) if key in col} for key in eq_keys]
+    res = solve_linear(LinearSystem(len(unknowns), rows, [-base.get(key, F(0)) for key in eq_keys]))
     if not res.solvable:
         raise QuantumError("affine data-generation solve is inconsistent")
     return res.solution

@@ -18,7 +18,7 @@ from functools import cache
 from itertools import combinations, permutations
 from math import factorial
 
-from gammastack.linalg import LinearSystem, Row, matrix_rank, solve_linear
+from gammastack.linalg import LinearSystem, Row, solve_linear
 from gammastack.formal import cocommutative_splits
 from gammastack.tensors import (
     Monomial,
@@ -96,26 +96,26 @@ def _d_matrix_block(k: int, src: tuple[Monomial, ...]) -> tuple[dict[Monomial, i
     """Columns indexed by src monomials; rows by (k+1)-cochain monomials.
 
     Built once per (k, src) and shared by every caller, so callers only
-    read the result: `LinearSystem.add_row` and `matrix_rank` copy the rows
-    they are given.  d preserves degree, so no truncation above a
-    monomial's own degree changes its column.
+    read the result; `solve_linear` copies the rows it is given.  The
+    entries are ints: d of a unit monomial has denominator 1.  d preserves
+    degree, so no truncation above a monomial's own degree changes its
+    column.
     """
     row_index: dict[Monomial, int] = {}
-    rows_of_col: list[dict[int, Fraction]] = []
-    for mono in src:
-        img = cohochschild_d(SparseTensor(k, monomial_degree(mono), {mono: Fraction(1)}))
-        col: dict[int, Fraction] = {}
-        for m, c in img.coeffs.items():
+    rows: list[Row] = []
+    for j, mono in enumerate(src):
+        img = cohochschild_d(SparseTensor(k, monomial_degree(mono), {mono: 1}))
+        for m, c in img.num.items():
             if m not in row_index:
-                row_index[m] = len(row_index)
-            col[row_index[m]] = c
-        rows_of_col.append(col)
-    n_rows = len(row_index)
-    rows: list[Row] = [dict() for _ in range(n_rows)]
-    for j, col in enumerate(rows_of_col):
-        for i, c in col.items():
-            rows[i][j] = c
+                row_index[m] = len(rows)
+                rows.append({})
+            rows[row_index[m]][j] = c
     return row_index, rows
+
+
+def _d_rank(k: int, cols: tuple[Monomial, ...]) -> int:
+    rows = _d_matrix_block(k, cols)[1]
+    return solve_linear(LinearSystem(len(cols), rows, [0] * len(rows))).rank
 
 
 def solve_coboundary(alpha: SparseTensor) -> SparseTensor:
@@ -160,15 +160,12 @@ def solve_coboundary(alpha: SparseTensor) -> SparseTensor:
     for content in sorted(by_content):
         cols = blocks.get(content, ())
         row_index, rows = _d_matrix_block(k - 1, cols)
-        sys = LinearSystem(len(cols))
         rhs = [0] * len(rows)
         for m, c in by_content[content]:
             if m not in row_index:
                 raise CoboundaryObstruction("target outside the image of d", alt(alpha))
             rhs[row_index[m]] = c
-        for row, b in zip(rows, rhs):
-            sys.add_row(row, b)
-        res = solve_linear(sys)
+        res = solve_linear(LinearSystem(len(cols), rows, rhs))
         if not res.solvable:
             raise CoboundaryObstruction(
                 "inconsistent coboundary system", alt(alpha)
@@ -183,9 +180,9 @@ def cohomology_rank(dim: int, k: int, ndeg: int) -> int:
     """dim ker(d_k) - dim im(d_{k-1}) on the (k, ndeg) component."""
     dim_ker = 0
     for cols in _cochain_blocks(dim, k, ndeg).values():
-        dim_ker += len(cols) - matrix_rank(_d_matrix_block(k, cols)[1], len(cols))
+        dim_ker += len(cols) - _d_rank(k, cols)
     rank_prev = 0
     if k >= 2:
         for cols in _cochain_blocks(dim, k - 1, ndeg).values():
-            rank_prev += matrix_rank(_d_matrix_block(k - 1, cols)[1], len(cols))
+            rank_prev += _d_rank(k - 1, cols)
     return dim_ker - rank_prev

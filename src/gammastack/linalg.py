@@ -7,48 +7,48 @@ thousand unknowns), assembled from cochain bases and per-degree solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-Row = dict[int, Fraction]
+Row = dict[int, Fraction | int]
 
 
 @dataclass
 class LinearSystem:
-    """rows[i] maps column index -> coefficient; rhs[i] is the target."""
+    """rows[i] maps column index -> int or Fraction coefficient; rhs[i] is
+    the target.  The solver only reads rows and rhs, so callers may share
+    them between systems."""
 
     n_cols: int
-    rows: list[Row] = field(default_factory=list)
-    rhs: list[Fraction] = field(default_factory=list)
-
-    def add_row(self, row: Row, b: Fraction | int = 0):
-        clean = {j: Fraction(c) for j, c in row.items() if c != 0}
-        for j in clean:
-            if not 0 <= j < self.n_cols:
-                raise ValueError(f"column {j} out of range")
-        self.rows.append(clean)
-        self.rhs.append(Fraction(b))
+    rows: list[Row]
+    rhs: list[Fraction | int]
 
 
 @dataclass
 class LinearSolveResult:
     solvable: bool
     solution: list[Fraction] | None
-    kernel: list[list[Fraction]]
+    rank: int
     # first witness row with 0 == nonzero after elimination, if unsolvable
     failure_row: int | None = None
 
 
-def _eliminate(rows: list[Row], rhs: list[Fraction], n_cols: int):
-    """Row echelon by first-nonzero pivot; returns (pivots, rows, rhs).
+def _eliminate(sys: LinearSystem):
+    """Reduced row echelon form by first-nonzero pivot; returns (pivots,
+    rows, rhs), pivots a list of (row index, column) in elimination order.
 
-    pivots is a list of (row index, column) in elimination order.
+    The one copy of the system's rows: each nonzero entry and each target
+    becomes a `Fraction`, so a pivot division stays exact on int rows.
     """
-    rows = [dict(r) for r in rows]
-    rhs = list(rhs)
+    rows = [{j: Fraction(c) for j, c in row.items() if c} for row in sys.rows]
+    for row in rows:
+        for j in row:
+            if not 0 <= j < sys.n_cols:
+                raise ValueError(f"column {j} out of range")
+    rhs = [Fraction(b) for b in sys.rhs]
     pivots: list[tuple[int, int]] = []
     pivot_row = 0
-    for col in range(n_cols):
+    for col in range(sys.n_cols):
         sel = None
         for i in range(pivot_row, len(rows)):
             if rows[i].get(col, 0) != 0:
@@ -71,7 +71,7 @@ def _eliminate(rows: list[Row], rhs: list[Fraction], n_cols: int):
                 continue
             ri = rows[i]
             for j, c in prow.items():
-                v = ri.get(j, Fraction(0)) - f * c
+                v = ri.get(j, 0) - f * c
                 if v:
                     ri[j] = v
                 else:
@@ -87,34 +87,18 @@ def _eliminate(rows: list[Row], rhs: list[Fraction], n_cols: int):
 def solve_linear(sys: LinearSystem) -> LinearSolveResult:
     """Solve sys exactly.
 
-    Returns one solution (free variables set to 0) plus a kernel basis, or
-    an explicit no-solution result with the inconsistent row index.
+    Returns one solution (free variables set to 0) and the rank, or an
+    explicit no-solution result with the rank and the inconsistent row
+    index.
     """
     if len(sys.rows) != len(sys.rhs):
         raise ValueError("row/rhs length mismatch")
-    pivots, rows, rhs = _eliminate(sys.rows, sys.rhs, sys.n_cols)
-    pivot_cols = {col: ri for ri, col in pivots}
+    pivots, rows, rhs = _eliminate(sys)
     rank = len(pivots)
     for i in range(rank, len(rows)):
         if not rows[i] and rhs[i] != 0:
-            return LinearSolveResult(False, None, [], failure_row=i)
+            return LinearSolveResult(False, None, rank, failure_row=i)
     solution = [Fraction(0)] * sys.n_cols
-    for col, ri in pivot_cols.items():
+    for ri, col in pivots:
         solution[col] = rhs[ri]
-    kernel: list[list[Fraction]] = []
-    for col in range(sys.n_cols):
-        if col in pivot_cols:
-            continue
-        vec = [Fraction(0)] * sys.n_cols
-        vec[col] = Fraction(1)
-        for pcol, ri in pivot_cols.items():
-            c = rows[ri].get(col, 0)
-            if c:
-                vec[pcol] = -c
-        kernel.append(vec)
-    return LinearSolveResult(True, solution, kernel)
-
-
-def matrix_rank(rows: list[Row], n_cols: int) -> int:
-    pivots, _, _ = _eliminate(rows, [Fraction(0)] * len(rows), n_cols)
-    return len(pivots)
+    return LinearSolveResult(True, solution, rank)

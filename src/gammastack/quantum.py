@@ -430,7 +430,7 @@ def linear_leading_inverse(ctx: QueContext, images: list[HElement]) -> list[HEle
     columns = []
     for j in range(dim):
         result = solve_linear(LinearSystem(dim, rows, [F(int(k == j)) for k in range(dim)]))
-        if not result.solvable or result.kernel:
+        if result.rank < dim:
             raise QuantumError("the hbar^0 linear part is singular")
         columns.append(result.solution)
     return _linear_images(ctx, columns)

@@ -362,14 +362,17 @@ def _iso_system(
     brackets = [ctx_src.poisson(gens[i], gens[k]) for i, k in pairs]
     poisson_row0 = dim * len(mono_row)
     monos = [SparseTensor(1, N, {(w,): 1}) for w in words]
-    coproducts = [ctx_dst.coproduct(m).homogeneous_part(deg) for m in monos]
+    # [Delta_dst(m)]_d - m|1 - 1|m once per m
+    cops = [
+        ctx_dst.coproduct(m).homogeneous_part(deg) - SparseTensor(2, N, {(w, ()): 1, ((), w): 1})
+        for w, m in zip(words, monos)
+    ]
     # [{m, e_k}_dst]_d once per (m, k)
     m_gen = [[ctx_dst.poisson(m, gen).homogeneous_part(deg) for gen in gens] for m in monos]
     rows: list[dict[int, Fraction]] = [{} for _ in rhs]
     for l in range(dim):
-        for r, (w, dm) in enumerate(zip(words, coproducts)):
+        for r, (w, cop) in enumerate(zip(words, cops)):
             col = l * len(words) + r
-            cop = dm - SparseTensor(2, N, {(w, ()): 1, ((), w): 1})
             for mono, c in cop.num.items():
                 rows[l * len(mono_row) + mono_row[mono]][col] = F(c, cop.den)
             for p, (i, k) in enumerate(pairs):
@@ -380,10 +383,7 @@ def _iso_system(
                     block = block + m_gen[r][i]
                 for (v,), c in block.num.items():
                     rows[poisson_row0 + p * len(words) + word_row[v]][col] = F(c, block.den)
-    sys = LinearSystem(dim * len(words))
-    for row, b in zip(rows, rhs):
-        sys.add_row(row, -b)
-    return sys, words
+    return LinearSystem(dim * len(words), rows, [-b for b in rhs]), words
 
 
 # -- certificates ---------------------------------------------------------------

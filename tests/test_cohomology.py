@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from copy import deepcopy
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +10,7 @@ import pytest
 from gammastack.cohomology import (
     CoboundaryObstruction,
     _cochain_blocks,
+    _d_matrix_block,
     alt,
     cohochschild_d,
     cohomology_rank,
@@ -159,6 +161,21 @@ def test_cohomology_rank_wedge_dimension_and_vanishing():
             assert cohomology_rank(dim, k, k) == comb(dim, k)
             for ndeg in range(k + 1, 7):
                 assert cohomology_rank(dim, k, ndeg) == 0, (dim, k, ndeg)
+
+
+def test_solves_leave_the_shared_d_rows_untouched():
+    """The cached d matrices are shared by every solve; only the solver's
+    own copy of their rows is eliminated."""
+    blocks = [
+        _d_matrix_block(k, cols) for k in (1, 2) for cols in _cochain_blocks(2, k, 3).values()
+    ]
+    before = deepcopy(blocks)
+    basis = slot_monomials(2, 2, 3)
+    alpha = cohochschild_d(series(2, 3, {m: F(i + 1) for i, m in enumerate(basis)}))
+    assert not alpha.is_zero()
+    assert cohochschild_d(solve_coboundary(alpha)) == alpha
+    assert cohomology_rank(2, 2, 3) == 0
+    assert blocks == before
 
 
 @pytest.mark.parametrize("dim, k, ndeg", [(2, 1, 3), (2, 2, 4), (3, 2, 3), (3, 3, 5), (2, 4, 6)])
