@@ -53,6 +53,10 @@ class QuantumError(RuntimeError):
     pass
 
 
+class SingularLinearPart(QuantumError):
+    """The hbar^0 linear part of an endomorphism is singular."""
+
+
 class HElement(SparseElement):
     """Sparse, immutable-by-convention element of the truncated algebra.
 
@@ -70,13 +74,10 @@ class HElement(SparseElement):
         clean: dict[Key, Fraction] = {}
         if coeffs:
             for (a, sl), c in coeffs.items():
-                if c == 0 or a >= ctx.M:
-                    continue
-                if self._degree(sl) > ctx.D:
-                    continue
                 if len(sl) != slots:
                     raise ValueError("slot count mismatch in key")
-                clean[(a, sl)] = F(c)
+                if c and a < ctx.M and self._degree(sl) <= ctx.D:
+                    clean[(a, sl)] = F(c)
         self.num, self.den = nums_over_lcm(clean)
 
     def _check(self, other: HElement):
@@ -228,8 +229,6 @@ class QueContext:
         # content of its generator images), see `_word_table`
         self._delta_word_cache: dict[Word, Table] = {(): _unit_table(2)}
         self._endo_word_cache: dict[tuple, dict[Word, Table]] = {}
-        # image ids -> (images kept alive, their word cache)
-        self._endo_by_ids: dict[tuple[int, ...], tuple[tuple[HElement, ...], dict[Word, Table]]] = {}
         self._theta_images: dict[int, list[HElement]] = {}
         # ambient coproduct: 2-slot generator images from their coefficients
         # {generator: {key: coefficient}}; a generator left out is primitive
@@ -326,9 +325,6 @@ class QueContext:
     def inverse(self, x: HElement) -> HElement:
         return self._series(self.unit(x.slots) - x, lambda k: ONE, "inverse")
 
-    def ad(self, b: HElement, x: HElement) -> HElement:
-        return self.mul(self.mul(b, x), self.inverse(b))
-
     def star_hbar(self, x: HElement, y: HElement) -> HElement:
         """CBH product for the rescaled bracket [a,b]/hbar."""
         from gammastack.formal import bch_apply
@@ -380,15 +376,10 @@ class QueContext:
         """Apply the algebra endomorphism with given generator images, slotwise."""
         if x.__class__ is not HElement:
             raise ValueError("endomorphisms act on plain slots only")
-        # cache by image content: image lists are rebuilt freely by callers,
-        # so each tuple of image objects is mapped to its content key once
-        ids = tuple(map(id, images))
-        hit = self._endo_by_ids.get(ids)
-        if hit is None:
-            image_key = tuple((img.den, frozenset(img.num.items())) for img in images)
-            cache = self._endo_word_cache.setdefault(image_key, {(): _unit_table(1)})
-            hit = self._endo_by_ids[ids] = (tuple(images), cache)
-        image = partial(self._word_table, hit[1], images)
+        # cache by image content: image lists are rebuilt freely by callers
+        image_key = tuple((img.den, frozenset(img.num.items())) for img in images)
+        cache = self._endo_word_cache.setdefault(image_key, {(): _unit_table(1)})
+        image = partial(self._word_table, cache, images)
         return HElement.spread(self, x.slots, ((a, n, x.den, map(image, sl)) for (a, sl), n in x.num.items()))
 
     def invert_endo(self, images: list[HElement]) -> list[HElement]:
@@ -420,7 +411,8 @@ def _linear_images(ctx: QueContext, columns) -> list[HElement]:
 
 def linear_leading_inverse(ctx: QueContext, images: list[HElement]) -> list[HElement]:
     """Generator images inverting the hbar^0 linear part of an endomorphism:
-    column j solves (linear part) x = e_j.  QuantumError if it is singular."""
+    column j solves (linear part) x = e_j.  SingularLinearPart if it is
+    singular."""
     dim = ctx.lba.dim
     rows: list[dict[int, Fraction]] = [{} for _ in range(dim)]
     for j, img in enumerate(images):
@@ -431,7 +423,7 @@ def linear_leading_inverse(ctx: QueContext, images: list[HElement]) -> list[HEle
     for j in range(dim):
         result = solve_linear(LinearSystem(dim, rows, [F(int(k == j)) for k in range(dim)]))
         if result.rank < dim:
-            raise QuantumError("the hbar^0 linear part is singular")
+            raise SingularLinearPart("the hbar^0 linear part is singular")
         columns.append(result.solution)
     return _linear_images(ctx, columns)
 
@@ -664,7 +656,7 @@ def relation_residuals(data: GammaQUEData) -> list[Relation]:
             out.append(("twist composition", (g, h), [twist - data.F[gh]]))
             morphism = []
             for k in range(ctx.lba.dim):
-                step = ctx.apply_endo(data.i_images[g], ctx.ad(vinv, ctx.gen(k)))
+                step = ctx.apply_endo(data.i_images[g], vinv * ctx.gen(k) * v)
                 morphism.append(data.i_images[gh][k] - ctx.apply_endo(data.i_images[h], step))
             out.append(("morphism composition", (g, h), morphism))
     for g in grp.elements():
@@ -746,15 +738,13 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
             for j in range(dim):
                 if not bracket_residual(ctx, data.i_images[g], i, j).is_zero():
                     issues.append(f"i[{grp.labels[g]}] not an algebra morphism at ({i},{j})")
-        try:
-            linear_leading_inverse(ctx, data.i_images[g])
-        except QuantumError:
-            issues.append(f"i[{grp.labels[g]}] has a singular hbar^0 linear part")
-            normalised = False
-            continue
-        # the order-by-order inversion can still fail to close at truncation
+        # a nonsingular linear part's order-by-order inversion can still
+        # fail to close at truncation
         try:
             data.i_inverse_images(g)
+        except SingularLinearPart:
+            issues.append(f"i[{grp.labels[g]}] has a singular hbar^0 linear part")
+            normalised = False
         except QuantumError:
             issues.append(f"i[{grp.labels[g]}] is not invertible at truncation")
             normalised = False
@@ -780,19 +770,17 @@ def gauge_transform(data: GammaQUEData, b: dict[int, HElement]) -> GammaQUEData:
     ctx = data.ctx
     grp = ctx.G.group
     newF = {g: gauge_twist(ctx, b[g], data.F[g]) for g in grp.elements()}
-    new_i = {}
-    for g in grp.elements():
-        binv = ctx.inverse(b[g])
-        new_i[g] = [
-            ctx.apply_endo(data.i_images[g], ctx.ad(binv, ctx.gen(k)))
-            for k in range(ctx.lba.dim)
-        ]
+    binv = {g: ctx.inverse(b[g]) for g in grp.elements()}
+    new_i = {
+        g: [ctx.apply_endo(data.i_images[g], binv[g] * ctx.gen(k) * b[g]) for k in range(ctx.lba.dim)]
+        for g in grp.elements()
+    }
     new_v = {}
     for (g, h), v in data.v.items():
         gh = grp.mul(g, h)
-        translated = ctx.apply_endo(ctx.theta_images(g), ctx.inverse(b[h]))
+        translated = ctx.apply_endo(ctx.theta_images(g), binv[h])
         pulled = ctx.apply_endo(data.i_inverse_images(g), translated)
-        new_v[(g, h)] = b[gh] * v * pulled * ctx.inverse(b[g])
+        new_v[(g, h)] = b[gh] * v * pulled * binv[g]
     out = GammaQUEData(ctx, newF, new_i, new_v)
     bad = _relation_messages(out)
     if bad:
@@ -1066,30 +1054,18 @@ def quantize_stack(data: GammaQUEData) -> QuantumStackCertificate:
         cert.failures = [f"input validation: {m}" for m in bad]
         return cert
     try:
-        b: dict[int, HElement] = {}
-        for g in grp.elements():
-            bg, fg = admissibilize(ctx, data.F[g])
-            b[g] = bg
+        b = {g: admissibilize(ctx, data.F[g])[0] for g in grp.elements()}
         data_p = gauge_transform(data, b)
     except QuantumError as exc:
         cert.failures = [str(exc)]
         return cert
     cert.gauges = b
     cert.data_prime = data_p
-    for g in grp.elements():
-        ok, witness = is_admissible(data_p.F[g])
-        cert.admissibility.append(
-            {"element": f"F'[{grp.labels[g]}]", "admissible": ok, "witness": str(witness or "")}
-        )
-    for (g, h), v in sorted(data_p.v.items()):
-        ok, witness = is_admissible(v)
-        cert.admissibility.append(
-            {
-                "element": f"v'[{grp.labels[g]},{grp.labels[h]}]",
-                "admissible": ok,
-                "witness": str(witness or ""),
-            }
-        )
+    named = [(f"F'[{grp.labels[g]}]", data_p.F[g]) for g in grp.elements()]
+    named += [(f"v'[{grp.labels[g]},{grp.labels[h]}]", v) for (g, h), v in sorted(data_p.v.items())]
+    for name, x in named:
+        ok, witness = is_admissible(x)
+        cert.admissibility.append({"element": name, "admissible": ok, "witness": str(witness or "")})
     # both stack identities on all tuples, read from the relation pass that
     # gauge_transform made on data_p: (4) is summed over generators, and
     # exp(v'/hbar) cocycle's exponentials are the v' themselves viewed in the

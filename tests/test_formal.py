@@ -407,9 +407,10 @@ FREE_X = FreeElt({(0,): F(1)})
 FREE_Y = FreeElt({(1,): F(1)})
 
 
-def test_bch_recursion_agrees_with_word_series():
-    """Both BCH kernels agree on the free associative commutator algebra."""
-    nmax = 5
+@pytest.mark.parametrize("nmax", [5, 9])
+def test_bch_recursion_agrees_with_word_series(nmax):
+    """Both BCH kernels agree on the free associative commutator algebra,
+    through nmax 9: the operand count `stack -N 10` evaluates."""
     br, _ = free_commutator(nmax)
     a = bch_apply(br, FREE_X, FREE_Y, nmax)
     b = bch_apply_recursion(br, FREE_X, FREE_Y, nmax)

@@ -54,6 +54,24 @@ def test_group_conjugation():
     assert prod == ctx.labeled((0,), 0).scale(-1)
 
 
+@pytest.mark.parametrize(
+    "slots, key, c",
+    [
+        (2, (0, ((0,),)), 0),  # zero coefficient
+        (2, (3, ((0,),)), 1),  # hbar power at M
+        (2, (0, ((0,) * 5,)), 1),  # PBW degree past D
+        (1, (0, ((0,), (1,))), 1),  # a kept term, as before
+    ],
+    ids=["zero", "hbar-at-M", "degree-past-D", "kept"],
+)
+def test_helement_checks_the_slot_count_of_every_key(slots, key, c):
+    """A key with the wrong slot count is rejected even when its term would
+    be dropped, as SparseTensor rejects it."""
+    ctx = sl2_ctx(M=3, D=4)
+    with pytest.raises(ValueError, match="slot count mismatch"):
+        HElement(ctx, slots, {key: c})
+
+
 def test_mul_rejects_labeled_slots():
     ctx = axb_ctx()
     x = ctx.labeled((0,), 0)

@@ -337,25 +337,56 @@ def test_gauge_transform_reports_broken_relation():
     )
 
 
-def test_quantize_stack_runs_each_relation_pass_once(monkeypatch):
-    """On fresh data quantize_stack runs the relation pass once on the input
-    (validation) and once on the transformed data (inside gauge_transform),
-    and transports i: 48 + 48 + 12 conjugations for sl2-que."""
+def _sl2_que_data():
     from gammastack.cli import data_path
     from gammastack.problemfile import build_que_data, parse_problem
+
+    return build_que_data(parse_problem(data_path("sl2-que.glb").read_text(encoding="utf-8")), 3, 6)
+
+
+def test_quantize_stack_runs_each_relation_pass_once(monkeypatch):
+    """On fresh data quantize_stack runs the relation pass once on the input
+    (validation) and once on the transformed data (inside gauge_transform);
+    every other read of it hits the cache."""
+    import gammastack.quantum as quantum
+
+    data = _sl2_que_data()
+    fresh = []
+    real = quantum.relation_residuals
+
+    def counted(d):
+        if d._relations is None:
+            fresh.append(d)
+        return real(d)
+
+    monkeypatch.setattr(quantum, "relation_residuals", counted)
+    assert quantize_stack(data).ok
+    assert len(fresh) == 2
+    assert fresh[0] is data and fresh[1] is not data
+
+
+def test_quantize_stack_inverts_each_element_and_map_once(monkeypatch):
+    """sl2-que at (3, 6): 44 element inversions and 24 linear solves (8
+    inversions of a 3x3 linear part, one solve per unit right-hand side)."""
+    import gammastack.quantum as quantum
     from gammastack.quantum import QueContext
 
-    data = build_que_data(parse_problem(data_path("sl2-que.glb").read_text(encoding="utf-8")))
-    calls = []
-    real = QueContext.ad
+    data = _sl2_que_data()
+    calls = {"inverse": 0, "solve_linear": 0}
+    real_inverse, real_solve = QueContext.inverse, quantum.solve_linear
 
-    def counted(self, b, x):
-        calls.append(1)
-        return real(self, b, x)
+    def inverse(self, x):
+        calls["inverse"] += 1
+        return real_inverse(self, x)
 
-    monkeypatch.setattr(QueContext, "ad", counted)
+    def solve(system):
+        calls["solve_linear"] += 1
+        return real_solve(system)
+
+    monkeypatch.setattr(QueContext, "inverse", inverse)
+    monkeypatch.setattr(quantum, "solve_linear", solve)
     assert quantize_stack(data).ok
-    assert len(calls) == 108
+    assert calls == {"inverse": 44, "solve_linear": 24}
 
 
 def test_admissibilize_reports_only_solver_failures(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from gammastack.cohomology import alt
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
-from gammastack.liealg import wedge2_apply
+from gammastack.liealg import mat_apply, wedge2_apply
 from gammastack.cli import data_path
 from gammastack.problemfile import parse_problem
 from gammastack.stack import (
@@ -596,3 +596,51 @@ def test_truncation_restriction(problem, N):
         ab: j.images for ab, j in low.isos.items()
     }
     assert {abc: cut(u) for abc, u in high.gauges.items()} == low.gauges
+
+
+# -- Gamma-equivariance across layers ----------------------------------------------
+
+
+def conjugated_cobracket(G, a, c, k):
+    """theta_a^{(x)2}(delta_c(theta_a^{-1} e_k))."""
+    delta_c = build_delta_gamma(G, c)
+    t = {}
+    for m, cm in mat_apply(G.theta_inv(a), {k: F(1)}).items():
+        for ij, v in delta_c.cobracket_tensor(m).items():
+            t[ij] = t.get(ij, 0) + cm * v
+    return {ij: v for ij, v in wedge2_apply(G.theta[a], t).items() if v}
+
+
+@pytest.mark.parametrize(
+    "problem, N, differ", [("abelian.glb", 4, 0), ("axb.glb", 4, 0), ("sl2-weyl.glb", 4, 4)]
+)
+def test_theta_transports_the_stack_data(problem, N, differ):
+    """delta_{ac} = theta_a delta_c theta_a^{-1} and f_{ac} = f_a + theta_a f_c,
+    so S(theta_a), applied slotwise, carries the lift of (e, c) in context e
+    to a twist in context a with the leading term of (a, ac), and a gauge
+    connects it to the direct lift of (a, ac).  On sl2-weyl at N=4, 4 of
+    the 16 transported lifts differ from the direct ones, so the gauge step
+    is not the identity."""
+    G = bundled(problem)
+    grp = G.group
+    dim = G.lba.dim
+    e = grp.identity
+    ctx = {g: PairingContext(build_delta_gamma(G, g), N) for g in grp.elements()}
+    changed = 0
+    for a in grp.elements():
+        theta = AlgebraMap(
+            [SparseTensor(1, N, {((i,),): row[j] for i, row in enumerate(G.theta[a])}) for j in range(dim)],
+            N,
+        )
+        for c in grp.elements():
+            ac = grp.mul(a, c)
+            direct_delta = build_delta_gamma(G, ac)
+            for k in range(dim):
+                assert conjugated_cobracket(G, a, c, k) == direct_delta.cobracket_tensor(k)
+            moved = theta.apply(lift_twist(ctx[e], leading_term(G, e, c, N)))
+            assert twist_defect(ctx[a], moved).is_zero()
+            direct = lift_twist(ctx[a], leading_term(G, a, ac, N))
+            lam = solve_gauge(ctx[a], moved, direct)
+            assert gauge_act(ctx[a], lam, moved) == direct
+            changed += moved != direct
+    assert changed == differ
