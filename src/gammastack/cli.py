@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from gammastack.liealg import classical_yang_baxter, theta2_shift, validate_gamma_lba
@@ -25,8 +24,8 @@ from gammastack.stack import StackBuildError, verify_stack
 
 
 def data_path(name: str) -> Path:
-    """Path of a bundled problem file."""
-    return Path(resources.files("gammastack").joinpath("data", name))
+    """Path of a bundled problem file, in the package's `data` directory."""
+    return Path(__file__).parent / "data" / name
 
 
 def _load(path_str: str):

@@ -9,8 +9,8 @@ on every basis tuple / group tuple and report all violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from gammastack.tensors import _add_into
 
@@ -20,8 +20,7 @@ Tensor3 = dict[tuple[int, int, int], Fraction]
 Word = tuple[int, ...]
 
 
-@dataclass
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     condition: str
     location: tuple
     detail: str = ""

@@ -7,14 +7,13 @@ thousand unknowns), assembled from cochain bases and per-degree solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 Row = dict[int, Fraction | int]
 
 
-@dataclass
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """rows[i] maps column index -> int or Fraction coefficient; rhs[i] is
     the target.  The solver only reads rows and rhs, so callers may share
     them between systems."""
@@ -24,8 +23,7 @@ class LinearSystem:
     rhs: list[Fraction | int]
 
 
-@dataclass
-class LinearSolveResult:
+class LinearSolveResult(NamedTuple):
     solvable: bool
     solution: list[Fraction] | None
     rank: int

@@ -12,8 +12,8 @@ canonical files round-trip byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from gammastack.liealg import FiniteGroup, GammaLieBialgebra, LieBialgebra, Tensor2
 from gammastack.quantum import GammaQUEData, HElement, Key, QueContext
@@ -35,18 +35,17 @@ class ProblemParseError(ValueError):
         self.line = line
 
 
-@dataclass
 class QuantumSections:
     """Raw quantum data in index form, independent of truncation context."""
 
-    coproduct: dict[int, dict[Key, Fraction]] = field(default_factory=dict)
-    twists: dict[int, dict[Key, Fraction]] = field(default_factory=dict)
-    morphisms: dict[tuple[int, int], dict[Key, Fraction]] = field(default_factory=dict)
-    gauges: dict[tuple[int, int], dict[Key, Fraction]] = field(default_factory=dict)
+    def __init__(self):
+        self.coproduct: dict[int, dict[Key, Fraction]] = {}
+        self.twists: dict[int, dict[Key, Fraction]] = {}
+        self.morphisms: dict[tuple[int, int], dict[Key, Fraction]] = {}
+        self.gauges: dict[tuple[int, int], dict[Key, Fraction]] = {}
 
 
-@dataclass
-class Problem:
+class Problem(NamedTuple):
     G: GammaLieBialgebra
     r: Tensor2 | None
     quantum: QuantumSections | None

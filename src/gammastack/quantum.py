@@ -18,7 +18,6 @@ is a finite exact computation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import factorial
@@ -411,21 +410,21 @@ def _linear_images(ctx: QueContext, columns) -> list[HElement]:
 
 def linear_leading_inverse(ctx: QueContext, images: list[HElement]) -> list[HElement]:
     """Generator images inverting the hbar^0 linear part of an endomorphism:
-    column j solves (linear part) x = e_j.  SingularLinearPart if it is
-    singular."""
+    column j solves (linear part) x = e_j.  All columns come from one block
+    system, whose unknown j * dim + k is entry k of column j.
+    SingularLinearPart if the linear part is singular."""
     dim = ctx.lba.dim
     rows: list[dict[int, Fraction]] = [{} for _ in range(dim)]
     for j, img in enumerate(images):
         for (a, sl), c in img.coeffs.items():
             if a == 0 and len(sl[0]) == 1:
                 _add_into(rows[sl[0][0]], j, c)
-    columns = []
-    for j in range(dim):
-        result = solve_linear(LinearSystem(dim, rows, [F(int(k == j)) for k in range(dim)]))
-        if result.rank < dim:
-            raise SingularLinearPart("the hbar^0 linear part is singular")
-        columns.append(result.solution)
-    return _linear_images(ctx, columns)
+    block = [{j * dim + k: c for k, c in row.items()} for j in range(dim) for row in rows]
+    rhs = [int(r == j) for j in range(dim) for r in range(dim)]
+    result = solve_linear(LinearSystem(dim * dim, block, rhs))
+    if result.rank < dim * dim:
+        raise SingularLinearPart("the hbar^0 linear part is singular")
+    return _linear_images(ctx, (result.solution[j * dim : (j + 1) * dim] for j in range(dim)))
 
 
 # -- Drinfeld subalgebra membership ---------------------------------------------------
@@ -571,7 +570,6 @@ def admissibilize(ctx: QueContext, f0: HElement) -> tuple[HElement, HElement]:
 Relation = tuple[str, tuple[int, ...], list[HElement]]
 
 
-@dataclass
 class GammaQUEData:
     """F, i, v collections at base e.
 
@@ -584,12 +582,19 @@ class GammaQUEData:
     Immutable by convention: the inverse images and the relation pass are
     cached on the instance."""
 
-    ctx: QueContext
-    F: dict[int, HElement]
-    i_images: dict[int, list[HElement]]
-    v: dict[tuple[int, int], HElement]
-    _inv_cache: dict[int, list[HElement]] = field(default_factory=dict, repr=False)
-    _relations: list[Relation] | None = field(default=None, repr=False)
+    def __init__(
+        self,
+        ctx: QueContext,
+        F: dict[int, HElement],
+        i_images: dict[int, list[HElement]],
+        v: dict[tuple[int, int], HElement],
+    ):
+        self.ctx = ctx
+        self.F = F
+        self.i_images = i_images
+        self.v = v
+        self._inv_cache: dict[int, list[HElement]] = {}
+        self._relations: list[Relation] | None = None
 
     def i_inverse_images(self, gamma: int) -> list[HElement]:
         cached = self._inv_cache.get(gamma)
@@ -900,10 +905,11 @@ class SemidirectBialgebra:
         """Associativity, coassociativity, compatibility on all labeled PBW
         monomials of degree <= `degree`, exactly at truncation.
 
-        Each basis coproduct and each distinct product is computed once:
-        products are interned by value, so (ab)c and a(bc) are compared as
-        indices, and only the distinct values are kept (the sl2 D=6 sweep:
-        100 distinct ab among 256, 300 values in all).
+        Each basis coproduct, each distinct product and the coproduct of
+        each distinct ab are computed once: products are interned by value,
+        so (ab)c and a(bc) are compared as indices, and only the distinct
+        values are kept (the sl2 D=6 sweep: 100 distinct ab among 256, 300
+        values in all).
         """
         ctx = self.ctx
         grp = self.G.group
@@ -922,12 +928,13 @@ class SemidirectBialgebra:
         prod = [[intern(self.product(a, b)) for b in basis] for a in basis]
         distinct = sorted({x for row in prod for x in row})
         right = {x: [intern(self.product(values[x], c)) for c in basis] for x in distinct}
+        cop_prod = {x: self.coproduct(values[x]) for x in distinct}
         issues = []
         for i, a in enumerate(basis):
             left = {y: intern(self.product(a, values[y])) for y in distinct}
             for j, b in enumerate(basis):
                 x = prod[i][j]
-                if self.coproduct(values[x]) != self.product(cop[i], cop[j]):
+                if cop_prod[x] != self.product(cop[i], cop[j]):
                     issues.append(f"bialgebra compatibility fails at {a.format()},{b.format()}")
                 for k, c in enumerate(basis):
                     if right[x][k] != left[prod[j][k]]:
@@ -986,16 +993,23 @@ def classical_limit_residuals(data: GammaQUEData) -> list[str]:
 # -- quantum certificate --------------------------------------------------------------------
 
 
-@dataclass
 class QuantumStackCertificate:
-    group: list[str]
-    hbar_order: int
-    pbw_degree: int
-    gauges: dict[int, HElement]
-    data_prime: GammaQUEData | None
-    residuals: list[dict] = field(default_factory=list)
-    admissibility: list[dict] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        group: list[str],
+        hbar_order: int,
+        pbw_degree: int,
+        gauges: dict[int, HElement],
+        data_prime: GammaQUEData | None,
+    ):
+        self.group = group
+        self.hbar_order = hbar_order
+        self.pbw_degree = pbw_degree
+        self.gauges = gauges
+        self.data_prime = data_prime
+        self.residuals: list[dict] = []
+        self.admissibility: list[dict] = []
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:

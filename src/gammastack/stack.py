@@ -9,8 +9,8 @@ path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from gammastack.cohomology import CoboundaryObstruction, solve_coboundary
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
@@ -389,8 +389,7 @@ def _iso_system(
 # -- certificates ---------------------------------------------------------------
 
 
-@dataclass
-class ResidualEntry:
+class ResidualEntry(NamedTuple):
     identity: str
     where: tuple[str, ...]
     degree: int
@@ -401,14 +400,13 @@ class ResidualEntry:
         return self.residual == "0"
 
 
-@dataclass
-class StackCertificate:
+class StackCertificate(NamedTuple):
     group: list[str]
     truncation: int
     lifts: dict[tuple[int, int], TensorSeries]
     isos: dict[tuple[int, int], AlgebraMap]
     gauges: dict[tuple[int, int, int], TensorSeries]
-    residuals: list[ResidualEntry] = field(default_factory=list)
+    residuals: list[ResidualEntry]
 
     @property
     def ok(self) -> bool:

@@ -20,15 +20,29 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text(encoding="utf-8"))
 
 
-def run_cli(*args, module: str = "gammastack.cli") -> tuple[int, str, str]:
+def run_python(*args) -> tuple[int, str, str]:
+    """A fresh interpreter given `args`, importing the package under test."""
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", module, *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*args, module: str = "gammastack.cli") -> tuple[int, str, str]:
+    return run_python("-m", module, *args)
+
+
+def test_cli_import_loads_no_dataclasses_chain():
+    """Records are NamedTuples or plain classes, so `import gammastack.cli`
+    loads neither `dataclasses` nor what it imports: that chain was half of
+    the start-up of every short CLI job."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, gammastack.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    assert run_python("-c", code) == (0, "\n", "")
 
 
 def test_validate_bundled_ok():

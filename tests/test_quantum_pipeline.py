@@ -366,8 +366,8 @@ def test_quantize_stack_runs_each_relation_pass_once(monkeypatch):
 
 
 def test_quantize_stack_inverts_each_element_and_map_once(monkeypatch):
-    """sl2-que at (3, 6): 44 element inversions and 24 linear solves (8
-    inversions of a 3x3 linear part, one solve per unit right-hand side)."""
+    """sl2-que at (3, 6): 44 element inversions and 8 linear solves (8
+    inversions of a 3x3 linear part, one block solve each)."""
     import gammastack.quantum as quantum
     from gammastack.quantum import QueContext
 
@@ -386,7 +386,7 @@ def test_quantize_stack_inverts_each_element_and_map_once(monkeypatch):
     monkeypatch.setattr(QueContext, "inverse", inverse)
     monkeypatch.setattr(quantum, "solve_linear", solve)
     assert quantize_stack(data).ok
-    assert calls == {"inverse": 44, "solve_linear": 24}
+    assert calls == {"inverse": 44, "solve_linear": 8}
 
 
 def test_admissibilize_reports_only_solver_failures(monkeypatch):

@@ -206,9 +206,10 @@ def test_axiom_report_equals_the_triple_loop(make, expected):
 
 def test_axiom_report_multiplies_each_distinct_pair_once(monkeypatch):
     """One axiom_report(1) on the sl2 data at M = 3, D = 4 makes 3,744
-    products (the triple loop: 12,832), 272 coproducts (784) and 144
-    apply_endo calls (3,272): each distinct product once, each basis
-    coproduct once and one conjugate i^{-1}_g(theta_g(w)) per (w, g)."""
+    products (the triple loop: 12,832), 116 coproducts (784) and 144
+    apply_endo calls (3,272): each distinct product once, the coproduct of
+    each basis element and of each distinct ab once, and one conjugate
+    i^{-1}_g(theta_g(w)) per (w, g)."""
     data = sl2_que_data(3, 4)
     for g in data.ctx.G.group.elements():
         data.i_inverse_images(g)
@@ -227,5 +228,5 @@ def test_axiom_report_multiplies_each_distinct_pair_once(monkeypatch):
     counted(SemidirectBialgebra, "coproduct")
     counted(QueContext, "apply_endo")
     assert len(SemidirectBialgebra(data).axiom_report(1)) == 72
-    assert counts == {"product": 3744, "coproduct": 272, "apply_endo": 144}
+    assert counts == {"product": 3744, "coproduct": 116, "apply_endo": 144}
     assert 3 * counts["product"] < 12832 and 3 * counts["apply_endo"] < 3272
