@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from gammastack.liealg import GammaLieBialgebra, LieBialgebra, Tensor2, delta_gamma_tensor
 from gammastack.tensors import (
@@ -27,10 +27,12 @@ from gammastack.tensors import (
     SparseTensor,
     TensorSeries,
     _add_into,
+    common_den,
     coproduct_slot,
     monomial_degree,
     merge_slot,
     multiset_factor,
+    nums_over_lcm,
     sorted_words,
     unit_monomial,
 )
@@ -261,6 +263,13 @@ def cocommutative_splits(word: Word) -> dict[tuple[Word, Word], int]:
 # -- the pairing context -------------------------------------------------------
 
 
+def _over_lcm(table: dict) -> tuple[int, dict]:
+    """Rows {key: (n, d)}, each n/d in lowest terms with d > 0, as the lcm L
+    of the denominators and the rows {key: n L / d}, in the same order."""
+    L = lcm(*(d for row in table.values() for _, d in row.values()))
+    return L, {k: {k2: n * (L // d) for k2, (n, d) in row.items()} for k, row in table.items()}
+
+
 class PairingContext:
     """Cached duality data for one deformed cobracket at one truncation.
 
@@ -279,28 +288,32 @@ class PairingContext:
         # U(g*_gamma): the bracket of g*_gamma is the transposed cobracket
         self.dual = lba_gamma.dual()
         self._pbw: list[Word] = [w for d in range(trunc + 1) for w in sorted_words(self.dim, d)]
+        # each straightened word as a `nums_over_lcm` pair, shared by the two builds
+        straighten = cache(lambda word: nums_over_lcm(self.dual.straighten(word)))
         # Delta_gamma of each word as int numerators over _coproduct_den
-        self._coproduct_den, self._coproduct_table = self._build_coproduct_table()
+        self._coproduct_den, self._coproduct_table = self._build_coproduct_table(straighten)
         # {m1, m2} of each monomial pair as integer numerators over
         # _bracket_lcm, seeded with the 1-slot entries of the delta_U table
-        self._bracket_lcm, self._poisson_memo = self._build_bracket_table()
+        self._bracket_lcm, self._poisson_memo = self._build_bracket_table(straighten)
 
     # -- coproduct -------------------------------------------------------------
 
-    def _build_coproduct_table(self) -> tuple[int, dict[Word, dict[tuple[Word, Word], int]]]:
+    def _build_coproduct_table(self, straighten) -> tuple[int, dict[Word, dict[tuple[Word, Word], int]]]:
         """The lcm L of the coproduct's denominators and Delta_gamma of every
         PBW word as {(left word, right word): numerator over L}."""
-        table: dict[Word, dict[tuple[Word, Word], Fraction]] = {}
+        table: dict[Word, dict[tuple[Word, Word], tuple[int, int]]] = {}
         for b1 in self._pbw:
             for b2 in self._pbw:
                 if len(b1) + len(b2) > self.trunc:
                     continue
-                denom = multiset_factor(b1) * multiset_factor(b2)
+                num, den = straighten(b1 + b2)
+                den *= multiset_factor(b1) * multiset_factor(b2)
                 # each (b1, b2) meets each word of its product once
-                for w, c in self.dual.straighten(b1 + b2).items():
-                    table.setdefault(w, {})[(b1, b2)] = c * multiset_factor(w) / denom
-        L = lcm(*(c.denominator for row in table.values() for c in row.values()))
-        return L, {w: {k: int(c * L) for k, c in row.items()} for w, row in table.items()}
+                for w, c in num.items():
+                    n = c * multiset_factor(w)
+                    g = gcd(n, den)
+                    table.setdefault(w, {})[(b1, b2)] = (n // g, den // g)
+        return _over_lcm(table)
 
     def coproduct_word(self, word: Word) -> dict[tuple[Word, Word], Fraction]:
         """Delta_gamma of a 1-slot monomial as {(left word, right word): coeff}."""
@@ -309,44 +322,56 @@ class PairingContext:
 
     # -- Poisson bracket: the transposed co-Poisson cobracket of U(g*_gamma) ---
 
-    def _build_bracket_table(self) -> tuple[int, PairMemo]:
+    def _build_bracket_table(self, straighten) -> tuple[int, PairMemo]:
         """delta_U of every PBW word, transposed into the 1-slot brackets.
 
         delta_U is the coderivation extending the cobracket of g*_gamma (the
         transposed bracket of g): delta(uv) = delta(u) Delta(v) + Delta(u)
         delta(v) with v the last letter.  The head u is shorter, so in
         `_pbw` order it is always done first, and each pair's words come in
-        `_pbw` order.  Returns the lcm L of the bracket's denominators and
-        {((a,), (b,)): {(word,): numerator over L}}.
+        `_pbw` order.  Each delta is summed in int over a running common
+        denominator (`common_den`).  Returns the lcm L of the bracket's
+        denominators and {((a,), (b,)): {(word,): numerator over L}}.
         """
-        straighten = self.dual.straighten
-        deltas: dict[Word, dict[tuple[Word, Word], Fraction]] = {}
-        table: dict[tuple[Monomial, Monomial], dict[Monomial, Fraction]] = {}
+        deltas: dict[Word, tuple[dict[tuple[Word, Word], int], int]] = {}
+        table: dict[tuple[Monomial, Monomial], dict[Monomial, tuple[int, int]]] = {}
         for word in self._pbw[1:]:  # the empty word has delta 0
-            dv = {((a,), (b,)): c for (a, b), c in self.dual.cobracket_tensor(word[-1]).items()}
+            cob = self.dual.cobracket_tensor(word[-1])
+            dv, dv_den = nums_over_lcm({((a,), (b,)): c for (a, b), c in cob.items()})
             if len(word) == 1:
-                delta = dv
+                delta, den = dv, dv_den
             else:
                 head, tail = word[:-1], (word[-1],)
-                delta = {}
-                for (p, q), c in deltas[head].items():
-                    for s, t in ((tail, ()), ((), tail)):
-                        for w1, c1 in straighten(p + s).items():
-                            for w2, c2 in straighten(q + t).items():
-                                _add_into(delta, (w1, w2), c * c1 * c2)
-                for (s, t), m in cocommutative_splits(head).items():
-                    for (p, q), c in dv.items():
-                        for w1, c1 in straighten(s + p).items():
-                            for w2, c2 in straighten(t + q).items():
-                                _add_into(delta, (w1, w2), m * c * c1 * c2)
-            deltas[word] = delta
-            mw = multiset_factor(word)
+                head_delta, head_den = deltas[head]
+                # (coefficient numerator, its denominator, left word, right word)
+                terms = [
+                    (c, head_den, p + s, q + t)
+                    for (p, q), c in head_delta.items()
+                    for s, t in ((tail, ()), ((), tail))
+                ]
+                terms += [
+                    (m * c, dv_den, s + p, t + q)
+                    for (s, t), m in cocommutative_splits(head).items()
+                    for (p, q), c in dv.items()
+                ]
+                delta, den = {}, 1
+                for c, d, left, right in terms:
+                    n1, d1 = straighten(left)
+                    n2, d2 = straighten(right)
+                    d *= d1 * d2
+                    den = common_den(delta, den, d)
+                    c *= den // d
+                    for w1, c1 in n1.items():
+                        for w2, c2 in n2.items():
+                            _add_into(delta, (w1, w2), c * c1 * c2)
+            deltas[word] = (delta, den)
+            den *= multiset_factor(word)
             for (a, b), c in delta.items():
                 if c:
-                    f = multiset_factor(a) * multiset_factor(b)
-                    table.setdefault(((a,), (b,)), {})[(word,)] = c * f / mw
-        L = lcm(*(c.denominator for row in table.values() for c in row.values()))
-        return L, {key: {m: int(c * L) for m, c in row.items()} for key, row in table.items()}
+                    n = c * multiset_factor(a) * multiset_factor(b)
+                    g = gcd(n, den)
+                    table.setdefault(((a,), (b,)), {})[(word,)] = (n // g, den // g)
+        return _over_lcm(table)
 
     # -- series-level operations ------------------------------------------------
 

@@ -1,13 +1,23 @@
-"""Sparse exact Gaussian elimination over the rationals.
+"""Sparse exact Gaussian elimination over the rationals, fraction-free.
 
 First-nonzero pivoting in fixed row/column order: deterministic results,
 no pivoting heuristics.  Systems here are desk-scale (at most a few
 thousand unknowns), assembled from cochain bases and per-degree solves.
+
+The elimination runs in int (fraction-free, after Bareiss 1968): each row
+and its target are scaled to int numerators once, a row is cleared of the
+pivot column by an integer combination with the pivot row, and each
+changed row is divided by the gcd of its entries and target.  An index
+from each column to the rows holding it finds the pivot and the rows to
+clear without scanning the others.  Every row stays a nonzero multiple of
+the row that elimination over Q holds at the same step, so the zero
+pattern, the pivots, the rank and the failure row are those of Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 Row = dict[int, Fraction | int]
@@ -31,50 +41,83 @@ class LinearSolveResult(NamedTuple):
     failure_row: int | None = None
 
 
+def _int_row(row: Row, b: Fraction | int) -> tuple[dict[int, int], int]:
+    """The nonzero entries of row and the target b, both times the lcm of
+    their denominators, as ints.  An all-int row is copied unscaled."""
+    row = {j: c for j, c in row.items() if c}
+    vals = [*row.values(), b]
+    if all(c.__class__ is int for c in vals):
+        return row, b
+    den = lcm(*(c.denominator for c in vals))
+    return (
+        {j: c.numerator * (den // c.denominator) for j, c in row.items()},
+        b.numerator * (den // b.denominator),
+    )
+
+
 def _eliminate(sys: LinearSystem):
     """Reduced row echelon form by first-nonzero pivot; returns (pivots,
-    rows, rhs), pivots a list of (row index, column) in elimination order.
+    rows, rhs), pivots a list of (row index, column) in elimination order,
+    rows and rhs int multiples of the reduced rows and targets over Q.
 
-    The one copy of the system's rows: each nonzero entry and each target
-    becomes a `Fraction`, so a pivot division stays exact on int rows.
+    The one copy of the system's rows, as int numerators (zeros dropped,
+    columns range-checked).  The pivot of a column is the first row at or
+    after the next pivot position that holds it, as a scan would find.
     """
-    rows = [{j: Fraction(c) for j, c in row.items() if c} for row in sys.rows]
-    for row in rows:
+    n_cols = sys.n_cols
+    holders: list[set[int]] = [set() for _ in range(n_cols)]
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
+    for i, (row, b) in enumerate(zip(sys.rows, sys.rhs)):
+        row, b = _int_row(row, b)
         for j in row:
-            if not 0 <= j < sys.n_cols:
+            if not 0 <= j < n_cols:
                 raise ValueError(f"column {j} out of range")
-    rhs = [Fraction(b) for b in sys.rhs]
+            holders[j].add(i)
+        rows.append(row)
+        rhs.append(b)
     pivots: list[tuple[int, int]] = []
     pivot_row = 0
-    for col in range(sys.n_cols):
-        sel = None
-        for i in range(pivot_row, len(rows)):
-            if rows[i].get(col, 0) != 0:
-                sel = i
-                break
+    for col in range(n_cols):
+        held = holders[col]
+        sel = min((i for i in held if i >= pivot_row), default=None)
         if sel is None:
             continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        rhs[pivot_row], rhs[sel] = rhs[sel], rhs[pivot_row]
-        piv = rows[pivot_row][col]
-        if piv != 1:
-            rows[pivot_row] = {j: c / piv for j, c in rows[pivot_row].items()}
-            rhs[pivot_row] = rhs[pivot_row] / piv
+        if sel != pivot_row:
+            for i in (sel, pivot_row):
+                for j in rows[i]:
+                    holders[j].remove(i)
+            rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
+            rhs[pivot_row], rhs[sel] = rhs[sel], rhs[pivot_row]
+            for i in (sel, pivot_row):
+                for j in rows[i]:
+                    holders[j].add(i)
         prow = rows[pivot_row]
-        for i in range(len(rows)):
-            if i == pivot_row:
-                continue
-            f = rows[i].get(col, 0)
-            if f == 0:
-                continue
+        p, pb = prow[col], rhs[pivot_row]
+        for i in [i for i in held if i != pivot_row]:
+            # row i <- (p/g) row i - (f/g) prow clears col
             ri = rows[i]
+            f = ri[col]
+            g = gcd(p, f)
+            a, e = p // g, f // g
+            if a != 1:
+                ri = rows[i] = {j: a * c for j, c in ri.items()}
             for j, c in prow.items():
-                v = ri.get(j, 0) - f * c
+                v = ri.get(j, 0) - e * c
                 if v:
+                    if j not in ri:
+                        holders[j].add(i)
                     ri[j] = v
                 else:
-                    ri.pop(j, None)
-            rhs[i] = rhs[i] - f * rhs[pivot_row]
+                    del ri[j]
+                    holders[j].remove(i)
+            t = a * rhs[i] - e * pb
+            g = gcd(t, *ri.values())
+            if g > 1:
+                for j in ri:
+                    ri[j] //= g
+                t //= g
+            rhs[i] = t
         pivots.append((pivot_row, col))
         pivot_row += 1
         if pivot_row == len(rows):
@@ -98,5 +141,5 @@ def solve_linear(sys: LinearSystem) -> LinearSolveResult:
             return LinearSolveResult(False, None, rank, failure_row=i)
     solution = [Fraction(0)] * sys.n_cols
     for ri, col in pivots:
-        solution[col] = rhs[ri]
+        solution[col] = Fraction(rhs[ri], rows[ri][col])
     return LinearSolveResult(True, solution, rank)

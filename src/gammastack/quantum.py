@@ -229,6 +229,7 @@ class QueContext:
         self._delta_word_cache: dict[Word, Table] = {(): _unit_table(2)}
         self._endo_word_cache: dict[tuple, dict[Word, Table]] = {}
         self._theta_images: dict[int, list[HElement]] = {}
+        self._inverse_cache: dict[HElement, HElement] = {}
         # ambient coproduct: 2-slot generator images from their coefficients
         # {generator: {key: coefficient}}; a generator left out is primitive
         coproduct = coproduct or {}
@@ -322,7 +323,11 @@ class QueContext:
         return self.log(x).hbar_shift(1)
 
     def inverse(self, x: HElement) -> HElement:
-        return self._series(self.unit(x.slots) - x, lambda k: ONE, "inverse")
+        """sum_k (1 - x)^k, evaluated once per distinct value of x."""
+        out = self._inverse_cache.get(x)
+        if out is None:
+            out = self._inverse_cache[x] = self._series(self.unit(x.slots) - x, lambda k: ONE, "inverse")
+        return out
 
     def star_hbar(self, x: HElement, y: HElement) -> HElement:
         """CBH product for the rescaled bracket [a,b]/hbar."""
@@ -510,9 +515,11 @@ def star_hbar_cocycle_residual(ctx: QueContext, f: HElement) -> HElement:
     return ctx.star_hbar(out, ctx.coproduct_slot(a, 0))
 
 
-def gauge_twist(ctx: QueContext, b: HElement, f: HElement) -> HElement:
-    """b^{(x)2} F Delta(b^{-1})."""
-    return tensor_unit(b, 1) * tensor_unit(b, 0) * f * ctx.coproduct_slot(ctx.inverse(b), 0)
+def gauge_twist(ctx: QueContext, b: HElement, f: HElement, binv: HElement | None = None) -> HElement:
+    """b^{(x)2} F Delta(b^{-1}); binv, when given, is b^{-1}."""
+    if binv is None:
+        binv = ctx.inverse(b)
+    return tensor_unit(b, 1) * tensor_unit(b, 0) * f * ctx.coproduct_slot(binv, 0)
 
 
 def admissibilize(ctx: QueContext, f0: HElement) -> tuple[HElement, HElement]:
@@ -774,8 +781,8 @@ def gauge_transform(data: GammaQUEData, b: dict[int, HElement]) -> GammaQUEData:
     composition-compatible formula; the output is re-validated."""
     ctx = data.ctx
     grp = ctx.G.group
-    newF = {g: gauge_twist(ctx, b[g], data.F[g]) for g in grp.elements()}
     binv = {g: ctx.inverse(b[g]) for g in grp.elements()}
+    newF = {g: gauge_twist(ctx, b[g], data.F[g], binv[g]) for g in grp.elements()}
     new_i = {
         g: [ctx.apply_endo(data.i_images[g], binv[g] * ctx.gen(k) * b[g]) for k in range(ctx.lba.dim)]
         for g in grp.elements()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from gammastack.cohomology import CoboundaryObstruction, solve_coboundary
@@ -348,15 +349,14 @@ def _iso_system(
     and zero elsewhere.  The coproduct column holds because the twisted
     coproduct of e_l has degree-1 part e_l|1 + 1|e_l (a bracket with the
     twist in m^2 raises degree), the Poisson column because the bracket is
-    antisymmetric.
+    antisymmetric.  The system is stated in int, as D J p = -D r with D the
+    lcm of the denominators of r and of the column parts.
     """
     dim = ctx_src.dim
     N = ctx_src.trunc
     words = sorted_words(dim, deg)
     word_row = {w: r for r, w in enumerate(words)}
     mono_row = {mono: r for r, mono in enumerate(slot_monomials(dim, 2, deg, least=0))}
-    rhs = [r.coefficient(m) for r in cop_res for m in mono_row]
-    rhs += [r.coefficient((w,)) for r in poi_res for w in words]
     pairs = [(i, k) for i in range(dim) for k in range(i + 1, dim)]
     gens = [SparseTensor.generator(i, N) for i in range(dim)]
     brackets = [ctx_src.poisson(gens[i], gens[k]) for i, k in pairs]
@@ -369,12 +369,16 @@ def _iso_system(
     ]
     # [{m, e_k}_dst]_d once per (m, k)
     m_gen = [[ctx_dst.poisson(m, gen).homogeneous_part(deg) for gen in gens] for m in monos]
-    rows: list[dict[int, Fraction]] = [{} for _ in rhs]
+    parts = [*cop_res, *poi_res, *brackets, *cops, *(t for ts in m_gen for t in ts)]
+    D = lcm(*(t.den for t in parts))
+    rhs = [-r.num.get(m, 0) * (D // r.den) for r in cop_res for m in mono_row]
+    rhs += [-r.num.get((w,), 0) * (D // r.den) for r in poi_res for w in words]
+    rows: list[dict[int, int]] = [{} for _ in rhs]
     for l in range(dim):
         for r, (w, cop) in enumerate(zip(words, cops)):
             col = l * len(words) + r
             for mono, c in cop.num.items():
-                rows[l * len(mono_row) + mono_row[mono]][col] = F(c, cop.den)
+                rows[l * len(mono_row) + mono_row[mono]][col] = c * (D // cop.den)
             for p, (i, k) in enumerate(pairs):
                 block = SparseTensor(1, N, {(w,): brackets[p].coefficient(((l,),))})
                 if l == i:
@@ -382,8 +386,8 @@ def _iso_system(
                 if l == k:
                     block = block + m_gen[r][i]
                 for (v,), c in block.num.items():
-                    rows[poisson_row0 + p * len(words) + word_row[v]][col] = F(c, block.den)
-    return LinearSystem(dim * len(words), rows, [-b for b in rhs]), words
+                    rows[poisson_row0 + p * len(words) + word_row[v]][col] = c * (D // block.den)
+    return LinearSystem(dim * len(words), rows, rhs), words
 
 
 # -- certificates ---------------------------------------------------------------

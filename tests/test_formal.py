@@ -711,6 +711,74 @@ def test_bracket_table_equals_per_pair_scan(name, gamma, trunc):
     assert all(len(m1) == 1 and len(m1[0]) + len(m2[0]) - 1 <= trunc for m1, m2 in memo)
 
 
+def fraction_coproduct_table(ctx: PairingContext):
+    """Reference Delta_gamma table, summed in Fraction: (L, {word: {(b1, b2):
+    numerator over L}})."""
+    table: dict = {}
+    for b1 in ctx._pbw:
+        for b2 in ctx._pbw:
+            if len(b1) + len(b2) > ctx.trunc:
+                continue
+            denom = multiset_factor(b1) * multiset_factor(b2)
+            for w, c in ctx.dual.straighten(b1 + b2).items():
+                table.setdefault(w, {})[(b1, b2)] = c * multiset_factor(w) / denom
+    L = lcm(*(c.denominator for row in table.values() for c in row.values()))
+    return L, {w: {k: int(c * L) for k, c in row.items()} for w, row in table.items()}
+
+
+def fraction_bracket_table(ctx: PairingContext):
+    """Reference delta_U table, each delta summed in Fraction in PBW order and
+    transposed: (L, {((a,), (b,)): {(word,): numerator over L}})."""
+    straighten = ctx.dual.straighten
+    deltas: dict = {}
+    table: dict = {}
+    for word in ctx._pbw[1:]:
+        dv = {((a,), (b,)): c for (a, b), c in ctx.dual.cobracket_tensor(word[-1]).items()}
+        if len(word) == 1:
+            delta = dv
+        else:
+            head, tail = word[:-1], (word[-1],)
+            delta = {}
+            for (p, q), c in deltas[head].items():
+                for s, t in ((tail, ()), ((), tail)):
+                    for w1, c1 in straighten(p + s).items():
+                        for w2, c2 in straighten(q + t).items():
+                            _add_into(delta, (w1, w2), c * c1 * c2)
+            for (s, t), m in cocommutative_splits(head).items():
+                for (p, q), c in dv.items():
+                    for w1, c1 in straighten(s + p).items():
+                        for w2, c2 in straighten(t + q).items():
+                            _add_into(delta, (w1, w2), m * c * c1 * c2)
+        deltas[word] = delta
+        for (a, b), c in delta.items():
+            if c:
+                f = multiset_factor(a) * multiset_factor(b)
+                table.setdefault(((a,), (b,)), {})[(word,)] = c * f / multiset_factor(word)
+    L = lcm(*(c.denominator for row in table.values() for c in row.values()))
+    return L, {key: {m: int(c * L) for m, c in row.items()} for key, row in table.items()}
+
+
+@pytest.mark.parametrize("name", ["abelian", "axb", "sl2-weyl"])
+def test_context_tables_equal_fraction_built_tables(name):
+    """Both tables of every distinct context at N=5, built in int, equal the
+    Fraction-built ones: denominators, numerators and key order."""
+
+    def ordered(table):
+        return [(k, list(row.items())) for k, row in table.items()]
+
+    G = parse_problem(data_path(f"{name}.glb").read_text(encoding="utf-8")).G
+    cobrackets = {frozenset(build_delta_gamma(G, g).cobracket.items()): g for g in G.group.elements()}
+    for g in cobrackets.values():
+        ctx = PairingContext(build_delta_gamma(G, g), 5)
+        L, table = fraction_coproduct_table(ctx)
+        assert ctx._coproduct_den == L
+        assert ordered(ctx._coproduct_table) == ordered(table)
+        L, table = fraction_bracket_table(ctx)
+        assert ctx._bracket_lcm == L
+        assert ordered(ctx._poisson_memo) == ordered(table)
+        assert all(type(v) is int for row in ctx._poisson_memo.values() for v in row.values())
+
+
 def test_dynkin_star_agrees_on_series():
     rng = random.Random(23)
     ctx = ctx_for(sl2_lba(), N=4)

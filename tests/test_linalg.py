@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from gammastack.linalg import LinearSystem, solve_linear
+from gammastack.linalg import LinearSolveResult, LinearSystem, _eliminate, solve_linear
 
 F = Fraction
 
@@ -112,3 +112,110 @@ def test_rank_bounded(n_rows, n_cols, seed):
     r = solve_linear(LinearSystem(n_cols, rows, [0] * n_rows)).rank
     assert 0 <= r <= min(n_rows, n_cols)
     assert r == _minor_rank(rows, n_cols)
+
+
+# -- the fraction-free eliminator against Gauss-Jordan over Fraction ----------------
+
+
+def _fraction_gauss_jordan(sys: LinearSystem) -> LinearSolveResult:
+    """The reference: Gauss-Jordan over `Fraction` with first-nonzero pivots,
+    scanning every row for each pivot and clearing every other row."""
+    rows = [{j: Fraction(c) for j, c in row.items() if c} for row in sys.rows]
+    rhs = [Fraction(b) for b in sys.rhs]
+    pivots = []
+    pivot_row = 0
+    for col in range(sys.n_cols):
+        sel = next((i for i in range(pivot_row, len(rows)) if rows[i].get(col, 0) != 0), None)
+        if sel is None:
+            continue
+        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
+        rhs[pivot_row], rhs[sel] = rhs[sel], rhs[pivot_row]
+        piv = rows[pivot_row][col]
+        rows[pivot_row] = {j: c / piv for j, c in rows[pivot_row].items()}
+        rhs[pivot_row] /= piv
+        prow = rows[pivot_row]
+        for i in range(len(rows)):
+            f = rows[i].get(col, 0)
+            if i == pivot_row or f == 0:
+                continue
+            for j, c in prow.items():
+                v = rows[i].get(j, 0) - f * c
+                if v:
+                    rows[i][j] = v
+                else:
+                    rows[i].pop(j, None)
+            rhs[i] -= f * rhs[pivot_row]
+        pivots.append((pivot_row, col))
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    rank = len(pivots)
+    for i in range(rank, len(rows)):
+        if not rows[i] and rhs[i] != 0:
+            return LinearSolveResult(False, None, rank, failure_row=i)
+    solution = [Fraction(0)] * sys.n_cols
+    for ri, col in pivots:
+        solution[col] = rhs[ri]
+    return LinearSolveResult(True, solution, rank)
+
+
+@st.composite
+def sparse_systems(draw):
+    """A sparse int or Fraction system with some rows combinations of others
+    and targets from a drawn solution, one of them perhaps made inconsistent."""
+    n_cols = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    else:
+        coeff = st.integers(-4, 4)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n_cols - 1), coeff, max_size=n_cols), max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        if len(rows) >= 2:
+            i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+            a, b = draw(coeff), draw(coeff)
+            combo = {k: a * rows[i].get(k, 0) + b * rows[j].get(k, 0) for k in sorted(rows[i].keys() | rows[j].keys())}
+            rows.insert(draw(st.integers(0, len(rows))), combo)
+    sol = [draw(coeff) for _ in range(n_cols)]
+    rhs = [sum(c * sol[k] for k, c in row.items()) for row in rows]
+    if rows and draw(st.booleans()):
+        rhs[draw(st.integers(0, len(rows) - 1))] += draw(coeff.filter(bool))
+    return LinearSystem(n_cols, rows, rhs)
+
+
+@given(sparse_systems())
+@settings(max_examples=400, deadline=None)
+def test_solve_linear_matches_fraction_gauss_jordan(sys):
+    """The same solution, rank and failure row as Gauss-Jordan over Fraction,
+    and the caller's rows and targets are left as they were."""
+    before = ([list(row.items()) for row in sys.rows], list(sys.rhs))
+    assert solve_linear(sys) == _fraction_gauss_jordan(sys)
+    assert ([list(row.items()) for row in sys.rows], list(sys.rhs)) == before
+
+
+def test_int_elimination_builds_no_fraction(monkeypatch):
+    """An int system is eliminated in int: `_eliminate` constructs no
+    Fraction, and the solve only the solution (its zero and one per pivot)."""
+    rng = random.Random(11)
+    sol = [rng.randint(-5, 5) for _ in range(20)]
+    rows = [{j: rng.randint(-9, 9) for j in rng.sample(range(20), 4)} for _ in range(30)]
+    rows += [{j: 2 * c for j, c in row.items()} for row in rows[:5]]
+    sys = LinearSystem(20, rows, [sum(c * sol[j] for j, c in row.items()) for row in rows])
+    calls = [0]
+    original = Fraction.__new__
+
+    def counting(cls, *a, **k):
+        calls[0] += 1
+        return original(cls, *a, **k)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    try:
+        pivots = _eliminate(sys)[0]
+        in_elimination = calls[0]
+        res = solve_linear(sys)
+    finally:
+        monkeypatch.undo()
+    assert in_elimination == 0
+    assert res.solvable and res.rank == len(pivots) > 0
+    assert calls[0] == 1 + res.rank
+    for row, b in zip(rows, sys.rhs):
+        assert sum(c * res.solution[j] for j, c in row.items()) == b

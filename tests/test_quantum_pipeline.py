@@ -366,27 +366,33 @@ def test_quantize_stack_runs_each_relation_pass_once(monkeypatch):
 
 
 def test_quantize_stack_inverts_each_element_and_map_once(monkeypatch):
-    """sl2-que at (3, 6): 44 element inversions and 8 linear solves (8
-    inversions of a 3x3 linear part, one block solve each)."""
+    """sl2-que at (3, 6): 40 element inversions on 3 distinct elements, so
+    3 evaluations of the inverse series, and 8 linear solves (8 inversions
+    of a 3x3 linear part, one block solve each)."""
     import gammastack.quantum as quantum
     from gammastack.quantum import QueContext
 
     data = _sl2_que_data()
-    calls = {"inverse": 0, "solve_linear": 0}
-    real_inverse, real_solve = QueContext.inverse, quantum.solve_linear
+    calls = {"inverse": 0, "inverse series": 0, "solve_linear": 0}
+    real_inverse, real_series, real_solve = QueContext.inverse, QueContext._series, quantum.solve_linear
 
     def inverse(self, x):
         calls["inverse"] += 1
         return real_inverse(self, x)
+
+    def series(self, u, coeff, what):
+        calls["inverse series"] += what == "inverse"
+        return real_series(self, u, coeff, what)
 
     def solve(system):
         calls["solve_linear"] += 1
         return real_solve(system)
 
     monkeypatch.setattr(QueContext, "inverse", inverse)
+    monkeypatch.setattr(QueContext, "_series", series)
     monkeypatch.setattr(quantum, "solve_linear", solve)
     assert quantize_stack(data).ok
-    assert calls == {"inverse": 44, "solve_linear": 8}
+    assert calls == {"inverse": 40, "inverse series": 3, "solve_linear": 8}
 
 
 def test_admissibilize_reports_only_solver_failures(monkeypatch):

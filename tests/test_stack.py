@@ -162,6 +162,33 @@ def test_build_iso_axb_nonzero_correction():
         assert j.images[i].coefficient(((),)) == 0
 
 
+@pytest.mark.parametrize(
+    "mono, deg, row",
+    [
+        (((0,), (1,)), 2, 15),
+        (((0,), (0,)), 3, 30),
+        (((0,), (0, 1)), 3, 10),
+        (((1, 1), (0,)), 3, 12),
+        (((1,), (1, 1)), 3, 13),
+    ],
+)
+def test_build_iso_failure_names_the_inconsistent_row(mono, deg, row):
+    """An axb lift at N=4 with one coefficient raised by 1 has no
+    isomorphism: the message names the degree and the first inconsistent
+    row after first-nonzero elimination with row swaps."""
+    G = axb_gamma()
+    N = 4
+    ctx_e = PairingContext(build_delta_gamma(G, 0), N)
+    ctx_s = PairingContext(build_delta_gamma(G, 1), N)
+    bad = lift_twist(ctx_e, leading_term(G, 0, 1, N)) + SparseTensor(2, N, {mono: F(1)})
+    with pytest.raises(StackBuildError) as exc:
+        build_iso(ctx_e, ctx_s, bad)
+    assert str(exc.value) == (
+        f"isomorphism solve failed at degree {deg}: nonzero residual class"
+        f"; inconsistent equation row {row} (upstream twist data is inconsistent)"
+    )
+
+
 def residual_vector(cop_res, poi_res, dim, deg):
     """Degree-deg coefficients of the iso_residuals output in the row order
     of the degree-deg system: coproduct blocks first, then Poisson blocks."""
@@ -198,6 +225,18 @@ def finite_difference_system(ctx_src, ctx_dst, twisted, images, deg):
     return base, rows
 
 
+def int_scale(sys, fd_rows, base):
+    """The D with sys = D (fd_rows, -base), read off the first nonzero
+    coefficient of fd_rows, else of base (1 if both are zero)."""
+    for row, fd_row in zip(sys.rows, fd_rows):
+        for j, c in fd_row.items():
+            return row.get(j, 0) / c
+    for b, v in zip(sys.rhs, base):
+        if v:
+            return b / -v
+    return 1
+
+
 @pytest.mark.parametrize(
     "problem, N, pairs",
     [("axb", 4, [(0, 1), (1, 0)]), ("sl2-weyl", 3, [(0, 1), (1, 2)])],
@@ -224,8 +263,13 @@ def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
             sys, words = _iso_system(ctxs[a], ctxs[b], deg, *residuals)
             assert words == sorted_words(dim, deg)
             assert sys.n_cols == dim * len(words)
-            assert sys.rows == fd_rows, (a, b, deg)
-            assert sys.rhs == [-v for v in base]
+            # the system is stated in int, as D times the finite-difference one
+            D = int_scale(sys, fd_rows, base)
+            assert D > 0
+            assert all(type(c) is int for row in sys.rows for c in [*row.values()])
+            assert all(type(c) is int for c in sys.rhs)
+            assert sys.rows == [{j: D * c for j, c in row.items()} for row in fd_rows], (a, b, deg)
+            assert sys.rhs == [-D * v for v in base]
             nontrivial += any(base)
     # the pairs exercise the solve, not only the zero-residual shortcut
     assert nontrivial >= len(pairs)
