@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
+from gammastack.cohomology import solve_coboundary
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
 from gammastack.liealg import (
     FiniteGroup,
@@ -18,6 +20,7 @@ from gammastack.liealg import (
     from_quasitriangular,
 )
 from gammastack.linalg import LinearSystem, solve_linear
+from gammastack.problemfile import Problem, quantum_sections_from_data, serialize_problem
 from gammastack.quantum import (
     GammaQUEData,
     HElement,
@@ -32,7 +35,7 @@ from gammastack.quantum import (
     twist_residual_quantum,
     validate_que_data,
 )
-from gammastack.stack import lift_twist
+from gammastack.stack import gauge_act, lift_twist
 from gammastack.tensors import _add_into, monomial_degree, slot_monomials
 
 F = Fraction
@@ -140,8 +143,6 @@ def dual_pairing_delta_images(pc: PairingContext, M: int) -> dict[int, dict[Key,
 def solve_additive_gauge(ctx: QueContext, target: HElement) -> HElement:
     """Find w in hbar^2 U with w^1 + w^2 - Delta(w) = target (commutative
     ambient); target must be reduced with terms of hbar order >= 2."""
-    from gammastack.cohomology import solve_coboundary
-
     w = ctx.zero(1)
     for k in range(2, ctx.M):
         rho = (target - _additive_coboundary(ctx, w)).hbar_coefficient(k)
@@ -204,8 +205,6 @@ def abelian_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
     # classical twist lift, transported along deg t -> hbar^{t-1}; acting with
     # a theta-even cubic gauge breaks the theta-parity of the canonical lift
     # so the composition gauge element below comes out nontrivial
-    from gammastack.stack import gauge_act
-
     leading = tensor2_to_series(G.f[1], n).scale(F(1, 2))
     ftilde = lift_twist(pc, leading)
     if n >= 3:
@@ -335,10 +334,8 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
 # -- bundled problems -------------------------------------------------------------
 
 
-def bundled_problems() -> dict[str, "Problem"]:
+def bundled_problems() -> dict[str, Problem]:
     """The six shipped problem files, regenerated deterministically."""
-    from gammastack.problemfile import Problem, quantum_sections_from_data
-
     return {
         "abelian": Problem(abelian_gamma_lba(), None, None, 5, 3, 4),
         "axb": Problem(axb_gamma_lba(), None, None, 4, 3, 4),
@@ -361,10 +358,6 @@ def bundled_problems() -> dict[str, "Problem"]:
 
 
 def write_bundled_data(directory) -> list[str]:
-    from pathlib import Path
-
-    from gammastack.problemfile import serialize_problem
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []

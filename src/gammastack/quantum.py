@@ -23,6 +23,7 @@ from functools import partial
 from math import factorial
 
 from gammastack.cohomology import CoboundaryObstruction, solve_coboundary
+from gammastack.formal import bch_apply
 from gammastack.liealg import GammaLieBialgebra, copoisson_envelope
 from gammastack.linalg import LinearSystem, solve_linear
 from gammastack.tensors import (
@@ -225,11 +226,13 @@ class QueContext:
         self.D = D
         self._mul_slot_cache: dict[tuple[Word, Word], Table] = {}
         # word images under Delta and under each endomorphism (keyed by the
-        # content of its generator images), see `_word_table`
+        # tuple of its generator images), see `_word_table`
         self._delta_word_cache: dict[Word, Table] = {(): _unit_table(2)}
-        self._endo_word_cache: dict[tuple, dict[Word, Table]] = {}
+        self._endo_word_cache: dict[tuple[HElement, ...], dict[Word, Table]] = {}
         self._theta_images: dict[int, list[HElement]] = {}
+        # element and map inverses, keyed by value
         self._inverse_cache: dict[HElement, HElement] = {}
+        self._invert_endo_cache: dict[tuple[HElement, ...], list[HElement]] = {}
         # ambient coproduct: 2-slot generator images from their coefficients
         # {generator: {key: coefficient}}; a generator left out is primitive
         coproduct = coproduct or {}
@@ -331,8 +334,6 @@ class QueContext:
 
     def star_hbar(self, x: HElement, y: HElement) -> HElement:
         """CBH product for the rescaled bracket [a,b]/hbar."""
-        from gammastack.formal import bch_apply
-
         if x.is_zero():
             return y
         if y.is_zero():
@@ -380,15 +381,19 @@ class QueContext:
         """Apply the algebra endomorphism with given generator images, slotwise."""
         if x.__class__ is not HElement:
             raise ValueError("endomorphisms act on plain slots only")
-        # cache by image content: image lists are rebuilt freely by callers
-        image_key = tuple((img.den, frozenset(img.num.items())) for img in images)
-        cache = self._endo_word_cache.setdefault(image_key, {(): _unit_table(1)})
+        # cache by value: image lists are rebuilt freely by callers
+        cache = self._endo_word_cache.setdefault(tuple(images), {(): _unit_table(1)})
         image = partial(self._word_table, cache, images)
         return HElement.spread(self, x.slots, ((a, n, x.den, map(image, sl)) for (a, sl), n in x.num.items()))
 
     def invert_endo(self, images: list[HElement]) -> list[HElement]:
         """Generator images of the inverse endomorphism, corrected order by
-        order from the inverse of the hbar^0 linear part."""
+        order from the inverse of the hbar^0 linear part; evaluated once per
+        distinct value of images, so the list returned must not be mutated."""
+        key = tuple(images)
+        cached = self._invert_endo_cache.get(key)
+        if cached is not None:
+            return cached
         dim = self.lba.dim
         leading = linear_leading_inverse(self, images)
         inv = list(leading)
@@ -404,6 +409,7 @@ class QueContext:
         for i in range(dim):
             if self.apply_endo(images, inv[i]) != self.gen(i):
                 raise QuantumError("endomorphism is not invertible at truncation")
+        self._invert_endo_cache[key] = inv
         return inv
 
 
@@ -586,8 +592,8 @@ class GammaQUEData:
     which the semidirect product and coproduct fit into a bialgebra, and it
     forces the i maps to have identity classical limit.
 
-    Immutable by convention: the inverse images and the relation pass are
-    cached on the instance."""
+    Immutable by convention: only the relation pass is cached on the
+    instance; the context memoises the inverses of the i maps by value."""
 
     def __init__(
         self,
@@ -600,14 +606,10 @@ class GammaQUEData:
         self.F = F
         self.i_images = i_images
         self.v = v
-        self._inv_cache: dict[int, list[HElement]] = {}
         self._relations: list[Relation] | None = None
 
     def i_inverse_images(self, gamma: int) -> list[HElement]:
-        cached = self._inv_cache.get(gamma)
-        if cached is None:
-            cached = self._inv_cache[gamma] = self.ctx.invert_endo(self.i_images[gamma])
-        return cached
+        return self.ctx.invert_endo(self.i_images[gamma])
 
 
 # -- residuals of the Gamma-QUE identities --------------------------------------------------
@@ -656,13 +658,12 @@ def relation_residuals(data: GammaQUEData) -> list[Relation]:
     ctx = data.ctx
     grp = ctx.G.group
     out: list[Relation] = []
-    inv_images = {g: data.i_inverse_images(g) for g in grp.elements()}
     for g in grp.elements():
         for h in grp.elements():
             gh = grp.mul(g, h)
             v = data.v[(g, h)]
             vinv = ctx.inverse(v)
-            pulled = ctx.apply_endo(inv_images[g], ctx.apply_endo(ctx.theta_images(g), data.F[h]))
+            pulled = ctx.apply_endo(data.i_inverse_images(g), ctx.apply_endo(ctx.theta_images(g), data.F[h]))
             twist = tensor_unit(v, 1) * tensor_unit(v, 0) * pulled * data.F[g]
             twist = twist * ctx.coproduct_slot(vinv, 0)
             out.append(("twist composition", (g, h), [twist - data.F[gh]]))
@@ -676,7 +677,7 @@ def relation_residuals(data: GammaQUEData) -> list[Relation]:
             for k in grp.elements():
                 lhs = data.v[(grp.mul(g, h), k)] * data.v[(g, h)]
                 translated = ctx.apply_endo(ctx.theta_images(g), data.v[(h, k)])
-                rhs = data.v[(g, grp.mul(h, k))] * ctx.apply_endo(inv_images[g], translated)
+                rhs = data.v[(g, grp.mul(h, k))] * ctx.apply_endo(data.i_inverse_images(g), translated)
                 out.append(("gauge cocycle", (g, h, k), [lhs - rhs]))
     data._relations = out
     return out
@@ -1001,19 +1002,12 @@ def classical_limit_residuals(data: GammaQUEData) -> list[str]:
 
 
 class QuantumStackCertificate:
-    def __init__(
-        self,
-        group: list[str],
-        hbar_order: int,
-        pbw_degree: int,
-        gauges: dict[int, HElement],
-        data_prime: GammaQUEData | None,
-    ):
+    def __init__(self, group: list[str], hbar_order: int, pbw_degree: int):
         self.group = group
         self.hbar_order = hbar_order
         self.pbw_degree = pbw_degree
-        self.gauges = gauges
-        self.data_prime = data_prime
+        self.gauges: dict[int, HElement] = {}
+        self.data_prime: GammaQUEData | None = None
         self.residuals: list[dict] = []
         self.admissibility: list[dict] = []
         self.failures: list[str] = []
@@ -1069,7 +1063,7 @@ def quantize_stack(data: GammaQUEData) -> QuantumStackCertificate:
     ctx = data.ctx
     grp = ctx.G.group
     labels = ctx.lba.labels
-    cert = QuantumStackCertificate(list(grp.labels), ctx.M, ctx.D, {}, None)
+    cert = QuantumStackCertificate(list(grp.labels), ctx.M, ctx.D)
     bad = validate_que_data(data)
     if bad:
         cert.failures = [f"input validation: {m}" for m in bad]

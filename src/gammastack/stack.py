@@ -469,31 +469,17 @@ def _residual_entry(
 class _Memo:
     """Evaluates each step once per distinct input, within one `verify_stack`.
 
-    A step is keyed by its function and its inputs.  A series is keyed by
-    value: the first series equal to it stands for all of them, so equal
-    series computed apart share a key and each is hashed once.  Contexts
-    and maps come out of the memo or the context table, so equal ones are
-    one object and are keyed by identity.
+    A step is keyed by its function and its inputs.  A series is its own
+    key, so equal series computed apart share one evaluation; it hashes
+    once.  Contexts and maps come out of the memo or the context table, so
+    equal ones are one object and are keyed by identity.
     """
 
     def __init__(self):
-        self._values: dict[SparseTensor, int] = {}
-        self._seen: dict[int, tuple[object, int]] = {}  # id -> (object kept alive, key)
         self._results: dict[tuple, object] = {}
 
-    def _key(self, x) -> int:
-        hit = self._seen.get(id(x))
-        if hit is not None:
-            return hit[1]
-        if isinstance(x, SparseTensor):
-            key = self._values.setdefault(x, len(self._values))
-        else:
-            key = -1 - len(self._seen)
-        self._seen[id(x)] = (x, key)
-        return key
-
     def __call__(self, fn, *args):
-        key = (fn, *map(self._key, args))
+        key = (fn, *args)
         if key not in self._results:
             self._results[key] = fn(*args)
         return self._results[key]

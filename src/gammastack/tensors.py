@@ -125,10 +125,11 @@ class SparseElement:
     `_trusted` or `_reduced`, which store their dict as given.  A subclass
     supplies the compatibility check `_check(other)` (raising ValueError),
     the display order `_sort_key(key)` and the term body `_term(key, labels)`.
-    Immutable by convention: no method mutates self.
+    Immutable by convention: no method mutates self, so the hash is computed
+    once and kept, and an element is a cheap memo key.
     """
 
-    __slots__ = ("slots", "num", "den")
+    __slots__ = ("slots", "num", "den", "_hash")
     _space: str
 
     @classmethod
@@ -190,7 +191,11 @@ class SparseElement:
         )
 
     def __hash__(self):
-        return hash((self.slots, self.den, frozenset(self.num.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.slots, self.den, frozenset(self.num.items())))
+            return h
 
     def items(self) -> list[tuple]:
         """(key, coefficient) pairs in canonical order."""

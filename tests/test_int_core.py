@@ -258,10 +258,18 @@ def test_equality_compares_the_space():
         s4 + s6
     other = QueContext(G, M, D)
     assert HElement(QCTX, 1, {(0, ((0,),)): 1}) != HElement(other, 1, {(0, ((0,),)): 1})
-    # a memo keyed by value keeps series of two truncations apart
-    memo = _Memo()
-    assert memo(lambda s: s.trunc, s4) == 4
-    assert memo(lambda s: s.trunc, s6) == 6
+    # a memo keyed by value keeps series of two truncations apart, and two
+    # equal series built apart share one evaluation
+    memo, seen = _Memo(), []
+
+    def trunc(s):
+        seen.append(s)
+        return s.trunc
+
+    assert memo(trunc, s4) == 4
+    assert memo(trunc, s6) == 6
+    assert memo(trunc, SparseTensor(1, 4, c)) == 4
+    assert len(seen) == 2 and seen[0] is s4 and seen[1] is s6
 
 
 # -- the hot path builds no per-term Fraction -------------------------------------------------

@@ -157,6 +157,36 @@ def test_invert_endo_corrects_a_nonlinear_hbar_term():
         assert ctx.apply_endo(inv, images[i]) == ctx.gen(i)
 
 
+def test_equal_image_lists_share_one_inverse_and_one_word_table(monkeypatch):
+    """Two equal image lists built apart are one memo key: the second
+    inversion reuses the first (one linear solve), and both lists read one
+    table of word images."""
+    import gammastack.quantum as quantum
+
+    ctx = QueContext(abelian_twisted_gamma(), 3, 6)
+
+    def images():
+        x, y = ctx.gen(0), ctx.gen(1)
+        return [x + HElement(ctx, 1, {(1, ((1, 1),)): F(1)}), y + HElement(ctx, 1, {(1, ((0, 0),)): F(1)})]
+
+    first, second = images(), images()
+    assert first == second and first[0] is not second[0]
+    solves = [0]
+    real_solve = quantum.solve_linear
+
+    def solve(system):
+        solves[0] += 1
+        return real_solve(system)
+
+    monkeypatch.setattr(quantum, "solve_linear", solve)
+    inverse, again = ctx.invert_endo(first), ctx.invert_endo(second)
+    assert solves == [1] and again is inverse
+    ctx._endo_word_cache.clear()
+    x = ctx.gen(0) * ctx.gen(1)
+    assert ctx.apply_endo(first, x) == ctx.apply_endo(second, x)
+    assert len(ctx._endo_word_cache) == 1
+
+
 def test_pbw_associativity_random():
     # the degree cap D is a safety net, not an ideal: associativity is exact
     # whenever products stay within D, which the coupling deg <= 2*hbar + 1

@@ -367,8 +367,9 @@ def test_quantize_stack_runs_each_relation_pass_once(monkeypatch):
 
 def test_quantize_stack_inverts_each_element_and_map_once(monkeypatch):
     """sl2-que at (3, 6): 40 element inversions on 3 distinct elements, so
-    3 evaluations of the inverse series, and 8 linear solves (8 inversions
-    of a 3x3 linear part, one block solve each)."""
+    3 evaluations of the inverse series, and 1 linear solve: the eight i
+    maps (four of the input, four of the gauge-transformed data) have one
+    value, so it is inverted once (one block solve of its 3x3 linear part)."""
     import gammastack.quantum as quantum
     from gammastack.quantum import QueContext
 
@@ -392,7 +393,7 @@ def test_quantize_stack_inverts_each_element_and_map_once(monkeypatch):
     monkeypatch.setattr(QueContext, "_series", series)
     monkeypatch.setattr(quantum, "solve_linear", solve)
     assert quantize_stack(data).ok
-    assert calls == {"inverse": 40, "inverse series": 3, "solve_linear": 8}
+    assert calls == {"inverse": 40, "inverse series": 3, "solve_linear": 1}
 
 
 def test_admissibilize_reports_only_solver_failures(monkeypatch):
