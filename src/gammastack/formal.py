@@ -17,7 +17,7 @@ construction-vs-verification.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import comb, factorial, gcd, lcm
 
@@ -38,7 +38,8 @@ from gammastack.tensors import (
 )
 
 Word = tuple[int, ...]
-PairMemo = dict[tuple[Monomial, Monomial], dict[Monomial, int]]  # {m1, m2} as numerators
+# {m1, m2} as (monomial, numerator) pairs, each monomial the context's interned one
+PairMemo = dict[tuple[Monomial, Monomial], tuple[tuple[Monomial, int], ...]]
 
 
 def build_delta_gamma(G: GammaLieBialgebra, gamma: int) -> LieBialgebra:
@@ -263,11 +264,9 @@ def cocommutative_splits(word: Word) -> dict[tuple[Word, Word], int]:
 # -- the pairing context -------------------------------------------------------
 
 
-def _over_lcm(table: dict) -> tuple[int, dict]:
-    """Rows {key: (n, d)}, each n/d in lowest terms with d > 0, as the lcm L
-    of the denominators and the rows {key: n L / d}, in the same order."""
-    L = lcm(*(d for row in table.values() for _, d in row.values()))
-    return L, {k: {k2: n * (L // d) for k2, (n, d) in row.items()} for k, row in table.items()}
+def _table_lcm(table: dict) -> int:
+    """The lcm of the denominators d of rows {key: (n, d)}."""
+    return lcm(*(d for row in table.values() for _, d in row.values()))
 
 
 class PairingContext:
@@ -288,17 +287,24 @@ class PairingContext:
         # U(g*_gamma): the bracket of g*_gamma is the transposed cobracket
         self.dual = lba_gamma.dual()
         self._pbw: list[Word] = [w for d in range(trunc + 1) for w in sorted_words(self.dim, d)]
-        # each straightened word as a `nums_over_lcm` pair, shared by the two builds
+        # each straightened word as a `nums_over_lcm` pair, and each PBW
+        # word's `multiset_factor`, shared by the two builds
         straighten = cache(lambda word: nums_over_lcm(self.dual.straighten(word)))
+        factor = {w: multiset_factor(w) for w in self._pbw}
         # Delta_gamma of each word as int numerators over _coproduct_den
-        self._coproduct_den, self._coproduct_table = self._build_coproduct_table(straighten)
+        self._coproduct_den, self._coproduct_table = self._build_coproduct_table(straighten, factor)
+        # one canonical tuple per distinct monomial of the memo's brackets
+        # (hash-consing): the memo's terms share them
+        self._monomials: dict[Monomial, Monomial] = {}
         # {m1, m2} of each monomial pair as integer numerators over
         # _bracket_lcm, seeded with the 1-slot entries of the delta_U table
-        self._bracket_lcm, self._poisson_memo = self._build_bracket_table(straighten)
+        self._bracket_lcm, self._poisson_memo = self._build_bracket_table(straighten, factor)
 
     # -- coproduct -------------------------------------------------------------
 
-    def _build_coproduct_table(self, straighten) -> tuple[int, dict[Word, dict[tuple[Word, Word], int]]]:
+    def _build_coproduct_table(
+        self, straighten, factor: dict[Word, int]
+    ) -> tuple[int, dict[Word, dict[tuple[Word, Word], int]]]:
         """The lcm L of the coproduct's denominators and Delta_gamma of every
         PBW word as {(left word, right word): numerator over L}."""
         table: dict[Word, dict[tuple[Word, Word], tuple[int, int]]] = {}
@@ -307,13 +313,14 @@ class PairingContext:
                 if len(b1) + len(b2) > self.trunc:
                     continue
                 num, den = straighten(b1 + b2)
-                den *= multiset_factor(b1) * multiset_factor(b2)
+                den *= factor[b1] * factor[b2]
                 # each (b1, b2) meets each word of its product once
                 for w, c in num.items():
-                    n = c * multiset_factor(w)
+                    n = c * factor[w]
                     g = gcd(n, den)
                     table.setdefault(w, {})[(b1, b2)] = (n // g, den // g)
-        return _over_lcm(table)
+        L = _table_lcm(table)
+        return L, {k: {k2: n * (L // d) for k2, (n, d) in row.items()} for k, row in table.items()}
 
     def coproduct_word(self, word: Word) -> dict[tuple[Word, Word], Fraction]:
         """Delta_gamma of a 1-slot monomial as {(left word, right word): coeff}."""
@@ -322,7 +329,7 @@ class PairingContext:
 
     # -- Poisson bracket: the transposed co-Poisson cobracket of U(g*_gamma) ---
 
-    def _build_bracket_table(self, straighten) -> tuple[int, PairMemo]:
+    def _build_bracket_table(self, straighten, factor: dict[Word, int]) -> tuple[int, PairMemo]:
         """delta_U of every PBW word, transposed into the 1-slot brackets.
 
         delta_U is the coderivation extending the cobracket of g*_gamma (the
@@ -331,7 +338,8 @@ class PairingContext:
         `_pbw` order it is always done first, and each pair's words come in
         `_pbw` order.  Each delta is summed in int over a running common
         denominator (`common_den`).  Returns the lcm L of the bracket's
-        denominators and {((a,), (b,)): {(word,): numerator over L}}.
+        denominators and the memo seed {((a,), (b,)): (((word,), numerator
+        over L), ...)}, each (word,) interned.
         """
         deltas: dict[Word, tuple[dict[tuple[Word, Word], int], int]] = {}
         table: dict[tuple[Monomial, Monomial], dict[Monomial, tuple[int, int]]] = {}
@@ -365,13 +373,18 @@ class PairingContext:
                         for w2, c2 in n2.items():
                             _add_into(delta, (w1, w2), c * c1 * c2)
             deltas[word] = (delta, den)
-            den *= multiset_factor(word)
+            den *= factor[word]
             for (a, b), c in delta.items():
                 if c:
-                    n = c * multiset_factor(a) * multiset_factor(b)
+                    n = c * factor[a] * factor[b]
                     g = gcd(n, den)
                     table.setdefault(((a,), (b,)), {})[(word,)] = (n // g, den // g)
-        return _over_lcm(table)
+        L = _table_lcm(table)
+        intern = self._monomials.setdefault
+        return L, {
+            k: tuple((intern(m, m), n * (L // d)) for m, (n, d) in row.items())
+            for k, row in table.items()
+        }
 
     # -- series-level operations ------------------------------------------------
 
@@ -390,36 +403,47 @@ class PairingContext:
             raise ValueError(f"coproduct needs a 1-slot series, got {a.slots} slots")
         return self.coproduct_slot(a, 0)
 
-    def coproduct_slot(self, a: TensorSeries, idx: int) -> TensorSeries:
+    def coproduct_slot(self, a: TensorSeries, idx: int, cut: int | None = None) -> TensorSeries:
         """Delta_gamma applied to slot idx of a, the identity elsewhere:
-        a^{1,..,(idx+1 idx+2),..,n+1}."""
+        a^{1,..,(idx+1 idx+2),..,n+1}; with a cut, exactly its terms of
+        degree at most cut (`tensors.coproduct_slot`)."""
         table = self._coproduct_table
-        return coproduct_slot(a, idx, lambda w: table.get(w, {}), self.trunc, self._coproduct_den)
+        return coproduct_slot(
+            a, idx, lambda w: table.get(w, {}), self.trunc, self._coproduct_den, cut
+        )
 
-    def poisson(self, a: TensorSeries, b: TensorSeries) -> TensorSeries:
-        """Product-Poisson bracket on n-slot series.
+    def poisson(self, a: TensorSeries, b: TensorSeries, cut: int | None = None) -> TensorSeries:
+        """Product-Poisson bracket on n-slot series, to degree cut.
 
-        A monomial pair whose degrees sum to more than trunc + 1 is never
-        visited: a 1-slot bracket {a, b} only holds words of length at least
-        len(a) + len(b) - 1, so the pair has no term within the truncation.
+        The cut defaults to trunc, and one above trunc is trunc.  A monomial
+        pair whose degrees sum to more than cut + 1 is never visited: a
+        1-slot bracket {a, b} only holds words of length at least
+        len(a) + len(b) - 1, so the pair has no term within the cut.
         `within[r]` holds the terms of b of degree at most r, in b's order,
         built once per call for each r that a term of a needs, and a term
-        m1 of a runs over within[trunc + 1 - deg(m1)] alone.
+        m1 of a runs over within[cut + 1 - deg(m1)] alone.
         The sum runs in int, over the denominators of a and b times
         _bracket_lcm: each pair's bracket in `_poisson_memo` holds its
-        numerators over _bracket_lcm.  A term that cancels is dropped and
-        re-added at the end if it comes back, as `_add_into` does.
+        numerators over _bracket_lcm, to degree trunc whatever the cut.  A
+        term that cancels is dropped and re-added at the end if it comes
+        back, as `_add_into` does.
+
+        Under a cut below trunc the terms above it are dropped at the end.
+        Every pair with a term of degree <= cut is still visited, in the
+        same order, so the result is exactly the degree-<=cut part of the
+        full bracket, term order included, and keeps trunc as its space.
         """
         if a.slots != b.slots:
             raise ValueError("slot mismatch in poisson bracket")
         n = a.slots
+        top = self.trunc if cut is None else min(cut, self.trunc)
         memo = self._poisson_memo
         b_terms = [(m2, n2, monomial_degree(m2)) for m2, n2 in b.num.items()]
         within: dict[int, list[tuple[Monomial, int]]] = {}
         out: dict[Monomial, int] = {}
         get = out.get
         for m1, n1 in a.num.items():
-            room = self.trunc + 1 - monomial_degree(m1)
+            room = top + 1 - monomial_degree(m1)
             terms = within.get(room)
             if terms is None:
                 terms = within[room] = [(m2, n2) for m2, n2, d2 in b_terms if d2 <= room]
@@ -429,17 +453,20 @@ class PairingContext:
                     cached = memo[(m1, m2)] = self._mono_pair_poisson(m1, m2)
                 if cached:
                     c = n1 * n2
-                    for m, cm in cached.items():
+                    for m, cm in cached:
                         v = get(m, 0) + c * cm
                         if v:
                             out[m] = v
                         else:
                             del out[m]
+        if top < self.trunc:
+            out = {m: v for m, v in out.items() if monomial_degree(m) <= top}
         return SparseTensor._reduced(self.trunc, n, out, a.den * b.den * self._bracket_lcm)
 
-    def _mono_pair_poisson(self, m1: Monomial, m2: Monomial) -> dict[Monomial, int]:
-        """{m1, m2} on n-slot monomials, numerators over _bracket_lcm: the sum
-        over slots s of the 1-slot bracket at s times the products elsewhere."""
+    def _mono_pair_poisson(self, m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, int], ...]:
+        """{m1, m2} on n-slot monomials as (interned monomial, numerator over
+        _bracket_lcm) pairs: the sum over slots s of the 1-slot bracket at s
+        times the products elsewhere; () when the bracket vanishes."""
         memo = self._poisson_memo
         out: dict[Monomial, int] = {}
         merged = tuple(merge_slot(a, b) for a, b in zip(m1, m2))
@@ -448,12 +475,13 @@ class PairingContext:
             rest_deg = base_deg - len(merged[s])
             if rest_deg > self.trunc:
                 continue
-            for (w,), c in memo.get(((m1[s],), (m2[s],)), {}).items():
+            for (w,), c in memo.get(((m1[s],), (m2[s],)), ()):
                 if rest_deg + len(w) > self.trunc:
                     continue
                 mono = merged[:s] + (w,) + merged[s + 1 :]
                 _add_into(out, mono, c)
-        return out
+        intern = self._monomials.setdefault
+        return tuple((intern(m, m), c) for m, c in out.items())
 
     # -- BCH star products ------------------------------------------------------
 
@@ -465,15 +493,26 @@ class PairingContext:
     # A bracket of n operands from m^2 has degree >= n + 1, so both star
     # products stop at brackets of trunc - 1 operands: longer ones vanish.
 
-    def bch_star(self, f: TensorSeries, g: TensorSeries) -> TensorSeries:
-        """f * g with the Lyndon-basis BCH kernel (group law on m^2)."""
+    def bch_star(self, f: TensorSeries, g: TensorSeries, cut: int | None = None) -> TensorSeries:
+        """f * g with the Lyndon-basis BCH kernel (group law on m^2).
+
+        With a cut T below trunc only the degree-<=T part is computed:
+        operand terms above T are dropped, brackets stop at T - 1 operands
+        and each bracket is cut at T.  An operand term of degree > T only
+        reaches degrees above T, so the result is exactly the degree-<=T
+        part of the full product, term order included, in truncation trunc.
+        """
         self._require_m2(f, "bch_star left operand")
         self._require_m2(g, "bch_star right operand")
+        top, bracket = self.trunc, self.poisson
+        if cut is not None and cut < top:
+            f, g, top = f.up_to_degree(cut), g.up_to_degree(cut), cut
+            bracket = partial(self.poisson, cut=cut)
         if f.is_zero():
             return g
         if g.is_zero():
             return f
-        return bch_apply(self.poisson, f, g, self.trunc - 1)
+        return bch_apply(bracket, f, g, top - 1)
 
     def bch_star_dynkin(self, f: TensorSeries, g: TensorSeries) -> TensorSeries:
         """Independent BCH evaluation via the Bernoulli recursion."""

@@ -779,22 +779,33 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
 
 def gauge_transform(data: GammaQUEData, b: dict[int, HElement]) -> GammaQUEData:
     """F' = b^{(x)2} F Delta(b^{-1}), i' = i o Ad(b^{-1}), v' per the
-    composition-compatible formula; the output is re-validated."""
+    composition-compatible formula; the output is re-validated.
+
+    When every b_g is the unit the transform is the identity, and data
+    itself is returned, checked by its own (cached) relation pass.
+    """
     ctx = data.ctx
     grp = ctx.G.group
-    binv = {g: ctx.inverse(b[g]) for g in grp.elements()}
-    newF = {g: gauge_twist(ctx, b[g], data.F[g], binv[g]) for g in grp.elements()}
-    new_i = {
-        g: [ctx.apply_endo(data.i_images[g], binv[g] * ctx.gen(k) * b[g]) for k in range(ctx.lba.dim)]
-        for g in grp.elements()
-    }
-    new_v = {}
-    for (g, h), v in data.v.items():
-        gh = grp.mul(g, h)
-        translated = ctx.apply_endo(ctx.theta_images(g), binv[h])
-        pulled = ctx.apply_endo(data.i_inverse_images(g), translated)
-        new_v[(g, h)] = b[gh] * v * pulled * binv[g]
-    out = GammaQUEData(ctx, newF, new_i, new_v)
+    unit = ctx.unit(1)
+    if all(b[g] == unit for g in grp.elements()):
+        out = data
+    else:
+        binv = {g: ctx.inverse(b[g]) for g in grp.elements()}
+        newF = {g: gauge_twist(ctx, b[g], data.F[g], binv[g]) for g in grp.elements()}
+        new_i = {
+            g: [
+                ctx.apply_endo(data.i_images[g], binv[g] * ctx.gen(k) * b[g])
+                for k in range(ctx.lba.dim)
+            ]
+            for g in grp.elements()
+        }
+        new_v = {}
+        for (g, h), v in data.v.items():
+            gh = grp.mul(g, h)
+            translated = ctx.apply_endo(ctx.theta_images(g), binv[h])
+            pulled = ctx.apply_endo(data.i_inverse_images(g), translated)
+            new_v[(g, h)] = b[gh] * v * pulled * binv[g]
+        out = GammaQUEData(ctx, newF, new_i, new_v)
     bad = _relation_messages(out)
     if bad:
         raise QuantumError(f"gauge transform broke the compatibility relations: {bad[0]}")

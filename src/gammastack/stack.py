@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import NamedTuple
 
@@ -39,11 +40,16 @@ class StackBuildError(RuntimeError):
 # -- twist equation ------------------------------------------------------------
 
 
-def twist_defect(ctx: PairingContext, f: TensorSeries, star=None) -> TensorSeries:
-    """f^{1,2} * f^{12,3} - f^{2,3} * f^{1,23} with the context coproduct."""
-    star = star or ctx.bch_star
-    left = star(tensor_unit(f, 2), ctx.coproduct_slot(f, 0))
-    return left - star(tensor_unit(f, 0), ctx.coproduct_slot(f, 1))
+def twist_defect(
+    ctx: PairingContext, f: TensorSeries, star=None, cut: int | None = None
+) -> TensorSeries:
+    """f^{1,2} * f^{12,3} - f^{2,3} * f^{1,23} with the context coproduct.
+
+    With a cut (and the default star), exactly its degree-<=cut part.
+    """
+    star = star or partial(ctx.bch_star, cut=cut)
+    left = star(tensor_unit(f, 2), ctx.coproduct_slot(f, 0, cut))
+    return left - star(tensor_unit(f, 0), ctx.coproduct_slot(f, 1, cut))
 
 
 def verify_twist_equation(ctx: PairingContext, f: TensorSeries) -> TensorSeries:
@@ -52,10 +58,14 @@ def verify_twist_equation(ctx: PairingContext, f: TensorSeries) -> TensorSeries:
 
 
 def _clear_by_degree(x, residual, correct, first: int, N: int, name: str, obstruction: str):
-    """Correct x degree by degree until residual(x) vanishes to degree N.
+    """Correct x degree by degree until residual(x, N) vanishes.
 
-    residual(x) must have no term below degree `first`.  At each degree its
-    part alpha is a reduced cocycle, solve_coboundary(alpha) gives beta with
+    residual(x, cut) must agree with the full residual in every degree up
+    to cut, and have no term below degree `first`.  Each evaluation reads
+    only the degrees up to its cut: `first` at the start (N if lower), then
+    min(deg + 1, N) after the step at degree deg, so the last evaluation,
+    which the final check reads, is at cut N.  At each degree the part
+    alpha is a reduced cocycle, solve_coboundary(alpha) gives beta with
     d(beta) = alpha, and x becomes correct(x, beta).  A correction by s*beta
     leaves alpha - s*d(beta) at degree deg and moves only degrees >= deg,
     so s = +1 clears the degree (s = -1 would leave 2*alpha) and a degree
@@ -63,13 +73,15 @@ def _clear_by_degree(x, residual, correct, first: int, N: int, name: str, obstru
     obstructed (`obstruction` says why at degree `first`) or survives its
     correction raises StackBuildError naming the degree.
     """
-    res = residual(x)
+    res = residual(x, min(first, N))
     low = [m for m in res.num if monomial_degree(m) < first]
     if low:
         raise StackBuildError(f"{name} has a term below degree {first}: {sorted(low)[0]}")
     for deg in range(first, N + 1):
         alpha = res.homogeneous_part(deg)
         if alpha.is_zero():
+            if deg < N:
+                res = residual(x, deg + 1)
             continue
         try:
             beta = solve_coboundary(alpha)
@@ -81,7 +93,7 @@ def _clear_by_degree(x, residual, correct, first: int, N: int, name: str, obstru
                 f"{name} at degree {deg} is not a reduced cocycle: {exc}"
             ) from exc
         x = correct(x, beta)
-        res = residual(x)
+        res = residual(x, min(deg + 1, N))
         if any(monomial_degree(m) <= deg for m in res.num):
             raise StackBuildError(f"correction at degree {deg} leaves the degree-{deg} {name}")
     if not res.is_zero():
@@ -103,16 +115,19 @@ def lift_twist(ctx: PairingContext, leading: TensorSeries) -> TensorSeries:
         "nonzero alternation, so the input violates the cyclic twist-compatibility condition"
     )
     return _clear_by_degree(
-        leading, lambda f: twist_defect(ctx, f), lambda f, beta: f + beta,
+        leading, lambda f, cut: twist_defect(ctx, f, cut=cut), lambda f, beta: f + beta,
         3, ctx.trunc, "twist defect", obstruction,
     )
 
 
-def gauge_act(ctx: PairingContext, lam: TensorSeries, f: TensorSeries) -> TensorSeries:
-    """lambda . f = lambda^1 * lambda^2 * f * (-lambda)^{12}."""
-    out = ctx.bch_star(f, ctx.coproduct(lam).scale(-1))
-    out = ctx.bch_star(tensor_unit(lam, 0), out)
-    return ctx.bch_star(tensor_unit(lam, 1), out)
+def gauge_act(
+    ctx: PairingContext, lam: TensorSeries, f: TensorSeries, cut: int | None = None
+) -> TensorSeries:
+    """lambda . f = lambda^1 * lambda^2 * f * (-lambda)^{12}; with a cut,
+    exactly its degree-<=cut part."""
+    out = ctx.bch_star(f, ctx.coproduct_slot(lam, 0, cut).scale(-1), cut)
+    out = ctx.bch_star(tensor_unit(lam, 0), out, cut)
+    return ctx.bch_star(tensor_unit(lam, 1), out, cut)
 
 
 def solve_gauge(
@@ -128,7 +143,7 @@ def solve_gauge(
     """
     return _clear_by_degree(
         ctx.zero(1),
-        lambda lam: f_dst - gauge_act(ctx, lam, f_src),
+        lambda lam, cut: f_dst - gauge_act(ctx, lam, f_src, cut),
         lambda lam, beta: ctx.bch_star(beta, lam),
         2, ctx.trunc, "gauge residual", "the leading terms differ",
     )

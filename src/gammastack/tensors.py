@@ -302,6 +302,11 @@ class SparseTensor(SparseElement):
             {m: v for m, v in self.num.items() if monomial_degree(m) == degree}, self.den
         )
 
+    def up_to_degree(self, top: int) -> SparseTensor:
+        """The terms of degree at most top, in the space of self."""
+        num = {m: v for m, v in self.num.items() if monomial_degree(m) <= top}
+        return self if len(num) == len(self.num) else self._like_reduced(num, self.den)
+
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: SparseTensor):
@@ -342,18 +347,23 @@ def tensor_unit(a: SparseTensor, pos: int) -> SparseTensor:
     return SparseTensor._trusted(a.trunc, a.slots + 1, num, a.den)
 
 
-def coproduct_slot(a: SparseTensor, idx: int, split, trunc: int, den: int = 1) -> SparseTensor:
-    """a with the word at slot idx split in two by split, cut above trunc.
+def coproduct_slot(
+    a: SparseTensor, idx: int, split, trunc: int, den: int = 1, cut: int | None = None
+) -> SparseTensor:
+    """a with the word at slot idx split in two by split, in truncation trunc.
 
     split(word) is Delta(word) as {(left, right): int numerator over den},
     the unit in both slots for the empty word.  Terms are summed in order:
-    a's monomials, then each one's split.
+    a's monomials, then each one's split.  Terms above degree cut (default
+    trunc) are dropped, so a cut result is exactly the degree-<=cut part of
+    the full one, still in truncation trunc.
     """
+    top = trunc if cut is None else min(cut, trunc)
     out: dict[Monomial, int] = {}
     get = out.get
     for mono, c in a.num.items():
         head, word, tail = mono[:idx], mono[idx], mono[idx + 1 :]
-        room = trunc - monomial_degree(mono) + len(word)
+        room = top - monomial_degree(mono) + len(word)
         for (left, right), c2 in split(word).items():
             if len(left) + len(right) <= room:
                 key = head + (left, right) + tail

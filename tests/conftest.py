@@ -122,7 +122,9 @@ def randomized_lift(ctx, leading, seed):
         return f + beta + cohochschild_d(gamma)
 
     return _clear_by_degree(
-        leading, lambda f: twist_defect(ctx, f), correct, 3, ctx.trunc, "twist defect", ""
+        leading,
+        lambda f, cut: twist_defect(ctx, f, cut=cut),
+        correct, 3, ctx.trunc, "twist defect", "",
     )
 
 

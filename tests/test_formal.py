@@ -576,7 +576,7 @@ def fraction_poisson(ctx: PairingContext, a: SparseTensor, b: SparseTensor) -> d
     out: dict = {}
     for m1, c1 in a.coeffs.items():
         for m2, c2 in b.coeffs.items():
-            for m, c in ctx._mono_pair_poisson(m1, m2).items():
+            for m, c in dict(ctx._mono_pair_poisson(m1, m2)).items():
                 _add_into(out, m, c1 * c2 * F(c, ctx._bracket_lcm))
     return out
 
@@ -704,7 +704,7 @@ def test_bracket_table_equals_per_pair_scan(name, gamma, trunc):
             if len(a) + len(b) - 1 <= trunc:
                 want = expected(a, b)
                 denominators += [c.denominator for c in want.values()]
-                got = memo.get(((a,), (b,)), {})
+                got = dict(memo.get(((a,), (b,)), ()))
                 assert all(type(v) is int for v in got.values())
                 assert list(got.items()) == [((w,), c * L) for w, c in want.items()], (a, b)
     assert L == lcm(*denominators)
@@ -775,8 +775,9 @@ def test_context_tables_equal_fraction_built_tables(name):
         assert ordered(ctx._coproduct_table) == ordered(table)
         L, table = fraction_bracket_table(ctx)
         assert ctx._bracket_lcm == L
-        assert ordered(ctx._poisson_memo) == ordered(table)
-        assert all(type(v) is int for row in ctx._poisson_memo.values() for v in row.values())
+        memo = {k: dict(row) for k, row in ctx._poisson_memo.items()}
+        assert ordered(memo) == ordered(table)
+        assert all(type(v) is int for row in memo.values() for v in row.values())
 
 
 def test_dynkin_star_agrees_on_series():
@@ -860,7 +861,7 @@ def test_integer_poisson_equals_fraction_sum(name, gamma, N):
         got = ctx.poisson(a, b)
         assert list(got.coeffs.items()) == list(fraction_poisson(ctx, a, b).items())
     L = ctx._bracket_lcm
-    assert L == lcm(*(F(v, L).denominator for row in ctx._poisson_memo.values() for v in row.values()))
+    assert L == lcm(*(F(v, L).denominator for row in ctx._poisson_memo.values() for _, v in row))
     if N == 6:
         assert L == 720
 
@@ -878,10 +879,12 @@ def test_integer_poisson_readds_a_cancelled_term_at_the_end():
 
 
 def test_poisson_holds_one_integer_cache():
-    """Every memo entry, 1-slot or 2-slot, is a dict of nonzero ints: the
-    product rule over the per-pair scan's brackets times L, term order
-    included.  No other attribute of the context is keyed by pairs of
-    monomials or of words."""
+    """Every memo entry, 1-slot or 2-slot, is a tuple of (monomial, nonzero
+    int) pairs: the product rule over the per-pair scan's brackets times L,
+    term order included.  Each term's monomial is the one the intern table
+    holds.  No other attribute of the context is keyed by pairs of monomials
+    or of words: the intern table's keys are monomials (a 2-slot one is a
+    pair of words), each mapped to itself."""
     ctx = PairingContext(build_delta_gamma(sl2_weyl_gamma(), 1), 4)
     rng = random.Random(5)
     monos = [(w,) for w in ctx._pbw if 2 <= len(w) <= 3]
@@ -904,13 +907,16 @@ def test_poisson_holds_one_integer_cache():
     memo, L = ctx._poisson_memo, ctx._bracket_lcm
     assert {len(m1) for m1, _ in memo} == {1, 2}
     for (m1, m2), numerators in memo.items():
-        assert all(type(v) is int and v for v in numerators.values())
-        assert list(numerators.items()) == [(m, c * L) for m, c in reference(m1, m2).items()]
+        assert type(numerators) is tuple
+        assert all(type(v) is int and v for _, v in numerators)
+        assert list(numerators) == [(m, c * L) for m, c in reference(m1, m2).items()]
+        assert all(ctx._monomials[m] is m for m, _ in numerators)
     pairs = memo.keys() | {(m1[0], m2[0]) for m1, m2 in memo if len(m1) == 1}
     keyed_by_pairs = [
         name for name, value in vars(ctx).items() if isinstance(value, dict) and pairs & value.keys()
     ]
-    assert keyed_by_pairs == ["_poisson_memo"]
+    assert keyed_by_pairs == ["_monomials", "_poisson_memo"]
+    assert all(k is v for k, v in ctx._monomials.items())
 
 
 # -- ad_star ---------------------------------------------------------------------

@@ -108,7 +108,7 @@ def f_poisson(ctx: PairingContext, a: SparseTensor, b: SparseTensor) -> dict:
         for m2, c2 in b.coeffs.items():
             if monomial_degree(m1) + monomial_degree(m2) > ctx.trunc + 1:
                 continue
-            for m, n in ctx._mono_pair_poisson(m1, m2).items():
+            for m, n in dict(ctx._mono_pair_poisson(m1, m2)).items():
                 _add_into(out, m, c1 * c2 * F(n, ctx._bracket_lcm))
     return out
 

@@ -345,31 +345,39 @@ def _sl2_que_data():
 
 
 def test_quantize_stack_runs_each_relation_pass_once(monkeypatch):
-    """On fresh data quantize_stack runs the relation pass once on the input
-    (validation) and once on the transformed data (inside gauge_transform);
-    every other read of it hits the cache."""
+    """On fresh sl2-que data every gauge b_g that admissibilize finds is the
+    unit, so gauge_transform gauges no twist and returns the input itself:
+    quantize_stack runs the relation pass once, on the input (validation),
+    and every other read of it hits the cache."""
     import gammastack.quantum as quantum
 
     data = _sl2_que_data()
-    fresh = []
-    real = quantum.relation_residuals
+    fresh, gauged = [], []
+    real, real_gauge = quantum.relation_residuals, quantum.gauge_twist
 
     def counted(d):
         if d._relations is None:
             fresh.append(d)
         return real(d)
 
+    def counted_gauge(*args):
+        gauged.append(args)
+        return real_gauge(*args)
+
     monkeypatch.setattr(quantum, "relation_residuals", counted)
-    assert quantize_stack(data).ok
-    assert len(fresh) == 2
-    assert fresh[0] is data and fresh[1] is not data
+    monkeypatch.setattr(quantum, "gauge_twist", counted_gauge)
+    cert = quantize_stack(data)
+    assert cert.ok
+    assert all(b == data.ctx.unit(1) for b in cert.gauges.values())
+    assert fresh == [data] and gauged == []
+    assert cert.data_prime is data
 
 
 def test_quantize_stack_inverts_each_element_and_map_once(monkeypatch):
-    """sl2-que at (3, 6): 40 element inversions on 3 distinct elements, so
-    3 evaluations of the inverse series, and 1 linear solve: the eight i
-    maps (four of the input, four of the gauge-transformed data) have one
-    value, so it is inverted once (one block solve of its 3x3 linear part)."""
+    """sl2-que at (3, 6): 20 element inversions on 3 distinct elements, so
+    3 evaluations of the inverse series, and 1 linear solve: the four i
+    maps have one value, so it is inverted once (one block solve of its 3x3
+    linear part).  The gauges are units, so gauge_transform inverts none."""
     import gammastack.quantum as quantum
     from gammastack.quantum import QueContext
 
@@ -393,7 +401,7 @@ def test_quantize_stack_inverts_each_element_and_map_once(monkeypatch):
     monkeypatch.setattr(QueContext, "_series", series)
     monkeypatch.setattr(quantum, "solve_linear", solve)
     assert quantize_stack(data).ok
-    assert calls == {"inverse": 40, "inverse series": 3, "solve_linear": 1}
+    assert calls == {"inverse": 20, "inverse series": 3, "solve_linear": 1}
 
 
 def test_admissibilize_reports_only_solver_failures(monkeypatch):

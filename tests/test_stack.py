@@ -445,7 +445,7 @@ def test_lift_reports_a_defect_that_is_not_a_reduced_cocycle(monkeypatch, defect
     G, ctx = axb_ctx(0, 4)
     bad = SparseTensor(3, 4, defect)
     assert not bad.is_reduced() or not cohochschild_d(bad).is_zero()
-    monkeypatch.setattr(stack, "twist_defect", lambda ctx, f, star=None: bad)
+    monkeypatch.setattr(stack, "twist_defect", lambda ctx, f, star=None, cut=None: bad)
     with pytest.raises(StackBuildError, match=message):
         lift_twist(ctx, leading_term(G, 0, 1, 4))
 
@@ -463,7 +463,7 @@ def test_lift_and_gauge_reject_a_residual_below_the_first_degree(monkeypatch):
     with pytest.raises(StackBuildError, match="gauge residual has a term below degree 2"):
         solve_gauge(ctx, f, low_target)
     low_defect = SparseTensor(3, 4, {((0,), (1,), ()): F(1)})
-    monkeypatch.setattr(stack, "twist_defect", lambda ctx, f, star=None: low_defect)
+    monkeypatch.setattr(stack, "twist_defect", lambda ctx, f, star=None, cut=None: low_defect)
     with pytest.raises(StackBuildError, match="twist defect has a term below degree 3"):
         lift_twist(ctx, leading)
 
@@ -644,6 +644,81 @@ def test_truncation_restriction(problem, N):
         ab: j.images for ab, j in low.isos.items()
     }
     assert {abc: cut(u) for abc, u in high.gauges.items()} == low.gauges
+
+
+# -- degree cuts -------------------------------------------------------------------
+
+
+def low_part(s, T):
+    """The terms of s of degree at most T, in s's order and truncation."""
+    low = {m: c for m, c in s.coeffs.items() if monomial_degree(m) <= T}
+    return SparseTensor(s.slots, s.trunc, low)
+
+
+def random_series(ctx, rng, slots, least_degree, count=5):
+    """count random terms of degree least_degree..trunc on `slots` slots."""
+    coeffs = {}
+    for _ in range(count):
+        total = rng.randint(least_degree, ctx.trunc)
+        cuts = sorted(rng.randint(0, total) for _ in range(slots - 1))
+        lengths = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+        mono = tuple(tuple(sorted(rng.choices(range(ctx.dim), k=k))) for k in lengths)
+        coeffs[mono] = F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+    return SparseTensor(slots, ctx.trunc, coeffs)
+
+
+@pytest.mark.parametrize("problem", ["axb.glb", "sl2-weyl.glb"])
+def test_cut_evaluations_are_the_low_degree_part(problem):
+    """At N=5, for every cut T from 2 to N, the Poisson bracket, the slot
+    coproduct, the star product, the twist defect (of a leading term and of
+    a lift corrected to degree 3 only) and the gauge action each equal the
+    degree-<=T part of their full result, term order included, and keep
+    truncation N as their space."""
+    N = 5
+    G = bundled(problem)
+    ctx = PairingContext(build_delta_gamma(G, 1), N)
+    rng = random.Random(7)
+    leading = leading_term(G, 1, 0, N)
+    lift = lift_twist(ctx, leading)
+    half = low_part(lift, 3)
+    lam = random_series(ctx, rng, 1, 2)
+    cases = []
+    for slots in (1, 2, 3):
+        a, b = random_series(ctx, rng, slots, 1), random_series(ctx, rng, slots, 1)
+        f, g = random_series(ctx, rng, slots, 2), random_series(ctx, rng, slots, 2)
+        last = slots - 1
+        cases += [
+            (lambda T, a=a, b=b: ctx.poisson(a, b, T), ctx.poisson(a, b)),
+            (lambda T, f=f, g=g: ctx.bch_star(f, g, T), ctx.bch_star(f, g)),
+            (lambda T, a=a, i=last: ctx.coproduct_slot(a, i, T), ctx.coproduct_slot(a, last)),
+        ]
+    for x in (leading, half):
+        full = twist_defect(ctx, x)
+        cases.append((lambda T, x=x: twist_defect(ctx, x, cut=T), full))
+    cases.append((lambda T: gauge_act(ctx, lam, lift, T), gauge_act(ctx, lam, lift)))
+    assert not twist_defect(ctx, half).is_zero()
+    assert all(any(monomial_degree(m) > 2 for m in full.num) for _, full in cases)
+    for T in range(2, N + 1):
+        for cut_eval, full in cases:
+            got = cut_eval(T)
+            assert got.trunc == N
+            assert list(got.coeffs.items()) == list(low_part(full, T).coeffs.items())
+
+
+def test_poisson_memo_holds_interned_tuples():
+    """After a lift, every memo value is a tuple of (monomial, numerator)
+    pairs, and two brackets that share an output monomial hold one object:
+    {a, b} and {b, a} read different memo entries."""
+    G = bundled("sl2-weyl.glb")
+    ctx = PairingContext(build_delta_gamma(G, 1), 5)
+    lift = lift_twist(ctx, leading_term(G, 1, 0, 5))
+    assert all(type(row) is tuple for row in ctx._poisson_memo.values())
+    ef = ctx.coproduct(ctx.series({((1, 2),): 1}))
+    first, second = ctx.poisson(ef, lift), ctx.poisson(lift, ef)
+    shared = first.num.keys() & second.num.keys()
+    assert shared
+    same = {m: m for m in second.num}
+    assert all(same[m] is m for m in first.num if m in same)
 
 
 # -- Gamma-equivariance across layers ----------------------------------------------
