@@ -30,7 +30,6 @@ from gammastack.tensors import (
     common_den,
     coproduct_slot,
     monomial_degree,
-    merge_slot,
     multiset_factor,
     nums_over_lcm,
     sorted_words,
@@ -38,8 +37,20 @@ from gammastack.tensors import (
 )
 
 Word = tuple[int, ...]
-# {m1, m2} as (monomial, numerator) pairs, each monomial the context's interned one
-PairMemo = dict[tuple[Monomial, Monomial], tuple[tuple[Monomial, int], ...]]
+# {u, v} on packed PBW words as {(u << W) | v: ((w, numerator), ...)}
+BracketTable = dict[int, tuple[tuple[int, int], ...]]
+
+
+class Packing:
+    """The packed-monomial tables of one slot count n (`poisson`)."""
+
+    __slots__ = ("pack", "unpack", "memo", "intern")
+
+    def __init__(self):
+        self.pack: dict[Monomial, tuple[int, int]] = {}  # monomial -> (code, degree)
+        self.unpack: dict[int, tuple[Monomial, int]] = {}  # code -> (monomial, degree)
+        self.memo: dict[int, tuple[int, ...]] = {}  # (p1 << n W) | p2 -> (k1, c1, k2, c2, ...)
+        self.intern: dict[int, int] = {}  # code -> its one int object
 
 
 def build_delta_gamma(G: GammaLieBialgebra, gamma: int) -> LieBialgebra:
@@ -293,12 +304,18 @@ class PairingContext:
         factor = {w: multiset_factor(w) for w in self._pbw}
         # Delta_gamma of each word as int numerators over _coproduct_den
         self._coproduct_den, self._coproduct_table = self._build_coproduct_table(straighten, factor)
-        # one canonical tuple per distinct monomial of the memo's brackets
-        # (hash-consing): the memo's terms share them
-        self._monomials: dict[Monomial, Monomial] = {}
-        # {m1, m2} of each monomial pair as integer numerators over
-        # _bracket_lcm, seeded with the 1-slot entries of the delta_U table
-        self._bracket_lcm, self._poisson_memo = self._build_bracket_table(straighten, factor)
+        # packed exponent vectors (`poisson`): the exponent of generator i
+        # in slot s fills `bits` bits at offset s * _slot_bits + i * bits;
+        # each PBW word's code, and each code's word and degree
+        bits = (2 * trunc + 2).bit_length()
+        self._slot_bits = self.dim * bits
+        self._word_codes: dict[Word, int] = {w: sum(1 << i * bits for i in w) for w in self._pbw}
+        self._code_words: dict[int, Word] = {c: w for w, c in self._word_codes.items()}
+        self._word_degree: dict[int, int] = {c: len(w) for c, w in self._code_words.items()}
+        # the 1-slot brackets on packed words, numerators over _bracket_lcm
+        self._bracket_lcm, self._bracket_table = self._build_bracket_table(straighten, factor)
+        # per slot count: its pack, unpack, pair-bracket memo and intern tables
+        self._packings: dict[int, Packing] = {}
 
     # -- coproduct -------------------------------------------------------------
 
@@ -329,7 +346,9 @@ class PairingContext:
 
     # -- Poisson bracket: the transposed co-Poisson cobracket of U(g*_gamma) ---
 
-    def _build_bracket_table(self, straighten, factor: dict[Word, int]) -> tuple[int, PairMemo]:
+    def _build_bracket_table(
+        self, straighten, factor: dict[Word, int]
+    ) -> tuple[int, BracketTable]:
         """delta_U of every PBW word, transposed into the 1-slot brackets.
 
         delta_U is the coderivation extending the cobracket of g*_gamma (the
@@ -338,11 +357,12 @@ class PairingContext:
         `_pbw` order it is always done first, and each pair's words come in
         `_pbw` order.  Each delta is summed in int over a running common
         denominator (`common_den`).  Returns the lcm L of the bracket's
-        denominators and the memo seed {((a,), (b,)): (((word,), numerator
-        over L), ...)}, each (word,) interned.
+        denominators and the table {(u << _slot_bits) | v: ((w, numerator
+        over L), ...)} of the brackets {a, b} = sum c w, each word packed.
         """
+        codes, width = self._word_codes, self._slot_bits
         deltas: dict[Word, tuple[dict[tuple[Word, Word], int], int]] = {}
-        table: dict[tuple[Monomial, Monomial], dict[Monomial, tuple[int, int]]] = {}
+        table: dict[int, dict[int, tuple[int, int]]] = {}
         for word in self._pbw[1:]:  # the empty word has delta 0
             cob = self.dual.cobracket_tensor(word[-1])
             dv, dv_den = nums_over_lcm({((a,), (b,)): c for (a, b), c in cob.items()})
@@ -378,12 +398,11 @@ class PairingContext:
                 if c:
                     n = c * factor[a] * factor[b]
                     g = gcd(n, den)
-                    table.setdefault(((a,), (b,)), {})[(word,)] = (n // g, den // g)
+                    key = (codes[a] << width) | codes[b]
+                    table.setdefault(key, {})[codes[word]] = (n // g, den // g)
         L = _table_lcm(table)
-        intern = self._monomials.setdefault
         return L, {
-            k: tuple((intern(m, m), n * (L // d)) for m, (n, d) in row.items())
-            for k, row in table.items()
+            k: tuple((w, n * (L // d)) for w, (n, d) in row.items()) for k, row in table.items()
         }
 
     # -- series-level operations ------------------------------------------------
@@ -422,66 +441,139 @@ class PairingContext:
         `within[r]` holds the terms of b of degree at most r, in b's order,
         built once per call for each r that a term of a needs, and a term
         m1 of a runs over within[cut + 1 - deg(m1)] alone.
-        The sum runs in int, over the denominators of a and b times
-        _bracket_lcm: each pair's bracket in `_poisson_memo` holds its
-        numerators over _bracket_lcm, to degree trunc whatever the cut.  A
-        term that cancels is dropped and re-added at the end if it comes
-        back, as `_add_into` does.
 
-        Under a cut below trunc the terms above it are dropped at the end.
-        Every pair with a term of degree <= cut is still visited, in the
-        same order, so the result is exactly the degree-<=cut part of the
-        full bracket, term order included, and keeps trunc as its space.
+        Inside the kernel a monomial is one int, its packed exponent vector
+        (Monagan and Pearce, CASC 2007): the exponent of generator i in
+        slot s fills b = (2 trunc + 2).bit_length() bits at offset
+        (s dim + i) b, so slot s is (p >> s W) & mask with W = dim b.  The
+        slotwise commutative product of two monomials is int addition, and
+        no field carries: each exponent of a product of two monomials of
+        degree <= trunc is at most 2 trunc.  The operands are packed on
+        entry through the slot count's table monomial -> (code, degree),
+        and the result is unpacked on exit through its table code ->
+        (monomial, degree), which the cut reads; so equal monomials of the
+        results are one tuple.  Each pair's bracket is memoised under the
+        one int (p1 << n W) | p2, one memo per slot count since codes of
+        different slot counts collide (`_pair_bracket`).
+
+        The sum runs in int, over the denominators of a and b times
+        _bracket_lcm: each memoised pair bracket holds its numerators over
+        _bracket_lcm, to degree trunc whatever the cut.  A term that
+        cancels is dropped and re-added at the end if it comes back, as
+        `_add_into` does.  Under a cut below trunc the terms above it are
+        dropped at the end.  Every pair with a term of degree <= cut is
+        still visited, in the same order, so the result is exactly the
+        degree-<=cut part of the full bracket, term order included, and
+        keeps trunc as its space.
         """
         if a.slots != b.slots:
             raise ValueError("slot mismatch in poisson bracket")
         n = a.slots
         top = self.trunc if cut is None else min(cut, self.trunc)
-        memo = self._poisson_memo
-        b_terms = [(m2, n2, monomial_degree(m2)) for m2, n2 in b.num.items()]
-        within: dict[int, list[tuple[Monomial, int]]] = {}
-        out: dict[Monomial, int] = {}
+        packing = self._packing(n)
+        pack, unpack, memo = packing.pack, packing.unpack, packing.memo
+        shift = n * self._slot_bits
+
+        def packed(s: TensorSeries) -> list[tuple[int, int, int]]:
+            out = []
+            for m, v in s.num.items():
+                entry = pack.get(m)
+                if entry is None:
+                    entry = self._pack(packing, m)
+                out.append((*entry, v))
+            return out
+
+        b_terms = packed(b)
+        within: dict[int, list[tuple[int, int]]] = {}
+        out: dict[int, int] = {}
         get = out.get
-        for m1, n1 in a.num.items():
-            room = top + 1 - monomial_degree(m1)
+        for p1, d1, n1 in packed(a):
+            room = top + 1 - d1
             terms = within.get(room)
             if terms is None:
-                terms = within[room] = [(m2, n2) for m2, n2, d2 in b_terms if d2 <= room]
-            for m2, n2 in terms:
-                cached = memo.get((m1, m2))
+                terms = within[room] = [(p2, n2) for p2, d2, n2 in b_terms if d2 <= room]
+            high = p1 << shift
+            for p2, n2 in terms:
+                cached = memo.get(high | p2)
                 if cached is None:
-                    cached = memo[(m1, m2)] = self._mono_pair_poisson(m1, m2)
+                    cached = memo[high | p2] = self._pair_bracket(packing, p1, p2, n)
                 if cached:
                     c = n1 * n2
-                    for m, cm in cached:
-                        v = get(m, 0) + c * cm
+                    it = iter(cached)
+                    for k, ck in zip(it, it):
+                        v = get(k, 0) + c * ck
                         if v:
-                            out[m] = v
+                            out[k] = v
                         else:
-                            del out[m]
-        if top < self.trunc:
-            out = {m: v for m, v in out.items() if monomial_degree(m) <= top}
-        return SparseTensor._reduced(self.trunc, n, out, a.den * b.den * self._bracket_lcm)
+                            del out[k]
+        num: dict[Monomial, int] = {}
+        for k, v in out.items():
+            entry = unpack.get(k)
+            if entry is None:
+                entry = self._unpack(packing, k, n)
+            if entry[1] <= top:
+                num[entry[0]] = v
+        return SparseTensor._reduced(self.trunc, n, num, a.den * b.den * self._bracket_lcm)
 
-    def _mono_pair_poisson(self, m1: Monomial, m2: Monomial) -> tuple[tuple[Monomial, int], ...]:
-        """{m1, m2} on n-slot monomials as (interned monomial, numerator over
-        _bracket_lcm) pairs: the sum over slots s of the 1-slot bracket at s
-        times the products elsewhere; () when the bracket vanishes."""
-        memo = self._poisson_memo
-        out: dict[Monomial, int] = {}
-        merged = tuple(merge_slot(a, b) for a, b in zip(m1, m2))
-        base_deg = sum(len(s) for s in merged)
-        for s in range(len(m1)):
-            rest_deg = base_deg - len(merged[s])
-            if rest_deg > self.trunc:
+    def _packing(self, n: int) -> Packing:
+        """The tables of slot count n (`Packing`), made on first use."""
+        packing = self._packings.get(n)
+        if packing is None:
+            packing = self._packings[n] = Packing()
+        return packing
+
+    def _pack(self, packing: Packing, mono: Monomial) -> tuple[int, int]:
+        """(code, degree) of an n-slot monomial, entered in both tables."""
+        codes, width = self._word_codes, self._slot_bits
+        entry = (sum(codes[w] << s * width for s, w in enumerate(mono)), monomial_degree(mono))
+        packing.pack[mono] = entry
+        packing.unpack.setdefault(entry[0], (mono, entry[1]))
+        return entry
+
+    def _unpack(self, packing: Packing, code: int, n: int) -> tuple[Monomial, int]:
+        """(monomial, degree) of an n-slot code, entered in both tables."""
+        words, width = self._code_words, self._slot_bits
+        mask = (1 << width) - 1
+        mono = tuple(words[(code >> s * width) & mask] for s in range(n))
+        entry = packing.unpack[code] = (mono, monomial_degree(mono))
+        packing.pack[mono] = (code, entry[1])
+        return entry
+
+    def _pair_bracket(self, packing: Packing, p1: int, p2: int, n: int) -> tuple[int, ...]:
+        """{m1, m2} on packed n-slot monomials as the flat tuple (k1, c1,
+        k2, c2, ...) of codes and numerators over _bracket_lcm, each code
+        the one object of the intern table; () when the bracket vanishes.
+
+        It sums over slots s the 1-slot bracket {u, v} of the slot-s words
+        times the product of the other slots: with total = p1 + p2, the
+        rest is total - ((u + v) << s W), and each word w of {u, v} adds
+        the term rest + (w << s W).  A slot whose rest, or a term whose
+        degree, exceeds trunc is skipped.
+        """
+        degree, table, trunc = self._word_degree, self._bracket_table, self.trunc
+        width = self._slot_bits
+        mask = (1 << width) - 1
+        slots, total_deg = [], 0
+        for s in range(n):
+            u, v = (p1 >> s * width) & mask, (p2 >> s * width) & mask
+            d = degree[u] + degree[v]
+            slots.append((u, v, d))
+            total_deg += d
+        total = p1 + p2
+        out: dict[int, int] = {}
+        for s, (u, v, d) in enumerate(slots):
+            room = trunc - total_deg + d  # the degree left for the word of slot s
+            if room < 0:
                 continue
-            for (w,), c in memo.get(((m1[s],), (m2[s],)), ()):
-                if rest_deg + len(w) > self.trunc:
-                    continue
-                mono = merged[:s] + (w,) + merged[s + 1 :]
-                _add_into(out, mono, c)
-        intern = self._monomials.setdefault
-        return tuple((intern(m, m), c) for m, c in out.items())
+            rest = total - ((u + v) << s * width)
+            for w, c in table.get((u << width) | v, ()):
+                if degree[w] <= room:
+                    _add_into(out, rest + (w << s * width), c)
+        intern = packing.intern.setdefault
+        flat: list[int] = []
+        for k, c in out.items():
+            flat += (intern(k, k), c)
+        return tuple(flat)
 
     # -- BCH star products ------------------------------------------------------
 

@@ -14,7 +14,7 @@ from functools import partial
 from math import lcm
 from typing import NamedTuple
 
-from gammastack.cohomology import CoboundaryObstruction, solve_coboundary
+from gammastack.cohomology import CoboundaryObstruction, cohochschild_d, solve_coboundary
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
 from gammastack.liealg import GammaLieBialgebra, wedge2_apply
 from gammastack.linalg import LinearSystem, solve_linear
@@ -63,15 +63,18 @@ def _clear_by_degree(x, residual, correct, first: int, N: int, name: str, obstru
     residual(x, cut) must agree with the full residual in every degree up
     to cut, and have no term below degree `first`.  Each evaluation reads
     only the degrees up to its cut: `first` at the start (N if lower), then
-    min(deg + 1, N) after the step at degree deg, so the last evaluation,
-    which the final check reads, is at cut N.  At each degree the part
+    deg + 1 after the step at degree deg < N.  At each degree the part
     alpha is a reduced cocycle, solve_coboundary(alpha) gives beta with
     d(beta) = alpha, and x becomes correct(x, beta).  A correction by s*beta
     leaves alpha - s*d(beta) at degree deg and moves only degrees >= deg,
     so s = +1 clears the degree (s = -1 would leave 2*alpha) and a degree
-    with a zero part is skipped.  A part that is not a reduced cocycle, is
-    obstructed (`obstruction` says why at degree `first`) or survives its
-    correction raises StackBuildError naming the degree.
+    with a zero part is skipped.  So after the step at the last degree N
+    the residual at cut N is alpha - d(beta), and the exact linear identity
+    d(beta) = alpha checks it without evaluating the residual again; the
+    certificate's verifier evaluates it at N with the independent kernel.
+    A part that is not a reduced cocycle, is obstructed (`obstruction` says
+    why at degree `first`) or survives its correction raises
+    StackBuildError naming the degree.
     """
     res = residual(x, min(first, N))
     low = [m for m in res.num if monomial_degree(m) < first]
@@ -93,11 +96,13 @@ def _clear_by_degree(x, residual, correct, first: int, N: int, name: str, obstru
                 f"{name} at degree {deg} is not a reduced cocycle: {exc}"
             ) from exc
         x = correct(x, beta)
-        res = residual(x, min(deg + 1, N))
-        if any(monomial_degree(m) <= deg for m in res.num):
+        if deg < N:
+            res = residual(x, deg + 1)
+            cleared = not any(monomial_degree(m) <= deg for m in res.num)
+        else:
+            cleared = cohochschild_d(beta) == alpha
+        if not cleared:
             raise StackBuildError(f"correction at degree {deg} leaves the degree-{deg} {name}")
-    if not res.is_zero():
-        raise StackBuildError(f"{name} nonzero at truncation")
     return x
 
 

@@ -128,6 +128,51 @@ def randomized_lift(ctx, leading, seed):
     )
 
 
+def decode(ctx, code: int, slots: int):
+    """The n-slot monomial of a packed code: slot s is the PBW word whose
+    code is (code >> s W) & (2^W - 1), W = ctx._slot_bits."""
+    width = ctx._slot_bits
+    return tuple(ctx._code_words[(code >> s * width) & ((1 << width) - 1)] for s in range(slots))
+
+
+def one_slot_brackets(ctx) -> dict:
+    """The context's 1-slot brackets with their words decoded, in table
+    order: {(a, b): ((w, numerator over ctx._bracket_lcm), ...)}."""
+    width = ctx._slot_bits
+    return {
+        (decode(ctx, key >> width, 1)[0], decode(ctx, key, 1)[0]): tuple(
+            (decode(ctx, w, 1)[0], c) for w, c in row
+        )
+        for key, row in ctx._bracket_table.items()
+    }
+
+
+def tuple_pair_bracket(ctx):
+    """{m1, m2} on tuple monomials, as the kernel computed it before
+    monomials were packed: the sum over slots s of the 1-slot bracket at s
+    times the merged other slots, a slot or term past the truncation
+    skipped, as (monomial, numerator over ctx._bracket_lcm) pairs in
+    first-seen order."""
+    from gammastack.tensors import _add_into, merge_slot
+
+    brackets = one_slot_brackets(ctx)
+
+    def pair(m1, m2):
+        out: dict = {}
+        merged = tuple(merge_slot(a, b) for a, b in zip(m1, m2))
+        base_deg = sum(len(s) for s in merged)
+        for s in range(len(m1)):
+            rest_deg = base_deg - len(merged[s])
+            if rest_deg > ctx.trunc:
+                continue
+            for w, c in brackets.get((m1[s], m2[s]), ()):
+                if rest_deg + len(w) <= ctx.trunc:
+                    _add_into(out, merged[:s] + (w,) + merged[s + 1 :], c)
+        return tuple(out.items())
+
+    return pair
+
+
 @pytest.fixture
 def axb():
     return axb_gamma()

@@ -39,8 +39,11 @@ from conftest import (
     abelian_lba,
     axb_gamma,
     axb_lba,
+    decode,
+    one_slot_brackets,
     sl2_lba,
     sl2_weyl_gamma,
+    tuple_pair_bracket,
 )
 
 F = Fraction
@@ -572,11 +575,12 @@ def test_bch_lemma_translation_invariance(n, fc, hc, gc, seed):
 
 def fraction_poisson(ctx: PairingContext, a: SparseTensor, b: SparseTensor) -> dict:
     """Reference Poisson bracket: the Fraction sum over every monomial pair,
-    skipped or not, each pair bracket read as numerators over L."""
+    skipped or not, of the tuple pair bracket read as numerators over L."""
+    pair = tuple_pair_bracket(ctx)
     out: dict = {}
     for m1, c1 in a.coeffs.items():
         for m2, c2 in b.coeffs.items():
-            for m, c in dict(ctx._mono_pair_poisson(m1, m2)).items():
+            for m, c in pair(m1, m2):
                 _add_into(out, m, c1 * c2 * F(c, ctx._bracket_lcm))
     return out
 
@@ -614,7 +618,8 @@ def test_poisson_pair_skip_changes_nothing(operands):
     b = SparseTensor(n, trunc, b_coeffs)
     got = ctx.poisson(a, b)
     assert list(got.coeffs.items()) == list(fraction_poisson(ctx, a, b).items())
-    for m1, m2 in ctx._poisson_memo:
+    for key in ctx._packings[n].memo:
+        m1, m2 = decode(ctx, key >> n * ctx._slot_bits, n), decode(ctx, key, n)
         assert monomial_degree(m1) + monomial_degree(m2) - 1 <= trunc
 
 
@@ -627,13 +632,13 @@ def test_poisson_visits_only_the_pairs_within_the_bound():
     a = SparseTensor(2, 4, {m: F(i + 1) for i, m in enumerate(monos)})
     b = SparseTensor(2, 4, {m: F(-1, i + 2) for i, m in enumerate(reversed(monos))})
     seen = []
-    bracket = ctx._mono_pair_poisson
+    bracket = ctx._pair_bracket
 
-    def counted(m1, m2):
-        seen.append((m1, m2))
-        return bracket(m1, m2)
+    def counted(packing, p1, p2, n):
+        seen.append((decode(ctx, p1, n), decode(ctx, p2, n)))
+        return bracket(packing, p1, p2, n)
 
-    ctx._mono_pair_poisson = counted
+    ctx._pair_bracket = counted
     got = ctx.poisson(a, b)
     within = [
         (m1, m2) for m1 in a.coeffs for m2 in b.coeffs
@@ -691,24 +696,26 @@ def per_pair_scan(ctx: PairingContext):
 @pytest.mark.parametrize("gamma", [0, 1])
 @pytest.mark.parametrize("name", ["axb", "sl2-weyl"])
 def test_bracket_table_equals_per_pair_scan(name, gamma, trunc):
-    """The transposed delta_U table seeds the Poisson memo with every 1-slot
-    pair bracket within the truncation: the per-pair scan's values times L,
-    the lcm of their denominators, as ints in the scan's term order."""
+    """The transposed delta_U table holds every 1-slot pair bracket within
+    the truncation, each key and word a distinct packed code: the per-pair
+    scan's values times L, the lcm of their denominators, as ints in the
+    scan's term order."""
     G = axb_gamma() if name == "axb" else sl2_weyl_gamma()
     ctx = PairingContext(build_delta_gamma(G, gamma), trunc)
     expected = per_pair_scan(ctx)
-    memo, L = ctx._poisson_memo, ctx._bracket_lcm
+    brackets, L = one_slot_brackets(ctx), ctx._bracket_lcm
+    assert len(brackets) == len(ctx._bracket_table)
     denominators = []
     for a in ctx._pbw:
         for b in ctx._pbw:
             if len(a) + len(b) - 1 <= trunc:
                 want = expected(a, b)
                 denominators += [c.denominator for c in want.values()]
-                got = dict(memo.get(((a,), (b,)), ()))
+                got = dict(brackets.get((a, b), ()))
                 assert all(type(v) is int for v in got.values())
-                assert list(got.items()) == [((w,), c * L) for w, c in want.items()], (a, b)
+                assert list(got.items()) == [(w, c * L) for w, c in want.items()], (a, b)
     assert L == lcm(*denominators)
-    assert all(len(m1) == 1 and len(m1[0]) + len(m2[0]) - 1 <= trunc for m1, m2 in memo)
+    assert all(len(a) + len(b) - 1 <= trunc for a, b in brackets)
 
 
 def fraction_coproduct_table(ctx: PairingContext):
@@ -775,7 +782,10 @@ def test_context_tables_equal_fraction_built_tables(name):
         assert ordered(ctx._coproduct_table) == ordered(table)
         L, table = fraction_bracket_table(ctx)
         assert ctx._bracket_lcm == L
-        memo = {k: dict(row) for k, row in ctx._poisson_memo.items()}
+        memo = {
+            ((a,), (b,)): {(w,): c for w, c in row}
+            for (a, b), row in one_slot_brackets(ctx).items()
+        }
         assert ordered(memo) == ordered(table)
         assert all(type(v) is int for row in memo.values() for v in row.values())
 
@@ -837,6 +847,81 @@ def test_capped_star_products_equal_uncapped(operands):
     assert star == ctx.bch_star_dynkin(f, g)
 
 
+@st.composite
+def bracket_operands(draw):
+    """A context of axb or sl2-weyl and two random series on 1-3 slots of
+    any degree up to its truncation, half of the monomials with every slot
+    nonempty (so that several slots of a pair bracket at once)."""
+    name = draw(st.sampled_from(["axb", "sl2-weyl"]))
+    ctx = star_context(name, draw(st.integers(0, 1)), draw(st.integers(3, 5)))
+    n = draw(st.integers(1, 3))
+
+    def monomial():
+        least = draw(st.integers(0, 1))
+        degree = draw(st.integers(least * n, ctx.trunc))
+        return draw(st.sampled_from(slot_monomials(ctx.dim, n, degree, least)))
+
+    def series():
+        terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=6))
+        return SparseTensor(n, ctx.trunc, {monomial(): F(p, q) for p, q in terms})
+
+    return ctx, series(), series()
+
+
+@given(bracket_operands())
+@settings(max_examples=80, deadline=None)
+def test_packed_poisson_equals_the_tuple_kernel(operands):
+    """At every cut 2..N the packed kernel gives the tuple kernel's sum:
+    values, term order and monomials, each of them one object across the
+    cuts and the order of the operands."""
+    ctx, a, b = operands
+    oracle = fraction_poisson(ctx, a, b)
+    full = ctx.poisson(a, b)
+    one = {m: m for m in full.num}
+    one.update((m, m) for m in ctx.poisson(b, a).num if m not in one)
+    for T in range(2, ctx.trunc + 1):
+        got = ctx.poisson(a, b, T)
+        assert list(got.coeffs.items()) == [(m, c) for m, c in oracle.items() if monomial_degree(m) <= T]
+        assert all(one[m] is m for m in got.num)
+
+
+@pytest.mark.parametrize("name", ["axb", "sl2-weyl"])
+def test_packing_round_trips_and_brackets_the_pairs_at_the_bound(name):
+    """Every monomial of 1-3 slots and degree <= trunc, unit slots included,
+    packs to a distinct code that unpacks to it.  A pair of powers of one
+    generator each, in one slot, at the bound deg(m1) + deg(m2) = trunc + 1
+    (its code sum holds trunc + 1 in one field when the two generators
+    agree) is visited and gives the tuple kernel's bracket."""
+    G = axb_gamma() if name == "axb" else sl2_weyl_gamma()
+    ctx = PairingContext(build_delta_gamma(G, 1), 4)
+    N, width = ctx.trunc, ctx._slot_bits
+    nonzero = 0
+    for n in (1, 2, 3):
+        packing = ctx._packing(n)
+        codes = set()
+        for d in range(N + 1):
+            for m in slot_monomials(ctx.dim, n, d, least=0):
+                code, degree = ctx._pack(packing, m)
+                assert degree == d and decode(ctx, code, n) == m
+                assert ctx._unpack(packing, code, n) == (m, d)
+                codes.add(code)
+        assert len(codes) == sum(len(slot_monomials(ctx.dim, n, d, least=0)) for d in range(N + 1))
+        unit = unit_monomial(n)
+        for s in range(n):
+            for i in range(ctx.dim):
+                for j in range(ctx.dim):
+                    for k in range(1, N + 1):
+                        m1 = unit[:s] + ((i,) * k,) + unit[s + 1 :]
+                        m2 = unit[:s] + ((j,) * (N + 1 - k),) + unit[s + 1 :]
+                        a, b = SparseTensor(n, N, {m1: F(1)}), SparseTensor(n, N, {m2: F(1)})
+                        got = ctx.poisson(a, b)
+                        key = (ctx._pack(packing, m1)[0] << n * width) | ctx._pack(packing, m2)[0]
+                        assert key in packing.memo
+                        assert list(got.coeffs.items()) == list(fraction_poisson(ctx, a, b).items())
+                        nonzero += not got.is_zero()
+    assert nonzero
+
+
 @pytest.mark.parametrize("N", [5, 6])
 @pytest.mark.parametrize("gamma", [0, 1])
 @pytest.mark.parametrize("name", ["axb", "sl2-weyl"])
@@ -861,7 +946,7 @@ def test_integer_poisson_equals_fraction_sum(name, gamma, N):
         got = ctx.poisson(a, b)
         assert list(got.coeffs.items()) == list(fraction_poisson(ctx, a, b).items())
     L = ctx._bracket_lcm
-    assert L == lcm(*(F(v, L).denominator for row in ctx._poisson_memo.values() for _, v in row))
+    assert L == lcm(*(F(v, L).denominator for row in ctx._bracket_table.values() for _, v in row))
     if N == 6:
         assert L == 720
 
@@ -879,12 +964,13 @@ def test_integer_poisson_readds_a_cancelled_term_at_the_end():
 
 
 def test_poisson_holds_one_integer_cache():
-    """Every memo entry, 1-slot or 2-slot, is a tuple of (monomial, nonzero
-    int) pairs: the product rule over the per-pair scan's brackets times L,
-    term order included.  Each term's monomial is the one the intern table
-    holds.  No other attribute of the context is keyed by pairs of monomials
-    or of words: the intern table's keys are monomials (a 2-slot one is a
-    pair of words), each mapped to itself."""
+    """Every pair-memo entry, 1-slot or 2-slot, is one flat tuple (k1, c1,
+    k2, c2, ...) of packed codes and nonzero int numerators: the product
+    rule over the per-pair scan's brackets times L, term order included.
+    Each code in it is the one object of its slot count's intern table, and
+    each output monomial unpacks to one tuple.  The context holds no other
+    cache: its dicts are the two tables, the word codes and the per-slot
+    count packing tables."""
     ctx = PairingContext(build_delta_gamma(sl2_weyl_gamma(), 1), 4)
     rng = random.Random(5)
     monos = [(w,) for w in ctx._pbw if 2 <= len(w) <= 3]
@@ -904,19 +990,22 @@ def test_poisson_holds_one_integer_cache():
                     _add_into(out, merged[:s] + (w,) + merged[s + 1 :], c)
         return out
 
-    memo, L = ctx._poisson_memo, ctx._bracket_lcm
-    assert {len(m1) for m1, _ in memo} == {1, 2}
-    for (m1, m2), numerators in memo.items():
-        assert type(numerators) is tuple
-        assert all(type(v) is int and v for _, v in numerators)
-        assert list(numerators) == [(m, c * L) for m, c in reference(m1, m2).items()]
-        assert all(ctx._monomials[m] is m for m, _ in numerators)
-    pairs = memo.keys() | {(m1[0], m2[0]) for m1, m2 in memo if len(m1) == 1}
-    keyed_by_pairs = [
-        name for name, value in vars(ctx).items() if isinstance(value, dict) and pairs & value.keys()
+    L, width = ctx._bracket_lcm, ctx._slot_bits
+    assert set(ctx._packings) == {1, 2}
+    for n, packing in ctx._packings.items():
+        assert packing.memo
+        for key, flat in packing.memo.items():
+            m1, m2 = decode(ctx, key >> n * width, n), decode(ctx, key, n)
+            codes, numerators = flat[::2], flat[1::2]
+            assert type(flat) is tuple and all(type(x) is int for x in flat)
+            assert all(packing.intern[k] is k for k in codes) and all(numerators)
+            terms = [(decode(ctx, k, n), c) for k, c in zip(codes, numerators)]
+            assert terms == [(m, c * L) for m, c in reference(m1, m2).items()]
+        for code, (mono, degree) in packing.unpack.items():
+            assert packing.pack[mono] == (code, degree) and decode(ctx, code, n) == mono
+    assert sorted(name for name, value in vars(ctx).items() if isinstance(value, dict)) == [
+        "_bracket_table", "_code_words", "_coproduct_table", "_packings", "_word_codes", "_word_degree",
     ]
-    assert keyed_by_pairs == ["_monomials", "_poisson_memo"]
-    assert all(k is v for k, v in ctx._monomials.items())
 
 
 # -- ad_star ---------------------------------------------------------------------

@@ -28,7 +28,7 @@ from gammastack.tensors import (
     tensor_unit,
 )
 
-from conftest import axb_gamma
+from conftest import axb_gamma, tuple_pair_bracket
 
 F = Fraction
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -101,14 +101,16 @@ def f_coproduct_slot(a: SparseTensor, idx: int, split) -> dict:
 
 
 def f_poisson(ctx: PairingContext, a: SparseTensor, b: SparseTensor) -> dict:
-    """The pair brackets are the context's own (int numerators over its
-    bracket lcm); the sum over the pairs runs in Fraction."""
+    """The pair brackets are the tuple kernel's over the context's 1-slot
+    brackets (int numerators over its bracket lcm); the sum over the pairs
+    runs in Fraction."""
+    pair = tuple_pair_bracket(ctx)
     out: dict = {}
     for m1, c1 in a.coeffs.items():
         for m2, c2 in b.coeffs.items():
             if monomial_degree(m1) + monomial_degree(m2) > ctx.trunc + 1:
                 continue
-            for m, n in dict(ctx._mono_pair_poisson(m1, m2)).items():
+            for m, n in pair(m1, m2):
                 _add_into(out, m, c1 * c2 * F(n, ctx._bracket_lcm))
     return out
 

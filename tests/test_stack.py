@@ -429,6 +429,46 @@ def test_lift_and_gauge_report_a_wrong_coboundary(monkeypatch):
         solve_gauge(ctx, f, target)
 
 
+def test_lift_evaluates_the_defect_at_full_truncation_once(monkeypatch):
+    """After the correction at the last degree N, the lift checks the exact
+    identity d(beta) = alpha instead of evaluating the twist defect at cut
+    N a second time.  On axb at N=6 every nonzero lift corrects degree N
+    and evaluates its defect at the cuts 3, 4, 5, 6, so at cut N once; the
+    verifier's kernel finds the lift a twist."""
+    import gammastack.stack as stack
+
+    N = 6
+    G = axb_gamma()
+    cuts, degrees = [], []
+    real_defect, real_solve = stack.twist_defect, stack.solve_coboundary
+
+    def defect(ctx, f, star=None, cut=None):
+        cuts.append(cut)
+        return real_defect(ctx, f, star, cut)
+
+    def solve(alpha):
+        degrees.append(monomial_degree(next(iter(alpha.num))))
+        return real_solve(alpha)
+
+    monkeypatch.setattr(stack, "twist_defect", defect)
+    monkeypatch.setattr(stack, "solve_coboundary", solve)
+    lifts = 0
+    for a in G.group.elements():
+        ctx = PairingContext(build_delta_gamma(G, a), N)
+        for b in G.group.elements():
+            leading = leading_term(G, a, b, N)
+            if leading.is_zero():
+                continue
+            cuts.clear()
+            degrees.clear()
+            lift = lift_twist(ctx, leading)
+            assert degrees[-1] == N
+            assert cuts == [3, 4, 5, 6]
+            assert stack.verify_twist_equation(ctx, lift).is_zero()
+            lifts += 1
+    assert lifts == 2
+
+
 @pytest.mark.parametrize(
     "defect, message",
     [
@@ -706,13 +746,15 @@ def test_cut_evaluations_are_the_low_degree_part(problem):
 
 
 def test_poisson_memo_holds_interned_tuples():
-    """After a lift, every memo value is a tuple of (monomial, numerator)
-    pairs, and two brackets that share an output monomial hold one object:
-    {a, b} and {b, a} read different memo entries."""
+    """After a lift, every pair-memo value of each slot count is a flat
+    tuple of (code, numerator) ints, and two brackets that share an output
+    monomial hold one object: {a, b} and {b, a} read different memo
+    entries, and both unpack through the slot count's one table."""
     G = bundled("sl2-weyl.glb")
     ctx = PairingContext(build_delta_gamma(G, 1), 5)
     lift = lift_twist(ctx, leading_term(G, 1, 0, 5))
-    assert all(type(row) is tuple for row in ctx._poisson_memo.values())
+    memos = [packing.memo for packing in ctx._packings.values()]
+    assert memos and all(type(row) is tuple for memo in memos for row in memo.values())
     ef = ctx.coproduct(ctx.series({((1, 2),): 1}))
     first, second = ctx.poisson(ef, lift), ctx.poisson(lift, ef)
     shared = first.num.keys() & second.num.keys()
