@@ -10,10 +10,8 @@ from gammastack.liealg import (
     FiniteGroup,
     GammaLieBialgebra,
     LieBialgebra,
-    QuasitriangularError,
     ValidationIssue,
     copoisson_envelope,
-    from_quasitriangular,
     validate_gamma_lba,
 )
 from gammastack.formal import PairingContext, build_delta_gamma
@@ -59,7 +57,6 @@ from gammastack.problemfile import (
     ProblemParseError,
     build_que_data,
     parse_problem,
-    serialize_problem,
 )
 
 __all__ = [
@@ -73,10 +70,8 @@ __all__ = [
     "LieBialgebra",
     "FiniteGroup",
     "GammaLieBialgebra",
-    "QuasitriangularError",
     "ValidationIssue",
     "validate_gamma_lba",
-    "from_quasitriangular",
     "copoisson_envelope",
     "PairingContext",
     "build_delta_gamma",
@@ -115,5 +110,4 @@ __all__ = [
     "ProblemParseError",
     "build_que_data",
     "parse_problem",
-    "serialize_problem",
 ]

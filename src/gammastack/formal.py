@@ -339,11 +339,6 @@ class PairingContext:
         L = _table_lcm(table)
         return L, {k: {k2: n * (L // d) for k2, (n, d) in row.items()} for k, row in table.items()}
 
-    def coproduct_word(self, word: Word) -> dict[tuple[Word, Word], Fraction]:
-        """Delta_gamma of a 1-slot monomial as {(left word, right word): coeff}."""
-        L = self._coproduct_den
-        return {k: Fraction(n, L) for k, n in self._coproduct_table.get(word, {}).items()}
-
     # -- Poisson bracket: the transposed co-Poisson cobracket of U(g*_gamma) ---
 
     def _build_bracket_table(

@@ -417,10 +417,6 @@ def validate_gamma_lba(G: GammaLieBialgebra) -> list[ValidationIssue]:
     return issues
 
 
-class QuasitriangularError(ValueError):
-    pass
-
-
 def classical_yang_baxter(lba: LieBialgebra, r: Tensor2) -> Tensor3:
     """[r12,r13] + [r12,r23] + [r13,r23] as a 3-tensor."""
     out: Tensor3 = {}
@@ -434,31 +430,6 @@ def classical_yang_baxter(lba: LieBialgebra, r: Tensor2) -> Tensor3:
             for k, ck in lba.bracket_elems(b, q).items():
                 _add_into(out, (a, p, k), v * ck)  # [r13, r23]
     return out
-
-
-def from_quasitriangular(
-    lba: LieBialgebra, group: FiniteGroup, theta: dict[int, Matrix], r: Tensor2
-) -> GammaLieBialgebra:
-    """Build the twist map f_g = theta_g^{(x)2}(r) - r from an r-matrix."""
-    r = {k: Fraction(v) for k, v in r.items() if v != 0}
-    t: Tensor2 = dict(r)
-    for (i, j), c in r.items():
-        _add_into(t, (j, i), c)
-    cybe = classical_yang_baxter(lba, r)
-    if cybe:
-        triple = sorted(cybe)[0]
-        raise QuasitriangularError(
-            f"classical Yang-Baxter fails at basis triple "
-            f"({', '.join(lba.labels[i] for i in triple)})"
-        )
-    f: dict[int, Tensor2] = {}
-    for g in group.elements():
-        if theta2_shift(theta[g], t):
-            raise QuasitriangularError(
-                f"theta[{group.labels[g]}] does not preserve the symmetric part t"
-            )
-        f[g] = theta2_shift(theta[g], r)
-    return GammaLieBialgebra(lba, group, theta, f)
 
 
 # -- co-Poisson envelope ------------------------------------------------------

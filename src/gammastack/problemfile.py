@@ -6,8 +6,8 @@ Sections are [algebra], [group], [action g], [twist g], [rmatrix],
 are integers or p/q; monomial words are space-separated basis labels with
 "1" for the empty word; tensor slots are separated by "|".  Parsing is
 strict with line numbers in every error, and a section (name and
-arguments) may appear once; serialization is canonical, so accepted
-canonical files round-trip byte for byte.
+arguments) may appear once.  The package only reads problems; the
+canonical writer of the bundled files is `tools/serialize.py`, outside it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 from gammastack.liealg import FiniteGroup, GammaLieBialgebra, LieBialgebra, Tensor2
 from gammastack.quantum import GammaQUEData, HElement, Key, QueContext
-from gammastack.tensors import word_str
 
 F = Fraction
 
@@ -353,114 +352,3 @@ def build_que_data(problem: Problem, M: int | None = None, D: int | None = None)
             coeffs = q.gauges.get((g, h))
             v[(g, h)] = HElement(ctx, 1, coeffs) if coeffs is not None else ctx.unit(1)
     return GammaQUEData(ctx, F_, i_images, v)
-
-
-# -- serialization ---------------------------------------------------------------
-
-
-def _scalar_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _helement_lines(coeffs: dict[Key, Fraction], labels: list[str]) -> list[str]:
-    out = []
-    for (a, slots), c in sorted(coeffs.items()):
-        body = "|".join(word_str(w, labels) for w in slots)
-        out.append(f"term {a} {_scalar_str(c)} {body}")
-    return out
-
-
-def serialize_problem(problem: Problem, header: str | None = None) -> str:
-    G = problem.G
-    labels = G.lba.labels
-    glabels = G.group.labels
-    dim = G.lba.dim
-    lines: list[str] = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append("[algebra]")
-    lines.append(f"dim {dim}")
-    lines.append("labels " + " ".join(labels))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            terms = [
-                (k, G.lba.bracket_coeff(i, j, k))
-                for k in range(dim)
-                if G.lba.bracket_coeff(i, j, k)
-            ]
-            if terms:
-                body = " ".join(f"{_scalar_str(c)} {labels[k]}" for k, c in terms)
-                lines.append(f"bracket {labels[i]} {labels[j]} = {body}")
-    for k in range(dim):
-        terms = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                c = G.lba.cobracket.get((k, i, j), F(0))
-                if c:
-                    terms.append(f"{_scalar_str(c)} {labels[i]} {labels[j]}")
-        if terms:
-            lines.append(f"cobracket {labels[k]} = " + " ".join(terms))
-    lines.append("")
-    lines.append("[group]")
-    lines.append("labels " + " ".join(glabels))
-    for g in G.group.elements():
-        lines.append(
-            f"row {glabels[g]} = " + " ".join(glabels[G.group.mul(g, h)] for h in G.group.elements())
-        )
-    ident = [[F(int(i == j)) for j in range(dim)] for i in range(dim)]
-    for g in G.group.elements():
-        if G.theta[g] == ident:
-            continue
-        lines.append("")
-        lines.append(f"[action {glabels[g]}]")
-        for j in range(dim):
-            terms = [
-                f"{_scalar_str(G.theta[g][i][j])} {labels[i]}"
-                for i in range(dim)
-                if G.theta[g][i][j]
-            ]
-            lines.append(f"map {labels[j]} = " + " ".join(terms))
-    for g in G.group.elements():
-        upper = [((i, j), c) for (i, j), c in sorted(G.f[g].items()) if i < j and c]
-        if upper:
-            lines.append("")
-            lines.append(f"[twist {glabels[g]}]")
-            for (i, j), c in upper:
-                lines.append(f"term {_scalar_str(c)} {labels[i]} {labels[j]}")
-    if problem.r:
-        lines.append("")
-        lines.append("[rmatrix]")
-        for (i, j), c in sorted(problem.r.items()):
-            if c:
-                lines.append(f"term {_scalar_str(c)} {labels[i]} {labels[j]}")
-    lines.append("")
-    lines.append("[truncation]")
-    lines.append(f"degree {problem.degree}")
-    lines.append(f"hbar {problem.hbar}")
-    lines.append(f"pbw {problem.pbw}")
-    if problem.quantum is not None:
-        for kind, (name, arg_kinds, _slots) in QUANTUM_SECTIONS.items():
-            sections = getattr(problem.quantum, name)
-            for idx in sorted(sections):
-                toks = idx if isinstance(idx, tuple) else (idx,)
-                names = [(glabels if k == "g" else labels)[t] for k, t in zip(arg_kinds, toks)]
-                lines.append("")
-                lines.append(f"[{kind} {' '.join(names)}]")
-                lines.extend(_helement_lines(sections[idx], labels))
-    return "\n".join(lines) + "\n"
-
-
-def quantum_sections_from_data(data: GammaQUEData) -> QuantumSections:
-    """Extract serializable raw sections from instantiated quantum data."""
-    ctx = data.ctx
-    q = QuantumSections()
-    for i, img in enumerate(ctx.delta_images):
-        q.coproduct[i] = dict(img.coeffs)
-    for g, f in data.F.items():
-        q.twists[g] = dict(f.coeffs)
-    for g, imgs in data.i_images.items():
-        for i, img in enumerate(imgs):
-            q.morphisms[(g, i)] = dict(img.coeffs)
-    for key, v in data.v.items():
-        q.gauges[key] = dict(v.coeffs)
-    return q

@@ -706,10 +706,12 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
     grp = G.group
     issues: list[str] = []
     dim = ctx.lba.dim
-    # coproduct respects the bracket relations
+    # coproduct respects the bracket relations; a diagonal pair (i, i) is
+    # skipped in both bracket checks: [x, x] = 0, and c_ii^k = 0 since the
+    # bracket is antisymmetric (a file cannot state `bracket a a`)
     for i in range(dim):
         for j in range(dim):
-            if not bracket_residual(ctx, ctx.delta_images, i, j).is_zero():
+            if i != j and not bracket_residual(ctx, ctx.delta_images, i, j).is_zero():
                 issues.append(f"coproduct does not respect bracket at ({i},{j})")
     # coassociativity and counit on generators
     for i in range(dim):
@@ -749,7 +751,7 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
     for g in grp.elements():
         for i in range(dim):
             for j in range(dim):
-                if not bracket_residual(ctx, data.i_images[g], i, j).is_zero():
+                if i != j and not bracket_residual(ctx, data.i_images[g], i, j).is_zero():
                     issues.append(f"i[{grp.labels[g]}] not an algebra morphism at ({i},{j})")
         # a nonsingular linear part's order-by-order inversion can still
         # fail to close at truncation

@@ -95,7 +95,7 @@ def sl2_weyl_theta() -> dict[int, list[list[Fraction]]]:
 
 
 def sl2_weyl_gamma() -> GammaLieBialgebra:
-    from gammastack.liealg import from_quasitriangular
+    from tools.bundled import from_quasitriangular
 
     group = FiniteGroup.cyclic(4, "w")
     return from_quasitriangular(sl2_lba(), group, sl2_weyl_theta(), sl2_r())
@@ -133,6 +133,13 @@ def decode(ctx, code: int, slots: int):
     code is (code >> s W) & (2^W - 1), W = ctx._slot_bits."""
     width = ctx._slot_bits
     return tuple(ctx._code_words[(code >> s * width) & ((1 << width) - 1)] for s in range(slots))
+
+
+def fraction_coproduct_word(ctx, word) -> dict:
+    """Delta_gamma of a 1-slot word as {(left word, right word): Fraction},
+    read from the context's table of numerators over ctx._coproduct_den."""
+    den = ctx._coproduct_den
+    return {k: F(n, den) for k, n in ctx._coproduct_table.get(word, {}).items()}
 
 
 def one_slot_brackets(ctx) -> dict:

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 from math import comb
 
-from gammastack.builtin import abelian_que_data, sl2_que_data
 from gammastack.cli import data_path, main
 from gammastack.cohomology import cohomology_rank
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
@@ -31,6 +30,8 @@ from gammastack.quantum import (
 )
 from gammastack.stack import gauge_act, lift_twist, solve_gauge, verify_stack, verify_twist_equation
 from gammastack.tensors import monomial_degree
+
+from tools.bundled import abelian_que_data, sl2_que_data
 
 from conftest import randomized_lift
 

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,10 @@ PACKAGE_ROOT = str(Path(gammastack.__file__).resolve().parent.parent)
 ROOT = Path(__file__).resolve().parent.parent
 # the certificate sha256 of every benchmark job, read only
 REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text(encoding="utf-8"))
+# the modules of the package and of tools/, which the import checks walk
+SOURCE_MODULES = sorted(Path(gammastack.__file__).parent.glob("*.py")) + sorted(
+    (ROOT / "tools").glob("*.py")
+)
 
 
 def run_python(*args) -> tuple[int, str, str]:
@@ -43,6 +48,46 @@ def test_cli_import_loads_no_dataclasses_chain():
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
     code = f"import sys, gammastack.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     assert run_python("-c", code) == (0, "\n", "")
+
+
+def test_package_runs_on_its_own(tmp_path):
+    """The package is what the CLI runs: a copy of `src/gammastack` alone,
+    as the whole PYTHONPATH and run outside the repository, prints the
+    golden certificates.  `import gammastack.cli` loads no module of
+    `tools` (the generators and the serializer of the bundled files), even
+    with it importable, and no `gammastack.builtin`."""
+    site = tmp_path / "site"
+    shutil.copytree(
+        Path(gammastack.__file__).parent,
+        site / "gammastack",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    work = tmp_path / "work"
+    work.mkdir()
+
+    def run(path: str, *args) -> tuple[int, bytes, bytes]:
+        proc = subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            cwd=work,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    golden = ROOT / "tests" / "golden"
+    for args, name in (
+        (("stack", "axb.glb", "-N", "3"), "axb-stack-N3.json"),
+        (("quantize", "trivial-que.glb"), "trivial-quantum.json"),
+    ):
+        assert run(str(site), "-m", "gammastack", *args) == (0, (golden / name).read_bytes(), b"")
+    probe = (
+        "import sys, gammastack.cli; print(gammastack.cli.__file__); "
+        "print(*sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'tools' or m == 'gammastack.builtin'))"
+    )
+    tools_importable = os.pathsep.join([str(site), str(ROOT)])
+    loaded = f"{site / 'gammastack' / 'cli.py'}\n\n".encode()
+    assert run(tools_importable, "-c", probe) == (0, loaded, b"")
 
 
 def test_validate_bundled_ok():
@@ -171,9 +216,9 @@ def test_package_exports_resolve():
 
 
 def test_no_module_imports_random():
-    """No certificate depends on a random generator's state: no module of
-    the package imports `random`."""
-    for path in sorted(Path(gammastack.__file__).parent.glob("*.py")):
+    """No certificate or bundled file depends on a random generator's state:
+    no module of the package or of tools/ imports `random`."""
+    for path in SOURCE_MODULES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -185,9 +230,9 @@ def test_no_module_imports_random():
 
 
 def test_no_module_imports_an_unused_name():
-    """Every name a module of the package imports is used in that module
-    (`__init__` imports to re-export)."""
-    for path in sorted(Path(gammastack.__file__).parent.glob("*.py")):
+    """Every name a module of the package or of tools/ imports is used in
+    that module (`__init__` imports to re-export)."""
+    for path in SOURCE_MODULES:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -9,15 +9,15 @@ from gammastack.liealg import (
     FiniteGroup,
     GammaLieBialgebra,
     LieBialgebra,
-    QuasitriangularError,
     classical_yang_baxter,
     copoisson_envelope,
-    from_quasitriangular,
     validate_gamma_lba,
 )
 from gammastack.problemfile import parse_problem
 from gammastack.quantum import QuantumError, QueContext, linear_leading_inverse
 from gammastack.tensors import _add_into
+
+from tools.bundled import QuasitriangularError, from_quasitriangular
 
 from conftest import (
     abelian_gamma,

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammastack.builtin import bundled_problems, write_bundled_data
 from gammastack.cli import data_path
 from gammastack.liealg import validate_gamma_lba
 from gammastack.problemfile import (
@@ -13,9 +12,11 @@ from gammastack.problemfile import (
     ProblemParseError,
     build_que_data,
     parse_problem,
-    serialize_problem,
 )
 from gammastack.quantum import validate_que_data
+
+from tools.bundled import bundled_problems, write_bundled_data
+from tools.serialize import serialize_problem
 
 F = Fraction
 

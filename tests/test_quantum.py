@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from gammastack.builtin import trivial_que_data
 from gammastack.quantum import (
     HElement,
     QuantumError,
@@ -17,6 +16,8 @@ from gammastack.quantum import (
     primitive_coeffs,
 )
 from gammastack.tensors import monomial_degree
+
+from tools.bundled import trivial_que_data
 
 from conftest import abelian_twisted_gamma, axb_gamma, sl2_weyl_gamma
 

@@ -5,11 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from gammastack.builtin import (
-    abelian_que_data,
-    sl2_que_data,
-    trivial_que_data,
-)
 from gammastack.quantum import (
     CrossedElement,
     HElement,
@@ -28,6 +23,8 @@ from gammastack.quantum import (
     validate_que_data,
 )
 from gammastack.tensors import monomial_degree
+
+from tools.bundled import abelian_que_data, sl2_que_data, trivial_que_data
 
 F = Fraction
 
@@ -66,7 +63,7 @@ def test_admissibilize_idempotent_on_admissible():
 def test_admissibilize_symmetric_exponential():
     # abelian flat ambient: F0 = exp(hbar s), s symmetric degree (1,1):
     # already admissible, returned unchanged
-    from gammastack.builtin import trivial_que_base
+    from tools.bundled import trivial_que_base
     from gammastack.liealg import FiniteGroup, GammaLieBialgebra, LieBialgebra
     from gammastack.quantum import QueContext
 

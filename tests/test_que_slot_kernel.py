@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammastack.builtin import abelian_que_data, sl2_que_data, trivial_que_data
 from gammastack.quantum import CrossedElement, HElement, QueContext, SemidirectBialgebra
 from gammastack.tensors import _add_into, monomial_degree
+
+from tools.bundled import abelian_que_data, sl2_que_data, trivial_que_data
 
 D = 4
 # the ambient coproducts of three data sets, at M = 2 and 3: both cut

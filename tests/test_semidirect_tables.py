@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammastack.builtin import abelian_que_data, sl2_que_data, trivial_que_data
 from gammastack.quantum import CrossedElement, GammaQUEData, HElement, QueContext, SemidirectBialgebra
 from gammastack.tensors import _add_into, sorted_words
+
+from tools.bundled import abelian_que_data, sl2_que_data, trivial_que_data
 
 ONE = Fraction(1)
 

@@ -31,7 +31,7 @@ from gammastack.tensors import (
     unit_monomial,
 )
 
-from conftest import axb_gamma, sl2_weyl_gamma
+from conftest import axb_gamma, fraction_coproduct_word, sl2_weyl_gamma
 
 F = Fraction
 
@@ -45,7 +45,7 @@ def old_iterated_coproduct_word(ctx, word, k):
     out = {}
     for slots, c in old_iterated_coproduct_word(ctx, word, k - 1).items():
         base_deg = sum(len(s) for s in slots[:-1])
-        for (a, b), c2 in ctx.coproduct_word(slots[-1]).items():
+        for (a, b), c2 in fraction_coproduct_word(ctx, slots[-1]).items():
             if base_deg + len(a) + len(b) > ctx.trunc:
                 continue
             _add_into(out, slots[:-1] + (a, b), c * c2)

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammastack.builtin import trivial_que_base
 from gammastack.quantum import HElement, QueContext
 from gammastack.tensors import SparseTensor, monomial_degree
+
+from tools.bundled import trivial_que_base
 
 DIM = 2
 M, D = 3, 4

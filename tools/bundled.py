@@ -17,10 +17,13 @@ from gammastack.liealg import (
     FiniteGroup,
     GammaLieBialgebra,
     LieBialgebra,
-    from_quasitriangular,
+    Matrix,
+    Tensor2,
+    classical_yang_baxter,
+    theta2_shift,
 )
 from gammastack.linalg import LinearSystem, solve_linear
-from gammastack.problemfile import Problem, quantum_sections_from_data, serialize_problem
+from gammastack.problemfile import Problem
 from gammastack.quantum import (
     GammaQUEData,
     HElement,
@@ -36,12 +39,43 @@ from gammastack.quantum import (
     validate_que_data,
 )
 from gammastack.stack import gauge_act, lift_twist
-from gammastack.tensors import _add_into, monomial_degree, slot_monomials
+from gammastack.tensors import SparseTensor, _add_into, monomial_degree, slot_monomials
+
+from tools.serialize import quantum_sections_from_data, serialize_problem
 
 F = Fraction
 
 
 # -- classical constructors ---------------------------------------------------
+
+
+class QuasitriangularError(ValueError):
+    pass
+
+
+def from_quasitriangular(
+    lba: LieBialgebra, group: FiniteGroup, theta: dict[int, Matrix], r: Tensor2
+) -> GammaLieBialgebra:
+    """Build the twist map f_g = theta_g^{(x)2}(r) - r from an r-matrix."""
+    r = {k: Fraction(v) for k, v in r.items() if v != 0}
+    t: Tensor2 = dict(r)
+    for (i, j), c in r.items():
+        _add_into(t, (j, i), c)
+    cybe = classical_yang_baxter(lba, r)
+    if cybe:
+        triple = sorted(cybe)[0]
+        raise QuasitriangularError(
+            f"classical Yang-Baxter fails at basis triple "
+            f"({', '.join(lba.labels[i] for i in triple)})"
+        )
+    f: dict[int, Tensor2] = {}
+    for g in group.elements():
+        if theta2_shift(theta[g], t):
+            raise QuasitriangularError(
+                f"theta[{group.labels[g]}] does not preserve the symmetric part t"
+            )
+        f[g] = theta2_shift(theta[g], r)
+    return GammaLieBialgebra(lba, group, theta, f)
 
 
 def abelian_gamma_lba() -> GammaLieBialgebra:
@@ -133,7 +167,7 @@ def dual_pairing_delta_images(pc: PairingContext, M: int) -> dict[int, dict[Key,
     images = {}
     for i in range(pc.dim):
         coeffs = images[i] = {}
-        for (b1, b2), c in pc.coproduct_word((i,)).items():
+        for (b1, b2), c in pc.coproduct(SparseTensor.generator(i, pc.trunc)).coeffs.items():
             tag = len(b1) + len(b2) - 1
             if tag < M:
                 coeffs[(tag, (b1, b2))] = c
