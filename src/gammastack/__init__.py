@@ -19,7 +19,6 @@ from gammastack.cohomology import (
     CoboundaryObstruction,
     alt,
     cohochschild_d,
-    cohomology_rank,
     solve_coboundary,
 )
 from gammastack.stack import (
@@ -78,7 +77,6 @@ __all__ = [
     "CoboundaryObstruction",
     "alt",
     "cohochschild_d",
-    "cohomology_rank",
     "solve_coboundary",
     "AlgebraMap",
     "StackBuildError",

@@ -113,11 +113,6 @@ def _d_matrix_block(k: int, src: tuple[Monomial, ...]) -> tuple[dict[Monomial, i
     return row_index, rows
 
 
-def _d_rank(k: int, cols: tuple[Monomial, ...]) -> int:
-    rows = _d_matrix_block(k, cols)[1]
-    return solve_linear(LinearSystem(len(cols), rows, [0] * len(rows))).rank
-
-
 def solve_coboundary(alpha: SparseTensor) -> SparseTensor:
     """Find beta with d(beta) = alpha, blockwise per variable content.
 
@@ -174,15 +169,3 @@ def solve_coboundary(alpha: SparseTensor) -> SparseTensor:
             if c:
                 _add_into(out, cols[j], c)
     return SparseTensor(k - 1, alpha.trunc, out).scale(Fraction(1, alpha.den))
-
-
-def cohomology_rank(dim: int, k: int, ndeg: int) -> int:
-    """dim ker(d_k) - dim im(d_{k-1}) on the (k, ndeg) component."""
-    dim_ker = 0
-    for cols in _cochain_blocks(dim, k, ndeg).values():
-        dim_ker += len(cols) - _d_rank(k, cols)
-    rank_prev = 0
-    if k >= 2:
-        for cols in _cochain_blocks(dim, k - 1, ndeg).values():
-            rank_prev += _d_rank(k - 1, cols)
-    return dim_ker - rank_prev

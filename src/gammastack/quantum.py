@@ -131,67 +131,108 @@ class HElement(SparseElement):
         element of this class.
 
         Each term is (hbar power below M, numerator, denominator, tables), one
-        table per input slot.  A part picks one entry (hbar power, output slots,
-        numerator, PBW degree) per table in slot order; powers and degrees add,
-        numerators multiply, denominators multiply (the term's by each table's),
-        slots concatenate.  A part is dropped once its power reaches M or its
-        degree passes D, and the rest are summed in int over a running common
-        denominator (`common_den`), in first-seen order (a key that sums to 0
-        is deleted, and comes back at the end), and reduced once.  Cutting
-        early is exact: powers and degrees never decrease, and the cap D never
-        looks at hbar.  So a table may also be computed once at hbar^0 and
-        shifted by each term's power, as the semidirect basis products and
-        coproducts are.  `tables` may be lazy: a term whose parts all die reads
-        no further table.
+        table per input slot, read eagerly (a sequence, not an iterator).  A
+        part picks one entry (hbar power, output slots, numerator, PBW degree)
+        per table in slot order; powers and degrees add, numerators multiply,
+        denominators multiply (the term's by each table's), slots concatenate.
+        A part is dropped once its power reaches M or its degree passes D, and
+        the rest are summed in int over a running common denominator
+        (`common_den`), in first-seen order (a key that sums to 0 is deleted,
+        and comes back at the end), and reduced once.  Cutting early is exact:
+        powers and degrees never decrease, and the cap D never looks at hbar.
+        So a table may also be computed once at hbar^0 and shifted by each
+        term's power, as the semidirect basis products and coproducts are.
+
+        Terms with one or two tables (1- and 2-slot products, `apply_endo`,
+        Delta and the counit on 1-slot elements) run as nested loops that sum
+        each surviving entry straight into the running sum.  A term with more
+        tables (or none) collects the parts of all but its last table in a
+        list, then folds the last table in the same way.
         """
         M, D = ctx.M, ctx.D
         out: dict[Key, int] = {}
         get = out.get
         L = 1
         for a, n, d, tables in terms:
-            parts = [(a, (), n, 0)]
-            for den, table in tables:
+            for den, _ in tables:
                 d *= den
-                nxt = []
-                add = nxt.append
-                for aa, done, nn, deg in parts:
-                    for b, sl, m, e in table:
-                        if aa + b < M and deg + e <= D:
-                            add((aa + b, done + sl, nn * m, deg + e))
-                parts = nxt
-                if not parts:
-                    break
-            if not parts:
-                continue
             L = common_den(out, L, d)
-            k = L // d
-            for aa, sl, nn, _ in parts:
-                key = (aa, sl)
-                v = get(key, 0) + nn * k
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+            n *= L // d
+            if len(tables) == 1:
+                (_, t1), = tables
+                room = M - a
+                for b, sl, m, e in t1:
+                    if b < room and e <= D:
+                        key = (a + b, sl)
+                        v = get(key, 0) + n * m
+                        if v:
+                            out[key] = v
+                        else:
+                            del out[key]
+                continue
+            if len(tables) == 2:
+                (_, t1), (_, t2) = tables
+                for b1, sl1, m1, e1 in t1:
+                    a1 = a + b1
+                    if a1 < M and e1 <= D:
+                        room, cap, n1 = M - a1, D - e1, n * m1
+                        for b, sl, m, e in t2:
+                            if b < room and e <= cap:
+                                key = (a1 + b, sl1 + sl)
+                                v = get(key, 0) + n1 * m
+                                if v:
+                                    out[key] = v
+                                else:
+                                    del out[key]
+                continue
+            # a term of no slots (a scalar) folds the one entry of the empty slot
+            *lead, (_, last) = tables or (_COUNIT,)
+            parts = [(a, (), n, 0)]
+            for _, table in lead:
+                parts = [
+                    (aa + b, done + sl, nn * m, deg + e)
+                    for aa, done, nn, deg in parts
+                    for b, sl, m, e in table
+                    if aa + b < M and deg + e <= D
+                ]
+            for aa, done, nn, deg in parts:
+                room, cap = M - aa, D - deg
+                for b, sl, m, e in last:
+                    if b < room and e <= cap:
+                        key = (aa + b, done + sl)
+                        v = get(key, 0) + nn * m
+                        if v:
+                            out[key] = v
+                        else:
+                            del out[key]
         return cls._reduced(ctx, slots, out, L)
 
 
 def _pair_terms(x: HElement, y: HElement, table):
     """The terms of the slotwise product x y: each pair of terms that starts
-    below hbar^M (most pairs of a power series do not), with table(s1, s2)
-    for each slot pair."""
+    below hbar^M (most pairs of a power series do not), with the list of
+    table(s1, s2) over its slot pairs."""
     M = x.ctx.M
     d = x.den * y.den
     ys = list(y.num.items())
     for (a1, sl1), n1 in x.num.items():
         for (a2, sl2), n2 in ys:
             if a1 + a2 < M:
-                yield a1 + a2, n1 * n2, d, map(table, sl1, sl2)
+                yield a1 + a2, n1 * n2, d, list(map(table, sl1, sl2))
 
 
 def _slot_terms(x: HElement, idx: int, table):
-    """The terms applying table(slot) at slot idx and the identity elsewhere."""
+    """The terms applying table(slot) at slot idx and the identity elsewhere,
+    each with its list of tables.  The identity table of a slot is built once
+    per context and shared by every term that meets the slot."""
+    identity = x.ctx._identity_tables
     for (a, sl), n in x.num.items():
-        tables = [x._table(1, ((0, (s,), 1),)) for s in sl]
+        tables = []
+        for s in sl:
+            t = identity.get(s)
+            if t is None:
+                t = identity[s] = x._table(1, ((0, (s,), 1),))
+            tables.append(t)
         tables[idx] = table(sl[idx])
         yield a, n, x.den, tables
 
@@ -225,6 +266,9 @@ class QueContext:
         self.M = M
         self.D = D
         self._mul_slot_cache: dict[tuple[Word, Word], Table] = {}
+        # the identity table of each slot `_slot_terms` meets; a plain word
+        # (ints only) never equals a crossed (word, label) slot
+        self._identity_tables: dict = {}
         # word images under Delta and under each endomorphism (keyed by the
         # tuple of its generator images), see `_word_table`
         self._delta_word_cache: dict[Word, Table] = {(): _unit_table(2)}
@@ -384,7 +428,7 @@ class QueContext:
         # cache by value: image lists are rebuilt freely by callers
         cache = self._endo_word_cache.setdefault(tuple(images), {(): _unit_table(1)})
         image = partial(self._word_table, cache, images)
-        return HElement.spread(self, x.slots, ((a, n, x.den, map(image, sl)) for (a, sl), n in x.num.items()))
+        return HElement.spread(self, x.slots, ((a, n, x.den, list(map(image, sl))) for (a, sl), n in x.num.items()))
 
     def invert_endo(self, images: list[HElement]) -> list[HElement]:
         """Generator images of the inverse endomorphism, corrected order by

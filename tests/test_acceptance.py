@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import comb
 
 from gammastack.cli import data_path, main
-from gammastack.cohomology import cohomology_rank
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
 from gammastack.liealg import validate_gamma_lba, wedge2_apply
 from gammastack.problemfile import build_que_data, parse_problem
@@ -32,6 +31,7 @@ from gammastack.stack import gauge_act, lift_twist, solve_gauge, verify_stack, v
 from gammastack.tensors import monomial_degree
 
 from tools.bundled import abelian_que_data, sl2_que_data
+from tools.ranks import cohomology_rank
 
 from conftest import randomized_lift
 

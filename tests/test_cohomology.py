@@ -13,11 +13,12 @@ from gammastack.cohomology import (
     _d_matrix_block,
     alt,
     cohochschild_d,
-    cohomology_rank,
     solve_coboundary,
 )
 from gammastack.formal import cocommutative_splits
 from gammastack.tensors import SparseTensor, coproduct_slot, slot_monomials, tensor_unit
+
+from tools.ranks import cohomology_rank
 
 F = Fraction
 

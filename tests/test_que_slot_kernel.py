@@ -29,6 +29,10 @@ DATASETS = {"trivial": trivial_que_data, "abelian": abelian_que_data, "sl2": sl2
 CASES = [(name, M) for name in DATASETS for M in (2, 3)]
 
 PROPERTY = settings(max_examples=12, deadline=None)
+# `spread` runs a term of one table, of two tables and of any other count
+# (a scalar's none) as three loop shapes; products and endomorphisms are
+# checked on each
+SLOTS = (0, 1, 2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +139,7 @@ def terms(x: HElement) -> list:
 @given(data=st.data())
 def test_mul_and_counit_equal_old_loops(contexts, case, data):
     ctx = contexts[case]
-    for slots in (1, 2):
+    for slots in SLOTS:
         x, y = (data.draw(elements(ctx, slots)) for _ in range(2))
         assert terms(ctx.mul(x, y)) == terms(oracle_mul(ctx, x, y))
     for labeled in (False, True):
@@ -151,7 +155,7 @@ def test_coproduct_slot_and_apply_endo_equal_old_loops(contexts, case, data):
     ctx = contexts[case]
     # generator images need not form an algebra map for the loops to agree
     images = [data.draw(elements(ctx, 1, min_size=0)) for _ in range(ctx.lba.dim)]
-    for slots in (1, 2):
+    for slots in SLOTS:
         x = data.draw(elements(ctx, slots))
         for idx in range(slots):
             assert terms(ctx.coproduct_slot(x, idx)) == terms(oracle_coproduct_slot(ctx, x, idx))
@@ -206,7 +210,7 @@ def algebras():
 
 def check_plain_operations(ctx, data, denominators):
     images = [data.draw(elements_over(ctx, 1, denominators, min_size=0)) for _ in range(ctx.lba.dim)]
-    for slots in (1, 2):
+    for slots in SLOTS:
         x, y = (data.draw(elements_over(ctx, slots, denominators)) for _ in range(2))
         assert terms(ctx.mul(x, y)) == terms(oracle_mul(ctx, x, y))
         for idx in range(slots):
@@ -234,7 +238,7 @@ def test_integer_operands_equal_fraction_oracles(contexts, case, data):
 def test_semidirect_product_coprime_denominators(algebras, name, data):
     alg = algebras[name]
     for denominators in (DENOMINATORS, (1,)):
-        for slots in (1, 2):
+        for slots in SLOTS:
             x, y = (data.draw(elements_over(alg.ctx, slots, denominators, labeled=True)) for _ in range(2))
             assert terms(alg.product(x, y)) == terms(oracle_semidirect_product(alg, x, y))
 
@@ -256,3 +260,24 @@ def test_cancelled_key_comes_back_last(contexts, c):
     got = terms(ctx.mul(x, y))
     assert got == terms(oracle_mul(ctx, x, y))
     assert got[-1] == ((0, ((0, 1),)), c3)
+
+
+@PROPERTY
+@given(c=st.lists(fractions_over(DENOMINATORS), min_size=4, max_size=4))
+def test_cancelled_two_slot_key_comes_back_last(contexts, c):
+    """The two-table loop's twin of the test above, in 2 slots: (x|y)(y|x)
+    adds the key (xy|xy), (y|x)(x|y) cancels it, (1|1)(xy|xy) adds it again
+    after every other key, and the two products of degree 6 are cut."""
+    ctx = contexts[("abelian", 3)]
+    c1, c2, c3, c4 = c
+
+    def plain(*entries):
+        return HElement(ctx, 2, {(0, sl): k for sl, k in entries})
+
+    x_y, y_x, xy = ((0,), (1,)), ((1,), (0,)), ((0, 1), (0, 1))
+    x = plain((x_y, c1), (y_x, c2), (((), ()), c3))
+    y = plain((y_x, c4), (x_y, -c1 * c4 / c2), (xy, Fraction(1)))
+    got = terms(ctx.mul(x, y))
+    assert got == terms(oracle_mul(ctx, x, y))
+    assert got[-1] == ((0, xy), c3)
+    assert all(monomial_degree(sl) <= 4 for (_, sl), _ in got)

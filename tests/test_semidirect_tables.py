@@ -20,7 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammastack.quantum import CrossedElement, GammaQUEData, HElement, QueContext, SemidirectBialgebra
+from gammastack.cli import data_path
+from gammastack.problemfile import build_que_data, parse_problem
+from gammastack.quantum import (
+    CrossedElement,
+    GammaQUEData,
+    HElement,
+    QueContext,
+    SemidirectBialgebra,
+    build_semidirect,
+)
 from gammastack.tensors import _add_into, sorted_words
 
 from tools.bundled import abelian_que_data, sl2_que_data, trivial_que_data
@@ -231,3 +240,13 @@ def test_axiom_report_multiplies_each_distinct_pair_once(monkeypatch):
     assert len(SemidirectBialgebra(data).axiom_report(1)) == 72
     assert counts == {"product": 3744, "coproduct": 116, "apply_endo": 144}
     assert 3 * counts["product"] < 12832 and 3 * counts["apply_endo"] < 3272
+
+
+def test_sl2_sweep_builds_each_basis_table_once():
+    """The benchmark's sweep, sl2-que.glb at M = 3, D = 6: `spread` reads
+    every table of a term, so the sweep builds exactly the basis products
+    (1,764) and basis coproducts (60) its terms meet, and finds no issue."""
+    text = data_path("sl2-que.glb").read_text(encoding="utf-8")
+    alg, issues = build_semidirect(build_que_data(parse_problem(text), 3, 6), 1)
+    assert issues == []
+    assert (len(alg._products), len(alg._coproducts)) == (1764, 60)
