@@ -127,7 +127,8 @@ class HElement(SparseElement):
 
     @classmethod
     def spread(cls, ctx: QueContext, slots: int, terms) -> HElement:
-        """The slotwise product of tables, cut at the truncation, as an
+        """The one-operand maps (`apply_endo`, Delta and the counit on one
+        slot): the slotwise product of tables, cut at the truncation, as an
         element of this class.
 
         Each term is (hbar power below M, numerator, denominator, tables), one
@@ -143,11 +144,11 @@ class HElement(SparseElement):
         So a table may also be computed once at hbar^0 and shifted by each
         term's power, as the semidirect basis products and coproducts are.
 
-        Terms with one or two tables (1- and 2-slot products, `apply_endo`,
-        Delta and the counit on 1-slot elements) run as nested loops that sum
-        each surviving entry straight into the running sum.  A term with more
-        tables (or none) collects the parts of all but its last table in a
-        list, then folds the last table in the same way.
+        Terms with one or two tables (`apply_endo`, Delta and the counit on
+        1-slot elements) run as nested loops that sum each surviving entry
+        straight into the running sum; a term with more tables (or none)
+        goes through `_fold`.  Products of two elements sum the same parts in
+        the same order, with their own loop over term pairs: `_slot_product`.
         """
         M, D = ctx.M, ctx.D
         out: dict[Key, int] = {}
@@ -185,40 +186,110 @@ class HElement(SparseElement):
                                 else:
                                     del out[key]
                 continue
-            # a term of no slots (a scalar) folds the one entry of the empty slot
-            *lead, (_, last) = tables or (_COUNIT,)
-            parts = [(a, (), n, 0)]
-            for _, table in lead:
-                parts = [
-                    (aa + b, done + sl, nn * m, deg + e)
-                    for aa, done, nn, deg in parts
-                    for b, sl, m, e in table
-                    if aa + b < M and deg + e <= D
-                ]
-            for aa, done, nn, deg in parts:
-                room, cap = M - aa, D - deg
-                for b, sl, m, e in last:
-                    if b < room and e <= cap:
-                        key = (aa + b, done + sl)
-                        v = get(key, 0) + nn * m
+            _fold(out, M, D, a, n, tables)
+        return cls._reduced(ctx, slots, out, L)
+
+
+def _fold(out: dict, M: int, D: int, a: int, n: int, tables) -> None:
+    """Sum the parts of one term (hbar power a, numerator n over the running
+    denominator, one table per slot) into out, as `spread` sums them: the
+    parts of all but the last table are collected in a list, then each folds
+    the last table straight into the running sum.  A term of no slots (a
+    scalar) folds the one entry of the empty slot."""
+    get = out.get
+    *lead, (_, last) = tables or (_COUNIT,)
+    parts = [(a, (), n, 0)]
+    for _, table in lead:
+        parts = [
+            (aa + b, done + sl, nn * m, deg + e)
+            for aa, done, nn, deg in parts
+            for b, sl, m, e in table
+            if aa + b < M and deg + e <= D
+        ]
+    for aa, done, nn, deg in parts:
+        room, cap = M - aa, D - deg
+        for b, sl, m, e in last:
+            if b < room and e <= cap:
+                key = (aa + b, done + sl)
+                v = get(key, 0) + nn * m
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+
+
+def _slot_product(x: HElement, y: HElement, memo: dict, build) -> HElement:
+    """The slotwise product x y, as an element of their class: the parts
+    and sums of `spread`, in the same first-seen key order, with one term per
+    pair of terms that starts below hbar^M (most pairs of a power series do
+    not).  The caller checks that x and y are compatible.
+
+    The table of a slot pair (s1, s2) is memo[(s1, s2)], and build(s1, s2)
+    makes and stores it on a miss.  The pair loop reads the tables itself and
+    rescales the running sum only when its denominator is not a multiple of
+    the pair's; 1- and 2-slot pairs sum each surviving entry straight into
+    the running sum, and other slot counts (a scalar, the 3-slot products of
+    `quantize`) go through `_fold`.
+    """
+    ctx = x.ctx
+    M, D, slots = ctx.M, ctx.D, x.slots
+    table = memo.get
+    out: dict[Key, int] = {}
+    get = out.get
+    L = 1
+    dxy = x.den * y.den
+    ys = list(y.num.items())
+    for (a1, sl1), n1 in x.num.items():
+        room1 = M - a1
+        for (a2, sl2), n2 in ys:
+            if a2 >= room1:
+                continue
+            a = a1 + a2
+            if slots == 1:
+                pair = (sl1[0], sl2[0])
+                den, t1 = table(pair) or build(*pair)
+                d = dxy * den
+                if L % d:
+                    L = common_den(out, L, d)
+                n = n1 * n2 * (L // d)
+                room = M - a
+                for b, sl, m, e in t1:
+                    if b < room and e <= D:
+                        key = (a + b, sl)
+                        v = get(key, 0) + n * m
                         if v:
                             out[key] = v
                         else:
                             del out[key]
-        return cls._reduced(ctx, slots, out, L)
-
-
-def _pair_terms(x: HElement, y: HElement, table):
-    """The terms of the slotwise product x y: each pair of terms that starts
-    below hbar^M (most pairs of a power series do not), with the list of
-    table(s1, s2) over its slot pairs."""
-    M = x.ctx.M
-    d = x.den * y.den
-    ys = list(y.num.items())
-    for (a1, sl1), n1 in x.num.items():
-        for (a2, sl2), n2 in ys:
-            if a1 + a2 < M:
-                yield a1 + a2, n1 * n2, d, list(map(table, sl1, sl2))
+            elif slots == 2:
+                pair1, pair2 = (sl1[0], sl2[0]), (sl1[1], sl2[1])
+                den1, t1 = table(pair1) or build(*pair1)
+                den2, t2 = table(pair2) or build(*pair2)
+                d = dxy * den1 * den2
+                if L % d:
+                    L = common_den(out, L, d)
+                n = n1 * n2 * (L // d)
+                for b1, s1, m1, e1 in t1:
+                    p = a + b1
+                    if p < M and e1 <= D:
+                        room, cap, k = M - p, D - e1, n * m1
+                        for b, sl, m, e in t2:
+                            if b < room and e <= cap:
+                                key = (p + b, s1 + sl)
+                                v = get(key, 0) + k * m
+                                if v:
+                                    out[key] = v
+                                else:
+                                    del out[key]
+            else:
+                tables = [table(pair) or build(*pair) for pair in zip(sl1, sl2)]
+                d = dxy
+                for den, _ in tables:
+                    d *= den
+                if L % d:
+                    L = common_den(out, L, d)
+                _fold(out, M, D, a, n1 * n2 * (L // d), tables)
+    return x._reduced(ctx, slots, out, L)
 
 
 def _slot_terms(x: HElement, idx: int, table):
@@ -316,19 +387,16 @@ class QueContext:
     # -- multiplication ----------------------------------------------------------
 
     def _mul_slot(self, w1: Word, w2: Word) -> Table:
-        key = (w1, w2)
-        cached = self._mul_slot_cache.get(key)
-        if cached is not None:
-            return cached
+        """The table of w1 w2 in PBW form, stored in `_mul_slot_cache`."""
         num, den = nums_over_lcm(self.lba.straighten(w1 + w2))
-        out = self._mul_slot_cache[key] = HElement._table(den, ((0, (w,), n) for w, n in num.items()))
+        out = self._mul_slot_cache[(w1, w2)] = HElement._table(den, ((0, (w,), n) for w, n in num.items()))
         return out
 
     def mul(self, x: HElement, y: HElement) -> HElement:
         if x.__class__ is not HElement or y.__class__ is not HElement:
             raise ValueError("QueContext multiplies plain slots only")
         x._check(y)
-        return HElement.spread(self, x.slots, _pair_terms(x, y, self._mul_slot))
+        return _slot_product(x, y, self._mul_slot_cache, self._mul_slot)
 
     def commutator(self, x: HElement, y: HElement) -> HElement:
         return self.mul(x, y) - self.mul(y, x)
@@ -882,10 +950,11 @@ class SemidirectBialgebra:
     """S(g) (x) k Gamma [[hbar]] with the twisted product and coproduct.
 
     Each basis product [w1|g1][w2|g2] and each basis coproduct Delta[w|g] is
-    computed once, at hbar^0, and `spread` shifts it by the hbar powers of
-    the terms it is applied to (see there why that is exact): `product`
-    multiplies slotwise and `_cop_slot` applies Delta to one slot
-    (`coproduct` is its one-slot case).
+    computed once, at hbar^0, and shifted by the hbar powers of the terms it
+    is applied to (`spread` says why that is exact): `product` multiplies
+    slotwise in `_slot_product`, and `_cop_slot` applies Delta to one slot
+    through `spread` (`coproduct` is its one-slot case).  Both take
+    `CrossedElement`s of this algebra's context only.
     """
 
     def __init__(self, data: GammaQUEData):
@@ -911,26 +980,24 @@ class SemidirectBialgebra:
         return shared(CrossedElement._table(den, entries))
 
     def _basis_product(self, s1: tuple[Word, int], s2: tuple[Word, int]) -> Table:
-        """hbar^0 table of [w1 * i_{e,g1}^{-1}(theta_g1(w2)) * v_{e,g1,g1g2}^{-1} | g1g2]."""
-        key = (s1, s2)
-        table = self._products.get(key)
-        if table is None:
-            (w1, g1), (w2, g2) = s1, s2
-            ctx = self.ctx
-            if (g1, g2) not in self._vinv:
-                self._vinv[(g1, g2)] = ctx.inverse(self.data.v[(g1, g2)])
-            conj = self._conj.get((w2, g1))
-            if conj is None:
-                conj = HElement._trusted(ctx, 1, {(0, (w2,)): 1})
-                for images in (ctx.theta_images(g1), self.data.i_inverse_images(g1)):
-                    conj = ctx.apply_endo(images, conj)
-                self._conj[(w2, g1)] = conj
-            plain1 = HElement._trusted(ctx, 1, {(0, (w1,)): 1})
-            gg = self.G.group.mul(g1, g2)
-            val = plain1 * conj * self._vinv[(g1, g2)]
-            table = self._products[key] = self._table(
-                val.den, ((a, ((w, gg),), n) for (a, (w,)), n in val.num.items())
-            )
+        """hbar^0 table of [w1 * i_{e,g1}^{-1}(theta_g1(w2)) * v_{e,g1,g1g2}^{-1} | g1g2],
+        stored in `_products`."""
+        (w1, g1), (w2, g2) = s1, s2
+        ctx = self.ctx
+        if (g1, g2) not in self._vinv:
+            self._vinv[(g1, g2)] = ctx.inverse(self.data.v[(g1, g2)])
+        conj = self._conj.get((w2, g1))
+        if conj is None:
+            conj = HElement._trusted(ctx, 1, {(0, (w2,)): 1})
+            for images in (ctx.theta_images(g1), self.data.i_inverse_images(g1)):
+                conj = ctx.apply_endo(images, conj)
+            self._conj[(w2, g1)] = conj
+        plain1 = HElement._trusted(ctx, 1, {(0, (w1,)): 1})
+        gg = self.G.group.mul(g1, g2)
+        val = plain1 * conj * self._vinv[(g1, g2)]
+        table = self._products[(s1, s2)] = self._table(
+            val.den, ((a, ((w, gg),), n) for (a, (w,)), n in val.num.items())
+        )
         return table
 
     def _basis_coproduct(self, s: tuple[Word, int]) -> Table:
@@ -953,7 +1020,10 @@ class SemidirectBialgebra:
         slot by slot on elements of any slot count."""
         if x.__class__ is not CrossedElement or y.__class__ is not CrossedElement:
             raise ValueError("the semidirect product needs labeled elements")
-        return CrossedElement.spread(self.ctx, x.slots, _pair_terms(x, y, self._basis_product))
+        x._check(y)
+        if x.ctx is not self.ctx:
+            raise ValueError("incompatible elements")
+        return _slot_product(x, y, self._products, self._basis_product)
 
     def coproduct(self, x: CrossedElement) -> CrossedElement:
         """[m|g] -> [Delta_e(m) * F_{e,g}^{-1} | g,g]."""
@@ -994,6 +1064,7 @@ class SemidirectBialgebra:
         distinct = sorted({x for row in prod for x in row})
         right = {x: [intern(self.product(values[x], c)) for c in basis] for x in distinct}
         cop_prod = {x: self.coproduct(values[x]) for x in distinct}
+        u = self.unit()
         issues = []
         for i, a in enumerate(basis):
             left = {y: intern(self.product(a, values[y])) for y in distinct}
@@ -1011,7 +1082,6 @@ class SemidirectBialgebra:
             # the graded counit [x|g] -> delta_{g,e} eps(x) collapses Delta
             # back to the identity only on the identity component, so no
             # counit-collapse axiom is imposed here
-            u = self.unit()
             if self.product(u, a) != a or self.product(a, u) != a:
                 issues.append(f"unit axiom fails at {a.format()}")
         return issues
@@ -1019,6 +1089,8 @@ class SemidirectBialgebra:
     def _cop_slot(self, x: CrossedElement, idx: int) -> CrossedElement:
         if x.__class__ is not CrossedElement:
             raise ValueError("the semidirect coproduct needs labeled elements")
+        if x.ctx is not self.ctx:
+            raise ValueError("incompatible elements")
         return CrossedElement.spread(self.ctx, x.slots + 1, _slot_terms(x, idx, self._basis_coproduct))
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -178,6 +179,25 @@ def tuple_pair_bracket(ctx):
         return tuple(out.items())
 
     return pair
+
+
+def assert_canonical(x):
+    """den >= 1, int numerators, none zero, gcd 1, and zero is {} over 1."""
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(v) is int and v for v in x.num.values())
+    assert gcd(x.den, *x.num.values()) == 1
+    assert x.num or x.den == 1
+
+
+def quantum_terms(x) -> list:
+    """The terms of a quantum element in key order, once it is checked:
+    canonical, and every key holds x.slots slots with hbar power in [0, M)
+    and PBW degree at most D of its context."""
+    assert_canonical(x)
+    for a, sl in x.num:
+        assert len(sl) == x.slots
+        assert 0 <= a < x.ctx.M and x._degree(sl) <= x.ctx.D
+    return list(x.coeffs.items())
 
 
 @pytest.fixture

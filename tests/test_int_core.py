@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +28,7 @@ from gammastack.tensors import (
     tensor_unit,
 )
 
-from conftest import axb_gamma, fraction_coproduct_word, tuple_pair_bracket
+from conftest import assert_canonical, axb_gamma, fraction_coproduct_word, tuple_pair_bracket
 
 F = Fraction
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -56,14 +55,6 @@ def tensors(slots: int, min_degree: int = 0):
 def elements(slots: int):
     keys = st.tuples(st.integers(0, M - 1), st.tuples(*[words] * slots))
     return st.dictionaries(keys, coefficients, max_size=5).map(lambda d: HElement(QCTX, slots, d))
-
-
-def assert_canonical(x):
-    """den >= 1, int numerators, none zero, gcd 1, and zero is {} over 1."""
-    assert type(x.den) is int and x.den >= 1
-    assert all(type(v) is int and v for v in x.num.values())
-    assert gcd(x.den, *x.num.values()) == 1
-    assert x.num or x.den == 1
 
 
 def agrees(got, oracle: dict) -> bool:

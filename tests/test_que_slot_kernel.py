@@ -1,11 +1,14 @@
-"""QueContext's products, coproducts, counits and endomorphisms against the
-loops they replaced.
+"""QueContext's products, coproducts, counits and endomorphisms, and the
+semidirect product, against the loops they replaced.
 
-`HElement.spread` is the one slotwise product with the hbar/PBW cut; `mul`,
-`coproduct_slot`, `counit_slot` and `apply_endo` only choose its tables.  The
-oracles below are the per-operation loops that came before it, written over
-the Lie algebra's straightening directly; values and key order must agree.
-`mul` takes plain elements only (`CrossedElement`s, whose slots carry group
+Two kernels take slotwise products of tables with the hbar/PBW cut:
+`_slot_product` loops over the term pairs of `mul` and
+`SemidirectBialgebra.product`, and `HElement.spread` sums the terms of the
+one-operand maps `coproduct_slot`, `counit_slot` and `apply_endo`.  The
+oracles below are the per-operation loops that came before them, written
+over the Lie algebra's straightening directly; values and key order must
+agree, and every result must be canonical and within the truncation.  `mul`
+takes plain elements only (`CrossedElement`s, whose slots carry group
 labels, are the semidirect product's); the counit takes both.
 """
 
@@ -17,21 +20,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammastack.liealg import FiniteGroup, GammaLieBialgebra, LieBialgebra
 from gammastack.quantum import CrossedElement, HElement, QueContext, SemidirectBialgebra
 from gammastack.tensors import _add_into, monomial_degree
 
 from tools.bundled import abelian_que_data, sl2_que_data, trivial_que_data
 
+from conftest import quantum_terms as terms
+
 D = 4
+ZERO, ONE = Fraction(0), Fraction(1)
 # the ambient coproducts of three data sets, at M = 2 and 3: both cut
 # products of mixed hbar powers
 DATASETS = {"trivial": trivial_que_data, "abelian": abelian_que_data, "sl2": sl2_que_data}
 CASES = [(name, M) for name in DATASETS for M in (2, 3)]
 
 PROPERTY = settings(max_examples=12, deadline=None)
-# `spread` runs a term of one table, of two tables and of any other count
-# (a scalar's none) as three loop shapes; products and endomorphisms are
-# checked on each
+# both kernels run a term of one table, of two tables and of any other count
+# (a scalar's none) as three loop shapes; every operation is checked on each
 SLOTS = (0, 1, 2, 3)
 
 
@@ -46,7 +52,7 @@ def contexts():
     return out
 
 
-# -- the loops spread replaced -------------------------------------------------------------
+# -- the loops the kernels replaced -----------------------------------------------------------
 
 
 def oracle_mul(ctx, x, y):
@@ -130,10 +136,6 @@ def element_dicts(ctx, slots: int, coeff, labeled: bool, min_size: int):
     return st.dictionaries(key, coeff, min_size=min_size, max_size=4).map(lambda d: cls(ctx, slots, d))
 
 
-def terms(x: HElement) -> list:
-    return list(x.coeffs.items())
-
-
 @pytest.mark.parametrize("case", CASES, ids=[f"{name}-M{M}" for name, M in CASES])
 @PROPERTY
 @given(data=st.data())
@@ -143,9 +145,10 @@ def test_mul_and_counit_equal_old_loops(contexts, case, data):
         x, y = (data.draw(elements(ctx, slots)) for _ in range(2))
         assert terms(ctx.mul(x, y)) == terms(oracle_mul(ctx, x, y))
     for labeled in (False, True):
-        x = data.draw(elements(ctx, 2, labeled))
-        for idx in (0, 1):
-            assert terms(ctx.counit_slot(x, idx)) == terms(oracle_counit_slot(ctx, x, idx))
+        for slots in SLOTS[1:]:
+            x = data.draw(elements(ctx, slots, labeled))
+            for idx in range(slots):
+                assert terms(ctx.counit_slot(x, idx)) == terms(oracle_counit_slot(ctx, x, idx))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[f"{name}-M{M}" for name, M in CASES])
@@ -162,7 +165,7 @@ def test_coproduct_slot_and_apply_endo_equal_old_loops(contexts, case, data):
         assert terms(ctx.apply_endo(images, x)) == terms(oracle_apply_endo(ctx, images, x))
 
 
-# -- denominators: spread sums int numerators over a running common denominator ------------
+# -- denominators: int sums over a running common denominator ---------------------------------
 
 # pairwise coprime: a sum's common denominator grows term by term
 DENOMINATORS = (4, 5, 7, 9, 11)
@@ -241,6 +244,28 @@ def test_semidirect_product_coprime_denominators(algebras, name, data):
         for slots in SLOTS:
             x, y = (data.draw(elements_over(alg.ctx, slots, denominators, labeled=True)) for _ in range(2))
             assert terms(alg.product(x, y)) == terms(oracle_semidirect_product(alg, x, y))
+
+
+def half_bracket_context() -> QueContext:
+    """[x, y] = x/2, zero cobracket, trivial group: straightening a word
+    pair gives a slot table over 2, 4, ..., where the bundled data's tables
+    are all over 1."""
+    half = Fraction(1, 2)
+    lba = LieBialgebra(2, ["x", "y"], {(0, 1, 0): half, (1, 0, 0): -half}, {})
+    one = FiniteGroup.cyclic(1)
+    return QueContext(GammaLieBialgebra(lba, one, {0: [[ONE, ZERO], [ZERO, ONE]]}, {0: {}}), 3, D)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_table_denominators_equal_fraction_oracle(data):
+    """Each slot count's pair loop multiplies the denominators of its slot
+    tables into the pair's, as the oracle's `Fraction` products do."""
+    ctx = half_bracket_context()
+    for denominators in (DENOMINATORS, (1,)):
+        for slots in SLOTS:
+            x, y = (data.draw(elements_over(ctx, slots, denominators)) for _ in range(2))
+            assert terms(ctx.mul(x, y)) == terms(oracle_mul(ctx, x, y))
 
 
 @PROPERTY

@@ -34,6 +34,8 @@ from gammastack.tensors import _add_into, sorted_words
 
 from tools.bundled import abelian_que_data, sl2_que_data, trivial_que_data
 
+from conftest import quantum_terms as terms
+
 ONE = Fraction(1)
 
 # small truncations; M = 2 and M = 3 both cut products of mixed hbar powers
@@ -108,7 +110,7 @@ def oracle_cop_slot(alg, x, idx):
         piece = oracle_coproduct(alg, CrossedElement(ctx, 1, {(a, (sl[idx],)): c}))
         for (aa, pair), cc in piece.coeffs.items():
             _add_into(out, (aa, sl[:idx] + pair + sl[idx + 1 :]), cc)
-    return CrossedElement(ctx, 3, out)
+    return CrossedElement(ctx, x.slots + 1, out)
 
 
 # -- random labeled elements --------------------------------------------------------------
@@ -126,10 +128,6 @@ def labeled_elements(ctx, slots: int):
     )
 
 
-def terms(x: CrossedElement) -> list:
-    return list(x.coeffs.items())
-
-
 @pytest.mark.parametrize("name", list(DATASETS))
 @PROPERTY
 @given(data=st.data())
@@ -141,8 +139,26 @@ def test_tables_equal_per_term_formula(algebras, name, data):
     assert terms(alg.product(x, y)) == terms(oracle_product(alg, x, y))
     assert terms(alg.coproduct(x)) == terms(oracle_coproduct(alg, x))
     assert terms(alg.product(xx, yy)) == terms(oracle_mul2(alg, xx, yy))
-    for idx in (0, 1):
-        assert terms(alg._cop_slot(xx, idx)) == terms(oracle_cop_slot(alg, xx, idx))
+    for slots in (1, 2, 3):
+        z = data.draw(labeled_elements(ctx, slots))
+        for idx in range(slots):
+            assert terms(alg._cop_slot(z, idx)) == terms(oracle_cop_slot(alg, z, idx))
+
+
+def test_product_rejects_incompatible_operands(algebras):
+    """The semidirect product raises, as `QueContext.mul` does, on operands
+    of different slot counts (either way round) and on an operand of another
+    context; so does Delta on an element of another context."""
+    alg = algebras["sl2"]
+    ctx = alg.ctx
+    one = ctx.labeled((0,), 1)
+    two = CrossedElement(ctx, 2, {(0, (((0,), 1), ((), 0))): ONE})
+    other = QueContext(ctx.G, 2, 4).labeled((0,), 1)
+    for x, y in ((one, two), (two, one), (one, other), (other, one), (other, other)):
+        with pytest.raises(ValueError, match="incompatible elements"):
+            alg.product(x, y)
+    with pytest.raises(ValueError, match="incompatible elements"):
+        alg.coproduct(other)
 
 
 # -- the axiom sweep ---------------------------------------------------------------------
@@ -243,9 +259,11 @@ def test_axiom_report_multiplies_each_distinct_pair_once(monkeypatch):
 
 
 def test_sl2_sweep_builds_each_basis_table_once():
-    """The benchmark's sweep, sl2-que.glb at M = 3, D = 6: `spread` reads
-    every table of a term, so the sweep builds exactly the basis products
-    (1,764) and basis coproducts (60) its terms meet, and finds no issue."""
+    """The benchmark's sweep, sl2-que.glb at M = 3, D = 6: a product reads
+    the table of every slot pair of each term pair below hbar^M, and Delta
+    the table of every slot it meets, so the sweep builds exactly the basis
+    products (1,764) and basis coproducts (60) its terms meet, and finds no
+    issue."""
     text = data_path("sl2-que.glb").read_text(encoding="utf-8")
     alg, issues = build_semidirect(build_que_data(parse_problem(text), 3, 6), 1)
     assert issues == []
