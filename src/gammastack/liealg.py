@@ -10,14 +10,18 @@ on every basis tuple / group tuple and report all violations.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
+from gammastack.linalg import LinearSystem, _eliminate
 from gammastack.tensors import _add_into
 
 Vec = dict[int, Fraction]
 Tensor2 = dict[tuple[int, int], Fraction]
 Tensor3 = dict[tuple[int, int, int], Fraction]
 Word = tuple[int, ...]
+
+_ZERO = Fraction(0)
 
 
 class ValidationIssue(NamedTuple):
@@ -51,6 +55,14 @@ class LieBialgebra:
         for key in list(self.bracket) + list(self.cobracket):
             if len(key) != 3 or not all(0 <= i < dim for i in key):
                 raise ValueError(f"index {key} out of range")
+        # [e_i, e_j] by pair in increasing k, and delta(e_k) by k in the
+        # cobracket's order: read-only, shared by every lookup
+        self._bracket_rows: list[list[Vec]] = [[{} for _ in range(dim)] for _ in range(dim)]
+        for (i, j, k) in sorted(self.bracket):
+            self._bracket_rows[i][j][k] = self.bracket[(i, j, k)]
+        self._cobracket_rows: list[Tensor2] = [{} for _ in range(dim)]
+        for (k, i, j), c in self.cobracket.items():
+            self._cobracket_rows[k][(i, j)] = c
         self._straighten_cache: dict[Word, dict[Word, Fraction]] = {}
 
     def dual(self) -> LieBialgebra:
@@ -66,15 +78,11 @@ class LieBialgebra:
     # -- structure lookups --------------------------------------------------
 
     def bracket_coeff(self, i: int, j: int, k: int) -> Fraction:
-        return self.bracket.get((i, j, k), Fraction(0))
+        return self._bracket_rows[i][j].get(k, _ZERO)
 
     def bracket_elems(self, i: int, j: int) -> Vec:
-        out: Vec = {}
-        for k in range(self.dim):
-            c = self.bracket_coeff(i, j, k)
-            if c:
-                out[k] = c
-        return out
+        """[e_i, e_j] as {k: coefficient}, in increasing k; read-only."""
+        return self._bracket_rows[i][j]
 
     def bracket_vec(self, x: Vec, y: Vec) -> Vec:
         out: Vec = {}
@@ -87,11 +95,8 @@ class LieBialgebra:
         return out
 
     def cobracket_tensor(self, k: int) -> Tensor2:
-        out: Tensor2 = {}
-        for (kk, i, j), c in self.cobracket.items():
-            if kk == k:
-                out[(i, j)] = c
-        return out
+        """delta(e_k) as {(i, j): coefficient}; read-only."""
+        return self._cobracket_rows[k]
 
     # -- PBW straightening in U(g) ------------------------------------------
 
@@ -342,6 +347,49 @@ def delta_gamma_tensor(G: GammaLieBialgebra, gamma: int, k: int) -> Tensor2:
         for m, cm in G.lba.bracket_elems(b, k).items():
             _add_into(out, (a, m), c * cm)
     return out
+
+
+def torus_grading(G: GammaLieBialgebra) -> tuple[tuple[int, ...], ...]:
+    """Each generator's weight in the finest grading by Z^r that makes the
+    bracket, the cobracket and every f_gamma homogeneous, f_gamma of weight 0.
+
+    A grading by Z is one int w_i per generator with w_k = w_i + w_j on
+    every bracket term ([e_i, e_j] has e_k) and every cobracket term
+    (delta(e_k) has e_i (x) e_j), and w_i + w_j = 0 on every term
+    e_i (x) e_j of every f_gamma.  The solutions are the kernel of these
+    rows; its basis has one vector per free column of their reduced row
+    echelon form (`linalg._eliminate`): 1 there, 0 at the other free
+    columns, scaled to coprime ints.  Generator i has weight (w^1_i, ...,
+    w^r_i) over the basis, () when the kernel is 0.  Then every
+    delta_gamma = delta + [f_gamma, .] is homogeneous as well, so one
+    grading serves every context.
+    """
+    lba, dim = G.lba, G.lba.dim
+    terms = [(k, i, j) for (i, j, k) in lba.bracket] + list(lba.cobracket)
+    rows: list[dict[int, int]] = []
+    for k, i, j in terms:
+        row: dict[int, int] = {k: 1}
+        _add_into(row, i, -1)
+        _add_into(row, j, -1)
+        rows.append(row)
+    for f in G.f.values():
+        for i, j in f:
+            row = {i: 1}
+            _add_into(row, j, 1)
+            rows.append(row)
+    pivots, reduced, _ = _eliminate(LinearSystem(dim, rows, [0] * len(rows)))
+    pivot_rows = {col: reduced[r] for r, col in pivots}
+    basis = []
+    for free in range(dim):
+        if free in pivot_rows:
+            continue
+        vec = {free: Fraction(1)}
+        for col, row in pivot_rows.items():
+            if free in row:
+                vec[col] = Fraction(-row[free], row[col])
+        den = lcm(*(c.denominator for c in vec.values()))
+        basis.append([int(vec.get(i, 0) * den) for i in range(dim)])
+    return tuple(tuple(v[i] for v in basis) for i in range(dim))
 
 
 def validate_gamma_lba(G: GammaLieBialgebra) -> list[ValidationIssue]:

@@ -396,6 +396,8 @@ class QueContext:
         if x.__class__ is not HElement or y.__class__ is not HElement:
             raise ValueError("QueContext multiplies plain slots only")
         x._check(y)
+        if x.ctx is not self:
+            raise ValueError("incompatible elements")
         return _slot_product(x, y, self._mul_slot_cache, self._mul_slot)
 
     def commutator(self, x: HElement, y: HElement) -> HElement:
@@ -470,12 +472,16 @@ class QueContext:
         """Apply the ambient coproduct to one slot of x."""
         if x.__class__ is not HElement:
             raise ValueError("Delta acts on plain slots only")
+        if x.ctx is not self:
+            raise ValueError("incompatible elements")
         delta = partial(self._word_table, self._delta_word_cache, self.delta_images)
         return HElement.spread(self, x.slots + 1, _slot_terms(x, idx, delta))
 
     def counit_slot(self, x: HElement, idx: int) -> HElement:
         """The counit on slot idx of x, plain or crossed: the terms whose
         slot there has degree 0, with that slot dropped."""
+        if x.ctx is not self:
+            raise ValueError("incompatible elements")
         return x.spread(
             self, x.slots - 1, _slot_terms(x, idx, lambda s: _NO_TERMS if x._degree((s,)) else _COUNIT)
         )
@@ -493,6 +499,8 @@ class QueContext:
         """Apply the algebra endomorphism with given generator images, slotwise."""
         if x.__class__ is not HElement:
             raise ValueError("endomorphisms act on plain slots only")
+        if any(y.ctx is not self for y in (x, *images)):
+            raise ValueError("incompatible elements")
         # cache by value: image lists are rebuilt freely by callers
         cache = self._endo_word_cache.setdefault(tuple(images), {(): _unit_table(1)})
         image = partial(self._word_table, cache, images)

@@ -17,7 +17,7 @@ from gammastack.quantum import (
 )
 from gammastack.tensors import monomial_degree
 
-from tools.bundled import trivial_que_data
+from tools.bundled import abelian_que_data, sl2_que_data, trivial_que_data
 
 from conftest import abelian_twisted_gamma, axb_gamma, sl2_weyl_gamma
 
@@ -33,6 +33,29 @@ def axb_ctx(M=4, D=6):
 
 
 # -- pbw multiplication ---------------------------------------------------------
+
+
+def test_context_rejects_elements_of_another_context():
+    """mul, Delta and the counit at a slot, and an endomorphism (on its
+    argument and on its images) read their own context's tables, so each
+    raises on an element of another context: the abelian context would
+    multiply sl2's e1 e0 to e0 e1, not e0 e1 - 2 e1."""
+    abelian, sl2 = abelian_que_data().ctx, sl2_que_data().ctx
+    x, y = sl2.gen(1), sl2.gen(0)
+    identity = [abelian.gen(0), abelian.gen(1)]
+    calls = [
+        lambda: abelian.mul(x, y),
+        lambda: abelian.coproduct_slot(x, 0),
+        lambda: abelian.counit_slot(x, 0),
+        lambda: abelian.apply_endo(identity, x),
+        # an image the argument never reaches
+        lambda: abelian.apply_endo([abelian.gen(0), x], abelian.gen(0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="incompatible elements"):
+            call()
+    assert sl2.mul(x, y) == sl2.mul(y, x) - sl2.gen(1).scale(2)
+    assert abelian.apply_endo(identity, abelian.gen(0)) == abelian.gen(0)
 
 
 def test_commutator_is_bracket():

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammastack.cohomology import alt
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
-from gammastack.liealg import mat_apply, wedge2_apply
+from gammastack.liealg import mat_apply, torus_grading, wedge2_apply
 from gammastack.cli import data_path
+from gammastack.linalg import solve_linear
 from gammastack.problemfile import parse_problem
 from gammastack.stack import (
     AlgebraMap,
@@ -120,6 +123,10 @@ def test_lift_uniqueness_up_to_gauge_randomized():
         assert all(monomial_degree(m) >= 2 for m in lam.coeffs)
 
 
+# the grading with one block, which any Lie bialgebra admits
+ZERO_GRADING = ((), ())
+
+
 def twisted_generators(ctx, f):
     """The twisted coproducts of the generators, as iso_residuals takes them."""
     return [twisted_coproduct(ctx, f, SparseTensor.generator(i, ctx.trunc)) for i in range(ctx.dim)]
@@ -127,7 +134,7 @@ def twisted_generators(ctx, f):
 
 def test_build_iso_identity_when_trivial():
     ctx = PairingContext(abelian_flat_lba(), 4)
-    j = build_iso(ctx, ctx, ctx.zero(2))
+    j = build_iso(ctx, ctx, ctx.zero(2), ZERO_GRADING)
     for i in range(2):
         assert j.images[i] == SparseTensor.generator(i, 4)
 
@@ -136,7 +143,7 @@ def test_build_iso_abelian_flat_oracle():
     """Abelian case: Poisson condition vacuous, oracle re-expansion."""
     ctx = PairingContext(abelian_flat_lba(), 4)
     f = tensor2_to_series({(0, 1): F(2), (1, 0): F(-2)}, 4)
-    j = build_iso(ctx, ctx, f)
+    j = build_iso(ctx, ctx, f, ZERO_GRADING)
     cop_res, poi_res = iso_residuals(ctx, ctx, twisted_generators(ctx, f), j)
     assert all(r.is_zero() for r in cop_res)
     assert all(r.is_zero() for r in poi_res)
@@ -148,7 +155,7 @@ def test_build_iso_axb_nonzero_correction():
     ctx_e = PairingContext(build_delta_gamma(G, 0), N)
     ctx_s = PairingContext(build_delta_gamma(G, 1), N)
     lift = lift_twist(ctx_e, leading_term(G, 0, 1, N))
-    j = build_iso(ctx_e, ctx_s, lift)
+    j = build_iso(ctx_e, ctx_s, lift, torus_grading(G))
     cop_res, poi_res = iso_residuals(ctx_e, ctx_s, twisted_generators(ctx_e, lift), j)
     assert all(r.is_zero() for r in cop_res)
     assert all(r.is_zero() for r in poi_res)
@@ -182,11 +189,41 @@ def test_build_iso_failure_names_the_inconsistent_row(mono, deg, row):
     ctx_s = PairingContext(build_delta_gamma(G, 1), N)
     bad = lift_twist(ctx_e, leading_term(G, 0, 1, N)) + SparseTensor(2, N, {mono: F(1)})
     with pytest.raises(StackBuildError) as exc:
-        build_iso(ctx_e, ctx_s, bad)
+        build_iso(ctx_e, ctx_s, bad, torus_grading(G))
     assert str(exc.value) == (
         f"isomorphism solve failed at degree {deg}: nonzero residual class"
         f"; inconsistent equation row {row} (upstream twist data is inconsistent)"
     )
+
+
+@pytest.mark.parametrize(
+    "b, mono, deg, row",
+    [
+        (1, ((1,), (1,)), 3, 76),
+        (2, ((1,), (1,)), 3, 37),
+        (1, ((0,), (1,)), 2, 31),
+        (2, ((0,), (0, 0)), 3, 85),
+    ],
+)
+def test_blocked_build_iso_failure_names_the_full_systems_row(b, mono, deg, row):
+    """An sl2-weyl lift at N=4 with one coefficient raised by 1: e|e and
+    h|e weigh -2 and -1, so the residual leaves the weight-0 block.  The
+    blocked solve reports the row of the full system, as build_iso under
+    the zero grading (the full system itself) does."""
+    G = bundled("sl2-weyl.glb")
+    N = 4
+    ctx_e = PairingContext(build_delta_gamma(G, 0), N)
+    ctx_b = PairingContext(build_delta_gamma(G, b), N)
+    bad = lift_twist(ctx_e, leading_term(G, 0, b, N)) + SparseTensor(2, N, {mono: F(1)})
+    messages = []
+    for weights in (torus_grading(G), ((),) * 3):
+        with pytest.raises(StackBuildError) as exc:
+            build_iso(ctx_e, ctx_b, bad, weights)
+        messages.append(str(exc.value))
+    assert messages == 2 * [
+        f"isomorphism solve failed at degree {deg}: nonzero residual class"
+        f"; inconsistent equation row {row} (upstream twist data is inconsistent)"
+    ]
 
 
 def residual_vector(cop_res, poi_res, dim, deg):
@@ -237,20 +274,46 @@ def int_scale(sys, fd_rows, base):
     return 1
 
 
+def word_weight(weights, word, minus=()):
+    """The weight of a word, less those of the letters in minus."""
+    rank = range(len(weights[0]))
+    return tuple(sum(weights[i][t] for i in word) - sum(weights[i][t] for i in minus) for t in rank)
+
+
+def system_weights(weights, dim, deg):
+    """The weight of each row and each column of the full degree-deg system:
+    column (l, m) weighs wt(m) - wt(e_l), coproduct row (l, mu) wt(mu) -
+    wt(e_l), Poisson row ((i, k), v) wt(v) - wt(e_i) - wt(e_k)."""
+    words = sorted_words(dim, deg)
+    columns = [word_weight(weights, m, (l,)) for l in range(dim) for m in words]
+    rows = [
+        word_weight(weights, b1 + b2, (l,))
+        for l in range(dim)
+        for b1, b2 in slot_monomials(dim, 2, deg, least=0)
+    ]
+    pairs = [(i, k) for i in range(dim) for k in range(i + 1, dim)]
+    rows += [word_weight(weights, v, pair) for pair in pairs for v in words]
+    return rows, columns
+
+
 @pytest.mark.parametrize(
     "problem, N, pairs",
     [("axb", 4, [(0, 1), (1, 0)]), ("sl2-weyl", 3, [(0, 1), (1, 2)])],
 )
 def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
-    """The assembled degree-d system equals the finite-difference one at
-    every degree, at the images build_iso holds before solving degree d."""
+    """At every degree, at the images build_iso holds before solving it:
+    the finite-difference system has no entry between weight blocks; the
+    full system (the zero grading) is D times it; and the system under
+    the torus grading is the same D times its restriction to the live
+    blocks, the weights of its rows with a nonzero residual."""
     G = parse_problem(data_path(f"{problem}.glb").read_text(encoding="utf-8")).G
     ctxs = {g: PairingContext(build_delta_gamma(G, g), N) for g in G.group.elements()}
     dim = G.lba.dim
+    weights = torus_grading(G)
     nontrivial = 0
     for a, b in pairs:
         ftilde = lift_twist(ctxs[a], leading_term(G, a, b, N))
-        j = build_iso(ctxs[a], ctxs[b], ftilde)
+        j = build_iso(ctxs[a], ctxs[b], ftilde, weights)
         twisted = twisted_generators(ctxs[a], ftilde)
         for deg in range(2, N + 1):
             # solving degree deg only adds terms of degree deg
@@ -259,20 +322,99 @@ def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
                 for img in j.images
             ]
             base, fd_rows = finite_difference_system(ctxs[a], ctxs[b], twisted, images, deg)
-            residuals = iso_residuals(ctxs[a], ctxs[b], twisted, AlgebraMap(images, N))
-            sys, words = _iso_system(ctxs[a], ctxs[b], deg, *residuals)
-            assert words == sorted_words(dim, deg)
-            assert sys.n_cols == dim * len(words)
+            row_weights, column_weights = system_weights(weights, dim, deg)
+            for r, row in enumerate(fd_rows):
+                assert all(column_weights[c] == row_weights[r] for c in row)
+            cop_res, poi_res = iso_residuals(ctxs[a], ctxs[b], twisted, AlgebraMap(images, N))
+            # a unit residual at row 0 makes every column of the full system live
+            probe = SparseTensor(2, N, {slot_monomials(dim, 2, deg, least=0)[0]: 1})
+            probed = [cop_res[0] + probe, *cop_res[1:]]
+            full, unknowns = _iso_system(ctxs[a], ctxs[b], ((),) * dim, deg, probed, poi_res)
+            assert unknowns == [(l, m) for l in range(dim) for m in sorted_words(dim, deg)]
             # the system is stated in int, as D times the finite-difference one
-            D = int_scale(sys, fd_rows, base)
+            D = int_scale(full, fd_rows, base)
             assert D > 0
+            assert all(type(c) is int for row in full.rows for c in [*row.values()])
+            assert all(type(c) is int for c in full.rhs)
+            assert full.rows == [{c: D * v for c, v in row.items()} for row in fd_rows], (a, b, deg)
+            assert full.rhs == [-D * v for v in [base[0] + 1, *base[1:]]]
+            live = {row_weights[r] for r, v in enumerate(base) if v}
+            live_rows = [r for r, w in enumerate(row_weights) if w in live]
+            live_columns = [c for c, w in enumerate(column_weights) if w in live]
+            index = {c: n for n, c in enumerate(live_columns)}
+            sys, live_unknowns = _iso_system(ctxs[a], ctxs[b], weights, deg, cop_res, poi_res)
+            assert live_unknowns == [unknowns[c] for c in live_columns]
+            assert sys.n_cols == len(live_columns)
             assert all(type(c) is int for row in sys.rows for c in [*row.values()])
-            assert all(type(c) is int for c in sys.rhs)
-            assert sys.rows == [{j: D * c for j, c in row.items()} for row in fd_rows], (a, b, deg)
-            assert sys.rhs == [-D * v for v in base]
+            assert sys.rows == [{index[c]: D * v for c, v in fd_rows[r].items()} for r in live_rows]
+            assert sys.rhs == [-D * base[r] for r in live_rows]
             nontrivial += any(base)
     # the pairs exercise the solve, not only the zero-residual shortcut
     assert nontrivial >= len(pairs)
+
+
+@cache
+def iso_contexts(problem, N, a, b):
+    """The contexts of a pair of a bundled problem, and its grading."""
+    G = bundled(f"{problem}.glb")
+    ctx_a, ctx_b = (PairingContext(build_delta_gamma(G, g), N) for g in (a, b))
+    return ctx_a, ctx_b, torus_grading(G)
+
+
+@pytest.mark.parametrize("problem, N, a, b", [("sl2-weyl", 4, 0, 1), ("axb", 4, 0, 1)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_blocked_iso_solve_equals_full_solve(problem, N, a, b, data):
+    """Under the torus grading the iso system states only the live blocks;
+    solving it gives what solve_linear gives on the full system (the zero
+    grading): the same solvability and, with every other unknown 0, the
+    same solution.  The residuals are J p (consistent, possibly over several
+    blocks) plus a sparse random error, over a random denominator."""
+    ctx_a, ctx_b, weights = iso_contexts(problem, N, a, b)
+    dim = ctx_a.dim
+    zero = ((),) * dim
+    deg = data.draw(st.integers(2, N), label="deg")
+    words = sorted_words(dim, deg)
+    monos = slot_monomials(dim, 2, deg, least=0)
+    n_pairs = dim * (dim - 1) // 2
+    n_cop = dim * len(monos)
+
+    def residuals(vector):
+        """The residuals whose degree-deg coefficients, in the full
+        system's row order, are vector (by row index)."""
+        cop = [
+            SparseTensor(2, N, {m: vector.get(l * len(monos) + r, 0) for r, m in enumerate(monos)})
+            for l in range(dim)
+        ]
+        row0 = [n_cop + p * len(words) for p in range(n_pairs)]
+        poi = [SparseTensor(1, N, {(w,): vector.get(r0 + r, 0) for r, w in enumerate(words)}) for r0 in row0]
+        return cop, poi
+
+    J, _ = _iso_system(ctx_a, ctx_b, zero, deg, *residuals({0: 1}))
+    p = data.draw(
+        st.dictionaries(st.integers(0, J.n_cols - 1), st.integers(-3, 3), min_size=1, max_size=5),
+        label="p",
+    )
+    errors = st.dictionaries(
+        st.integers(0, len(J.rows) - 1), st.integers(-2, 2), min_size=1, max_size=2
+    )
+    error = data.draw(st.one_of(st.just({}), errors), label="error")
+    scale = data.draw(st.sampled_from([F(1), F(1, 2), F(-2, 3)]), label="scale")
+    vector = {}
+    for r, row in enumerate(J.rows):
+        v = -sum(c * p.get(col, 0) for col, c in row.items()) + error.get(r, 0)
+        if v:
+            vector[r] = v * scale
+    cop_res, poi_res = residuals(vector)
+    blocked, unknowns = _iso_system(ctx_a, ctx_b, weights, deg, cop_res, poi_res)
+    full, all_unknowns = _iso_system(ctx_a, ctx_b, zero, deg, cop_res, poi_res)
+    res_blocked, res_full = solve_linear(blocked), solve_linear(full)
+    assert res_blocked.solvable == res_full.solvable
+    if not any(error.values()):
+        assert res_full.solvable
+    if res_full.solvable:
+        solution = dict(zip(unknowns, res_blocked.solution))
+        assert [solution.get(u, 0) for u in all_unknowns] == res_full.solution
 
 
 def test_algebra_map_inverse_roundtrip():
@@ -281,7 +423,7 @@ def test_algebra_map_inverse_roundtrip():
     ctx_e = PairingContext(build_delta_gamma(G, 0), N)
     ctx_s = PairingContext(build_delta_gamma(G, 1), N)
     lift = lift_twist(ctx_e, leading_term(G, 0, 1, N))
-    j = build_iso(ctx_e, ctx_s, lift)
+    j = build_iso(ctx_e, ctx_s, lift, torus_grading(G))
     jinv = j.inverse()
     for i in range(2):
         gen = SparseTensor.generator(i, N)
@@ -332,7 +474,7 @@ def test_build_u_direct_and_error_paths():
     lift_es = lift_twist(ctx_e, leading_term(G, 0, 1, N))
     lift_se = lift_twist(ctx_s, leading_term(G, 1, 0, N))
     lift_ee = lift_twist(ctx_e, leading_term(G, 0, 0, N))
-    j_es = build_iso(ctx_e, ctx_s, lift_es)
+    j_es = build_iso(ctx_e, ctx_s, lift_es, torus_grading(G))
     from gammastack.stack import AlgebraMap
 
     u = build_u(ctx_e, AlgebraMap(j_es.images, N).inverse(), lift_es, lift_se, lift_ee)
@@ -360,7 +502,7 @@ def test_build_u_reports_corrupted_composition(mono):
     lift_es = lift_twist(ctx_e, leading_term(G, 0, 1, N))
     lift_se = lift_twist(ctx_s, leading_term(G, 1, 0, N))
     lift_ee = lift_twist(ctx_e, leading_term(G, 0, 0, N))
-    j_inv = build_iso(ctx_e, ctx_s, lift_es).inverse()
+    j_inv = build_iso(ctx_e, ctx_s, lift_es, torus_grading(G)).inverse()
 
     bad_bc = lift_se + SparseTensor(2, N, {mono: F(1)})
     composed = ctx_e.bch_star(j_inv.apply(bad_bc), lift_es)
@@ -399,7 +541,7 @@ def test_solve_gauge_rejects_non_twist_source(mono):
     lift_es = lift_twist(ctx_e, leading_term(G, 0, 1, N))
     lift_se = lift_twist(ctx_s, leading_term(G, 1, 0, N))
     lift_ee = lift_twist(ctx_e, leading_term(G, 0, 0, N))
-    j_inv = build_iso(ctx_e, ctx_s, lift_es).inverse()
+    j_inv = build_iso(ctx_e, ctx_s, lift_es, torus_grading(G)).inverse()
     bad_bc = lift_se + SparseTensor(2, N, {mono: F(1)})
     composed = ctx_e.bch_star(j_inv.apply(bad_bc), lift_es)
     with pytest.raises(StackBuildError, match="degree"):
@@ -599,7 +741,7 @@ def test_trivially_acting_elements_repeat_the_stack_data(problem, N):
     def direct(a, b):
         ctx_a, ctx_b = PairingContext(deltas[a], N), PairingContext(deltas[b], N)
         lift = lift_twist(ctx_a, leading_term(G, a, b, N))
-        return ctx_a, lift, build_iso(ctx_a, ctx_b, lift)
+        return ctx_a, lift, build_iso(ctx_a, ctx_b, lift, torus_grading(G))
 
     built = {(a, b): direct(a, b) for a in grp.elements() for b in grp.elements()}
     cert = verify_stack(G, N)
@@ -809,3 +951,39 @@ def test_theta_transports_the_stack_data(problem, N, differ):
             assert gauge_act(ctx[a], lam, moved) == direct
             changed += moved != direct
     assert changed == differ
+
+
+@pytest.mark.parametrize(
+    "problem", ["abelian", "axb", "sl2-weyl", "trivial-que", "abelian-que", "sl2-que"]
+)
+def test_torus_grading_makes_the_stack_homogeneous(problem):
+    """At the file's truncation, under `torus_grading`: every bracket,
+    cobracket and twist term is homogeneous, each f_gamma of weight 0; each
+    theta_g maps each weight space into one weight space; every lift and
+    gauge has weight 0; and each iso maps e_l into the weight space of e_l."""
+    parsed = parse_problem(data_path(f"{problem}.glb").read_text(encoding="utf-8"))
+    G, N = parsed.G, parsed.degree
+    weights = torus_grading(G)
+    dim = G.lba.dim
+    zero = word_weight(weights, ())
+    for i, j, k in G.lba.bracket:
+        assert word_weight(weights, (k,)) == word_weight(weights, (i, j))
+    for k, i, j in G.lba.cobracket:
+        assert word_weight(weights, (k,)) == word_weight(weights, (i, j))
+    for f in G.f.values():
+        assert all(word_weight(weights, (i, j)) == zero for i, j in f)
+    for m in G.theta.values():
+        for w in set(weights):
+            space = [j for j in range(dim) if weights[j] == w]
+            assert len({weights[i] for j in space for i in range(dim) if m[i][j]}) <= 1
+
+    def series_weights(s):
+        return {word_weight(weights, tuple(i for slot in mono for i in slot)) for mono in s.num}
+
+    cert = verify_stack(G, N)
+    assert cert.ok
+    for s in [*cert.lifts.values(), *cert.gauges.values()]:
+        assert series_weights(s) <= {zero}
+    for j in cert.isos.values():
+        for l, image in enumerate(j.images):
+            assert series_weights(image) == {weights[l]}
