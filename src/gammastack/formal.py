@@ -33,7 +33,6 @@ from gammastack.tensors import (
     multiset_factor,
     nums_over_lcm,
     sorted_words,
-    unit_monomial,
 )
 
 Word = tuple[int, ...]
@@ -408,9 +407,6 @@ class PairingContext:
     def zero(self, slots: int = 1) -> TensorSeries:
         return SparseTensor.zero(slots, self.trunc)
 
-    def unit(self, slots: int = 1) -> TensorSeries:
-        return SparseTensor.unit(slots, self.trunc)
-
     def coproduct(self, a: TensorSeries) -> TensorSeries:
         """Delta_gamma on a 1-slot series, yielding a 2-slot series."""
         if a.slots != 1:
@@ -631,9 +627,6 @@ class PairingContext:
             total = total + term
             k += 1
         return total
-
-    def counit(self, a: TensorSeries) -> Fraction:
-        return a.coefficient(unit_monomial(a.slots))
 
 
 def tensor2_to_series(t: Tensor2, trunc: int) -> TensorSeries:

@@ -10,10 +10,8 @@ on every basis tuple / group tuple and report all violations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
-from gammastack.linalg import LinearSystem, _eliminate
 from gammastack.tensors import _add_into
 
 Vec = dict[int, Fraction]
@@ -347,49 +345,6 @@ def delta_gamma_tensor(G: GammaLieBialgebra, gamma: int, k: int) -> Tensor2:
         for m, cm in G.lba.bracket_elems(b, k).items():
             _add_into(out, (a, m), c * cm)
     return out
-
-
-def torus_grading(G: GammaLieBialgebra) -> tuple[tuple[int, ...], ...]:
-    """Each generator's weight in the finest grading by Z^r that makes the
-    bracket, the cobracket and every f_gamma homogeneous, f_gamma of weight 0.
-
-    A grading by Z is one int w_i per generator with w_k = w_i + w_j on
-    every bracket term ([e_i, e_j] has e_k) and every cobracket term
-    (delta(e_k) has e_i (x) e_j), and w_i + w_j = 0 on every term
-    e_i (x) e_j of every f_gamma.  The solutions are the kernel of these
-    rows; its basis has one vector per free column of their reduced row
-    echelon form (`linalg._eliminate`): 1 there, 0 at the other free
-    columns, scaled to coprime ints.  Generator i has weight (w^1_i, ...,
-    w^r_i) over the basis, () when the kernel is 0.  Then every
-    delta_gamma = delta + [f_gamma, .] is homogeneous as well, so one
-    grading serves every context.
-    """
-    lba, dim = G.lba, G.lba.dim
-    terms = [(k, i, j) for (i, j, k) in lba.bracket] + list(lba.cobracket)
-    rows: list[dict[int, int]] = []
-    for k, i, j in terms:
-        row: dict[int, int] = {k: 1}
-        _add_into(row, i, -1)
-        _add_into(row, j, -1)
-        rows.append(row)
-    for f in G.f.values():
-        for i, j in f:
-            row = {i: 1}
-            _add_into(row, j, 1)
-            rows.append(row)
-    pivots, reduced, _ = _eliminate(LinearSystem(dim, rows, [0] * len(rows)))
-    pivot_rows = {col: reduced[r] for r, col in pivots}
-    basis = []
-    for free in range(dim):
-        if free in pivot_rows:
-            continue
-        vec = {free: Fraction(1)}
-        for col, row in pivot_rows.items():
-            if free in row:
-                vec[col] = Fraction(-row[free], row[col])
-        den = lcm(*(c.denominator for c in vec.values()))
-        basis.append([int(vec.get(i, 0) * den) for i in range(dim)])
-    return tuple(tuple(v[i] for v in basis) for i in range(dim))
 
 
 def validate_gamma_lba(G: GammaLieBialgebra) -> list[ValidationIssue]:

@@ -12,6 +12,7 @@ canonical writer of the bundled files is `tools/serialize.py`, outside it.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -53,21 +54,25 @@ class Problem(NamedTuple):
     pbw: int
 
 
+# an integer is ASCII digits with an optional sign: int() alone would also
+# take "1_0" and non-ASCII digits such as "\u0662"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_scalar(tok: str, line: int) -> Fraction:
+    parts = tok.split("/")
+    if len(parts) > 2 or not all(_INTEGER.fullmatch(p) for p in parts):
+        raise ProblemParseError(f"bad scalar {tok!r}", line)
     try:
-        if "/" in tok:
-            p, q = tok.split("/")
-            return F(int(p), int(q))
-        return F(int(tok))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ProblemParseError(f"bad scalar {tok!r}: {exc}", line)
+        return F(*map(int, parts))
+    except ZeroDivisionError as exc:
+        raise ProblemParseError(f"bad scalar {tok!r}: {exc}", line) from None
 
 
 def _parse_int(tok: str, line: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ProblemParseError(f"bad integer {tok!r}", line) from None
+    if not _INTEGER.fullmatch(tok):
+        raise ProblemParseError(f"bad integer {tok!r}", line)
+    return int(tok)
 
 
 def _groups(toks: list[str], width: int, syntax: str, line: int) -> list[list[str]]:
@@ -232,6 +237,10 @@ def parse_problem(text: str) -> Problem:
             if parts[0] == "labels":
                 once("[group] labels", ln)
                 group_labels = _distinct_labels(parts[1:], ln)
+                # certificate keys join group labels with ","
+                for l in group_labels:
+                    if "," in l:
+                        raise ProblemParseError(f"reserved group label {l!r}", ln)
                 group_index = {l: i for i, l in enumerate(group_labels)}
                 group_line = section[2]
             elif parts[0] == "row":
@@ -277,10 +286,9 @@ def parse_problem(text: str) -> Problem:
             if parts[0] not in trunc:
                 raise ProblemParseError(f"unknown truncation entry {parts[0]!r}", ln)
             once(f"[truncation] {parts[0]}", ln)
-            try:
-                (value,) = map(int, parts[1:])
-            except ValueError:
-                raise ProblemParseError(f"{parts[0]} needs one integer value", ln) from None
+            if len(parts) != 2 or not _INTEGER.fullmatch(parts[1]):
+                raise ProblemParseError(f"{parts[0]} needs one integer value", ln)
+            value = int(parts[1])
             least = TRUNCATION_MIN[parts[0]]
             if value < least:
                 raise ProblemParseError(f"{parts[0]} must be at least {least}", ln)

@@ -365,8 +365,8 @@ class QueContext:
     def unit(self, slots: int = 1) -> HElement:
         return HElement(self, slots, {(0, unit_monomial(slots)): F(1)})
 
-    def gen(self, i: int, hbar: int = 0) -> HElement:
-        return HElement(self, 1, {(hbar, ((i,),)): F(1)})
+    def gen(self, i: int) -> HElement:
+        return HElement(self, 1, {(0, ((i,),)): F(1)})
 
     def labeled(self, word: Word, gamma: int) -> CrossedElement:
         return CrossedElement(self, 1, {(0, ((word, gamma),)): F(1)})

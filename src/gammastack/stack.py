@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from gammastack.cohomology import CoboundaryObstruction, cohochschild_d, solve_coboundary
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
-from gammastack.liealg import GammaLieBialgebra, torus_grading, wedge2_apply
-from gammastack.linalg import LinearSystem, solve_linear
+from gammastack.liealg import GammaLieBialgebra, wedge2_apply
+from gammastack.linalg import LinearSystem, reached_part, solve_linear
 from gammastack.tensors import (
     Monomial,
     SparseTensor,
@@ -307,10 +307,7 @@ def iso_residuals(
 
 
 def build_iso(
-    ctx_src: PairingContext,
-    ctx_dst: PairingContext,
-    ftilde: TensorSeries,
-    weights: tuple[tuple[int, ...], ...],
+    ctx_src: PairingContext, ctx_dst: PairingContext, ftilde: TensorSeries
 ) -> AlgebraMap:
     """Solve for the algebra map intertwining the twisted coproduct and the
     Poisson brackets, degree by degree, identity in degree 1.
@@ -325,31 +322,29 @@ def build_iso(
     degree gives both the check of degree d and the right-hand side of
     degree d+1.
 
-    weights is a grading of g for which both contexts and ftilde are
-    homogeneous (`liealg.torus_grading`); the system is block-diagonal
-    under it, and only the blocks the residual lives in are stated and
-    solved.  An inconsistent block is reported by the row at which the
-    full system fails, which is the same system under the zero grading.
+    Only the part of the system the residual reaches (`linalg.reached_part`)
+    is solved; every other unknown is 0.  An inconsistent part is reported
+    by the row at which the full system fails.
     """
-    dim = ctx_src.dim
     N = ctx_src.trunc
-    images = [SparseTensor.generator(i, N) for i in range(dim)]
+    images = [SparseTensor.generator(i, N) for i in range(ctx_src.dim)]
     twisted = [twisted_coproduct(ctx_src, ftilde, gen) for gen in images]
     cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(images, N))
     for deg in range(2, N + 1):
         if all(r.homogeneous_part(deg).is_zero() for r in cop_res + poi_res):
             continue
-        system, unknowns = _iso_system(ctx_src, ctx_dst, weights, deg, cop_res, poi_res)
-        res = solve_linear(system)
+        system, unknowns = _iso_system(ctx_src, ctx_dst, deg, cop_res, poi_res)
+        part, columns = reached_part(system)
+        res = solve_linear(part)
         if not res.solvable:
-            full, _ = _iso_system(ctx_src, ctx_dst, ((),) * dim, deg, cop_res, poi_res)
             raise StackBuildError(
                 f"isomorphism solve failed at degree {deg}: nonzero residual class"
-                f"; inconsistent equation row {solve_linear(full).failure_row}"
+                f"; inconsistent equation row {solve_linear(system).failure_row}"
                 " (upstream twist data is inconsistent)"
             )
-        for (l, m), c in zip(unknowns, res.solution):
+        for col, c in zip(columns, res.solution):
             if c:
+                l, m = unknowns[col]
                 images[l] = images[l] + SparseTensor(1, N, {(m,): c})
         cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(images, N))
         if not all(r.homogeneous_part(deg).is_zero() for r in cop_res + poi_res):
@@ -360,20 +355,19 @@ def build_iso(
 def _iso_system(
     ctx_src: PairingContext,
     ctx_dst: PairingContext,
-    weights: tuple[tuple[int, ...], ...],
     deg: int,
     cop_res: list[TensorSeries],
     poi_res: list[TensorSeries],
 ) -> tuple[LinearSystem, list[tuple[int, Word]]]:
-    """The live blocks of the degree-deg system J p = -r of build_iso, and
-    their unknowns (l, m) in column order.
+    """The degree-deg system J p = -r of build_iso, and its unknowns (l, m)
+    in column order.
 
-    In the full system the unknown (l, m), the word m added to the image
-    of e_l, is column l * len(words) + (index of m).  r is the degree-deg
-    part of the `iso_residuals` output (cop_res, poi_res), one row per
-    coefficient: coproduct blocks first, one per generator over the 2-slot
-    monomials, then Poisson blocks, one per pair i < k over the words.  The
-    column of (l, m) is
+    The unknown (l, m), the word m added to the image of e_l, is column
+    l * len(words) + (index of m).  r is the degree-deg part of the
+    `iso_residuals` output (cop_res, poi_res), one row per coefficient:
+    coproduct blocks first, one per generator over the 2-slot monomials,
+    then Poisson blocks, one per pair i < k over the words.  The column of
+    (l, m) is
     - in coproduct block l: [Delta_dst(m)]_d - m|1 - 1|m;
     - in Poisson block (i, k): {e_i, e_k}_src[e_l] m - [l=i] [{m, e_k}_dst]_d
       + [l=k] [{m, e_i}_dst]_d;
@@ -381,18 +375,6 @@ def _iso_system(
     coproduct of e_l has degree-1 part e_l|1 + 1|e_l (a bracket with the
     twist in m^2 raises degree), the Poisson column because the bracket is
     antisymmetric.
-
-    The contexts are homogeneous under weights, a word weighing the sum of
-    its letters' weights, so each entry joins a row and a column of one
-    weight: column (l, m) weighs wt(m) - wt(e_l), coproduct row (l, mu)
-    wt(mu) - wt(e_l), Poisson row ((i, k), v) wt(v) - wt(e_i) - wt(e_k).
-    The live weights are those of the rows where r is nonzero; the system
-    states only the rows and columns of live weight, each in its full
-    order.  Its solution (free unknowns 0) is the full system's on them,
-    and the full system's is 0 on every other unknown: the blocks are
-    solved apart, and a block with a zero right-hand side has solution 0.
-    Under the zero grading every weight is (), so a nonzero r makes the
-    system the full one.
 
     The system is stated in int, as D J p = -D r with D the lcm of the
     denominators of r and of the context tables, and each column part is
@@ -406,40 +388,24 @@ def _iso_system(
     mono_index = {mono: r for r, mono in enumerate(monos)}
     n_words, n_monos = len(words), len(monos)
     pairs = [(i, k) for i in range(dim) for k in range(i + 1, dim)]
-    # each weight as one int, its components the digits in base
-    # 2 (deg + 2) top + 1: no component of a row's or a column's weight
-    # exceeds (deg + 2) top in size, so distinct weights stay distinct
-    top = max((abs(c) for w in weights for c in w), default=0)
-    base = 2 * (deg + 2) * top + 1
-    gen = [sum(c * base**t for t, c in enumerate(w)) for w in weights]
-    wt = {w: sum(gen[i] for i in w) for d in range(deg + 1) for w in sorted_words(dim, d)}
-    column_weights = [wt[m] - g for g in gen for m in words]
-    row_weights = [wt[b1] + wt[b2] - g for g in gen for b1, b2 in monos]
-    row_weights += [wt[v] - gen[i] - gen[k] for i, k in pairs for v in words]
     cop_den, cop_table = ctx_dst._coproduct_den, ctx_dst._coproduct_table
     dst_lcm, dst_table, codes = ctx_dst._bracket_lcm, ctx_dst._bracket_table, ctx_dst._word_codes
     src_lcm, src_table, src_codes = ctx_src._bracket_lcm, ctx_src._bracket_table, ctx_src._word_codes
     width = ctx_dst._slot_bits
     D = lcm(cop_den, dst_lcm, src_lcm, *(r.den for r in (*cop_res, *poi_res)))
-    # -D r by full row index
-    target: dict[int, int] = {}
+    poisson_row0 = dim * n_monos
+    rows: list[dict[int, int]] = [{} for _ in range(poisson_row0 + len(pairs) * n_words)]
+    rhs = [0] * len(rows)
     for l, r in enumerate(cop_res):
         for mono, n in r.num.items():
             row = mono_index.get(mono)
             if row is not None:
-                target[l * n_monos + row] = -n * (D // r.den)
-    poisson_row0 = dim * n_monos
+                rhs[l * n_monos + row] = -n * (D // r.den)
     for p, r in enumerate(poi_res):
         for (v,), n in r.num.items():
             row = word_index.get(v)
             if row is not None:
-                target[poisson_row0 + p * n_words + row] = -n * (D // r.den)
-    live = {row_weights[row] for row in target}
-    live_rows = [row for row, w in enumerate(row_weights) if w in live]
-    live_columns = [col for col, w in enumerate(column_weights) if w in live]
-    row_of = {row: index for index, row in enumerate(live_rows)}
-    rows: list[dict[int, int]] = [{} for _ in live_rows]
-    rhs = [target.get(row, 0) for row in live_rows]
+                rhs[poisson_row0 + p * n_words + row] = -n * (D // r.den)
     # the coefficient of e_l in {e_i, e_k}_src, times D, per pair
     generator = {src_codes[(l,)]: l for l in range(dim)}
     linear = [
@@ -453,11 +419,9 @@ def _iso_system(
     word_of_code = {codes[w]: r for r, w in enumerate(words)}
     gen_codes = [codes[(k,)] for k in range(dim)]
     k_cop, k_dst = D // cop_den, D // dst_lcm
-    unknowns = []
-    for col, full_col in enumerate(live_columns):
-        l, r = divmod(full_col, n_words)
-        m = words[r]
-        unknowns.append((l, m))
+    unknowns = [(l, m) for l in range(dim) for m in words]
+    for col, (l, m) in enumerate(unknowns):
+        r = col % n_words
         ones = ((m, ()), ((), m))
         for mono, n in cop_table[m].items():
             row = mono_index.get(mono)
@@ -465,7 +429,7 @@ def _iso_system(
                 if mono in ones:
                     n -= cop_den
                 if n:
-                    rows[row_of[l * n_monos + row]][col] = n * k_cop
+                    rows[l * n_monos + row][col] = n * k_cop
         high = codes[m] << width
         for p, (i, k) in enumerate(pairs):
             entries: dict[int, int] = {}
@@ -482,8 +446,8 @@ def _iso_system(
             row0 = poisson_row0 + p * n_words
             for v, n in entries.items():
                 if n:
-                    rows[row_of[row0 + v]][col] = n
-    return LinearSystem(len(live_columns), rows, rhs), unknowns
+                    rows[row0 + v][col] = n
+    return LinearSystem(len(unknowns), rows, rhs), unknowns
 
 
 # -- certificates ---------------------------------------------------------------
@@ -636,13 +600,9 @@ def verify_stack(G: GammaLieBialgebra, N: int) -> StackCertificate:
     Weyl group, give delta_{ak} = delta_a and the same leading term at
     (ak, bk) as at (a, b).  Builder and residual steps are keyed by
     different functions, so no residual reuses a builder value.
-
-    The torus grading of G (`torus_grading`) is computed once, and every
-    `build_iso` solves only the weight blocks its residual lives in.
     """
     grp = G.group
     labels = G.lba.labels
-    weights = torus_grading(G)
     memo = _Memo()
     by_cobracket: dict[frozenset, PairingContext] = {}
     contexts: dict[int, PairingContext] = {}
@@ -665,7 +625,7 @@ def verify_stack(G: GammaLieBialgebra, N: int) -> StackCertificate:
     isos: dict[tuple[int, int], AlgebraMap] = {}
     for (a, b) in pairs:
         lifts[(a, b)] = memo(lift_twist, contexts[a], leading_for(a, b))
-        isos[(a, b)] = memo(build_iso, contexts[a], contexts[b], lifts[(a, b)], weights)
+        isos[(a, b)] = memo(build_iso, contexts[a], contexts[b], lifts[(a, b)])
     inv_isos = {ab: memo(AlgebraMap.inverse, isos[ab]) for ab in pairs}
 
     triples = [(a, b, c) for a in grp.elements() for b in grp.elements() for c in grp.elements()]

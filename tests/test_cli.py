@@ -172,6 +172,11 @@ def test_ragged_entry_exit_2(tmp_path):
         ("axb", "degree 4", "degree 4\ndegree 5", (21, 22)),
         ("axb", "[twist s]", "[action s]\nmap x = -1 x\n\n[twist s]", 17),
         ("trivial-que", "[quantum-gauge e e]", "[quantum-morphism s y]\nterm 0 1 y y\n\n[quantum-gauge e e]", 47),
+        ("axb", "labels e s", "labels e e,e", 9),
+        ("axb", "dim 2", "dim \u0662", 3),
+        ("axb", "term -2 x y", "term -2_0 x y", 18),
+        ("sl2-que", "term 1 -1/2 e|f", "term 1 -1/\u0662 e|f", 76),
+        ("sl2-que", "term 1 -1/2 e|f", "term 1_0 -1/2 e|f", 76),
     ],
     ids=["dim-trailing", "header-trailing", "twist-trailing", "rmatrix-trailing", "negative-hbar",
          "quantum-keyword", "word-not-pbw-ordered", "repeated-basis-label",
@@ -179,15 +184,20 @@ def test_ragged_entry_exit_2(tmp_path):
          "label-one", "label-with-bar", "diagonal-bracket", "diagonal-cobracket",
          "diagonal-twist", "dim-zero", "dim-negative", "repeated-algebra-labels",
          "repeated-group-labels", "repeated-dim", "repeated-row", "repeated-degree",
-         "repeated-action-section", "repeated-quantum-section"],
+         "repeated-action-section", "repeated-quantum-section", "group-label-with-comma",
+         "dim-non-ascii-digit", "scalar-underscore", "scalar-non-ascii-denominator",
+         "hbar-power-underscore"],
 )
 def test_malformed_entry_exit_2(tmp_path, name, entry, replacement, line):
     """Extra tokens, negative hbar powers, a quantum line that does not start
     with `term`, a word out of PBW order (f e = e f - h in U(sl2), so it
     cannot be reordered silently), a repeated label and a group row of the
     wrong length exit 2 naming the line.  So do a basis label that a word or
-    a tensor slot would misread ("1", "f|g"), an antisymmetric entry that
-    pairs a label with itself (c and -c on one key) and a dim below 1.  A
+    a tensor slot would misread ("1", "f|g"), a group label that a
+    certificate key would misread ("e,e": keys join group labels with ","),
+    an integer that is not ASCII digits with an optional sign ("1_0", an
+    Arabic-Indic digit), an antisymmetric entry that pairs a label with
+    itself (c and -c on one key) and a dim below 1.  A
     single-valued entry (dim, labels, a group row, a truncation) or a section
     header (name and arguments: a second [action s] would double theta_s, a
     second [quantum-morphism s y] add to the first) given twice is an error
@@ -313,6 +323,46 @@ def test_quantize_certificate(tmp_path):
     cert = json.loads(out.read_text())
     assert cert["valid"] is True
     assert cert["kind"] == "quantum_stack_certificate"
+
+
+@pytest.mark.parametrize(
+    "entry, replacement, invalid",
+    [
+        ("bracket e f = 1 h", "bracket e f = 1 e", {
+            "jacobi": ["(e,f,h)", "(e,h,f)", "(f,e,h)", "(f,h,e)", "(h,e,f)", "(h,f,e)"],
+            "condition-c": ["(w)", "(w3)"],
+        }),
+        ("cobracket f = 1/2 h f", "cobracket f = 1/2 e f", {"co-jacobi": ["(f)"]}),
+    ],
+    ids=["jacobi", "co-jacobi"],
+)
+def test_validate_names_jacobi_co_jacobi_and_condition_c(tmp_path, entry, replacement, invalid):
+    """One edited line of sl2-weyl.glb: [e, f] = e breaks the Jacobi
+    identity and condition (c), delta(f) = 1/2 e^f the co-Jacobi identity.
+    validate exits 1 and prints each violated tuple of these identities
+    (with others the edit breaks too)."""
+    lines = data_path("sl2-weyl.glb").read_text(encoding="utf-8").splitlines()
+    lines[lines.index(entry)] = replacement
+    bad = tmp_path / "bad.glb"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli("validate", str(bad))
+    assert (code, err) == (1, "")
+    for condition, where in invalid.items():
+        named = [line for line in out.splitlines() if line.startswith(f"INVALID {condition} ")]
+        assert named == [f"INVALID {condition} violated at {w}" for w in where]
+
+
+def test_admissibilize_rejects_a_twist_outside_1_plus_hbar_u(tmp_path):
+    """A constant e|f term in sl2-que's F[w] takes it out of 1 + hbar U:
+    admissibilize exits 1 with one stderr line and prints nothing."""
+    lines = data_path("sl2-que.glb").read_text(encoding="utf-8").splitlines()
+    k = lines.index("[quantum-twist w]") + 1
+    lines.insert(k, "term 0 1 e|f")
+    bad = tmp_path / "bad.glb"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli("admissibilize", str(bad), "--target", "w")
+    assert (code, out) == (1, "")
+    assert err == "admissibilization failed: twist must lie in 1 + hbar U\n"
 
 
 def test_admissibilize_command(capsys):
@@ -468,7 +518,7 @@ def test_truncation_below_minimum_exit_2(args):
     assert err.startswith("error: --") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("entry", ["degree four", "degree", "hbar 0", "hbar 1"])
+@pytest.mark.parametrize("entry", ["degree four", "degree", "hbar 0", "hbar 1", "degree 1_0", "degree \u0664"])
 def test_malformed_truncation_entry_exit_2(tmp_path, entry):
     text = data_path("axb.glb").read_text(encoding="utf-8")
     bad = tmp_path / "bad.glb"

@@ -11,7 +11,6 @@ from gammastack.liealg import (
     LieBialgebra,
     classical_yang_baxter,
     copoisson_envelope,
-    torus_grading,
     validate_gamma_lba,
 )
 from gammastack.problemfile import parse_problem
@@ -21,7 +20,6 @@ from gammastack.tensors import _add_into
 from tools.bundled import QuasitriangularError, from_quasitriangular
 
 from conftest import (
-    abelian_flat_lba,
     abelian_gamma,
     abelian_twisted_gamma,
     axb_gamma,
@@ -316,29 +314,3 @@ def test_copoisson_envelope_equals_coleibniz_recursion(name):
 def test_copoisson_envelope_rejects_longer_words(axb):
     with pytest.raises(ValueError):
         copoisson_envelope(axb, (0, 1), axb.group.identity)
-
-
-@pytest.mark.parametrize(
-    "problem, weights",
-    [
-        ("sl2-weyl.glb", ((0,), (-1,), (1,))),
-        ("axb.glb", ((), ())),
-        ("abelian.glb", ((1,), (0,))),
-    ],
-)
-def test_torus_grading_of_bundled_problems(problem, weights):
-    """h, e, f weigh 0, -1, 1; axb's conditions leave only the zero
-    lattice; the abelian cobracket delta(x) = x^y forces wt(y) = 0."""
-    G = parse_problem(data_path(problem).read_text(encoding="utf-8")).G
-    assert torus_grading(G) == weights
-
-
-def test_torus_grading_has_one_vector_per_free_column():
-    """Zero structure constants leave every weight free: one basis vector
-    per generator.  [a, b] = c leaves b and c free: a = c - b."""
-    group = FiniteGroup.cyclic(1)
-    flat = GammaLieBialgebra(abelian_flat_lba(), group, {0: [[1, 0], [0, 1]]}, {0: {}})
-    assert torus_grading(flat) == ((1, 0), (0, 1))
-    lba = LieBialgebra(3, ["a", "b", "c"], {(0, 1, 2): F(1), (1, 0, 2): F(-1)}, {})
-    ident = [[int(i == j) for j in range(3)] for i in range(3)]
-    assert torus_grading(GammaLieBialgebra(lba, group, {0: ident}, {0: {}})) == ((-1, 1), (1, 0), (0, 1))

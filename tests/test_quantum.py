@@ -247,7 +247,7 @@ def test_exp_log_roundtrip():
 
 def test_membership_fast_examples():
     ctx = sl2_ctx()
-    hx = ctx.gen(0, hbar=1)
+    hx = ctx.gen(0).hbar_shift(1)
     ok, _ = drinfeld_prime_membership(hx)
     assert ok
     x = ctx.gen(0)
@@ -262,7 +262,7 @@ def test_membership_general_unit_and_primitive():
     ctx = sl2_ctx()
     ok, _ = drinfeld_prime_membership_general(ctx.unit(1))
     assert ok
-    ok, _ = drinfeld_prime_membership_general(ctx.gen(1, hbar=1))
+    ok, _ = drinfeld_prime_membership_general(ctx.gen(1).hbar_shift(1))
     assert ok
 
 
@@ -314,7 +314,7 @@ def test_admissible_unit():
 
 def test_admissible_exp_hbar_primitive():
     ctx = sl2_ctx()
-    x = ctx.exp(ctx.gen(1, hbar=1))
+    x = ctx.exp(ctx.gen(1).hbar_shift(1))
     ok, _ = is_admissible(x)
     assert ok
 

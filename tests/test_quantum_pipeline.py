@@ -174,7 +174,7 @@ def test_gauge_transform_grouplike_central():
     # central; grouplike centrality needs the abelian ambient instead
     data = abelian_que_data(3, 4)
     ctx = data.ctx
-    bx = ctx.exp(ctx.gen(0, hbar=1))
+    bx = ctx.exp(ctx.gen(0).hbar_shift(1))
     d = ctx.coproduct_slot(bx, 0)
     b1b2 = tensor_unit(bx, 1) * tensor_unit(bx, 0)
     if d == b1b2:  # grouplike for this ambient
@@ -190,7 +190,7 @@ def test_gauge_transform_grouplike_central():
         ident = [[F(1), F(0)], [F(0), F(1)]]
         G = GammaLieBialgebra(lba, group, {0: ident, 1: ident}, {0: {}, 1: {}})
         ctx2 = QueContext(G, 3, 6)
-        bx = ctx2.exp(ctx2.gen(0, hbar=1))
+        bx = ctx2.exp(ctx2.gen(0).hbar_shift(1))
         s = HElement(ctx2, 2, {(1, ((0,), (1,))): F(2)})
         f = ctx2.exp(s)
         assert gauge_twist(ctx2, bx, f) == f

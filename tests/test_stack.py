@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from gammastack.cohomology import alt
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
-from gammastack.liealg import mat_apply, torus_grading, wedge2_apply
+from gammastack.liealg import FiniteGroup, LieBialgebra, mat_apply, validate_gamma_lba, wedge2_apply
 from gammastack.cli import data_path
-from gammastack.linalg import solve_linear
+from gammastack import stack
+from gammastack.linalg import reached_part, solve_linear
 from gammastack.problemfile import parse_problem
 from gammastack.stack import (
     AlgebraMap,
@@ -31,7 +32,9 @@ from gammastack.stack import (
 )
 from gammastack.tensors import SparseTensor, monomial_degree, slot_monomials, sorted_words, tensor_unit
 
-from conftest import abelian_flat_lba, axb_gamma, axb_lba, randomized_lift
+from tools.bundled import from_quasitriangular
+
+from conftest import abelian_flat_lba, axb_gamma, axb_lba, randomized_lift, sl2_lba
 
 F = Fraction
 
@@ -123,10 +126,6 @@ def test_lift_uniqueness_up_to_gauge_randomized():
         assert all(monomial_degree(m) >= 2 for m in lam.coeffs)
 
 
-# the grading with one block, which any Lie bialgebra admits
-ZERO_GRADING = ((), ())
-
-
 def twisted_generators(ctx, f):
     """The twisted coproducts of the generators, as iso_residuals takes them."""
     return [twisted_coproduct(ctx, f, SparseTensor.generator(i, ctx.trunc)) for i in range(ctx.dim)]
@@ -134,7 +133,7 @@ def twisted_generators(ctx, f):
 
 def test_build_iso_identity_when_trivial():
     ctx = PairingContext(abelian_flat_lba(), 4)
-    j = build_iso(ctx, ctx, ctx.zero(2), ZERO_GRADING)
+    j = build_iso(ctx, ctx, ctx.zero(2))
     for i in range(2):
         assert j.images[i] == SparseTensor.generator(i, 4)
 
@@ -143,7 +142,7 @@ def test_build_iso_abelian_flat_oracle():
     """Abelian case: Poisson condition vacuous, oracle re-expansion."""
     ctx = PairingContext(abelian_flat_lba(), 4)
     f = tensor2_to_series({(0, 1): F(2), (1, 0): F(-2)}, 4)
-    j = build_iso(ctx, ctx, f, ZERO_GRADING)
+    j = build_iso(ctx, ctx, f)
     cop_res, poi_res = iso_residuals(ctx, ctx, twisted_generators(ctx, f), j)
     assert all(r.is_zero() for r in cop_res)
     assert all(r.is_zero() for r in poi_res)
@@ -155,7 +154,7 @@ def test_build_iso_axb_nonzero_correction():
     ctx_e = PairingContext(build_delta_gamma(G, 0), N)
     ctx_s = PairingContext(build_delta_gamma(G, 1), N)
     lift = lift_twist(ctx_e, leading_term(G, 0, 1, N))
-    j = build_iso(ctx_e, ctx_s, lift, torus_grading(G))
+    j = build_iso(ctx_e, ctx_s, lift)
     cop_res, poi_res = iso_residuals(ctx_e, ctx_s, twisted_generators(ctx_e, lift), j)
     assert all(r.is_zero() for r in cop_res)
     assert all(r.is_zero() for r in poi_res)
@@ -189,7 +188,7 @@ def test_build_iso_failure_names_the_inconsistent_row(mono, deg, row):
     ctx_s = PairingContext(build_delta_gamma(G, 1), N)
     bad = lift_twist(ctx_e, leading_term(G, 0, 1, N)) + SparseTensor(2, N, {mono: F(1)})
     with pytest.raises(StackBuildError) as exc:
-        build_iso(ctx_e, ctx_s, bad, torus_grading(G))
+        build_iso(ctx_e, ctx_s, bad)
     assert str(exc.value) == (
         f"isomorphism solve failed at degree {deg}: nonzero residual class"
         f"; inconsistent equation row {row} (upstream twist data is inconsistent)"
@@ -205,25 +204,32 @@ def test_build_iso_failure_names_the_inconsistent_row(mono, deg, row):
         (2, ((0,), (0, 0)), 3, 85),
     ],
 )
-def test_blocked_build_iso_failure_names_the_full_systems_row(b, mono, deg, row):
+def test_blocked_build_iso_failure_names_the_full_systems_row(b, mono, deg, row, monkeypatch):
     """An sl2-weyl lift at N=4 with one coefficient raised by 1: e|e and
     h|e weigh -2 and -1, so the residual leaves the weight-0 block.  The
-    blocked solve reports the row of the full system, as build_iso under
-    the zero grading (the full system itself) does."""
+    solve of the part the residual reaches fails on a smaller system, and
+    the message names the row at which the full system fails."""
     G = bundled("sl2-weyl.glb")
     N = 4
     ctx_e = PairingContext(build_delta_gamma(G, 0), N)
     ctx_b = PairingContext(build_delta_gamma(G, b), N)
     bad = lift_twist(ctx_e, leading_term(G, 0, b, N)) + SparseTensor(2, N, {mono: F(1)})
-    messages = []
-    for weights in (torus_grading(G), ((),) * 3):
-        with pytest.raises(StackBuildError) as exc:
-            build_iso(ctx_e, ctx_b, bad, weights)
-        messages.append(str(exc.value))
-    assert messages == 2 * [
+    solved = []
+
+    def recording_solve(sys):
+        solved.append(sys)
+        return solve_linear(sys)
+
+    monkeypatch.setattr(stack, "solve_linear", recording_solve)
+    with pytest.raises(StackBuildError) as exc:
+        build_iso(ctx_e, ctx_b, bad)
+    assert str(exc.value) == (
         f"isomorphism solve failed at degree {deg}: nonzero residual class"
         f"; inconsistent equation row {row} (upstream twist data is inconsistent)"
-    ]
+    )
+    *_, part, full = solved
+    assert not solve_linear(part).solvable
+    assert len(part.rows) < len(full.rows) and part.n_cols < full.n_cols
 
 
 def residual_vector(cop_res, poi_res, dim, deg):
@@ -274,6 +280,21 @@ def int_scale(sys, fd_rows, base):
     return 1
 
 
+# the finest grading by Z^r of each bundled problem under which the
+# bracket, the cobracket and every f_gamma are homogeneous, f_gamma of
+# weight 0: each generator's weight.  h, e, f weigh 0, -1, 1; delta(x) =
+# x^y or [x, y] = x forces wt(y) = 0, and a nonzero f_s = c x^y then
+# wt(x) = 0 too (axb, abelian-que).
+TORUS_WEIGHTS = {
+    "abelian": ((1,), (0,)),
+    "axb": ((), ()),
+    "sl2-weyl": ((0,), (-1,), (1,)),
+    "trivial-que": ((1,), (0,)),
+    "abelian-que": ((), ()),
+    "sl2-que": ((0,), (-1,), (1,)),
+}
+
+
 def word_weight(weights, word, minus=()):
     """The weight of a word, less those of the letters in minus."""
     rank = range(len(weights[0]))
@@ -303,17 +324,18 @@ def system_weights(weights, dim, deg):
 def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
     """At every degree, at the images build_iso holds before solving it:
     the finite-difference system has no entry between weight blocks; the
-    full system (the zero grading) is D times it; and the system under
-    the torus grading is the same D times its restriction to the live
-    blocks, the weights of its rows with a nonzero residual."""
+    full system is D times it; and the part the residual reaches is the
+    same D times its restriction to rows and columns that hold every row
+    with a nonzero residual, share no entry with the rest, and lie in the
+    live weight blocks (those of its rows with a nonzero residual)."""
     G = parse_problem(data_path(f"{problem}.glb").read_text(encoding="utf-8")).G
     ctxs = {g: PairingContext(build_delta_gamma(G, g), N) for g in G.group.elements()}
     dim = G.lba.dim
-    weights = torus_grading(G)
+    weights = TORUS_WEIGHTS[problem]
     nontrivial = 0
     for a, b in pairs:
         ftilde = lift_twist(ctxs[a], leading_term(G, a, b, N))
-        j = build_iso(ctxs[a], ctxs[b], ftilde, weights)
+        j = build_iso(ctxs[a], ctxs[b], ftilde)
         twisted = twisted_generators(ctxs[a], ftilde)
         for deg in range(2, N + 1):
             # solving degree deg only adds terms of degree deg
@@ -329,7 +351,7 @@ def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
             # a unit residual at row 0 makes every column of the full system live
             probe = SparseTensor(2, N, {slot_monomials(dim, 2, deg, least=0)[0]: 1})
             probed = [cop_res[0] + probe, *cop_res[1:]]
-            full, unknowns = _iso_system(ctxs[a], ctxs[b], ((),) * dim, deg, probed, poi_res)
+            full, unknowns = _iso_system(ctxs[a], ctxs[b], deg, probed, poi_res)
             assert unknowns == [(l, m) for l in range(dim) for m in sorted_words(dim, deg)]
             # the system is stated in int, as D times the finite-difference one
             D = int_scale(full, fd_rows, base)
@@ -338,16 +360,20 @@ def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
             assert all(type(c) is int for c in full.rhs)
             assert full.rows == [{c: D * v for c, v in row.items()} for row in fd_rows], (a, b, deg)
             assert full.rhs == [-D * v for v in [base[0] + 1, *base[1:]]]
+            sys, sys_unknowns = _iso_system(ctxs[a], ctxs[b], deg, cop_res, poi_res)
+            assert sys_unknowns == unknowns
+            part, columns = reached_part(sys)
+            assert columns == sorted(set(columns))
+            index = {c: n for n, c in enumerate(columns)}
+            part_rows = [r for r, row in enumerate(fd_rows) if base[r] or index.keys() & row.keys()]
+            assert all(row.keys() <= index.keys() for row in map(fd_rows.__getitem__, part_rows))
+            assert part.n_cols == len(columns)
+            assert all(type(c) is int for row in part.rows for c in [*row.values()])
+            assert part.rows == [{index[c]: D * v for c, v in fd_rows[r].items()} for r in part_rows]
+            assert part.rhs == [-D * base[r] for r in part_rows]
             live = {row_weights[r] for r, v in enumerate(base) if v}
-            live_rows = [r for r, w in enumerate(row_weights) if w in live]
-            live_columns = [c for c, w in enumerate(column_weights) if w in live]
-            index = {c: n for n, c in enumerate(live_columns)}
-            sys, live_unknowns = _iso_system(ctxs[a], ctxs[b], weights, deg, cop_res, poi_res)
-            assert live_unknowns == [unknowns[c] for c in live_columns]
-            assert sys.n_cols == len(live_columns)
-            assert all(type(c) is int for row in sys.rows for c in [*row.values()])
-            assert sys.rows == [{index[c]: D * v for c, v in fd_rows[r].items()} for r in live_rows]
-            assert sys.rhs == [-D * base[r] for r in live_rows]
+            assert {row_weights[r] for r in part_rows} <= live
+            assert {column_weights[c] for c in columns} <= live
             nontrivial += any(base)
     # the pairs exercise the solve, not only the zero-residual shortcut
     assert nontrivial >= len(pairs)
@@ -355,24 +381,22 @@ def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
 
 @cache
 def iso_contexts(problem, N, a, b):
-    """The contexts of a pair of a bundled problem, and its grading."""
+    """The contexts of a pair of a bundled problem."""
     G = bundled(f"{problem}.glb")
-    ctx_a, ctx_b = (PairingContext(build_delta_gamma(G, g), N) for g in (a, b))
-    return ctx_a, ctx_b, torus_grading(G)
+    return tuple(PairingContext(build_delta_gamma(G, g), N) for g in (a, b))
 
 
 @pytest.mark.parametrize("problem, N, a, b", [("sl2-weyl", 4, 0, 1), ("axb", 4, 0, 1)])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_blocked_iso_solve_equals_full_solve(problem, N, a, b, data):
-    """Under the torus grading the iso system states only the live blocks;
-    solving it gives what solve_linear gives on the full system (the zero
-    grading): the same solvability and, with every other unknown 0, the
-    same solution.  The residuals are J p (consistent, possibly over several
-    blocks) plus a sparse random error, over a random denominator."""
-    ctx_a, ctx_b, weights = iso_contexts(problem, N, a, b)
+    """Solving the part of the iso system the residual reaches gives what
+    solve_linear gives on the full system: the same solvability and, with
+    every other unknown 0, the same solution.  The residuals are J p
+    (consistent, possibly over several components) plus a sparse random
+    error, over a random denominator."""
+    ctx_a, ctx_b = iso_contexts(problem, N, a, b)
     dim = ctx_a.dim
-    zero = ((),) * dim
     deg = data.draw(st.integers(2, N), label="deg")
     words = sorted_words(dim, deg)
     monos = slot_monomials(dim, 2, deg, least=0)
@@ -390,7 +414,7 @@ def test_blocked_iso_solve_equals_full_solve(problem, N, a, b, data):
         poi = [SparseTensor(1, N, {(w,): vector.get(r0 + r, 0) for r, w in enumerate(words)}) for r0 in row0]
         return cop, poi
 
-    J, _ = _iso_system(ctx_a, ctx_b, zero, deg, *residuals({0: 1}))
+    J, _ = _iso_system(ctx_a, ctx_b, deg, *residuals({0: 1}))
     p = data.draw(
         st.dictionaries(st.integers(0, J.n_cols - 1), st.integers(-3, 3), min_size=1, max_size=5),
         label="p",
@@ -406,15 +430,15 @@ def test_blocked_iso_solve_equals_full_solve(problem, N, a, b, data):
         if v:
             vector[r] = v * scale
     cop_res, poi_res = residuals(vector)
-    blocked, unknowns = _iso_system(ctx_a, ctx_b, weights, deg, cop_res, poi_res)
-    full, all_unknowns = _iso_system(ctx_a, ctx_b, zero, deg, cop_res, poi_res)
-    res_blocked, res_full = solve_linear(blocked), solve_linear(full)
-    assert res_blocked.solvable == res_full.solvable
+    full, _ = _iso_system(ctx_a, ctx_b, deg, cop_res, poi_res)
+    part, columns = reached_part(full)
+    res_part, res_full = solve_linear(part), solve_linear(full)
+    assert res_part.solvable == res_full.solvable
     if not any(error.values()):
         assert res_full.solvable
     if res_full.solvable:
-        solution = dict(zip(unknowns, res_blocked.solution))
-        assert [solution.get(u, 0) for u in all_unknowns] == res_full.solution
+        solution = dict(zip(columns, res_part.solution))
+        assert [solution.get(c, 0) for c in range(full.n_cols)] == res_full.solution
 
 
 def test_algebra_map_inverse_roundtrip():
@@ -423,7 +447,7 @@ def test_algebra_map_inverse_roundtrip():
     ctx_e = PairingContext(build_delta_gamma(G, 0), N)
     ctx_s = PairingContext(build_delta_gamma(G, 1), N)
     lift = lift_twist(ctx_e, leading_term(G, 0, 1, N))
-    j = build_iso(ctx_e, ctx_s, lift, torus_grading(G))
+    j = build_iso(ctx_e, ctx_s, lift)
     jinv = j.inverse()
     for i in range(2):
         gen = SparseTensor.generator(i, N)
@@ -474,7 +498,7 @@ def test_build_u_direct_and_error_paths():
     lift_es = lift_twist(ctx_e, leading_term(G, 0, 1, N))
     lift_se = lift_twist(ctx_s, leading_term(G, 1, 0, N))
     lift_ee = lift_twist(ctx_e, leading_term(G, 0, 0, N))
-    j_es = build_iso(ctx_e, ctx_s, lift_es, torus_grading(G))
+    j_es = build_iso(ctx_e, ctx_s, lift_es)
     from gammastack.stack import AlgebraMap
 
     u = build_u(ctx_e, AlgebraMap(j_es.images, N).inverse(), lift_es, lift_se, lift_ee)
@@ -502,7 +526,7 @@ def test_build_u_reports_corrupted_composition(mono):
     lift_es = lift_twist(ctx_e, leading_term(G, 0, 1, N))
     lift_se = lift_twist(ctx_s, leading_term(G, 1, 0, N))
     lift_ee = lift_twist(ctx_e, leading_term(G, 0, 0, N))
-    j_inv = build_iso(ctx_e, ctx_s, lift_es, torus_grading(G)).inverse()
+    j_inv = build_iso(ctx_e, ctx_s, lift_es).inverse()
 
     bad_bc = lift_se + SparseTensor(2, N, {mono: F(1)})
     composed = ctx_e.bch_star(j_inv.apply(bad_bc), lift_es)
@@ -541,7 +565,7 @@ def test_solve_gauge_rejects_non_twist_source(mono):
     lift_es = lift_twist(ctx_e, leading_term(G, 0, 1, N))
     lift_se = lift_twist(ctx_s, leading_term(G, 1, 0, N))
     lift_ee = lift_twist(ctx_e, leading_term(G, 0, 0, N))
-    j_inv = build_iso(ctx_e, ctx_s, lift_es, torus_grading(G)).inverse()
+    j_inv = build_iso(ctx_e, ctx_s, lift_es).inverse()
     bad_bc = lift_se + SparseTensor(2, N, {mono: F(1)})
     composed = ctx_e.bch_star(j_inv.apply(bad_bc), lift_es)
     with pytest.raises(StackBuildError, match="degree"):
@@ -741,7 +765,7 @@ def test_trivially_acting_elements_repeat_the_stack_data(problem, N):
     def direct(a, b):
         ctx_a, ctx_b = PairingContext(deltas[a], N), PairingContext(deltas[b], N)
         lift = lift_twist(ctx_a, leading_term(G, a, b, N))
-        return ctx_a, lift, build_iso(ctx_a, ctx_b, lift, torus_grading(G))
+        return ctx_a, lift, build_iso(ctx_a, ctx_b, lift)
 
     built = {(a, b): direct(a, b) for a in grp.elements() for b in grp.elements()}
     cert = verify_stack(G, N)
@@ -957,13 +981,13 @@ def test_theta_transports_the_stack_data(problem, N, differ):
     "problem", ["abelian", "axb", "sl2-weyl", "trivial-que", "abelian-que", "sl2-que"]
 )
 def test_torus_grading_makes_the_stack_homogeneous(problem):
-    """At the file's truncation, under `torus_grading`: every bracket,
+    """At the file's truncation, under its torus grading: every bracket,
     cobracket and twist term is homogeneous, each f_gamma of weight 0; each
     theta_g maps each weight space into one weight space; every lift and
     gauge has weight 0; and each iso maps e_l into the weight space of e_l."""
     parsed = parse_problem(data_path(f"{problem}.glb").read_text(encoding="utf-8"))
     G, N = parsed.G, parsed.degree
-    weights = torus_grading(G)
+    weights = TORUS_WEIGHTS[problem]
     dim = G.lba.dim
     zero = word_weight(weights, ())
     for i, j, k in G.lba.bracket:
@@ -987,3 +1011,50 @@ def test_torus_grading_makes_the_stack_homogeneous(problem):
     for j in cert.isos.values():
         for l, image in enumerate(j.images):
             assert series_weights(image) == {weights[l]}
+
+
+def jordanian_sl2_gamma():
+    """sl2 (basis h, e, f) with the triangular r = h^e, delta(x) =
+    -(ad_x (x) 1 + 1 (x) ad_x)(r), and Gamma = Z2 x Z2 = {e, a, w, aw}: a
+    maps h, e, f to h, -e, -f and w is the Weyl reflection h, e, f to -h,
+    -f, -e; f_g = theta_g(r) - r.  Its only torus grading is the zero one:
+    f_a = -2 h^e and delta(h) = -2 h^e force wt(h) = -wt(e) and wt(e) = 0,
+    and [e, f] = h then forces wt(f) = 0."""
+    bracket = sl2_lba().bracket
+    r = {(0, 1): F(1), (1, 0): F(-1)}
+    cobracket = {}
+    for x in range(3):
+        for (a, b), c in r.items():
+            for (i, j, k), ck in bracket.items():
+                if i == x and j == a:
+                    cobracket[(x, k, b)] = cobracket.get((x, k, b), 0) - c * ck
+                if i == x and j == b:
+                    cobracket[(x, a, k)] = cobracket.get((x, a, k), 0) - c * ck
+    lba = LieBialgebra(3, ["h", "e", "f"], bracket, cobracket)
+    group = FiniteGroup(["e", "a", "w", "aw"], [[g ^ h for h in range(4)] for g in range(4)])
+    a = [[F(1), F(0), F(0)], [F(0), F(-1), F(0)], [F(0), F(0), F(-1)]]
+    w = [[F(-1), F(0), F(0)], [F(0), F(0), F(-1)], [F(0), F(-1), F(0)]]
+    aw = [[F(-1), F(0), F(0)], [F(0), F(0), F(1)], [F(0), F(1), F(0)]]
+    ident = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    return from_quasitriangular(lba, group, {0: ident, 1: a, 2: w, 3: aw}, r)
+
+
+def test_jordanian_stack_solves_only_the_reached_part(monkeypatch):
+    """The Jordanian sl2 has no torus grading, yet at N=3 its stack is
+    valid and no iso system solved reaches the full degree-3 system, 198
+    rows by 30 columns."""
+    G = jordanian_sl2_gamma()
+    assert validate_gamma_lba(G) == []
+    solved = []
+
+    def recording_solve(sys):
+        solved.append((len(sys.rows), sys.n_cols))
+        return solve_linear(sys)
+
+    monkeypatch.setattr(stack, "solve_linear", recording_solve)
+    assert verify_stack(G, 3).ok
+    ctx = PairingContext(build_delta_gamma(G, 0), 3)
+    full, _ = _iso_system(ctx, ctx, 3, [], [])
+    assert (len(full.rows), full.n_cols) == (198, 30)
+    assert solved
+    assert all(rows < 198 and cols < 30 for rows, cols in solved)
