@@ -13,7 +13,13 @@ import sys
 from pathlib import Path
 
 from gammastack.liealg import classical_yang_baxter, theta2_shift, validate_gamma_lba
-from gammastack.problemfile import TRUNCATION_MIN, ProblemParseError, build_que_data, parse_problem
+from gammastack.problemfile import (
+    TRUNCATION_MIN,
+    ProblemParseError,
+    build_que_data,
+    parse_problem,
+    truncation_value,
+)
 from gammastack.quantum import (
     QuantumError,
     admissibilize,
@@ -168,31 +174,34 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("stack", help="build and verify the Poisson-Hopf stack certificate")
     p.add_argument("file")
-    p.add_argument("--degree", "-N", type=int, default=None, help="truncation degree")
+    p.add_argument("--degree", "-N", default=None, help="truncation degree")
     p.add_argument("--out", default=None, help="certificate output path (default stdout)")
     p.set_defaults(fn=cmd_stack)
 
     p = sub.add_parser("quantize", help="build and verify the quantum stack certificate")
     p.add_argument("file")
-    p.add_argument("--hbar", type=int, default=None, help="hbar truncation order")
-    p.add_argument("--pbw", type=int, default=None, help="PBW degree bound")
+    p.add_argument("--hbar", default=None, help="hbar truncation order")
+    p.add_argument("--pbw", default=None, help="PBW degree bound")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_quantize)
 
     p = sub.add_parser("admissibilize", help="gauge one twist into admissible form")
     p.add_argument("file")
     p.add_argument("--target", required=True, help="group element label of F_{e,target}")
-    p.add_argument("--hbar", type=int, default=None)
-    p.add_argument("--pbw", type=int, default=None)
+    p.add_argument("--hbar", default=None)
+    p.add_argument("--pbw", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_admissibilize)
 
     args = parser.parse_args(argv)
-    for name, least in TRUNCATION_MIN.items():
+    for name in TRUNCATION_MIN:
         value = getattr(args, name, None)
-        if value is not None and value < least:
-            print(f"error: --{name} must be at least {least}", file=sys.stderr)
-            return 2
+        if value is not None:
+            try:
+                setattr(args, name, truncation_value(name, value))
+            except ValueError as exc:
+                print(f"error: --{exc}", file=sys.stderr)
+                return 2
     out = getattr(args, "out", None)
     reason = _out_error(out) if out else None
     if reason:

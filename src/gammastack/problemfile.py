@@ -75,6 +75,18 @@ def _parse_int(tok: str, line: int) -> int:
     return int(tok)
 
 
+def truncation_value(name: str, tok: str) -> int:
+    """The truncation `name` (a key of TRUNCATION_MIN) given as `tok`, for
+    the file's [truncation] entries and the command line's options alike;
+    ValueError names the rule that `tok` breaks."""
+    if not _INTEGER.fullmatch(tok):
+        raise ValueError(f"{name} needs one integer value")
+    value, least = int(tok), TRUNCATION_MIN[name]
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
 def _groups(toks: list[str], width: int, syntax: str, line: int) -> list[list[str]]:
     """Split toks into consecutive groups of `width`; a ragged tail is an error."""
     if len(toks) % width:
@@ -286,13 +298,10 @@ def parse_problem(text: str) -> Problem:
             if parts[0] not in trunc:
                 raise ProblemParseError(f"unknown truncation entry {parts[0]!r}", ln)
             once(f"[truncation] {parts[0]}", ln)
-            if len(parts) != 2 or not _INTEGER.fullmatch(parts[1]):
-                raise ProblemParseError(f"{parts[0]} needs one integer value", ln)
-            value = int(parts[1])
-            least = TRUNCATION_MIN[parts[0]]
-            if value < least:
-                raise ProblemParseError(f"{parts[0]} must be at least {least}", ln)
-            trunc[parts[0]] = value
+            try:
+                trunc[parts[0]] = truncation_value(parts[0], parts[1] if len(parts) == 2 else "")
+            except ValueError as exc:
+                raise ProblemParseError(str(exc), ln) from None
         elif kind in QUANTUM_SECTIONS:
             name, arg_kinds, slots = QUANTUM_SECTIONS[kind]
             idx = tuple((glabel if k == "g" else blabel)(t, ln) for k, t in zip(arg_kinds, args))

@@ -376,14 +376,6 @@ class QueContext:
         num = {(hbar, mono): v for mono, v in s.num.items() if monomial_degree(mono) <= self.D}
         return HElement._reduced(self, s.slots, num if hbar < self.M else {}, s.den)
 
-    def to_series(self, x: HElement) -> SparseTensor:
-        """The words of an hbar^0 element as symmetric-algebra monomials."""
-        if x.__class__ is not HElement:
-            raise ValueError("to_series reads plain slots only")
-        if any(a for a, _ in x.num):
-            raise ValueError("to_series expects an hbar^0 element")
-        return SparseTensor(x.slots, self.D, {sl: c for (_, sl), c in x.coeffs.items()})
-
     # -- multiplication ----------------------------------------------------------
 
     def _mul_slot(self, w1: Word, w2: Word) -> Table:

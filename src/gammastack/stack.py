@@ -389,9 +389,7 @@ def _iso_system(
     n_words, n_monos = len(words), len(monos)
     pairs = [(i, k) for i in range(dim) for k in range(i + 1, dim)]
     cop_den, cop_table = ctx_dst._coproduct_den, ctx_dst._coproduct_table
-    dst_lcm, dst_table, codes = ctx_dst._bracket_lcm, ctx_dst._bracket_table, ctx_dst._word_codes
-    src_lcm, src_table, src_codes = ctx_src._bracket_lcm, ctx_src._bracket_table, ctx_src._word_codes
-    width = ctx_dst._slot_bits
+    dst_lcm, src_lcm = ctx_dst._bracket_lcm, ctx_src._bracket_lcm
     D = lcm(cop_den, dst_lcm, src_lcm, *(r.den for r in (*cop_res, *poi_res)))
     poisson_row0 = dim * n_monos
     rows: list[dict[int, int]] = [{} for _ in range(poisson_row0 + len(pairs) * n_words)]
@@ -407,17 +405,10 @@ def _iso_system(
             if row is not None:
                 rhs[poisson_row0 + p * n_words + row] = -n * (D // r.den)
     # the coefficient of e_l in {e_i, e_k}_src, times D, per pair
-    generator = {src_codes[(l,)]: l for l in range(dim)}
     linear = [
-        {
-            generator[w]: n * (D // src_lcm)
-            for w, n in src_table.get((src_codes[(i,)] << ctx_src._slot_bits) | src_codes[(k,)], ())
-            if w in generator
-        }
+        {w[0]: n * (D // src_lcm) for w, n in ctx_src.bracket_words((i,), (k,)) if len(w) == 1}
         for i, k in pairs
     ]
-    word_of_code = {codes[w]: r for r, w in enumerate(words)}
-    gen_codes = [codes[(k,)] for k in range(dim)]
     k_cop, k_dst = D // cop_den, D // dst_lcm
     unknowns = [(l, m) for l in range(dim) for m in words]
     for col, (l, m) in enumerate(unknowns):
@@ -430,7 +421,6 @@ def _iso_system(
                     n -= cop_den
                 if n:
                     rows[l * n_monos + row][col] = n * k_cop
-        high = codes[m] << width
         for p, (i, k) in enumerate(pairs):
             entries: dict[int, int] = {}
             c = linear[p].get(l)
@@ -439,8 +429,8 @@ def _iso_system(
             if l in (i, k):
                 # l = i subtracts {m, e_k}, l = k adds {m, e_i}
                 other, scale = (k, -k_dst) if l == i else (i, k_dst)
-                for w, n in dst_table.get(high | gen_codes[other], ()):
-                    v = word_of_code.get(w)
+                for w, n in ctx_dst.bracket_words(m, (other,)):
+                    v = word_index.get(w)
                     if v is not None:
                         entries[v] = entries.get(v, 0) + scale * n
             row0 = poisson_row0 + p * n_words

@@ -290,9 +290,6 @@ class SparseTensor(SparseElement):
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self.num.get(mono, 0), self.den)
-
     def is_reduced(self) -> bool:
         """Membership in m^{otimes n}: every slot of every monomial nonempty."""
         return all(all(len(s) >= 1 for s in m) for m in self.num)

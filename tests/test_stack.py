@@ -165,7 +165,7 @@ def test_build_iso_axb_nonzero_correction():
     # linear part is the identity, constant term zero
     for i in range(2):
         assert j.images[i].homogeneous_part(1) == SparseTensor.generator(i, N)
-        assert j.images[i].coefficient(((),)) == 0
+        assert j.images[i].coeffs.get(((),), 0) == 0
 
 
 @pytest.mark.parametrize(
@@ -238,13 +238,11 @@ def residual_vector(cop_res, poi_res, dim, deg):
     vec = []
     monos = slot_monomials(dim, 2, deg, least=0)
     for r in cop_res:
-        h = r.homogeneous_part(deg)
-        for mono in monos:
-            vec.append(h.coefficient(mono))
+        h = r.homogeneous_part(deg).coeffs
+        vec.extend(h.get(mono, 0) for mono in monos)
     for r in poi_res:
-        h = r.homogeneous_part(deg)
-        for mono in sorted_words(dim, deg):
-            vec.append(h.coefficient((mono,)))
+        h = r.homogeneous_part(deg).coeffs
+        vec.extend(h.get((mono,), 0) for mono in sorted_words(dim, deg))
     return vec
 
 

@@ -174,6 +174,16 @@ def dual_pairing_delta_images(pc: PairingContext, M: int) -> dict[int, dict[Key,
     return images
 
 
+def to_series(x: HElement) -> SparseTensor:
+    """The words of an hbar^0 element as symmetric-algebra monomials: the
+    inverse of `QueContext.from_series` at hbar^0."""
+    if x.__class__ is not HElement:
+        raise ValueError("to_series reads plain slots only")
+    if any(a for a, _ in x.num):
+        raise ValueError("to_series expects an hbar^0 element")
+    return SparseTensor(x.slots, x.ctx.D, {sl: c for (_, sl), c in x.coeffs.items()})
+
+
 def solve_additive_gauge(ctx: QueContext, target: HElement) -> HElement:
     """Find w in hbar^2 U with w^1 + w^2 - Delta(w) = target (commutative
     ambient); target must be reduced with terms of hbar order >= 2."""
@@ -182,7 +192,7 @@ def solve_additive_gauge(ctx: QueContext, target: HElement) -> HElement:
         rho = (target - _additive_coboundary(ctx, w)).hbar_coefficient(k)
         if rho.is_zero():
             continue
-        beta = solve_coboundary(ctx.to_series(rho))
+        beta = solve_coboundary(to_series(rho))
         w = w + ctx.from_series(beta, hbar=k)
     if _additive_coboundary(ctx, w) != target:
         raise QuantumError("additive gauge solve failed at truncation")
