@@ -8,6 +8,8 @@ byte for byte for identical inputs.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 from pathlib import Path
@@ -27,6 +29,14 @@ from gammastack.quantum import (
     validate_que_data,
 )
 from gammastack.stack import StackBuildError, verify_stack
+
+# Interpreter finalization runs one full garbage collection over every live
+# container object, even with gc disabled; a CLI process that is about to end
+# needs none of it.  Freezing at exit moves every object to the permanent
+# generation, which no collection visits (atexit runs before that pass).
+# Objects in reference cycles are then not finalized at exit; nothing here
+# holds an OS resource in a cycle, and stdout is still flushed.
+atexit.register(gc.freeze)
 
 
 def data_path(name: str) -> Path:
@@ -159,6 +169,34 @@ def cmd_admissibilize(args) -> int:
     return 0
 
 
+# the options whose value `truncation_value` reads
+TRUNCATION_OPTIONS = {"-N", *(f"--{name}" for name in TRUNCATION_MIN)}
+
+
+def _join_truncation_values(argv: list[str], options: dict[str, set[str]]) -> list[str]:
+    """argv with each truncation option and a next token that starts with
+    "-" but is no option of the command joined into `opt=value`, so that
+    `-N -1_0` reaches `truncation_value` as `-N=-1_0` does; argparse would
+    read such a token as an unknown option.  `options` maps each command to
+    its option strings."""
+    out: list[str] = []
+    command = None
+    for tok in argv:
+        prev = out[-1] if out else None
+        if (
+            command is not None
+            and prev in TRUNCATION_OPTIONS
+            and tok.startswith("-")
+            and tok.split("=", 1)[0] not in options[command]
+        ):
+            out[-1] = f"{prev}={tok}"
+            continue
+        if command is None and tok in options:
+            command = tok
+        out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="gammastack",
@@ -167,33 +205,37 @@ def main(argv: list[str] | None = None) -> int:
     # accepted and ignored: no output depends on a seed, but bench/run.py passes one
     parser.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
+    options: dict[str, set[str]] = {}  # each command's option strings
 
-    p = sub.add_parser("validate", help="validate a problem file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_validate)
+    def command(name: str, fn, help_text: str):
+        """Add the command `name` with its file argument; returns the
+        function that adds each further option and records its strings."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        p.set_defaults(fn=fn)
+        options[name] = {"-h", "--help"}
+        return lambda *flags, **kw: options[name].update(p.add_argument(*flags, **kw).option_strings)
 
-    p = sub.add_parser("stack", help="build and verify the Poisson-Hopf stack certificate")
-    p.add_argument("file")
-    p.add_argument("--degree", "-N", default=None, help="truncation degree")
-    p.add_argument("--out", default=None, help="certificate output path (default stdout)")
-    p.set_defaults(fn=cmd_stack)
+    command("validate", cmd_validate, "validate a problem file")
 
-    p = sub.add_parser("quantize", help="build and verify the quantum stack certificate")
-    p.add_argument("file")
-    p.add_argument("--hbar", default=None, help="hbar truncation order")
-    p.add_argument("--pbw", default=None, help="PBW degree bound")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_quantize)
+    arg = command("stack", cmd_stack, "build and verify the Poisson-Hopf stack certificate")
+    arg("--degree", "-N", default=None, help="truncation degree")
+    arg("--out", default=None, help="certificate output path (default stdout)")
 
-    p = sub.add_parser("admissibilize", help="gauge one twist into admissible form")
-    p.add_argument("file")
-    p.add_argument("--target", required=True, help="group element label of F_{e,target}")
-    p.add_argument("--hbar", default=None)
-    p.add_argument("--pbw", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_admissibilize)
+    arg = command("quantize", cmd_quantize, "build and verify the quantum stack certificate")
+    arg("--hbar", default=None, help="hbar truncation order")
+    arg("--pbw", default=None, help="PBW degree bound")
+    arg("--out", default=None)
 
-    args = parser.parse_args(argv)
+    arg = command("admissibilize", cmd_admissibilize, "gauge one twist into admissible form")
+    arg("--target", required=True, help="group element label of F_{e,target}")
+    arg("--hbar", default=None)
+    arg("--pbw", default=None)
+    arg("--out", default=None)
+
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_join_truncation_values(argv, options))
     for name in TRUNCATION_MIN:
         value = getattr(args, name, None)
         if value is not None:

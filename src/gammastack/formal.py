@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
+from itertools import product, takewhile
 from math import comb, factorial, gcd, lcm
 
 from gammastack.liealg import GammaLieBialgebra, LieBialgebra, Tensor2, delta_gamma_tensor
@@ -180,7 +180,12 @@ def bch_apply(bracket_fn, f, g, nmax: int):
     under the intended filtration).  Each [w] is bracketed once, and only
     when a nonzero term needs it.
     """
-    terms, factors = bch_lyndon_terms(nmax)
+    return _bch_sum(bracket_fn, f, g, *bch_lyndon_terms(nmax))
+
+
+def _bch_sum(bracket_fn, f, g, terms, factors):
+    """sum c_w [w] over `terms`, the (c_w, w) of a prefix of a
+    `bch_lyndon_terms` table, with the table's `factors`."""
     values: dict[Word, object] = {(0,): f, (1,): g}
 
     def lie(word: Word):
@@ -602,7 +607,10 @@ class PairingContext:
             return g
         if g.is_zero():
             return f
-        return bch_apply(bracket, f, g, top - 1)
+        # the brackets up to top - 1 operands are the length-<=(top - 1)
+        # prefix of the trunc - 1 table: one table serves every cut
+        terms, factors = bch_lyndon_terms(self.trunc - 1)
+        return _bch_sum(bracket, f, g, takewhile(lambda t: len(t[1]) < top, terms), factors)
 
     def bch_star_dynkin(self, f: TensorSeries, g: TensorSeries) -> TensorSeries:
         """Independent BCH evaluation via the Bernoulli recursion."""

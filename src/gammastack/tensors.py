@@ -116,8 +116,8 @@ class SparseElement:
     int denominator `den`, always in canonical form: den >= 1, no zero
     numerator, gcd(den, every numerator) = 1, and zero is {} over 1.  So
     arithmetic stays in int, each result is reduced once, and equal elements
-    have equal (den, num).  `coeffs`, `items`, `coefficient` and `format`
-    show reduced `Fraction`s.
+    have equal (den, num).  `coeffs`, `items` and `format` show reduced
+    `Fraction`s.
 
     Every stored key lies within the bound of the element's space, which a
     subclass holds in the attribute named by `_space`.  Public constructors

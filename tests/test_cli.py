@@ -412,6 +412,25 @@ def test_quantize_truncation_overrides(tmp_path):
     assert cert["failures"]
 
 
+def test_cli_process_exit_keeps_output(tmp_path):
+    """`gammastack.cli` registers `gc.freeze` with atexit, so a CLI process
+    skips the full collection of interpreter finalization.  The certificate
+    still reaches stdout and `--out` byte for byte, and an atexit probe
+    registered before the import (atexit runs last-in, first-out) sees the
+    frozen objects."""
+    golden = (ROOT / "tests" / "golden" / "axb-stack-N3.json").read_text(encoding="utf-8")
+    assert run_cli("stack", "axb.glb", "-N", "3", module="gammastack") == (0, golden, "")
+    out = tmp_path / "stack.json"
+    assert run_cli("stack", "axb.glb", "-N", "3", "--out", str(out), module="gammastack") == (0, "", "")
+    assert out.read_text(encoding="utf-8") == golden
+    probe = (
+        "import atexit, gc; "
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+        "import gammastack.cli"
+    )
+    assert run_python("-c", probe) == (0, "True\n", "")
+
+
 def test_golden_certificates_stable(tmp_path):
     """Certificate formats are pinned against golden files."""
     golden = Path(__file__).parent / "golden"
@@ -498,6 +517,9 @@ def test_formal_jobs_match_bench_reference(job):
         ["stack", "axb.glb", "-N", "\uff13"],
         ["quantize", "sl2-que.glb", "--hbar", "1_0"],
         ["quantize", "sl2-que.glb", "--pbw", "\u0662"],
+        ["stack", "axb.glb", "-N", "-1_0"],
+        ["quantize", "sl2-que.glb", "--hbar", "-0_2"],
+        ["quantize", "sl2-que.glb", "--pbw", "-x"],
     ],
     ids=[
         "stack-N-negative",
@@ -510,16 +532,29 @@ def test_formal_jobs_match_bench_reference(job):
         "stack-N-fullwidth-digit",
         "quantize-hbar-underscore",
         "quantize-pbw-arabic-indic-digit",
+        "stack-N-dash-underscore",
+        "quantize-hbar-dash-underscore",
+        "quantize-pbw-dash-letter",
     ],
 )
 def test_truncation_below_minimum_exit_2(args):
     """A truncation option below its minimum, or not ASCII digits with an
     optional sign (the file's rule, `problemfile.truncation_value`), exits 2
-    with one `error: --` line."""
+    with one `error: --` line; so does a separate value that starts with
+    "-", which argparse alone would read as an unknown option."""
     code, out, err = run_cli(*args)
     assert code == 2
     assert out == ""
     assert err.startswith("error: --") and err.count("\n") == 1
+
+
+def test_separate_dash_value_reads_as_joined():
+    """`-N -1_0` gives the one line that `-N=-1_0` gives, and `-N -1` still
+    names the minimum."""
+    joined = run_cli("stack", "axb.glb", "-N=-1_0")
+    assert joined == (2, "", "error: --degree needs one integer value\n")
+    assert run_cli("stack", "axb.glb", "-N", "-1_0") == joined
+    assert run_cli("stack", "axb.glb", "-N", "-1") == (2, "", "error: --degree must be at least 2\n")
 
 
 @pytest.mark.parametrize("entry", ["degree four", "degree", "hbar 0", "hbar 1", "degree 1_0", "degree \u0664"])

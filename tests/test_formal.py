@@ -470,6 +470,31 @@ def test_lyndon_bch_equals_word_series_through_degree_8():
     assert len(lyndon_words(nmax)) - 2 == len(factors)
 
 
+def test_lyndon_tables_are_prefixes_of_the_largest():
+    """The table for nmax is the length-<=nmax prefix of a larger one, in
+    the same order with the same factorisations, which lets `bch_star` sum
+    a prefix of its context's one table under every cut."""
+    big_terms, big_factors = bch_lyndon_terms(9)
+    big_factors = list(big_factors.items())
+    for nmax in range(2, 10):
+        terms, factors = bch_lyndon_terms(nmax)
+        assert terms == big_terms[: len(terms)]
+        assert list(factors.items()) == big_factors[: len(factors)]
+        assert all(len(w) > nmax for _c, w in big_terms[len(terms) :])
+        assert all(len(w) > nmax for w, _uv in big_factors[len(factors) :])
+
+
+def test_bch_star_reads_one_lyndon_table_under_every_cut():
+    """Every cut of a truncation-6 context reads the one nmax-5 table."""
+    ctx = ctx_for(axb_lba(), N=6)
+    f = ctx.series({((0, 1),): F(1), ((1, 1, 1),): F(2)})
+    g = ctx.series({((0, 0),): F(1), ((0, 1, 1),): F(-1)})
+    bch_lyndon_terms.cache_clear()
+    for cut in range(2, 7):
+        ctx.bch_star(f, g, cut)
+    assert bch_lyndon_terms.cache_info().misses == 1
+
+
 def seed_recursion(bracket_fn, x, y, nmax):
     """The Bernoulli recursion with every nested bracket evaluated afresh."""
     xy = x + y
