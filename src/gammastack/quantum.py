@@ -61,12 +61,18 @@ class HElement(SparseElement):
     """Sparse, immutable-by-convention element of the truncated algebra.
 
     Keys are (hbar power, words); the bound is hbar power below ctx.M and
-    total PBW degree at most ctx.D.
+    total PBW degree at most ctx.D.  Every word is a PBW word (its letters
+    in increasing order), which the constructor checks: products rely on
+    it, as `QueContext.mul` returns the other operand of a unit factor.
     """
 
     __slots__ = ("ctx",)
     _space = "ctx"
     _degree = staticmethod(monomial_degree)
+
+    @staticmethod
+    def _words(sl):
+        return sl
 
     def __init__(self, ctx: QueContext, slots: int, coeffs: dict[Key, Fraction] | None = None):
         self.ctx = ctx
@@ -76,6 +82,8 @@ class HElement(SparseElement):
             for (a, sl), c in coeffs.items():
                 if len(sl) != slots:
                     raise ValueError("slot count mismatch in key")
+                if any(list(w) != sorted(w) for w in self._words(sl)):
+                    raise ValueError("a word of the key is not a PBW word")
                 if c and a < ctx.M and self._degree(sl) <= ctx.D:
                     clean[(a, sl)] = F(c)
         self.num, self.den = nums_over_lcm(clean)
@@ -308,6 +316,15 @@ def _slot_terms(x: HElement, idx: int, table):
         yield a, n, x.den, tables
 
 
+def _is_unit(x: HElement) -> bool:
+    """x is the unit of its slot count: one term 1 at hbar^0 with every word
+    empty."""
+    if x.den != 1 or len(x.num) != 1:
+        return False
+    ((a, sl), n), = x.num.items()
+    return n == 1 and a == 0 and not any(sl)
+
+
 def _unit_table(slots: int) -> Table:
     return HElement._table(1, ((0, unit_monomial(slots), 1),))
 
@@ -390,6 +407,12 @@ class QueContext:
         x._check(y)
         if x.ctx is not self:
             raise ValueError("incompatible elements")
+        # every key is a PBW word within the bounds, so a unit factor
+        # returns the other operand term for term and in key order
+        if _is_unit(y):
+            return x
+        if _is_unit(x):
+            return y
         return _slot_product(x, y, self._mul_slot_cache, self._mul_slot)
 
     def commutator(self, x: HElement, y: HElement) -> HElement:
@@ -736,6 +759,27 @@ def bracket_residual(ctx: QueContext, images: list[HElement], i: int, j: int) ->
     return ctx.commutator(images[i], images[j]) - target
 
 
+def _bracket_failures(ctx: QueContext, images: list[HElement]) -> list[tuple[int, int]]:
+    """The ordered pairs (i, j), i != j, in row order, whose bracket residual
+    is not zero.  A diagonal pair is skipped: [x, x] = 0, and c_ii^k = 0 since
+    the bracket is antisymmetric (a file cannot state `bracket a a`).  Each
+    unordered pair is evaluated once: when c_ji = -c_ij the (j, i) residual
+    is the negative of the (i, j) one, so it fails with it."""
+    bracket = ctx.lba.bracket_elems
+    dim = len(images)
+    failed = set()
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if not bracket_residual(ctx, images, i, j).is_zero():
+                failed.add((i, j))
+            if bracket(j, i) == {k: -c for k, c in bracket(i, j).items()}:
+                if (i, j) in failed:
+                    failed.add((j, i))
+            elif not bracket_residual(ctx, images, j, i).is_zero():
+                failed.add((j, i))
+    return [(i, j) for i in range(dim) for j in range(dim) if (i, j) in failed]
+
+
 def coassociativity_residual(ctx: QueContext, i: int) -> HElement:
     """(Delta (x) id - id (x) Delta) Delta(e_i) for the ambient coproduct."""
     d = ctx.coproduct_slot(ctx.gen(i), 0)
@@ -818,13 +862,9 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
     grp = G.group
     issues: list[str] = []
     dim = ctx.lba.dim
-    # coproduct respects the bracket relations; a diagonal pair (i, i) is
-    # skipped in both bracket checks: [x, x] = 0, and c_ii^k = 0 since the
-    # bracket is antisymmetric (a file cannot state `bracket a a`)
-    for i in range(dim):
-        for j in range(dim):
-            if i != j and not bracket_residual(ctx, ctx.delta_images, i, j).is_zero():
-                issues.append(f"coproduct does not respect bracket at ({i},{j})")
+    # coproduct respects the bracket relations
+    for i, j in _bracket_failures(ctx, ctx.delta_images):
+        issues.append(f"coproduct does not respect bracket at ({i},{j})")
     # coassociativity and counit on generators
     for i in range(dim):
         x = ctx.gen(i)
@@ -861,10 +901,8 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
             normalised = False
     # i maps are algebra morphisms with an invertible classical limit
     for g in grp.elements():
-        for i in range(dim):
-            for j in range(dim):
-                if i != j and not bracket_residual(ctx, data.i_images[g], i, j).is_zero():
-                    issues.append(f"i[{grp.labels[g]}] not an algebra morphism at ({i},{j})")
+        for i, j in _bracket_failures(ctx, data.i_images[g]):
+            issues.append(f"i[{grp.labels[g]}] not an algebra morphism at ({i},{j})")
         # a nonsingular linear part's order-by-order inversion can still
         # fail to close at truncation
         try:
@@ -939,6 +977,10 @@ class CrossedElement(HElement):
     def _degree(sl) -> int:
         return sum(len(w) for w, _ in sl)
 
+    @staticmethod
+    def _words(sl):
+        return (w for w, _ in sl)
+
     def _term(self, key, labels: list[str] | None) -> str:
         a, sl = key
         glabels = self.ctx.G.group.labels
@@ -955,6 +997,12 @@ class SemidirectBialgebra:
     slotwise in `_slot_product`, and `_cop_slot` applies Delta to one slot
     through `spread` (`coproduct` is its one-slot case).  Both take
     `CrossedElement`s of this algebra's context only.
+
+    A basis product depends on g2 only through v_{e,g1,g1g2}^{-1} and the
+    label g1g2, so its plain product is computed once per (w1, w2, g1, value
+    of v^{-1}) and relabelled for every other g2 (`_basis_product`).  Unlike
+    `QueContext.mul`, `product` never skips a unit factor: the unit axiom
+    for [1|e] is one of the checks of `axiom_report`.
     """
 
     def __init__(self, data: GammaQUEData):
@@ -979,25 +1027,51 @@ class SemidirectBialgebra:
         entries = ((a, shared(tuple(map(shared, sl))), n) for a, sl, n in entries)
         return shared(CrossedElement._table(den, entries))
 
+    def _relabeled(self, table: Table, g: int) -> Table:
+        """A one-slot table with the label of every output slot set to g; its
+        powers, numerators and degrees are kept, and it is interned as
+        `_table` interns."""
+        shared = self._intern.setdefault
+        den, entries = table
+        out = []
+        for a, ((w, _),), n, e in entries:
+            sl = ((w, g),)
+            out.append((a, shared(sl, sl), n, e))
+        table = (den, tuple(out))
+        return shared(table, table)
+
     def _basis_product(self, s1: tuple[Word, int], s2: tuple[Word, int]) -> Table:
         """hbar^0 table of [w1 * i_{e,g1}^{-1}(theta_g1(w2)) * v_{e,g1,g1g2}^{-1} | g1g2],
-        stored in `_products`."""
+        stored in `_products`.
+
+        The plain product (w1 * conj) * v^{-1} depends on g2 only through
+        v^{-1}_{g1,g2}, so it is computed once per (w1, w2, g1, value of
+        v^{-1}): a built table of (w1, g1), (w2, h) with an equal v^{-1}_{g1,h}
+        gives the entries, relabelled g1g2.  The association stays as written,
+        since the cap D cuts a reassociated product differently."""
         (w1, g1), (w2, g2) = s1, s2
         ctx = self.ctx
-        if (g1, g2) not in self._vinv:
-            self._vinv[(g1, g2)] = ctx.inverse(self.data.v[(g1, g2)])
-        conj = self._conj.get((w2, g1))
-        if conj is None:
-            conj = HElement._trusted(ctx, 1, {(0, (w2,)): 1})
-            for images in (ctx.theta_images(g1), self.data.i_inverse_images(g1)):
-                conj = ctx.apply_endo(images, conj)
-            self._conj[(w2, g1)] = conj
-        plain1 = HElement._trusted(ctx, 1, {(0, (w1,)): 1})
-        gg = self.G.group.mul(g1, g2)
-        val = plain1 * conj * self._vinv[(g1, g2)]
-        table = self._products[(s1, s2)] = self._table(
-            val.den, ((a, ((w, gg),), n) for (a, (w,)), n in val.num.items())
-        )
+        grp = self.G.group
+        vinv = self._vinv.get((g1, g2))
+        if vinv is None:
+            vinv = self._vinv[(g1, g2)] = ctx.inverse(self.data.v[(g1, g2)])
+        gg = grp.mul(g1, g2)
+        for h in grp.elements():
+            sibling = self._products.get((s1, (w2, h)))
+            if sibling is not None and self._vinv[(g1, h)] == vinv:
+                table = self._relabeled(sibling, gg)
+                break
+        else:
+            conj = self._conj.get((w2, g1))
+            if conj is None:
+                conj = HElement._trusted(ctx, 1, {(0, (w2,)): 1})
+                for images in (ctx.theta_images(g1), self.data.i_inverse_images(g1)):
+                    conj = ctx.apply_endo(images, conj)
+                self._conj[(w2, g1)] = conj
+            plain1 = HElement._trusted(ctx, 1, {(0, (w1,)): 1})
+            val = plain1 * conj * vinv
+            table = self._table(val.den, ((a, ((w, gg),), n) for (a, (w,)), n in val.num.items()))
+        self._products[(s1, s2)] = table
         return table
 
     def _basis_coproduct(self, s: tuple[Word, int]) -> Table:

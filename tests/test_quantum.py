@@ -5,15 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+from gammastack.cli import data_path
+from gammastack.liealg import FiniteGroup, GammaLieBialgebra, LieBialgebra
+from gammastack.problemfile import build_que_data, parse_problem
 from gammastack.quantum import (
+    CrossedElement,
     HElement,
     QuantumError,
     QueContext,
     SemidirectBialgebra,
+    _bracket_failures,
+    bracket_residual,
     drinfeld_prime_membership,
     drinfeld_prime_membership_general,
     is_admissible,
     primitive_coeffs,
+    validate_que_data,
 )
 from gammastack.tensors import monomial_degree
 
@@ -66,6 +73,44 @@ def test_commutator_is_bracket():
     assert e * f - f * e == h
 
 
+def ordered_bracket_failures(ctx, images):
+    """The bracket check of every ordered pair i != j, each evaluated."""
+    dim = ctx.lba.dim
+    return [
+        (i, j) for i in range(dim) for j in range(dim) if i != j and not bracket_residual(ctx, images, i, j).is_zero()
+    ]
+
+
+def test_bracket_failures_evaluate_each_unordered_pair_once(monkeypatch):
+    """`validate_que_data` checks the bracket relation on each unordered pair
+    once and reports (j, i) with (i, j) when c_ji = -c_ij, in row order: the
+    same pairs as evaluating every ordered pair.  sl2-que.glb past its
+    generated order fails at (1,2) and (2,1); a one-sided bracket table
+    (c_01 stated, c_10 not) makes (1, 0) evaluated on its own; and on
+    sl2-que at M = 3, D = 6 validation makes 15 `bracket_residual` calls
+    (30 for every ordered pair)."""
+    text = data_path("sl2-que.glb").read_text(encoding="utf-8")
+    failing = build_que_data(parse_problem(text), 4, 6)
+    ctx = failing.ctx
+    assert _bracket_failures(ctx, ctx.delta_images) == [(1, 2), (2, 1)]
+    for images in [ctx.delta_images, *failing.i_images.values(), [ctx.gen(1), ctx.gen(0), ctx.gen(2)]]:
+        assert _bracket_failures(ctx, images) == ordered_bracket_failures(ctx, images)
+    one_sided = LieBialgebra(2, ["x", "y"], {(0, 1, 0): 1}, {})
+    ident = [[1, 0], [0, 1]]
+    lopsided = QueContext(GammaLieBialgebra(one_sided, FiniteGroup.cyclic(1, "e"), {0: ident}, {0: {}}), 2, 3)
+    gens = [lopsided.gen(0), lopsided.gen(1)]
+    assert _bracket_failures(lopsided, gens) == ordered_bracket_failures(lopsided, gens) == [(0, 1)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return bracket_residual(*args)
+
+    monkeypatch.setattr("gammastack.quantum.bracket_residual", counted)
+    assert validate_que_data(build_que_data(parse_problem(text), 3, 6)) == []
+    assert len(calls) == 15 and all(i < j for i, j in calls)
+
+
 def test_group_conjugation():
     # i = id and v = 1, so this is the crossed product U(g) x| Gamma
     alg = SemidirectBialgebra(trivial_que_data(3, 4))
@@ -94,6 +139,17 @@ def test_helement_checks_the_slot_count_of_every_key(slots, key, c):
     ctx = sl2_ctx(M=3, D=4)
     with pytest.raises(ValueError, match="slot count mismatch"):
         HElement(ctx, slots, {key: c})
+
+
+@pytest.mark.parametrize("c", [0, 1], ids=["zero", "kept"])
+def test_helement_rejects_a_word_out_of_pbw_order(c):
+    """Every word of a key must be a PBW word, letters in increasing order,
+    even when its term would be dropped, in plain and labeled slots alike:
+    `mul` returns the other operand of a unit factor as it is."""
+    ctx = sl2_ctx(M=3, D=4)
+    for cls, empty, slot in ((HElement, (), (1, 0)), (CrossedElement, ((), 0), ((1, 0), 0))):
+        with pytest.raises(ValueError, match="not a PBW word"):
+            cls(ctx, 2, {(0, (empty, slot)): c})
 
 
 def test_mul_rejects_labeled_slots():

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammastack.liealg import FiniteGroup, GammaLieBialgebra, LieBialgebra
-from gammastack.quantum import CrossedElement, HElement, QueContext, SemidirectBialgebra
+from gammastack.quantum import CrossedElement, HElement, QueContext, SemidirectBialgebra, _slot_product
 from gammastack.tensors import _add_into, monomial_degree
 
 from tools.bundled import abelian_que_data, sl2_que_data, trivial_que_data
@@ -149,6 +149,27 @@ def test_mul_and_counit_equal_old_loops(contexts, case, data):
             x = data.draw(elements(ctx, slots, labeled))
             for idx in range(slots):
                 assert terms(ctx.counit_slot(x, idx)) == terms(oracle_counit_slot(ctx, x, idx))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{name}-M{M}" for name, M in CASES])
+@PROPERTY
+@given(data=st.data())
+def test_unit_factor_equals_the_pair_loop(contexts, case, data):
+    """`mul` returns the other operand when one is the unit of its slot
+    count: x 1 and 1 x equal the pair loop `_slot_product` on the same
+    operands, in value and key order, since every key is a PBW word within
+    the bounds.  A scaled unit, 2 or hbar, is no unit and takes the loop."""
+    ctx = contexts[case]
+    for slots in SLOTS:
+        x = data.draw(elements(ctx, slots))
+        unit = ctx.unit(slots)
+        for left, right in ((x, unit), (unit, x)):
+            got = terms(ctx.mul(left, right))
+            assert got == terms(x)
+            assert got == terms(_slot_product(left, right, ctx._mul_slot_cache, ctx._mul_slot))
+        for scalar in (unit.scale(2), unit.hbar_shift(1)):
+            for left, right in ((x, scalar), (scalar, x)):
+                assert terms(ctx.mul(left, right)) == terms(oracle_mul(ctx, left, right))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[f"{name}-M{M}" for name, M in CASES])

@@ -15,6 +15,7 @@ kind of check.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,9 @@ from gammastack.quantum import (
     HElement,
     QueContext,
     SemidirectBialgebra,
+    _slot_product,
     build_semidirect,
+    quantize_stack,
 )
 from gammastack.tensors import _add_into, sorted_words
 
@@ -258,13 +261,108 @@ def test_axiom_report_multiplies_each_distinct_pair_once(monkeypatch):
     assert 3 * counts["product"] < 12832 and 3 * counts["apply_endo"] < 3272
 
 
+@cache
+def swept(name: str, M: int, D: int) -> tuple[SemidirectBialgebra, list[str]]:
+    """The axiom sweep of a bundled file at (M, D), run once per session."""
+    text = data_path(name).read_text(encoding="utf-8")
+    return build_semidirect(build_que_data(parse_problem(text), M, D), 1)
+
+
 def test_sl2_sweep_builds_each_basis_table_once():
     """The benchmark's sweep, sl2-que.glb at M = 3, D = 6: a product reads
     the table of every slot pair of each term pair below hbar^M, and Delta
     the table of every slot it meets, so the sweep builds exactly the basis
     products (1,764) and basis coproducts (60) its terms meet, and finds no
     issue."""
-    text = data_path("sl2-que.glb").read_text(encoding="utf-8")
-    alg, issues = build_semidirect(build_que_data(parse_problem(text), 3, 6), 1)
+    alg, issues = swept("sl2-que.glb", 3, 6)
     assert issues == []
     assert (len(alg._products), len(alg._coproducts)) == (1764, 60)
+
+
+# -- the tables against the per-pair construction -----------------------------------------
+
+
+def pair_loop_mul(x, y):
+    """x y through the pair loop, past `QueContext.mul`'s unit fast path."""
+    return _slot_product(x, y, x.ctx._mul_slot_cache, x.ctx._mul_slot)
+
+
+def per_pair_product_table(alg, s1, s2):
+    """The table of [w1|g1][w2|g2] built for this pair alone:
+    (w1 i_{g1}^{-1}(theta_g1(w2))) v_{g1,g2}^{-1} at hbar^0, labelled g1g2."""
+    ctx, data = alg.ctx, alg.data
+    (w1, g1), (w2, g2) = s1, s2
+    conj = HElement(ctx, 1, {(0, (w2,)): ONE})
+    for images in (ctx.theta_images(g1), data.i_inverse_images(g1)):
+        conj = ctx.apply_endo(images, conj)
+    plain1 = HElement(ctx, 1, {(0, (w1,)): ONE})
+    val = pair_loop_mul(pair_loop_mul(plain1, conj), ctx.inverse(data.v[(g1, g2)]))
+    gg = ctx.G.group.mul(g1, g2)
+    return CrossedElement._table(val.den, ((a, ((w, gg),), n) for (a, (w,)), n in val.num.items()))
+
+
+def per_slot_coproduct_table(alg, s):
+    """The table of Delta[w|g] built for this slot alone: Delta_e(w) F_g^{-1}
+    at hbar^0, labelled g in both slots."""
+    ctx, data = alg.ctx, alg.data
+    w, g = s
+    plain = HElement(ctx, 1, {(0, (w,)): ONE})
+    val = pair_loop_mul(ctx.coproduct_slot(plain, 0), ctx.inverse(data.F[g]))
+    return CrossedElement._table(val.den, ((a, ((w1, g), (w2, g)), n) for (a, (w1, w2)), n in val.num.items()))
+
+
+def unlabelled(table):
+    den, entries = table
+    return den, tuple((a, tuple(w for w, _ in sl), n, e) for a, sl, n, e in entries)
+
+
+@pytest.mark.parametrize("name, M, D", [("sl2-que.glb", 3, 6), ("abelian-que.glb", 3, 4)])
+def test_swept_tables_equal_the_per_pair_construction(name, M, D):
+    """A basis product computes its plain product once per (w1, w2, g1, value
+    of v^{-1}_{g1,g2}) and relabels it for every other g2 with an equal v^{-1}.
+    After the sweep every product and coproduct table equals the one built
+    for its pair alone, entry order included.  On sl2-que every v^{-1} is the
+    unit; on abelian-que v_{s,s} = 1 - 2 hbar^2 x x y is not, and some
+    tables of one (w1, g1), (w2, .) differ by more than their labels, so
+    tables of labels with different v^{-1} are not shared."""
+    alg, issues = swept(name, M, D)
+    assert issues == []
+    for (s1, s2), table in alg._products.items():
+        assert table == per_pair_product_table(alg, s1, s2)
+    for s, table in alg._coproducts.items():
+        assert table == per_slot_coproduct_table(alg, s)
+    plain: dict = {}
+    for (s1, (w2, _)), table in alg._products.items():
+        plain.setdefault((s1, w2), set()).add(unlabelled(table))
+    unit = alg.ctx.unit(1)
+    if name == "sl2-que.glb":
+        assert all(vinv == unit for vinv in alg._vinv.values())
+        assert all(len(tables) == 1 for tables in plain.values())
+    else:
+        assert alg._vinv[(1, 1)] != unit
+        assert any(len(tables) > 1 for tables in plain.values())
+
+
+def test_unit_factors_skip_the_pair_loop(monkeypatch):
+    """On sl2-que.glb at M = 3, D = 6, `quantize_stack` sends 138 of its
+    `QueContext.mul` calls through the pair loop `_slot_product`, and the
+    axiom sweep after it (the benchmark's order) 478: a unit factor returns
+    the other operand, a relabelled basis product multiplies nothing, and
+    `validate_que_data` evaluates each unordered bracket pair once (516 and
+    3,618 when every call took the loop and every ordered pair was
+    evaluated).  The crossed product's own unit [1|e] still takes the loop:
+    all 3,744 products of the sweep do."""
+    text = data_path("sl2-que.glb").read_text(encoding="utf-8")
+    data = build_que_data(parse_problem(text), 3, 6)
+    calls = {HElement: 0, CrossedElement: 0}
+
+    def counted(x, y, memo, build):
+        calls[x.__class__] += 1
+        return _slot_product(x, y, memo, build)
+
+    monkeypatch.setattr("gammastack.quantum._slot_product", counted)
+    assert quantize_stack(data).ok
+    assert calls == {HElement: 138, CrossedElement: 0}
+    calls.update(dict.fromkeys(calls, 0))
+    assert SemidirectBialgebra(data).axiom_report(1) == []
+    assert calls == {HElement: 478, CrossedElement: 3744}
