@@ -231,9 +231,18 @@ def bch_apply_recursion(bracket_fn, x, y, nmax: int):
       [z_{k_1}, [..., [z_{k_{2p}}, x + y]...]].
     The nested bracket of each composition suffix (k_j, ..., k_{2p}) is
     evaluated once and shared by every composition that ends in it.
+
+    Two sets of terms vanish by antisymmetry alone and are not evaluated:
+    the step n = 1 is 1/2 [x - y, x + y] = [x, y], so z_2 = 1/2 [x, y] is
+    one bracket of x and y; and a composition whose last part is 1 nests
+    [z_1, x + y] = [x + y, x + y] = 0.  So bracket_fn must be
+    antisymmetric; `PairingContext` checks that of its bracket table
+    exactly when it builds it.
     """
     xy = x + y
     z = [None, xy]
+    if nmax > 1:
+        z.append(bracket_fn(x, y).scale(Fraction(1, 2)))
     nested: dict[tuple[int, ...], object] = {(): xy}
 
     def nest(ks: tuple[int, ...]):
@@ -242,12 +251,13 @@ def bch_apply_recursion(bracket_fn, x, y, nmax: int):
             val = nested[ks] = bracket_fn(z[ks[0]], nest(ks[1:]))
         return val
 
-    for n in range(1, nmax):
+    for n in range(2, nmax):
         acc = bracket_fn(x + y.scale(-1), z[n]).scale(Fraction(1, 2))
         for p in range(1, n // 2 + 1):
             coeff = bernoulli(2 * p) / factorial(2 * p)
             for ks in _compositions(n, 2 * p):
-                acc = acc + nest(ks).scale(coeff)
+                if ks[-1] > 1:
+                    acc = acc + nest(ks).scale(coeff)
         z.append(acc.scale(Fraction(1, n + 1)))
     total = z[1]
     for n in range(2, nmax + 1):
@@ -318,6 +328,7 @@ class PairingContext:
         self._word_degree: dict[int, int] = {c: len(w) for c, w in self._code_words.items()}
         # the 1-slot brackets on packed words, numerators over _bracket_lcm
         self._bracket_lcm, self._bracket_table = self._build_bracket_table(straighten, factor)
+        self._check_antisymmetric()
         # per slot count: its pack, unpack, pair-bracket memo and intern tables
         self._packings: dict[int, Packing] = {}
 
@@ -404,6 +415,20 @@ class PairingContext:
             k: tuple((w, n * (L // d)) for w, (n, d) in row.items()) for k, row in table.items()
         }
 
+    def _check_antisymmetric(self):
+        """Raise ValueError unless {v, u} = -{u, v} entry by entry in the
+        bracket table: the row of (v, u) is the row of (u, v) negated, and
+        no (u, u) is stored.  `bch_apply_recursion` skips the brackets that
+        vanish by this alone."""
+        table, width, words = self._bracket_table, self._slot_bits, self._code_words
+        mask = (1 << width) - 1
+        for key, row in table.items():
+            u, v = key >> width, key & mask
+            if u == v or table.get((v << width) | u) != tuple((w, -n) for w, n in row):
+                raise ValueError(
+                    f"the bracket table is not antisymmetric at the words {words[u]}, {words[v]}"
+                )
+
     def bracket_words(self, u: Word, v: Word) -> list[tuple[Word, int]]:
         """The 1-slot bracket {u, v} of two PBW words as [(word, numerator
         over _bracket_lcm), ...], in the bracket table's order."""
@@ -467,11 +492,14 @@ class PairingContext:
         dropped at the end.  Every pair with a term of degree <= cut is
         still visited, in the same order, so the result is exactly the
         degree-<=cut part of the full bracket, term order included, and
-        keeps trunc as its space.
+        keeps trunc as its space.  A zero operand gives the zero series at
+        once: nothing is packed and no pair is memoised.
         """
         if a.slots != b.slots:
             raise ValueError("slot mismatch in poisson bracket")
         n = a.slots
+        if not (a.num and b.num):
+            return self.zero(n)
         top = self.trunc if cut is None else min(cut, self.trunc)
         packing = self._packing(n)
         pack, unpack, memo = packing.pack, packing.unpack, packing.memo

@@ -250,7 +250,12 @@ class SparseElement:
 
 
 class SparseTensor(SparseElement):
-    """Truncated element of the n-fold symmetric tensor power."""
+    """Truncated element of the n-fold symmetric tensor power.
+
+    The public constructor raises ValueError on a monomial with the wrong
+    slot count or with a slot that is not a sorted word: every slot is one
+    multiset, so equality, sums and products read it in one spelling.
+    """
 
     __slots__ = ("trunc",)
     _space = "trunc"
@@ -265,6 +270,8 @@ class SparseTensor(SparseElement):
             for mono, c in coeffs.items():
                 if len(mono) != slots:
                     raise ValueError(f"monomial {mono} has wrong slot count")
+                if any(list(w) != sorted(w) for w in mono):
+                    raise ValueError(f"a slot of monomial {mono} is not a sorted word")
                 if monomial_degree(mono) > trunc or c == 0:
                     continue
                 clean[mono] = Fraction(c)

@@ -530,13 +530,34 @@ def test_memoised_recursion_equals_unshared_recursion(nmax):
 
 def test_capped_recursion_bracket_counts():
     """At trunc N the star products stop at N - 1 operands: the memoised
-    recursion then brackets 4 / 8 / 15 / 28 times at N = 4 / 5 / 6 / 7."""
+    recursion then brackets 2 / 5 / 9 / 16 times at N = 4 / 5 / 6 / 7, with
+    the brackets that vanish by antisymmetry skipped (4 / 8 / 15 / 28
+    before)."""
     counts = []
     for N in range(4, 8):
         br, calls = free_commutator(N - 1)
         bch_apply_recursion(br, FREE_X, FREE_Y, N - 1)
         counts.append(calls[0])
-    assert counts == [4, 8, 15, 28]
+    assert counts == [2, 5, 9, 16]
+
+
+@pytest.mark.parametrize("nmax", range(2, 10))
+def test_recursion_brackets_no_operand_with_itself_and_no_zero(nmax):
+    """On the free commutator algebra, no bracket the recursion evaluates
+    has two equal operands or the value 0: the brackets fixed at 0 by
+    antisymmetry alone are skipped, and the result is still the BCH
+    series."""
+    br, _ = free_commutator(nmax)
+    seen = []
+
+    def spy(a, b):
+        out = br(a, b)
+        seen.append((a.d == b.d, not out.d))
+        return out
+
+    z = bch_apply_recursion(spy, FREE_X, FREE_Y, nmax)
+    assert seen and not any(equal or zero for equal, zero in seen)
+    assert z.d == {w: c for c, w in bch_word_terms(nmax)}
 
 
 def test_bch_star_abelian_additive():
@@ -643,9 +664,70 @@ def test_poisson_pair_skip_changes_nothing(operands):
     b = SparseTensor(n, trunc, b_coeffs)
     got = ctx.poisson(a, b)
     assert list(got.coeffs.items()) == list(fraction_poisson(ctx, a, b).items())
-    for key in ctx._packings[n].memo:
+    # a zero operand returns before the slot count's tables are made
+    memo = ctx._packings[n].memo if n in ctx._packings else {}
+    for key in memo:
         m1, m2 = decode(ctx, key >> n * ctx._slot_bits, n), decode(ctx, key, n)
         assert monomial_degree(m1) + monomial_degree(m2) - 1 <= trunc
+
+
+def test_poisson_of_a_zero_operand_touches_no_table():
+    """A zero operand on either side gives the context's zero series, in
+    the operands' slot count and truncation, and leaves the pair memo and
+    the pack tables as they were: the other operand is not packed."""
+    ctx = ctx_for(sl2_lba(), N=4)
+    f = ctx.series({((0, 1),): F(2), ((1, 2),): F(-1, 3)})
+    g = ctx.series({((0, 0),): F(1), ((2,),): F(5)})
+    ctx.poisson(f, g)
+    packing = ctx._packings[1]
+    before = (dict(packing.pack), dict(packing.unpack), dict(packing.memo), dict(packing.intern))
+    new = ctx.series({((0, 2, 2),): F(1), ((1, 1),): F(7)})
+    for a, b in ((ctx.zero(), new), (new, ctx.zero()), (ctx.zero(), ctx.zero())):
+        out = ctx.poisson(a, b)
+        assert out.is_zero() and out.slots == 1 and out.trunc == ctx.trunc
+        assert out == ctx.zero()
+    assert (packing.pack, packing.unpack, packing.memo, packing.intern) == before
+    pair = SparseTensor(2, 4, {((0,), (1, 2)): F(1)})
+    assert ctx.poisson(pair, ctx.zero(2)) == ctx.zero(2)
+    assert set(ctx._packings) == {1}
+
+
+def test_context_rejects_a_bracket_table_that_is_not_antisymmetric(monkeypatch):
+    """One corrupted entry on one side of the bracket table, a row missing
+    its mirror, or a bracket of a word with itself, makes the context
+    raise as it is built, naming the word pair."""
+    build = PairingContext._build_bracket_table
+    lba = build_delta_gamma(axb_gamma(), 1)
+    ctx = PairingContext(lba, 4)
+    width, words = ctx._slot_bits, ctx._code_words
+    key = next(iter(ctx._bracket_table))
+    u, v = words[key >> width], words[key & ((1 << width) - 1)]
+    (w, n), *rest = ctx._bracket_table[key]
+    diagonal = (ctx._word_codes[u] << width) | ctx._word_codes[u]
+
+    def corrupted(change):
+        def patched(self, straighten, factor):
+            L, table = build(self, straighten, factor)
+            change(table)
+            return L, table
+
+        return patched
+
+    def scale_one(table):
+        table[key] = ((w, 2 * n), *rest)
+
+    mutations = [
+        (scale_one, (u, v)),
+        (lambda table: table.pop((ctx._word_codes[v] << width) | ctx._word_codes[u]), (u, v)),
+        (lambda table: table.__setitem__(diagonal, ((w, n),)), (u, u)),
+    ]
+    for change, (p, q) in mutations:
+        monkeypatch.setattr(PairingContext, "_build_bracket_table", corrupted(change))
+        with pytest.raises(ValueError, match="not antisymmetric") as err:
+            PairingContext(lba, 4)
+        assert f"{p}, {q}" in str(err.value) or f"{q}, {p}" in str(err.value)
+    monkeypatch.undo()
+    assert PairingContext(lba, 4)._bracket_table == ctx._bracket_table
 
 
 def test_poisson_visits_only_the_pairs_within_the_bound():

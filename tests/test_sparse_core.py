@@ -138,3 +138,18 @@ def test_public_constructors_reject_wrong_slot_count():
         SparseTensor(2, 3, {((0,),): Fraction(1)})
     with pytest.raises(ValueError):
         HElement(CTX, 2, {(0, ((0,),)): Fraction(1)})
+
+
+def test_sparse_tensor_rejects_a_slot_that_is_not_a_sorted_word():
+    """A slot is a multiset spelled as its sorted word.  Accepted, e1 e0
+    and e0 e1 were two keys of one monomial: the two tensors compared
+    unequal, their difference was nonzero, and a product with e0 kept the
+    unsorted key (0, 0, 1).  The check holds even for a term that is cut."""
+    for slot in ((1, 0), (0, 2, 1)):
+        with pytest.raises(ValueError, match="not a sorted word"):
+            SparseTensor(1, 3, {(slot,): 1})
+    with pytest.raises(ValueError, match="not a sorted word"):
+        SparseTensor(2, 1, {((0,), (1, 0)): 1})
+    a = SparseTensor(1, 3, {((0, 1),): 1})
+    assert a == SparseTensor(1, 3, {((0, 1),): Fraction(1)})
+    assert (a * SparseTensor.generator(0, 3)).coeffs == {((0, 0, 1),): 1}

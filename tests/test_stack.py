@@ -82,6 +82,28 @@ def test_lift_axb_N5_oracle():
     assert lift != leading_term(G, 0, 1, 5)
 
 
+@pytest.mark.parametrize("name, N", [("axb", 6), ("sl2-weyl", 5)])
+def test_dynkin_star_equals_lyndon_star_on_twist_defect_operands(name, N):
+    """Both BCH kernels agree on the operands of the twist defect of every
+    nonzero lift_twist lift of a bundled problem: the recursion's skipped
+    brackets are zero on real operands too."""
+    G = parse_problem(data_path(f"{name}.glb").read_text(encoding="utf-8")).G
+    checked = 0
+    for a in G.group.elements():
+        ctx = PairingContext(build_delta_gamma(G, a), N)
+        for b in G.group.elements():
+            lift = lift_twist(ctx, leading_term(G, a, b, N))
+            if lift.is_zero():
+                continue
+            for left, right in (
+                (tensor_unit(lift, 2), ctx.coproduct_slot(lift, 0)),
+                (tensor_unit(lift, 0), ctx.coproduct_slot(lift, 1)),
+            ):
+                assert ctx.bch_star_dynkin(left, right) == ctx.bch_star(left, right)
+                checked += 1
+    assert checked
+
+
 def test_gauge_act_trivial_and_abelian():
     G, ctx = axb_ctx(N=4)
     lift = lift_twist(ctx, leading_term(G, 0, 1, 4))
