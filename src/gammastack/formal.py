@@ -429,13 +429,6 @@ class PairingContext:
                     f"the bracket table is not antisymmetric at the words {words[u]}, {words[v]}"
                 )
 
-    def bracket_words(self, u: Word, v: Word) -> list[tuple[Word, int]]:
-        """The 1-slot bracket {u, v} of two PBW words as [(word, numerator
-        over _bracket_lcm), ...], in the bracket table's order."""
-        words = self._code_words
-        key = (self._word_codes[u] << self._slot_bits) | self._word_codes[v]
-        return [(words[w], n) for w, n in self._bracket_table.get(key, ())]
-
     # -- series-level operations ------------------------------------------------
 
     def series(self, coeffs: dict[Monomial, Fraction], slots: int = 1) -> TensorSeries:

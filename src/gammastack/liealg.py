@@ -398,9 +398,14 @@ def validate_gamma_lba(G: GammaLieBialgebra) -> list[ValidationIssue]:
                 _add_into(expect, key, c)
             if expect != G.f[grp.mul(g, h)]:
                 issues.append(ValidationIssue("condition-b", (grp.labels[g], grp.labels[h])))
-    # f_e = 0 is forced by (b) at (e, e); report it under condition-b
+    # theta_e = id makes each theta_g invertible under the homomorphism
+    # check, which alone passes a singular idempotent theta_e; f_e = 0 is
+    # forced by (b) at (e, e), reported under condition-b
+    e = grp.labels[grp.identity]
+    if G.theta[grp.identity] != [[int(i == j) for j in range(d)] for i in range(d)]:
+        issues.append(ValidationIssue("theta-homomorphism", (e,), "theta_e must be the identity"))
     if G.f[grp.identity]:
-        issues.append(ValidationIssue("condition-b", ("e",), "f_e must vanish"))
+        issues.append(ValidationIssue("condition-b", (e,), "f_e must vanish"))
     # condition (c): cyclic sum of (delta (x) id)(f) + [f^{13}, f^{23}] = 0
     for g in grp.elements():
         z: Tensor3 = {}

@@ -144,32 +144,3 @@ def solve_linear(sys: LinearSystem) -> LinearSolveResult:
         solution[col] = Fraction(rhs[ri], rows[ri][col])
     return LinearSolveResult(True, solution, rank)
 
-
-def reached_part(sys: LinearSystem) -> tuple[LinearSystem, list[int]]:
-    """The rows and columns of sys reachable from a row with a nonzero
-    target through shared entries, as a system of its own, and its columns
-    in sys (increasing; rows keep their order too).
-
-    sys is block-diagonal over its connected components and the part is a
-    union of them, so with free unknowns 0 `solve_linear` gives the part
-    the solution sys has there, and sys has 0 elsewhere: a component with
-    a zero target solves to 0.  sys is solvable if and only if the part is.
-    """
-    holders: list[list[int]] = [[] for _ in range(sys.n_cols)]
-    for i, row in enumerate(sys.rows):
-        for j in row:
-            holders[j].append(i)
-    rows = {i for i, b in enumerate(sys.rhs) if b}
-    columns: set[int] = set()
-    todo = list(rows)
-    while todo:
-        for j in sys.rows[todo.pop()]:
-            if j not in columns:
-                columns.add(j)
-                new = [i for i in holders[j] if i not in rows]
-                rows.update(new)
-                todo += new
-    part = sorted(rows)
-    index = {j: n for n, j in enumerate(sorted(columns))}
-    rows_of_part = [{index[j]: c for j, c in sys.rows[i].items()} for i in part]
-    return LinearSystem(len(index), rows_of_part, [sys.rhs[i] for i in part]), list(index)

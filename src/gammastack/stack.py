@@ -11,22 +11,17 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from typing import NamedTuple
 
 from gammastack.cohomology import CoboundaryObstruction, cohochschild_d, solve_coboundary
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
 from gammastack.liealg import GammaLieBialgebra, wedge2_apply
-from gammastack.linalg import LinearSystem, reached_part, solve_linear
 from gammastack.tensors import (
     Monomial,
     SparseTensor,
     TensorSeries,
-    Word,
     common_den,
     monomial_degree,
-    slot_monomials,
-    sorted_words,
     tensor_unit,
 )
 
@@ -312,132 +307,44 @@ def build_iso(
     """Solve for the algebra map intertwining the twisted coproduct and the
     Poisson brackets, degree by degree, identity in degree 1.
 
-    At degree d the unknowns are the degree-d terms p of the generator
-    images, and the residual's degree-d part is affine in p: every other
-    way p enters lands at degree d+1 or higher (p(x)p at 2d, {p_i, p_k}
-    at 2d-1, p times an image of degree >= 2 at d+1 or more).  So the
-    columns `_iso_system` assembles from the degree-1 parts of the twisted
-    coproducts and of the brackets are exactly the finite-difference
-    columns of the residual, and one `iso_residuals` evaluation per solved
-    degree gives both the check of degree d and the right-hand side of
-    degree d+1.
-
-    Only the part of the system the residual reaches (`linalg.reached_part`)
-    is solved; every other unknown is 0.  An inconsistent part is reported
-    by the row at which the full system fails.
+    At degree d the unknowns are the degree-d terms p_l of the generator
+    images, and the residual's degree-d part is affine in them: every other
+    way p_l enters lands at degree d+1 or higher (p(x)p at 2d, {p_i, p_k}
+    at 2d-1, p times an image of degree >= 2 at d+1 or more).  p_l moves
+    only the coproduct residual of e_l at degree d, by [Delta_dst(p_l)]_d -
+    p_l|1 - 1|p_l (the twisted coproduct of e_l has degree-1 part e_l|1 +
+    1|e_l).  The top-degree part of Delta_gamma on a PBW word is its
+    multiset split, so that is -d(p_l), the co-Hochschild differential of
+    the 1-cochain p_l; and d is injective on 1-cochains of degree >= 2 (the
+    primitives of S(g) have degree 1).  So p_l = solve_coboundary of the
+    part is the one solution, and the Poisson residuals only check it: one
+    `iso_residuals` evaluation per solved degree gives the check of degree
+    d and the parts of degree d+1.
     """
     N = ctx_src.trunc
+    labels = ctx_src.lba.labels
     images = [SparseTensor.generator(i, N) for i in range(ctx_src.dim)]
     twisted = [twisted_coproduct(ctx_src, ftilde, gen) for gen in images]
     cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(images, N))
     for deg in range(2, N + 1):
         if all(r.homogeneous_part(deg).is_zero() for r in cop_res + poi_res):
             continue
-        system, unknowns = _iso_system(ctx_src, ctx_dst, deg, cop_res, poi_res)
-        part, columns = reached_part(system)
-        res = solve_linear(part)
-        if not res.solvable:
-            raise StackBuildError(
-                f"isomorphism solve failed at degree {deg}: nonzero residual class"
-                f"; inconsistent equation row {solve_linear(system).failure_row}"
-                " (upstream twist data is inconsistent)"
-            )
-        for col, c in zip(columns, res.solution):
-            if c:
-                l, m = unknowns[col]
-                images[l] = images[l] + SparseTensor(1, N, {(m,): c})
+        for l, r in enumerate(cop_res):
+            alpha = r.homogeneous_part(deg)
+            if alpha.is_zero():
+                continue
+            try:
+                p = solve_coboundary(alpha)
+            except (CoboundaryObstruction, ValueError) as exc:
+                raise StackBuildError(
+                    f"isomorphism solve failed at degree {deg}, generator {labels[l]}: {exc}"
+                    " (upstream twist data is inconsistent)"
+                ) from exc
+            images[l] = images[l] + p
         cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(images, N))
         if not all(r.homogeneous_part(deg).is_zero() for r in cop_res + poi_res):
             raise StackBuildError(f"iso residual persists at degree {deg}")
     return AlgebraMap(images, N)
-
-
-def _iso_system(
-    ctx_src: PairingContext,
-    ctx_dst: PairingContext,
-    deg: int,
-    cop_res: list[TensorSeries],
-    poi_res: list[TensorSeries],
-) -> tuple[LinearSystem, list[tuple[int, Word]]]:
-    """The degree-deg system J p = -r of build_iso, and its unknowns (l, m)
-    in column order.
-
-    The unknown (l, m), the word m added to the image of e_l, is column
-    l * len(words) + (index of m).  r is the degree-deg part of the
-    `iso_residuals` output (cop_res, poi_res), one row per coefficient:
-    coproduct blocks first, one per generator over the 2-slot monomials,
-    then Poisson blocks, one per pair i < k over the words.  The column of
-    (l, m) is
-    - in coproduct block l: [Delta_dst(m)]_d - m|1 - 1|m;
-    - in Poisson block (i, k): {e_i, e_k}_src[e_l] m - [l=i] [{m, e_k}_dst]_d
-      + [l=k] [{m, e_i}_dst]_d;
-    and zero elsewhere.  The coproduct column holds because the twisted
-    coproduct of e_l has degree-1 part e_l|1 + 1|e_l (a bracket with the
-    twist in m^2 raises degree), the Poisson column because the bracket is
-    antisymmetric.
-
-    The system is stated in int, as D J p = -D r with D the lcm of the
-    denominators of r and of the context tables, and each column part is
-    read from the tables: the coproduct of m from ctx_dst's coproduct
-    table, {m, e_k} from its bracket table, {e_i, e_k} from ctx_src's.
-    """
-    dim = ctx_src.dim
-    words = sorted_words(dim, deg)
-    monos = slot_monomials(dim, 2, deg, least=0)
-    word_index = {w: r for r, w in enumerate(words)}
-    mono_index = {mono: r for r, mono in enumerate(monos)}
-    n_words, n_monos = len(words), len(monos)
-    pairs = [(i, k) for i in range(dim) for k in range(i + 1, dim)]
-    cop_den, cop_table = ctx_dst._coproduct_den, ctx_dst._coproduct_table
-    dst_lcm, src_lcm = ctx_dst._bracket_lcm, ctx_src._bracket_lcm
-    D = lcm(cop_den, dst_lcm, src_lcm, *(r.den for r in (*cop_res, *poi_res)))
-    poisson_row0 = dim * n_monos
-    rows: list[dict[int, int]] = [{} for _ in range(poisson_row0 + len(pairs) * n_words)]
-    rhs = [0] * len(rows)
-    for l, r in enumerate(cop_res):
-        for mono, n in r.num.items():
-            row = mono_index.get(mono)
-            if row is not None:
-                rhs[l * n_monos + row] = -n * (D // r.den)
-    for p, r in enumerate(poi_res):
-        for (v,), n in r.num.items():
-            row = word_index.get(v)
-            if row is not None:
-                rhs[poisson_row0 + p * n_words + row] = -n * (D // r.den)
-    # the coefficient of e_l in {e_i, e_k}_src, times D, per pair
-    linear = [
-        {w[0]: n * (D // src_lcm) for w, n in ctx_src.bracket_words((i,), (k,)) if len(w) == 1}
-        for i, k in pairs
-    ]
-    k_cop, k_dst = D // cop_den, D // dst_lcm
-    unknowns = [(l, m) for l in range(dim) for m in words]
-    for col, (l, m) in enumerate(unknowns):
-        r = col % n_words
-        ones = ((m, ()), ((), m))
-        for mono, n in cop_table[m].items():
-            row = mono_index.get(mono)
-            if row is not None:
-                if mono in ones:
-                    n -= cop_den
-                if n:
-                    rows[l * n_monos + row][col] = n * k_cop
-        for p, (i, k) in enumerate(pairs):
-            entries: dict[int, int] = {}
-            c = linear[p].get(l)
-            if c:
-                entries[r] = c
-            if l in (i, k):
-                # l = i subtracts {m, e_k}, l = k adds {m, e_i}
-                other, scale = (k, -k_dst) if l == i else (i, k_dst)
-                for w, n in ctx_dst.bracket_words(m, (other,)):
-                    v = word_index.get(w)
-                    if v is not None:
-                        entries[v] = entries.get(v, 0) + scale * n
-            row0 = poisson_row0 + p * n_words
-            for v, n in entries.items():
-                if n:
-                    rows[row0 + v][col] = n
-    return LinearSystem(len(unknowns), rows, rhs), unknowns
 
 
 # -- certificates ---------------------------------------------------------------
@@ -611,11 +518,17 @@ def verify_stack(G: GammaLieBialgebra, N: int) -> StackCertificate:
         gp = grp.mul(grp.inverse[a], b)
         return tensor2_to_series(wedge2_apply(G.theta[a], G.f[gp]), N).scale(F(1, 2))
 
+    def at(tup: tuple[int, ...]) -> str:
+        return "(" + ", ".join(grp.labels[x] for x in tup) + ")"
+
     lifts: dict[tuple[int, int], TensorSeries] = {}
     isos: dict[tuple[int, int], AlgebraMap] = {}
     for (a, b) in pairs:
-        lifts[(a, b)] = memo(lift_twist, contexts[a], leading_for(a, b))
-        isos[(a, b)] = memo(build_iso, contexts[a], contexts[b], lifts[(a, b)])
+        try:
+            lifts[(a, b)] = memo(lift_twist, contexts[a], leading_for(a, b))
+            isos[(a, b)] = memo(build_iso, contexts[a], contexts[b], lifts[(a, b)])
+        except StackBuildError as exc:
+            raise StackBuildError(f"{exc} (at pair {at((a, b))})") from exc
     inv_isos = {ab: memo(AlgebraMap.inverse, isos[ab]) for ab in pairs}
 
     triples = [(a, b, c) for a in grp.elements() for b in grp.elements() for c in grp.elements()]
@@ -631,7 +544,7 @@ def verify_stack(G: GammaLieBialgebra, N: int) -> StackCertificate:
                 lifts[(a, c)],
             )
         except StackBuildError as exc:
-            raise StackBuildError(f"{exc} (at triple {(a, b, c)})") from exc
+            raise StackBuildError(f"{exc} (at triple {at((a, b, c))})") from exc
 
     residuals: list[ResidualEntry] = []
 

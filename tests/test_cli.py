@@ -110,6 +110,57 @@ def test_validate_corrupted_exits_1_naming_condition(tmp_path, capsys):
     assert "condition-a" in out
 
 
+SINGULAR_ACTION = """[algebra]
+dim 3
+labels x y z
+cobracket y = 1 x y
+
+[group]
+labels e s
+row e = e s
+row s = s e
+
+[action e]
+map x = 1 x
+map y = 1 y
+map z = 0 z
+
+[action s]
+map x = 1 x
+map y = 1 y
+map z = 0 z
+"""
+
+
+def test_singular_action_at_the_identity_is_invalid(tmp_path):
+    """theta_e = theta_s = the projection killing z is a homomorphism that
+    preserves the (zero) bracket, but theta_e is not the identity: validate
+    and stack exit 1 naming it."""
+    bad = tmp_path / "singular.glb"
+    bad.write_text(SINGULAR_ACTION, encoding="utf-8")
+    line = "INVALID theta-homomorphism violated at (e): theta_e must be the identity\n"
+    assert run_cli("validate", str(bad)) == (1, line, "")
+    assert run_cli("stack", str(bad), "-N", "3") == (1, "", line)
+
+
+def test_identity_checks_name_the_identity_by_its_label(tmp_path):
+    """An identity labelled `id` with a nonzero twist is named `id`."""
+    text = data_path("axb.glb").read_text(encoding="utf-8")
+    for old, new in (
+        ("labels e s", "labels id s"),
+        ("row e = e s", "row id = id s"),
+        ("row s = s e", "row s = s id"),
+        ("[twist s]", "[twist id]\nterm 1 x y\n\n[twist s]"),
+    ):
+        text = text.replace(old, new)
+    bad = tmp_path / "id.glb"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli("validate", str(bad))
+    assert (code, err) == (1, "")
+    assert "INVALID condition-b violated at (id): f_e must vanish" in out.splitlines()
+    assert "(e)" not in out
+
+
 def test_package_main_is_the_cli(tmp_path):
     """`python -m gammastack` prints the same bytes and exits with the same
     code as `python -m gammastack.cli`: 0, 1 and 2."""

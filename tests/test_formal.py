@@ -261,7 +261,7 @@ def test_poisson_antisymmetry_and_leibniz():
     # Leibniz: {ab, c} = a{b,c} + {a,c}b
     a, b, c = series[0], series[1], series[3]
     assert ctx.poisson(a * b, c) == a * ctx.poisson(b, c) + ctx.poisson(a, c) * b
-    # build_iso's columns read {e_i, m} as -{m, e_i}
+    # {e_i, m} = -{m, e_i} for every generator and PBW word
     for ctx in bundled_classical_contexts():
         for i in range(ctx.dim):
             gen = SparseTensor.generator(i, ctx.trunc)

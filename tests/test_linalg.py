@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from gammastack.linalg import LinearSolveResult, LinearSystem, _eliminate, reached_part, solve_linear
+from gammastack.linalg import LinearSolveResult, LinearSystem, _eliminate, solve_linear
 
 F = Fraction
 
@@ -190,28 +190,6 @@ def test_solve_linear_matches_fraction_gauss_jordan(sys):
     before = ([list(row.items()) for row in sys.rows], list(sys.rhs))
     assert solve_linear(sys) == _fraction_gauss_jordan(sys)
     assert ([list(row.items()) for row in sys.rows], list(sys.rhs)) == before
-
-
-def test_reached_part_follows_shared_entries():
-    """Rows 0 and 2 share column 3, row 2 reaches column 1; rows 1 and 3
-    hold only columns that no row with a nonzero target reaches."""
-    sys = LinearSystem(5, [{3: 1}, {0: 2, 4: 1}, {1: 1, 3: -1}, {4: 5}], [7, 0, 0, 0])
-    part, columns = reached_part(sys)
-    assert columns == [1, 3]
-    assert part == LinearSystem(2, [{1: 1}, {0: 1, 1: -1}], [7, 0])
-
-
-@given(sparse_systems())
-@settings(max_examples=200, deadline=None)
-def test_reached_part_solves_as_the_full_system(sys):
-    """The reached part is solvable exactly when the system is, and its
-    solution, with every other unknown 0, is the system's."""
-    part, columns = reached_part(sys)
-    res_part, res_full = solve_linear(part), solve_linear(sys)
-    assert res_part.solvable == res_full.solvable
-    if res_full.solvable:
-        solution = dict(zip(columns, res_part.solution))
-        assert [solution.get(j, 0) for j in range(sys.n_cols)] == res_full.solution
 
 
 def test_int_elimination_builds_no_fraction(monkeypatch):

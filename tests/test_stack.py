@@ -7,18 +7,17 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammastack.cohomology import alt
+from gammastack import cohomology
+from gammastack.cohomology import alt, cohochschild_d, solve_coboundary
 from gammastack.formal import PairingContext, build_delta_gamma, tensor2_to_series
 from gammastack.liealg import FiniteGroup, LieBialgebra, mat_apply, validate_gamma_lba, wedge2_apply
 from gammastack.cli import data_path
 from gammastack import stack
-from gammastack.linalg import reached_part, solve_linear
 from gammastack.problemfile import parse_problem
 from gammastack.stack import (
     AlgebraMap,
     StackBuildError,
     _composition_residual,
-    _iso_system,
     _residual_entry,
     build_iso,
     gauge_act,
@@ -33,6 +32,7 @@ from gammastack.stack import (
 from gammastack.tensors import SparseTensor, monomial_degree, slot_monomials, sorted_words, tensor_unit
 
 from tools.bundled import from_quasitriangular
+from tools.ranks import cohomology_rank
 
 from conftest import abelian_flat_lba, axb_gamma, axb_lba, randomized_lift, sl2_lba
 
@@ -190,73 +190,49 @@ def test_build_iso_axb_nonzero_correction():
         assert j.images[i].coeffs.get(((),), 0) == 0
 
 
-@pytest.mark.parametrize(
-    "mono, deg, row",
-    [
-        (((0,), (1,)), 2, 15),
-        (((0,), (0,)), 3, 30),
-        (((0,), (0, 1)), 3, 10),
-        (((1, 1), (0,)), 3, 12),
-        (((1,), (1, 1)), 3, 13),
-    ],
-)
-def test_build_iso_failure_names_the_inconsistent_row(mono, deg, row):
-    """An axb lift at N=4 with one coefficient raised by 1 has no
-    isomorphism: the message names the degree and the first inconsistent
-    row after first-nonzero elimination with row swaps."""
-    G = axb_gamma()
-    N = 4
-    ctx_e = PairingContext(build_delta_gamma(G, 0), N)
-    ctx_s = PairingContext(build_delta_gamma(G, 1), N)
-    bad = lift_twist(ctx_e, leading_term(G, 0, 1, N)) + SparseTensor(2, N, {mono: F(1)})
-    with pytest.raises(StackBuildError) as exc:
-        build_iso(ctx_e, ctx_s, bad)
-    assert str(exc.value) == (
-        f"isomorphism solve failed at degree {deg}: nonzero residual class"
-        f"; inconsistent equation row {row} (upstream twist data is inconsistent)"
-    )
+# solve_coboundary's reasons
+REASONS = {
+    "cocycle": "alpha is not a cocycle",
+    "alternating": "nonzero alternating obstruction in degree 2",
+}
 
 
 @pytest.mark.parametrize(
-    "b, mono, deg, row",
+    "problem, b, mono, deg, label, reason",
     [
-        (1, ((1,), (1,)), 3, 76),
-        (2, ((1,), (1,)), 3, 37),
-        (1, ((0,), (1,)), 2, 31),
-        (2, ((0,), (0, 0)), 3, 85),
+        ("axb", 1, ((0,), (1,)), 2, "y", "alternating"),
+        ("axb", 1, ((0,), (0,)), 3, "y", "cocycle"),
+        ("axb", 1, ((0,), (0, 1)), 3, "x", "cocycle"),
+        ("axb", 1, ((1, 1), (0,)), 3, "x", "cocycle"),
+        ("axb", 1, ((1,), (1, 1)), 3, "x", "cocycle"),
+        ("sl2-weyl", 1, ((1,), (1,)), 3, "h", "cocycle"),
+        ("sl2-weyl", 2, ((1,), (1,)), 3, "h", "cocycle"),
+        ("sl2-weyl", 1, ((0,), (1,)), 2, "h", "alternating"),
+        ("sl2-weyl", 2, ((0,), (0, 0)), 3, "e", "cocycle"),
     ],
 )
-def test_blocked_build_iso_failure_names_the_full_systems_row(b, mono, deg, row, monkeypatch):
-    """An sl2-weyl lift at N=4 with one coefficient raised by 1: e|e and
-    h|e weigh -2 and -1, so the residual leaves the weight-0 block.  The
-    solve of the part the residual reaches fails on a smaller system, and
-    the message names the row at which the full system fails."""
-    G = bundled("sl2-weyl.glb")
+def test_build_iso_failure_names_the_generator_and_reason(problem, b, mono, deg, label, reason):
+    """A lift at N=4 with one coefficient raised by 1 has no isomorphism:
+    the message names the degree, the generator whose coproduct residual
+    solve_coboundary rejects, and its reason.  At degree 2 a residual that
+    is a cocycle may still alternate to nonzero."""
+    G = bundled(f"{problem}.glb")
     N = 4
     ctx_e = PairingContext(build_delta_gamma(G, 0), N)
     ctx_b = PairingContext(build_delta_gamma(G, b), N)
     bad = lift_twist(ctx_e, leading_term(G, 0, b, N)) + SparseTensor(2, N, {mono: F(1)})
-    solved = []
-
-    def recording_solve(sys):
-        solved.append(sys)
-        return solve_linear(sys)
-
-    monkeypatch.setattr(stack, "solve_linear", recording_solve)
     with pytest.raises(StackBuildError) as exc:
         build_iso(ctx_e, ctx_b, bad)
     assert str(exc.value) == (
-        f"isomorphism solve failed at degree {deg}: nonzero residual class"
-        f"; inconsistent equation row {row} (upstream twist data is inconsistent)"
+        f"isomorphism solve failed at degree {deg}, generator {label}: {REASONS[reason]}"
+        " (upstream twist data is inconsistent)"
     )
-    *_, part, full = solved
-    assert not solve_linear(part).solvable
-    assert len(part.rows) < len(full.rows) and part.n_cols < full.n_cols
 
 
 def residual_vector(cop_res, poi_res, dim, deg):
-    """Degree-deg coefficients of the iso_residuals output in the row order
-    of the degree-deg system: coproduct blocks first, then Poisson blocks."""
+    """Degree-deg coefficients of the iso_residuals output: coproduct blocks
+    first, one per generator over the 2-slot monomials, then Poisson
+    blocks, one per pair i < k over the words."""
     vec = []
     monos = slot_monomials(dim, 2, deg, least=0)
     for r in cop_res:
@@ -269,8 +245,10 @@ def residual_vector(cop_res, poi_res, dim, deg):
 
 
 def finite_difference_system(ctx_src, ctx_dst, twisted, images, deg):
-    """Oracle for the degree-deg system of build_iso: add one unknown
-    monomial to one image and re-evaluate the full residual."""
+    """Oracle for the degree-deg linear part of build_iso's residual: add one
+    unknown monomial to one image and re-evaluate the full residual.  The
+    residual vector (`residual_vector`) and the column of each unknown
+    (l, m), in the order of l, then of m."""
     N, dim = ctx_src.trunc, ctx_src.dim
 
     def vector(imgs):
@@ -284,20 +262,7 @@ def finite_difference_system(ctx_src, ctx_dst, twisted, images, deg):
             pert = list(images)
             pert[l] = pert[l] + SparseTensor(1, N, {(m,): F(1)})
             columns.append([p - b for p, b in zip(vector(pert), base)])
-    rows = [{j: col[r] for j, col in enumerate(columns) if col[r]} for r in range(len(base))]
-    return base, rows
-
-
-def int_scale(sys, fd_rows, base):
-    """The D with sys = D (fd_rows, -base), read off the first nonzero
-    coefficient of fd_rows, else of base (1 if both are zero)."""
-    for row, fd_row in zip(sys.rows, fd_rows):
-        for j, c in fd_row.items():
-            return row.get(j, 0) / c
-    for b, v in zip(sys.rhs, base):
-        if v:
-            return b / -v
-    return 1
+    return base, columns
 
 
 # the finest grading by Z^r of each bundled problem under which the
@@ -315,26 +280,9 @@ TORUS_WEIGHTS = {
 }
 
 
-def word_weight(weights, word, minus=()):
-    """The weight of a word, less those of the letters in minus."""
-    rank = range(len(weights[0]))
-    return tuple(sum(weights[i][t] for i in word) - sum(weights[i][t] for i in minus) for t in rank)
-
-
-def system_weights(weights, dim, deg):
-    """The weight of each row and each column of the full degree-deg system:
-    column (l, m) weighs wt(m) - wt(e_l), coproduct row (l, mu) wt(mu) -
-    wt(e_l), Poisson row ((i, k), v) wt(v) - wt(e_i) - wt(e_k)."""
-    words = sorted_words(dim, deg)
-    columns = [word_weight(weights, m, (l,)) for l in range(dim) for m in words]
-    rows = [
-        word_weight(weights, b1 + b2, (l,))
-        for l in range(dim)
-        for b1, b2 in slot_monomials(dim, 2, deg, least=0)
-    ]
-    pairs = [(i, k) for i in range(dim) for k in range(i + 1, dim)]
-    rows += [word_weight(weights, v, pair) for pair in pairs for v in words]
-    return rows, columns
+def word_weight(weights, word):
+    """The weight of a word."""
+    return tuple(sum(weights[i][t] for i in word) for t in range(len(weights[0])))
 
 
 @pytest.mark.parametrize(
@@ -343,15 +291,15 @@ def system_weights(weights, dim, deg):
 )
 def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
     """At every degree, at the images build_iso holds before solving it:
-    the finite-difference system has no entry between weight blocks; the
-    full system is D times it; and the part the residual reaches is the
-    same D times its restriction to rows and columns that hold every row
-    with a nonzero residual, share no entry with the rest, and lie in the
-    live weight blocks (those of its rows with a nonzero residual)."""
+    the coproduct column of the unknown (l, m), found by finite
+    differences, is -d(m) in the block of e_l and 0 in every other
+    coproduct block, and d is injective on the 1-cochains of that degree.
+    So each generator's coproduct part alone fixes its unknowns, which is
+    what build_iso solves with solve_coboundary."""
     G = parse_problem(data_path(f"{problem}.glb").read_text(encoding="utf-8")).G
     ctxs = {g: PairingContext(build_delta_gamma(G, g), N) for g in G.group.elements()}
     dim = G.lba.dim
-    weights = TORUS_WEIGHTS[problem]
+    assert all(cohomology_rank(dim, 1, deg) == 0 for deg in range(2, N + 1))
     nontrivial = 0
     for a, b in pairs:
         ftilde = lift_twist(ctxs[a], leading_term(G, a, b, N))
@@ -363,102 +311,53 @@ def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
                 SparseTensor(1, N, {m: c for m, c in img.coeffs.items() if monomial_degree(m) < deg})
                 for img in j.images
             ]
-            base, fd_rows = finite_difference_system(ctxs[a], ctxs[b], twisted, images, deg)
-            row_weights, column_weights = system_weights(weights, dim, deg)
-            for r, row in enumerate(fd_rows):
-                assert all(column_weights[c] == row_weights[r] for c in row)
-            cop_res, poi_res = iso_residuals(ctxs[a], ctxs[b], twisted, AlgebraMap(images, N))
-            # a unit residual at row 0 makes every column of the full system live
-            probe = SparseTensor(2, N, {slot_monomials(dim, 2, deg, least=0)[0]: 1})
-            probed = [cop_res[0] + probe, *cop_res[1:]]
-            full, unknowns = _iso_system(ctxs[a], ctxs[b], deg, probed, poi_res)
-            assert unknowns == [(l, m) for l in range(dim) for m in sorted_words(dim, deg)]
-            # the system is stated in int, as D times the finite-difference one
-            D = int_scale(full, fd_rows, base)
-            assert D > 0
-            assert all(type(c) is int for row in full.rows for c in [*row.values()])
-            assert all(type(c) is int for c in full.rhs)
-            assert full.rows == [{c: D * v for c, v in row.items()} for row in fd_rows], (a, b, deg)
-            assert full.rhs == [-D * v for v in [base[0] + 1, *base[1:]]]
-            sys, sys_unknowns = _iso_system(ctxs[a], ctxs[b], deg, cop_res, poi_res)
-            assert sys_unknowns == unknowns
-            part, columns = reached_part(sys)
-            assert columns == sorted(set(columns))
-            index = {c: n for n, c in enumerate(columns)}
-            part_rows = [r for r, row in enumerate(fd_rows) if base[r] or index.keys() & row.keys()]
-            assert all(row.keys() <= index.keys() for row in map(fd_rows.__getitem__, part_rows))
-            assert part.n_cols == len(columns)
-            assert all(type(c) is int for row in part.rows for c in [*row.values()])
-            assert part.rows == [{index[c]: D * v for c, v in fd_rows[r].items()} for r in part_rows]
-            assert part.rhs == [-D * base[r] for r in part_rows]
-            live = {row_weights[r] for r, v in enumerate(base) if v}
-            assert {row_weights[r] for r in part_rows} <= live
-            assert {column_weights[c] for c in columns} <= live
+            base, columns = finite_difference_system(ctxs[a], ctxs[b], twisted, images, deg)
+            monos = slot_monomials(dim, 2, deg, least=0)
+            unknowns = [(l, m) for l in range(dim) for m in sorted_words(dim, deg)]
+            for column, (l, m) in zip(columns, unknowns, strict=True):
+                d_m = cohochschild_d(SparseTensor(1, N, {(m,): F(1)})).coeffs
+                assert d_m.keys() <= set(monos)
+                expected = [-d_m.get(mono, 0) if k == l else 0 for k in range(dim) for mono in monos]
+                assert column[: len(expected)] == expected, (a, b, deg, l, m)
             nontrivial += any(base)
     # the pairs exercise the solve, not only the zero-residual shortcut
     assert nontrivial >= len(pairs)
 
 
 @cache
-def iso_contexts(problem, N, a, b):
-    """The contexts of a pair of a bundled problem."""
+def built_iso(problem, N, a, b):
+    """The contexts, the twisted generators and the iso of a pair of a
+    bundled problem."""
     G = bundled(f"{problem}.glb")
-    return tuple(PairingContext(build_delta_gamma(G, g), N) for g in (a, b))
+    ctx_a, ctx_b = (PairingContext(build_delta_gamma(G, g), N) for g in (a, b))
+    lift = lift_twist(ctx_a, leading_term(G, a, b, N))
+    return ctx_a, ctx_b, twisted_generators(ctx_a, lift), build_iso(ctx_a, ctx_b, lift)
 
 
 @pytest.mark.parametrize("problem, N, a, b", [("sl2-weyl", 4, 0, 1), ("axb", 4, 0, 1)])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_blocked_iso_solve_equals_full_solve(problem, N, a, b, data):
-    """Solving the part of the iso system the residual reaches gives what
-    solve_linear gives on the full system: the same solvability and, with
-    every other unknown 0, the same solution.  The residuals are J p
-    (consistent, possibly over several components) plus a sparse random
-    error, over a random denominator."""
-    ctx_a, ctx_b = iso_contexts(problem, N, a, b)
+def test_iso_degree_solve_returns_the_subtracted_part(problem, N, a, b, data):
+    """A built iso less a degree-d part p (small rationals on a few words of
+    each image) has coproduct residuals that vanish below degree d and are
+    d(p_l) at degree d, and solve_coboundary of each returns p_l exactly:
+    the degree-d solve of build_iso recovers what was taken away."""
+    ctx_a, ctx_b, twisted, j = built_iso(problem, N, a, b)
     dim = ctx_a.dim
     deg = data.draw(st.integers(2, N), label="deg")
-    words = sorted_words(dim, deg)
-    monos = slot_monomials(dim, 2, deg, least=0)
-    n_pairs = dim * (dim - 1) // 2
-    n_cop = dim * len(monos)
-
-    def residuals(vector):
-        """The residuals whose degree-deg coefficients, in the full
-        system's row order, are vector (by row index)."""
-        cop = [
-            SparseTensor(2, N, {m: vector.get(l * len(monos) + r, 0) for r, m in enumerate(monos)})
-            for l in range(dim)
-        ]
-        row0 = [n_cop + p * len(words) for p in range(n_pairs)]
-        poi = [SparseTensor(1, N, {(w,): vector.get(r0 + r, 0) for r, w in enumerate(words)}) for r0 in row0]
-        return cop, poi
-
-    J, _ = _iso_system(ctx_a, ctx_b, deg, *residuals({0: 1}))
-    p = data.draw(
-        st.dictionaries(st.integers(0, J.n_cols - 1), st.integers(-3, 3), min_size=1, max_size=5),
-        label="p",
-    )
-    errors = st.dictionaries(
-        st.integers(0, len(J.rows) - 1), st.integers(-2, 2), min_size=1, max_size=2
-    )
-    error = data.draw(st.one_of(st.just({}), errors), label="error")
-    scale = data.draw(st.sampled_from([F(1), F(1, 2), F(-2, 3)]), label="scale")
-    vector = {}
-    for r, row in enumerate(J.rows):
-        v = -sum(c * p.get(col, 0) for col, c in row.items()) + error.get(r, 0)
-        if v:
-            vector[r] = v * scale
-    cop_res, poi_res = residuals(vector)
-    full, _ = _iso_system(ctx_a, ctx_b, deg, cop_res, poi_res)
-    part, columns = reached_part(full)
-    res_part, res_full = solve_linear(part), solve_linear(full)
-    assert res_part.solvable == res_full.solvable
-    if not any(error.values()):
-        assert res_full.solvable
-    if res_full.solvable:
-        solution = dict(zip(columns, res_part.solution))
-        assert [solution.get(c, 0) for c in range(full.n_cols)] == res_full.solution
+    values = st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(3)])
+    words = st.dictionaries(st.sampled_from(sorted_words(dim, deg)), values, max_size=3)
+    p = [
+        SparseTensor(1, N, {(w,): c for w, c in data.draw(words, label=f"p_{l}").items()})
+        for l in range(dim)
+    ]
+    images = [img - p_l for img, p_l in zip(j.images, p)]
+    cop_res, _ = iso_residuals(ctx_a, ctx_b, twisted, AlgebraMap(images, N))
+    for r, p_l in zip(cop_res, p):
+        assert all(monomial_degree(m) >= deg for m in r.num)
+        alpha = r.homogeneous_part(deg)
+        assert alpha == cohochschild_d(p_l)
+        assert solve_coboundary(alpha) == p_l
 
 
 def test_algebra_map_inverse_roundtrip():
@@ -845,7 +744,27 @@ def test_build_failure_names_the_first_triple_sharing_the_input(monkeypatch):
     monkeypatch.setattr(stack, "build_u", failing)
     with pytest.raises(StackBuildError) as info:
         stack.verify_stack(G, N)
-    assert str(info.value) == f"forced failure (at triple {sharing[0]})"
+    where = ", ".join(grp.labels[x] for x in sharing[0])
+    assert str(info.value) == f"forced failure (at triple ({where}))"
+
+
+def test_iso_build_failure_names_its_pair_by_labels(monkeypatch):
+    """A build_iso failure names the first pair whose iso fails, by the
+    group labels of its elements."""
+    real = stack.build_iso
+    calls = []
+
+    def failing(ctx_src, ctx_dst, ftilde):
+        # the second call builds the iso of the pair (e, w)
+        calls.append(ftilde)
+        if len(calls) == 2:
+            raise StackBuildError("forced failure")
+        return real(ctx_src, ctx_dst, ftilde)
+
+    monkeypatch.setattr(stack, "build_iso", failing)
+    with pytest.raises(StackBuildError) as info:
+        verify_stack(bundled("sl2-weyl.glb"), 3)
+    assert str(info.value) == "forced failure (at pair (e, w))"
 
 
 @pytest.mark.parametrize(
@@ -1061,20 +980,27 @@ def jordanian_sl2_gamma():
 
 def test_jordanian_stack_solves_only_the_reached_part(monkeypatch):
     """The Jordanian sl2 has no torus grading, yet at N=3 its stack is
-    valid and no iso system solved reaches the full degree-3 system, 198
-    rows by 30 columns."""
+    valid, and every system solved under build_iso is one content block of
+    1-cochains that a residual reaches: one word, one column."""
     G = jordanian_sl2_gamma()
     assert validate_gamma_lba(G) == []
     solved = []
+    inside = []
+    real_build_iso, real_solve = stack.build_iso, cohomology.solve_linear
+
+    def tracking_build_iso(*args):
+        inside.append(True)
+        try:
+            return real_build_iso(*args)
+        finally:
+            inside.pop()
 
     def recording_solve(sys):
-        solved.append((len(sys.rows), sys.n_cols))
-        return solve_linear(sys)
+        if inside:
+            solved.append(sys.n_cols)
+        return real_solve(sys)
 
-    monkeypatch.setattr(stack, "solve_linear", recording_solve)
+    monkeypatch.setattr(stack, "build_iso", tracking_build_iso)
+    monkeypatch.setattr(cohomology, "solve_linear", recording_solve)
     assert verify_stack(G, 3).ok
-    ctx = PairingContext(build_delta_gamma(G, 0), 3)
-    full, _ = _iso_system(ctx, ctx, 3, [], [])
-    assert (len(full.rows), full.n_cols) == (198, 30)
-    assert solved
-    assert all(rows < 198 and cols < 30 for rows, cols in solved)
+    assert set(solved) == {1}
