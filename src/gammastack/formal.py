@@ -310,11 +310,11 @@ class PairingContext:
         self.dim = lba_gamma.dim
         self.trunc = trunc
         # U(g*_gamma): the bracket of g*_gamma is the transposed cobracket
-        self.dual = lba_gamma.dual()
+        dual = lba_gamma.dual()
         self._pbw: list[Word] = [w for d in range(trunc + 1) for w in sorted_words(self.dim, d)]
         # each straightened word as a `nums_over_lcm` pair, and each PBW
         # word's `multiset_factor`, shared by the two builds
-        straighten = cache(lambda word: nums_over_lcm(self.dual.straighten(word)))
+        straighten = cache(lambda word: nums_over_lcm(dual.straighten(word)))
         factor = {w: multiset_factor(w) for w in self._pbw}
         # Delta_gamma of each word as int numerators over _coproduct_den
         self._coproduct_den, self._coproduct_table = self._build_coproduct_table(straighten, factor)
@@ -327,7 +327,7 @@ class PairingContext:
         self._code_words: dict[int, Word] = {c: w for w, c in self._word_codes.items()}
         self._word_degree: dict[int, int] = {c: len(w) for c, w in self._code_words.items()}
         # the 1-slot brackets on packed words, numerators over _bracket_lcm
-        self._bracket_lcm, self._bracket_table = self._build_bracket_table(straighten, factor)
+        self._bracket_lcm, self._bracket_table = self._build_bracket_table(dual, straighten, factor)
         self._check_antisymmetric()
         # per slot count: its pack, unpack, pair-bracket memo and intern tables
         self._packings: dict[int, Packing] = {}
@@ -357,7 +357,7 @@ class PairingContext:
     # -- Poisson bracket: the transposed co-Poisson cobracket of U(g*_gamma) ---
 
     def _build_bracket_table(
-        self, straighten, factor: dict[Word, int]
+        self, dual: LieBialgebra, straighten, factor: dict[Word, int]
     ) -> tuple[int, BracketTable]:
         """delta_U of every PBW word, transposed into the 1-slot brackets.
 
@@ -374,7 +374,7 @@ class PairingContext:
         deltas: dict[Word, tuple[dict[tuple[Word, Word], int], int]] = {}
         table: dict[int, dict[int, tuple[int, int]]] = {}
         for word in self._pbw[1:]:  # the empty word has delta 0
-            cob = self.dual.cobracket_tensor(word[-1])
+            cob = dual.cobracket_tensor(word[-1])
             dv, dv_den = nums_over_lcm({((a,), (b,)): c for (a, b), c in cob.items()})
             if len(word) == 1:
                 delta, den = dv, dv_den

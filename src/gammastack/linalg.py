@@ -11,7 +11,7 @@ changed row is divided by the gcd of its entries and target.  An index
 from each column to the rows holding it finds the pivot and the rows to
 clear without scanning the others.  Every row stays a nonzero multiple of
 the row that elimination over Q holds at the same step, so the zero
-pattern, the pivots, the rank and the failure row are those of Q.
+pattern, the pivots, the rank and the solvability are those of Q.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ class LinearSolveResult(NamedTuple):
     solvable: bool
     solution: list[Fraction] | None
     rank: int
-    # first witness row with 0 == nonzero after elimination, if unsolvable
-    failure_row: int | None = None
 
 
 def _int_row(row: Row, b: Fraction | int) -> tuple[dict[int, int], int]:
@@ -129,8 +127,7 @@ def solve_linear(sys: LinearSystem) -> LinearSolveResult:
     """Solve sys exactly.
 
     Returns one solution (free variables set to 0) and the rank, or an
-    explicit no-solution result with the rank and the inconsistent row
-    index.
+    explicit no-solution result with the rank.
     """
     if len(sys.rows) != len(sys.rhs):
         raise ValueError("row/rhs length mismatch")
@@ -138,7 +135,7 @@ def solve_linear(sys: LinearSystem) -> LinearSolveResult:
     rank = len(pivots)
     for i in range(rank, len(rows)):
         if not rows[i] and rhs[i] != 0:
-            return LinearSolveResult(False, None, rank, failure_row=i)
+            return LinearSolveResult(False, None, rank)
     solution = [Fraction(0)] * sys.n_cols
     for ri, col in pivots:
         solution[col] = Fraction(rhs[ri], rows[ri][col])

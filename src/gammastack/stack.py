@@ -52,52 +52,61 @@ def verify_twist_equation(ctx: PairingContext, f: TensorSeries) -> TensorSeries:
     return twist_defect(ctx, f, star=ctx.bch_star_dynkin)
 
 
-def _clear_by_degree(x, residual, correct, first: int, N: int, name: str, obstruction: str):
-    """Correct x degree by degree until residual(x, N) vanishes.
+def _clear_by_degree(
+    x, residual, correct, first: int, N: int, names: list[str], obstruction: str
+):
+    """Correct x degree by degree until every part of residual(x, N) vanishes.
 
-    residual(x, cut) must agree with the full residual in every degree up
-    to cut, and have no term below degree `first`.  Each evaluation reads
-    only the degrees up to its cut: `first` at the start (N if lower), then
-    deg + 1 after the step at degree deg < N.  At each degree the part
-    alpha is a reduced cocycle, solve_coboundary(alpha) gives beta with
-    d(beta) = alpha, and x becomes correct(x, beta).  A correction by s*beta
-    leaves alpha - s*d(beta) at degree deg and moves only degrees >= deg,
-    so s = +1 clears the degree (s = -1 would leave 2*alpha) and a degree
-    with a zero part is skipped.  So after the step at the last degree N
-    the residual at cut N is alpha - d(beta), and the exact linear identity
-    d(beta) = alpha checks it without evaluating the residual again; the
-    certificate's verifier evaluates it at N with the independent kernel.
-    A part that is not a reduced cocycle, is obstructed (`obstruction` says
-    why at degree `first`) or survives its correction raises
-    StackBuildError naming the degree.
+    residual(x, cut) returns one part per name; each must agree with its
+    full residual in every degree up to cut, and have no term below degree
+    `first`.  Each evaluation reads only the degrees up to its cut: `first`
+    at the start (N if lower), then deg + 1 after the step at degree
+    deg < N.  At each degree the part alpha of each residual is a reduced
+    cocycle, solve_coboundary(alpha) gives beta with d(beta) = alpha (0 for
+    a zero part), and x becomes correct(x, betas), one beta per part.  A
+    correction by s*beta leaves alpha - s*d(beta) at degree deg and moves
+    only degrees >= deg, so s = +1 clears the degree (s = -1 would leave
+    2*alpha) and a degree where every part is zero is skipped.  So after
+    the step at the last degree N the residual at cut N is alpha - d(beta),
+    and the exact linear identity d(beta) = alpha checks it without
+    evaluating the residual again; the certificate's verifier evaluates it
+    at N with the independent kernel.  A part that is not a reduced
+    cocycle, is obstructed (`obstruction` says why at degree `first`) or
+    survives its correction raises StackBuildError naming the part and the
+    degree.
     """
-    res = residual(x, min(first, N))
-    low = [m for m in res.num if monomial_degree(m) < first]
-    if low:
-        raise StackBuildError(f"{name} has a term below degree {first}: {sorted(low)[0]}")
+    parts = residual(x, min(first, N))
+    for name, res in zip(names, parts, strict=True):
+        low = [m for m in res.num if monomial_degree(m) < first]
+        if low:
+            raise StackBuildError(f"{name} has a term below degree {first}: {sorted(low)[0]}")
     for deg in range(first, N + 1):
-        alpha = res.homogeneous_part(deg)
-        if alpha.is_zero():
+        alphas = [res.homogeneous_part(deg) for res in parts]
+        if all(alpha.is_zero() for alpha in alphas):
             if deg < N:
-                res = residual(x, deg + 1)
+                parts = residual(x, deg + 1)
             continue
-        try:
-            beta = solve_coboundary(alpha)
-        except CoboundaryObstruction as exc:
-            why = f": {obstruction}" if deg == first else ""
-            raise StackBuildError(f"{name} at degree {deg} is not a coboundary{why}") from exc
-        except ValueError as exc:
-            raise StackBuildError(
-                f"{name} at degree {deg} is not a reduced cocycle: {exc}"
-            ) from exc
-        x = correct(x, beta)
+        betas = []
+        for name, alpha in zip(names, alphas):
+            try:
+                betas.append(solve_coboundary(alpha))
+            except CoboundaryObstruction as exc:
+                why = f": {obstruction}" if deg == first else ""
+                raise StackBuildError(f"{name} at degree {deg} is not a coboundary{why}") from exc
+            except ValueError as exc:
+                raise StackBuildError(
+                    f"{name} at degree {deg} is not a reduced cocycle: {exc}"
+                ) from exc
+        x = correct(x, betas)
         if deg < N:
-            res = residual(x, deg + 1)
-            cleared = not any(monomial_degree(m) <= deg for m in res.num)
+            parts = residual(x, deg + 1)
+            left = [
+                n for n, r in zip(names, parts) if any(monomial_degree(m) <= deg for m in r.num)
+            ]
         else:
-            cleared = cohochschild_d(beta) == alpha
-        if not cleared:
-            raise StackBuildError(f"correction at degree {deg} leaves the degree-{deg} {name}")
+            left = [n for n, a, b in zip(names, alphas, betas) if cohochschild_d(b) != a]
+        if left:
+            raise StackBuildError(f"correction at degree {deg} leaves the degree-{deg} {left[0]}")
     return x
 
 
@@ -115,8 +124,8 @@ def lift_twist(ctx: PairingContext, leading: TensorSeries) -> TensorSeries:
         "nonzero alternation, so the input violates the cyclic twist-compatibility condition"
     )
     return _clear_by_degree(
-        leading, lambda f, cut: twist_defect(ctx, f, cut=cut), lambda f, beta: f + beta,
-        3, ctx.trunc, "twist defect", obstruction,
+        leading, lambda f, cut: [twist_defect(ctx, f, cut=cut)], lambda f, betas: f + betas[0],
+        3, ctx.trunc, ["twist defect"], obstruction,
     )
 
 
@@ -143,9 +152,9 @@ def solve_gauge(
     """
     return _clear_by_degree(
         ctx.zero(1),
-        lambda lam, cut: f_dst - gauge_act(ctx, lam, f_src, cut),
-        lambda lam, beta: ctx.bch_star(beta, lam),
-        2, ctx.trunc, "gauge residual", "the leading terms differ",
+        lambda lam, cut: [f_dst - gauge_act(ctx, lam, f_src, cut)],
+        lambda lam, betas: ctx.bch_star(betas[0], lam),
+        2, ctx.trunc, ["gauge residual"], "the leading terms differ",
     )
 
 
@@ -273,77 +282,58 @@ def build_u(
 
 
 def iso_residuals(
-    ctx_src: PairingContext,
-    ctx_dst: PairingContext,
-    twisted: list[TensorSeries],
-    jmap: AlgebraMap,
+    ctx_src: PairingContext, ctx_dst: PairingContext, lift: TensorSeries, jmap: AlgebraMap
 ) -> tuple[list[TensorSeries], list[TensorSeries]]:
-    """Coproduct and Poisson intertwining residuals on generators.
-
-    twisted[i] is `twisted_coproduct(ctx_src, ftilde, e_i)`; it depends only
-    on the twist, so callers build the list once per pair.
-    """
-    dim = ctx_src.dim
-    cop_res = []
-    for i in range(dim):
-        gen = SparseTensor.generator(i, ctx_src.trunc)
-        lhs = ctx_dst.coproduct(jmap.apply(gen))
-        rhs = jmap.apply(twisted[i])
-        cop_res.append(lhs - rhs)
-    poi_res = []
-    for i in range(dim):
-        for k in range(i + 1, dim):
-            a = SparseTensor.generator(i, ctx_src.trunc)
-            b = SparseTensor.generator(k, ctx_src.trunc)
-            lhs = jmap.apply(ctx_src.poisson(a, b))
-            rhs = ctx_dst.poisson(jmap.apply(a), jmap.apply(b))
-            poi_res.append(lhs - rhs)
+    """Coproduct and Poisson intertwining residuals of one iso on the
+    generators, from twisted coproducts of the lift built here."""
+    gens = [SparseTensor.generator(i, ctx_src.trunc) for i in range(ctx_src.dim)]
+    cop_res = [
+        ctx_dst.coproduct(jmap.apply(gen)) - jmap.apply(twisted_coproduct(ctx_src, lift, gen))
+        for gen in gens
+    ]
+    poi_res = [
+        jmap.apply(ctx_src.poisson(a, b)) - ctx_dst.poisson(jmap.apply(a), jmap.apply(b))
+        for i, a in enumerate(gens)
+        for b in gens[i + 1 :]
+    ]
     return cop_res, poi_res
 
 
 def build_iso(
     ctx_src: PairingContext, ctx_dst: PairingContext, ftilde: TensorSeries
 ) -> AlgebraMap:
-    """Solve for the algebra map intertwining the twisted coproduct and the
-    Poisson brackets, degree by degree, identity in degree 1.
+    """Solve for the algebra map intertwining the twisted coproduct, degree
+    by degree, identity in degree 1.
 
-    At degree d the unknowns are the degree-d terms p_l of the generator
-    images, and the residual's degree-d part is affine in them: every other
-    way p_l enters lands at degree d+1 or higher (p(x)p at 2d, {p_i, p_k}
-    at 2d-1, p times an image of degree >= 2 at d+1 or more).  p_l moves
-    only the coproduct residual of e_l at degree d, by [Delta_dst(p_l)]_d -
+    `_clear_by_degree` clears the coproduct residual Delta_dst(j(e_l)) -
+    j^{(x)2}(twisted e_l) of each generator e_l from degree 2 on, adding
+    each beta to the image of e_l.  At degree d the unknowns are the
+    degree-d terms p_l of the images, and each residual's degree-d part is
+    affine in them: every other way p_l enters lands at degree d+1 or
+    higher (p(x)p at 2d, p times an image of degree >= 2 at d+1 or more).
+    p_l moves only the residual of e_l at degree d, by [Delta_dst(p_l)]_d -
     p_l|1 - 1|p_l (the twisted coproduct of e_l has degree-1 part e_l|1 +
     1|e_l).  The top-degree part of Delta_gamma on a PBW word is its
     multiset split, so that is -d(p_l), the co-Hochschild differential of
     the 1-cochain p_l; and d is injective on 1-cochains of degree >= 2 (the
-    primitives of S(g) have degree 1).  So p_l = solve_coboundary of the
-    part is the one solution, and the Poisson residuals only check it: one
-    `iso_residuals` evaluation per solved degree gives the check of degree
-    d and the parts of degree d+1.
+    primitives of S(g) have degree 1).  So the coproduct parts alone fix
+    the map.  The Poisson intertwining is not read here: the certificate
+    checks it for every pair (`iso_residuals`).
     """
     N = ctx_src.trunc
-    labels = ctx_src.lba.labels
-    images = [SparseTensor.generator(i, N) for i in range(ctx_src.dim)]
-    twisted = [twisted_coproduct(ctx_src, ftilde, gen) for gen in images]
-    cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(images, N))
-    for deg in range(2, N + 1):
-        if all(r.homogeneous_part(deg).is_zero() for r in cop_res + poi_res):
-            continue
-        for l, r in enumerate(cop_res):
-            alpha = r.homogeneous_part(deg)
-            if alpha.is_zero():
-                continue
-            try:
-                p = solve_coboundary(alpha)
-            except (CoboundaryObstruction, ValueError) as exc:
-                raise StackBuildError(
-                    f"isomorphism solve failed at degree {deg}, generator {labels[l]}: {exc}"
-                    " (upstream twist data is inconsistent)"
-                ) from exc
-            images[l] = images[l] + p
-        cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(images, N))
-        if not all(r.homogeneous_part(deg).is_zero() for r in cop_res + poi_res):
-            raise StackBuildError(f"iso residual persists at degree {deg}")
+    gens = [SparseTensor.generator(i, N) for i in range(ctx_src.dim)]
+    twisted = [twisted_coproduct(ctx_src, ftilde, gen) for gen in gens]
+
+    def residual(images, cut):
+        # in full, which agrees with itself at every cut
+        jmap = AlgebraMap(images, N)
+        return [ctx_dst.coproduct(img) - jmap.apply(t) for img, t in zip(images, twisted)]
+
+    images = _clear_by_degree(
+        gens, residual, lambda images, betas: [img + b for img, b in zip(images, betas)],
+        2, N, [f"coproduct residual of {label}" for label in ctx_src.lba.labels],
+        "the twisted cobracket differs from the target's",
+    )
     return AlgebraMap(images, N)
 
 
@@ -440,18 +430,6 @@ class _Memo:
         if key not in self._results:
             self._results[key] = fn(*args)
         return self._results[key]
-
-
-def _intertwining_residuals(
-    ctx_src: PairingContext, ctx_dst: PairingContext, lift: TensorSeries, jmap: AlgebraMap
-) -> tuple[list[TensorSeries], list[TensorSeries]]:
-    """Coproduct and Poisson intertwining residuals of one iso, from twisted
-    coproducts of the lift built here, not taken from build_iso."""
-    twisted = [
-        twisted_coproduct(ctx_src, lift, SparseTensor.generator(i, ctx_src.trunc))
-        for i in range(ctx_src.dim)
-    ]
-    return iso_residuals(ctx_src, ctx_dst, twisted, jmap)
 
 
 def _composition_residual(
@@ -556,9 +534,7 @@ def verify_stack(G: GammaLieBialgebra, N: int) -> StackCertificate:
     for (a, b) in pairs:
         record("twist-equation", (a, b), [memo(verify_twist_equation, contexts[a], lifts[(a, b)])])
     for (a, b) in pairs:
-        cop, poi = memo(
-            _intertwining_residuals, contexts[a], contexts[b], lifts[(a, b)], isos[(a, b)]
-        )
+        cop, poi = memo(iso_residuals, contexts[a], contexts[b], lifts[(a, b)], isos[(a, b)])
         record("iso-coproduct-intertwining", (a, b), cop)
         record("iso-poisson-intertwining", (a, b), poi)
     # j-composition on all triples

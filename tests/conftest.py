@@ -116,7 +116,8 @@ def randomized_lift(ctx, leading, seed):
 
     rng = random.Random(seed)
 
-    def correct(f, beta):
+    def correct(f, betas):
+        (beta,) = betas
         deg = monomial_degree(next(iter(beta.coeffs)))
         words = sorted_words(ctx.dim, deg)
         gamma = SparseTensor(1, ctx.trunc, {(w,): F(rng.randint(-2, 2)) for w in words})
@@ -124,8 +125,8 @@ def randomized_lift(ctx, leading, seed):
 
     return _clear_by_degree(
         leading,
-        lambda f, cut: twist_defect(ctx, f, cut=cut),
-        correct, 3, ctx.trunc, "twist defect", "",
+        lambda f, cut: [twist_defect(ctx, f, cut=cut)],
+        correct, 3, ctx.trunc, ["twist defect"], "",
     )
 
 

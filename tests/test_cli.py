@@ -417,6 +417,40 @@ def test_admissibilize_command(capsys):
     assert "admissible twist F'[s]" in out
 
 
+def test_non_unit_gauge_quantizes_and_admissibilizes(tmp_path):
+    """abelian-que gauged by exp(hbar x y y) at s: x y y is theta_s-odd, so
+    every v' stays in 1 + hbar^2 U.  The file validates, quantize certifies
+    it with that gauge, and admissibilize --target s prints it; both
+    outputs are pinned byte for byte."""
+    from gammastack.problemfile import Problem
+    from gammastack.quantum import HElement, gauge_transform
+    from tools.bundled import abelian_que_data, abelian_twisted_gamma_lba
+    from tools.serialize import quantum_sections_from_data, serialize_problem
+
+    data = abelian_que_data(3, 4)
+    ctx = data.ctx
+    xyy = HElement(ctx, 1, {(1, ((0, 1, 1),)): 1})
+    gauged = gauge_transform(data, {0: ctx.unit(1), 1: ctx.exp(xyy)})
+    problem = Problem(abelian_twisted_gamma_lba(), None, quantum_sections_from_data(gauged), 4, 3, 4)
+    path = tmp_path / "gauged.glb"
+    path.write_text(serialize_problem(problem), encoding="utf-8")
+    assert run_cli("validate", str(path)) == (0, "valid\n", "")
+    code, out, err = run_cli("quantize", str(path))
+    assert (code, err) == (0, "")
+    cert = json.loads(out)
+    assert cert["valid"] is True
+    assert cert["gauge_elements"]["s"] == "1 1 + -1 h^1 x y y"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "3e4a96983cbc9ffa90e2e2bd3096a26ee20b58058f609ec4e38dd785515c1b31"
+    )
+    code, out, err = run_cli("admissibilize", str(path), "--target", "s")
+    assert (code, err) == (0, "")
+    assert "gauge element b[s] = 1 1 + -1 h^1 x y y\n" in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "bfdab0224cf4fbb0b65e21e1fd22d06846717ae336f5e9b567e6dfe792bbd61b"
+    )
+
+
 def test_certificates_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

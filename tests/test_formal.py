@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -21,6 +23,7 @@ from gammastack.formal import (
     standard_factorisation,
     _free_mul,
 )
+from gammastack.liealg import LieBialgebra
 from gammastack.problemfile import parse_problem
 from gammastack.tensors import (
     SparseTensor,
@@ -706,8 +709,8 @@ def test_context_rejects_a_bracket_table_that_is_not_antisymmetric(monkeypatch):
     diagonal = (ctx._word_codes[u] << width) | ctx._word_codes[u]
 
     def corrupted(change):
-        def patched(self, straighten, factor):
-            L, table = build(self, straighten, factor)
+        def patched(self, dual, straighten, factor):
+            L, table = build(self, dual, straighten, factor)
             change(table)
             return L, table
 
@@ -759,11 +762,12 @@ def per_pair_scan(ctx: PairingContext):
     """Reference pair bracket: delta_U of a PBW word by the coderivation
     recursion on demand, then for each pair a scan of every PBW word of
     length at least len(a) + len(b) - 1."""
-    straighten = ctx.dual.straighten
+    dual = ctx.lba.dual()
+    straighten = dual.straighten
     memo: dict = {}
 
     def generator(i):
-        return {((a,), (b,)): c for (a, b), c in ctx.dual.cobracket_tensor(i).items()}
+        return {((a,), (b,)): c for (a, b), c in dual.cobracket_tensor(i).items()}
 
     def delta_u(word):
         if word in memo:
@@ -828,13 +832,14 @@ def test_bracket_table_equals_per_pair_scan(name, gamma, trunc):
 def fraction_coproduct_table(ctx: PairingContext):
     """Reference Delta_gamma table, summed in Fraction: (L, {word: {(b1, b2):
     numerator over L}})."""
+    dual = ctx.lba.dual()
     table: dict = {}
     for b1 in ctx._pbw:
         for b2 in ctx._pbw:
             if len(b1) + len(b2) > ctx.trunc:
                 continue
             denom = multiset_factor(b1) * multiset_factor(b2)
-            for w, c in ctx.dual.straighten(b1 + b2).items():
+            for w, c in dual.straighten(b1 + b2).items():
                 table.setdefault(w, {})[(b1, b2)] = c * multiset_factor(w) / denom
     L = lcm(*(c.denominator for row in table.values() for c in row.values()))
     return L, {w: {k: int(c * L) for k, c in row.items()} for w, row in table.items()}
@@ -843,11 +848,12 @@ def fraction_coproduct_table(ctx: PairingContext):
 def fraction_bracket_table(ctx: PairingContext):
     """Reference delta_U table, each delta summed in Fraction in PBW order and
     transposed: (L, {((a,), (b,)): {(word,): numerator over L}})."""
-    straighten = ctx.dual.straighten
+    dual = ctx.lba.dual()
+    straighten = dual.straighten
     deltas: dict = {}
     table: dict = {}
     for word in ctx._pbw[1:]:
-        dv = {((a,), (b,)): c for (a, b), c in ctx.dual.cobracket_tensor(word[-1]).items()}
+        dv = {((a,), (b,)): c for (a, b), c in dual.cobracket_tensor(word[-1]).items()}
         if len(word) == 1:
             delta = dv
         else:
@@ -1217,3 +1223,21 @@ def test_grouplike_defect_zero_only_for_zero():
         # lowest-degree part of the defect is the reduced coproduct of the
         # lowest part of w (the degree argument behind uniqueness)
         assert min(map(monomial_degree, defect.coeffs)) == min(map(monomial_degree, w.coeffs))
+
+
+def test_context_keeps_no_dual_after_it_is_built(monkeypatch):
+    """The dual Lie bialgebra, with the straighten cache of every word the
+    table builds met, is freed once the context is built."""
+    duals = []
+    real_dual = LieBialgebra.dual
+
+    def recording_dual(self):
+        out = real_dual(self)
+        duals.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(LieBialgebra, "dual", recording_dual)
+    ctx = PairingContext(build_delta_gamma(sl2_weyl_gamma(), 1), 4)
+    gc.collect()
+    assert len(duals) == 1 and duals[0]() is None
+    assert ctx.coproduct(SparseTensor.generator(0, 4)).num

@@ -25,7 +25,6 @@ from gammastack.stack import (
     lift_twist,
     solve_gauge,
     twist_defect,
-    twisted_coproduct,
     verify_stack,
     verify_twist_equation,
 )
@@ -148,11 +147,6 @@ def test_lift_uniqueness_up_to_gauge_randomized():
         assert all(monomial_degree(m) >= 2 for m in lam.coeffs)
 
 
-def twisted_generators(ctx, f):
-    """The twisted coproducts of the generators, as iso_residuals takes them."""
-    return [twisted_coproduct(ctx, f, SparseTensor.generator(i, ctx.trunc)) for i in range(ctx.dim)]
-
-
 def test_build_iso_identity_when_trivial():
     ctx = PairingContext(abelian_flat_lba(), 4)
     j = build_iso(ctx, ctx, ctx.zero(2))
@@ -165,7 +159,7 @@ def test_build_iso_abelian_flat_oracle():
     ctx = PairingContext(abelian_flat_lba(), 4)
     f = tensor2_to_series({(0, 1): F(2), (1, 0): F(-2)}, 4)
     j = build_iso(ctx, ctx, f)
-    cop_res, poi_res = iso_residuals(ctx, ctx, twisted_generators(ctx, f), j)
+    cop_res, poi_res = iso_residuals(ctx, ctx, f, j)
     assert all(r.is_zero() for r in cop_res)
     assert all(r.is_zero() for r in poi_res)
 
@@ -177,7 +171,7 @@ def test_build_iso_axb_nonzero_correction():
     ctx_s = PairingContext(build_delta_gamma(G, 1), N)
     lift = lift_twist(ctx_e, leading_term(G, 0, 1, N))
     j = build_iso(ctx_e, ctx_s, lift)
-    cop_res, poi_res = iso_residuals(ctx_e, ctx_s, twisted_generators(ctx_e, lift), j)
+    cop_res, poi_res = iso_residuals(ctx_e, ctx_s, lift, j)
     assert all(r.is_zero() for r in cop_res)
     assert all(r.is_zero() for r in poi_res)
     # nonzero higher correction on at least one generator
@@ -190,10 +184,10 @@ def test_build_iso_axb_nonzero_correction():
         assert j.images[i].coeffs.get(((),), 0) == 0
 
 
-# solve_coboundary's reasons
+# the reasons, as _clear_by_degree words solve_coboundary's errors
 REASONS = {
-    "cocycle": "alpha is not a cocycle",
-    "alternating": "nonzero alternating obstruction in degree 2",
+    "cocycle": "is not a reduced cocycle: alpha is not a cocycle",
+    "alternating": "is not a coboundary: the twisted cobracket differs from the target's",
 }
 
 
@@ -213,9 +207,9 @@ REASONS = {
 )
 def test_build_iso_failure_names_the_generator_and_reason(problem, b, mono, deg, label, reason):
     """A lift at N=4 with one coefficient raised by 1 has no isomorphism:
-    the message names the degree, the generator whose coproduct residual
-    solve_coboundary rejects, and its reason.  At degree 2 a residual that
-    is a cocycle may still alternate to nonzero."""
+    the message names the generator whose coproduct residual
+    solve_coboundary rejects, the degree, and the reason.  At degree 2 a
+    residual that is a cocycle may still alternate to nonzero."""
     G = bundled(f"{problem}.glb")
     N = 4
     ctx_e = PairingContext(build_delta_gamma(G, 0), N)
@@ -223,10 +217,7 @@ def test_build_iso_failure_names_the_generator_and_reason(problem, b, mono, deg,
     bad = lift_twist(ctx_e, leading_term(G, 0, b, N)) + SparseTensor(2, N, {mono: F(1)})
     with pytest.raises(StackBuildError) as exc:
         build_iso(ctx_e, ctx_b, bad)
-    assert str(exc.value) == (
-        f"isomorphism solve failed at degree {deg}, generator {label}: {REASONS[reason]}"
-        " (upstream twist data is inconsistent)"
-    )
+    assert str(exc.value) == f"coproduct residual of {label} at degree {deg} {REASONS[reason]}"
 
 
 def residual_vector(cop_res, poi_res, dim, deg):
@@ -244,7 +235,7 @@ def residual_vector(cop_res, poi_res, dim, deg):
     return vec
 
 
-def finite_difference_system(ctx_src, ctx_dst, twisted, images, deg):
+def finite_difference_system(ctx_src, ctx_dst, ftilde, images, deg):
     """Oracle for the degree-deg linear part of build_iso's residual: add one
     unknown monomial to one image and re-evaluate the full residual.  The
     residual vector (`residual_vector`) and the column of each unknown
@@ -252,7 +243,7 @@ def finite_difference_system(ctx_src, ctx_dst, twisted, images, deg):
     N, dim = ctx_src.trunc, ctx_src.dim
 
     def vector(imgs):
-        cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, twisted, AlgebraMap(imgs, N))
+        cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, ftilde, AlgebraMap(imgs, N))
         return residual_vector(cop_res, poi_res, dim, deg)
 
     base = vector(images)
@@ -304,14 +295,13 @@ def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
     for a, b in pairs:
         ftilde = lift_twist(ctxs[a], leading_term(G, a, b, N))
         j = build_iso(ctxs[a], ctxs[b], ftilde)
-        twisted = twisted_generators(ctxs[a], ftilde)
         for deg in range(2, N + 1):
             # solving degree deg only adds terms of degree deg
             images = [
                 SparseTensor(1, N, {m: c for m, c in img.coeffs.items() if monomial_degree(m) < deg})
                 for img in j.images
             ]
-            base, columns = finite_difference_system(ctxs[a], ctxs[b], twisted, images, deg)
+            base, columns = finite_difference_system(ctxs[a], ctxs[b], ftilde, images, deg)
             monos = slot_monomials(dim, 2, deg, least=0)
             unknowns = [(l, m) for l in range(dim) for m in sorted_words(dim, deg)]
             for column, (l, m) in zip(columns, unknowns, strict=True):
@@ -326,12 +316,11 @@ def test_iso_linear_columns_equal_finite_differences(problem, N, pairs):
 
 @cache
 def built_iso(problem, N, a, b):
-    """The contexts, the twisted generators and the iso of a pair of a
-    bundled problem."""
+    """The contexts, the lift and the iso of a pair of a bundled problem."""
     G = bundled(f"{problem}.glb")
     ctx_a, ctx_b = (PairingContext(build_delta_gamma(G, g), N) for g in (a, b))
     lift = lift_twist(ctx_a, leading_term(G, a, b, N))
-    return ctx_a, ctx_b, twisted_generators(ctx_a, lift), build_iso(ctx_a, ctx_b, lift)
+    return ctx_a, ctx_b, lift, build_iso(ctx_a, ctx_b, lift)
 
 
 @pytest.mark.parametrize("problem, N, a, b", [("sl2-weyl", 4, 0, 1), ("axb", 4, 0, 1)])
@@ -342,7 +331,7 @@ def test_iso_degree_solve_returns_the_subtracted_part(problem, N, a, b, data):
     each image) has coproduct residuals that vanish below degree d and are
     d(p_l) at degree d, and solve_coboundary of each returns p_l exactly:
     the degree-d solve of build_iso recovers what was taken away."""
-    ctx_a, ctx_b, twisted, j = built_iso(problem, N, a, b)
+    ctx_a, ctx_b, lift, j = built_iso(problem, N, a, b)
     dim = ctx_a.dim
     deg = data.draw(st.integers(2, N), label="deg")
     values = st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(3)])
@@ -352,12 +341,70 @@ def test_iso_degree_solve_returns_the_subtracted_part(problem, N, a, b, data):
         for l in range(dim)
     ]
     images = [img - p_l for img, p_l in zip(j.images, p)]
-    cop_res, _ = iso_residuals(ctx_a, ctx_b, twisted, AlgebraMap(images, N))
+    cop_res, _ = iso_residuals(ctx_a, ctx_b, lift, AlgebraMap(images, N))
     for r, p_l in zip(cop_res, p):
         assert all(monomial_degree(m) >= deg for m in r.num)
         alpha = r.homogeneous_part(deg)
         assert alpha == cohochschild_d(p_l)
         assert solve_coboundary(alpha) == p_l
+
+
+def test_build_iso_evaluates_no_intertwining_residual(monkeypatch):
+    """build_iso solves the coproduct parts alone: with iso_residuals
+    refusing to run it returns the same images."""
+    ctx_a, ctx_b, lift, j = built_iso("sl2-weyl", 4, 0, 1)
+
+    def refuse(*args):
+        raise AssertionError("build_iso evaluated iso_residuals")
+
+    monkeypatch.setattr(stack, "iso_residuals", refuse)
+    assert build_iso(ctx_a, ctx_b, lift).images == j.images
+
+
+def test_degree_one_poisson_mismatch_shows_in_iso_residuals():
+    """Two contexts with the same (zero) cobracket and brackets 0 and
+    [x, y] = x: the zero lift's coproduct residuals vanish, so build_iso
+    returns the identity, and its Poisson residual is -x at degree 1,
+    which iso_residuals, the certificate's check, reports."""
+    N = 3
+    ctx_src = PairingContext(abelian_flat_lba(), N)
+    ctx_dst = PairingContext(LieBialgebra(2, ["x", "y"], {(0, 1, 0): F(1), (1, 0, 0): F(-1)}, {}), N)
+    lift = ctx_src.zero(2)
+    j = build_iso(ctx_src, ctx_dst, lift)
+    assert j.images == [SparseTensor.generator(i, N) for i in range(2)]
+    cop_res, poi_res = iso_residuals(ctx_src, ctx_dst, lift, j)
+    assert all(r.is_zero() for r in cop_res)
+    assert poi_res == [SparseTensor.generator(0, N).scale(-1)]
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_clear_by_degree_names_the_part_that_fails(bad):
+    """With two parts, the error names the part whose solve fails; with
+    both solvable, correct gets one beta per part, 0 for a zero part."""
+    N = 3
+    solvable = cohochschild_d(SparseTensor(1, N, {((0, 1),): F(1)}))
+    wedge = SparseTensor(2, N, {((0,), (1,)): F(1), ((1,), (0,)): F(-1)})
+    names = ["first part", "second part"]
+    parts = [solvable, solvable]
+    parts[bad] = wedge
+    with pytest.raises(StackBuildError) as exc:
+        stack._clear_by_degree(None, lambda x, cut: parts, lambda x, betas: x, 2, N, names, "why")
+    assert str(exc.value) == f"{names[bad]} at degree 2 is not a coboundary: why"
+
+    targets = [SparseTensor.zero(2, N)] * 2
+    targets[1 - bad] = solvable
+    seen = []
+
+    def residual(x, cut):
+        return [t - cohochschild_d(x_l) for t, x_l in zip(targets, x)]
+
+    def correct(x, betas):
+        seen.append(betas)
+        return [x_l + beta for x_l, beta in zip(x, betas)]
+
+    x = stack._clear_by_degree([SparseTensor.zero(1, N)] * 2, residual, correct, 2, N, names, "")
+    assert [cohochschild_d(x_l) for x_l in x] == targets
+    assert len(seen) == 1 and seen[0][bad].is_zero() and not seen[0][1 - bad].is_zero()
 
 
 def test_algebra_map_inverse_roundtrip():
