@@ -6,10 +6,12 @@ of the terms it is applied to.  The oracle below evaluates the formula term
 pair by term pair with the hbar powers inside the operands, as the
 bialgebra did before the tables; values and key order must agree.
 
-`axiom_report` interns its products and compares (ab)c with a(bc) as
-indices; a copy of the triple loop that multiplies every pair afresh checks
-that it reports the same issues, in the same order, on data that fails each
-kind of check.
+`axiom_report` evaluates each product and coproduct once per label class
+(labels whose theta, i^{-1}, v^{-1} and F^{-1} agree give equal plain tables)
+and compares (ab)c with a(bc) as indices; a copy of the triple loop that
+multiplies every pair afresh checks that it reports the same issues, in the
+same order, on data that fails each kind of check and on data that splits
+one class of the sl2 covering Z/4 -> Z/2 at one element.
 """
 
 from __future__ import annotations
@@ -192,21 +194,40 @@ def triple_loop_report(alg, degree: int = 1) -> list[str]:
     return issues
 
 
-def scaled_v(data: GammaQUEData) -> GammaQUEData:
-    """v_{e,s} times the scalar 1 + hbar: v stops being a 2-cocycle, the
-    unit [1|e] no longer fixes [w|s] from the left, and Delta no longer
-    carries the changed products to products."""
-    v01 = data.v[(0, 1)]
-    return GammaQUEData(data.ctx, dict(data.F), dict(data.i_images), {**data.v, (0, 1): v01 + v01.hbar_shift(1)})
+def scaled_v(data: GammaQUEData, pair: tuple[int, int] = (0, 1)) -> GammaQUEData:
+    """v_{e,g,gh} for pair = (g, h) (by default v_{e,s}) times the scalar
+    1 + hbar: v stops being a 2-cocycle, and Delta no longer carries the
+    changed products to products; on the abelian data the unit [1|e] no
+    longer fixes [w|s] from the left."""
+    v = data.v[pair]
+    return GammaQUEData(data.ctx, dict(data.F), dict(data.i_images), {**data.v, pair: v + v.hbar_shift(1)})
 
 
-def changed_f(data: GammaQUEData) -> GammaQUEData:
-    """F_s with its first hbar^1 term doubled: F_s stops solving the twist
-    equation, and Delta stops being multiplicative."""
-    f = data.F[1]
+def changed_f(data: GammaQUEData, g: int = 1) -> GammaQUEData:
+    """F_g (by default F_s) with its first hbar^1 term doubled: F_g stops
+    solving the twist equation, and Delta stops being multiplicative."""
+    f = data.F[g]
     key = min(k for k in f.coeffs if k[0] == 1)
     coeffs = {**f.coeffs, key: 2 * f.coeffs[key]}
-    return GammaQUEData(data.ctx, {**data.F, 1: HElement(data.ctx, 2, coeffs)}, dict(data.i_images), dict(data.v))
+    return GammaQUEData(data.ctx, {**data.F, g: HElement(data.ctx, 2, coeffs)}, dict(data.i_images), dict(data.v))
+
+
+def changed_i(data: GammaQUEData, g: int) -> GammaQUEData:
+    """i_g scaling every generator by 1 + hbar^2: i_g^{-1} leaves the
+    identity at hbar^2, and associativity and compatibility fail."""
+    ctx = data.ctx
+    images = [ctx.gen(k) + ctx.gen(k).hbar_shift(2) for k in range(ctx.lba.dim)]
+    return GammaQUEData(ctx, dict(data.F), {**data.i_images, g: images}, dict(data.v))
+
+
+@cache
+def sl2_d4() -> GammaQUEData:
+    return sl2_que_data(3, 4)
+
+
+# the labels of sl2_que_data: Z/4 = {e, w, w2, w3} covers the Weyl group
+# Z/2, and its kernel {e, w2} acts trivially
+E, W, W2, W3 = range(4)
 
 
 def kinds(issues: list[str]) -> set[str]:
@@ -216,33 +237,68 @@ def kinds(issues: list[str]) -> set[str]:
 @pytest.mark.parametrize(
     "make, expected",
     [
-        (lambda: sl2_que_data(3, 4), {"bialgebra compatibility"}),
+        (sl2_d4, {"bialgebra compatibility"}),
         (lambda: abelian_que_data(3, 4), set()),
         (lambda: scaled_v(abelian_que_data(3, 4)), {"associativity", "unit axiom", "bialgebra compatibility"}),
         (lambda: changed_f(abelian_que_data(3, 4)), {"coassociativity", "bialgebra compatibility"}),
+        (lambda: changed_f(sl2_d4(), W3), {"coassociativity", "bialgebra compatibility"}),
+        (lambda: scaled_v(sl2_d4(), (W2, W)), {"associativity", "bialgebra compatibility"}),
+        (lambda: changed_i(sl2_d4(), W2), {"associativity", "bialgebra compatibility"}),
     ],
-    ids=["sl2-D4", "abelian", "abelian-scaled-v", "abelian-changed-F"],
+    ids=[
+        "sl2-D4",
+        "abelian",
+        "abelian-scaled-v",
+        "abelian-changed-F",
+        "sl2-changed-F-w3",
+        "sl2-scaled-v-w2-w",
+        "sl2-changed-i-w2",
+    ],
 )
 def test_axiom_report_equals_the_triple_loop(make, expected):
-    """The interned sweep reports exactly the triple loop's issues, strings
+    """The class sweep reports exactly the triple loop's issues, strings
     and order included: the sl2 sweep at D = 4 fails compatibility only,
-    and each mutation of the abelian data fails its own kinds of check."""
+    and each mutation of the abelian data fails its own kinds of check.
+    Each sl2 mutation separates one kernel element from its partner in one
+    input only (F_w3 from F_w, v_{w2,w} from v_{e,w}, i_w2 from i_e), so a
+    class key that missed that input would merge the two labels."""
     data = make()
     reference = triple_loop_report(SemidirectBialgebra(data))
     assert kinds(reference) == expected
     assert SemidirectBialgebra(data).axiom_report(1) == reference
 
 
+def test_each_sl2_mutation_splits_one_kernel_class():
+    """On the sl2 data w2 shares every input id with e, and w3 with w, so
+    the sweep evaluates the labels of a coset once; each mutation of the
+    triple-loop test splits one of those classes in one input only."""
+
+    def splits(data):
+        conj, vinv, finv = SemidirectBialgebra(data)._label_ids()
+        return {
+            "conj": [conj[E] != conj[W2], conj[W] != conj[W3]],
+            "vinv": [vinv[(E, W)] != vinv[(W2, W)]],
+            "finv": [finv[E] != finv[W2], finv[W] != finv[W3]],
+        }
+
+    none = {"conj": [False, False], "vinv": [False], "finv": [False, False]}
+    assert splits(sl2_d4()) == none
+    assert splits(changed_f(sl2_d4(), W3)) == {**none, "finv": [False, True]}
+    assert splits(scaled_v(sl2_d4(), (W2, W))) == {**none, "vinv": [True]}
+    assert splits(changed_i(sl2_d4(), W2)) == {**none, "conj": [True, False]}
+
+
 def test_axiom_report_multiplies_each_distinct_pair_once(monkeypatch):
-    """One axiom_report(1) on the sl2 data at M = 3, D = 4 makes 3,744
-    products (the triple loop: 12,832), 116 coproducts (784) and 144
-    apply_endo calls (3,272): each distinct product once, the coproduct of
-    each basis element and of each distinct ab once, and one conjugate
-    i^{-1}_g(theta_g(w)) per (w, g)."""
+    """One axiom_report(1) on the sl2 data at M = 3, D = 4 makes 432
+    products (3,744 when each labelled product was evaluated; the triple
+    loop: 12,832), 50 coproducts (116; 784), 66 coproducts at one slot
+    (148), the coassociativity checks included, and 80 apply_endo calls
+    (144; 3,272): each product and coproduct once per label class, and one
+    conjugate i^{-1}_g(theta_g(w)) per (w, g) a class representative meets."""
     data = sl2_que_data(3, 4)
     for g in data.ctx.G.group.elements():
         data.i_inverse_images(g)
-    counts = dict.fromkeys(("product", "coproduct", "apply_endo"), 0)
+    counts = dict.fromkeys(("product", "coproduct", "_cop_slot", "apply_endo"), 0)
 
     def counted(cls, name):
         real = getattr(cls, name)
@@ -255,28 +311,38 @@ def test_axiom_report_multiplies_each_distinct_pair_once(monkeypatch):
 
     counted(SemidirectBialgebra, "product")
     counted(SemidirectBialgebra, "coproduct")
+    counted(SemidirectBialgebra, "_cop_slot")
     counted(QueContext, "apply_endo")
     assert len(SemidirectBialgebra(data).axiom_report(1)) == 72
-    assert counts == {"product": 3744, "coproduct": 116, "apply_endo": 144}
+    assert counts == {"product": 432, "coproduct": 50, "_cop_slot": 66, "apply_endo": 80}
     assert 3 * counts["product"] < 12832 and 3 * counts["apply_endo"] < 3272
 
 
 @cache
-def swept(name: str, M: int, D: int) -> tuple[SemidirectBialgebra, list[str]]:
-    """The axiom sweep of a bundled file at (M, D), run once per session."""
+def swept(name: str, M: int, D: int, degree: int = 1) -> tuple[SemidirectBialgebra, list[str]]:
+    """The axiom sweep of a bundled file at (M, D) to PBW degree `degree`,
+    run once per session."""
     text = data_path(name).read_text(encoding="utf-8")
-    return build_semidirect(build_que_data(parse_problem(text), M, D), 1)
+    return build_semidirect(build_que_data(parse_problem(text), M, D), degree)
 
 
 def test_sl2_sweep_builds_each_basis_table_once():
     """The benchmark's sweep, sl2-que.glb at M = 3, D = 6: a product reads
     the table of every slot pair of each term pair below hbar^M, and Delta
     the table of every slot it meets, so the sweep builds exactly the basis
-    products (1,764) and basis coproducts (60) its terms meet, and finds no
-    issue."""
+    products (473) and basis coproducts (39) the terms of its class
+    representatives meet (1,764 and 60 when every labelled product and
+    coproduct was evaluated), and finds no issue."""
     alg, issues = swept("sl2-que.glb", 3, 6)
     assert issues == []
-    assert (len(alg._products), len(alg._coproducts)) == (1764, 60)
+    assert (len(alg._products), len(alg._coproducts)) == (473, 39)
+
+
+def test_sl2_sweep_at_degree_two_finds_no_issue():
+    """The benchmark's data swept on the PBW monomials of degree <= 2: 40
+    basis elements, 64,000 triples, all axioms hold."""
+    _alg, issues = swept("sl2-que.glb", 3, 6, 2)
+    assert issues == []
 
 
 # -- the tables against the per-pair construction -----------------------------------------
@@ -318,13 +384,12 @@ def unlabelled(table):
 
 @pytest.mark.parametrize("name, M, D", [("sl2-que.glb", 3, 6), ("abelian-que.glb", 3, 4)])
 def test_swept_tables_equal_the_per_pair_construction(name, M, D):
-    """A basis product computes its plain product once per (w1, w2, g1, value
-    of v^{-1}_{g1,g2}) and relabels it for every other g2 with an equal v^{-1}.
-    After the sweep every product and coproduct table equals the one built
+    """After the sweep every product and coproduct table equals the one built
     for its pair alone, entry order included.  On sl2-que every v^{-1} is the
-    unit; on abelian-que v_{s,s} = 1 - 2 hbar^2 x x y is not, and some
-    tables of one (w1, g1), (w2, .) differ by more than their labels, so
-    tables of labels with different v^{-1} are not shared."""
+    unit, and the tables of one (w1, g1), (w2, .) differ only in their
+    labels; on abelian-que v_{s,s} = 1 - 2 hbar^2 x x y is not, and some
+    differ by more than their labels, which is why the class key of a
+    product reads the value of v^{-1}_{g1,g2}."""
     alg, issues = swept(name, M, D)
     assert issues == []
     for (s1, s2), table in alg._products.items():
@@ -346,12 +411,12 @@ def test_swept_tables_equal_the_per_pair_construction(name, M, D):
 def test_unit_factors_skip_the_pair_loop(monkeypatch):
     """On sl2-que.glb at M = 3, D = 6, `quantize_stack` sends 138 of its
     `QueContext.mul` calls through the pair loop `_slot_product`, and the
-    axiom sweep after it (the benchmark's order) 478: a unit factor returns
-    the other operand, a relabelled basis product multiplies nothing, and
-    `validate_que_data` evaluates each unordered bracket pair once (516 and
-    3,618 when every call took the loop and every ordered pair was
-    evaluated).  The crossed product's own unit [1|e] still takes the loop:
-    all 3,744 products of the sweep do."""
+    axiom sweep after it (the benchmark's order) 398 (478 when each labelled
+    product was evaluated): a unit factor returns the other operand, and
+    `validate_que_data` evaluates each unordered bracket pair once (516 and 3,618 when every call took the loop and every ordered
+    pair was evaluated).  The crossed product's own unit [1|e] still takes
+    the loop: all 432 products the sweep evaluates do (one per label class;
+    3,744 when each labelled product was evaluated)."""
     text = data_path("sl2-que.glb").read_text(encoding="utf-8")
     data = build_que_data(parse_problem(text), 3, 6)
     calls = {HElement: 0, CrossedElement: 0}
@@ -365,4 +430,4 @@ def test_unit_factors_skip_the_pair_loop(monkeypatch):
     assert calls == {HElement: 138, CrossedElement: 0}
     calls.update(dict.fromkeys(calls, 0))
     assert SemidirectBialgebra(data).axiom_report(1) == []
-    assert calls == {HElement: 478, CrossedElement: 3744}
+    assert calls == {HElement: 398, CrossedElement: 432}
