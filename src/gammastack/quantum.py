@@ -133,6 +133,10 @@ class HElement(SparseElement):
         degree = cls._degree
         return den, tuple((a, sl, n, degree(sl)) for a, sl, n in entries)
 
+    def _as_table(self) -> Table:
+        """The terms of self as one slot's table."""
+        return self._table(self.den, ((a, sl, n) for (a, sl), n in self.num.items()))
+
     @classmethod
     def spread(cls, ctx: QueContext, slots: int, terms) -> HElement:
         """The one-operand maps (`apply_endo`, Delta and the counit on one
@@ -480,7 +484,7 @@ class QueContext:
             last = images[word[-1]]
             den, prev = self._word_table(cache, images, word[:-1])
             out = HElement._trusted(self, last.slots, {(a, sl): n for a, sl, n, _ in prev}, den) * last
-            table = cache[word] = HElement._table(out.den, ((a, sl, n) for (a, sl), n in out.num.items()))
+            table = cache[word] = out._as_table()
         return table
 
     def coproduct_slot(self, x: HElement, idx: int) -> HElement:
@@ -656,11 +660,9 @@ def star_hbar_cocycle_residual(ctx: QueContext, f: HElement) -> HElement:
     return ctx.star_hbar(out, ctx.coproduct_slot(a, 0))
 
 
-def gauge_twist(ctx: QueContext, b: HElement, f: HElement, binv: HElement | None = None) -> HElement:
-    """b^{(x)2} F Delta(b^{-1}); binv, when given, is b^{-1}."""
-    if binv is None:
-        binv = ctx.inverse(b)
-    return tensor_unit(b, 1) * tensor_unit(b, 0) * f * ctx.coproduct_slot(binv, 0)
+def gauge_twist(ctx: QueContext, b: HElement, f: HElement) -> HElement:
+    """b^{(x)2} F Delta(b^{-1})."""
+    return tensor_unit(b, 1) * tensor_unit(b, 0) * f * ctx.coproduct_slot(ctx.inverse(b), 0)
 
 
 def admissibilize(ctx: QueContext, f0: HElement) -> tuple[HElement, HElement]:
@@ -786,13 +788,11 @@ def coassociativity_residual(ctx: QueContext, i: int) -> HElement:
     return ctx.coproduct_slot(d, 0) - ctx.coproduct_slot(d, 1)
 
 
-def conjugation_residual(
-    ctx: QueContext, theta: list[HElement], F: HElement, F_inv: HElement, i: int
-) -> HElement:
+def conjugation_residual(ctx: QueContext, theta: list[HElement], F: HElement, i: int) -> HElement:
     """Delta(theta e_i) - F^{-1} theta^{(x)2}(Delta e_i) F, for theta given by
     generator images; the coproduct-conjugation identity at generator i."""
     lhs = ctx.coproduct_slot(ctx.apply_endo(theta, ctx.gen(i)), 0)
-    return lhs - F_inv * ctx.apply_endo(theta, ctx.coproduct_slot(ctx.gen(i), 0)) * F
+    return lhs - ctx.inverse(F) * ctx.apply_endo(theta, ctx.coproduct_slot(ctx.gen(i), 0)) * F
 
 
 def relation_residuals(data: GammaQUEData) -> list[Relation]:
@@ -919,9 +919,8 @@ def validate_que_data(data: GammaQUEData) -> list[str]:
     # coproduct-conjugation identity: Delta(theta_g x) = Ad(F_g^{-1})
     # (theta_g^{(x)2} Delta(x)); required for the semidirect bialgebra axioms
     for g in grp.elements():
-        fg_inv = ctx.inverse(data.F[g])
         for i in range(dim):
-            if not conjugation_residual(ctx, ctx.theta_images(g), data.F[g], fg_inv, i).is_zero():
+            if not conjugation_residual(ctx, ctx.theta_images(g), data.F[g], i).is_zero():
                 issues.append(
                     f"coproduct conjugation identity fails at ({grp.labels[g]}, generator {i})"
                 )
@@ -943,7 +942,7 @@ def gauge_transform(data: GammaQUEData, b: dict[int, HElement]) -> GammaQUEData:
         out = data
     else:
         binv = {g: ctx.inverse(b[g]) for g in grp.elements()}
-        newF = {g: gauge_twist(ctx, b[g], data.F[g], binv[g]) for g in grp.elements()}
+        newF = {g: gauge_twist(ctx, b[g], data.F[g]) for g in grp.elements()}
         new_i = {
             g: [
                 ctx.apply_endo(data.i_images[g], binv[g] * ctx.gen(k) * b[g])
@@ -991,105 +990,94 @@ class CrossedElement(HElement):
 class SemidirectBialgebra:
     """S(g) (x) k Gamma [[hbar]] with the twisted product and coproduct.
 
-    Each basis product [w1|g1][w2|g2] and each basis coproduct Delta[w|g] is
-    computed once, at hbar^0, and shifted by the hbar powers of the terms it
-    is applied to (`spread` says why that is exact): `product` multiplies
-    slotwise in `_slot_product`, and `_cop_slot` applies Delta to one slot
-    through `spread` (`coproduct` is its one-slot case).  Both take
-    `CrossedElement`s of this algebra's context only.
-
-    A basis product reads g1 only through theta_g1 and i_{e,g1}^{-1}, and g2
-    only through v_{e,g1,g1g2}^{-1} and the label g1g2; a basis coproduct
-    reads g only through F_{e,g} and the label.  `_label_ids` numbers these
-    inputs by value, so labels of one class get equal tables up to their
-    labels, and `axiom_report` evaluates each product and coproduct once per
-    class.  Unlike `QueContext.mul`, `product` never skips a unit factor: the
-    unit axiom for [1|e] is one of the checks of `axiom_report`.
+    A basis product [w1|g1][w2|g2] is the plain w1 i_{e,g1}^{-1}(theta_g1(w2))
+    v_{e,g1,g1g2}^{-1} labelled g1g2, and a basis coproduct Delta[w|g] is the
+    plain Delta_e(w) F_{e,g}^{-1} labelled g, g.  The constructor numbers
+    these inputs by value, once (so F, v and the i maps must be invertible,
+    as `validate_que_data` checks), and one memo of plain hbar^0 tables is
+    kept per class of labels with equal ids: keyed (w1, w2) per
+    (conjugation id, v^{-1} id), and w per F^{-1} id.  A table is shifted by
+    the hbar powers of the terms it is applied to (`spread` says why that is
+    exact).  `axiom_report` reads the class tables as they are; `product`
+    (slotwise, in `_slot_product`) and `_cop_slot` (Delta at one slot,
+    through `spread`; `coproduct` is its one-slot case) read them
+    relabelled, and take `CrossedElement`s of this algebra's context only.
+    Unlike `QueContext.mul`, `product` never skips a unit factor: the unit
+    axiom for [1|e] is one of the checks of `axiom_report`.
     """
 
     def __init__(self, data: GammaQUEData):
         self.data = data
-        self.ctx = data.ctx
-        self.G = self.ctx.G
-        # per-label caches v^{-1}, F^{-1}; hbar^0 tables per basis pair/monomial
-        self._vinv: dict[tuple[int, int], HElement] = {}
-        self._finv: dict[int, HElement] = {}
+        self.ctx = ctx = data.ctx
+        self.G = ctx.G
+        labels = list(self.G.group.elements())
+        # what the tables read of their labels, numbered by value; an id
+        # indexes its value in _inputs
+        self._inputs: list = []
+        number = partial(_intern, {}, self._inputs)
+        self._conj_ids = {g: number((tuple(ctx.theta_images(g)), tuple(data.i_inverse_images(g)))) for g in labels}
+        self._vinv_ids = {(g, h): number(ctx.inverse(data.v[(g, h)])) for g in labels for h in labels}
+        self._finv_ids = {g: number(ctx.inverse(data.F[g])) for g in labels}
+        # the plain tables of each class, and i_{e,g}^{-1}(theta_g(w)) per
+        # (w, conjugation id): the right factor of a plain product
+        self._class_products: dict[tuple[int, int], dict[tuple[Word, Word], Table]] = {}
+        self._class_coproducts: dict[int, dict[Word, Table]] = {}
+        self._conj: dict[tuple[Word, int], HElement] = {}
+        # the labelled tables of `product` and `_cop_slot`
         self._products: dict[tuple, Table] = {}
         self._coproducts: dict[tuple[Word, int], Table] = {}
-        # i_{e,g}^{-1}(theta_g(w)) per (w, g): the right factor of a basis product
-        self._conj: dict[tuple[Word, int], HElement] = {}
-        self._intern: dict = {}
-        self._label_id_maps: tuple[dict, dict, dict] | None = None
 
-    def _table(self, den: int, entries) -> Table:
-        # equal slots and whole tables recur across basis pairs
-        # (the sl2 D=6 sweep: 512 tables, 337 distinct), so each is kept once
-        def shared(x):
-            return self._intern.setdefault(x, x)
+    def _product_tables(self, g1: int, g2: int):
+        """The memo of the class of (g1, g2) and the builder that fills it."""
+        key = self._conj_ids[g1], self._vinv_ids[(g1, g2)]
+        memo = self._class_products.setdefault(key, {})
+        return memo, partial(self._plain_product, memo, *key)
 
-        entries = ((a, shared(tuple(map(shared, sl))), n) for a, sl, n in entries)
-        return shared(CrossedElement._table(den, entries))
-
-    def _v_inverse(self, g1: int, g2: int) -> HElement:
-        vinv = self._vinv.get((g1, g2))
-        if vinv is None:
-            vinv = self._vinv[(g1, g2)] = self.ctx.inverse(self.data.v[(g1, g2)])
-        return vinv
-
-    def _f_inverse(self, g: int) -> HElement:
-        finv = self._finv.get(g)
-        if finv is None:
-            finv = self._finv[g] = self.ctx.inverse(self.data.F[g])
-        return finv
-
-    def _label_ids(self) -> tuple[dict, dict, dict]:
-        """Value ids of what the basis tables read of their labels: per g the
-        pair of images of theta_g and i_{e,g}^{-1} (the conjugation), per
-        (g, h) the value of v_{e,g,gh}^{-1}, and per g that of F_{e,g}^{-1};
-        computed once per algebra.  Equal ids give equal plain tables."""
-        if self._label_id_maps is None:
-            ctx = self.ctx
-            labels = list(self.G.group.elements())
-            ids: dict = {}
-            conj = {
-                g: ids.setdefault((tuple(ctx.theta_images(g)), tuple(self.data.i_inverse_images(g))), len(ids))
-                for g in labels
-            }
-            vinv = {(g, h): ids.setdefault(self._v_inverse(g, h), len(ids)) for g in labels for h in labels}
-            finv = {g: ids.setdefault(self._f_inverse(g), len(ids)) for g in labels}
-            self._label_id_maps = conj, vinv, finv
-        return self._label_id_maps
-
-    def _basis_product(self, s1: tuple[Word, int], s2: tuple[Word, int]) -> Table:
-        """hbar^0 table of [w1 * i_{e,g1}^{-1}(theta_g1(w2)) * v_{e,g1,g1g2}^{-1} | g1g2],
-        stored in `_products`.  The association stays as written, since the
-        cap D cuts a reassociated product differently."""
-        (w1, g1), (w2, g2) = s1, s2
+    def _plain_product(self, memo: dict, c: int, v: int, w1: Word, w2: Word) -> Table:
+        """hbar^0 table of w1 * i^{-1}(theta(w2)) * v^{-1}, the conjugation of
+        id c and the v^{-1} of id v, stored in memo.  The association stays
+        as written, since the cap D cuts a reassociated product differently."""
         ctx = self.ctx
-        conj = self._conj.get((w2, g1))
+        conj = self._conj.get((w2, c))
         if conj is None:
             conj = HElement._trusted(ctx, 1, {(0, (w2,)): 1})
-            for images in (ctx.theta_images(g1), self.data.i_inverse_images(g1)):
+            for images in self._inputs[c]:
                 conj = ctx.apply_endo(images, conj)
-            self._conj[(w2, g1)] = conj
-        plain1 = HElement._trusted(ctx, 1, {(0, (w1,)): 1})
-        val = plain1 * conj * self._v_inverse(g1, g2)
-        gg = self.G.group.mul(g1, g2)
-        table = self._products[(s1, s2)] = self._table(
-            val.den, ((a, ((w, gg),), n) for (a, (w,)), n in val.num.items())
-        )
+            self._conj[(w2, c)] = conj
+        val = HElement._trusted(ctx, 1, {(0, (w1,)): 1}) * conj * self._inputs[v]
+        table = memo[(w1, w2)] = val._as_table()
+        return table
+
+    def _coproduct_table(self, g: int):
+        """w -> hbar^0 table of Delta_e(w) * F_{e,g}^{-1}, from the memo of the
+        class of g."""
+        f = self._finv_ids[g]
+        memo = self._class_coproducts.setdefault(f, {})
+
+        def table(w: Word) -> Table:
+            out = memo.get(w)
+            if out is None:
+                plain = HElement._trusted(self.ctx, 1, {(0, (w,)): 1})
+                out = memo[w] = (self.ctx.coproduct_slot(plain, 0) * self._inputs[f])._as_table()
+            return out
+
+        return table
+
+    def _basis_product(self, s1: tuple[Word, int], s2: tuple[Word, int]) -> Table:
+        """The class table of (w1, w2) labelled g1g2, stored in `_products`."""
+        (w1, g1), (w2, g2) = s1, s2
+        memo, build = self._product_tables(g1, g2)
+        table = memo.get((w1, w2)) or build(w1, w2)
+        table = self._products[(s1, s2)] = _labelled(table, self.G.group.mul(g1, g2))
         return table
 
     def _basis_coproduct(self, s: tuple[Word, int]) -> Table:
-        """hbar^0 table of [Delta_e(w) * F_{e,g}^{-1} | g,g] for s = (w, g)."""
+        """The class table of w labelled g, g for s = (w, g), stored in
+        `_coproducts`."""
         table = self._coproducts.get(s)
         if table is None:
             w, g = s
-            plain = HElement._trusted(self.ctx, 1, {(0, (w,)): 1})
-            val = self.ctx.coproduct_slot(plain, 0) * self._f_inverse(g)
-            table = self._coproducts[s] = self._table(
-                val.den, ((a, ((w1, g), (w2, g)), n) for (a, (w1, w2)), n in val.num.items())
-            )
+            table = self._coproducts[s] = _labelled(self._coproduct_table(g)(w), g)
         return table
 
     def product(self, x: CrossedElement, y: CrossedElement) -> CrossedElement:
@@ -1117,43 +1105,77 @@ class SemidirectBialgebra:
         """Associativity, coassociativity, compatibility on all labeled PBW
         monomials of degree <= `degree`, exactly at truncation.
 
-        Every value of the sweep carries one label per slot, so it is held as
-        (labels, id of its label-free value) in a `_LabelClassSweep`, which
-        computes each product and coproduct once per label class and relabels
-        the result (the sl2 D=6 sweep: 473 product tables, not 1,764).  The
-        basis coproducts, the distinct products ab and their coproducts are
-        each looked up once, and (ab)c and a(bc) are compared as two indices.
+        Every value of the sweep carries one label on all its slots, the one
+        the grading gives (g1g2 for a product, g for Delta), so it is held as
+        the index of a pair (label, plain `HElement`): equal pairs are equal
+        values.  A zero value keeps the label of the grading too, which is
+        the same on both sides of every check.  A product is the plain
+        `_slot_product` with the class tables of its label pair, and Delta at
+        a slot the plain `spread` with those of its label; each is evaluated
+        once per class (the sl2 D=6 sweep: 273 plain product tables, not
+        1,764 labelled ones).  The basis coproducts, the distinct products ab
+        and their coproducts are each looked up once, and (ab)c and a(bc) are
+        compared as two indices.
         """
-        grp = self.G.group
-        words = [w for d in range(degree + 1) for w in sorted_words(self.ctx.lba.dim, d)]
+        ctx, grp = self.ctx, self.G.group
+        words = [w for d in range(degree + 1) for w in sorted_words(ctx.lba.dim, d)]
         slots = [(w, g) for w in words for g in grp.elements()]
-        basis = [self.ctx.labeled(*s) for s in slots]
-        sweep = _LabelClassSweep(self)
-        base = [sweep.element(a, (g,)) for a, (_, g) in zip(basis, slots)]
-        cop = [sweep.coproduct(a) for a in base]
-        prod = [[sweep.product(a, b) for b in base] for a in base]
+        index: dict[tuple[int, HElement], int] = {}
+        values: list[tuple[int, HElement]] = []
+        plains: dict[HElement, HElement] = {}
+        products: dict[tuple, HElement] = {}
+        coproducts: dict[tuple, HElement] = {}
+
+        def plain(x: HElement) -> HElement:
+            # one object per plain value, so the memo keys compare by identity
+            return plains.setdefault(x, x)
+
+        def value(g: int, x: HElement) -> int:
+            return _intern(index, values, (g, x))
+
+        def product(i: int, j: int) -> int:
+            (g, x), (h, y) = values[i], values[j]
+            key = (x, y, self._conj_ids[g], self._vinv_ids[(g, h)])
+            p = products.get(key)
+            if p is None:
+                p = products[key] = plain(_slot_product(x, y, *self._product_tables(g, h)))
+            return value(grp.mul(g, h), p)
+
+        def coproduct(i: int, idx: int = 0) -> int:
+            g, x = values[i]
+            key = (x, self._finv_ids[g], idx)
+            p = coproducts.get(key)
+            if p is None:
+                terms = _slot_terms(x, idx, self._coproduct_table(g))
+                p = coproducts[key] = plain(HElement.spread(ctx, x.slots + 1, terms))
+            return value(g, p)
+
+        basis = [ctx.labeled(*s) for s in slots]
+        base = [value(g, plain(HElement._trusted(ctx, 1, {(0, (w,)): 1}))) for w, g in slots]
+        cop = [coproduct(a) for a in base]
+        prod = [[product(a, b) for b in base] for a in base]
         distinct = sorted({x for row in prod for x in row})
-        right = {x: [sweep.product(x, c) for c in base] for x in distinct}
-        cop_prod = {x: sweep.coproduct(x) for x in distinct}
-        u = sweep.element(self.unit(), (grp.identity,))
+        right = {x: [product(x, c) for c in base] for x in distinct}
+        cop_prod = {x: coproduct(x) for x in distinct}
+        u = value(grp.identity, plain(ctx.unit(1)))
         issues = []
         for i, a in enumerate(basis):
-            left = {y: sweep.product(base[i], y) for y in distinct}
+            left = {y: product(base[i], y) for y in distinct}
             for j, b in enumerate(basis):
                 x = prod[i][j]
-                if cop_prod[x] != sweep.product(cop[i], cop[j]):
+                if cop_prod[x] != product(cop[i], cop[j]):
                     issues.append(f"bialgebra compatibility fails at {a.format()},{b.format()}")
                 for k, c in enumerate(basis):
                     if right[x][k] != left[prod[j][k]]:
                         issues.append(
                             f"associativity fails at {a.format()},{b.format()},{c.format()}"
                         )
-            if sweep.coproduct(cop[i], 0) != sweep.coproduct(cop[i], 1):
+            if coproduct(cop[i], 0) != coproduct(cop[i], 1):
                 issues.append(f"coassociativity fails at {a.format()}")
             # the graded counit [x|g] -> delta_{g,e} eps(x) collapses Delta
             # back to the identity only on the identity component, so no
             # counit-collapse axiom is imposed here
-            if sweep.product(u, base[i]) != base[i] or sweep.product(base[i], u) != base[i]:
+            if product(u, base[i]) != base[i] or product(base[i], u) != base[i]:
                 issues.append(f"unit axiom fails at {a.format()}")
         return issues
 
@@ -1165,77 +1187,10 @@ class SemidirectBialgebra:
         return CrossedElement.spread(self.ctx, x.slots + 1, _slot_terms(x, idx, self._basis_coproduct))
 
 
-class _LabelClassSweep:
-    """The values of one axiom sweep, each an index of a pair (labels, id of
-    the label-free `HElement`): every value has one label per slot, the one
-    the grading gives (g1g2 for a product, g, g for Delta), so equal pairs
-    are equal values.  A zero value keeps the labels of the grading too,
-    which are the same on both sides of every check of `axiom_report`.
-
-    A product reads its operands' plain values, per slot the conjugation id
-    of the left label and the v^{-1} id of the label pair (`_label_ids`), and
-    the labels only to set the result's; a coproduct at slot idx reads the
-    plain value, the F^{-1} id of the label there and idx.  The tables of
-    labels with equal ids are built by the same functions from equal inputs,
-    so the kernels visit the same terms in the same order and return equal
-    plain values: each is evaluated once per such key, on the first pair of
-    labels met, and only the operands of those evaluations are built as
-    `CrossedElement`s.
-    """
-
-    def __init__(self, alg: SemidirectBialgebra):
-        self.alg = alg
-        self.conj, self.vinv, self.finv = alg._label_ids()
-        self.mul = alg.G.group.mul
-        self.plain_ids: dict[HElement, int] = {}
-        self.plains: list[HElement] = []
-        self.index: dict[tuple[tuple[int, ...], int], int] = {}
-        self.values: list[tuple[tuple[int, ...], int]] = []
-        self.crossed: dict[int, CrossedElement] = {}
-        self.products: dict[tuple, int] = {}
-        self.coproducts: dict[tuple[int, int, int], int] = {}
-
-    def _value(self, labels: tuple[int, ...], plain: int) -> int:
-        return _intern(self.index, self.values, (labels, plain))
-
-    def _plain(self, x: CrossedElement) -> int:
-        """The id of x with its labels dropped, interned by value."""
-        num = {(a, tuple(w for w, _ in sl)): n for (a, sl), n in x.num.items()}
-        return _intern(self.plain_ids, self.plains, HElement._trusted(self.alg.ctx, x.slots, num, x.den))
-
-    def element(self, x: CrossedElement, labels: tuple[int, ...]) -> int:
-        """The value of x, whose every slot carries the one label given."""
-        i = self._value(labels, self._plain(x))
-        self.crossed.setdefault(i, x)
-        return i
-
-    def _operand(self, i: int) -> CrossedElement:
-        x = self.crossed.get(i)
-        if x is None:
-            labels, p = self.values[i]
-            plain = self.plains[p]
-            num = {(a, tuple(zip(ws, labels))): n for (a, ws), n in plain.num.items()}
-            x = self.crossed[i] = CrossedElement._trusted(plain.ctx, plain.slots, num, plain.den)
-        return x
-
-    def product(self, i: int, j: int) -> int:
-        (lx, px), (ly, py) = self.values[i], self.values[j]
-        key = (px, py, tuple((self.conj[g], self.vinv[(g, h)]) for g, h in zip(lx, ly)))
-        p = self.products.get(key)
-        if p is None:
-            p = self.products[key] = self._plain(self.alg.product(self._operand(i), self._operand(j)))
-        return self._value(tuple(map(self.mul, lx, ly)), p)
-
-    def coproduct(self, i: int, idx: int = 0) -> int:
-        """Delta at slot idx of value i (`SemidirectBialgebra.coproduct` on one slot)."""
-        labels, px = self.values[i]
-        key = (px, self.finv[labels[idx]], idx)
-        p = self.coproducts.get(key)
-        if p is None:
-            x = self._operand(i)
-            out = self.alg.coproduct(x) if x.slots == 1 else self.alg._cop_slot(x, idx)
-            p = self.coproducts[key] = self._plain(out)
-        return self._value(labels[: idx + 1] + labels[idx:], p)
+def _labelled(table: Table, g: int) -> Table:
+    """A plain table with every output slot labelled g."""
+    den, entries = table
+    return den, tuple((a, tuple((w, g) for w in sl), n, e) for a, sl, n, e in entries)
 
 
 def _intern(index: dict, items: list, x) -> int:

@@ -371,7 +371,8 @@ def test_quantize_stack_runs_each_relation_pass_once(monkeypatch):
 
 
 def test_quantize_stack_inverts_each_element_and_map_once(monkeypatch):
-    """sl2-que at (3, 6): 20 element inversions on 3 distinct elements, so
+    """sl2-que at (3, 6): 28 element inversions on 3 distinct elements (the
+    conjugation residual of each (g, generator) asks for F_g^{-1}), so
     3 evaluations of the inverse series, and 1 linear solve: the four i
     maps have one value, so it is inverted once (one block solve of its 3x3
     linear part).  The gauges are units, so gauge_transform inverts none."""
@@ -398,7 +399,7 @@ def test_quantize_stack_inverts_each_element_and_map_once(monkeypatch):
     monkeypatch.setattr(QueContext, "_series", series)
     monkeypatch.setattr(quantum, "solve_linear", solve)
     assert quantize_stack(data).ok
-    assert calls == {"inverse": 20, "inverse series": 3, "solve_linear": 1}
+    assert calls == {"inverse": 28, "inverse series": 3, "solve_linear": 1}
 
 
 def test_admissibilize_reports_only_solver_failures(monkeypatch):

@@ -6,12 +6,15 @@ of the terms it is applied to.  The oracle below evaluates the formula term
 pair by term pair with the hbar powers inside the operands, as the
 bialgebra did before the tables; values and key order must agree.
 
-`axiom_report` evaluates each product and coproduct once per label class
-(labels whose theta, i^{-1}, v^{-1} and F^{-1} agree give equal plain tables)
-and compares (ab)c with a(bc) as indices; a copy of the triple loop that
-multiplies every pair afresh checks that it reports the same issues, in the
-same order, on data that fails each kind of check and on data that splits
-one class of the sl2 covering Z/4 -> Z/2 at one element.
+The algebra keeps one memo of plain (label-free) tables per label class:
+labels whose theta, i^{-1}, v^{-1} and F^{-1} agree by value share their
+tables.  The labelled product and coproduct read them relabelled, and each
+must equal the table built for its own pair.  `axiom_report` evaluates each
+product and coproduct once per label class, on plain values with the class
+tables, and compares (ab)c with a(bc) as indices; a copy of the triple loop
+that multiplies every labelled pair afresh checks that it reports the same
+issues, in the same order, on data that fails each kind of check and on
+data that splits one class of the sl2 covering Z/4 -> Z/2 at one element.
 """
 
 from __future__ import annotations
@@ -121,10 +124,11 @@ def oracle_cop_slot(alg, x, idx):
 # -- random labeled elements --------------------------------------------------------------
 
 
-def labeled_elements(ctx, slots: int):
-    """Labeled elements with mixed hbar powers in [0, M); the public
-    constructor drops terms past the PBW bound D."""
-    word = st.lists(st.integers(0, ctx.lba.dim - 1), max_size=2).map(lambda w: tuple(sorted(w)))
+def labeled_elements(ctx, slots: int, degree: int = 2):
+    """Labeled elements with mixed hbar powers in [0, M) and words of degree
+    at most `degree`; the public constructor drops terms past the PBW bound
+    D."""
+    word = st.lists(st.integers(0, ctx.lba.dim - 1), max_size=degree).map(lambda w: tuple(sorted(w)))
     slot = st.tuples(word, st.sampled_from(list(ctx.G.group.elements())))
     key = st.tuples(st.integers(0, ctx.M - 1), st.tuples(*[slot] * slots))
     coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
@@ -274,7 +278,8 @@ def test_each_sl2_mutation_splits_one_kernel_class():
     triple-loop test splits one of those classes in one input only."""
 
     def splits(data):
-        conj, vinv, finv = SemidirectBialgebra(data)._label_ids()
+        alg = SemidirectBialgebra(data)
+        conj, vinv, finv = alg._conj_ids, alg._vinv_ids, alg._finv_ids
         return {
             "conj": [conj[E] != conj[W2], conj[W] != conj[W3]],
             "vinv": [vinv[(E, W)] != vinv[(W2, W)]],
@@ -289,32 +294,50 @@ def test_each_sl2_mutation_splits_one_kernel_class():
 
 
 def test_axiom_report_multiplies_each_distinct_pair_once(monkeypatch):
-    """One axiom_report(1) on the sl2 data at M = 3, D = 4 makes 432
-    products (3,744 when each labelled product was evaluated; the triple
-    loop: 12,832), 50 coproducts (116; 784), 66 coproducts at one slot
-    (148), the coassociativity checks included, and 80 apply_endo calls
-    (144; 3,272): each product and coproduct once per label class, and one
-    conjugate i^{-1}_g(theta_g(w)) per (w, g) a class representative meets."""
+    """One axiom_report(1) on the sl2 data at M = 3, D = 4 evaluates 432
+    class products (3,744 when each labelled product was evaluated; the
+    triple loop: 12,832) and 66 class coproducts (148), the coassociativity
+    checks included: 50 of 1-slot values (116; 784) and 16 at one slot of a
+    multi-slot value; and it makes 72 apply_endo calls (144; 3,272): each
+    product and coproduct once per label class, on plain values, and one
+    conjugate i^{-1}(theta(w)) per (w, conjugation id) the class products
+    meet.  The labelled `product`, `coproduct` and `_cop_slot` are not
+    called."""
+    import gammastack.quantum as quantum
+
     data = sl2_que_data(3, 4)
     for g in data.ctx.G.group.elements():
         data.i_inverse_images(g)
-    counts = dict.fromkeys(("product", "coproduct", "_cop_slot", "apply_endo"), 0)
+    counts = dict.fromkeys(("labelled", "product", "coproduct", "slot coproduct", "apply_endo"), 0)
+    delta_tables = set()
 
-    def counted(cls, name):
-        real = getattr(cls, name)
+    def counted(owner, name, key):
+        """Wrap owner.name: key(result, *args) names the count a call adds
+        to, or is None."""
+        real = getattr(owner, name)
 
         def wrapper(*args):
-            counts[name] += 1
-            return real(*args)
+            out = real(*args)
+            counted_key = key(out, *args)
+            if counted_key:
+                counts[counted_key] += 1
+            return out
 
-        monkeypatch.setattr(cls, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted(SemidirectBialgebra, "product")
-    counted(SemidirectBialgebra, "coproduct")
-    counted(SemidirectBialgebra, "_cop_slot")
-    counted(QueContext, "apply_endo")
+    def slot_terms(_terms, x, _idx, table):
+        if table in delta_tables:
+            return "coproduct" if x.slots == 1 else "slot coproduct"
+        return None
+
+    for name in ("product", "coproduct", "_cop_slot"):
+        counted(SemidirectBialgebra, name, lambda *_: "labelled")
+    counted(SemidirectBialgebra, "_product_tables", lambda *_: "product")
+    counted(SemidirectBialgebra, "_coproduct_table", lambda table, *_: delta_tables.add(table))
+    counted(quantum, "_slot_terms", slot_terms)
+    counted(QueContext, "apply_endo", lambda *_: "apply_endo")
     assert len(SemidirectBialgebra(data).axiom_report(1)) == 72
-    assert counts == {"product": 432, "coproduct": 50, "_cop_slot": 66, "apply_endo": 80}
+    assert counts == {"labelled": 0, "product": 432, "coproduct": 50, "slot coproduct": 16, "apply_endo": 72}
     assert 3 * counts["product"] < 12832 and 3 * counts["apply_endo"] < 3272
 
 
@@ -329,13 +352,17 @@ def swept(name: str, M: int, D: int, degree: int = 1) -> tuple[SemidirectBialgeb
 def test_sl2_sweep_builds_each_basis_table_once():
     """The benchmark's sweep, sl2-que.glb at M = 3, D = 6: a product reads
     the table of every slot pair of each term pair below hbar^M, and Delta
-    the table of every slot it meets, so the sweep builds exactly the basis
-    products (473) and basis coproducts (39) the terms of its class
-    representatives meet (1,764 and 60 when every labelled product and
-    coproduct was evaluated), and finds no issue."""
+    the table of every slot it meets, so the sweep builds exactly the plain
+    basis products (273) and basis coproducts (30) its class evaluations
+    meet, in 2 product classes and 2 coproduct classes (473 and 39 labelled
+    tables when each class was evaluated through the labelled product;
+    1,764 and 60 when every labelled product and coproduct was), and finds
+    no issue."""
     alg, issues = swept("sl2-que.glb", 3, 6)
     assert issues == []
-    assert (len(alg._products), len(alg._coproducts)) == (473, 39)
+    assert (len(alg._class_products), len(alg._class_coproducts)) == (2, 2)
+    built = (sum(map(len, alg._class_products.values())), sum(map(len, alg._class_coproducts.values())))
+    assert built == (273, 30)
 
 
 def test_sl2_sweep_at_degree_two_finds_no_issue():
@@ -378,45 +405,67 @@ def per_slot_coproduct_table(alg, s):
 
 
 def unlabelled(table):
+    """A labelled table with its labels dropped."""
     den, entries = table
     return den, tuple((a, tuple(w for w, _ in sl), n, e) for a, sl, n, e in entries)
 
 
 @pytest.mark.parametrize("name, M, D", [("sl2-que.glb", 3, 6), ("abelian-que.glb", 3, 4)])
 def test_swept_tables_equal_the_per_pair_construction(name, M, D):
-    """After the sweep every product and coproduct table equals the one built
-    for its pair alone, entry order included.  On sl2-que every v^{-1} is the
-    unit, and the tables of one (w1, g1), (w2, .) differ only in their
-    labels; on abelian-que v_{s,s} = 1 - 2 hbar^2 x x y is not, and some
-    differ by more than their labels, which is why the class key of a
-    product reads the value of v^{-1}_{g1,g2}."""
+    """After the sweep each plain class table equals the table built for
+    each label pair of its class alone, labels dropped, entry order
+    included, and each plain coproduct table that of each label of its
+    class.  The labelled tables that `product` and `coproduct` build from
+    them (here on the degree <= 1 basis) equal the per-pair tables, labels
+    included.  On sl2-que every v^{-1} is the unit, so every label pair has
+    the unit's v^{-1} id; on abelian-que v_{s,s} = 1 - 2 hbar^2 x x y has its
+    own, and the two classes of the conjugation of s differ by more than
+    their labels, which is why a product class reads the id of
+    v^{-1}_{g1,g2}."""
     alg, issues = swept(name, M, D)
     assert issues == []
+    labels = list(alg.G.group.elements())
+    for key, memo in alg._class_products.items():
+        pairs = [(g1, g2) for g1 in labels for g2 in labels if (alg._conj_ids[g1], alg._vinv_ids[(g1, g2)]) == key]
+        for (w1, w2), table in memo.items():
+            for g1, g2 in pairs:
+                assert table == unlabelled(per_pair_product_table(alg, (w1, g1), (w2, g2)))
+    for f, memo in alg._class_coproducts.items():
+        for w, table in memo.items():
+            for g in labels:
+                if alg._finv_ids[g] == f:
+                    assert table == unlabelled(per_slot_coproduct_table(alg, (w, g)))
+    basis = [alg.ctx.labeled(w, g) for d in (0, 1) for w in sorted_words(alg.ctx.lba.dim, d) for g in labels]
+    for a in basis:
+        alg.coproduct(a)
+        for b in basis:
+            alg.product(a, b)
     for (s1, s2), table in alg._products.items():
         assert table == per_pair_product_table(alg, s1, s2)
     for s, table in alg._coproducts.items():
         assert table == per_slot_coproduct_table(alg, s)
-    plain: dict = {}
-    for (s1, (w2, _)), table in alg._products.items():
-        plain.setdefault((s1, w2), set()).add(unlabelled(table))
     unit = alg.ctx.unit(1)
+    vinv = set(alg._vinv_ids.values())
     if name == "sl2-que.glb":
-        assert all(vinv == unit for vinv in alg._vinv.values())
-        assert all(len(tables) == 1 for tables in plain.values())
+        assert [alg._inputs[i] for i in vinv] == [unit]
     else:
-        assert alg._vinv[(1, 1)] != unit
-        assert any(len(tables) > 1 for tables in plain.values())
+        assert alg._inputs[alg._vinv_ids[(1, 1)]] != unit and len(vinv) == 2
+        first, second = (memo for (c, _), memo in alg._class_products.items() if c == alg._conj_ids[1])
+        assert any(first[k] != second[k] for k in first.keys() & second.keys())
 
 
 def test_unit_factors_skip_the_pair_loop(monkeypatch):
     """On sl2-que.glb at M = 3, D = 6, `quantize_stack` sends 138 of its
     `QueContext.mul` calls through the pair loop `_slot_product`, and the
-    axiom sweep after it (the benchmark's order) 398 (478 when each labelled
+    axiom sweep after it (the benchmark's order) 686 (478 when each labelled
     product was evaluated): a unit factor returns the other operand, and
-    `validate_que_data` evaluates each unordered bracket pair once (516 and 3,618 when every call took the loop and every ordered
-    pair was evaluated).  The crossed product's own unit [1|e] still takes
-    the loop: all 432 products the sweep evaluates do (one per label class;
-    3,744 when each labelled product was evaluated)."""
+    `validate_que_data` evaluates each unordered bracket pair once (516 and
+    3,618 when every call took the loop and every ordered pair was
+    evaluated).  The sweep's own products are plain: its 432 class products
+    (one per label class; 3,744 when each labelled product was evaluated)
+    are among the 686, each through the loop, since the crossed product's
+    unit [1|e] must not be skipped, and no `CrossedElement` product is
+    made."""
     text = data_path("sl2-que.glb").read_text(encoding="utf-8")
     data = build_que_data(parse_problem(text), 3, 6)
     calls = {HElement: 0, CrossedElement: 0}
@@ -430,4 +479,38 @@ def test_unit_factors_skip_the_pair_loop(monkeypatch):
     assert calls == {HElement: 138, CrossedElement: 0}
     calls.update(dict.fromkeys(calls, 0))
     assert SemidirectBialgebra(data).axiom_report(1) == []
-    assert calls == {HElement: 398, CrossedElement: 432}
+    assert calls == {HElement: 686, CrossedElement: 0}
+
+
+@cache
+def sl2_d6_sweep() -> SemidirectBialgebra:
+    """The sweep of sl2-que.glb at M = 3, D = 6, on an algebra of its own."""
+    text = data_path("sl2-que.glb").read_text(encoding="utf-8")
+    alg, issues = build_semidirect(build_que_data(parse_problem(text), 3, 6))
+    assert issues == []
+    return alg
+
+
+@PROPERTY
+@given(data=st.data())
+def test_labelled_product_reads_the_sweeps_tables(data):
+    """After the sweep, labelled products and coproducts equal the per-term
+    formula and build no plain table: a product or coproduct of a label
+    reads the plain table its class already holds.  The sweep meets every
+    pair of words of degree <= 2 by degree <= 1 (in (ab)c and a(bc)) and
+    every word of degree <= 2 (in Delta of products), so the operands stay
+    within those."""
+    alg = sl2_d6_sweep()
+    ctx = alg.ctx
+    built = [len(memo) for memo in (*alg._class_products.values(), *alg._class_coproducts.values())]
+    x, xx = data.draw(labeled_elements(ctx, 1)), data.draw(labeled_elements(ctx, 2))
+    y, yy = data.draw(labeled_elements(ctx, 1, 1)), data.draw(labeled_elements(ctx, 2, 1))
+    assert terms(alg.product(x, y)) == terms(oracle_product(alg, x, y))
+    assert terms(alg.product(y, x)) == terms(oracle_product(alg, y, x))
+    assert terms(alg.coproduct(x)) == terms(oracle_coproduct(alg, x))
+    assert terms(alg.product(xx, yy)) == terms(oracle_mul2(alg, xx, yy))
+    for slots in (2, 3):
+        z = data.draw(labeled_elements(ctx, slots))
+        for idx in range(slots):
+            assert terms(alg._cop_slot(z, idx)) == terms(oracle_cop_slot(alg, z, idx))
+    assert [len(memo) for memo in (*alg._class_products.values(), *alg._class_coproducts.values())] == built

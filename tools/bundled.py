@@ -354,9 +354,8 @@ def sl2_que_data(M: int = 3, D: int = 4) -> GammaQUEData:
         for (a, sl), c in wrap.coeffs.items():
             out[("wrap", sl)] = c
         # Delta(theta x) = Ad(Psi^{-1})(theta^{(x)2} Delta(x))
-        psi_inv = ctx.inverse(psi)
         for i in range(dim):
-            conj = conjugation_residual(ctx, tau2, psi, psi_inv, i).hbar_coefficient(2)
+            conj = conjugation_residual(ctx, tau2, psi, i).hbar_coefficient(2)
             for (a, sl), c in conj.coeffs.items():
                 out[("conj", i, sl)] = c
         return out
